@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lfe.fields import FieldConfig, eval_B, forcing_stats, grad_V
-from lfe.sampling import log_radii, maximize_on_annulus, sphere_directions
+from lfe.fields import FieldConfig, forcing_stats
+from lfe.sampling import log_radii, maximize_on_annulus, shells, sphere_directions
 
 
 class CertificateError(RuntimeError):
@@ -134,17 +134,11 @@ def compute_R(config: FieldConfig, *, r0: float = 1.0, seed: int = 20240803) -> 
 
     radius = r0
     while radius <= _MAX_RADIUS:
-        b_sup = 0.0
-        e_sup = 0.0
-        for mult in _SPHERE_MULTIPLES:
-            r = radius * mult
-            coulomb = config.c0 / r**2
-            for d in dirs:
-                q = r * d
-                e_sup = max(e_sup, float(np.linalg.norm(grad_V(config.potential, q))), coulomb)
-            for t in times:
-                for d in dirs:
-                    b_sup = max(b_sup, float(np.linalg.norm(eval_B(config.magnetic, t, r * d))))
+        radii = radius * np.array(_SPHERE_MULTIPLES)
+        cloud = shells(radii, dirs)
+        coulomb = float((config.c0 / radii**2).max())
+        e_sup = max(float(np.linalg.norm(config.potential.gradient(cloud), axis=-1).max()), coulomb)
+        b_sup = max(float(np.linalg.norm(config.magnetic.eval(t, cloud), axis=-1).max()) for t in times)
         if b_sup < config.c_B and e_sup < threshold:
             return radius
         radius *= 2.0
@@ -177,18 +171,12 @@ def compute_lower_constants(
     cap = min(config.eps0, config.eps1, 1.0)
     c0_eff = 0.5 * config.c0
 
-    dirs = sphere_directions(6, seed)
     radii = log_radii(cap * 1e-8, cap, 160)
-    r_bad = math.inf
-    for r in radii:
-        rhs = c0_eff / r + config.c1 * r ** (-config.beta)
-        slack = 1e-12 * rhs
-        for d in dirs:
-            q = r * d
-            lhs = -float(np.dot(q, grad_V(config.potential, q)))
-            if lhs < rhs - slack:
-                r_bad = min(r_bad, r)
-                break
+    cloud = shells(radii, sphere_directions(6, seed))
+    lhs = -np.add.reduce(cloud * config.potential.gradient(cloud), axis=-1).reshape(len(radii), -1)
+    rhs = c0_eff / radii + config.c1 * radii ** (-config.beta)
+    failing = radii[(lhs < (rhs - 1e-12 * rhs)[:, None]).any(axis=1)]
+    r_bad = float(failing.min()) if failing.size else math.inf
 
     epsilon = None
     value = cap
@@ -208,8 +196,8 @@ def compute_lower_constants(
     _, l1 = forcing_stats(config.forcing)
 
     def grad_plus_b(t, q):
-        return float(np.linalg.norm(grad_V(config.potential, q))) + float(
-            np.linalg.norm(eval_B(config.magnetic, t, q))
+        return np.linalg.norm(config.potential.gradient(q), axis=-1) + np.linalg.norm(
+            config.magnetic.eval(t, q), axis=-1
         )
 
     C, _, _, _ = maximize_on_annulus(
@@ -233,11 +221,10 @@ def compute_momentum_bound(
         raise ValueError(f"need 0 < m < R + T, got m={m}, R+T={R + period}")
 
     def h_total(t, q):
-        r = float(np.linalg.norm(q))
         return (
-            float(np.linalg.norm(grad_V(config.potential, q)))
-            + config.c0 / r**2
-            + float(np.linalg.norm(eval_B(config.magnetic, t, q)))
+            np.linalg.norm(config.potential.gradient(q), axis=-1)
+            + config.c0 / np.linalg.norm(q, axis=-1) ** 2
+            + np.linalg.norm(config.magnetic.eval(t, q), axis=-1)
         )
 
     M, _, _, _ = maximize_on_annulus(h_total, m, R + period, period, seed=seed + 2)

@@ -13,6 +13,7 @@ verbosity is controlled by the LFE_VERBOSITY environment variable
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from lfe.config_io import ConfigError, RunConfig, config_hash, parse_config, ser
 from lfe.degree import DegenerateForcing, DegreeError, brouwer_degree, find_zero_f0
 from lfe.fields import validate_hypotheses
 from lfe.homotopy import HomotopySystem
-from lfe.integrator import IntegratorConfig, SolverError, integrate
+from lfe.integrator import SolverError, integrate
 from lfe.kinematics import State
 from lfe.shooting import Domain, ShootingProblem, continue_lambda, newton_shooting
 
@@ -84,13 +85,7 @@ def _build_problem(cfg: RunConfig, lam: float, cert: BoundsCertificate | None) -
     if cert is not None:
         domain = Domain.from_bounds(*cert.region())
         if cfg.r_min_auto:
-            integrator = IntegratorConfig(
-                rtol=integrator.rtol,
-                atol=integrator.atol,
-                max_steps=integrator.max_steps,
-                r_min=0.5 * cert.m,
-                method=integrator.method,
-            )
+            integrator = dataclasses.replace(integrator, r_min=0.5 * cert.m)
     return ShootingProblem(
         system=system,
         lam=lam,
@@ -108,14 +103,16 @@ def _initial_state(cfg: RunConfig) -> State:
     return State(q=cfg.initial.q, p=cfg.initial.p)
 
 
+def _check_rows(entries) -> list[dict]:
+    """JSON rows {name, passed, margin, detail} of validation checks or verification entries."""
+    return [dataclasses.asdict(e) for e in entries]
+
+
 def _orbit_payload(sol, verification=None) -> dict:
     payload = dict(sol.summary())
     payload["monodromy"] = [[float(v) for v in row] for row in sol.monodromy]
     if verification is not None:
-        payload["verification"] = [
-            {"name": e.name, "passed": e.passed, "margin": e.margin, "detail": e.detail}
-            for e in verification.entries
-        ]
+        payload["verification"] = _check_rows(verification.entries)
         payload["verified"] = verification.passed
     return payload
 
@@ -139,10 +136,7 @@ def cmd_validate(cfg: RunConfig, out: Path) -> int:
             "passed": report.passed,
             "seed": report.seed,
             "note": report.note,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "margin": c.margin, "detail": c.detail}
-                for c in report.checks
-            ],
+            "checks": _check_rows(report.checks),
         },
     )
     _emit("\n".join(report.lines()))
@@ -279,10 +273,7 @@ def cmd_continue(cfg: RunConfig, out: Path, config_text: str) -> int:
     text.append("hypothesis validation")
     text.extend("  " + line for line in validation.lines())
     report["validation_passed"] = validation.passed
-    report["validation"] = [
-        {"name": c.name, "passed": c.passed, "margin": c.margin, "detail": c.detail}
-        for c in validation.checks
-    ]
+    report["validation"] = _check_rows(validation.checks)
     if not validation.passed:
         text.append("aborted: hypothesis validation failed")
         return finish(EXIT_HYPOTHESIS)

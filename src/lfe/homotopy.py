@@ -18,12 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lfe.fields import FieldConfig, SingularityError, eval_B, grad_V
+from lfe.fields import FieldConfig, SingularityError, _check_away_from_origin
 from lfe.kinematics import State, phi_inv
-
-
-def _norm(q: np.ndarray) -> float:
-    return math.hypot(q[0], q[1], q[2])
 
 
 @dataclass(frozen=True)
@@ -41,16 +37,13 @@ class HomotopySystem:
         return self.config.forcing.mean
 
     def grad_V_lambda(self, q, lam: float) -> np.ndarray:
-        """lam * grad V(q) + (1-lam) * grad(c0/|q|); singular at the origin."""
-        q = np.asarray(q, dtype=float)
-        r = _norm(q)
-        if r == 0.0:
-            raise SingularityError("potential gradient undefined at the origin")
+        """lam * grad V(q) + (1-lam) * grad(c0/|q|) for q of shape (3,) or (N, 3); singular at the origin."""
+        if lam == 1.0:
+            return self.config.potential.gradient(q)
+        q, r = _check_away_from_origin(q)
         if lam == 0.0:
             return -self.config.c0 * q / r**3
-        if lam == 1.0:
-            return grad_V(self.config.potential, q)
-        return lam * grad_V(self.config.potential, q) - (1.0 - lam) * self.config.c0 * q / r**3
+        return lam * self.config.potential.gradient(q) - (1.0 - lam) * self.config.c0 * q / r**3
 
     def h_lambda(self, t: float, lam: float) -> np.ndarray:
         """lam * h(t) + (1-lam) * h_mean; its period average is h_mean for every lam."""
@@ -69,13 +62,13 @@ class HomotopySystem:
         """
         q = y[:3]
         p = y[3:]
-        r = _norm(q)
-        if r == 0.0:
-            raise SingularityError("state hit the field singularity")
         v = p / math.hypot(1.0, p[0], p[1], p[2])
         force = -self.grad_V_lambda(q, lam) + self.h_lambda(t, lam)
         if lam != 0.0:
-            force = force + lam * np.cross(v, eval_B(self.config.magnetic, t, q))
+            # v x B written out: np.cross costs more than the rest of the call
+            vx, vy, vz = v
+            bx, by, bz = self.config.magnetic.eval(t, q)
+            force = force + lam * np.array([vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx])
         out = np.empty(6)
         out[:3] = v
         out[3:] = force
@@ -104,7 +97,7 @@ class AutonomousField:
 
     def value(self, x: State) -> np.ndarray:
         q, p = x.q, x.p
-        r = _norm(q)
+        r = math.hypot(q[0], q[1], q[2])
         if r == 0.0:
             raise SingularityError("autonomous field undefined at the origin")
         return np.concatenate([phi_inv(p), self.h_mean + self.c0 * q / r**3])
@@ -120,7 +113,7 @@ def velocity_jacobian(p: np.ndarray) -> np.ndarray:
 def coulomb_force_jacobian(q: np.ndarray, c0: float) -> np.ndarray:
     """d/dq of c0 q/|q|^3 = c0 (I |q|^-3 - 3 q q^T |q|^-5)."""
     q = np.asarray(q, dtype=float)
-    r = _norm(q)
+    r = math.hypot(*q)
     if r == 0.0:
         raise SingularityError("force Jacobian undefined at the origin")
     return c0 * (np.eye(3) / r**3 - 3.0 * np.outer(q, q) / r**5)
@@ -132,7 +125,7 @@ def f0_determinant_closed_form(c0: float, q, p) -> float:
     det = -2 c0^3 |q|^-9 [ (1+|p|^2)^(-3/2) - |p|^2 (1+|p|^2)^(-5/2) ],
     strictly negative for every admissible (q, p).
     """
-    r = _norm(np.asarray(q, dtype=float))
+    r = math.hypot(*np.asarray(q, dtype=float))
     s = 1.0 + float(np.dot(p, p))
     return -2.0 * c0**3 * r**-9 * (s**-1.5 - float(np.dot(p, p)) * s**-2.5)
 

@@ -36,11 +36,14 @@ def log_radii(r_lo: float, r_hi: float, n: int) -> np.ndarray:
     return r
 
 
+def shells(radii, dirs: np.ndarray) -> np.ndarray:
+    """Cloud of shape (len(radii) * len(dirs), 3): every direction at each radius in turn."""
+    return (np.asarray(radii, dtype=float)[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+
+
 def annulus_grid(r_lo: float, r_hi: float, n_radii: int, dir_pow2: int, seed: int) -> np.ndarray:
     """Structured cloud: log radii x quasi-random directions, boundary included."""
-    radii = log_radii(r_lo, r_hi, n_radii)
-    dirs = sphere_directions(dir_pow2, seed)
-    return (radii[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
+    return shells(log_radii(r_lo, r_hi, n_radii), sphere_directions(dir_pow2, seed))
 
 
 def maximize_on_annulus(
@@ -57,6 +60,9 @@ def maximize_on_annulus(
 ):
     """Sampled maximum of func(t, q) over the shell r_lo <= |q| <= r_hi, t in [0, t_max].
 
+    func takes q of shape (N, 3) for the sweep, one call per time, and of
+    shape (3,) during the ascent; it returns one value per point.
+
     Structured sweep (log radii x quasi-random directions x time grid)
     followed by local ascent from the best seeds, parametrized in
     (log r, cos theta, azimuth, t) with the radius kept inside the shell.
@@ -64,10 +70,7 @@ def maximize_on_annulus(
     """
     points = annulus_grid(r_lo, r_hi, n_radii, dir_pow2, seed)
     times = np.linspace(0.0, t_max, n_time) if t_max > 0 else np.array([0.0])
-    values = np.empty((len(times), len(points)))
-    for i, t in enumerate(times):
-        for j, qpt in enumerate(points):
-            values[i, j] = func(t, qpt)
+    values = np.array([func(t, points) for t in times])
 
     flat = values.ravel()
     order = np.argsort(flat)[::-1][:n_refine]

@@ -16,9 +16,7 @@ from lfe.fields import (
     TabulatedPotential,
     UniformField,
     ZeroField,
-    eval_B,
     forcing_stats,
-    grad_V,
     magnetic_ceiling,
     validate_hypotheses,
 )
@@ -35,8 +33,8 @@ def fd_gradient(potential, q, step=1e-6):
 
 def test_coulomb_gradient_closed_form():
     pot = GeneralizedCoulomb(1.0, 1.0)
-    assert np.allclose(grad_V(pot, [1.0, 0.0, 0.0]), [-1.0, 0.0, 0.0], atol=1e-15)
-    assert np.allclose(grad_V(pot, [0.0, 0.0, 2.0]), [0.0, 0.0, -0.25], atol=1e-15)
+    assert np.allclose(pot.gradient([1.0, 0.0, 0.0]), [-1.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(pot.gradient([0.0, 0.0, 2.0]), [0.0, 0.0, -0.25], atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -58,13 +56,13 @@ def test_gradient_matches_finite_differences(potential):
         r = np.linalg.norm(q)
         if r < 0.3:
             q *= 0.3 / r
-        assert np.abs(grad_V(potential, q) - fd_gradient(potential, q)).max() <= 1e-5
+        assert np.abs(potential.gradient(q) - fd_gradient(potential, q)).max() <= 1e-5
 
 
 def test_tabulated_fd_fallback():
     pot = TabulatedPotential(lambda q: float(np.dot(q, q)))
     q = np.array([0.7, -0.2, 1.1])
-    assert np.abs(grad_V(pot, q) - 2 * q).max() <= 1e-8
+    assert np.abs(pot.gradient(q) - 2 * q).max() <= 1e-8
 
 
 def test_radial_identity_exact():
@@ -75,23 +73,23 @@ def test_radial_identity_exact():
             q = rng.normal(size=3)
             q *= rng.uniform(0.1, 10.0) / np.linalg.norm(q)
             r = np.linalg.norm(q)
-            val = np.dot(q, grad_V(pot, q))
+            val = np.dot(q, pot.gradient(q))
             assert math.isclose(val, -c0 * r**-gamma, rel_tol=1e-12)
 
 
 def test_gradient_singular_at_origin():
     with pytest.raises(SingularityError):
-        grad_V(GeneralizedCoulomb(1.0, 1.0), [0.0, 0.0, 0.0])
+        GeneralizedCoulomb(1.0, 1.0).gradient([0.0, 0.0, 0.0])
     with pytest.raises(SingularityError):
-        eval_B(DipoleField([0.0, 0.0, 1.0]), 0.0, [0.0, 0.0, 0.0])
+        DipoleField([0.0, 0.0, 1.0]).eval(0.0, [0.0, 0.0, 0.0])
 
 
 def test_dipole_values():
     d = DipoleField([0.0, 0.0, 1.0])
     # perpendicular to the moment: 3q(mu.q) term vanishes
-    assert np.allclose(eval_B(d, 0.0, [1.0, 0.0, 0.0]), [0.0, 0.0, -1.0], atol=1e-15)
+    assert np.allclose(d.eval(0.0, [1.0, 0.0, 0.0]), [0.0, 0.0, -1.0], atol=1e-15)
     # on the axis: 3*mu - mu
-    assert np.allclose(eval_B(d, 0.0, [0.0, 0.0, 1.0]), [0.0, 0.0, 2.0], atol=1e-15)
+    assert np.allclose(d.eval(0.0, [0.0, 0.0, 1.0]), [0.0, 0.0, 2.0], atol=1e-15)
 
 
 def test_dipole_bound():
@@ -104,23 +102,61 @@ def test_dipole_bound():
         q = rng.normal(size=3)
         q *= rng.uniform(0.05, 20.0) / np.linalg.norm(q)
         r = np.linalg.norm(q)
-        assert np.linalg.norm(eval_B(d, 0.0, q)) <= c1 / r**3 * (1 + 1e-12)
+        assert np.linalg.norm(d.eval(0.0, q)) <= c1 / r**3 * (1 + 1e-12)
 
 
 def test_abc_values_and_bound():
     f = ABCField(1.0, 1.0, 1.0)
-    assert np.allclose(eval_B(f, 0.0, [0.0, 0.0, 0.0]), [1.0, 1.0, 1.0], atol=1e-15)
+    assert np.allclose(f.eval(0.0, [0.0, 0.0, 0.0]), [1.0, 1.0, 1.0], atol=1e-15)
     g = ABCField(0.7, -1.3, 0.4)
     bound = g.sup_bound()
     rng = np.random.default_rng(24)
     for _ in range(2000):
         q = rng.uniform(-10, 10, size=3)
-        assert np.linalg.norm(eval_B(g, 0.0, q)) <= bound + 1e-12
+        assert np.linalg.norm(g.eval(0.0, q)) <= bound + 1e-12
 
 
 def test_uniform_and_zero_fields():
-    assert np.array_equal(eval_B(ZeroField(), 0.3, [1.0, 2.0, 3.0]), np.zeros(3))
-    assert np.array_equal(eval_B(UniformField([0, 0, 2.0]), 0.3, [1.0, 2.0, 3.0]), [0, 0, 2.0])
+    assert np.array_equal(ZeroField().eval(0.3, [1.0, 2.0, 3.0]), np.zeros(3))
+    assert np.array_equal(UniformField([0, 0, 2.0]).eval(0.3, [1.0, 2.0, 3.0]), [0, 0, 2.0])
+
+
+def _gauss(q):
+    return float(np.exp(-np.dot(q, q)))
+
+
+def _point_functions(field):
+    """value and gradient of a potential, or q -> B(t, q) of a magnetic field."""
+    if hasattr(field, "gradient"):
+        return [field.value, field.gradient]
+    return [lambda q: field.eval(0.3, q)]
+
+
+@pytest.mark.parametrize(
+    "field, singular",
+    [
+        pytest.param(GeneralizedCoulomb(1.0, 1.0), True, id="coulomb-gamma1"),
+        pytest.param(GeneralizedCoulomb(0.7, 3.0), True, id="coulomb-gamma3"),
+        pytest.param(TabulatedPotential(_gauss, lambda q: -2.0 * q * _gauss(q)), True, id="tabulated"),
+        pytest.param(TabulatedPotential(_gauss), True, id="tabulated-fd"),
+        pytest.param(ZeroField(), False, id="zero"),
+        pytest.param(UniformField([0.1, -0.2, 2.0]), False, id="uniform"),
+        pytest.param(DipoleField([0.3, -0.2, 0.9]), True, id="dipole"),
+        pytest.param(ABCField(0.7, -1.3, 0.4), False, id="abc"),
+    ],
+)
+def test_cloud_equals_stacked_points(field, singular):
+    rng = np.random.default_rng(26)
+    cloud = rng.normal(size=(64, 3)) * np.exp(rng.uniform(-8.0, 8.0, size=(64, 1)))
+    with_origin = cloud.copy()
+    with_origin[17] = 0.0
+    for evaluate in _point_functions(field):
+        assert np.array_equal(evaluate(cloud), np.array([evaluate(q) for q in cloud]))
+        if singular:
+            with pytest.raises(SingularityError):
+                evaluate(with_origin)
+        else:
+            assert np.array_equal(evaluate(with_origin), np.array([evaluate(q) for q in with_origin]))
 
 
 def test_forcing_constant_stats():

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from conftest import coulomb_config, desk_config
 from lfe.degree import find_zero_f0
-from lfe.fields import SingularityError, grad_V
+from lfe.fields import SingularityError
 from lfe.homotopy import (
     AutonomousField,
     HomotopySystem,
@@ -34,7 +34,7 @@ def test_grad_V_lambda_endpoints(system):
     for _ in range(50):
         q = rng.normal(size=3)
         assert np.allclose(
-            system.grad_V_lambda(q, 1.0), grad_V(system.config.potential, q), atol=1e-15
+            system.grad_V_lambda(q, 1.0), system.config.potential.gradient(q), atol=1e-15
         )
         r = np.linalg.norm(q)
         assert np.allclose(system.grad_V_lambda(q, 0.0), -system.config.c0 * q / r**3, atol=1e-15)
@@ -101,17 +101,15 @@ def test_rhs_autonomous_at_lambda_zero(system):
 
 
 def test_rhs_lambda_one_matches_unhomotoped(system):
-    from lfe.fields import eval_B
-
     rng = np.random.default_rng(35)
     for _ in range(30):
         x = random_state(rng)
         t = rng.uniform(0.0, 1.0)
         v = phi_inv(x.p)
         expected_force = (
-            -grad_V(system.config.potential, x.q)
+            -system.config.potential.gradient(x.q)
             + system.config.forcing.eval(t)
-            + np.cross(v, eval_B(system.config.magnetic, t, x.q))
+            + np.cross(v, system.config.magnetic.eval(t, x.q))
         )
         out = system.rhs(t, x, 1.0)
         assert np.allclose(out[:3], v, atol=1e-15)
