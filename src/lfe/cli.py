@@ -3,6 +3,14 @@
     lfe <subcommand> --config scenario.ini [--out DIR]
 
 Subcommands: validate, bounds, degree, integrate, find-orbit, continue.
+Each report is one record rendered to `<stem>.txt` and `<stem>.json`
+(validate_report, certificate, degree_report, orbit_report, run_report)
+and echoed to stdout.  A single-stage command whose stage fails writes
+only its failure message to `<stem>.txt`.  `continue` runs the stages in
+order and always writes run_report: a failed stage ends the text with
+`aborted: <message>` and stores the error under `certificate_error`,
+`degree_error` or `solver_error`; `continuation.history` lists every
+attempted step with its lambda, dlam, accepted flag and reason.
 Exit codes: 0 success, 2 hypothesis/certificate failure, 3 solver
 failure, 4 I/O or configuration error.  Flags never override file
 values; they only select the subcommand and point at files.  Stdout
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -30,12 +39,12 @@ from lfe.certificate import (
     verify_orbit,
 )
 from lfe.config_io import ConfigError, RunConfig, config_hash, parse_config, serialize_config
-from lfe.degree import DegenerateForcing, DegreeError, brouwer_degree, find_zero_f0
+from lfe.degree import DegenerateForcing, DegreeError, DegreeReport, brouwer_degree, find_zero_f0
 from lfe.fields import validate_hypotheses
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import SolverError, integrate
 from lfe.kinematics import State
-from lfe.shooting import Domain, ShootingProblem, continue_lambda, newton_shooting
+from lfe.shooting import Domain, OrbitSolution, ShootingProblem, continue_lambda, newton_shooting
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -43,39 +52,84 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 
+class _StageFailed(Exception):
+    """A stage that could not finish.
+
+    str() is the report line; `error`, the underlying message, goes into
+    run_report.json under `key`; `code` is the exit code.
+    """
+
+    def __init__(self, what: str, err: Exception, code: int, key: str):
+        super().__init__(f"{what}: {err}")
+        self.error = str(err)
+        self.code = code
+        self.key = key
+
+
 def _emit(text: str) -> None:
     if os.environ.get("LFE_VERBOSITY", "1") != "0":
         print(text)
 
 
-def _write_text(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8",
-    )
+def _report(out: Path, stem: str, lines: list[str], payload: dict | None = None) -> None:
+    """Write `<stem>.txt`, and `<stem>.json` when there is a payload; echo the text."""
+    text = "\n".join(lines)
+    (out / f"{stem}.txt").write_text(text + "\n", encoding="utf-8")
+    if payload is not None:
+        (out / f"{stem}.json").write_text(
+            json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
+            encoding="utf-8",
+        )
+    _emit(text)
 
 
-def _write_rows_csv(path: Path, header: list[str], rows) -> None:
+def _section(title: str, lines=()) -> list[str]:
+    """One stage of run_report.txt: a blank line, the title, the lines indented."""
+    return ["", title, *("  " + line for line in lines)]
+
+
+def _write_rows_csv(path: Path, rows: list[dict]) -> None:
+    """CSV with the keys of the first row as header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(rows[0]) + "\n")
         for row in rows:
-            fh.write(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row) + "\n")
+            cells = (repr(float(x)) if isinstance(x, float) else str(x) for x in row.values())
+            fh.write(",".join(cells) + "\n")
+
+
+def _certificate_record(cert: BoundsCertificate) -> dict:
+    record = dataclasses.asdict(cert)
+    record["upper"] = cert.upper
+    record["provenance"] = {k: str(v) for k, v in cert.provenance.items()}
+    return record
+
+
+def _degree_record(report: DegreeReport) -> dict:
+    record = dataclasses.asdict(report)
+    x0 = record.pop("x0")
+    record["x0_q"], record["x0_p"] = x0["q"], x0["p"]
+    return record
+
+
+def _orbit_record(sol: OrbitSolution, verification=None) -> dict:
+    record = {**sol.summary(), "monodromy": sol.monodromy}
+    if verification is not None:
+        record["verification"] = [dataclasses.asdict(e) for e in verification.entries]
+        record["verified"] = verification.passed
+    return record
+
+
+def _orbit_lines(sol: OrbitSolution) -> list[str]:
+    return [
+        f"{key} = " + (" ".join(map(repr, val)) if isinstance(val, list) else repr(val))
+        for key, val in sol.summary().items()
+    ]
 
 
 def _build_problem(cfg: RunConfig, lam: float, cert: BoundsCertificate | None) -> ShootingProblem:
@@ -103,109 +157,48 @@ def _initial_state(cfg: RunConfig) -> State:
     return State(q=cfg.initial.q, p=cfg.initial.p)
 
 
-def _check_rows(entries) -> list[dict]:
-    """JSON rows {name, passed, margin, detail} of validation checks or verification entries."""
-    return [dataclasses.asdict(e) for e in entries]
-
-
-def _orbit_payload(sol, verification=None) -> dict:
-    payload = dict(sol.summary())
-    payload["monodromy"] = [[float(v) for v in row] for row in sol.monodromy]
-    if verification is not None:
-        payload["verification"] = _check_rows(verification.entries)
-        payload["verified"] = verification.passed
-    return payload
-
-
-def _orbit_lines(sol) -> list[str]:
-    out = [f"lambda = {sol.lam!r}", f"residual_norm = {sol.residual_norm!r}"]
-    out.append(f"newton_iterations = {sol.newton_iterations}")
-    out.append("x0_q = " + " ".join(repr(float(v)) for v in sol.x0.q))
-    out.append("x0_p = " + " ".join(repr(float(v)) for v in sol.x0.p))
-    for key, val in sol.diagnostics.items():
-        out.append(f"{key} = {val!r}")
-    return out
-
-
-def cmd_validate(cfg: RunConfig, out: Path) -> int:
-    report = validate_hypotheses(cfg.fields, seed=cfg.solver.seed)
-    _write_text(out / "validate_report.txt", report.lines())
-    _write_json(
-        out / "validate_report.json",
-        {
-            "passed": report.passed,
-            "seed": report.seed,
-            "note": report.note,
-            "checks": _check_rows(report.checks),
-        },
-    )
-    _emit("\n".join(report.lines()))
-    return EXIT_OK if report.passed else EXIT_HYPOTHESIS
-
-
-def _certificate_json(cert: BoundsCertificate) -> dict:
-    return {
-        "R": cert.R,
-        "period": cert.period,
-        "upper": cert.upper,
-        "epsilon": cert.epsilon,
-        "K2": cert.K2,
-        "C_gradV_B": cert.C_gradV_B,
-        "m": cert.m,
-        "M": cert.M,
-        "L": cert.L,
-        "l1_norm": cert.l1_norm,
-        "c0_eff": cert.c0_eff,
-        "provenance": {k: str(v) for k, v in cert.provenance.items()},
-    }
-
-
-def cmd_bounds(cfg: RunConfig, out: Path) -> int:
+def _certify(cfg: RunConfig) -> BoundsCertificate:
     try:
-        cert = compute_certificate(cfg.fields, seed=cfg.solver.seed)
+        return compute_certificate(cfg.fields, seed=cfg.solver.seed)
     except (CertificateError, ValueError) as err:
-        _write_text(out / "certificate.txt", [f"certificate failed: {err}"])
-        _emit(f"certificate failed: {err}")
-        return EXIT_HYPOTHESIS
-    _write_text(out / "certificate.txt", cert.lines())
-    _write_json(out / "certificate.json", _certificate_json(cert))
-    _emit("\n".join(cert.lines()))
-    return EXIT_OK
+        raise _StageFailed("certificate failed", err, EXIT_HYPOTHESIS, "certificate_error") from err
 
 
-def cmd_degree(cfg: RunConfig, out: Path) -> int:
+def _degree(cfg: RunConfig, cert: BoundsCertificate) -> DegreeReport:
     try:
-        cert = compute_certificate(cfg.fields, seed=cfg.solver.seed)
-    except (CertificateError, ValueError) as err:
-        _write_text(out / "degree_report.txt", [f"certificate failed: {err}"])
-        _emit(f"certificate failed: {err}")
-        return EXIT_HYPOTHESIS
-    try:
-        report = brouwer_degree(
+        return brouwer_degree(
             cfg.fields.c0, cfg.fields.forcing.mean, cert.region(), seed=cfg.solver.seed
         )
     except DegreeError as err:
-        _write_text(out / "degree_report.txt", [f"degree computation failed: {err}"])
-        _emit(f"degree computation failed: {err}")
-        return EXIT_SOLVER
-    _write_text(out / "degree_report.txt", report.lines())
-    _write_json(
-        out / "degree_report.json",
-        {
-            "x0_q": [float(v) for v in report.x0.q],
-            "x0_p": [float(v) for v in report.x0.p],
-            "det_analytic": report.det_analytic,
-            "det_numeric": report.det_numeric,
-            "degree": report.degree,
-            "omega": list(report.omega),
-            "sweep": report.sweep,
-        },
-    )
-    _emit("\n".join(report.lines()))
+        raise _StageFailed("degree computation failed", err, EXIT_SOLVER, "degree_error") from err
+
+
+def _shoot(guess: State, problem: ShootingProblem, what: str = "shooting failed") -> OrbitSolution:
+    try:
+        return newton_shooting(guess, problem)
+    except SolverError as err:
+        raise _StageFailed(what, err, EXIT_SOLVER, "solver_error") from err
+
+
+def cmd_validate(cfg: RunConfig, out: Path, report) -> int:
+    validation = validate_hypotheses(cfg.fields, seed=cfg.solver.seed)
+    report(validation.lines(), dataclasses.asdict(validation))
+    return EXIT_OK if validation.passed else EXIT_HYPOTHESIS
+
+
+def cmd_bounds(cfg: RunConfig, out: Path, report) -> int:
+    cert = _certify(cfg)
+    report(cert.lines(), _certificate_record(cert))
     return EXIT_OK
 
 
-def cmd_integrate(cfg: RunConfig, out: Path) -> int:
+def cmd_degree(cfg: RunConfig, out: Path, report) -> int:
+    degree = _degree(cfg, _certify(cfg))
+    report(degree.lines(), _degree_record(degree))
+    return EXIT_OK
+
+
+def cmd_integrate(cfg: RunConfig, out: Path, report) -> int:
     system = HomotopySystem(cfg.fields)
     try:
         x0 = _initial_state(cfg)
@@ -224,93 +217,41 @@ def cmd_integrate(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_find_orbit(cfg: RunConfig, out: Path) -> int:
+def cmd_find_orbit(cfg: RunConfig, out: Path, report) -> int:
     problem = _build_problem(cfg, cfg.initial.lam, cert=None)
     try:
         guess = _initial_state(cfg)
     except DegenerateForcing as err:
         _emit(f"no equilibrium guess: {err}")
         return EXIT_HYPOTHESIS
-    try:
-        sol = newton_shooting(guess, problem)
-    except SolverError as err:
-        _write_text(out / "orbit_report.txt", [f"shooting failed: {err}"])
-        _emit(f"shooting failed: {err}")
-        return EXIT_SOLVER
-    lines = _orbit_lines(sol)
-    _write_text(out / "orbit_report.txt", lines)
-    _write_json(out / "orbit_report.json", _orbit_payload(sol))
+    sol = _shoot(guess, problem)
+    report(_orbit_lines(sol), _orbit_record(sol))
     grid = np.linspace(0.0, problem.period, cfg.output.sample_points)
     sol.trajectory.write_csv(out / "orbit.csv", grid)
-    _emit("\n".join(lines))
     return EXIT_OK
 
 
-def cmd_continue(cfg: RunConfig, out: Path, config_text: str) -> int:
-    t_start = time.perf_counter()
-    report: dict = {
-        "tool_version": lfe.__version__,
-        "config_sha256": config_hash(config_text),
-        "config": config_text,
-        "seed": cfg.solver.seed,
-    }
-    text: list[str] = [
-        f"lfe continue (version {lfe.__version__})",
-        f"config sha256 = {report['config_sha256']}",
-        "",
-    ]
-
-    def finish(code: int) -> int:
-        report["wall_clock_s"] = time.perf_counter() - t_start
-        text.append("")
-        text.append(f"wall clock [s] = {report['wall_clock_s']:.3f}")
-        _write_text(out / "run_report.txt", text)
-        _write_json(out / "run_report.json", report)
-        _emit("\n".join(text))
-        return code
-
+def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
+    """The stages of `continue` in order, each adding its section to `text` and `record`."""
     validation = validate_hypotheses(cfg.fields, seed=cfg.solver.seed)
-    text.append("hypothesis validation")
-    text.extend("  " + line for line in validation.lines())
-    report["validation_passed"] = validation.passed
-    report["validation"] = _check_rows(validation.checks)
+    text += _section("hypothesis validation", validation.lines())
+    record["validation_passed"] = validation.passed
+    record["validation"] = [dataclasses.asdict(c) for c in validation.checks]
     if not validation.passed:
         text.append("aborted: hypothesis validation failed")
-        return finish(EXIT_HYPOTHESIS)
+        return EXIT_HYPOTHESIS
 
-    try:
-        cert = compute_certificate(cfg.fields, seed=cfg.solver.seed)
-    except (CertificateError, ValueError) as err:
-        text.append(f"aborted: certificate failed: {err}")
-        report["certificate_error"] = str(err)
-        return finish(EXIT_HYPOTHESIS)
-    text.append("")
-    text.append("bounds certificate")
-    text.extend("  " + line for line in cert.lines())
-    report["certificate"] = _certificate_json(cert)
+    cert = _certify(cfg)
+    text += _section("bounds certificate", cert.lines())
+    record["certificate"] = _certificate_record(cert)
 
-    try:
-        degree_report = brouwer_degree(
-            cfg.fields.c0, cfg.fields.forcing.mean, cert.region(), seed=cfg.solver.seed
-        )
-    except DegreeError as err:
-        text.append(f"aborted: degree computation failed: {err}")
-        report["degree_error"] = str(err)
-        return finish(EXIT_SOLVER)
-    text.append("")
-    text.append("degree at the autonomous limit")
-    text.extend("  " + line for line in degree_report.lines())
-    report["degree"] = degree_report.degree
+    degree = _degree(cfg, cert)
+    text += _section("degree at the autonomous limit", degree.lines())
+    record["degree"] = degree.degree
 
     problem = _build_problem(cfg, 0.0, cert)
     equilibrium = find_zero_f0(cfg.fields.c0, cfg.fields.forcing.mean)
-    try:
-        start = newton_shooting(equilibrium, problem)
-    except SolverError as err:
-        text.append(f"aborted: no starting orbit at lam = 0: {err}")
-        report["solver_error"] = str(err)
-        return finish(EXIT_SOLVER)
-
+    start = _shoot(equilibrium, problem, "no starting orbit at lam = 0")
     path = continue_lambda(
         problem,
         start,
@@ -321,37 +262,83 @@ def cmd_continue(cfg: RunConfig, out: Path, config_text: str) -> int:
         certified_bounds=cert.region(),
     )
     rows = path.summary_rows()
-    _write_rows_csv(
-        out / "continuation.csv",
-        ["lambda", "x0_norm", "residual", "newton_iterations"],
-        [(r["lambda"], r["x0_norm"], r["residual"], r["newton_iterations"]) for r in rows],
-    )
-    text.append("")
-    text.append(f"continuation: {path.status} ({path.message})")
-    for r in rows:
-        text.append(
-            f"  lambda={r['lambda']:.6g}  |x0|={r['x0_norm']:.9g}"
+    _write_rows_csv(out / "continuation.csv", rows)
+    text += _section(
+        f"continuation: {path.status} ({path.message})",
+        [
+            f"lambda={r['lambda']:.6g}  |x0|={r['x0_norm']:.9g}"
             f"  residual={r['residual']:.3e}  iters={r['newton_iterations']}"
-        )
-    report["continuation"] = {"status": path.status, "message": path.message, "steps": rows}
+            for r in rows
+        ],
+    )
+    record["continuation"] = {
+        "status": path.status,
+        "message": path.message,
+        "steps": rows,
+        "history": path.history,
+    }
 
     final = path.final
     verification = verify_orbit(final, cert)
-    text.append("")
-    text.append(f"final orbit at lambda = {final.lam!r}")
-    text.extend("  " + line for line in _orbit_lines(final))
-    text.append("")
-    text.append("orbit verification")
-    text.extend("  " + line for line in verification.lines())
-    report["final_orbit"] = _orbit_payload(final, verification)
+    text += _section(f"final orbit at lambda = {final.lam!r}", _orbit_lines(final))
+    text += _section("orbit verification", verification.lines())
+    record["final_orbit"] = _orbit_record(final, verification)
 
     grid = np.linspace(0.0, problem.period, cfg.output.sample_points)
     final.trajectory.write_csv(out / "orbit.csv", grid)
 
     ok = path.reached(cfg.solver.target_lambda) and verification.passed
-    text.append("")
-    text.append("result: " + ("success" if ok else "path incomplete or verification failed"))
-    return finish(EXIT_OK if ok else EXIT_SOLVER)
+    text += _section("result: " + ("success" if ok else "path incomplete or verification failed"))
+    return EXIT_OK if ok else EXIT_SOLVER
+
+
+def cmd_continue(cfg: RunConfig, out: Path, report) -> int:
+    t_start = time.perf_counter()
+    config_text = serialize_config(cfg)
+    record: dict = {
+        "tool_version": lfe.__version__,
+        "config_sha256": config_hash(config_text),
+        "config": config_text,
+        "seed": cfg.solver.seed,
+    }
+    text = [
+        f"lfe continue (version {lfe.__version__})",
+        f"config sha256 = {record['config_sha256']}",
+    ]
+    try:
+        code = _pipeline(cfg, out, record, text)
+    except _StageFailed as err:
+        text.append(f"aborted: {err}")
+        record[err.key] = err.error
+        code = err.code
+    record["wall_clock_s"] = time.perf_counter() - t_start
+    text += _section(f"wall clock [s] = {record['wall_clock_s']:.3f}")
+    report(text, record)
+    return code
+
+
+# subcommand -> (help, command, stem of the report the command writes)
+_COMMANDS = {
+    "validate": ("check the field hypotheses on sample clouds", cmd_validate, "validate_report"),
+    "bounds": ("compute the a priori bound certificate", cmd_bounds, "certificate"),
+    "degree": ("compute the degree of the autonomous field", cmd_degree, "degree_report"),
+    "integrate": ("integrate one trajectory and export CSV", cmd_integrate, None),
+    "find-orbit": ("solve the periodic problem at a fixed lambda", cmd_find_orbit, "orbit_report"),
+    "continue": (
+        "full pipeline: validate, certify, continue to the target lambda",
+        cmd_continue,
+        "run_report",
+    ),
+}
+
+
+def _run(command, cfg: RunConfig, out: Path, stem: str | None) -> int:
+    report = functools.partial(_report, out, stem)
+    try:
+        return command(cfg, out, report)
+    except _StageFailed as err:  # a single-stage command reports only the failure
+        report([str(err)])
+        return err.code
 
 
 def main(argv=None) -> int:
@@ -360,14 +347,7 @@ def main(argv=None) -> int:
         description="Periodic orbits of the relativistic Lorentz force equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "check the field hypotheses on sample clouds"),
-        ("bounds", "compute the a priori bound certificate"),
-        ("degree", "compute the degree of the autonomous field"),
-        ("integrate", "integrate one trajectory and export CSV"),
-        ("find-orbit", "solve the periodic problem at a fixed lambda"),
-        ("continue", "full pipeline: validate, certify, continue to the target lambda"),
-    ]:
+    for name, (help_text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario configuration file (INI)")
         p.add_argument("--out", default=".", help="output directory (default: current)")
@@ -375,7 +355,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-        config_text = serialize_config(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_IO
@@ -387,23 +366,12 @@ def main(argv=None) -> int:
         print(f"cannot create output directory {out}: {err}", file=sys.stderr)
         return EXIT_IO
 
+    _, command, stem = _COMMANDS[args.command]
     try:
-        if args.command == "validate":
-            return cmd_validate(cfg, out)
-        if args.command == "bounds":
-            return cmd_bounds(cfg, out)
-        if args.command == "degree":
-            return cmd_degree(cfg, out)
-        if args.command == "integrate":
-            return cmd_integrate(cfg, out)
-        if args.command == "find-orbit":
-            return cmd_find_orbit(cfg, out)
-        if args.command == "continue":
-            return cmd_continue(cfg, out, config_text)
+        return _run(command, cfg, out, stem)
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def entrypoint() -> None:

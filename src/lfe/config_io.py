@@ -27,7 +27,8 @@ import configparser
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -86,22 +87,15 @@ class RunConfig:
 
 _HARMONIC_KEY = re.compile(r"^harmonic_(\d+)_(cos|sin)$")
 
+# sections whose keys are the fields of a dataclass, parsed and written field by field
+_OPTIONS = {"integrator": IntegratorConfig, "solver": SolverOptions, "output": OutputOptions}
+
 _SECTION_KEYS = {
     "potential": {"kind", "c0", "gamma", "eps0"},
     "magnetic": {"kind", "b", "moment", "abc", "c_b", "c1", "beta", "eps1"},
     "forcing": {"period", "mean"},  # harmonic_* matched by pattern
-    "integrator": {"rtol", "atol", "max_steps", "method", "r_min"},
-    "solver": {
-        "newton_tol",
-        "max_iterations",
-        "dlam_init",
-        "dlam_floor",
-        "growth",
-        "target_lambda",
-        "seed",
-    },
     "initial-state": {"lambda", "q", "p", "t_end"},
-    "output": {"sample_points"},
+    **{name: {f.name for f in fields(cls)} for name, cls in _OPTIONS.items()},
 }
 
 
@@ -129,14 +123,40 @@ def _parse_vec(section: str, key: str, raw: str) -> np.ndarray:
     return np.array([_parse_float(section, key, p) for p in parts])
 
 
-def _check_keys(section: str, keys, extra_pattern=None) -> None:
-    allowed = _SECTION_KEYS[section]
-    for key in keys:
-        if key in allowed:
-            continue
-        if extra_pattern is not None and extra_pattern.match(key):
-            continue
-        raise ConfigError(f"unknown key {key!r} in section [{section}]")
+_PARSERS = {"float": _parse_float, "int": _parse_int, "str": lambda section, key, raw: raw}
+
+
+@contextmanager
+def _in_section(*sections: str):
+    """Re-raise a constructor's ValueError as a ConfigError naming the section.
+
+    With several sections, the one holding the key the message starts with.
+    """
+    try:
+        yield
+    except ValueError as err:
+        key = str(err).split()[0].lower()
+        section = next((s for s in sections if key in _SECTION_KEYS[s]), sections[0])
+        raise ConfigError(f"[{section}] {err}") from err
+
+
+def _parse_options(section: str, sec: dict):
+    """The section's dataclass from its keys; a key left out keeps the field default."""
+    cls = _OPTIONS[section]
+    values = {
+        f.name: _PARSERS[f.type](section, f.name, sec[f.name]) for f in fields(cls) if f.name in sec
+    }
+    with _in_section(section):
+        return cls(**values)
+
+
+def _items(parser, section: str, extra_pattern=None) -> dict:
+    """The keys of one section (empty when it is absent); an unknown key is an error."""
+    sec = dict(parser.items(section)) if parser.has_section(section) else {}
+    for key in sec:
+        if key not in _SECTION_KEYS[section] and not (extra_pattern and extra_pattern.match(key)):
+            raise ConfigError(f"unknown key {key!r} in section [{section}]")
+    return sec
 
 
 def parse_config(path) -> RunConfig:
@@ -158,8 +178,7 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"missing required section [{required}]")
 
     # potential
-    sec = dict(parser.items("potential"))
-    _check_keys("potential", sec)
+    sec = _items(parser, "potential")
     kind = sec.get("kind", "generalized-coulomb")
     if kind not in ("generalized-coulomb", "coulomb"):
         raise ConfigError(f"[potential] kind must be generalized-coulomb, got {kind!r}")
@@ -168,11 +187,11 @@ def parse_config(path) -> RunConfig:
     c0 = _parse_float("potential", "c0", sec["c0"])
     gamma = _parse_float("potential", "gamma", sec.get("gamma", "1.0"))
     eps0 = _parse_float("potential", "eps0", sec.get("eps0", "1.0"))
-    potential = GeneralizedCoulomb(c0=c0, gamma=gamma)
+    with _in_section("potential"):
+        potential = GeneralizedCoulomb(c0=c0, gamma=gamma)
 
     # forcing
-    sec = dict(parser.items("forcing"))
-    _check_keys("forcing", sec, _HARMONIC_KEY)
+    sec = _items(parser, "forcing", _HARMONIC_KEY)
     if "period" not in sec or "mean" not in sec:
         raise ConfigError("[forcing] period and mean are required")
     period = _parse_float("forcing", "period", sec["period"])
@@ -194,11 +213,11 @@ def parse_config(path) -> RunConfig:
         )
         for k, parts in sorted(harmonics_raw.items())
     )
-    forcing = Forcing(period=period, mean=mean, harmonics=harmonics)
+    with _in_section("forcing"):
+        forcing = Forcing(period=period, mean=mean, harmonics=harmonics)
 
     # magnetic
-    sec = dict(parser.items("magnetic")) if parser.has_section("magnetic") else {}
-    _check_keys("magnetic", sec)
+    sec = _items(parser, "magnetic")
     kind = sec.get("kind", "zero")
     variant_keys = {"zero": set(), "uniform": {"b"}, "dipole": {"moment"}, "abc": {"abc"}}
     for key in sec.keys() & ({"b", "moment", "abc"} - variant_keys.get(kind, set())):
@@ -241,19 +260,8 @@ def parse_config(path) -> RunConfig:
     eps1 = _parse_float("magnetic", "eps1", sec.get("eps1", "1.0"))
 
     # solver (needed before c_B = auto, which uses the seed)
-    sec = dict(parser.items("solver")) if parser.has_section("solver") else {}
-    _check_keys("solver", sec)
-    solver = SolverOptions(
-        newton_tol=_parse_float("solver", "newton_tol", sec.get("newton_tol", "1e-9")),
-        max_iterations=_parse_int("solver", "max_iterations", sec.get("max_iterations", "50")),
-        dlam_init=_parse_float("solver", "dlam_init", sec.get("dlam_init", "0.1")),
-        dlam_floor=_parse_float("solver", "dlam_floor", sec.get("dlam_floor", "1e-4")),
-        growth=_parse_float("solver", "growth", sec.get("growth", "1.5")),
-        target_lambda=_parse_float("solver", "target_lambda", sec.get("target_lambda", "1.0")),
-        seed=_parse_int("solver", "seed", sec.get("seed", "20240803")),
-    )
+    solver = _parse_options("solver", _items(parser, "solver"))
 
-    sec = dict(parser.items("magnetic")) if parser.has_section("magnetic") else {}
     c_b_raw = sec.get("c_b", "auto")
     c_B_auto = c_b_raw.strip().lower() == "auto"
     if c_B_auto:
@@ -263,35 +271,29 @@ def parse_config(path) -> RunConfig:
     else:
         c_B = _parse_float("magnetic", "c_b", c_b_raw)
 
-    field_config = FieldConfig(
-        potential=potential,
-        magnetic=magnetic,
-        forcing=forcing,
-        c0=c0,
-        gamma=gamma,
-        eps0=eps0,
-        c_B=c_B,
-        c1=c1,
-        beta=beta,
-        eps1=eps1,
-    )
+    with _in_section("potential", "magnetic"):
+        field_config = FieldConfig(
+            potential=potential,
+            magnetic=magnetic,
+            forcing=forcing,
+            c0=c0,
+            gamma=gamma,
+            eps0=eps0,
+            c_B=c_B,
+            c1=c1,
+            beta=beta,
+            eps1=eps1,
+        )
 
     # integrator
-    sec = dict(parser.items("integrator")) if parser.has_section("integrator") else {}
-    _check_keys("integrator", sec)
-    r_min_raw = sec.get("r_min", "auto")
-    r_min_auto = r_min_raw.strip().lower() == "auto"
-    integrator = IntegratorConfig(
-        rtol=_parse_float("integrator", "rtol", sec.get("rtol", "1e-10")),
-        atol=_parse_float("integrator", "atol", sec.get("atol", "1e-12")),
-        max_steps=_parse_int("integrator", "max_steps", sec.get("max_steps", "1000000")),
-        r_min=1e-6 if r_min_auto else _parse_float("integrator", "r_min", r_min_raw),
-        method=sec.get("method", "DOP853"),
-    )
+    sec = _items(parser, "integrator")
+    r_min_auto = sec.get("r_min", "auto").strip().lower() == "auto"
+    if r_min_auto:  # the field default until a certificate gives m/2
+        sec.pop("r_min", None)
+    integrator = _parse_options("integrator", sec)
 
     # initial state
-    sec = dict(parser.items("initial-state")) if parser.has_section("initial-state") else {}
-    _check_keys("initial-state", sec)
+    sec = _items(parser, "initial-state")
     q_raw = sec.get("q", "equilibrium").strip()
     initial = InitialState(
         lam=_parse_float("initial-state", "lambda", sec.get("lambda", "0.0")),
@@ -305,11 +307,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("[initial-state] lambda must lie in [0, 1]")
 
     # output
-    sec = dict(parser.items("output")) if parser.has_section("output") else {}
-    _check_keys("output", sec)
-    output = OutputOptions(
-        sample_points=_parse_int("output", "sample_points", sec.get("sample_points", "1000"))
-    )
+    output = _parse_options("output", _items(parser, "output"))
     if output.sample_points < 2:
         raise ConfigError("[output] sample_points must be at least 2")
 
@@ -330,6 +328,16 @@ def _fmt(x: float) -> str:
 
 def _fmt_vec(v) -> str:
     return " ".join(repr(float(x)) for x in v)
+
+
+def _option_lines(options, skip=()) -> list[str]:
+    """`key = value` for each field of an options dataclass, in field order."""
+    out = []
+    for f in fields(options):
+        if f.name not in skip:
+            value = getattr(options, f.name)
+            out.append(f"{f.name} = {_fmt(value) if f.type == 'float' else value}")
+    return out
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -373,22 +381,12 @@ def serialize_config(cfg: RunConfig) -> str:
     lines.append("")
 
     lines.append("[integrator]")
-    lines.append(f"rtol = {_fmt(cfg.integrator.rtol)}")
-    lines.append(f"atol = {_fmt(cfg.integrator.atol)}")
-    lines.append(f"max_steps = {cfg.integrator.max_steps}")
-    lines.append(f"method = {cfg.integrator.method}")
+    lines.extend(_option_lines(cfg.integrator, skip={"r_min"}))
     lines.append("r_min = auto" if cfg.r_min_auto else f"r_min = {_fmt(cfg.integrator.r_min)}")
     lines.append("")
 
     lines.append("[solver]")
-    sv = cfg.solver
-    lines.append(f"newton_tol = {_fmt(sv.newton_tol)}")
-    lines.append(f"max_iterations = {sv.max_iterations}")
-    lines.append(f"dlam_init = {_fmt(sv.dlam_init)}")
-    lines.append(f"dlam_floor = {_fmt(sv.dlam_floor)}")
-    lines.append(f"growth = {_fmt(sv.growth)}")
-    lines.append(f"target_lambda = {_fmt(sv.target_lambda)}")
-    lines.append(f"seed = {sv.seed}")
+    lines.extend(_option_lines(cfg.solver))
     lines.append("")
 
     lines.append("[initial-state]")
@@ -401,7 +399,7 @@ def serialize_config(cfg: RunConfig) -> str:
     lines.append("")
 
     lines.append("[output]")
-    lines.append(f"sample_points = {cfg.output.sample_points}")
+    lines.extend(_option_lines(cfg.output))
     lines.append("")
     return "\n".join(lines)
 

@@ -135,6 +135,59 @@ def test_missing_required_section(tmp_path):
         parse_config(write(tmp_path, "[potential]\nc0 = 1.0\n"))
 
 
+MINIMAL_SERIALIZED = """[potential]
+kind = generalized-coulomb
+c0 = 1.0
+gamma = 3.0
+eps0 = 1.0
+
+[magnetic]
+kind = zero
+c_B = auto
+c1 = 0.0
+beta = 1.5
+eps1 = 1.0
+
+[forcing]
+period = 1.0
+mean = 0.0 0.0 2.0
+
+[integrator]
+rtol = 1e-10
+atol = 1e-12
+max_steps = 1000000
+method = DOP853
+r_min = auto
+
+[solver]
+newton_tol = 1e-09
+max_iterations = 50
+dlam_init = 0.1
+dlam_floor = 0.0001
+growth = 1.5
+target_lambda = 1.0
+seed = 20240803
+
+[initial-state]
+lambda = 0.0
+q = equilibrium
+p = 0.0 0.0 0.0
+
+[output]
+sample_points = 1000
+"""
+
+
+def test_serialize_echoes_every_default(tmp_path):
+    assert serialize_config(parse_config(write(tmp_path, MINIMAL))) == MINIMAL_SERIALIZED
+
+
+def test_unknown_option_key_is_an_error(tmp_path):
+    for section in ("integrator", "solver", "output"):
+        with pytest.raises(ConfigError, match=f"'tol' in section \\[{section}\\]"):
+            parse_config(write(tmp_path, MINIMAL + f"\n[{section}]\ntol = 1\n"))
+
+
 def test_round_trip_is_canonical(tmp_path):
     for text in (MINIMAL, DESK, LIGHT):
         cfg = parse_config(write(tmp_path, text))
@@ -241,6 +294,45 @@ def test_cli_continue_solver_failure_writes_partial_report(tmp_path):
     assert payload["continuation"]["status"] == "stepsize_underflow"
     assert payload["continuation"]["steps"][-1]["lambda"] == 0.0  # path up to last success
     assert (out / "continuation.csv").exists()
+    history = payload["continuation"]["history"]
+    rejected = [h for h in history if not h["accepted"]]
+    assert rejected and rejected[0]["lambda"] == 1.0 and rejected[0]["dlam"] == 1.0
+    assert all(h["reason"] for h in rejected)
+
+
+def test_cli_continue_without_start_orbit_records_solver_error(tmp_path):
+    text = LIGHT.replace("seed = 7", "seed = 7\nnewton_tol = 1e-300\nmax_iterations = 1")
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
+    payload = json.loads((out / "run_report.json").read_text())
+    assert payload["degree"] == -1 and payload["solver_error"]
+    assert "continuation" not in payload
+    lines = (out / "run_report.txt").read_text().splitlines()
+    assert lines[-3] == "aborted: no starting orbit at lam = 0: " + payload["solver_error"]
+
+
+@pytest.mark.parametrize("command,stem", [("bounds", "certificate"), ("degree", "degree_report")])
+def test_cli_certificate_failure_writes_only_the_message(tmp_path, command, stem):
+    cfg = write(tmp_path, LIGHT.replace("c_B = 1.0", "c_B = 2.5"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    text = (out / f"{stem}.txt").read_text()
+    assert text.startswith("certificate failed:") and len(text.splitlines()) == 1
+    assert not list(out.glob("*.json"))
+
+
+def test_cli_find_orbit_text_matches_json(tmp_path):
+    out = tmp_path / "out"
+    assert main(["find-orbit", "--config", str(write(tmp_path, LIGHT)), "--out", str(out)]) == 0
+    payload = json.loads((out / "orbit_report.json").read_text())
+    lines = (out / "orbit_report.txt").read_text().splitlines()
+    keys = []
+    for line in lines:
+        key, value = line.split(" = ")
+        expected = payload[key] if isinstance(payload[key], list) else [payload[key]]
+        assert [float(v) for v in value.split()] == expected, key
+        keys.append(key)
+    assert sorted(keys) == sorted(set(payload) - {"monodromy"})
 
 
 def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):
@@ -248,6 +340,24 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):
     out = tmp_path / "out"
     assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 2
     assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "old,new,section",
+    [
+        ("c0 = 1.0", "c0 = -1", "potential"),
+        ("period = 1.0", "period = 0", "forcing"),
+        ("gamma = 3.0", "gamma = 3.0\neps0 = -1", "potential"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[magnetic]\neps1 = -1", "magnetic"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nrtol = -1", "integrator"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nmethod = Radau", "integrator"),
+    ],
+    ids=["c0", "period", "eps0", "eps1", "rtol", "method"],
+)
+def test_cli_out_of_range_value_exits_4(tmp_path, capsys, old, new, section):
+    cfg = write(tmp_path, MINIMAL.replace(old, new))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith(f"config error: [{section}] ")
 
 
 def test_cli_config_errors_exit_4(tmp_path):
