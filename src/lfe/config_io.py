@@ -305,6 +305,10 @@ def parse_config(path) -> RunConfig:
     )
     if not 0.0 <= initial.lam <= 1.0:
         raise ConfigError("[initial-state] lambda must lie in [0, 1]")
+    if initial.q is not None and not np.any(initial.q):
+        raise ConfigError("[initial-state] q must be nonzero (the origin is the field singularity)")
+    if initial.t_end is not None and not initial.t_end > 0.0:
+        raise ConfigError("[initial-state] t_end must be positive")
 
     # output
     output = _parse_options("output", _items(parser, "output"))

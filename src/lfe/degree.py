@@ -23,7 +23,7 @@ from lfe.homotopy import (
     velocity_jacobian,
 )
 from lfe.kinematics import State
-from lfe.sampling import sobol_points
+from lfe.sampling import sobol_points, unit_vectors
 
 
 class DegenerateForcing(ValueError):
@@ -59,7 +59,7 @@ def find_zero_f0(c0: float, h_mean) -> State:
         raise DegenerateForcing("mean forcing is zero; the autonomous field has no zero")
     q_star = -math.sqrt(c0) * h_mean * hn**-1.5
     x0 = State(q=q_star, p=np.zeros(3))
-    residual = float(np.linalg.norm(AutonomousField(c0=c0, h_mean=h_mean).value(x0)))
+    residual = float(np.linalg.norm(AutonomousField(c0=c0, h_mean=h_mean).value(x0.q, x0.p)))
     if residual >= 1e-12:
         raise ArithmeticError(f"equilibrium residual {residual:.3e} exceeds 1e-12")
     return x0
@@ -91,22 +91,21 @@ class DegreeReport:
 
 def _fd_jacobian_f0(field: AutonomousField, x0: State, step: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian in the same momentum-first layout as the analytic one."""
-
-    def g(z):
-        # momentum-first input (p, q) -> (velocity part, force part)
-        return field.value(State(q=z[3:], p=z[:3]))
-
     z0 = np.concatenate([x0.p, x0.q])
-    jac = np.empty((6, 6))
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = step
-        jac[:, j] = (g(z0 + e) - g(z0 - e)) / (2.0 * step)
-    return jac
+    z = np.concatenate([z0 + step * np.eye(6), z0 - step * np.eye(6)])
+    f = field.value(z[:, 3:], z[:, :3])
+    return (f[:6] - f[6:]).T / (2.0 * step)
 
 
 def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: int) -> dict:
     """Damped Newton from quasi-random starts filling the region; classify the basins.
+
+    Each start runs its own iteration: at most 60 Newton steps, converged
+    once the residual is below 1e-11, each step halved up to 30 times until
+    the residual strictly decreases.  A start escapes when no halving
+    decreases it, when it leaves |q| <= 1e6 upper, or when a Jacobian
+    block is singular (also counted as `singular`).  Every Newton step and
+    every halving is one array operation over the starts still running.
 
     Any numerical zero must have p = 0 (the velocity block vanishes only
     there) and coincide with x0; a second zero raises MultipleZeros.
@@ -114,70 +113,69 @@ def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: i
     m, upper, p_max = omega
     u = sobol_points(n_pow2, 6, seed)
     # log-spaced radii cover the decades an a priori annulus can span
-    z_q = 1.0 - 2.0 * u[:, 0]
-    az_q = 2.0 * math.pi * u[:, 1]
     r_q = np.exp(np.log(m) + u[:, 2] * (np.log(upper) - np.log(m)))
-    z_p = 1.0 - 2.0 * u[:, 3]
-    az_p = 2.0 * math.pi * u[:, 4]
     p_floor = min(1e-3, 0.1 * p_max)
     r_p = np.exp(np.log(p_floor) + u[:, 5] * (np.log(p_max) - np.log(p_floor)))
+    y = np.hstack([r_q[:, None] * unit_vectors(u[:, :2]), r_p[:, None] * unit_vectors(u[:, 3:5])])
+
+    converged = np.zeros(len(y), dtype=bool)
+    singular = np.zeros(len(y), dtype=bool)
+    live = np.arange(len(y))
+    for _ in range(60):
+        f = field.value(y[live, :3], y[live, 3:])
+        res = np.linalg.norm(f, axis=1)
+        done = res < 1e-11
+        converged[live[done]] = True
+        live, f, res = live[~done], f[~done], res[~done]
+
+        jq = coulomb_force_jacobian(y[live, :3], field.c0)
+        jp = velocity_jacobian(y[live, 3:])
+        # slogdet's sign is 0 exactly when LU meets a zero pivot, which is
+        # when solve would raise for the whole stack
+        ok = (np.linalg.slogdet(jq)[0] != 0.0) & (np.linalg.slogdet(jp)[0] != 0.0)
+        singular[live[~ok]] = True
+        live, f, res, jq, jp = live[ok], f[ok], res[ok], jq[ok], jp[ok]
+        delta = np.hstack(
+            [
+                np.linalg.solve(jq, -f[:, 3:, None])[..., 0],
+                np.linalg.solve(jp, -f[:, :3, None])[..., 0],
+            ]
+        )
+
+        waiting = np.arange(len(live))  # rows of live with no accepted step yet
+        alpha = 1.0
+        for _ in range(30):
+            y_try = y[live[waiting]] + alpha * delta[waiting]
+            valid = (np.linalg.norm(y_try[:, :3], axis=1) > 0.0) & np.isfinite(y_try).all(axis=1)
+            better = np.zeros_like(valid)
+            if valid.any():
+                f_try = field.value(y_try[valid, :3], y_try[valid, 3:])
+                better[valid] = np.linalg.norm(f_try, axis=1) < res[waiting[valid]]
+            y[live[waiting[better]]] = y_try[better]
+            waiting = waiting[~better]
+            if not waiting.size:
+                break
+            alpha *= 0.5
+        # no decrease, or a (finite) step out of the region: escaped
+        live = np.delete(live, waiting)
+        live = live[np.linalg.norm(y[live, :3], axis=1) <= 1e6 * upper]
+        if not live.size:
+            break
 
     ref = np.concatenate([x0.q, x0.p])
-    n_converged = 0
-    n_escaped = 0
-    worst_p_at_zero = 0.0
-    for i in range(len(u)):
-        sq = math.sqrt(max(0.0, 1.0 - z_q[i] ** 2))
-        sp = math.sqrt(max(0.0, 1.0 - z_p[i] ** 2))
-        q = r_q[i] * np.array([sq * math.cos(az_q[i]), sq * math.sin(az_q[i]), z_q[i]])
-        p = r_p[i] * np.array([sp * math.cos(az_p[i]), sp * math.sin(az_p[i]), z_p[i]])
-        y = np.concatenate([q, p])
-
-        converged = False
-        for _ in range(60):
-            state = State(q=y[:3], p=y[3:])
-            f = field.value(state)
-            res = float(np.linalg.norm(f))
-            if res < 1e-11:
-                converged = True
-                break
-            try:
-                dq = np.linalg.solve(coulomb_force_jacobian(y[:3], field.c0), -f[3:])
-                dp = np.linalg.solve(velocity_jacobian(y[3:]), -f[:3])
-            except np.linalg.LinAlgError:
-                break
-            delta = np.concatenate([dq, dp])
-            alpha = 1.0
-            improved = False
-            for _ in range(30):
-                y_try = y + alpha * delta
-                r_try = float(np.linalg.norm(y_try[:3]))
-                if r_try > 0.0 and np.all(np.isfinite(y_try)):
-                    f_try = field.value(State(q=y_try[:3], p=y_try[3:]))
-                    if float(np.linalg.norm(f_try)) < res:
-                        y = y_try
-                        improved = True
-                        break
-                alpha *= 0.5
-            if not improved:
-                break
-            if not np.all(np.isfinite(y)) or float(np.linalg.norm(y[:3])) > 1e6 * upper:
-                break
-
-        if converged:
-            p_mag = float(np.linalg.norm(y[3:]))
-            worst_p_at_zero = max(worst_p_at_zero, p_mag)
-            if float(np.max(np.abs(y - ref))) > 1e-6 * (1.0 + float(np.max(np.abs(ref)))):
-                raise MultipleZeros(f"Newton converged to a second zero near {y}")
-            n_converged += 1
-        else:
-            n_escaped += 1
-
-    assert worst_p_at_zero < 1e-9, "a numerical zero had nonzero momentum"
+    zeros = y[converged]
+    far = np.max(np.abs(zeros - ref), axis=1) > 1e-6 * (1.0 + float(np.max(np.abs(ref))))
+    if far.any():
+        raise MultipleZeros(f"Newton converged to a second zero near {zeros[far][0]}")
+    worst_p_at_zero = float(np.max(np.linalg.norm(zeros[:, 3:], axis=1), initial=0.0))
+    if worst_p_at_zero >= 1e-9:
+        raise DegreeError(f"a numerical zero has momentum |p| = {worst_p_at_zero:.3e} >= 1e-9")
+    n_converged = int(np.count_nonzero(converged))
     return {
-        "starts": len(u),
+        "starts": len(y),
         "converged_to_zero": n_converged,
-        "escaped": n_escaped,
+        "escaped": len(y) - n_converged,
+        "singular": int(np.count_nonzero(singular)),
         "seed": seed,
     }
 

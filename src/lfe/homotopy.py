@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lfe.fields import FieldConfig, SingularityError, _check_away_from_origin
-from lfe.kinematics import State, phi_inv
+from lfe.fields import FieldConfig, _check_away_from_origin
+from lfe.kinematics import State
 
 
 @dataclass(frozen=True)
@@ -95,28 +95,39 @@ class AutonomousField:
     c0: float
     h_mean: np.ndarray
 
-    def value(self, x: State) -> np.ndarray:
-        q, p = x.q, x.p
-        r = math.hypot(q[0], q[1], q[2])
-        if r == 0.0:
-            raise SingularityError("autonomous field undefined at the origin")
-        return np.concatenate([phi_inv(p), self.h_mean + self.c0 * q / r**3])
+    def value(self, q, p) -> np.ndarray:
+        """f0 at q and p of shape (3,) or (N, 3); returns shape (6,) or (N, 6).
+
+        Raises SingularityError if any row of q is the origin.
+        """
+        q, r = _check_away_from_origin(q)
+        p = np.asarray(p, dtype=float)
+        # hypot, as in phi_inv: sqrt(1 + |p|^2) overflows past |p| ~ 1e154,
+        # where the velocity would read 0 instead of a unit vector
+        n = np.hypot(np.hypot(p[..., 0], p[..., 1]), p[..., 2])[..., None]
+        v = p / np.hypot(1.0, n)
+        return np.concatenate([v, self.h_mean + self.c0 * q / r**3], axis=-1)
 
 
-def velocity_jacobian(p: np.ndarray) -> np.ndarray:
-    """d phi_inv / dp = I (1+|p|^2)^(-1/2) - p p^T (1+|p|^2)^(-3/2)."""
+def velocity_jacobian(p) -> np.ndarray:
+    """d phi_inv / dp = I (1+|p|^2)^(-1/2) - p p^T (1+|p|^2)^(-3/2).
+
+    p of shape (3,) or (N, 3) gives shape (3, 3) or (N, 3, 3).
+    """
     p = np.asarray(p, dtype=float)
-    s = 1.0 + float(np.dot(p, p))
-    return np.eye(3) * s**-0.5 - np.outer(p, p) * s**-1.5
+    s = 1.0 + np.add.reduce(p * p, axis=-1)[..., None, None]
+    return np.eye(3) * s**-0.5 - p[..., :, None] * p[..., None, :] * s**-1.5
 
 
-def coulomb_force_jacobian(q: np.ndarray, c0: float) -> np.ndarray:
-    """d/dq of c0 q/|q|^3 = c0 (I |q|^-3 - 3 q q^T |q|^-5)."""
-    q = np.asarray(q, dtype=float)
-    r = math.hypot(*q)
-    if r == 0.0:
-        raise SingularityError("force Jacobian undefined at the origin")
-    return c0 * (np.eye(3) / r**3 - 3.0 * np.outer(q, q) / r**5)
+def coulomb_force_jacobian(q, c0: float) -> np.ndarray:
+    """d/dq of c0 q/|q|^3 = c0 (I |q|^-3 - 3 q q^T |q|^-5).
+
+    q of shape (3,) or (N, 3) gives shape (3, 3) or (N, 3, 3); raises
+    SingularityError if any row of q is the origin.
+    """
+    q, r = _check_away_from_origin(q)
+    r = r[..., None]
+    return c0 * (np.eye(3) / r**3 - 3.0 * q[..., :, None] * q[..., None, :] / r**5)
 
 
 def f0_determinant_closed_form(c0: float, q, p) -> float:
@@ -147,7 +158,7 @@ def f0_and_jacobian(x: State, c0: float, h_mean) -> tuple[np.ndarray, np.ndarray
     """
     h_mean = np.asarray(h_mean, dtype=float)
     field = AutonomousField(c0=c0, h_mean=h_mean)
-    value = field.value(x)
+    value = field.value(x.q, x.p)
     jac = np.zeros((6, 6))
     jac[:3, :3] = velocity_jacobian(x.p)
     jac[3:, 3:] = coulomb_force_jacobian(x.q, c0)

@@ -18,13 +18,17 @@ def sobol_points(n_pow2: int, dim: int, seed: int) -> np.ndarray:
     return sampler.random_base2(n_pow2)
 
 
-def sphere_directions(n_pow2: int, seed: int) -> np.ndarray:
-    """2**n_pow2 quasi-random unit vectors, area-uniform on the sphere."""
-    u = sobol_points(n_pow2, 2, seed)
+def unit_vectors(u: np.ndarray) -> np.ndarray:
+    """One unit vector per row of u in [0, 1)^2; uniform u gives area-uniform directions."""
     z = 1.0 - 2.0 * u[:, 0]
     az = 2.0 * math.pi * u[:, 1]
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.column_stack([s * np.cos(az), s * np.sin(az), z])
+
+
+def sphere_directions(n_pow2: int, seed: int) -> np.ndarray:
+    """2**n_pow2 quasi-random unit vectors, area-uniform on the sphere."""
+    return unit_vectors(sobol_points(n_pow2, 2, seed))
 
 
 def log_radii(r_lo: float, r_hi: float, n: int) -> np.ndarray:

@@ -351,8 +351,11 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):
         ("mean = 0 0 2", "mean = 0 0 2\n[magnetic]\neps1 = -1", "magnetic"),
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nrtol = -1", "integrator"),
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nmethod = Radau", "integrator"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nq = 0 0 0", "initial-state"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = 0", "initial-state"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = -1", "initial-state"),
     ],
-    ids=["c0", "period", "eps0", "eps1", "rtol", "method"],
+    ids=["c0", "period", "eps0", "eps1", "rtol", "method", "q", "t_end0", "t_end-1"],
 )
 def test_cli_out_of_range_value_exits_4(tmp_path, capsys, old, new, section):
     cfg = write(tmp_path, MINIMAL.replace(old, new))

@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from conftest import SEED, coulomb_config
+from lfe.certificate import compute_certificate
 from lfe.degree import (
     DegenerateForcing,
+    DegreeError,
     MultipleZeros,
     ZeroOutsideOmega,
+    _newton_sweep,
     brouwer_degree,
     f0_determinant_closed_form,
     find_zero_f0,
 )
-from lfe.homotopy import AutonomousField
+from lfe.homotopy import AutonomousField, coulomb_force_jacobian, velocity_jacobian
+from lfe.sampling import sobol_points
 
 OMEGA = (1e-3, 3.0, 10.0)
 
@@ -39,7 +44,7 @@ def test_zero_residual_is_tiny_random():
         h = rng.normal(size=3) * rng.uniform(0.5, 5.0)
         x0 = find_zero_f0(c0, h)
         field = AutonomousField(c0=c0, h_mean=h)
-        assert np.linalg.norm(field.value(x0)) < 1e-12
+        assert np.linalg.norm(field.value(x0.q, x0.p)) < 1e-12
 
 
 def test_degenerate_forcing():
@@ -83,32 +88,125 @@ def test_zero_outside_omega():
         brouwer_degree(1.0, [0.0, 0.0, 2.0], (1e-3, 0.5, 10.0))
 
 
-def test_sweep_detects_planted_second_zero():
-    from lfe.degree import _newton_sweep
-    from lfe.homotopy import coulomb_force_jacobian, velocity_jacobian
+def doctored_field(q_b, p_b) -> AutonomousField:
+    """The canonical field (c0 = 1, mean 2 z) with a planted zero at (q_b, p_b).
 
-    q_b = np.array([0.0, 0.0, 0.5])
-    p_b = np.array([0.05, 0.0, 0.0])
+    Within 0.8 of the planted zero the field is its linearisation there,
+    built from the analytic blocks, so Newton converges to it.
+    """
     y_b = np.concatenate([q_b, p_b])
 
     class Doctored(AutonomousField):
-        """Second zero at y_b whose local behavior matches the analytic blocks."""
+        def value(self, q, p):
+            near = np.linalg.norm(np.concatenate([q, p], axis=-1) - y_b, axis=-1) < 0.8
+            local = np.concatenate(
+                [
+                    (np.asarray(p) - p_b) @ velocity_jacobian(p_b).T,
+                    (np.asarray(q) - q_b) @ coulomb_force_jacobian(q_b, self.c0).T,
+                ],
+                axis=-1,
+            )
+            return np.where(near[..., None], local, super().value(q, p))
 
-        def value(self, x):
-            y = np.concatenate([x.q, x.p])
-            if np.linalg.norm(y - y_b) < 0.8:
-                return np.concatenate(
-                    [
-                        velocity_jacobian(p_b) @ (x.p - p_b),
-                        coulomb_force_jacobian(q_b, self.c0) @ (x.q - q_b),
-                    ]
-                )
-            return super().value(x)
+    return Doctored(c0=1.0, h_mean=np.array([0.0, 0.0, 2.0]))
 
-    field = Doctored(c0=1.0, h_mean=np.array([0.0, 0.0, 2.0]))
+
+def test_sweep_detects_planted_second_zero():
+    field = doctored_field(np.array([0.0, 0.0, 0.5]), np.array([0.05, 0.0, 0.0]))
     x0 = find_zero_f0(1.0, [0.0, 0.0, 2.0])
     with pytest.raises(MultipleZeros):
         _newton_sweep(field, x0, (0.1, 2.0, 1.0), 8, seed=1)
+
+
+def test_sweep_rejects_a_zero_with_momentum():
+    # within the MultipleZeros tolerance of x0 (1e-6 (1 + |q*|)), but |p| = 5e-7
+    x0 = find_zero_f0(1.0, [0.0, 0.0, 2.0])
+    field = doctored_field(x0.q, np.array([5e-7, 0.0, 0.0]))
+    with pytest.raises(DegreeError, match="momentum"):
+        _newton_sweep(field, x0, (0.1, 2.0, 1.0), 8, seed=1)
+
+
+def loop_sweep(field: AutonomousField, x0, omega, n_pow2: int, seed: int) -> dict:
+    """Reference: the sweep one start at a time, with per-start solves.
+
+    Same starts and the same per-start rules as `_newton_sweep`; a singular
+    block ends its start through LinAlgError.
+    """
+    m, upper, p_max = omega
+    u = sobol_points(n_pow2, 6, seed)
+    z_q = 1.0 - 2.0 * u[:, 0]
+    az_q = 2.0 * math.pi * u[:, 1]
+    r_q = np.exp(np.log(m) + u[:, 2] * (np.log(upper) - np.log(m)))
+    z_p = 1.0 - 2.0 * u[:, 3]
+    az_p = 2.0 * math.pi * u[:, 4]
+    p_floor = min(1e-3, 0.1 * p_max)
+    r_p = np.exp(np.log(p_floor) + u[:, 5] * (np.log(p_max) - np.log(p_floor)))
+
+    ref = np.concatenate([x0.q, x0.p])
+    n_converged = 0
+    n_escaped = 0
+    for i in range(len(u)):
+        sq = math.sqrt(max(0.0, 1.0 - z_q[i] ** 2))
+        sp = math.sqrt(max(0.0, 1.0 - z_p[i] ** 2))
+        q = r_q[i] * np.array([sq * math.cos(az_q[i]), sq * math.sin(az_q[i]), z_q[i]])
+        p = r_p[i] * np.array([sp * math.cos(az_p[i]), sp * math.sin(az_p[i]), z_p[i]])
+        y = np.concatenate([q, p])
+
+        converged = False
+        for _ in range(60):
+            f = field.value(y[:3], y[3:])
+            res = float(np.linalg.norm(f))
+            if res < 1e-11:
+                converged = True
+                break
+            try:
+                dq = np.linalg.solve(coulomb_force_jacobian(y[:3], field.c0), -f[3:])
+                dp = np.linalg.solve(velocity_jacobian(y[3:]), -f[:3])
+            except np.linalg.LinAlgError:
+                break
+            delta = np.concatenate([dq, dp])
+            alpha = 1.0
+            improved = False
+            for _ in range(30):
+                y_try = y + alpha * delta
+                r_try = float(np.linalg.norm(y_try[:3]))
+                if r_try > 0.0 and np.all(np.isfinite(y_try)):
+                    f_try = field.value(y_try[:3], y_try[3:])
+                    if float(np.linalg.norm(f_try)) < res:
+                        y = y_try
+                        improved = True
+                        break
+                alpha *= 0.5
+            if not improved:
+                break
+            if not np.all(np.isfinite(y)) or float(np.linalg.norm(y[:3])) > 1e6 * upper:
+                break
+
+        if converged:
+            assert float(np.max(np.abs(y - ref))) <= 1e-6 * (1.0 + float(np.max(np.abs(ref))))
+            assert float(np.linalg.norm(y[3:])) < 1e-9
+            n_converged += 1
+        else:
+            n_escaped += 1
+    return {"starts": len(u), "converged_to_zero": n_converged, "escaped": n_escaped}
+
+
+@pytest.mark.parametrize("seed", [7, SEED])
+@pytest.mark.parametrize("region", ["light", "desk"])
+def test_sweep_matches_the_per_start_loop(region, seed, desk_cert):
+    # Hits may move a little: norms and dot products round differently in
+    # the batched arithmetic, so the basin boundaries shift by an ulp.
+    cert = desk_cert if region == "desk" else compute_certificate(coulomb_config(), seed=seed)
+    omega = cert.region()
+    x0 = find_zero_f0(1.0, [0.0, 0.0, 2.0])
+    field = AutonomousField(c0=1.0, h_mean=np.array([0.0, 0.0, 2.0]))
+    oracle = loop_sweep(field, x0, omega, 8, seed)
+    sweep = _newton_sweep(field, x0, omega, 8, seed)
+    assert sweep["starts"] == oracle["starts"] == 256
+    assert sweep["converged_to_zero"] + sweep["escaped"] == sweep["starts"]
+    assert 0 <= sweep["singular"] <= sweep["escaped"]
+    assert sweep["converged_to_zero"] >= 0.9 * oracle["converged_to_zero"] > 0
+    assert brouwer_degree(1.0, [0.0, 0.0, 2.0], omega, sweep_pow2=8, seed=seed).degree == -1
 
 
 def test_degree_on_desk_certificate_region(desk_cert):

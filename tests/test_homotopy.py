@@ -149,9 +149,30 @@ def test_f0_jacobian_block_structure():
     assert np.allclose(jac[3:, 3:], coulomb_force_jacobian(x.q, 1.3), atol=1e-15)
 
 
+def test_autonomous_field_and_blocks_take_a_cloud():
+    rng = np.random.default_rng(38)
+    q = rng.normal(size=(64, 3)) * np.exp(rng.uniform(-8.0, 8.0, size=(64, 1)))
+    # momenta up to ~1e170, past where |p|^2 overflows
+    p = rng.normal(size=(64, 3)) * np.exp(rng.uniform(-8.0, 390.0, size=(64, 1)))
+    field = AutonomousField(c0=1.3, h_mean=np.array([0.0, 1.0, 1.0]))
+    blocks = (lambda q, p: velocity_jacobian(p), lambda q, p: coulomb_force_jacobian(q, 1.3))
+    # the velocity block overflows to nan past |p| ~ 1e154
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluate in (field.value, *blocks):
+            stacked = np.array([evaluate(a, b) for a, b in zip(q, p)])
+            assert np.array_equal(evaluate(q, p), stacked, equal_nan=True)
+    velocity = field.value(q, p)[:, :3]
+    assert np.allclose(velocity, [phi_inv(b) for b in p], rtol=1e-15, atol=0.0)
+    q[17] = 0.0
+    with pytest.raises(SingularityError):
+        field.value(q, p)
+    with pytest.raises(SingularityError):
+        coulomb_force_jacobian(q, 1.3)
+
+
 def fd_jacobian_momentum_first(field: AutonomousField, x: State, step=1e-6):
     def g(z):
-        return field.value(State(q=z[3:], p=z[:3]))
+        return field.value(z[3:], z[:3])
 
     z0 = np.concatenate([x.p, x.q])
     jac = np.empty((6, 6))
