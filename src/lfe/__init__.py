@@ -27,9 +27,9 @@ from lfe.integrator import IntegratorConfig, Trajectory, energy_drift, integrate
 from lfe.kinematics import State, lorentz_factor, phi, phi_inv
 from lfe.shooting import (
     ContinuationPath,
-    Domain,
     OrbitSolution,
     ShootingProblem,
+    SolverOptions,
     continue_lambda,
     newton_shooting,
     periodicity_residual,
@@ -57,7 +57,7 @@ __all__ = [
     "integrate",
     "energy_drift",
     "ShootingProblem",
-    "Domain",
+    "SolverOptions",
     "OrbitSolution",
     "ContinuationPath",
     "periodicity_residual",

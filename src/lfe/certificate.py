@@ -115,8 +115,8 @@ _SPHERE_MULTIPLES = (1.0, 2.0, 4.0, 8.0)
 _MAX_RADIUS = 1e6
 
 
-def compute_R(config: FieldConfig, *, r0: float = 1.0, seed: int = 20240803) -> float:
-    """Smallest grid radius 2^k r0 beyond which both far-field conditions hold.
+def compute_R(config: FieldConfig, *, seed: int = 20240803) -> float:
+    """Smallest grid radius 2^k beyond which both far-field conditions hold.
 
     Sampled on spheres at {R, 2R, 4R, 8R} with 2^10 quasi-random
     directions (and a time grid for the magnetic field): |B| must fall
@@ -132,7 +132,7 @@ def compute_R(config: FieldConfig, *, r0: float = 1.0, seed: int = 20240803) -> 
     dirs = sphere_directions(10, seed)
     times = np.linspace(0.0, config.forcing.period, 5)
 
-    radius = r0
+    radius = 1.0
     while radius <= _MAX_RADIUS:
         radii = radius * np.array(_SPHERE_MULTIPLES)
         cloud = shells(radii, dirs)
@@ -291,9 +291,10 @@ class VerificationReport:
 
 
 IDENTITY_TOL = 1e-6
+_N_DENSE = 1000
 
 
-def verify_orbit(orbit, cert: BoundsCertificate, n_dense: int = 1000) -> VerificationReport:
+def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
     """Check a converged orbit against the certificate.
 
     Position, momentum and speed are checked at every trajectory node and
@@ -303,8 +304,8 @@ def verify_orbit(orbit, cert: BoundsCertificate, n_dense: int = 1000) -> Verific
     """
     traj = orbit.trajectory
     ys = traj.states
-    if traj.interpolant is not None and n_dense > 0:
-        dense = traj.at(np.linspace(traj.t0, traj.t1, n_dense)).T
+    if traj.interpolant is not None:
+        dense = traj.at(np.linspace(traj.t0, traj.t1, _N_DENSE)).T
         ys = np.vstack([ys, dense])
     r = np.linalg.norm(ys[:, :3], axis=1)
     pn = np.linalg.norm(ys[:, 3:], axis=1)

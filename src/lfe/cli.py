@@ -44,7 +44,7 @@ from lfe.fields import validate_hypotheses
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import SolverError, integrate
 from lfe.kinematics import State
-from lfe.shooting import Domain, OrbitSolution, ShootingProblem, continue_lambda, newton_shooting
+from lfe.shooting import OrbitSolution, ShootingProblem, continue_lambda, newton_shooting
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -133,20 +133,16 @@ def _orbit_lines(sol: OrbitSolution) -> list[str]:
 
 
 def _build_problem(cfg: RunConfig, lam: float, cert: BoundsCertificate | None) -> ShootingProblem:
-    system = HomotopySystem(cfg.fields)
+    """The shooting problem of the config; with a certificate, r_min = auto becomes m/2."""
     integrator = cfg.integrator
-    domain = Domain()
-    if cert is not None:
-        domain = Domain.from_bounds(*cert.region())
-        if cfg.r_min_auto:
-            integrator = dataclasses.replace(integrator, r_min=0.5 * cert.m)
+    if cert is not None and cfg.r_min_auto:
+        integrator = dataclasses.replace(integrator, r_min=0.5 * cert.m)
     return ShootingProblem(
-        system=system,
+        system=HomotopySystem(cfg.fields),
         lam=lam,
         integrator=integrator,
-        domain=domain,
-        newton_tol=cfg.solver.newton_tol,
-        max_iterations=cfg.solver.max_iterations,
+        solver=cfg.solver,
+        region=cert.region() if cert is not None else None,
     )
 
 
@@ -226,7 +222,7 @@ def cmd_find_orbit(cfg: RunConfig, out: Path, report) -> int:
         return EXIT_HYPOTHESIS
     sol = _shoot(guess, problem)
     report(_orbit_lines(sol), _orbit_record(sol))
-    grid = np.linspace(0.0, problem.period, cfg.output.sample_points)
+    grid = np.linspace(0.0, problem.system.period, cfg.output.sample_points)
     sol.trajectory.write_csv(out / "orbit.csv", grid)
     return EXIT_OK
 
@@ -252,15 +248,7 @@ def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
     problem = _build_problem(cfg, 0.0, cert)
     equilibrium = find_zero_f0(cfg.fields.c0, cfg.fields.forcing.mean)
     start = _shoot(equilibrium, problem, "no starting orbit at lam = 0")
-    path = continue_lambda(
-        problem,
-        start,
-        cfg.solver.target_lambda,
-        dlam_init=cfg.solver.dlam_init,
-        dlam_floor=cfg.solver.dlam_floor,
-        growth=cfg.solver.growth,
-        certified_bounds=cert.region(),
-    )
+    path = continue_lambda(problem, start)
     rows = path.summary_rows()
     _write_rows_csv(out / "continuation.csv", rows)
     text += _section(
@@ -284,10 +272,10 @@ def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
     text += _section("orbit verification", verification.lines())
     record["final_orbit"] = _orbit_record(final, verification)
 
-    grid = np.linspace(0.0, problem.period, cfg.output.sample_points)
+    grid = np.linspace(0.0, problem.system.period, cfg.output.sample_points)
     final.trajectory.write_csv(out / "orbit.csv", grid)
 
-    ok = path.reached(cfg.solver.target_lambda) and verification.passed
+    ok = path.status == "reached_target" and verification.passed
     text += _section("result: " + ("success" if ok else "path incomplete or verification failed"))
     return EXIT_OK if ok else EXIT_SOLVER
 

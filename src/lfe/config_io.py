@@ -44,21 +44,11 @@ from lfe.fields import (
     magnetic_ceiling,
 )
 from lfe.integrator import IntegratorConfig
+from lfe.shooting import SolverOptions
 
 
 class ConfigError(ValueError):
     """Malformed, incomplete or unknown content in a run configuration."""
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    newton_tol: float = 1e-9
-    max_iterations: int = 50
-    dlam_init: float = 0.1
-    dlam_floor: float = 1e-4
-    growth: float = 1.5
-    target_lambda: float = 1.0
-    seed: int = 20240803
 
 
 @dataclass(frozen=True)
@@ -265,7 +255,7 @@ def parse_config(path) -> RunConfig:
     c_b_raw = sec.get("c_b", "auto")
     c_B_auto = c_b_raw.strip().lower() == "auto"
     if c_B_auto:
-        c_B = magnetic_ceiling(magnetic, radius=1.0, period=period, seed=solver.seed)
+        c_B = magnetic_ceiling(magnetic, period=period, seed=solver.seed)
         if c_B <= 0.0:
             c_B = 1.0  # vanishing field: any positive ceiling is valid
     else:
@@ -305,8 +295,10 @@ def parse_config(path) -> RunConfig:
     )
     if not 0.0 <= initial.lam <= 1.0:
         raise ConfigError("[initial-state] lambda must lie in [0, 1]")
-    if initial.q is not None and not np.any(initial.q):
-        raise ConfigError("[initial-state] q must be nonzero (the origin is the field singularity)")
+    if initial.q is not None and np.linalg.norm(initial.q) <= integrator.r_min:
+        raise ConfigError(
+            f"[initial-state] q must lie outside the guard radius r_min = {integrator.r_min:g}"
+        )
     if initial.t_end is not None and not initial.t_end > 0.0:
         raise ConfigError("[initial-state] t_end must be positive")
 

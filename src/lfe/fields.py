@@ -83,6 +83,9 @@ def _each_row(fn, q: np.ndarray):
     return out.reshape(q.shape[:-1] + out.shape[1:])[()]
 
 
+_FD_STEP = 1e-6  # central-difference step of TabulatedPotential.gradient
+
+
 @dataclass(frozen=True)
 class TabulatedPotential:
     """Potential given by one-point callables; gradient falls back to central differences.
@@ -92,7 +95,6 @@ class TabulatedPotential:
 
     value_fn: object
     gradient_fn: object = None
-    fd_step: float = 1e-6
 
     def value(self, q):
         q, _ = _check_away_from_origin(q)
@@ -102,9 +104,9 @@ class TabulatedPotential:
         q, _ = _check_away_from_origin(q)
         if self.gradient_fn is not None:
             return _each_row(self.gradient_fn, q)
-        e = self.fd_step * np.eye(3)
+        e = _FD_STEP * np.eye(3)
         q = q[..., None, :]
-        return (_each_row(self.value_fn, q + e) - _each_row(self.value_fn, q - e)) / (2.0 * self.fd_step)
+        return (_each_row(self.value_fn, q + e) - _each_row(self.value_fn, q - e)) / (2.0 * _FD_STEP)
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +438,17 @@ def validate_hypotheses(config: FieldConfig, seed: int = 20240801) -> Validation
     return ValidationReport(checks=tuple(checks), seed=seed)
 
 
-def magnetic_ceiling(magnetic, radius: float = 1.0, period: float = 1.0, seed: int = 20240801) -> float:
-    """Sampled sup of |B(t, q)| over |q| >= radius; usable as a c_B value.
+def magnetic_ceiling(magnetic, period: float = 1.0, seed: int = 20240801) -> float:
+    """Sampled sup of |B(t, q)| over |q| >= 1; usable as a c_B value.
 
-    Sweeps spheres at radius x {1, 2, 4, ..., 64} and a time grid; for a
-    dipole the sharp on-axis bound at `radius` is taken if it is larger.
+    Sweeps spheres at radii {1, 2, 4, ..., 64} and a time grid; for a
+    dipole the sharp on-axis bound at |q| = 1 is taken if it is larger.
     """
-    cloud = shells(radius * 2.0 ** np.arange(7), sphere_directions(10, seed))
+    cloud = shells(2.0 ** np.arange(7), sphere_directions(10, seed))
     times = np.linspace(0.0, period, 5)
     best = max(float(np.linalg.norm(magnetic.eval(t, cloud), axis=-1).max()) for t in times)
     if isinstance(magnetic, DipoleField):
-        # sampled sphere maxima undershoot the on-axis peak; use the sharp bound
-        c1, beta = magnetic.bound_constants()
-        best = max(best, c1 * radius ** (-beta - 1.0))
+        # sampled sphere maxima undershoot the on-axis peak; use the sharp
+        # bound c1 |q|^-(beta+1), which is c1 at |q| = 1
+        best = max(best, magnetic.bound_constants()[0])
     return best

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import DOP853, RK45, OdeSolution
 
 from lfe.homotopy import HomotopySystem
-from lfe.kinematics import State, lorentz_factor, phi_inv
+from lfe.kinematics import State, lorentz_factor
 
 
 class SolverError(RuntimeError):
@@ -173,9 +173,6 @@ def integrate(
 
     ts_arr = np.asarray(ts)
     states = np.asarray(ys)
-    # |phi_inv(p)| < 1 holds by construction in momentum coordinates; assert anyway
-    for y in states:
-        assert math.hypot(*phi_inv(y[3:])) < 1.0
     sol = OdeSolution(ts_arr, interps) if interps else None
     return Trajectory(ts=ts_arr, states=states, lam=lam, interpolant=sol, n_rhs_evals=n_evals)
 

@@ -50,18 +50,14 @@ def annulus_grid(r_lo: float, r_hi: float, n_radii: int, dir_pow2: int, seed: in
     return shells(log_radii(r_lo, r_hi, n_radii), sphere_directions(dir_pow2, seed))
 
 
-def maximize_on_annulus(
-    func,
-    r_lo: float,
-    r_hi: float,
-    t_max: float,
-    *,
-    n_radii: int = 40,
-    dir_pow2: int = 8,
-    n_time: int = 4,
-    seed: int = 0,
-    n_refine: int = 5,
-):
+# maximize_on_annulus: the sweep grid and the number of best samples refined
+_N_RADII = 40
+_DIR_POW2 = 8
+_N_TIME = 4
+_N_REFINE = 5
+
+
+def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: int = 0):
     """Sampled maximum of func(t, q) over the shell r_lo <= |q| <= r_hi, t in [0, t_max].
 
     func takes q of shape (N, 3) for the sweep, one call per time, and of
@@ -72,12 +68,12 @@ def maximize_on_annulus(
     (log r, cos theta, azimuth, t) with the radius kept inside the shell.
     Returns (value, q, t, meta) where meta records the sample counts.
     """
-    points = annulus_grid(r_lo, r_hi, n_radii, dir_pow2, seed)
-    times = np.linspace(0.0, t_max, n_time) if t_max > 0 else np.array([0.0])
+    points = annulus_grid(r_lo, r_hi, _N_RADII, _DIR_POW2, seed)
+    times = np.linspace(0.0, t_max, _N_TIME) if t_max > 0 else np.array([0.0])
     values = np.array([func(t, points) for t in times])
 
     flat = values.ravel()
-    order = np.argsort(flat)[::-1][:n_refine]
+    order = np.argsort(flat)[::-1][:_N_REFINE]
 
     log_lo, log_hi = math.log(r_lo), math.log(r_hi)
 
@@ -111,10 +107,10 @@ def maximize_on_annulus(
 
     meta = {
         "samples": int(flat.size),
-        "n_radii": n_radii,
-        "n_directions": 2**dir_pow2,
+        "n_radii": _N_RADII,
+        "n_directions": 2**_DIR_POW2,
         "n_time": len(times),
         "seed": seed,
-        "refined": n_refine,
+        "refined": _N_REFINE,
     }
     return best_val, best_q, best_t, meta

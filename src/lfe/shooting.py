@@ -32,55 +32,61 @@ class LeftDomain(SolverError):
     """An iterate exited the numerical search region."""
 
 
+_MAX_HALVINGS = 20
+_FD_STEP = 1e-7
+
+
 @dataclass(frozen=True)
-class Domain:
-    """Search region for the shooting iteration.
+class SolverOptions:
+    """The [solver] settings: Newton tolerance and budget, continuation steps, sampling seed."""
 
-    With a bounds certificate available the natural choice is
-    r_min = m/2 (half the certified singularity clearance) with outer
-    caps a factor two beyond the certified radius and momentum bound.
-    """
-
-    r_min: float = 1e-6
-    r_max: float = math.inf
-    p_max: float = math.inf
-
-    @staticmethod
-    def from_bounds(m: float, upper: float, p_bound: float) -> "Domain":
-        return Domain(r_min=0.5 * m, r_max=2.0 * upper, p_max=2.0 * p_bound)
-
-    def violation(self, x: State) -> str | None:
-        r = float(np.linalg.norm(x.q))
-        if r <= self.r_min:
-            return f"|q| = {r:.6g} <= r_min = {self.r_min:.6g}"
-        if r >= self.r_max:
-            return f"|q| = {r:.6g} >= r_max = {self.r_max:.6g}"
-        pn = float(np.linalg.norm(x.p))
-        if pn >= self.p_max:
-            return f"|p| = {pn:.6g} >= p_max = {self.p_max:.6g}"
-        return None
+    newton_tol: float = 1e-9
+    max_iterations: int = 50
+    dlam_init: float = 0.1
+    dlam_floor: float = 1e-4
+    growth: float = 1.5
+    target_lambda: float = 1.0
+    seed: int = 20240803
 
 
 @dataclass(frozen=True)
 class ShootingProblem:
+    """The periodic problem at one lam, with its solver settings and certified region.
+
+    region is the certified (m, R + T, L) of a bounds certificate, or None.
+    Newton searches |q| > integrator.r_min and, with a region, |q| < 2 (R + T)
+    and |p| < 2 L; continue_lambda checks each accepted orbit against it.
+    """
+
     system: HomotopySystem
     lam: float
-    period: float | None = None
     integrator: IntegratorConfig = IntegratorConfig()
-    domain: Domain = Domain()
-    newton_tol: float = 1e-9
-    max_iterations: int = 50
-    max_halvings: int = 20
-    fd_step: float = 1e-7
+    solver: SolverOptions = SolverOptions()
+    region: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        if self.period is None:
-            object.__setattr__(self, "period", self.system.period)
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
     def flow(self, x0: State) -> Trajectory:
-        return integrate(self.system, x0, (0.0, self.period), self.lam, self.integrator)
+        return integrate(self.system, x0, (0.0, self.system.period), self.lam, self.integrator)
+
+    def violation(self, y: np.ndarray) -> str | None:
+        """Why the phase point y = (q, p) lies outside Newton's search region, or None."""
+        r = float(np.linalg.norm(y[:3]))
+        r_min = self.integrator.r_min
+        if r <= r_min:
+            return f"|q| = {r:.6g} <= r_min = {r_min:.6g}"
+        if self.region is None:
+            return None
+        _, upper, p_bound = self.region
+        r_max, p_max = 2.0 * upper, 2.0 * p_bound
+        if r >= r_max:
+            return f"|q| = {r:.6g} >= r_max = {r_max:.6g}"
+        pn = float(np.linalg.norm(y[3:]))
+        if pn >= p_max:
+            return f"|p| = {pn:.6g} >= p_max = {p_max:.6g}"
+        return None
 
 
 def periodicity_residual(x0: State, problem: ShootingProblem) -> np.ndarray:
@@ -117,15 +123,10 @@ def _monodromy(x0: State, traj_end: np.ndarray, problem: ShootingProblem) -> np.
     m = np.empty((6, 6))
     for i in range(6):
         e = np.zeros(6)
-        e[i] = problem.fd_step
+        e[i] = _FD_STEP
         pert = problem.flow(State.from_array(y0 + e))
-        m[:, i] = (pert.states[-1] - traj_end) / problem.fd_step
+        m[:, i] = (pert.states[-1] - traj_end) / _FD_STEP
     return m
-
-
-def force_along(system: HomotopySystem, traj: Trajectory, t: float) -> np.ndarray:
-    """Momentum derivative of the system evaluated on the stored orbit at time t."""
-    return system.rhs_array(t, traj.at(t), traj.lam)[3:]
 
 
 def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
@@ -134,38 +135,34 @@ def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
     mean_identity: |integral of p' over one period| (zero for a closed orbit).
     virial_lhs:    integral of q . p' dt, non-positive for periodic orbits.
     virial_rhs:    -integral of |p|^2 / sqrt(1+|p|^2) dt (the matching value).
-    Quadratures run on the dense output with Gauss-Kronrod, rtol 1e-8.
+    One Gauss-Kronrod quadrature of [p', q . p', |p|^2 / sqrt(1+|p|^2)] on
+    the dense output, rtol 1e-8.
     """
-    t0, t1 = traj.t0, traj.t1
 
-    mean_vec, _ = quad_vec(
-        lambda t: force_along(system, traj, t), t0, t1, epsabs=1e-10, epsrel=1e-8
-    )
-
-    def virial_pair(t):
+    def integrand(t):
         y = traj.at(t)
         f = system.rhs_array(t, y, traj.lam)[3:]
         p2 = float(np.dot(y[3:], y[3:]))
-        return np.array([float(np.dot(y[:3], f)), p2 / math.sqrt(1.0 + p2)])
+        return np.append(f, [float(np.dot(y[:3], f)), p2 / math.sqrt(1.0 + p2)])
 
-    pair, _ = quad_vec(virial_pair, t0, t1, epsabs=1e-10, epsrel=1e-8)
+    total, _ = quad_vec(integrand, traj.t0, traj.t1, epsabs=1e-10, epsrel=1e-8)
     return {
-        "mean_identity": float(np.max(np.abs(mean_vec))),
-        "virial_lhs": float(pair[0]),
-        "virial_rhs": float(-pair[1]),
-        "virial_gap": float(abs(pair[0] + pair[1])),
+        "mean_identity": float(np.max(np.abs(total[:3]))),
+        "virial_lhs": float(total[3]),
+        "virial_rhs": float(-total[4]),
+        "virial_gap": float(abs(total[3] + total[4])),
     }
 
 
 def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
     """Damped Newton on the periodicity residual, monodromy by finite differences.
 
-    Convergence is residual sup-norm below problem.newton_tol.  Raises
+    Convergence is residual sup-norm below problem.solver.newton_tol.  Raises
     NewtonDiverged (no residual decrease within the damping budget or the
     iteration cap), SingularJacobian (condition estimate above 1e12) or
     LeftDomain (an iterate exited the numerical search region).
     """
-    bad = problem.domain.violation(guess)
+    bad = problem.violation(guess.as_array())
     if bad is not None:
         raise LeftDomain(f"initial guess outside the search region: {bad}")
 
@@ -174,11 +171,12 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
     res = traj.states[-1] - traj.states[0]
     res_norm = float(np.max(np.abs(res)))
 
+    tol = problem.solver.newton_tol
     iterations = 0
-    while res_norm >= problem.newton_tol:
-        if iterations >= problem.max_iterations:
+    while res_norm >= tol:
+        if iterations >= problem.solver.max_iterations:
             raise NewtonDiverged(
-                f"residual {res_norm:.3e} after {iterations} iterations (tol {problem.newton_tol:g})"
+                f"residual {res_norm:.3e} after {iterations} iterations (tol {tol:g})"
             )
         monodromy = _monodromy(x, traj.states[-1], problem)
         jac = monodromy - np.eye(6)
@@ -190,16 +188,13 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
         alpha = 1.0
         accepted = False
         left_domain_only = True
-        for _ in range(problem.max_halvings):
+        for _ in range(_MAX_HALVINGS):
             y_try = x.as_array() + alpha * delta
-            if float(np.linalg.norm(y_try[:3])) == 0.0:
-                alpha *= 0.5
-                continue
-            x_try = State.from_array(y_try)
-            if problem.domain.violation(x_try) is not None:
+            if problem.violation(y_try) is not None:
                 alpha *= 0.5
                 continue
             left_domain_only = False
+            x_try = State.from_array(y_try)
             try:
                 traj_try = problem.flow(x_try)
             except SolverError:
@@ -216,7 +211,7 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
             if left_domain_only:
                 raise LeftDomain("every damped step left the search region")
             raise NewtonDiverged(
-                f"no residual decrease after {problem.max_halvings} damping halvings "
+                f"no residual decrease after {_MAX_HALVINGS} damping halvings "
                 f"(residual {res_norm:.3e})"
             )
         iterations += 1
@@ -245,9 +240,6 @@ class ContinuationPath:
     def final(self) -> OrbitSolution:
         return self.solutions[-1]
 
-    def reached(self, target: float) -> bool:
-        return self.status == "reached_target" and self.final.lam == target
-
     def summary_rows(self) -> list[dict]:
         return [
             {
@@ -273,28 +265,23 @@ def _orbit_inside(traj: Trajectory, bounds: tuple[float, float, float]) -> str |
     return None
 
 
-def continue_lambda(
-    problem: ShootingProblem,
-    start: OrbitSolution,
-    target_lambda: float = 1.0,
-    *,
-    dlam_init: float = 0.1,
-    dlam_floor: float = 1e-4,
-    growth: float = 1.5,
-    certified_bounds: tuple[float, float, float] | None = None,
-) -> ContinuationPath:
+def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> ContinuationPath:
     """Natural-parameter continuation from a converged lam = 0 orbit.
 
-    Step size starts at dlam_init, halves on any solver failure, grows by
-    the given factor after two consecutive successes, and never drops
-    below dlam_floor.  The predictor is the previous initial state.  The
+    Walks lam to problem.solver.target_lambda.  The step size starts at
+    solver.dlam_init, halves on any solver failure, grows by solver.growth
+    after two consecutive successes, and never drops below
+    solver.dlam_floor.  The predictor is the previous initial state; each
+    accepted orbit is checked against problem.region when it is set.  The
     path reports how far it got rather than raising: status is one of
     reached_target / stepsize_underflow / bound_violation.  A failed path
     means the path is incomplete, not that no orbit exists.
     """
+    solver = problem.solver
+    target_lambda = solver.target_lambda
     if start.lam != 0.0:
         raise ValueError("continuation must start from a lam = 0 solution")
-    if start.residual_norm > problem.newton_tol:
+    if start.residual_norm > solver.newton_tol:
         raise ValueError("continuation must start from a converged solution")
 
     path = ContinuationPath(solutions=[start], history=[])
@@ -304,7 +291,7 @@ def continue_lambda(
         return path
 
     lam = 0.0
-    dlam = dlam_init
+    dlam = solver.dlam_init
     consecutive = 0
     while lam < target_lambda:
         lam_try = min(lam + dlam, target_lambda)
@@ -317,16 +304,16 @@ def continue_lambda(
             )
             consecutive = 0
             dlam *= 0.5
-            if dlam < dlam_floor:
+            if dlam < solver.dlam_floor:
                 path.status = "stepsize_underflow"
                 path.message = (
-                    f"step below floor {dlam_floor:g} at lam = {lam:.6g}: {err}"
+                    f"step below floor {solver.dlam_floor:g} at lam = {lam:.6g}: {err}"
                 )
                 return path
             continue
 
-        if certified_bounds is not None:
-            bad = _orbit_inside(sol.trajectory, certified_bounds)
+        if problem.region is not None:
+            bad = _orbit_inside(sol.trajectory, problem.region)
             if bad is not None:
                 path.history.append(
                     {"lambda": lam_try, "dlam": dlam, "accepted": False, "reason": bad}
@@ -340,7 +327,7 @@ def continue_lambda(
         lam = lam_try
         consecutive += 1
         if consecutive >= 2:
-            dlam *= growth
+            dlam *= solver.growth
 
     path.status = "reached_target"
     path.message = f"reached lam = {target_lambda:g}"

@@ -26,7 +26,7 @@ from lfe.fields import (
 )
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import IntegratorConfig
-from lfe.shooting import Domain, ShootingProblem, continue_lambda, newton_shooting
+from lfe.shooting import ShootingProblem, continue_lambda, newton_shooting
 
 SEED = 20240803
 
@@ -72,7 +72,7 @@ def desk_config() -> FieldConfig:
     dipole = DipoleField([0.0, 0.0, 0.1])
     c1, beta = dipole.bound_constants()
     forcing = Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.1, 0.0, 0.0], [0.0, 0.0, 0.0])])
-    c_B = magnetic_ceiling(dipole, radius=1.0, period=1.0, seed=SEED)
+    c_B = magnetic_ceiling(dipole, period=1.0, seed=SEED)
     return FieldConfig(
         potential=GeneralizedCoulomb(1.0, 3.0),
         magnetic=dipole,
@@ -110,7 +110,7 @@ def desk_problem(desk, desk_cert):
         system=system,
         lam=0.0,
         integrator=IntegratorConfig(r_min=0.5 * desk_cert.m),
-        domain=Domain.from_bounds(*desk_cert.region()),
+        region=desk_cert.region(),
     )
 
 
@@ -121,7 +121,5 @@ def desk_start(desk_problem):
 
 
 @pytest.fixture(scope="session")
-def desk_path(desk_problem, desk_start, desk_cert):
-    return continue_lambda(
-        desk_problem, desk_start, 1.0, certified_bounds=desk_cert.region()
-    )
+def desk_path(desk_problem, desk_start):
+    return continue_lambda(desk_problem, desk_start)

@@ -214,7 +214,7 @@ def test_verify_flags_synthetic_violation(desk_cert):
         newton_iterations=0,
         diagnostics={},
     )
-    report = verify_orbit(orbit, desk_cert, n_dense=0)
+    report = verify_orbit(orbit, desk_cert)
     assert not report.passed
     entry = {e.name: e for e in report.entries}["clearance"]
     assert not entry.passed

@@ -354,8 +354,17 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nq = 0 0 0", "initial-state"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = 0", "initial-state"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = -1", "initial-state"),
+        (
+            "mean = 0 0 2",
+            "mean = 0 0 2\n[integrator]\nr_min = 0.01\n[initial-state]\nq = 0.005 0 0",
+            "initial-state",
+        ),
+        ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nq = 1e-6 0 0", "initial-state"),
     ],
-    ids=["c0", "period", "eps0", "eps1", "rtol", "method", "q", "t_end0", "t_end-1"],
+    ids=[
+        "c0", "period", "eps0", "eps1", "rtol", "method", "q", "t_end0", "t_end-1",
+        "q_r_min", "q_r_min_auto",
+    ],
 )
 def test_cli_out_of_range_value_exits_4(tmp_path, capsys, old, new, section):
     cfg = write(tmp_path, MINIMAL.replace(old, new))
@@ -367,3 +376,25 @@ def test_cli_config_errors_exit_4(tmp_path):
     assert main(["validate", "--config", str(tmp_path / "missing.ini")]) == 4
     bad = write(tmp_path, MINIMAL.replace("c0 = 1.0", "c00 = 1.0"))
     assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_cli_find_orbit_starts_just_outside_the_guard_radius(tmp_path):
+    text = LIGHT.replace("sample_points = 101", "sample_points = 101\n[integrator]\nr_min = 0.69")
+    cfg = write(tmp_path, text + "\n[initial-state]\nq = 0.7 0 0\n")
+    out = tmp_path / "out"
+    assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "orbit_report.json").read_text())
+    assert payload["residual_norm"] < 1e-9
+    assert np.allclose(payload["x0_q"], [0.0, 0.0, -np.sqrt(0.5)], atol=1e-7)
+
+
+def test_cli_integrate_ultrarelativistic_start(tmp_path):
+    text = LIGHT.replace("sample_points = 101", "sample_points = 101\n[integrator]\nr_min = 0.69")
+    cfg = write(tmp_path, text + "\n[initial-state]\nq = 0.7 0 0\np = 1e9 0 0\n")
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(rows))
+    # the speed saturates, so the monodromy is singular: a solver failure, not a crash
+    assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert (out / "orbit_report.txt").read_text().startswith("shooting failed: ")

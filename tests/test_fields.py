@@ -247,7 +247,7 @@ def test_validate_is_reproducible():
 
 
 def test_magnetic_ceiling_dipole_sharp():
-    assert math.isclose(magnetic_ceiling(DipoleField([0, 0, 0.1]), 1.0, 1.0), 0.2, rel_tol=1e-12)
+    assert math.isclose(magnetic_ceiling(DipoleField([0, 0, 0.1]), period=1.0), 0.2, rel_tol=1e-12)
 
 
 def test_config_rejects_nonpositive_constants():

@@ -130,6 +130,14 @@ def test_speed_bound_at_nodes(gyro_system):
     assert max(speeds) < 1.0
 
 
+def test_ultrarelativistic_start_integrates(coulomb_system):
+    # past |p| ~ 1e8 the speed |p| / hypot(1, |p|) rounds to 1.0
+    x0 = State(q=[0.7, 0.0, 0.0], p=[1e9, 0.0, 0.0])
+    traj = integrate(coulomb_system, x0, (0.0, 1.0), 0.0, IntegratorConfig(r_min=0.69))
+    assert np.all(np.isfinite(traj.states))
+    assert math.isclose(traj.states[-1, 0], 1.7, rel_tol=1e-12)
+
+
 def test_time_symmetry_via_momentum_flip(coulomb_system):
     x_eq = find_zero_f0(1.0, [0.0, 0.0, 2.0])
     x0 = State(q=x_eq.q + np.array([1e-2, 0.0, 0.0]), p=np.zeros(3))

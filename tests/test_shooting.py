@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,10 @@ from lfe.homotopy import HomotopySystem
 from lfe.integrator import IntegratorConfig
 from lfe.kinematics import State, phi_inv
 from lfe.shooting import (
-    Domain,
     LeftDomain,
     NewtonDiverged,
     ShootingProblem,
+    SolverOptions,
     continue_lambda,
     newton_shooting,
     orbit_identities,
@@ -53,8 +54,8 @@ def test_guess_outside_domain_is_rejected():
     problem = ShootingProblem(
         system=HomotopySystem(coulomb_config()),
         lam=0.0,
-        domain=Domain(r_min=0.5, r_max=10.0, p_max=5.0),
-        integrator=IntegratorConfig(r_min=0.25),
+        integrator=IntegratorConfig(r_min=0.5),
+        region=(0.5, 5.0, 2.5),  # search |q| < 10, |p| < 5
     )
     with pytest.raises(LeftDomain):
         newton_shooting(State(q=[0.25, 0.0, 0.0], p=[0.0, 0.0, 0.0]), problem)
@@ -65,7 +66,7 @@ def test_guess_outside_domain_is_rejected():
 def test_residual_self_consistency(coulomb_problem):
     sol = newton_shooting(State(q=EQ.q + np.array([1e-3, 0, 0]), p=np.zeros(3)), coulomb_problem)
     res = periodicity_residual(sol.x0, coulomb_problem)
-    assert np.abs(res).max() < 2 * coulomb_problem.newton_tol
+    assert np.abs(res).max() < 2 * coulomb_problem.solver.newton_tol
 
 
 def test_monodromy_linearizes_the_residual(coulomb_problem):
@@ -95,12 +96,10 @@ def test_lambda_independent_family_single_step():
     start = newton_shooting(EQ, problem)
 
     # the lam = 0 solution already solves lam = 1
-    import dataclasses
-
     res = periodicity_residual(start.x0, dataclasses.replace(problem, lam=1.0))
     assert np.abs(res).max() < 1e-9
 
-    path = continue_lambda(problem, start, 1.0, dlam_init=1.0)
+    path = continue_lambda(dataclasses.replace(problem, solver=SolverOptions(dlam_init=1.0)), start)
     assert path.status == "reached_target"
     assert [sol.lam for sol in path.solutions] == [0.0, 1.0]
     assert np.abs(path.final.x0.as_array() - start.x0.as_array()).max() < 1e-9
@@ -121,7 +120,9 @@ def test_desk_scale_continuation_reaches_target(desk_path):
 
 def test_continuation_target_zero_is_identity(coulomb_problem):
     start = newton_shooting(EQ, coulomb_problem)
-    path = continue_lambda(coulomb_problem, start, 0.0)
+    path = continue_lambda(
+        dataclasses.replace(coulomb_problem, solver=SolverOptions(target_lambda=0.0)), start
+    )
     assert path.status == "reached_target"
     assert len(path.solutions) == 1
     assert path.solutions[0] is start
@@ -129,29 +130,28 @@ def test_continuation_target_zero_is_identity(coulomb_problem):
 
 def test_continuation_requires_converged_lambda_zero_start(coulomb_problem):
     good = newton_shooting(EQ, coulomb_problem)
-    import dataclasses
-
     bad_lam = dataclasses.replace(good, lam=0.5)
     with pytest.raises(ValueError):
-        continue_lambda(coulomb_problem, bad_lam, 1.0)
+        continue_lambda(coulomb_problem, bad_lam)
     bad_res = dataclasses.replace(good, residual_norm=1.0)
     with pytest.raises(ValueError):
-        continue_lambda(coulomb_problem, bad_res, 1.0)
+        continue_lambda(coulomb_problem, bad_res)
 
 
 def test_continuation_reports_bound_violation(coulomb_problem):
     start = newton_shooting(EQ, coulomb_problem)
     # absurdly tight certified region: the equilibrium orbit itself violates it
-    path = continue_lambda(
-        coulomb_problem, start, 1.0, dlam_init=1.0, certified_bounds=(0.7, 0.705, 10.0)
+    tight = dataclasses.replace(
+        coulomb_problem, solver=SolverOptions(dlam_init=1.0), region=(0.7, 0.705, 10.0)
     )
+    path = continue_lambda(tight, start)
     assert path.status == "bound_violation"
     assert path.final is start
 
 
 def test_newton_diverged_when_iteration_budget_is_tiny():
     problem = ShootingProblem(
-        system=HomotopySystem(coulomb_config()), lam=0.0, max_iterations=1
+        system=HomotopySystem(coulomb_config()), lam=0.0, solver=SolverOptions(max_iterations=1)
     )
     guess = State(q=EQ.q + np.array([0.05, 0.0, 0.0]), p=np.array([0.0, 0.05, 0.0]))
     with pytest.raises(NewtonDiverged):
@@ -178,3 +178,23 @@ def test_orbit_identities_match_direct_quadrature(coulomb_problem):
     d = sol.diagnostics
     assert math.isclose(d["virial_lhs"], lhs, abs_tol=1e-9)
     assert math.isclose(d["virial_rhs"], rhs, abs_tol=1e-9)
+
+
+def test_trial_step_into_the_guard_radius_is_halved():
+    """Damped Newton halves a trial step that would enter the guard radius, instead of raising."""
+    rejected = []
+
+    class Recording(ShootingProblem):
+        def violation(self, y):
+            bad = super().violation(y)
+            if bad is not None:
+                rejected.append(bad)
+            return bad
+
+    problem = Recording(
+        system=HomotopySystem(coulomb_config()), lam=0.0, integrator=IntegratorConfig(r_min=0.69)
+    )
+    sol = newton_shooting(State(q=[0.7, 0.0, 0.0], p=[0.0, 0.0, 0.0]), problem)
+    assert any("<= r_min = 0.69" in bad for bad in rejected)
+    assert sol.residual_norm < 1e-9
+    assert np.abs(sol.x0.as_array() - EQ.as_array()).max() < 1e-7
