@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from lfe.degree import DegenerateForcing, find_zero_f0
 from lfe.fields import (
     ABCField,
     DipoleField,
@@ -295,9 +296,16 @@ def parse_config(path) -> RunConfig:
     )
     if not 0.0 <= initial.lam <= 1.0:
         raise ConfigError("[initial-state] lambda must lie in [0, 1]")
-    if initial.q is not None and np.linalg.norm(initial.q) <= integrator.r_min:
+    q = initial.q
+    if q is None and not r_min_auto:  # an explicit guard radius must clear the equilibrium too
+        try:
+            q = find_zero_f0(field_config.c0, field_config.forcing.mean).q
+        except DegenerateForcing:  # no equilibrium: the commands that need one say so
+            pass
+    if q is not None and np.linalg.norm(q) <= integrator.r_min:
+        what = "q" if initial.q is not None else f"q = equilibrium (|q| = {np.linalg.norm(q):g})"
         raise ConfigError(
-            f"[initial-state] q must lie outside the guard radius r_min = {integrator.r_min:g}"
+            f"[initial-state] {what} must lie outside the guard radius r_min = {integrator.r_min:g}"
         )
     if initial.t_end is not None and not initial.t_end > 0.0:
         raise ConfigError("[initial-state] t_end must be positive")

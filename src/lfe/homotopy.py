@@ -55,23 +55,29 @@ class HomotopySystem:
         return lam * h + (1.0 - lam) * self.h_mean
 
     def rhs_array(self, t: float, y: np.ndarray, lam: float) -> np.ndarray:
-        """Vector field on the flat state [q, p]; the hot path for integration.
+        """Vector field on flat states [q, p]; the hot path for integration.
 
+        y of shape (6,) or a stack of shape (N, 6) gives the same shape;
+        row i of a stack result equals the result for row i alone.
         Non-finite input propagates to non-finite output (instead of
         raising) so the step controller can reject and shrink the step.
         """
-        q = y[:3]
-        p = y[3:]
-        v = p / math.hypot(1.0, p[0], p[1], p[2])
-        force = -self.grad_V_lambda(q, lam) + self.h_lambda(t, lam)
+        q = y[..., :3]
+        p = y[..., 3:]
+        # hypot, as in phi_inv: sqrt(1 + |p|^2) overflows past |p| ~ 1e154
+        n = np.hypot(np.hypot(p[..., 0], p[..., 1]), p[..., 2])
+        v = p / np.hypot(1.0, n)[..., None]
+        out = np.empty(np.shape(y))
+        out[..., :3] = v
+        out[..., 3:] = self.h_lambda(t, lam) - self.grad_V_lambda(q, lam)
         if lam != 0.0:
             # v x B written out: np.cross costs more than the rest of the call
-            vx, vy, vz = v
-            bx, by, bz = self.config.magnetic.eval(t, q)
-            force = force + lam * np.array([vy * bz - vz * by, vz * bx - vx * bz, vx * by - vy * bx])
-        out = np.empty(6)
-        out[:3] = v
-        out[3:] = force
+            b = self.config.magnetic.eval(t, q)
+            vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+            bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+            out[..., 3] += lam * (vy * bz - vz * by)
+            out[..., 4] += lam * (vz * bx - vx * bz)
+            out[..., 5] += lam * (vx * by - vy * bx)
         return out
 
     def rhs(self, t: float, x: State, lam: float) -> np.ndarray:

@@ -4,13 +4,16 @@ Integration is done in (position, momentum) coordinates, never
 (position, velocity), so the speed limit |v| < 1 is structural.  The
 stepper is an embedded Runge-Kutta pair with dense output; periodicity
 residuals and period quadratures are read from the stored interpolant,
-never from re-integration.
+never from re-integration.  A stack of N states is integrated as one
+6N-vector with shared step control: shooting integrates the Jacobian
+columns (perturbed copies of the orbit) in the same flow as the orbit,
+and the singularity guard watches every member of the stack.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import DOP853, RK45, OdeSolution
@@ -63,12 +66,16 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted nodes plus the per-step interpolant of one integration run."""
+    """Accepted nodes plus the per-step interpolant of one integration run.
+
+    states has shape (n, 6) for one initial state, or (n, N, 6) for a stack
+    of N states integrated with shared steps; `row` picks one of them.
+    """
 
     ts: np.ndarray
     states: np.ndarray
     lam: float
-    interpolant: OdeSolution | None = None
+    interpolant: Callable | None = None
     n_rhs_evals: int = 0
 
     @property
@@ -79,20 +86,21 @@ class Trajectory:
     def t1(self) -> float:
         return float(self.ts[-1])
 
-    def initial_state(self) -> State:
-        return State.from_array(self.states[0])
-
-    def final_state(self) -> State:
-        return State.from_array(self.states[-1])
-
     def at(self, t) -> np.ndarray:
-        """Dense-output evaluation; shape (6,) for scalar t, (6, n) for arrays."""
+        """Dense output: shape (6,) for scalar t, (6, n) for arrays; a stack adds a leading N."""
         if self.interpolant is None:
             raise ValueError("trajectory has no interpolant (single node)")
-        return self.interpolant(t)
+        y = self.interpolant(t)
+        return y.reshape(self.states.shape[1:] + y.shape[1:])
 
-    def state_at(self, t: float) -> State:
-        return State.from_array(self.at(float(t)))
+    def row(self, i: int) -> "Trajectory":
+        """Member i of a stacked run, read from the shared nodes and interpolant."""
+        interp, rows = self.interpolant, slice(6 * i, 6 * i + 6)
+        return replace(
+            self,
+            states=self.states[:, i],
+            interpolant=None if interp is None else (lambda t: interp(t)[rows]),
+        )
 
     def write_csv(self, path, times) -> None:
         """Sample the orbit on the given grid and write t,q1,q2,q3,p1,p2,p3 rows."""
@@ -105,31 +113,37 @@ class Trajectory:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
+def _nearest(y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Smallest |q| among the states stacked in the flat vector y, and that state."""
+    rows = y.reshape(-1, 6)
+    r = np.hypot(np.hypot(rows[:, 0], rows[:, 1]), rows[:, 2])
+    k = int(np.argmin(r))
+    return float(r[k]), rows[k]
+
+
 def _bisect_guard_crossing(interp, t_lo: float, t_hi: float, r_min: float):
-    """First time in [t_lo, t_hi] where |q(t)| = r_min, by bisection on the step interpolant."""
-
-    def above(t):
-        y = interp(t)
-        return math.hypot(y[0], y[1], y[2]) >= r_min
-
+    """First time in [t_lo, t_hi] where some |q(t)| = r_min, by bisection on the interpolant."""
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
-        if above(t_mid):
+        if _nearest(interp(t_mid))[0] >= r_min:
             t_lo = t_mid
         else:
             t_hi = t_mid
-    return t_hi, interp(t_hi)
+    return t_hi, _nearest(interp(t_hi))[1]
 
 
 def integrate(
     system: HomotopySystem,
-    x0: State,
+    x0: State | np.ndarray,
     t_span: tuple[float, float],
     lam: float,
     cfg: IntegratorConfig = IntegratorConfig(),
 ) -> Trajectory:
     """Integrate the homotopy system from x0 over t_span at the given lam.
 
+    x0 is a State, or an array of flat states [q, p] of shape (6,) or
+    (N, 6); a stack is integrated as one system, so all its members share
+    the step sequence, and the guard applies to every member.
     Raises SingularityApproach if |q| reaches the guard radius (with the
     crossing time refined by bisection on the step interpolant),
     MaxStepsExceeded or StepUnderflow on step-control failures.
@@ -140,7 +154,12 @@ def integrate(
         raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    if float(np.linalg.norm(x0.q)) <= cfg.r_min:
+    y0 = x0.as_array() if isinstance(x0, State) else np.array(x0, dtype=float)
+    shape = y0.shape
+    if shape[-1:] != (6,) or y0.ndim > 2:
+        raise ValueError(f"initial states must have shape (6,) or (N, 6), got {shape}")
+    y0 = y0.reshape(-1)
+    if _nearest(y0)[0] <= cfg.r_min:
         raise ValueError("initial position is inside the guard radius")
 
     n_evals = 0
@@ -148,11 +167,11 @@ def integrate(
     def fun(t, y):
         nonlocal n_evals
         n_evals += 1
-        return system.rhs_array(t, y, lam)
+        return system.rhs_array(t, y.reshape(shape), lam).reshape(-1)
 
-    stepper = _METHODS[cfg.method](fun, t0, x0.as_array(), t1, rtol=cfg.rtol, atol=cfg.atol)
+    stepper = _METHODS[cfg.method](fun, t0, y0, t1, rtol=cfg.rtol, atol=cfg.atol)
     ts = [t0]
-    ys = [x0.as_array()]
+    ys = [y0]
     interps = []
     steps = 0
     while stepper.status == "running":
@@ -166,13 +185,12 @@ def integrate(
         interps.append(interp)
         ts.append(stepper.t)
         ys.append(stepper.y.copy())
-        r = math.hypot(*stepper.y[:3])
-        if r < cfg.r_min:
+        if _nearest(stepper.y)[0] < cfg.r_min:
             t_cross, y_cross = _bisect_guard_crossing(interp, ts[-2], stepper.t, cfg.r_min)
             raise SingularityApproach(t_cross, State.from_array(y_cross), cfg.r_min)
 
     ts_arr = np.asarray(ts)
-    states = np.asarray(ys)
+    states = np.asarray(ys).reshape((len(ts),) + shape)
     sol = OdeSolution(ts_arr, interps) if interps else None
     return Trajectory(ts=ts_arr, states=states, lam=lam, interpolant=sol, n_rhs_evals=n_evals)
 

@@ -1,8 +1,11 @@
 """Single shooting for the T-periodic problem and the continuation driver.
 
 A periodic orbit is a fixed point of the time-T flow in (q, p).  Damped
-Newton iterates on the flow residual with a finite-difference monodromy
-matrix; the continuation driver walks the deformation parameter from the
+Newton iterates on the flow residual.  Its Jacobian is the forward
+finite-difference monodromy matrix, whose six columns are integrated in
+the same stacked flow as the trial orbit: one 42-vector run with shared
+step control gives both the residual and the monodromy at each trial
+point.  The continuation driver walks the deformation parameter from the
 autonomous equilibrium at lam = 0 toward the full equation at lam = 1
 with adaptive step halving and regrowth.
 """
@@ -68,8 +71,21 @@ class ShootingProblem:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
-    def flow(self, x0: State) -> Trajectory:
+    def flow(self, x0: State | np.ndarray) -> Trajectory:
         return integrate(self.system, x0, (0.0, self.system.period), self.lam, self.integrator)
+
+    def flow_with_monodromy(self, x0: State) -> tuple[Trajectory, np.ndarray]:
+        """The time-T orbit of x0 and the forward finite-difference monodromy at x0.
+
+        x0 and its six perturbations x0 + _FD_STEP e_i are integrated as one
+        stacked flow, so column i of the monodromy differences two members
+        that took the same steps.  A perturbed member that crosses the guard
+        radius raises SingularityApproach like the orbit itself.
+        """
+        stack = x0.as_array() + np.vstack([np.zeros(6), _FD_STEP * np.eye(6)])
+        traj = self.flow(stack)
+        end = traj.states[-1]
+        return traj.row(0), (end[1:] - end[0]).T / _FD_STEP
 
     def violation(self, y: np.ndarray) -> str | None:
         """Why the phase point y = (q, p) lies outside Newton's search region, or None."""
@@ -104,6 +120,8 @@ class OrbitSolution:
     monodromy: np.ndarray
     newton_iterations: int
     diagnostics: dict = field(default_factory=dict)
+    # per Newton iteration: the residual sup-norm it started from and its damping alpha
+    newton_trace: list = field(default_factory=list)
 
     def summary(self) -> dict:
         out = {
@@ -115,18 +133,6 @@ class OrbitSolution:
         }
         out.update({k: float(v) for k, v in self.diagnostics.items()})
         return out
-
-
-def _monodromy(x0: State, traj_end: np.ndarray, problem: ShootingProblem) -> np.ndarray:
-    """Forward finite-difference derivative of the time-T flow at x0 (6 extra runs)."""
-    y0 = x0.as_array()
-    m = np.empty((6, 6))
-    for i in range(6):
-        e = np.zeros(6)
-        e[i] = _FD_STEP
-        pert = problem.flow(State.from_array(y0 + e))
-        m[:, i] = (pert.states[-1] - traj_end) / _FD_STEP
-    return m
 
 
 def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
@@ -155,30 +161,34 @@ def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
 
 
 def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
-    """Damped Newton on the periodicity residual, monodromy by finite differences.
+    """Damped Newton on the periodicity residual, Jacobian from the stacked flow.
 
-    Convergence is residual sup-norm below problem.solver.newton_tol.  Raises
-    NewtonDiverged (no residual decrease within the damping budget or the
-    iteration cap), SingularJacobian (condition estimate above 1e12) or
-    LeftDomain (an iterate exited the numerical search region).
+    Every flow is `problem.flow_with_monodromy`, so each trial yields the
+    monodromy at the trial point: an accepted trial's monodromy is the
+    next iteration's Jacobian, and the last one is the orbit's.
+    Convergence is residual sup-norm below problem.solver.newton_tol; each
+    iteration's starting residual and accepted damping factor go into
+    `newton_trace`.  Raises NewtonDiverged (no residual decrease within the
+    damping budget or the iteration cap), SingularJacobian (condition
+    estimate above 1e12) or LeftDomain (an iterate exited the numerical
+    search region).
     """
     bad = problem.violation(guess.as_array())
     if bad is not None:
         raise LeftDomain(f"initial guess outside the search region: {bad}")
 
     x = guess
-    traj = problem.flow(x)
+    traj, monodromy = problem.flow_with_monodromy(x)
     res = traj.states[-1] - traj.states[0]
     res_norm = float(np.max(np.abs(res)))
 
     tol = problem.solver.newton_tol
-    iterations = 0
+    trace = []
     while res_norm >= tol:
-        if iterations >= problem.solver.max_iterations:
+        if len(trace) >= problem.solver.max_iterations:
             raise NewtonDiverged(
-                f"residual {res_norm:.3e} after {iterations} iterations (tol {tol:g})"
+                f"residual {res_norm:.3e} after {len(trace)} iterations (tol {tol:g})"
             )
-        monodromy = _monodromy(x, traj.states[-1], problem)
         jac = monodromy - np.eye(6)
         cond = float(np.linalg.cond(jac))
         if not math.isfinite(cond) or cond > 1e12:
@@ -196,14 +206,16 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
             left_domain_only = False
             x_try = State.from_array(y_try)
             try:
-                traj_try = problem.flow(x_try)
+                traj_try, monodromy_try = problem.flow_with_monodromy(x_try)
             except SolverError:
                 alpha *= 0.5
                 continue
             res_try = traj_try.states[-1] - traj_try.states[0]
             res_try_norm = float(np.max(np.abs(res_try)))
             if res_try_norm < res_norm:
-                x, traj, res, res_norm = x_try, traj_try, res_try, res_try_norm
+                trace.append({"residual": res_norm, "alpha": alpha})
+                x, traj, monodromy = x_try, traj_try, monodromy_try
+                res, res_norm = res_try, res_try_norm
                 accepted = True
                 break
             alpha *= 0.5
@@ -214,9 +226,7 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
                 f"no residual decrease after {_MAX_HALVINGS} damping halvings "
                 f"(residual {res_norm:.3e})"
             )
-        iterations += 1
 
-    monodromy = _monodromy(x, traj.states[-1], problem)
     diagnostics = orbit_identities(problem.system, traj)
     return OrbitSolution(
         lam=problem.lam,
@@ -224,8 +234,9 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
         trajectory=traj,
         residual_norm=res_norm,
         monodromy=monodromy,
-        newton_iterations=iterations,
+        newton_iterations=len(trace),
         diagnostics=diagnostics,
+        newton_trace=trace,
     )
 
 

@@ -85,6 +85,15 @@ def a6_run(tmp_path_factory):
     return {"exit_code": code, "report": payload, "out": out, "elapsed": elapsed}
 
 
+def test_run_report_records_the_newton_trace(a6_run):
+    final = a6_run["report"]["final_orbit"]
+    trace = final["newton_trace"]
+    assert len(trace) == final["newton_iterations"] > 0
+    assert all(0.0 < step["alpha"] <= 1.0 for step in trace)
+    residuals = [step["residual"] for step in trace] + [final["residual_norm"]]
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+
 def test_a1_kinematics():
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)

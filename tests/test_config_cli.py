@@ -332,7 +332,7 @@ def test_cli_find_orbit_text_matches_json(tmp_path):
         expected = payload[key] if isinstance(payload[key], list) else [payload[key]]
         assert [float(v) for v in value.split()] == expected, key
         keys.append(key)
-    assert sorted(keys) == sorted(set(payload) - {"monodromy"})
+    assert sorted(keys) == sorted(set(payload) - {"monodromy", "newton_trace"})
 
 
 def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):
@@ -386,6 +386,24 @@ def test_cli_find_orbit_starts_just_outside_the_guard_radius(tmp_path):
     payload = json.loads((out / "orbit_report.json").read_text())
     assert payload["residual_norm"] < 1e-9
     assert np.allclose(payload["x0_q"], [0.0, 0.0, -np.sqrt(0.5)], atol=1e-7)
+    # full steps into the guard radius are halved, and the trace shows it
+    trace = payload["newton_trace"]
+    assert len(trace) == payload["newton_iterations"] > 0
+    assert all(0.0 < step["alpha"] <= 1.0 for step in trace)
+    assert min(step["alpha"] for step in trace) < 1.0
+    residuals = [step["residual"] for step in trace] + [payload["residual_norm"]]
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_cli_equilibrium_inside_the_guard_radius_exits_4(tmp_path, capsys):
+    # the equilibrium of c0 = 1, mean = 0 0 2 lies at |q| = sqrt(0.5) < r_min = 0.8
+    text = LIGHT + "\n[integrator]\nr_min = 0.8\n"
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 4
+    assert capsys.readouterr().err.startswith("config error: [initial-state] ")
+    # zero mean forcing has no equilibrium, and integrate still says so
+    degenerate = write(tmp_path, text.replace("mean = 0 0 2", "mean = 0 0 0"))
+    assert main(["integrate", "--config", str(degenerate), "--out", str(out)]) == 2
 
 
 def test_cli_integrate_ultrarelativistic_start(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 
 from conftest import coulomb_config, desk_config
 from lfe.degree import find_zero_f0
-from lfe.fields import SingularityError
+from lfe.fields import ABCField, DipoleField, SingularityError, UniformField, ZeroField
 from lfe.homotopy import (
     AutonomousField,
     HomotopySystem,
@@ -114,6 +115,27 @@ def test_rhs_lambda_one_matches_unhomotoped(system):
         out = system.rhs(t, x, 1.0)
         assert np.allclose(out[:3], v, atol=1e-15)
         assert np.allclose(out[3:], expected_force, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "magnetic",
+    [
+        ZeroField(),
+        UniformField([0.3, -0.2, 1.0]),
+        DipoleField([0.0, 0.0, 0.1]),
+        ABCField(1.0, 0.5, 0.3),
+    ],
+    ids=["zero", "uniform", "dipole", "abc"],
+)
+def test_rhs_stack_rows_match_single_states(magnetic):
+    system = HomotopySystem(dataclasses.replace(desk_config(), magnetic=magnetic))
+    rng = np.random.default_rng(36)
+    stack = np.array([random_state(rng).as_array() for _ in range(7)])
+    for lam in (0.0, 0.4, 1.0):
+        out = system.rhs_array(0.3, stack, lam)
+        assert out.shape == stack.shape
+        for row, y in zip(out, stack):
+            np.testing.assert_allclose(row, system.rhs_array(0.3, y, lam), rtol=1e-14, atol=0.0)
 
 
 def test_rhs_validates_inputs(system):

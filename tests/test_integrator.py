@@ -142,9 +142,9 @@ def test_time_symmetry_via_momentum_flip(coulomb_system):
     x_eq = find_zero_f0(1.0, [0.0, 0.0, 2.0])
     x0 = State(q=x_eq.q + np.array([1e-2, 0.0, 0.0]), p=np.zeros(3))
     forward = integrate(coulomb_system, x0, (0.0, 1.0), 0.0)
-    xe = forward.final_state()
+    xe = State.from_array(forward.states[-1])
     back = integrate(coulomb_system, State(q=xe.q, p=-xe.p), (0.0, 1.0), 0.0)
-    xb = back.final_state()
+    xb = State.from_array(back.states[-1])
     recovered = np.concatenate([xb.q, -xb.p])
     assert np.abs(recovered - x0.as_array()).max() <= 10 * IntegratorConfig().rtol
 
@@ -165,6 +165,32 @@ def test_singularity_guard_triggers():
     err = exc.value
     assert 0.0 < err.t < 5.0
     assert math.isclose(np.linalg.norm(err.state.q), 0.5, rel_tol=1e-6)
+
+
+def test_guard_covers_every_member_of_a_stack():
+    # force-free: the second member flies straight at the origin, the first stays put
+    system = HomotopySystem(force_free_config())
+    stack = np.array([[5.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]])
+    cfg = IntegratorConfig(r_min=0.5)
+    integrate(system, stack[0], (0.0, 2.0), 1.0, cfg)
+    with pytest.raises(SingularityApproach) as exc:
+        integrate(system, stack, (0.0, 2.0), 1.0, cfg)
+    err = exc.value
+    # |v| = 1/sqrt(2), so |q| = 1 - t/sqrt(2) reaches 0.5 at t = 0.5 sqrt(2)
+    assert math.isclose(err.t, 0.5 * math.sqrt(2.0), rel_tol=1e-9)
+    assert np.allclose(err.state.q, [0.5, 0.0, 0.0], atol=1e-9)
+
+
+def test_stack_members_match_single_runs(gyro_system):
+    stack = np.array([[5.0, 0.0, 0.0, 0.75, 0.0, 0.0], [4.0, 1.0, 0.0, 0.0, 0.5, 0.1]])
+    traj = integrate(gyro_system, stack, (0.0, 2.0), 1.0)
+    assert traj.states.shape == (len(traj.ts), 2, 6)
+    for i, y0 in enumerate(stack):
+        member = traj.row(i)
+        single = integrate(gyro_system, y0, (0.0, 2.0), 1.0)
+        assert np.array_equal(member.states[0], y0)
+        assert np.abs(member.states[-1] - single.states[-1]).max() < 1e-9
+        assert np.array_equal(member.at(1.3), traj.at(1.3)[i])
 
 
 def test_max_steps_exceeded(gyro_system):

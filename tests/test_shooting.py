@@ -46,6 +46,9 @@ def test_newton_converges_from_perturbed_equilibrium(coulomb_problem):
     guess = State(q=EQ.q + 1e-3 * rng.normal(size=3), p=1e-3 * rng.normal(size=3))
     sol = newton_shooting(guess, coulomb_problem)
     assert sol.newton_iterations <= 5
+    assert len(sol.newton_trace) == sol.newton_iterations
+    residuals = [step["residual"] for step in sol.newton_trace] + [sol.residual_norm]
+    assert all(b < a for a, b in zip(residuals, residuals[1:]))
     assert sol.residual_norm < 1e-9
     assert np.abs(sol.x0.as_array() - EQ.as_array()).max() < 1e-7
 
@@ -80,6 +83,29 @@ def test_monodromy_linearizes_the_residual(coulomb_problem):
         pert = periodicity_residual(State.from_array(sol.x0.as_array() + e), coulomb_problem)
         linear = base + jac @ e
         assert np.abs(pert - linear).max() <= 1e-8
+
+
+def per_column_monodromy(x0: State, problem: ShootingProblem, step: float = 1e-7) -> np.ndarray:
+    """Oracle: forward differences of seven separate flows, one per column."""
+    end = problem.flow(x0).states[-1]
+    columns = []
+    for i in range(6):
+        e = np.zeros(6)
+        e[i] = step
+        columns.append((problem.flow(State.from_array(x0.as_array() + e)).states[-1] - end) / step)
+    return np.column_stack(columns)
+
+
+def test_stacked_monodromy_matches_separate_flows(desk_problem, desk_path):
+    final = desk_path.final
+    assert final.lam == 1.0
+    problem = dataclasses.replace(desk_problem, lam=final.lam)
+    # the orbit's monodromy is the one at its own x0
+    _, monodromy = problem.flow_with_monodromy(final.x0)
+    assert np.array_equal(final.monodromy, monodromy)
+    assert np.abs(monodromy - per_column_monodromy(final.x0, problem)).max() < 1e-6
+    # the deformed field is divergence-free, so the flow preserves volume (Liouville)
+    assert abs(np.linalg.det(monodromy) - 1.0) < 1e-6
 
 
 def test_identities_on_converged_orbit(coulomb_problem):
