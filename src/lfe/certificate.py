@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lfe.fields import FieldConfig, forcing_stats
+from lfe.fields import FieldConfig
 from lfe.sampling import log_radii, maximize_on_annulus, shells, sphere_directions
 
 
@@ -123,8 +123,7 @@ def compute_R(config: FieldConfig, *, seed: int = 20240803) -> float:
     strictly below the ceiling c_B, and both the potential gradient and
     the interpolated Coulomb gradient strictly below |mean h| - c_B.
     """
-    h_mean, _ = forcing_stats(config.forcing)
-    hm = float(np.linalg.norm(h_mean))
+    hm = float(np.linalg.norm(config.forcing.mean))
     if hm <= config.c_B:
         raise ValueError(f"requires |mean h| > c_B, got {hm:.6g} <= {config.c_B:.6g}")
     threshold = hm - config.c_B
@@ -193,7 +192,7 @@ def compute_lower_constants(
         )
 
     K2 = abs(math.log(epsilon))
-    _, l1 = forcing_stats(config.forcing)
+    l1 = config.forcing.l1_norm()
 
     def grad_plus_b(t, q):
         return np.linalg.norm(config.potential.gradient(q), axis=-1) + np.linalg.norm(
@@ -228,7 +227,7 @@ def compute_momentum_bound(
         )
 
     M, _, _, _ = maximize_on_annulus(h_total, m, R + period, period, seed=seed + 2)
-    _, l1 = forcing_stats(config.forcing)
+    l1 = config.forcing.l1_norm()
     L = period * M + 2.0 * l1
     return M, L
 
@@ -239,7 +238,7 @@ def compute_certificate(config: FieldConfig, *, seed: int = 20240803) -> BoundsC
     R = compute_R(config, seed=seed)
     epsilon, K2, C, m = compute_lower_constants(config, R, seed=seed)
     M, L = compute_momentum_bound(config, m, R, seed=seed)
-    _, l1 = forcing_stats(config.forcing)
+    l1 = config.forcing.l1_norm()
     provenance = {
         "R": f"geometric grid 2^k, spheres x{_SPHERE_MULTIPLES}, 2^10 directions, seed={seed}",
         "epsilon": f"decreasing grid factor {_EPS_GRID_FACTOR} under min(eps0, eps1, 1), sampled inequality with halved c0",

@@ -244,6 +244,7 @@ def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
     degree = _degree(cfg, cert)
     text += _section("degree at the autonomous limit", degree.lines())
     record["degree"] = degree.degree
+    record["degree_escapes_by_start_decade"] = degree.sweep["escapes_by_start_decade"]
 
     problem = _build_problem(cfg, 0.0, cert)
     equilibrium = find_zero_f0(cfg.fields.c0, cfg.fields.forcing.mean)

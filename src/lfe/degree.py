@@ -4,8 +4,9 @@ The autonomous field has a single zero (momentum zero, position on the ray
 opposite the mean forcing), and its Jacobian determinant there is strictly
 negative, so the topological degree on the certified annulus is -1.  That
 nonzero degree is what anchors the continuation; this module computes it
-with an analytic/finite-difference cross-check and a multi-start Newton
-sweep guarding against a second zero.
+with an analytic/finite-difference cross-check in momentum coordinates and
+a multi-start Newton sweep in velocity coordinates (see lfe.homotopy),
+where each step needs one 3x3 solve, guarding against a second zero.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from lfe.homotopy import (
     coulomb_force_jacobian,
     f0_and_jacobian,
     f0_determinant_closed_form,
-    velocity_jacobian,
+    velocity,
 )
 from lfe.kinematics import State
 from lfe.sampling import sobol_points, unit_vectors
@@ -59,7 +60,7 @@ def find_zero_f0(c0: float, h_mean) -> State:
         raise DegenerateForcing("mean forcing is zero; the autonomous field has no zero")
     q_star = -math.sqrt(c0) * h_mean * hn**-1.5
     x0 = State(q=q_star, p=np.zeros(3))
-    residual = float(np.linalg.norm(AutonomousField(c0=c0, h_mean=h_mean).value(x0.q, x0.p)))
+    residual = float(np.linalg.norm(AutonomousField(c0, h_mean).value(x0.q, velocity(x0.p))))
     if residual >= 1e-12:
         raise ArithmeticError(f"equilibrium residual {residual:.3e} exceeds 1e-12")
     return x0
@@ -85,7 +86,7 @@ class DegreeReport:
             f"det (numeric):   {self.det_numeric!r}",
             f"degree:          {self.degree}",
             "sweep:           "
-            + ", ".join(f"{k}={v}" for k, v in self.sweep.items()),
+            + ", ".join(f"{k}={v}" for k, v in self.sweep.items() if isinstance(v, int)),
         ]
 
 
@@ -93,22 +94,23 @@ def _fd_jacobian_f0(field: AutonomousField, x0: State, step: float = 1e-6) -> np
     """Central-difference Jacobian in the same momentum-first layout as the analytic one."""
     z0 = np.concatenate([x0.p, x0.q])
     z = np.concatenate([z0 + step * np.eye(6), z0 - step * np.eye(6)])
-    f = field.value(z[:, 3:], z[:, :3])
+    f = field.value(z[:, 3:], velocity(z[:, :3]))
     return (f[:6] - f[6:]).T / (2.0 * step)
 
 
 def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: int) -> dict:
-    """Damped Newton from quasi-random starts filling the region; classify the basins.
+    """Damped Newton on g(q, v) from quasi-random starts filling the region; classify the basins.
 
     Each start runs its own iteration: at most 60 Newton steps, converged
     once the residual is below 1e-11, each step halved up to 30 times until
     the residual strictly decreases.  A start escapes when no halving
-    decreases it, when it leaves |q| <= 1e6 upper, or when a Jacobian
-    block is singular (also counted as `singular`).  Every Newton step and
-    every halving is one array operation over the starts still running.
+    decreases it, when it leaves |q| <= 1e6 upper, or when the force block
+    J_q is singular (also counted as `singular`).  The velocity block is the
+    identity, so a step is (J_q^-1 (-F), -v).  Every Newton step and every
+    halving is one array operation over the starts still running.
 
-    Any numerical zero must have p = 0 (the velocity block vanishes only
-    there) and coincide with x0; a second zero raises MultipleZeros.
+    Any numerical zero must have v = 0 and coincide with x0; a second zero
+    raises MultipleZeros.  Escapes per decade of |q0| show what was searched.
     """
     m, upper, p_max = omega
     u = sobol_points(n_pow2, 6, seed)
@@ -116,7 +118,8 @@ def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: i
     r_q = np.exp(np.log(m) + u[:, 2] * (np.log(upper) - np.log(m)))
     p_floor = min(1e-3, 0.1 * p_max)
     r_p = np.exp(np.log(p_floor) + u[:, 5] * (np.log(p_max) - np.log(p_floor)))
-    y = np.hstack([r_q[:, None] * unit_vectors(u[:, :2]), r_p[:, None] * unit_vectors(u[:, 3:5])])
+    r_v = r_p / np.hypot(1.0, r_p)  # the speed of each momentum start
+    y = np.hstack([r_q[:, None] * unit_vectors(u[:, :2]), r_v[:, None] * unit_vectors(u[:, 3:5])])
 
     converged = np.zeros(len(y), dtype=bool)
     singular = np.zeros(len(y), dtype=bool)
@@ -129,18 +132,12 @@ def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: i
         live, f, res = live[~done], f[~done], res[~done]
 
         jq = coulomb_force_jacobian(y[live, :3], field.c0)
-        jp = velocity_jacobian(y[live, 3:])
         # slogdet's sign is 0 exactly when LU meets a zero pivot, which is
         # when solve would raise for the whole stack
-        ok = (np.linalg.slogdet(jq)[0] != 0.0) & (np.linalg.slogdet(jp)[0] != 0.0)
+        ok = np.linalg.slogdet(jq)[0] != 0.0
         singular[live[~ok]] = True
-        live, f, res, jq, jp = live[ok], f[ok], res[ok], jq[ok], jp[ok]
-        delta = np.hstack(
-            [
-                np.linalg.solve(jq, -f[:, 3:, None])[..., 0],
-                np.linalg.solve(jp, -f[:, :3, None])[..., 0],
-            ]
-        )
+        live, f, res, jq = live[ok], f[ok], res[ok], jq[ok]
+        delta = np.hstack([np.linalg.solve(jq, -f[:, 3:, None])[..., 0], -f[:, :3]])
 
         waiting = np.arange(len(live))  # rows of live with no accepted step yet
         alpha = 1.0
@@ -162,21 +159,26 @@ def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: i
         if not live.size:
             break
 
-    ref = np.concatenate([x0.q, x0.p])
+    ref = np.concatenate([x0.q, velocity(x0.p)])
     zeros = y[converged]
     far = np.max(np.abs(zeros - ref), axis=1) > 1e-6 * (1.0 + float(np.max(np.abs(ref))))
     if far.any():
         raise MultipleZeros(f"Newton converged to a second zero near {zeros[far][0]}")
-    worst_p_at_zero = float(np.max(np.linalg.norm(zeros[:, 3:], axis=1), initial=0.0))
-    if worst_p_at_zero >= 1e-9:
-        raise DegreeError(f"a numerical zero has momentum |p| = {worst_p_at_zero:.3e} >= 1e-9")
+    worst_v_at_zero = float(np.max(np.linalg.norm(zeros[:, 3:], axis=1), initial=0.0))
+    if worst_v_at_zero >= 1e-9:
+        raise DegreeError(f"a numerical zero has velocity |v| = {worst_v_at_zero:.3e} >= 1e-9")
     n_converged = int(np.count_nonzero(converged))
+    decade = np.floor(np.log10(r_q))
     return {
         "starts": len(y),
         "converged_to_zero": n_converged,
         "escaped": len(y) - n_converged,
         "singular": int(np.count_nonzero(singular)),
         "seed": seed,
+        "escapes_by_start_decade": [
+            {"decade": int(d), "starts": int(n), "escaped": int(np.sum(~converged[decade == d]))}
+            for d, n in zip(*np.unique(decade, return_counts=True))
+        ],
     }
 
 

@@ -225,25 +225,23 @@ class Forcing:
     def is_constant(self) -> bool:
         return len(self.harmonics) == 0
 
+    def l1_norm(self) -> float:
+        """Integral of |h(t)| over one period.
 
-def forcing_stats(forcing: Forcing) -> tuple[np.ndarray, float]:
-    """(mean, L1 norm over one period) of the forcing.
-
-    The mean is the stored coefficient (exact); the L1 norm is computed by
-    adaptive quadrature of |h(t)| to relative tolerance 1e-8.
-    """
-    mean = forcing.mean.copy()
-    if forcing.is_constant():
-        return mean, forcing.period * float(np.linalg.norm(mean))
-    l1, _ = quad(
-        lambda t: float(np.linalg.norm(forcing.eval(t))),
-        0.0,
-        forcing.period,
-        epsabs=1e-14,
-        epsrel=1e-8,
-        limit=400,
-    )
-    return mean, float(l1)
+        Exact for a constant forcing; otherwise adaptive quadrature of |h(t)|
+        to relative tolerance 1e-8.
+        """
+        if self.is_constant():
+            return self.period * float(np.linalg.norm(self.mean))
+        l1, _ = quad(
+            lambda t: float(np.linalg.norm(self.eval(t))),
+            0.0,
+            self.period,
+            epsabs=1e-14,
+            epsrel=1e-8,
+            limit=400,
+        )
+        return float(l1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +422,7 @@ def validate_hypotheses(config: FieldConfig, seed: int = 20240801) -> Validation
     )
 
     # the mean forcing must dominate the magnetic ceiling
-    h_mean, _ = forcing_stats(config.forcing)
-    hm = float(np.linalg.norm(h_mean))
+    hm = float(np.linalg.norm(config.forcing.mean))
     checks.append(
         HypothesisCheck(
             "mean-forcing-dominates-ceiling",

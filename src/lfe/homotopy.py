@@ -8,7 +8,8 @@ For lam in [0, 1] the first-order system in (position, momentum) reads
 with  V_lam = lam*V + (1-lam)*c0/|q|  and  h_lam = lam*h(t) + (1-lam)*h_mean.
 At lam = 1 this is the original equation; at lam = 0 it is autonomous with
 a single explicit equilibrium, which anchors both the degree computation
-and the continuation.
+and the continuation.  The degree sweep takes that limit in velocity
+coordinates v = phi_inv(p), which keeps its zeros and degree (see AutonomousField).
 """
 
 from __future__ import annotations
@@ -63,10 +64,7 @@ class HomotopySystem:
         raising) so the step controller can reject and shrink the step.
         """
         q = y[..., :3]
-        p = y[..., 3:]
-        # hypot, as in phi_inv: sqrt(1 + |p|^2) overflows past |p| ~ 1e154
-        n = np.hypot(np.hypot(p[..., 0], p[..., 1]), p[..., 2])
-        v = p / np.hypot(1.0, n)[..., None]
+        v = velocity(y[..., 3:])
         out = np.empty(np.shape(y))
         out[..., :3] = v
         out[..., 3:] = self.h_lambda(t, lam) - self.grad_V_lambda(q, lam)
@@ -86,32 +84,34 @@ class HomotopySystem:
             raise ValueError(f"lam must lie in [0, 1], got {lam}")
         return self.rhs_array(t, x.as_array(), lam)
 
-    def autonomous(self) -> "AutonomousField":
-        return AutonomousField(c0=self.config.c0, h_mean=self.h_mean.copy())
+
+def velocity(p) -> np.ndarray:
+    """phi_inv(p) = p / sqrt(1 + |p|^2) for p of shape (3,) or (N, 3)."""
+    p = np.asarray(p, dtype=float)
+    # hypot, as in phi_inv: sqrt(1 + |p|^2) overflows past |p| ~ 1e154,
+    # where the velocity would read 0 instead of a unit vector
+    n = np.hypot(np.hypot(p[..., 0], p[..., 1]), p[..., 2])
+    return p / np.hypot(1.0, n)[..., None]
 
 
 @dataclass(frozen=True)
 class AutonomousField:
-    """The lam = 0 field: f0(q, p) = (phi_inv(p), h_mean + c0 q/|q|^3).
+    """The lam = 0 field in velocity coordinates: g(q, v) = (v, h_mean + c0 q/|q|^3).
 
-    Time-independent by construction; its unique zero and block Jacobian
-    are what the degree toolkit works with.
+    This is f0(q, p) = (phi_inv(p), h_mean + c0 q/|q|^3) after v = phi_inv(p),
+    a map of R^3 onto the open unit ball with positive Jacobian determinant,
+    so g has the zeros and degree of f0.  A caller holding p passes velocity(p).
     """
 
     c0: float
     h_mean: np.ndarray
 
-    def value(self, q, p) -> np.ndarray:
-        """f0 at q and p of shape (3,) or (N, 3); returns shape (6,) or (N, 6).
+    def value(self, q, v) -> np.ndarray:
+        """g at q and v of shape (3,) or (N, 3); returns shape (6,) or (N, 6).
 
         Raises SingularityError if any row of q is the origin.
         """
         q, r = _check_away_from_origin(q)
-        p = np.asarray(p, dtype=float)
-        # hypot, as in phi_inv: sqrt(1 + |p|^2) overflows past |p| ~ 1e154,
-        # where the velocity would read 0 instead of a unit vector
-        n = np.hypot(np.hypot(p[..., 0], p[..., 1]), p[..., 2])[..., None]
-        v = p / np.hypot(1.0, n)
         return np.concatenate([v, self.h_mean + self.c0 * q / r**3], axis=-1)
 
 
@@ -163,8 +163,7 @@ def f0_and_jacobian(x: State, c0: float, h_mean) -> tuple[np.ndarray, np.ndarray
     disagree, rather than silently trusting either.
     """
     h_mean = np.asarray(h_mean, dtype=float)
-    field = AutonomousField(c0=c0, h_mean=h_mean)
-    value = field.value(x.q, x.p)
+    value = AutonomousField(c0=c0, h_mean=h_mean).value(x.q, velocity(x.p))
     jac = np.zeros((6, 6))
     jac[:3, :3] = velocity_jacobian(x.p)
     jac[3:, 3:] = coulomb_force_jacobian(x.q, c0)

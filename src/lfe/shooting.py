@@ -57,8 +57,9 @@ class ShootingProblem:
     """The periodic problem at one lam, with its solver settings and certified region.
 
     region is the certified (m, R + T, L) of a bounds certificate, or None.
-    Newton searches |q| > integrator.r_min and, with a region, |q| < 2 (R + T)
-    and |p| < 2 L; continue_lambda checks each accepted orbit against it.
+    Newton searches |q| > integrator.r_min + _FD_STEP (so every member of the
+    monodromy stack starts outside the guard radius) and, with a region,
+    |q| < 2 (R + T) and |p| < 2 L; continue_lambda checks accepted orbits against it.
     """
 
     system: HomotopySystem
@@ -91,8 +92,8 @@ class ShootingProblem:
         """Why the phase point y = (q, p) lies outside Newton's search region, or None."""
         r = float(np.linalg.norm(y[:3]))
         r_min = self.integrator.r_min
-        if r <= r_min:
-            return f"|q| = {r:.6g} <= r_min = {r_min:.6g}"
+        if r <= r_min + _FD_STEP:
+            return f"|q| = {r:.9g} <= r_min = {r_min:.6g} plus the difference step {_FD_STEP:g}"
         if self.region is None:
             return None
         _, upper, p_bound = self.region

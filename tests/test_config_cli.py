@@ -235,7 +235,15 @@ def test_cli_degree(tmp_path):
     payload = json.loads((out / "degree_report.json").read_text())
     assert payload["degree"] == -1
     assert payload["det_analytic"] < 0
-    assert "degree:          -1" in (out / "degree_report.txt").read_text()
+    text = (out / "degree_report.txt").read_text()
+    assert "degree:          -1" in text
+    # the sweep line stays integer k=v pairs; the escapes per decade are JSON only
+    sweep_line = next(line for line in text.splitlines() if line.startswith("sweep:"))
+    pairs = dict(item.strip().split("=") for item in sweep_line.split(":", 1)[1].split(","))
+    counts = {k: int(v) for k, v in pairs.items()}
+    assert counts["converged_to_zero"] + counts["escaped"] == counts["starts"]
+    decades = payload["sweep"]["escapes_by_start_decade"]
+    assert sum(d["escaped"] for d in decades) == counts["escaped"]
 
 
 def test_cli_integrate_csv_contract(tmp_path):
@@ -263,6 +271,7 @@ def test_cli_continue_full_pipeline(tmp_path):
     payload = json.loads((out / "run_report.json").read_text())
     assert payload["validation_passed"] is True
     assert payload["degree"] == -1
+    assert sum(d["starts"] for d in payload["degree_escapes_by_start_decade"]) == 1024
     assert payload["continuation"]["status"] == "reached_target"
     assert payload["final_orbit"]["residual_norm"] < 1e-9
     assert payload["final_orbit"]["verified"] is True
@@ -393,6 +402,19 @@ def test_cli_find_orbit_starts_just_outside_the_guard_radius(tmp_path):
     assert min(step["alpha"] for step in trace) < 1.0
     residuals = [step["residual"] for step in trace] + [payload["residual_norm"]]
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
+
+
+def test_cli_find_orbit_within_the_difference_step_of_the_guard_radius_exits_3(tmp_path, capsys):
+    # q + 1e-7 e_1, a member of the monodromy stack, would start inside r_min
+    text = LIGHT.replace("sample_points = 101", "sample_points = 101\n[integrator]\nr_min = 0.69")
+    cfg = write(tmp_path, text + "\n[initial-state]\nq = -0.69000005 0 0\n")
+    out = tmp_path / "out"
+    assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert (out / "orbit_report.txt").read_text() == (
+        "shooting failed: initial guess outside the search region: "
+        "|q| = 0.69000005 <= r_min = 0.69 plus the difference step 1e-07\n"
+    )
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_equilibrium_inside_the_guard_radius_exits_4(tmp_path, capsys):

@@ -15,7 +15,7 @@ from lfe.degree import (
     f0_determinant_closed_form,
     find_zero_f0,
 )
-from lfe.homotopy import AutonomousField, coulomb_force_jacobian, velocity_jacobian
+from lfe.homotopy import AutonomousField, coulomb_force_jacobian, velocity
 from lfe.sampling import sobol_points
 
 OMEGA = (1e-3, 3.0, 10.0)
@@ -44,7 +44,7 @@ def test_zero_residual_is_tiny_random():
         h = rng.normal(size=3) * rng.uniform(0.5, 5.0)
         x0 = find_zero_f0(c0, h)
         field = AutonomousField(c0=c0, h_mean=h)
-        assert np.linalg.norm(field.value(x0.q, x0.p)) < 1e-12
+        assert np.linalg.norm(field.value(x0.q, velocity(x0.p))) < 1e-12
 
 
 def test_degenerate_forcing():
@@ -88,25 +88,26 @@ def test_zero_outside_omega():
         brouwer_degree(1.0, [0.0, 0.0, 2.0], (1e-3, 0.5, 10.0))
 
 
-def doctored_field(q_b, p_b) -> AutonomousField:
-    """The canonical field (c0 = 1, mean 2 z) with a planted zero at (q_b, p_b).
+def doctored_field(q_b, v_b) -> AutonomousField:
+    """The canonical field (c0 = 1, mean 2 z) with a planted zero at (q_b, v_b).
 
     Within 0.8 of the planted zero the field is its linearisation there,
-    built from the analytic blocks, so Newton converges to it.
+    built from the analytic force block and the identity velocity block,
+    so Newton converges to it.
     """
-    y_b = np.concatenate([q_b, p_b])
+    y_b = np.concatenate([q_b, v_b])
 
     class Doctored(AutonomousField):
-        def value(self, q, p):
-            near = np.linalg.norm(np.concatenate([q, p], axis=-1) - y_b, axis=-1) < 0.8
+        def value(self, q, v):
+            near = np.linalg.norm(np.concatenate([q, v], axis=-1) - y_b, axis=-1) < 0.8
             local = np.concatenate(
                 [
-                    (np.asarray(p) - p_b) @ velocity_jacobian(p_b).T,
+                    np.asarray(v) - v_b,
                     (np.asarray(q) - q_b) @ coulomb_force_jacobian(q_b, self.c0).T,
                 ],
                 axis=-1,
             )
-            return np.where(near[..., None], local, super().value(q, p))
+            return np.where(near[..., None], local, super().value(q, v))
 
     return Doctored(c0=1.0, h_mean=np.array([0.0, 0.0, 2.0]))
 
@@ -119,10 +120,10 @@ def test_sweep_detects_planted_second_zero():
 
 
 def test_sweep_rejects_a_zero_with_momentum():
-    # within the MultipleZeros tolerance of x0 (1e-6 (1 + |q*|)), but |p| = 5e-7
+    # within the MultipleZeros tolerance of x0 (1e-6 (1 + |q*|)), but |v| = 5e-7
     x0 = find_zero_f0(1.0, [0.0, 0.0, 2.0])
     field = doctored_field(x0.q, np.array([5e-7, 0.0, 0.0]))
-    with pytest.raises(DegreeError, match="momentum"):
+    with pytest.raises(DegreeError, match="velocity"):
         _newton_sweep(field, x0, (0.1, 2.0, 1.0), 8, seed=1)
 
 
@@ -130,7 +131,7 @@ def loop_sweep(field: AutonomousField, x0, omega, n_pow2: int, seed: int) -> dic
     """Reference: the sweep one start at a time, with per-start solves.
 
     Same starts and the same per-start rules as `_newton_sweep`; a singular
-    block ends its start through LinAlgError.
+    force block ends its start through LinAlgError.
     """
     m, upper, p_max = omega
     u = sobol_points(n_pow2, 6, seed)
@@ -142,15 +143,16 @@ def loop_sweep(field: AutonomousField, x0, omega, n_pow2: int, seed: int) -> dic
     p_floor = min(1e-3, 0.1 * p_max)
     r_p = np.exp(np.log(p_floor) + u[:, 5] * (np.log(p_max) - np.log(p_floor)))
 
-    ref = np.concatenate([x0.q, x0.p])
+    ref = np.concatenate([x0.q, x0.p])  # v = 0 where p = 0
     n_converged = 0
     n_escaped = 0
     for i in range(len(u)):
         sq = math.sqrt(max(0.0, 1.0 - z_q[i] ** 2))
         sp = math.sqrt(max(0.0, 1.0 - z_p[i] ** 2))
         q = r_q[i] * np.array([sq * math.cos(az_q[i]), sq * math.sin(az_q[i]), z_q[i]])
-        p = r_p[i] * np.array([sp * math.cos(az_p[i]), sp * math.sin(az_p[i]), z_p[i]])
-        y = np.concatenate([q, p])
+        speed = r_p[i] / math.hypot(1.0, r_p[i])
+        v = speed * np.array([sp * math.cos(az_p[i]), sp * math.sin(az_p[i]), z_p[i]])
+        y = np.concatenate([q, v])
 
         converged = False
         for _ in range(60):
@@ -161,10 +163,9 @@ def loop_sweep(field: AutonomousField, x0, omega, n_pow2: int, seed: int) -> dic
                 break
             try:
                 dq = np.linalg.solve(coulomb_force_jacobian(y[:3], field.c0), -f[3:])
-                dp = np.linalg.solve(velocity_jacobian(y[3:]), -f[:3])
             except np.linalg.LinAlgError:
                 break
-            delta = np.concatenate([dq, dp])
+            delta = np.concatenate([dq, -f[:3]])
             alpha = 1.0
             improved = False
             for _ in range(30):
@@ -207,6 +208,23 @@ def test_sweep_matches_the_per_start_loop(region, seed, desk_cert):
     assert 0 <= sweep["singular"] <= sweep["escaped"]
     assert sweep["converged_to_zero"] >= 0.9 * oracle["converged_to_zero"] > 0
     assert brouwer_degree(1.0, [0.0, 0.0, 2.0], omega, sweep_pow2=8, seed=seed).degree == -1
+
+
+@pytest.mark.parametrize("region", ["light", "desk"])
+def test_sweep_on_the_acceptance_regions_never_meets_a_singular_block(region, desk_cert):
+    # the regions and seeds of the light and desk `lfe continue` runs, at full size
+    seed = SEED if region == "desk" else 7
+    cert = desk_cert if region == "desk" else compute_certificate(coulomb_config(), seed=seed)
+    sweep = brouwer_degree(1.0, [0.0, 0.0, 2.0], cert.region(), seed=seed).sweep
+    assert sweep["starts"] == 1024
+    assert sweep["singular"] == 0
+    if region == "light":
+        assert sweep["converged_to_zero"] >= 0.99 * sweep["starts"]
+    decades = sweep["escapes_by_start_decade"]
+    assert [d["decade"] for d in decades] == sorted({d["decade"] for d in decades})
+    assert sum(d["starts"] for d in decades) == sweep["starts"]
+    assert sum(d["escaped"] for d in decades) == sweep["escaped"]
+    assert all(0 <= d["escaped"] <= d["starts"] for d in decades)
 
 
 def test_degree_on_desk_certificate_region(desk_cert):

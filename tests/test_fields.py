@@ -16,7 +16,6 @@ from lfe.fields import (
     TabulatedPotential,
     UniformField,
     ZeroField,
-    forcing_stats,
     magnetic_ceiling,
     validate_hypotheses,
 )
@@ -160,16 +159,15 @@ def test_cloud_equals_stacked_points(field, singular):
 
 
 def test_forcing_constant_stats():
-    mean, l1 = forcing_stats(Forcing(1.0, [2.0, 0.0, 0.0]))
-    assert np.array_equal(mean, [2.0, 0.0, 0.0])
-    assert l1 == 2.0
+    f = Forcing(1.0, [2.0, 0.0, 0.0])
+    assert np.array_equal(f.mean, [2.0, 0.0, 0.0])
+    assert f.l1_norm() == 2.0
 
 
 def test_forcing_pure_sine_stats():
     f = Forcing(1.0, [0.0, 0.0, 0.0], [Harmonic(1, [0, 0, 0], [1.0, 0, 0])])
-    mean, l1 = forcing_stats(f)
-    assert np.array_equal(mean, np.zeros(3))
-    assert math.isclose(l1, 2.0 / math.pi, rel_tol=1e-8)
+    assert np.array_equal(f.mean, np.zeros(3))
+    assert math.isclose(f.l1_norm(), 2.0 / math.pi, rel_tol=1e-8)
 
 
 def test_forcing_mean_is_exact_readoff():
@@ -178,19 +176,17 @@ def test_forcing_mean_is_exact_readoff():
         [2.0, 0.0, 0.0],
         [Harmonic(1, [0.4, 1.0, 0.0], [0.0, -0.3, 2.0]), Harmonic(3, [0, 0.2, 0], [1, 0, 0])],
     )
-    mean, _ = forcing_stats(f)
-    assert np.array_equal(mean, [2.0, 0.0, 0.0])
+    assert np.array_equal(f.mean, [2.0, 0.0, 0.0])
     # quadrature oracle for the mean
     for i in range(3):
         avg = quad(lambda t: f.eval(t)[i], 0.0, f.period, limit=200)[0] / f.period
-        assert math.isclose(avg, mean[i], abs_tol=1e-10)
+        assert math.isclose(avg, f.mean[i], abs_tol=1e-10)
 
 
 def test_forcing_l1_oracle_mixed():
     f = Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.1, 0, 0], [0, 0, 0])])
-    _, l1 = forcing_stats(f)
     oracle = quad(lambda t: np.linalg.norm(f.eval(t)), 0.0, 1.0, limit=200)[0]
-    assert math.isclose(l1, oracle, rel_tol=1e-8)
+    assert math.isclose(f.l1_norm(), oracle, rel_tol=1e-8)
 
 
 def test_validate_passes_on_desk_scenario():

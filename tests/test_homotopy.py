@@ -14,6 +14,7 @@ from lfe.homotopy import (
     coulomb_force_jacobian,
     f0_and_jacobian,
     f0_determinant_closed_form,
+    velocity,
     velocity_jacobian,
 )
 from lfe.kinematics import State, phi_inv
@@ -176,25 +177,31 @@ def test_autonomous_field_and_blocks_take_a_cloud():
     q = rng.normal(size=(64, 3)) * np.exp(rng.uniform(-8.0, 8.0, size=(64, 1)))
     # momenta up to ~1e170, past where |p|^2 overflows
     p = rng.normal(size=(64, 3)) * np.exp(rng.uniform(-8.0, 390.0, size=(64, 1)))
+    v = velocity(p)
+    assert np.allclose(v, [phi_inv(b) for b in p], rtol=1e-15, atol=0.0)
     field = AutonomousField(c0=1.3, h_mean=np.array([0.0, 1.0, 1.0]))
-    blocks = (lambda q, p: velocity_jacobian(p), lambda q, p: coulomb_force_jacobian(q, 1.3))
+    assert np.array_equal(field.value(q, v)[:, :3], v)
+    cases = (
+        (field.value, v),
+        (lambda q, p: velocity(p), p),
+        (lambda q, p: velocity_jacobian(p), p),
+        (lambda q, p: coulomb_force_jacobian(q, 1.3), p),
+    )
     # the velocity block overflows to nan past |p| ~ 1e154
     with np.errstate(over="ignore", invalid="ignore"):
-        for evaluate in (field.value, *blocks):
-            stacked = np.array([evaluate(a, b) for a, b in zip(q, p)])
-            assert np.array_equal(evaluate(q, p), stacked, equal_nan=True)
-    velocity = field.value(q, p)[:, :3]
-    assert np.allclose(velocity, [phi_inv(b) for b in p], rtol=1e-15, atol=0.0)
+        for evaluate, second in cases:
+            stacked = np.array([evaluate(a, b) for a, b in zip(q, second)])
+            assert np.array_equal(evaluate(q, second), stacked, equal_nan=True)
     q[17] = 0.0
     with pytest.raises(SingularityError):
-        field.value(q, p)
+        field.value(q, v)
     with pytest.raises(SingularityError):
         coulomb_force_jacobian(q, 1.3)
 
 
 def fd_jacobian_momentum_first(field: AutonomousField, x: State, step=1e-6):
     def g(z):
-        return field.value(z[3:], z[:3])
+        return field.value(z[3:], velocity(z[:3]))
 
     z0 = np.concatenate([x.p, x.q])
     jac = np.empty((6, 6))
