@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lfe.fields import FieldConfig
+from lfe.fields import FieldConfig, HypothesisCheck
+from lfe.kinematics import phi_inv
 from lfe.sampling import log_radii, maximize_on_annulus, shells, sphere_directions
 
 
@@ -115,7 +116,7 @@ _SPHERE_MULTIPLES = (1.0, 2.0, 4.0, 8.0)
 _MAX_RADIUS = 1e6
 
 
-def compute_R(config: FieldConfig, *, seed: int = 20240803) -> float:
+def compute_R(config: FieldConfig, *, seed: int) -> float:
     """Smallest grid radius 2^k beyond which both far-field conditions hold.
 
     Sampled on spheres at {R, 2R, 4R, 8R} with 2^10 quasi-random
@@ -152,7 +153,7 @@ _EPS_GRID_STEPS = 132  # down to ~1e-6 of the cap
 
 
 def compute_lower_constants(
-    config: FieldConfig, R: float, *, seed: int = 20240803
+    config: FieldConfig, R: float, *, seed: int
 ) -> tuple[float, float, float, float]:
     """(epsilon, K2, C_gradV_B, m): the singularity-clearance constants.
 
@@ -199,16 +200,14 @@ def compute_lower_constants(
             config.magnetic.eval(t, q), axis=-1
         )
 
-    C, _, _, _ = maximize_on_annulus(
-        grad_plus_b, epsilon, R + period, period, seed=seed + 1
-    )
+    C, _, _, _ = maximize_on_annulus(grad_plus_b, epsilon, R + period, period, seed=seed + 1)
     m = clearance_formula(K2, period, epsilon, C, c0_eff, R + period, l1)
     assert m < epsilon
     return epsilon, K2, C, m
 
 
 def compute_momentum_bound(
-    config: FieldConfig, m: float, R: float, *, seed: int = 20240803
+    config: FieldConfig, m: float, R: float, *, seed: int
 ) -> tuple[float, float]:
     """(M, L): the force ceiling on the confined annulus and the momentum bound.
 
@@ -232,7 +231,7 @@ def compute_momentum_bound(
     return M, L
 
 
-def compute_certificate(config: FieldConfig, *, seed: int = 20240803) -> BoundsCertificate:
+def compute_certificate(config: FieldConfig, *, seed: int) -> BoundsCertificate:
     """Run the three bound computations and assemble the certificate."""
     period = config.forcing.period
     R = compute_R(config, seed=seed)
@@ -261,14 +260,6 @@ def compute_certificate(config: FieldConfig, *, seed: int = 20240803) -> BoundsC
         c0_eff=0.5 * config.c0,
         provenance=provenance,
     )
-
-
-@dataclass(frozen=True)
-class VerificationEntry:
-    name: str
-    passed: bool
-    margin: float
-    detail: str
 
 
 @dataclass(frozen=True)
@@ -308,32 +299,32 @@ def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
         ys = np.vstack([ys, dense])
     r = np.linalg.norm(ys[:, :3], axis=1)
     pn = np.linalg.norm(ys[:, 3:], axis=1)
-    speeds = pn / np.sqrt(1.0 + pn**2)
+    speeds = np.linalg.norm(phi_inv(ys[:, 3:]), axis=1)
 
     entries = [
-        VerificationEntry(
+        HypothesisCheck(
             "clearance",
             float(r.min()) > cert.m,
-            float(r.min() - cert.m),
             f"min |q| = {float(r.min()):.6g} vs m = {cert.m:.6g}",
+            r.min() - cert.m,
         ),
-        VerificationEntry(
+        HypothesisCheck(
             "outer-radius",
             float(r.max()) < cert.upper,
-            float(cert.upper - r.max()),
             f"max |q| = {float(r.max()):.6g} vs R + T = {cert.upper:.6g}",
+            cert.upper - r.max(),
         ),
-        VerificationEntry(
+        HypothesisCheck(
             "momentum-bound",
             float(pn.max()) < cert.L,
-            float(cert.L - pn.max()),
             f"max |p| = {float(pn.max()):.6g} vs L = {cert.L:.6g}",
+            cert.L - pn.max(),
         ),
-        VerificationEntry(
+        HypothesisCheck(
             "speed-limit",
             float(speeds.max()) < 1.0,
-            float(1.0 - speeds.max()),
             f"max |v| = {float(speeds.max()):.12g}",
+            1.0 - speeds.max(),
         ),
     ]
 
@@ -341,21 +332,21 @@ def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
     if diag:
         mean_res = diag["mean_identity"]
         entries.append(
-            VerificationEntry(
+            HypothesisCheck(
                 "mean-identity",
                 mean_res <= IDENTITY_TOL,
-                IDENTITY_TOL - mean_res,
                 f"|integral p'| = {mean_res:.3e}",
+                IDENTITY_TOL - mean_res,
             )
         )
         virial_lhs = diag["virial_lhs"]
         gap = diag["virial_gap"]
         entries.append(
-            VerificationEntry(
+            HypothesisCheck(
                 "virial-identity",
                 virial_lhs <= IDENTITY_TOL and gap <= IDENTITY_TOL,
-                IDENTITY_TOL - max(virial_lhs, gap),
                 f"integral q.p' = {virial_lhs:.6e}, balance gap = {gap:.3e}",
+                IDENTITY_TOL - max(virial_lhs, gap),
             )
         )
     return VerificationReport(entries=tuple(entries))

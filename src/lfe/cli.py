@@ -42,7 +42,7 @@ from lfe.config_io import ConfigError, RunConfig, config_hash, parse_config, ser
 from lfe.degree import DegenerateForcing, DegreeError, DegreeReport, brouwer_degree, find_zero_f0
 from lfe.fields import validate_hypotheses
 from lfe.homotopy import HomotopySystem
-from lfe.integrator import SolverError, integrate
+from lfe.integrator import SolverError, integrate, write_rows_csv
 from lfe.kinematics import State
 from lfe.shooting import OrbitSolution, ShootingProblem, continue_lambda, newton_shooting
 
@@ -92,15 +92,6 @@ def _report(out: Path, stem: str, lines: list[str], payload: dict | None = None)
 def _section(title: str, lines=()) -> list[str]:
     """One stage of run_report.txt: a blank line, the title, the lines indented."""
     return ["", title, *("  " + line for line in lines)]
-
-
-def _write_rows_csv(path: Path, rows: list[dict]) -> None:
-    """CSV with the keys of the first row as header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            cells = (repr(float(x)) if isinstance(x, float) else str(x) for x in row.values())
-            fh.write(",".join(cells) + "\n")
 
 
 def _certificate_record(cert: BoundsCertificate) -> dict:
@@ -251,7 +242,7 @@ def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
     start = _shoot(equilibrium, problem, "no starting orbit at lam = 0")
     path = continue_lambda(problem, start)
     rows = path.summary_rows()
-    _write_rows_csv(out / "continuation.csv", rows)
+    write_rows_csv(out / "continuation.csv", list(rows[0]), [r.values() for r in rows])
     text += _section(
         f"continuation: {path.status} ({path.message})",
         [

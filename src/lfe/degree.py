@@ -21,9 +21,8 @@ from lfe.homotopy import (
     coulomb_force_jacobian,
     f0_and_jacobian,
     f0_determinant_closed_form,
-    velocity,
 )
-from lfe.kinematics import State
+from lfe.kinematics import State, phi_inv
 from lfe.sampling import sobol_points, unit_vectors
 
 
@@ -60,7 +59,7 @@ def find_zero_f0(c0: float, h_mean) -> State:
         raise DegenerateForcing("mean forcing is zero; the autonomous field has no zero")
     q_star = -math.sqrt(c0) * h_mean * hn**-1.5
     x0 = State(q=q_star, p=np.zeros(3))
-    residual = float(np.linalg.norm(AutonomousField(c0, h_mean).value(x0.q, velocity(x0.p))))
+    residual = float(np.linalg.norm(AutonomousField(c0, h_mean).value(x0.q, phi_inv(x0.p))))
     if residual >= 1e-12:
         raise ArithmeticError(f"equilibrium residual {residual:.3e} exceeds 1e-12")
     return x0
@@ -94,7 +93,7 @@ def _fd_jacobian_f0(field: AutonomousField, x0: State, step: float = 1e-6) -> np
     """Central-difference Jacobian in the same momentum-first layout as the analytic one."""
     z0 = np.concatenate([x0.p, x0.q])
     z = np.concatenate([z0 + step * np.eye(6), z0 - step * np.eye(6)])
-    f = field.value(z[:, 3:], velocity(z[:, :3]))
+    f = field.value(z[:, 3:], phi_inv(z[:, :3]))
     return (f[:6] - f[6:]).T / (2.0 * step)
 
 
@@ -159,7 +158,7 @@ def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: i
         if not live.size:
             break
 
-    ref = np.concatenate([x0.q, velocity(x0.p)])
+    ref = np.concatenate([x0.q, phi_inv(x0.p)])
     zeros = y[converged]
     far = np.max(np.abs(zeros - ref), axis=1) > 1e-6 * (1.0 + float(np.max(np.abs(ref))))
     if far.any():
@@ -188,7 +187,7 @@ def brouwer_degree(
     omega: tuple[float, float, float],
     *,
     sweep_pow2: int = 10,
-    seed: int = 20240802,
+    seed: int,
 ) -> DegreeReport:
     """Degree of the autonomous field on the region m < |q| < upper, |p| < p_max.
 

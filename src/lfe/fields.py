@@ -329,7 +329,7 @@ class ValidationReport:
 _FAR_RADII = (1e1, 1e2, 1e3, 1e4)
 
 
-def validate_hypotheses(config: FieldConfig, seed: int = 20240801) -> ValidationReport:
+def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
     """Check the decay/repulsion/ceiling/singularity-order conditions on samples.
 
     Never raises for a violated hypothesis; every condition becomes a
@@ -435,7 +435,7 @@ def validate_hypotheses(config: FieldConfig, seed: int = 20240801) -> Validation
     return ValidationReport(checks=tuple(checks), seed=seed)
 
 
-def magnetic_ceiling(magnetic, period: float = 1.0, seed: int = 20240801) -> float:
+def magnetic_ceiling(magnetic, *, period: float, seed: int) -> float:
     """Sampled sup of |B(t, q)| over |q| >= 1; usable as a c_B value.
 
     Sweeps spheres at radii {1, 2, 4, ..., 64} and a time grid; for a

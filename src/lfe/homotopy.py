@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lfe.fields import FieldConfig, _check_away_from_origin
-from lfe.kinematics import State
+from lfe.kinematics import State, lorentz_factor, phi_inv, velocity_jacobian
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class HomotopySystem:
         raising) so the step controller can reject and shrink the step.
         """
         q = y[..., :3]
-        v = velocity(y[..., 3:])
+        v = phi_inv(y[..., 3:])
         out = np.empty(np.shape(y))
         out[..., :3] = v
         out[..., 3:] = self.h_lambda(t, lam) - self.grad_V_lambda(q, lam)
@@ -78,21 +78,6 @@ class HomotopySystem:
             out[..., 5] += lam * (vx * by - vy * bx)
         return out
 
-    def rhs(self, t: float, x: State, lam: float) -> np.ndarray:
-        """Same as rhs_array but on a State; returns [dq/dt, dp/dt]."""
-        if not 0.0 <= lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {lam}")
-        return self.rhs_array(t, x.as_array(), lam)
-
-
-def velocity(p) -> np.ndarray:
-    """phi_inv(p) = p / sqrt(1 + |p|^2) for p of shape (3,) or (N, 3)."""
-    p = np.asarray(p, dtype=float)
-    # hypot, as in phi_inv: sqrt(1 + |p|^2) overflows past |p| ~ 1e154,
-    # where the velocity would read 0 instead of a unit vector
-    n = np.hypot(np.hypot(p[..., 0], p[..., 1]), p[..., 2])
-    return p / np.hypot(1.0, n)[..., None]
-
 
 @dataclass(frozen=True)
 class AutonomousField:
@@ -100,7 +85,7 @@ class AutonomousField:
 
     This is f0(q, p) = (phi_inv(p), h_mean + c0 q/|q|^3) after v = phi_inv(p),
     a map of R^3 onto the open unit ball with positive Jacobian determinant,
-    so g has the zeros and degree of f0.  A caller holding p passes velocity(p).
+    so g has the zeros and degree of f0.  A caller holding p passes phi_inv(p).
     """
 
     c0: float
@@ -113,16 +98,6 @@ class AutonomousField:
         """
         q, r = _check_away_from_origin(q)
         return np.concatenate([v, self.h_mean + self.c0 * q / r**3], axis=-1)
-
-
-def velocity_jacobian(p) -> np.ndarray:
-    """d phi_inv / dp = I (1+|p|^2)^(-1/2) - p p^T (1+|p|^2)^(-3/2).
-
-    p of shape (3,) or (N, 3) gives shape (3, 3) or (N, 3, 3).
-    """
-    p = np.asarray(p, dtype=float)
-    s = 1.0 + np.add.reduce(p * p, axis=-1)[..., None, None]
-    return np.eye(3) * s**-0.5 - p[..., :, None] * p[..., None, :] * s**-1.5
 
 
 def coulomb_force_jacobian(q, c0: float) -> np.ndarray:
@@ -139,12 +114,11 @@ def coulomb_force_jacobian(q, c0: float) -> np.ndarray:
 def f0_determinant_closed_form(c0: float, q, p) -> float:
     """Closed form of det Jac f0 in momentum-first coordinates.
 
-    det = -2 c0^3 |q|^-9 [ (1+|p|^2)^(-3/2) - |p|^2 (1+|p|^2)^(-5/2) ],
-    strictly negative for every admissible (q, p).
+    det = -2 c0^3 |q|^-9 [ (1+|p|^2)^(-3/2) - |p|^2 (1+|p|^2)^(-5/2) ] = -2 c0^3 |q|^-9 gamma^-5
+    with gamma = sqrt(1+|p|^2), strictly negative for every admissible (q, p).
     """
     r = math.hypot(*np.asarray(q, dtype=float))
-    s = 1.0 + float(np.dot(p, p))
-    return -2.0 * c0**3 * r**-9 * (s**-1.5 - float(np.dot(p, p)) * s**-2.5)
+    return -2.0 * c0**3 * r**-9 * float(lorentz_factor(p)) ** -5
 
 
 def f0_and_jacobian(x: State, c0: float, h_mean) -> tuple[np.ndarray, np.ndarray, float]:
@@ -163,7 +137,7 @@ def f0_and_jacobian(x: State, c0: float, h_mean) -> tuple[np.ndarray, np.ndarray
     disagree, rather than silently trusting either.
     """
     h_mean = np.asarray(h_mean, dtype=float)
-    value = AutonomousField(c0=c0, h_mean=h_mean).value(x.q, velocity(x.p))
+    value = AutonomousField(c0=c0, h_mean=h_mean).value(x.q, phi_inv(x.p))
     jac = np.zeros((6, 6))
     jac[:3, :3] = velocity_jacobian(x.p)
     jac[3:, 3:] = coulomb_force_jacobian(x.q, c0)

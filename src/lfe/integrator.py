@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import DOP853, RK45, OdeSolution
 
+from lfe.fields import _check_away_from_origin
 from lfe.homotopy import HomotopySystem
 from lfe.kinematics import State, lorentz_factor
 
@@ -104,13 +105,17 @@ class Trajectory:
 
     def write_csv(self, path, times) -> None:
         """Sample the orbit on the given grid and write t,q1,q2,q3,p1,p2,p3 rows."""
-        times = np.asarray(times, dtype=float)
-        ys = self.at(times)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t,q1,q2,q3,p1,p2,p3\n")
-            for k, t in enumerate(times):
-                row = [t] + [ys[i, k] for i in range(6)]
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        rows = np.column_stack([times, self.at(times).T]).tolist()
+        write_rows_csv(path, ["t", "q1", "q2", "q3", "p1", "p2", "p3"], rows)
+
+
+def write_rows_csv(path, header, rows) -> None:
+    """CSV of the header and rows; floats are written with repr, so they read back exactly."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            cells = (repr(float(x)) if isinstance(x, float) else str(x) for x in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def _nearest(y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -195,14 +200,16 @@ def integrate(
     return Trajectory(ts=ts_arr, states=states, lam=lam, interpolant=sol, n_rhs_evals=n_evals)
 
 
-def conserved_energy(system: HomotopySystem, y: np.ndarray, lam: float) -> float:
-    """sqrt(1+|p|^2) + V_lam(q) - h_mean . q; constant when h_lam is time-independent."""
-    q, p = y[:3], y[3:]
-    r = float(np.linalg.norm(q))
-    v_lam = (1.0 - lam) * system.config.c0 / r
+def conserved_energy(system: HomotopySystem, y: np.ndarray, lam: float):
+    """sqrt(1+|p|^2) + V_lam(q) - h_mean . q for y of shape (6,) or (n, 6); shape () or (n,).
+
+    Constant along a flow when h_lam is time-independent.
+    """
+    q, r = _check_away_from_origin(y[..., :3])
+    v_lam = (1.0 - lam) * system.config.c0 / r[..., 0]
     if lam != 0.0:
         v_lam += lam * system.config.potential.value(q)
-    return lorentz_factor(p) + v_lam - float(np.dot(system.h_mean, q))
+    return lorentz_factor(y[..., 3:]) + v_lam - np.add.reduce(q * system.h_mean, axis=-1)
 
 
 def energy_drift(system: HomotopySystem, traj: Trajectory) -> float:
@@ -213,5 +220,5 @@ def energy_drift(system: HomotopySystem, traj: Trajectory) -> float:
     """
     if traj.lam != 0.0 and not system.config.forcing.is_constant():
         raise ValueError("energy drift is undefined for time-dependent forcing")
-    e0 = conserved_energy(system, traj.states[0], traj.lam)
-    return max(abs(conserved_energy(system, y, traj.lam) - e0) for y in traj.states)
+    energy = conserved_energy(system, traj.states, traj.lam)
+    return float(np.max(np.abs(energy - energy[0])))

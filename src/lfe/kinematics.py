@@ -7,6 +7,8 @@ are unconstrained 3-vectors.  The two are exchanged by
     phi(v)     = v / sqrt(1 - |v|^2)      (velocity -> momentum)
     phi_inv(p) = p / sqrt(1 + |p|^2)      (momentum -> velocity)
 
+`phi_inv`, its Jacobian and `lorentz_factor` take p of shape (3,) or (N, 3) through
+one code path: row i of a stack result equals, bit for bit, the result for row i alone.
 Everything here is a pure function on immutable values.
 """
 
@@ -45,23 +47,30 @@ def phi(v) -> np.ndarray:
     return v / math.sqrt(1.0 - speed * speed)
 
 
+def lorentz_factor(p):
+    """Energy factor sqrt(1 + |p|^2) >= 1 of p of shape (3,) or (N, 3); shape () or (N,)."""
+    p = np.asarray(p, dtype=float)
+    # nested hypot: sqrt(1 + |p|^2) overflows past |p| ~ 1e154
+    return np.hypot(1.0, np.hypot(np.hypot(p[..., 0], p[..., 1]), p[..., 2]))
+
+
 def phi_inv(p) -> np.ndarray:
-    """Map a momentum to its velocity, p / sqrt(1 + |p|^2).
+    """Velocity p / sqrt(1 + |p|^2) of p of shape (3,) or (N, 3); inside the unit ball for finite p.
 
-    Defined for every finite p; the result is strictly inside the unit ball.
+    Unchecked, so a non-finite momentum reaches the integrator's step control.
     """
-    p = _as_vec3(p, "momentum")
-    n = math.hypot(*p)
-    if n == 0.0:
-        return np.zeros(3)
-    # factored form stays accurate for large |p|
-    return (p / n) * (n / math.hypot(1.0, n))
+    p = np.asarray(p, dtype=float)
+    return p / lorentz_factor(p)[..., None]
 
 
-def lorentz_factor(p) -> float:
-    """Energy factor sqrt(1 + |p|^2) of a momentum; always >= 1."""
-    p = _as_vec3(p, "momentum")
-    return math.hypot(1.0, math.hypot(*p))
+def velocity_jacobian(p) -> np.ndarray:
+    """d phi_inv / dp = I (1+|p|^2)^(-1/2) - p p^T (1+|p|^2)^(-3/2).
+
+    p of shape (3,) or (N, 3) gives shape (3, 3) or (N, 3, 3).
+    """
+    p = np.asarray(p, dtype=float)
+    s = 1.0 + np.add.reduce(p * p, axis=-1)[..., None, None]
+    return np.eye(3) * s**-0.5 - p[..., :, None] * p[..., None, :] * s**-1.5
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,3 @@ class State:
         if y.shape != (6,):
             raise ValueError(f"state vector must have 6 components, got shape {y.shape}")
         return State(q=y[:3].copy(), p=y[3:].copy())
-
-    def velocity(self) -> np.ndarray:
-        return phi_inv(self.p)

@@ -45,11 +45,6 @@ def shells(radii, dirs: np.ndarray) -> np.ndarray:
     return (np.asarray(radii, dtype=float)[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
 
 
-def annulus_grid(r_lo: float, r_hi: float, n_radii: int, dir_pow2: int, seed: int) -> np.ndarray:
-    """Structured cloud: log radii x quasi-random directions, boundary included."""
-    return shells(log_radii(r_lo, r_hi, n_radii), sphere_directions(dir_pow2, seed))
-
-
 # maximize_on_annulus: the sweep grid and the number of best samples refined
 _N_RADII = 40
 _DIR_POW2 = 8
@@ -57,7 +52,7 @@ _N_TIME = 4
 _N_REFINE = 5
 
 
-def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: int = 0):
+def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: int):
     """Sampled maximum of func(t, q) over the shell r_lo <= |q| <= r_hi, t in [0, t_max].
 
     func takes q of shape (N, 3) for the sweep, one call per time, and of
@@ -68,7 +63,7 @@ def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: i
     (log r, cos theta, azimuth, t) with the radius kept inside the shell.
     Returns (value, q, t, meta) where meta records the sample counts.
     """
-    points = annulus_grid(r_lo, r_hi, _N_RADII, _DIR_POW2, seed)
+    points = shells(log_radii(r_lo, r_hi, _N_RADII), sphere_directions(_DIR_POW2, seed))
     times = np.linspace(0.0, t_max, _N_TIME) if t_max > 0 else np.array([0.0])
     values = np.array([func(t, points) for t in times])
 

@@ -141,16 +141,14 @@ def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
 
     mean_identity: |integral of p' over one period| (zero for a closed orbit).
     virial_lhs:    integral of q . p' dt, non-positive for periodic orbits.
-    virial_rhs:    -integral of |p|^2 / sqrt(1+|p|^2) dt (the matching value).
-    One Gauss-Kronrod quadrature of [p', q . p', |p|^2 / sqrt(1+|p|^2)] on
-    the dense output, rtol 1e-8.
+    virial_rhs:    -integral of p . q' = -integral of |p|^2 / sqrt(1+|p|^2) dt.
+    One Gauss-Kronrod quadrature of [p', q . p', p . q'] on the dense output, rtol 1e-8.
     """
 
     def integrand(t):
         y = traj.at(t)
-        f = system.rhs_array(t, y, traj.lam)[3:]
-        p2 = float(np.dot(y[3:], y[3:]))
-        return np.append(f, [float(np.dot(y[:3], f)), p2 / math.sqrt(1.0 + p2)])
+        f = system.rhs_array(t, y, traj.lam)
+        return np.append(f[3:], [float(np.dot(y[:3], f[3:])), float(np.dot(y[3:], f[:3]))])
 
     total, _ = quad_vec(integrand, traj.t0, traj.t1, epsabs=1e-10, epsrel=1e-8)
     return {

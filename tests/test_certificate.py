@@ -43,13 +43,13 @@ def test_radius_closed_form_coulomb(a5_cert):
 def test_radius_requires_dominant_mean():
     config = coulomb_config(mean=(0.0, 0.0, 1.0), c_B=1.0)  # |mean h| == c_B
     with pytest.raises(ValueError):
-        compute_R(config)
+        compute_R(config, seed=SEED)
 
 
 def test_radius_monotone_in_c0():
-    r1 = compute_R(coulomb_config(c0=1.0))
-    r2 = compute_R(coulomb_config(c0=2.0))
-    r4 = compute_R(coulomb_config(c0=4.0))
+    r1 = compute_R(coulomb_config(c0=1.0), seed=SEED)
+    r2 = compute_R(coulomb_config(c0=2.0), seed=SEED)
+    r4 = compute_R(coulomb_config(c0=4.0), seed=SEED)
     assert r2 >= r1
     assert r4 > r1
 
@@ -182,9 +182,9 @@ def test_interface_is_deformation_free():
     # deformation-parameter argument to pass
     config = coulomb_config()
     with pytest.raises(TypeError):
-        compute_R(config, lam=0.5)
+        compute_R(config, lam=0.5, seed=SEED)
     with pytest.raises(TypeError):
-        compute_certificate(config, lam=0.5)
+        compute_certificate(config, lam=0.5, seed=SEED)
 
 
 def test_certificate_invariants(desk_cert):

@@ -15,10 +15,12 @@ from lfe.degree import (
     f0_determinant_closed_form,
     find_zero_f0,
 )
-from lfe.homotopy import AutonomousField, coulomb_force_jacobian, velocity
+from lfe.homotopy import AutonomousField, coulomb_force_jacobian
+from lfe.kinematics import phi_inv
 from lfe.sampling import sobol_points
 
 OMEGA = (1e-3, 3.0, 10.0)
+SWEEP_SEED = 20240802
 
 
 def test_zero_closed_form_canonical():
@@ -44,7 +46,7 @@ def test_zero_residual_is_tiny_random():
         h = rng.normal(size=3) * rng.uniform(0.5, 5.0)
         x0 = find_zero_f0(c0, h)
         field = AutonomousField(c0=c0, h_mean=h)
-        assert np.linalg.norm(field.value(x0.q, velocity(x0.p))) < 1e-12
+        assert np.linalg.norm(field.value(x0.q, phi_inv(x0.p))) < 1e-12
 
 
 def test_degenerate_forcing():
@@ -53,7 +55,7 @@ def test_degenerate_forcing():
 
 
 def test_degree_canonical_case():
-    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], OMEGA)
+    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], OMEGA, seed=SWEEP_SEED)
     assert report.degree == -1
     assert report.det_analytic < 0.0
     assert report.det_numeric < 0.0
@@ -76,16 +78,16 @@ def test_degree_invariant_under_scaling_and_rotation():
         h_rot = s * mat @ h
         x0 = find_zero_f0(1.0, h_rot)
         r = np.linalg.norm(x0.q)
-        report = brouwer_degree(1.0, h_rot, (r / 10, r * 10, 10.0), sweep_pow2=6)
+        report = brouwer_degree(1.0, h_rot, (r / 10, r * 10, 10.0), sweep_pow2=6, seed=SWEEP_SEED)
         assert report.degree == -1
 
 
 def test_zero_outside_omega():
     # |q*| = 1/sqrt(2) for the canonical data; shrink the annulus above it
     with pytest.raises(ZeroOutsideOmega):
-        brouwer_degree(1.0, [0.0, 0.0, 2.0], (1.0, 2.0, 10.0))
+        brouwer_degree(1.0, [0.0, 0.0, 2.0], (1.0, 2.0, 10.0), seed=SWEEP_SEED)
     with pytest.raises(ZeroOutsideOmega):
-        brouwer_degree(1.0, [0.0, 0.0, 2.0], (1e-3, 0.5, 10.0))
+        brouwer_degree(1.0, [0.0, 0.0, 2.0], (1e-3, 0.5, 10.0), seed=SWEEP_SEED)
 
 
 def doctored_field(q_b, v_b) -> AutonomousField:
@@ -228,7 +230,7 @@ def test_sweep_on_the_acceptance_regions_never_meets_a_singular_block(region, de
 
 
 def test_degree_on_desk_certificate_region(desk_cert):
-    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], desk_cert.region(), sweep_pow2=8)
+    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], desk_cert.region(), sweep_pow2=8, seed=SWEEP_SEED)
     assert report.degree == -1
 
 

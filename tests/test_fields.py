@@ -20,6 +20,8 @@ from lfe.fields import (
     validate_hypotheses,
 )
 
+VALIDATION_SEED = 20240801
+
 
 def fd_gradient(potential, q, step=1e-6):
     g = np.empty(3)
@@ -190,7 +192,7 @@ def test_forcing_l1_oracle_mixed():
 
 
 def test_validate_passes_on_desk_scenario():
-    report = validate_hypotheses(desk_config())
+    report = validate_hypotheses(desk_config(), seed=VALIDATION_SEED)
     assert report.passed, report.lines()
     assert report.note == "sampled, not proven"
 
@@ -211,7 +213,7 @@ def test_validate_flags_singularity_order():
         beta=beta,
         eps1=0.5,
     )
-    report = validate_hypotheses(config)
+    report = validate_hypotheses(config, seed=VALIDATION_SEED)
     assert not report.passed
     failed = {c.name for c in report.failures()}
     assert "beta-below-gamma" in failed
@@ -230,7 +232,7 @@ def test_validate_flags_equal_mean_and_ceiling():
         beta=1.5,
         eps1=0.5,
     )
-    report = validate_hypotheses(config)
+    report = validate_hypotheses(config, seed=VALIDATION_SEED)
     assert not report.passed
     failed = {c.name for c in report.failures()}
     assert "mean-forcing-dominates-ceiling" in failed
@@ -243,7 +245,7 @@ def test_validate_is_reproducible():
 
 
 def test_magnetic_ceiling_dipole_sharp():
-    assert math.isclose(magnetic_ceiling(DipoleField([0, 0, 0.1]), period=1.0), 0.2, rel_tol=1e-12)
+    assert math.isclose(magnetic_ceiling(DipoleField([0, 0, 0.1]), period=1.0, seed=VALIDATION_SEED), 0.2, rel_tol=1e-12)
 
 
 def test_config_rejects_nonpositive_constants():

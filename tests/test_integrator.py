@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import coulomb_config, force_free_config, gyro_config, zero_potential
+from conftest import coulomb_config, desk_config, force_free_config, gyro_config, zero_potential
 from lfe.degree import find_zero_f0
 from lfe.fields import FieldConfig, Forcing, TabulatedPotential, ZeroField
 from lfe.homotopy import HomotopySystem
@@ -13,6 +13,7 @@ from lfe.integrator import (
     SingularityApproach,
     StepUnderflow,
     Trajectory,
+    conserved_energy,
     energy_drift,
     integrate,
 )
@@ -95,9 +96,20 @@ def test_energy_drift_scales_with_tolerance(coulomb_system):
     assert drifts[1e-8] / drifts[1e-10] > 1.0
 
 
-def test_energy_drift_rejects_time_dependent_forcing():
-    from conftest import desk_config
+def test_conserved_energy_takes_a_stack(coulomb_system):
+    # at rest q = (1, 0, 0), p = (0.75, 0, 0): gamma 1.25, c0/|q| = 1, h_mean . q = 0
+    y = np.array([1.0, 0.0, 0.0, 0.75, 0.0, 0.0])
+    assert conserved_energy(coulomb_system, y, 0.0) == 2.25
+    rng = np.random.default_rng(17)
+    stack = rng.normal(size=(40, 6)) * np.exp(rng.uniform(-3.0, 3.0, size=(40, 1)))
+    system = HomotopySystem(desk_config())
+    for lam in (0.0, 0.4, 1.0):
+        energy = conserved_energy(system, stack, lam)
+        assert energy.shape == (40,)
+        assert np.array_equal(energy, [conserved_energy(system, y, lam) for y in stack])
 
+
+def test_energy_drift_rejects_time_dependent_forcing():
     system = HomotopySystem(desk_config())
     x_eq = find_zero_f0(1.0, [0.0, 0.0, 2.0])
     traj = integrate(system, x_eq, (0.0, 0.2), 1.0)
@@ -126,8 +138,7 @@ def test_observed_order_of_embedded_pair(gyro_system):
 def test_speed_bound_at_nodes(gyro_system):
     x0 = State(q=[5.0, 0.0, 0.0], p=[10.0, 0.0, 5.0])
     traj = integrate(gyro_system, x0, (0.0, 2.0), 1.0)
-    speeds = [np.linalg.norm(phi_inv(y[3:])) for y in traj.states]
-    assert max(speeds) < 1.0
+    assert np.linalg.norm(phi_inv(traj.states[:, 3:]), axis=1).max() < 1.0
 
 
 def test_ultrarelativistic_start_integrates(coulomb_system):

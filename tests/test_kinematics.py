@@ -81,6 +81,28 @@ def test_lorentz_factor():
     assert math.isclose(lorentz_factor([0.75, 0.0, 0.0]), 1.25, rel_tol=1e-15)
 
 
+def test_phi_inv_and_lorentz_factor_take_a_cloud():
+    rng = np.random.default_rng(16)
+    # momenta up to ~1e170, past where |p|^2 overflows
+    p = rng.normal(size=(64, 3)) * np.exp(rng.uniform(-8.0, 390.0, size=(64, 1)))
+    p[0] = 0.0
+    with np.errstate(all="raise"):
+        v = phi_inv(p)
+        gamma = lorentz_factor(p)
+        assert np.array_equal(v, [phi_inv(b) for b in p])
+        assert np.array_equal(gamma, [lorentz_factor(b) for b in p])
+    assert v.shape == (64, 3) and gamma.shape == (64,)
+    assert np.array_equal(v[0], np.zeros(3)) and gamma[0] == 1.0
+    n = np.array([math.hypot(*b) for b in p])
+    fast = n > 1e8  # the speed rounds to 1 there
+    assert np.allclose(np.linalg.norm(v[fast], axis=1), 1.0, rtol=1e-15, atol=0.0)
+    assert np.allclose(gamma[fast], n[fast], rtol=1e-15, atol=0.0)
+    slow = ~fast
+    closed = np.sqrt(1.0 + n[slow] ** 2)
+    assert np.allclose(gamma[slow], closed, rtol=1e-15, atol=0.0)
+    assert np.allclose(v[slow], p[slow] / closed[:, None], rtol=1e-15, atol=0.0)
+
+
 def test_lorentz_factor_monotone_in_magnitude():
     rng = np.random.default_rng(15)
     for _ in range(300):
