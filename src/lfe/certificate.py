@@ -153,7 +153,7 @@ _EPS_GRID_STEPS = 132  # down to ~1e-6 of the cap
 
 
 def compute_lower_constants(
-    config: FieldConfig, R: float, *, seed: int
+    config: FieldConfig, R: float, *, seed: int, l1: float
 ) -> tuple[float, float, float, float]:
     """(epsilon, K2, C_gradV_B, m): the singularity-clearance constants.
 
@@ -165,7 +165,9 @@ def compute_lower_constants(
     K2 = |ln epsilon|; C_gradV_B is the sampled maximum of
     |grad V| + |B| over the annulus epsilon < |q| < R + T; and
 
-        m = exp[-K2 - T/eps - T C/(c0/2) - (R+T) l1/(c0/2)].
+        m = exp[-K2 - T/eps - T C/(c0/2) - (R+T) l1/(c0/2)],
+
+    with l1 the forcing's L1 norm (`Forcing.l1_norm`).
     """
     period = config.forcing.period
     cap = min(config.eps0, config.eps1, 1.0)
@@ -193,7 +195,6 @@ def compute_lower_constants(
         )
 
     K2 = abs(math.log(epsilon))
-    l1 = config.forcing.l1_norm()
 
     def grad_plus_b(t, q):
         return np.linalg.norm(config.potential.gradient(q), axis=-1) + np.linalg.norm(
@@ -207,7 +208,7 @@ def compute_lower_constants(
 
 
 def compute_momentum_bound(
-    config: FieldConfig, m: float, R: float, *, seed: int
+    config: FieldConfig, m: float, R: float, *, seed: int, l1: float
 ) -> tuple[float, float]:
     """(M, L): the force ceiling on the confined annulus and the momentum bound.
 
@@ -226,7 +227,6 @@ def compute_momentum_bound(
         )
 
     M, _, _, _ = maximize_on_annulus(h_total, m, R + period, period, seed=seed + 2)
-    l1 = config.forcing.l1_norm()
     L = period * M + 2.0 * l1
     return M, L
 
@@ -234,10 +234,10 @@ def compute_momentum_bound(
 def compute_certificate(config: FieldConfig, *, seed: int) -> BoundsCertificate:
     """Run the three bound computations and assemble the certificate."""
     period = config.forcing.period
-    R = compute_R(config, seed=seed)
-    epsilon, K2, C, m = compute_lower_constants(config, R, seed=seed)
-    M, L = compute_momentum_bound(config, m, R, seed=seed)
     l1 = config.forcing.l1_norm()
+    R = compute_R(config, seed=seed)
+    epsilon, K2, C, m = compute_lower_constants(config, R, seed=seed, l1=l1)
+    M, L = compute_momentum_bound(config, m, R, seed=seed, l1=l1)
     provenance = {
         "R": f"geometric grid 2^k, spheres x{_SPHERE_MULTIPLES}, 2^10 directions, seed={seed}",
         "epsilon": f"decreasing grid factor {_EPS_GRID_FACTOR} under min(eps0, eps1, 1), sampled inequality with halved c0",
@@ -284,6 +284,33 @@ IDENTITY_TOL = 1e-6
 _N_DENSE = 1000
 
 
+def region_checks(ys: np.ndarray, region: tuple[float, float, float]) -> list[HypothesisCheck]:
+    """Clearance, outer-radius and momentum-bound checks of states ys (n, 6) in (m, R + T, L)."""
+    m, upper, L = region
+    r = np.linalg.norm(ys[:, :3], axis=1)
+    pn = np.linalg.norm(ys[:, 3:], axis=1)
+    return [
+        HypothesisCheck(
+            "clearance",
+            float(r.min()) > m,
+            f"min |q| = {float(r.min()):.6g} vs m = {m:.6g}",
+            r.min() - m,
+        ),
+        HypothesisCheck(
+            "outer-radius",
+            float(r.max()) < upper,
+            f"max |q| = {float(r.max()):.6g} vs R + T = {upper:.6g}",
+            upper - r.max(),
+        ),
+        HypothesisCheck(
+            "momentum-bound",
+            float(pn.max()) < L,
+            f"max |p| = {float(pn.max()):.6g} vs L = {L:.6g}",
+            L - pn.max(),
+        ),
+    ]
+
+
 def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
     """Check a converged orbit against the certificate.
 
@@ -297,29 +324,9 @@ def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
     if traj.interpolant is not None:
         dense = traj.at(np.linspace(traj.t0, traj.t1, _N_DENSE)).T
         ys = np.vstack([ys, dense])
-    r = np.linalg.norm(ys[:, :3], axis=1)
-    pn = np.linalg.norm(ys[:, 3:], axis=1)
     speeds = np.linalg.norm(phi_inv(ys[:, 3:]), axis=1)
 
-    entries = [
-        HypothesisCheck(
-            "clearance",
-            float(r.min()) > cert.m,
-            f"min |q| = {float(r.min()):.6g} vs m = {cert.m:.6g}",
-            r.min() - cert.m,
-        ),
-        HypothesisCheck(
-            "outer-radius",
-            float(r.max()) < cert.upper,
-            f"max |q| = {float(r.max()):.6g} vs R + T = {cert.upper:.6g}",
-            cert.upper - r.max(),
-        ),
-        HypothesisCheck(
-            "momentum-bound",
-            float(pn.max()) < cert.L,
-            f"max |p| = {float(pn.max()):.6g} vs L = {cert.L:.6g}",
-            cert.L - pn.max(),
-        ),
+    entries = region_checks(ys, cert.region()) + [
         HypothesisCheck(
             "speed-limit",
             float(speeds.max()) < 1.0,

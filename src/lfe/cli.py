@@ -38,7 +38,7 @@ from lfe.certificate import (
     compute_certificate,
     verify_orbit,
 )
-from lfe.config_io import ConfigError, RunConfig, config_hash, parse_config, serialize_config
+from lfe.config_io import ConfigError, RunConfig, config_hash, parse_config
 from lfe.degree import DegenerateForcing, DegreeError, DegreeReport, brouwer_degree, find_zero_f0
 from lfe.fields import validate_hypotheses
 from lfe.homotopy import HomotopySystem
@@ -274,11 +274,10 @@ def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
 
 def cmd_continue(cfg: RunConfig, out: Path, report) -> int:
     t_start = time.perf_counter()
-    config_text = serialize_config(cfg)
     record: dict = {
         "tool_version": lfe.__version__,
-        "config_sha256": config_hash(config_text),
-        "config": config_text,
+        "config_sha256": config_hash(cfg.text),
+        "config": cfg.text,
         "seed": cfg.solver.seed,
     }
     text = [

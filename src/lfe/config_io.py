@@ -1,9 +1,12 @@
-"""Run configuration files: strict INI parsing, defaults, canonical serialization.
+"""Run configuration files: strict INI parsing, defaults, canonical text.
 
 One config file fully describes one scenario.  Unknown sections or keys
-are errors (no silently ignored typos), defaults are applied at parse
-time and echoed back by the serializer, and the serialized form is
-canonical so that parse -> serialize round-trips to the identical file.
+are errors (no silently ignored typos) and defaults are applied at parse
+time.  The parser is the one description of the format: every value it
+reads, given or defaulted, is echoed as `key = value` in canonical form
+(floats as repr, vectors as three reprs, the words auto and equilibrium
+as written), and the echo of all sections is `RunConfig.text`.  Parsing
+that text gives the same text again.
 
 Schema (INI sections and keys; vectors are space-separated triples):
 
@@ -73,17 +76,26 @@ class RunConfig:
     solver: SolverOptions
     initial: InitialState
     output: OutputOptions
-    c_B_auto: bool = False
+    text: str  # the canonical file text, every default applied
 
 
 _HARMONIC_KEY = re.compile(r"^harmonic_(\d+)_(cos|sin)$")
 
-# sections whose keys are the fields of a dataclass, parsed and written field by field
+# kind -> (constructor from the vector, vector key, what the vector holds)
+_MAGNETIC = {
+    "zero": (ZeroField, None, None),
+    "uniform": (UniformField, "b", "bx by bz"),
+    "dipole": (DipoleField, "moment", "mx my mz"),
+    "abc": (lambda abc: ABCField(*abc), "abc", "A B C"),
+}
+_MAGNETIC_VECTORS = {key for _, key, _ in _MAGNETIC.values() if key}
+
+# sections whose keys are the fields of a dataclass, read field by field
 _OPTIONS = {"integrator": IntegratorConfig, "solver": SolverOptions, "output": OutputOptions}
 
 _SECTION_KEYS = {
     "potential": {"kind", "c0", "gamma", "eps0"},
-    "magnetic": {"kind", "b", "moment", "abc", "c_b", "c1", "beta", "eps1"},
+    "magnetic": {"kind", "c_b", "c1", "beta", "eps1"} | _MAGNETIC_VECTORS,
     "forcing": {"period", "mean"},  # harmonic_* matched by pattern
     "initial-state": {"lambda", "q", "p", "t_end"},
     **{name: {f.name for f in fields(cls)} for name, cls in _OPTIONS.items()},
@@ -114,7 +126,13 @@ def _parse_vec(section: str, key: str, raw: str) -> np.ndarray:
     return np.array([_parse_float(section, key, p) for p in parts])
 
 
-_PARSERS = {"float": _parse_float, "int": _parse_int, "str": lambda section, key, raw: raw}
+# value kind -> (parse the raw text, canonical text of a value)
+_KINDS = {
+    "float": (_parse_float, lambda x: repr(float(x))),
+    "int": (_parse_int, str),
+    "str": (lambda section, key, raw: raw, str),
+    "vec": (_parse_vec, lambda v: " ".join(repr(float(x)) for x in v)),
+}
 
 
 @contextmanager
@@ -131,23 +149,62 @@ def _in_section(*sections: str):
         raise ConfigError(f"[{section}] {err}") from err
 
 
-def _parse_options(section: str, sec: dict):
-    """The section's dataclass from its keys; a key left out keeps the field default."""
-    cls = _OPTIONS[section]
-    values = {
-        f.name: _PARSERS[f.type](section, f.name, sec[f.name]) for f in fields(cls) if f.name in sec
-    }
-    with _in_section(section):
-        return cls(**values)
+class _Section:
+    """One section of the file: its raw keys, and the canonical echo of what is read.
 
+    Keys are matched case-insensitively (configparser lowercases them) and
+    error messages name the lowercased key; the echo spells the key as given
+    to `read`.  An absent section reads as empty.
+    """
 
-def _items(parser, section: str, extra_pattern=None) -> dict:
-    """The keys of one section (empty when it is absent); an unknown key is an error."""
-    sec = dict(parser.items(section)) if parser.has_section(section) else {}
-    for key in sec:
-        if key not in _SECTION_KEYS[section] and not (extra_pattern and extra_pattern.match(key)):
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
-    return sec
+    def __init__(self, parser, name: str, extra_pattern=None):
+        self.name = name
+        self.raw = dict(parser.items(name)) if parser.has_section(name) else {}
+        for key in self.raw:
+            if key not in _SECTION_KEYS[name] and not (extra_pattern and extra_pattern.match(key)):
+                raise ConfigError(f"unknown key {key!r} in section [{name}]")
+        self.lines = [f"[{name}]"]
+
+    def echo(self, key: str, value, kind: str = "str") -> None:
+        self.lines.append(f"{key} = {_KINDS[kind][1](value)}")
+
+    def parse(self, key: str, kind: str):
+        return _KINDS[kind][0](self.name, key, self.raw[key])
+
+    def says(self, key: str, word: str) -> bool:
+        """Whether key is absent or says word (auto, equilibrium)."""
+        return self.raw.get(key.lower(), word).strip().lower() == word
+
+    def read(self, key: str, kind: str, default=None, word: str | None = None):
+        """The value of key, or default when it is absent; echoed unless both are None.
+
+        With a word, a key that `says` it returns None and echoes the word.
+        """
+        if word is not None and self.says(key, word):
+            self.echo(key, word)
+            return None
+        raw = self.raw.get(key.lower())
+        value = default if raw is None else self.parse(key.lower(), kind)
+        if value is not None:
+            self.echo(key, value, kind)
+        return value
+
+    def options(self, auto: str | None = None):
+        """The section's dataclass, each field read in field order.
+
+        A key left out keeps the field default; the field named auto may
+        also say auto, which keeps the default too.
+        """
+        cls = _OPTIONS[self.name]
+        values = {
+            f.name: self.read(f.name, f.type, f.default, "auto" if f.name == auto else None)
+            for f in fields(cls)
+        }
+        with _in_section(self.name):
+            return cls(**{name: value for name, value in values.items() if value is not None})
+
+    def text(self) -> str:
+        return "\n".join(self.lines) + "\n"
 
 
 def parse_config(path) -> RunConfig:
@@ -169,98 +226,84 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"missing required section [{required}]")
 
     # potential
-    sec = _items(parser, "potential")
-    kind = sec.get("kind", "generalized-coulomb")
+    sec_pot = _Section(parser, "potential")
+    kind = sec_pot.raw.get("kind", "generalized-coulomb")
     if kind not in ("generalized-coulomb", "coulomb"):
         raise ConfigError(f"[potential] kind must be generalized-coulomb, got {kind!r}")
-    if "c0" not in sec:
+    sec_pot.echo("kind", "generalized-coulomb")
+    if "c0" not in sec_pot.raw:
         raise ConfigError("[potential] c0 is required")
-    c0 = _parse_float("potential", "c0", sec["c0"])
-    gamma = _parse_float("potential", "gamma", sec.get("gamma", "1.0"))
-    eps0 = _parse_float("potential", "eps0", sec.get("eps0", "1.0"))
+    c0 = sec_pot.read("c0", "float")
+    gamma = sec_pot.read("gamma", "float", 1.0)
+    eps0 = sec_pot.read("eps0", "float", 1.0)
     with _in_section("potential"):
         potential = GeneralizedCoulomb(c0=c0, gamma=gamma)
 
     # forcing
-    sec = _items(parser, "forcing", _HARMONIC_KEY)
-    if "period" not in sec or "mean" not in sec:
+    sec_forcing = _Section(parser, "forcing", _HARMONIC_KEY)
+    if "period" not in sec_forcing.raw or "mean" not in sec_forcing.raw:
         raise ConfigError("[forcing] period and mean are required")
-    period = _parse_float("forcing", "period", sec["period"])
-    mean = _parse_vec("forcing", "mean", sec["mean"])
+    period = sec_forcing.read("period", "float")
+    mean = sec_forcing.read("mean", "vec")
     harmonics_raw: dict[int, dict[str, np.ndarray]] = {}
-    for key, raw in sec.items():
+    for key in sec_forcing.raw:
         match = _HARMONIC_KEY.match(key)
         if not match:
             continue
         k = int(match.group(1))
         if k < 1:
             raise ConfigError(f"[forcing] harmonic index must be >= 1 in {key!r}")
-        harmonics_raw.setdefault(k, {})[match.group(2)] = _parse_vec("forcing", key, raw)
-    harmonics = tuple(
-        Harmonic(
-            k,
-            cos_coeff=parts.get("cos", np.zeros(3)),
-            sin_coeff=parts.get("sin", np.zeros(3)),
+        harmonics_raw.setdefault(k, {})[match.group(2)] = sec_forcing.parse(key, "vec")
+    harmonics = []
+    for k, parts in sorted(harmonics_raw.items()):
+        harmonic = Harmonic(
+            k, cos_coeff=parts.get("cos", np.zeros(3)), sin_coeff=parts.get("sin", np.zeros(3))
         )
-        for k, parts in sorted(harmonics_raw.items())
-    )
+        sec_forcing.echo(f"harmonic_{k}_cos", harmonic.cos_coeff, "vec")
+        sec_forcing.echo(f"harmonic_{k}_sin", harmonic.sin_coeff, "vec")
+        harmonics.append(harmonic)
     with _in_section("forcing"):
-        forcing = Forcing(period=period, mean=mean, harmonics=harmonics)
+        forcing = Forcing(period=period, mean=mean, harmonics=tuple(harmonics))
+
+    # solver (before [magnetic]: c_B = auto uses the seed)
+    sec_solver = _Section(parser, "solver")
+    solver = sec_solver.options()
 
     # magnetic
-    sec = _items(parser, "magnetic")
-    kind = sec.get("kind", "zero")
-    variant_keys = {"zero": set(), "uniform": {"b"}, "dipole": {"moment"}, "abc": {"abc"}}
-    for key in sec.keys() & ({"b", "moment", "abc"} - variant_keys.get(kind, set())):
+    sec_mag = _Section(parser, "magnetic")
+    kind = sec_mag.raw.get("kind", "zero")
+    make, vector_key, hint = _MAGNETIC.get(kind, (None, None, None))
+    for key in sec_mag.raw.keys() & (_MAGNETIC_VECTORS - {vector_key}):
         raise ConfigError(f"[magnetic] key {key!r} does not belong to kind {kind!r}")
-    if kind == "zero":
-        magnetic = ZeroField()
-    elif kind == "uniform":
-        if "b" not in sec:
-            raise ConfigError("[magnetic] uniform field needs b = bx by bz")
-        magnetic = UniformField(_parse_vec("magnetic", "b", sec["b"]))
-    elif kind == "dipole":
-        if "moment" not in sec:
-            raise ConfigError("[magnetic] dipole field needs moment = mx my mz")
-        magnetic = DipoleField(_parse_vec("magnetic", "moment", sec["moment"]))
-    elif kind == "abc":
-        if "abc" not in sec:
-            raise ConfigError("[magnetic] abc field needs abc = A B C")
-        a, b, c = _parse_vec("magnetic", "abc", sec["abc"])
-        magnetic = ABCField(a, b, c)
+    if kind not in _MAGNETIC:
+        raise ConfigError(f"[magnetic] kind must be {'|'.join(_MAGNETIC)}, got {kind!r}")
+    sec_mag.echo("kind", kind)
+    if vector_key is None:
+        magnetic = make()
+    elif vector_key not in sec_mag.raw:
+        raise ConfigError(f"[magnetic] {kind} field needs {vector_key} = {hint}")
     else:
-        raise ConfigError(f"[magnetic] kind must be zero|uniform|dipole|abc, got {kind!r}")
+        magnetic = make(sec_mag.read(vector_key, "vec"))
 
-    # near-origin magnetic constants: sharp defaults where the variant has them
-    if "c1" in sec:
-        c1 = _parse_float("magnetic", "c1", sec["c1"])
-    elif isinstance(magnetic, DipoleField):
-        c1 = magnetic.bound_constants()[0]
-    elif isinstance(magnetic, ZeroField):
-        c1 = 0.0
-    else:
-        raise ConfigError("[magnetic] c1 is required for this field kind")
-    if "beta" in sec:
-        beta = _parse_float("magnetic", "beta", sec["beta"])
-    elif isinstance(magnetic, DipoleField):
-        beta = magnetic.bound_constants()[1]
-    elif isinstance(magnetic, ZeroField):
-        beta = 0.5 * gamma
-    else:
-        raise ConfigError("[magnetic] beta is required for this field kind")
-    eps1 = _parse_float("magnetic", "eps1", sec.get("eps1", "1.0"))
-
-    # solver (needed before c_B = auto, which uses the seed)
-    solver = _parse_options("solver", _items(parser, "solver"))
-
-    c_b_raw = sec.get("c_b", "auto")
-    c_B_auto = c_b_raw.strip().lower() == "auto"
-    if c_B_auto:
+    c_B = sec_mag.read("c_B", "float", word="auto")
+    if c_B is None:
         c_B = magnetic_ceiling(magnetic, period=period, seed=solver.seed)
         if c_B <= 0.0:
             c_B = 1.0  # vanishing field: any positive ceiling is valid
+
+    # near-origin magnetic constants: sharp defaults where the variant has them
+    if isinstance(magnetic, DipoleField):
+        sharp = magnetic.bound_constants()
+    elif isinstance(magnetic, ZeroField):
+        sharp = (0.0, 0.5 * gamma)
     else:
-        c_B = _parse_float("magnetic", "c_b", c_b_raw)
+        sharp = (None, None)
+    for key, default in zip(("c1", "beta"), sharp):
+        if default is None and key not in sec_mag.raw:
+            raise ConfigError(f"[magnetic] {key} is required for this field kind")
+    c1 = sec_mag.read("c1", "float", sharp[0])
+    beta = sec_mag.read("beta", "float", sharp[1])
+    eps1 = sec_mag.read("eps1", "float", 1.0)
 
     with _in_section("potential", "magnetic"):
         field_config = FieldConfig(
@@ -276,23 +319,18 @@ def parse_config(path) -> RunConfig:
             eps1=eps1,
         )
 
-    # integrator
-    sec = _items(parser, "integrator")
-    r_min_auto = sec.get("r_min", "auto").strip().lower() == "auto"
-    if r_min_auto:  # the field default until a certificate gives m/2
-        sec.pop("r_min", None)
-    integrator = _parse_options("integrator", sec)
+    # integrator: r_min = auto keeps the field default until a certificate gives m/2
+    sec_int = _Section(parser, "integrator")
+    integrator = sec_int.options(auto="r_min")
+    r_min_auto = sec_int.says("r_min", "auto")
 
     # initial state
-    sec = _items(parser, "initial-state")
-    q_raw = sec.get("q", "equilibrium").strip()
+    sec_ini = _Section(parser, "initial-state")
     initial = InitialState(
-        lam=_parse_float("initial-state", "lambda", sec.get("lambda", "0.0")),
-        q=None if q_raw.lower() == "equilibrium" else _parse_vec("initial-state", "q", q_raw),
-        p=_parse_vec("initial-state", "p", sec.get("p", "0 0 0")),
-        t_end=(
-            _parse_float("initial-state", "t_end", sec["t_end"]) if "t_end" in sec else None
-        ),
+        lam=sec_ini.read("lambda", "float", 0.0),
+        q=sec_ini.read("q", "vec", word="equilibrium"),
+        p=sec_ini.read("p", "vec", np.zeros(3)),
+        t_end=sec_ini.read("t_end", "float"),
     )
     if not 0.0 <= initial.lam <= 1.0:
         raise ConfigError("[initial-state] lambda must lie in [0, 1]")
@@ -311,10 +349,12 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("[initial-state] t_end must be positive")
 
     # output
-    output = _parse_options("output", _items(parser, "output"))
+    sec_out = _Section(parser, "output")
+    output = sec_out.options()
     if output.sample_points < 2:
         raise ConfigError("[output] sample_points must be at least 2")
 
+    sections = (sec_pot, sec_mag, sec_forcing, sec_int, sec_solver, sec_ini, sec_out)
     return RunConfig(
         fields=field_config,
         integrator=integrator,
@@ -322,90 +362,8 @@ def parse_config(path) -> RunConfig:
         solver=solver,
         initial=initial,
         output=output,
-        c_B_auto=c_B_auto,
+        text="\n".join(sec.text() for sec in sections),
     )
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_vec(v) -> str:
-    return " ".join(repr(float(x)) for x in v)
-
-
-def _option_lines(options, skip=()) -> list[str]:
-    """`key = value` for each field of an options dataclass, in field order."""
-    out = []
-    for f in fields(options):
-        if f.name not in skip:
-            value = getattr(options, f.name)
-            out.append(f"{f.name} = {_fmt(value) if f.type == 'float' else value}")
-    return out
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form of a run configuration; parses back to an equal config."""
-    fc = cfg.fields
-    lines = []
-    lines.append("[potential]")
-    lines.append("kind = generalized-coulomb")
-    lines.append(f"c0 = {_fmt(fc.c0)}")
-    lines.append(f"gamma = {_fmt(fc.gamma)}")
-    lines.append(f"eps0 = {_fmt(fc.eps0)}")
-    lines.append("")
-
-    lines.append("[magnetic]")
-    mag = fc.magnetic
-    if isinstance(mag, ZeroField):
-        lines.append("kind = zero")
-    elif isinstance(mag, UniformField):
-        lines.append("kind = uniform")
-        lines.append(f"b = {_fmt_vec(mag.b)}")
-    elif isinstance(mag, DipoleField):
-        lines.append("kind = dipole")
-        lines.append(f"moment = {_fmt_vec(mag.moment)}")
-    elif isinstance(mag, ABCField):
-        lines.append("kind = abc")
-        lines.append(f"abc = {_fmt(mag.A)} {_fmt(mag.B)} {_fmt(mag.C)}")
-    else:
-        raise ConfigError(f"magnetic field {type(mag).__name__} has no file representation")
-    lines.append("c_B = auto" if cfg.c_B_auto else f"c_B = {_fmt(fc.c_B)}")
-    lines.append(f"c1 = {_fmt(fc.c1)}")
-    lines.append(f"beta = {_fmt(fc.beta)}")
-    lines.append(f"eps1 = {_fmt(fc.eps1)}")
-    lines.append("")
-
-    lines.append("[forcing]")
-    lines.append(f"period = {_fmt(fc.forcing.period)}")
-    lines.append(f"mean = {_fmt_vec(fc.forcing.mean)}")
-    for harm in sorted(fc.forcing.harmonics, key=lambda h: h.k):
-        lines.append(f"harmonic_{harm.k}_cos = {_fmt_vec(harm.cos_coeff)}")
-        lines.append(f"harmonic_{harm.k}_sin = {_fmt_vec(harm.sin_coeff)}")
-    lines.append("")
-
-    lines.append("[integrator]")
-    lines.extend(_option_lines(cfg.integrator, skip={"r_min"}))
-    lines.append("r_min = auto" if cfg.r_min_auto else f"r_min = {_fmt(cfg.integrator.r_min)}")
-    lines.append("")
-
-    lines.append("[solver]")
-    lines.extend(_option_lines(cfg.solver))
-    lines.append("")
-
-    lines.append("[initial-state]")
-    ini = cfg.initial
-    lines.append(f"lambda = {_fmt(ini.lam)}")
-    lines.append("q = equilibrium" if ini.q is None else f"q = {_fmt_vec(ini.q)}")
-    lines.append(f"p = {_fmt_vec(ini.p)}")
-    if ini.t_end is not None:
-        lines.append(f"t_end = {_fmt(ini.t_end)}")
-    lines.append("")
-
-    lines.append("[output]")
-    lines.extend(_option_lines(cfg.output))
-    lines.append("")
-    return "\n".join(lines)
 
 
 def config_hash(text: str) -> str:

@@ -53,8 +53,8 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 1_000_000
-    r_min: float = 1e-6
     method: str = "DOP853"
+    r_min: float = 1e-6
 
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:

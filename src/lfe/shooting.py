@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.integrate import quad_vec
 
+from lfe.certificate import region_checks
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import IntegratorConfig, SolverError, Trajectory, integrate
 from lfe.kinematics import State
@@ -50,6 +51,17 @@ class SolverOptions:
     growth: float = 1.5
     target_lambda: float = 1.0
     seed: int = 20240803
+
+    def __post_init__(self):
+        for name in ("newton_tol", "dlam_init", "dlam_floor"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
+        if not self.growth >= 1.0:
+            raise ValueError("growth must be at least 1")
+        if not 0.0 <= self.target_lambda <= 1.0:
+            raise ValueError("target_lambda must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -262,19 +274,6 @@ class ContinuationPath:
         ]
 
 
-def _orbit_inside(traj: Trajectory, bounds: tuple[float, float, float]) -> str | None:
-    m, upper, p_max = bounds
-    r = np.linalg.norm(traj.states[:, :3], axis=1)
-    pn = np.linalg.norm(traj.states[:, 3:], axis=1)
-    if float(r.min()) <= m:
-        return f"min |q| = {float(r.min()):.6g} <= m = {m:.6g}"
-    if float(r.max()) >= upper:
-        return f"max |q| = {float(r.max()):.6g} >= {upper:.6g}"
-    if float(pn.max()) >= p_max:
-        return f"max |p| = {float(pn.max()):.6g} >= L = {p_max:.6g}"
-    return None
-
-
 def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> ContinuationPath:
     """Natural-parameter continuation from a converged lam = 0 orbit.
 
@@ -323,7 +322,8 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
             continue
 
         if problem.region is not None:
-            bad = _orbit_inside(sol.trajectory, problem.region)
+            checks = region_checks(sol.trajectory.states, problem.region)
+            bad = next((check.detail for check in checks if not check.passed), None)
             if bad is not None:
                 path.history.append(
                     {"lambda": lam_try, "dlam": dlam, "accepted": False, "reason": bad}

@@ -56,7 +56,7 @@ def test_radius_monotone_in_c0():
 
 def test_epsilon_capped_by_config_radii():
     config = desk_config()  # eps0 = eps1 = 0.5 cap the grid
-    eps, K2, C, m = compute_lower_constants(config, 1.0, seed=SEED)
+    eps, K2, C, m = compute_lower_constants(config, 1.0, seed=SEED, l1=config.forcing.l1_norm())
     assert eps == 0.5
     assert K2 == abs(math.log(0.5))
     assert 0.0 < m < eps
@@ -88,7 +88,7 @@ def test_epsilon_against_scalar_threshold_oracle():
         return r**-3.0 - (0.5 * r**-1.0 + 2.0 * r**-2.0)
 
     r_star = brentq(margin, 0.01, 1.0)
-    eps, _, _, _ = compute_lower_constants(config, 2.0, seed=SEED)
+    eps, _, _, _ = compute_lower_constants(config, 2.0, seed=SEED, l1=config.forcing.l1_norm())
     # sampled grid resolves the threshold to within its own spacing
     assert 0.9 * r_star <= eps <= 1.13 * r_star
 
@@ -109,7 +109,7 @@ def test_epsilon_inequality_fails_for_strong_magnetic_singularity():
         eps1=1.0,
     )
     with pytest.raises(InequalityFails):
-        compute_lower_constants(config, 2.0, seed=SEED)
+        compute_lower_constants(config, 2.0, seed=SEED, l1=config.forcing.l1_norm())
 
 
 def test_momentum_bound_closed_form(a5_cert):
@@ -134,7 +134,9 @@ def test_momentum_bound_grows_with_magnetic_field(a5_cert):
         beta=0.5,
         eps1=config.eps1,
     )
-    M_b, _ = compute_momentum_bound(uniform, a5_cert.m, a5_cert.R, seed=SEED)
+    M_b, _ = compute_momentum_bound(
+        uniform, a5_cert.m, a5_cert.R, seed=SEED, l1=uniform.forcing.l1_norm()
+    )
     assert M_b > a5_cert.M
 
 
@@ -175,6 +177,20 @@ def test_monotonicity_in_forcing_l1():
         cert_a.c0_eff, cert_a.upper, cert_a.l1_norm * 2,
     )
     assert inflated < cert_a.m
+
+
+def test_certificate_evaluates_the_forcing_l1_norm_once(monkeypatch):
+    calls = []
+    l1_norm = Forcing.l1_norm
+
+    def counted(self):
+        calls.append(self)
+        return l1_norm(self)
+
+    monkeypatch.setattr(Forcing, "l1_norm", counted)
+    cert = compute_certificate(desk_config(), seed=SEED)
+    assert len(calls) == 1
+    assert cert.l1_norm == l1_norm(desk_config().forcing)
 
 
 def test_interface_is_deformation_free():

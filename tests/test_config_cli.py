@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lfe.cli import main
-from lfe.config_io import ConfigError, parse_config, serialize_config
+from lfe.config_io import ConfigError, parse_config
 from lfe.fields import DipoleField, GeneralizedCoulomb, ZeroField
 
 MINIMAL = """
@@ -101,7 +101,7 @@ def test_parse_desk_scenario(tmp_path):
     assert isinstance(cfg.fields.magnetic, DipoleField)
     assert cfg.fields.c1 == pytest.approx(0.2)
     assert cfg.fields.beta == 2.0
-    assert cfg.c_B_auto
+    assert "c_B = auto" in cfg.text
     assert cfg.fields.c_B == pytest.approx(0.2, rel=1e-9)
     assert len(cfg.fields.forcing.harmonics) == 1
     assert np.array_equal(cfg.fields.forcing.harmonics[0].cos_coeff, [0.1, 0, 0])
@@ -178,8 +178,152 @@ sample_points = 1000
 """
 
 
+# a uniform field, a sin harmonic and harmonic indices out of order
+UNIFORM = """
+[potential]
+c0 = 1.0
+gamma = 3.0
+
+[magnetic]
+kind = uniform
+b = 0 0 0.05
+c_B = 0.1
+c1 = 0.05
+beta = 0.5
+
+[forcing]
+period = 2
+mean = 0 0 2
+harmonic_3_sin = 0 0.01 0
+harmonic_1_cos = 0.1 0 0
+harmonic_2_sin = 0 0 0.02
+"""
+
+# an abc field with c_B = auto, an explicit r_min, q and t_end
+ABC = """
+[potential]
+c0 = 1.0
+gamma = 3.0
+
+[magnetic]
+kind = abc
+abc = 0.01 0.02 0.03
+c_B = auto
+c1 = 0.3
+beta = 1e-3
+
+[forcing]
+period = 1.0
+mean = 0 0 2
+harmonic_2_sin = 0.02 0 0
+
+[integrator]
+r_min = 1e-3
+
+[initial-state]
+q = 0.1 0.2 -0.3
+t_end = 2
+"""
+
+# every key of every section, in an order unlike the canonical one
+EVERY_KEY = """
+[output]
+sample_points = 17
+
+[initial-state]
+t_end = 2.5
+p = 0 0.1 0
+q = 0.1 0.2 -0.3
+lambda = 0.5
+
+[solver]
+seed = 3
+target_lambda = 0.75
+growth = 2
+dlam_floor = 1e-3
+dlam_init = 0.25
+max_iterations = 7
+newton_tol = 1e-8
+
+[integrator]
+r_min = 1e-3
+method = RK45
+max_steps = 5000
+atol = 1e-9
+rtol = 1e-8
+
+[forcing]
+harmonic_2_cos = 0.02 0 0
+harmonic_1_sin = 0 0.05 0
+mean = 0.1 0 2
+period = 2.5
+
+[magnetic]
+eps1 = 0.25
+beta = 2.0
+c1 = 0.7
+c_B = 0.25
+moment = 0.01 0 0.1
+kind = dipole
+
+[potential]
+eps0 = 0.5
+gamma = 1
+c0 = 2
+kind = coulomb
+"""
+
+EVERY_KEY_SERIALIZED = """[potential]
+kind = generalized-coulomb
+c0 = 2.0
+gamma = 1.0
+eps0 = 0.5
+
+[magnetic]
+kind = dipole
+moment = 0.01 0.0 0.1
+c_B = 0.25
+c1 = 0.7
+beta = 2.0
+eps1 = 0.25
+
+[forcing]
+period = 2.5
+mean = 0.1 0.0 2.0
+harmonic_1_cos = 0.0 0.0 0.0
+harmonic_1_sin = 0.0 0.05 0.0
+harmonic_2_cos = 0.02 0.0 0.0
+harmonic_2_sin = 0.0 0.0 0.0
+
+[integrator]
+rtol = 1e-08
+atol = 1e-09
+max_steps = 5000
+method = RK45
+r_min = 0.001
+
+[solver]
+newton_tol = 1e-08
+max_iterations = 7
+dlam_init = 0.25
+dlam_floor = 0.001
+growth = 2.0
+target_lambda = 0.75
+seed = 3
+
+[initial-state]
+lambda = 0.5
+q = 0.1 0.2 -0.3
+p = 0.0 0.1 0.0
+t_end = 2.5
+
+[output]
+sample_points = 17
+"""
+
+
 def test_serialize_echoes_every_default(tmp_path):
-    assert serialize_config(parse_config(write(tmp_path, MINIMAL))) == MINIMAL_SERIALIZED
+    assert parse_config(write(tmp_path, MINIMAL)).text == MINIMAL_SERIALIZED
 
 
 def test_unknown_option_key_is_an_error(tmp_path):
@@ -189,11 +333,14 @@ def test_unknown_option_key_is_an_error(tmp_path):
 
 
 def test_round_trip_is_canonical(tmp_path):
-    for text in (MINIMAL, DESK, LIGHT):
-        cfg = parse_config(write(tmp_path, text))
-        serialized = serialize_config(cfg)
+    for text in (MINIMAL, DESK, LIGHT, UNIFORM, ABC, EVERY_KEY):
+        serialized = parse_config(write(tmp_path, text)).text
         reparsed = parse_config(write(tmp_path, serialized, "echo.ini"))
-        assert serialize_config(reparsed) == serialized
+        assert reparsed.text == serialized
+
+
+def test_echo_of_every_key_is_canonical(tmp_path):
+    assert parse_config(write(tmp_path, EVERY_KEY)).text == EVERY_KEY_SERIALIZED
 
 
 # --- CLI ---
@@ -369,10 +516,19 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):
             "initial-state",
         ),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nq = 1e-6 0 0", "initial-state"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ndlam_init = 0", "solver"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ndlam_init = -0.1", "solver"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ndlam_floor = 0", "solver"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ngrowth = 0.5", "solver"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ntarget_lambda = 1.5", "solver"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ntarget_lambda = -0.5", "solver"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\nnewton_tol = 0", "solver"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\nseed = -1", "solver"),
     ],
     ids=[
         "c0", "period", "eps0", "eps1", "rtol", "method", "q", "t_end0", "t_end-1",
-        "q_r_min", "q_r_min_auto",
+        "q_r_min", "q_r_min_auto", "dlam_init0", "dlam_init-", "dlam_floor0", "growth<1",
+        "target>1", "target<0", "newton_tol0", "seed-1",
     ],
 )
 def test_cli_out_of_range_value_exits_4(tmp_path, capsys, old, new, section):

@@ -173,6 +173,10 @@ def test_continuation_reports_bound_violation(coulomb_problem):
     path = continue_lambda(tight, start)
     assert path.status == "bound_violation"
     assert path.final is start
+    # the reason is the detail of the failing verify_orbit entry (outer radius)
+    reason = path.history[-1]["reason"]
+    assert reason == "max |q| = 0.707107 vs R + T = 0.705"
+    assert path.message.endswith(reason)
 
 
 def test_newton_diverged_when_iteration_budget_is_tiny():
