@@ -3,10 +3,11 @@
 The autonomous field has a single zero (momentum zero, position on the ray
 opposite the mean forcing), and its Jacobian determinant there is strictly
 negative, so the topological degree on the certified annulus is -1.  That
-nonzero degree is what anchors the continuation; this module computes it
-with an analytic/finite-difference cross-check in momentum coordinates and
-a multi-start Newton sweep in velocity coordinates (see lfe.homotopy),
-where each step needs one 3x3 solve, guarding against a second zero.
+nonzero degree is what anchors the continuation; this module takes its
+sign from the closed-form determinant, cross-checked by a central-difference
+Jacobian in momentum coordinates, and guards against a second zero with a
+multi-start Newton sweep in velocity coordinates (see lfe.homotopy), where
+each step needs one 3x3 solve.
 """
 
 from __future__ import annotations
@@ -16,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lfe.homotopy import (
-    AutonomousField,
-    coulomb_force_jacobian,
-    f0_and_jacobian,
-    f0_determinant_closed_form,
-)
+from lfe.homotopy import AutonomousField, coulomb_force_jacobian, f0_determinant_closed_form
 from lfe.kinematics import State, phi_inv
 from lfe.sampling import sobol_points, unit_vectors
 
@@ -191,10 +187,11 @@ def brouwer_degree(
 ) -> DegreeReport:
     """Degree of the autonomous field on the region m < |q| < upper, |p| < p_max.
 
-    The sign comes from the block-determinant closed form at the explicit
-    zero, cross-checked against a central-difference Jacobian determinant
-    (relative agreement 1e-5 required).  A quasi-random multi-start Newton
-    sweep must find no zero other than the explicit one.
+    The sign comes from the closed-form determinant at the explicit zero
+    (f0_determinant_closed_form), cross-checked against a central-difference
+    Jacobian determinant (relative agreement 1e-5 required, else
+    InconsistentDeterminants).  A quasi-random multi-start Newton sweep must
+    find no zero other than the explicit one.
     """
     m, upper, p_max = omega
     x0 = find_zero_f0(c0, h_mean)
@@ -203,7 +200,7 @@ def brouwer_degree(
         raise ZeroOutsideOmega(f"zero radius {r_star:.6g} outside ({m:.6g}, {upper:.6g})")
 
     field = AutonomousField(c0=c0, h_mean=np.asarray(h_mean, dtype=float))
-    _, _, det_analytic = f0_and_jacobian(x0, c0, h_mean)
+    det_analytic = f0_determinant_closed_form(c0, x0.q, x0.p)
     det_numeric = float(np.linalg.det(_fd_jacobian_f0(field, x0)))
     if abs(det_numeric - det_analytic) > 1e-5 * abs(det_analytic):
         raise InconsistentDeterminants(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lfe.fields import FieldConfig, _check_away_from_origin
-from lfe.kinematics import State, lorentz_factor, phi_inv, velocity_jacobian
+from lfe.kinematics import lorentz_factor, phi_inv
 
 
 @dataclass(frozen=True)
@@ -112,39 +112,13 @@ def coulomb_force_jacobian(q, c0: float) -> np.ndarray:
 
 
 def f0_determinant_closed_form(c0: float, q, p) -> float:
-    """Closed form of det Jac f0 in momentum-first coordinates.
+    """Closed form of det Jac f0 in momentum-first coordinates (p, q).
+
+    There the Jacobian is block diagonal, with velocity_jacobian(p) and
+    coulomb_force_jacobian(q, c0) on the diagonal, so
 
     det = -2 c0^3 |q|^-9 [ (1+|p|^2)^(-3/2) - |p|^2 (1+|p|^2)^(-5/2) ] = -2 c0^3 |q|^-9 gamma^-5
     with gamma = sqrt(1+|p|^2), strictly negative for every admissible (q, p).
     """
     r = math.hypot(*np.asarray(q, dtype=float))
     return -2.0 * c0**3 * r**-9 * float(lorentz_factor(p)) ** -5
-
-
-def f0_and_jacobian(x: State, c0: float, h_mean) -> tuple[np.ndarray, np.ndarray, float]:
-    """Value, Jacobian and determinant of the autonomous field at x.
-
-    The value is the 6-vector (phi_inv(p), h_mean + c0 q/|q|^3).  The
-    Jacobian is taken in momentum-first coordinates (p, q), where the map
-    decouples and the matrix is block diagonal:
-
-        [ d phi_inv/dp      0        ]
-        [      0        d force/dq   ]
-
-    so its determinant is the product of the two block determinants and
-    matches the closed form above.  The determinant is evaluated both ways
-    (direct 6x6 and closed form) and an ArithmeticError is raised if they
-    disagree, rather than silently trusting either.
-    """
-    h_mean = np.asarray(h_mean, dtype=float)
-    value = AutonomousField(c0=c0, h_mean=h_mean).value(x.q, phi_inv(x.p))
-    jac = np.zeros((6, 6))
-    jac[:3, :3] = velocity_jacobian(x.p)
-    jac[3:, 3:] = coulomb_force_jacobian(x.q, c0)
-    det_direct = float(np.linalg.det(jac))
-    det_closed = f0_determinant_closed_form(c0, x.q, x.p)
-    if not math.isclose(det_direct, det_closed, rel_tol=1e-8):
-        raise ArithmeticError(
-            f"determinant mismatch: direct {det_direct!r} vs closed form {det_closed!r}"
-        )
-    return value, jac, det_direct

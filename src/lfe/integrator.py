@@ -59,6 +59,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
         if self.r_min <= 0:
             raise ValueError("guard radius must be positive")
         if self.method not in _METHODS:

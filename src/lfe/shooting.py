@@ -36,7 +36,7 @@ class LeftDomain(SolverError):
     """An iterate exited the numerical search region."""
 
 
-_MAX_HALVINGS = 20
+_DAMPING = tuple(0.5**k for k in range(20))  # Newton step factors 1, 1/2, ..., 2**-19
 _FD_STEP = 1e-7
 
 
@@ -56,6 +56,8 @@ class SolverOptions:
         for name in ("newton_tol", "dlam_init", "dlam_floor"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if not self.growth >= 1.0:
             raise ValueError("growth must be at least 1")
         if not 0.0 <= self.target_lambda <= 1.0:
@@ -87,15 +89,15 @@ class ShootingProblem:
     def flow(self, x0: State | np.ndarray) -> Trajectory:
         return integrate(self.system, x0, (0.0, self.system.period), self.lam, self.integrator)
 
-    def flow_with_monodromy(self, x0: State) -> tuple[Trajectory, np.ndarray]:
-        """The time-T orbit of x0 and the forward finite-difference monodromy at x0.
+    def flow_with_monodromy(self, x0: np.ndarray) -> tuple[Trajectory, np.ndarray]:
+        """The time-T orbit of the flat state x0 and the forward-difference monodromy at x0.
 
         x0 and its six perturbations x0 + _FD_STEP e_i are integrated as one
         stacked flow, so column i of the monodromy differences two members
         that took the same steps.  A perturbed member that crosses the guard
         radius raises SingularityApproach like the orbit itself.
         """
-        stack = x0.as_array() + np.vstack([np.zeros(6), _FD_STEP * np.eye(6)])
+        stack = x0 + np.vstack([np.zeros(6), _FD_STEP * np.eye(6)])
         traj = self.flow(stack)
         end = traj.states[-1]
         return traj.row(0), (end[1:] - end[0]).T / _FD_STEP
@@ -174,22 +176,24 @@ def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
 def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
     """Damped Newton on the periodicity residual, Jacobian from the stacked flow.
 
-    Every flow is `problem.flow_with_monodromy`, so each trial yields the
-    monodromy at the trial point: an accepted trial's monodromy is the
-    next iteration's Jacobian, and the last one is the orbit's.
-    Convergence is residual sup-norm below problem.solver.newton_tol; each
-    iteration's starting residual and accepted damping factor go into
-    `newton_trace`.  Raises NewtonDiverged (no residual decrease within the
-    damping budget or the iteration cap), SingularJacobian (condition
-    estimate above 1e12) or LeftDomain (an iterate exited the numerical
-    search region).
+    Iterates on the flat state [q, p], from guess.as_array() to the
+    solution's x0.  Every flow is `problem.flow_with_monodromy`, so each
+    trial yields the monodromy at the trial point: an accepted trial's
+    monodromy is the next iteration's Jacobian, and the last one is the
+    orbit's.  Each step takes the first factor of _DAMPING whose trial point
+    lies in the search region, flows and lowers the residual sup-norm;
+    convergence is that norm below problem.solver.newton_tol.  Each
+    iteration's starting residual and damping factor go into `newton_trace`.
+    Raises NewtonDiverged (no decrease with any factor, or the iteration
+    cap), SingularJacobian (condition estimate above 1e12) or LeftDomain
+    (the guess, or every damped trial point, outside the search region).
     """
-    bad = problem.violation(guess.as_array())
+    y = guess.as_array()
+    bad = problem.violation(y)
     if bad is not None:
         raise LeftDomain(f"initial guess outside the search region: {bad}")
 
-    x = guess
-    traj, monodromy = problem.flow_with_monodromy(x)
+    traj, monodromy = problem.flow_with_monodromy(y)
     res = traj.states[-1] - traj.states[0]
     res_norm = float(np.max(np.abs(res)))
 
@@ -206,47 +210,37 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
             raise SingularJacobian(f"shooting Jacobian condition estimate {cond:.3e}")
         delta = np.linalg.solve(jac, -res)
 
-        alpha = 1.0
-        accepted = False
-        left_domain_only = True
-        for _ in range(_MAX_HALVINGS):
-            y_try = x.as_array() + alpha * delta
+        for alpha in _DAMPING:
+            y_try = y + alpha * delta
             if problem.violation(y_try) is not None:
-                alpha *= 0.5
                 continue
-            left_domain_only = False
-            x_try = State.from_array(y_try)
             try:
-                traj_try, monodromy_try = problem.flow_with_monodromy(x_try)
+                traj_try, monodromy_try = problem.flow_with_monodromy(y_try)
             except SolverError:
-                alpha *= 0.5
                 continue
             res_try = traj_try.states[-1] - traj_try.states[0]
             res_try_norm = float(np.max(np.abs(res_try)))
             if res_try_norm < res_norm:
                 trace.append({"residual": res_norm, "alpha": alpha})
-                x, traj, monodromy = x_try, traj_try, monodromy_try
+                y, traj, monodromy = y_try, traj_try, monodromy_try
                 res, res_norm = res_try, res_try_norm
-                accepted = True
                 break
-            alpha *= 0.5
-        if not accepted:
-            if left_domain_only:
+        else:
+            if all(problem.violation(y + alpha * delta) is not None for alpha in _DAMPING):
                 raise LeftDomain("every damped step left the search region")
             raise NewtonDiverged(
-                f"no residual decrease after {_MAX_HALVINGS} damping halvings "
+                f"no residual decrease after {len(_DAMPING)} damping halvings "
                 f"(residual {res_norm:.3e})"
             )
 
-    diagnostics = orbit_identities(problem.system, traj)
     return OrbitSolution(
         lam=problem.lam,
-        x0=x,
+        x0=State.from_array(y),
         trajectory=traj,
         residual_norm=res_norm,
         monodromy=monodromy,
         newton_iterations=len(trace),
-        diagnostics=diagnostics,
+        diagnostics=orbit_identities(problem.system, traj),
         newton_trace=trace,
     )
 
@@ -255,8 +249,8 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
 class ContinuationPath:
     solutions: list
     history: list
-    status: str = "incomplete"
-    message: str = ""
+    status: str
+    message: str
 
     @property
     def final(self) -> OrbitSolution:
@@ -281,10 +275,12 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     solver.dlam_init, halves on any solver failure, grows by solver.growth
     after two consecutive successes, and never drops below
     solver.dlam_floor.  The predictor is the previous initial state; each
-    accepted orbit is checked against problem.region when it is set.  The
-    path reports how far it got rather than raising: status is one of
-    reached_target / stepsize_underflow / bound_violation.  A failed path
-    means the path is incomplete, not that no orbit exists.
+    accepted orbit is checked against problem.region when it is set.  Each
+    attempt adds one `history` record; at most ceil(target_lambda / dlam_init)
+    * (1 + the halvings that take dlam_init down to dlam_floor) are made.
+    The path reports how far it got rather than raising: status is one of
+    reached_target / stepsize_underflow / bound_violation / budget_exhausted.
+    A failed path means the path is incomplete, not that no orbit exists.
     """
     solver = problem.solver
     target_lambda = solver.target_lambda
@@ -292,53 +288,44 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
         raise ValueError("continuation must start from a lam = 0 solution")
     if start.residual_norm > solver.newton_tol:
         raise ValueError("continuation must start from a converged solution")
+    halvings = max(0, math.ceil(math.log2(solver.dlam_init / solver.dlam_floor)))
+    budget = math.ceil(target_lambda / solver.dlam_init) * (1 + halvings)
 
-    path = ContinuationPath(solutions=[start], history=[])
-    if target_lambda == 0.0:
-        path.status = "reached_target"
-        path.message = "target is the starting parameter"
-        return path
-
-    lam = 0.0
-    dlam = solver.dlam_init
-    consecutive = 0
-    while lam < target_lambda:
+    solutions, history = [start], []
+    lam, dlam, consecutive = 0.0, solver.dlam_init, 0
+    end = ("reached_target", "target is the starting parameter") if target_lambda == 0.0 else None
+    while end is None and len(history) < budget:
         lam_try = min(lam + dlam, target_lambda)
-        step_problem = replace(problem, lam=lam_try)
         try:
-            sol = newton_shooting(path.final.x0, step_problem)
+            sol = newton_shooting(solutions[-1].x0, replace(problem, lam=lam_try))
         except SolverError as err:
-            path.history.append(
-                {"lambda": lam_try, "dlam": dlam, "accepted": False, "reason": str(err)}
-            )
-            consecutive = 0
-            dlam *= 0.5
+            sol, reason = None, str(err)
+        else:
+            region = problem.region
+            checks = [] if region is None else region_checks(sol.trajectory.states, region)
+            reason = next((check.detail for check in checks if not check.passed), None)
+        history.append(
+            {"lambda": lam_try, "dlam": dlam, "accepted": reason is None, "reason": reason or ""}
+        )
+        if reason is None:
+            solutions.append(sol)
+            lam, consecutive = lam_try, consecutive + 1
+            if consecutive >= 2:
+                dlam *= solver.growth
+            if lam >= target_lambda:
+                end = ("reached_target", f"reached lam = {target_lambda:g}")
+        elif sol is None:
+            dlam, consecutive = 0.5 * dlam, 0
             if dlam < solver.dlam_floor:
-                path.status = "stepsize_underflow"
-                path.message = (
-                    f"step below floor {solver.dlam_floor:g} at lam = {lam:.6g}: {err}"
+                end = (
+                    "stepsize_underflow",
+                    f"step below floor {solver.dlam_floor:g} at lam = {lam:.6g}: {reason}",
                 )
-                return path
-            continue
-
-        if problem.region is not None:
-            checks = region_checks(sol.trajectory.states, problem.region)
-            bad = next((check.detail for check in checks if not check.passed), None)
-            if bad is not None:
-                path.history.append(
-                    {"lambda": lam_try, "dlam": dlam, "accepted": False, "reason": bad}
-                )
-                path.status = "bound_violation"
-                path.message = f"orbit at lam = {lam_try:.6g} exited the certified region: {bad}"
-                return path
-
-        path.solutions.append(sol)
-        path.history.append({"lambda": lam_try, "dlam": dlam, "accepted": True, "reason": ""})
-        lam = lam_try
-        consecutive += 1
-        if consecutive >= 2:
-            dlam *= solver.growth
-
-    path.status = "reached_target"
-    path.message = f"reached lam = {target_lambda:g}"
-    return path
+        else:
+            end = (
+                "bound_violation",
+                f"orbit at lam = {lam_try:.6g} exited the certified region: {reason}",
+            )
+    if end is None:
+        end = ("budget_exhausted", f"attempted-step budget {budget} used up at lam = {lam:.6g}")
+    return ContinuationPath(solutions, history, *end)

@@ -456,6 +456,21 @@ def test_cli_continue_solver_failure_writes_partial_report(tmp_path):
     assert all(h["reason"] for h in rejected)
 
 
+def test_cli_continue_ends_when_the_step_budget_is_used_up(tmp_path):
+    # one Newton iteration per step: the path creeps with tiny steps, so only
+    # the budget ceil(1 / 1.0) * (1 + ceil(log2(1.0 / 1e-4))) = 15 ends it
+    text = LIGHT.replace("dlam_init = 1.0", "dlam_init = 1.0\nmax_iterations = 1")
+    text = text.replace("mean = 0 0 2", "mean = 0 0 2\nharmonic_1_cos = 0.9 0 0")
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
+    continuation = json.loads((out / "run_report.json").read_text())["continuation"]
+    assert continuation["status"] == "budget_exhausted"
+    assert len(continuation["history"]) == 15
+    lam = continuation["steps"][-1]["lambda"]
+    assert 0.0 < lam < 1.0
+    assert continuation["message"] == f"attempted-step budget 15 used up at lam = {lam:.6g}"
+
+
 def test_cli_continue_without_start_orbit_records_solver_error(tmp_path):
     text = LIGHT.replace("seed = 7", "seed = 7\nnewton_tol = 1e-300\nmax_iterations = 1")
     out = tmp_path / "out"
@@ -524,11 +539,13 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ntarget_lambda = -0.5", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\nnewton_tol = 0", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\nseed = -1", "solver"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\nmax_iterations = 0", "solver"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nmax_steps = 0", "integrator"),
     ],
     ids=[
         "c0", "period", "eps0", "eps1", "rtol", "method", "q", "t_end0", "t_end-1",
         "q_r_min", "q_r_min_auto", "dlam_init0", "dlam_init-", "dlam_floor0", "growth<1",
-        "target>1", "target<0", "newton_tol0", "seed-1",
+        "target>1", "target<0", "newton_tol0", "seed-1", "max_iterations0", "max_steps0",
     ],
 )
 def test_cli_out_of_range_value_exits_4(tmp_path, capsys, old, new, section):

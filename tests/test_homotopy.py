@@ -12,7 +12,6 @@ from lfe.homotopy import (
     AutonomousField,
     HomotopySystem,
     coulomb_force_jacobian,
-    f0_and_jacobian,
     f0_determinant_closed_form,
 )
 from lfe.integrator import integrate
@@ -151,25 +150,35 @@ def test_rhs_validates_inputs(system):
 
 
 def test_f0_determinant_at_unit_radius_rest():
-    x = State(q=[1.0, 0.0, 0.0], p=[0.0, 0.0, 0.0])
-    _, _, det = f0_and_jacobian(x, 1.0, [0.0, 0.0, 2.0])
-    assert math.isclose(det, -2.0, rel_tol=1e-12)
+    assert math.isclose(
+        f0_determinant_closed_form(1.0, [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]), -2.0, rel_tol=1e-12
+    )
 
 
 def test_f0_value_vanishes_at_equilibrium():
     x_eq = find_zero_f0(1.0, [0.0, 0.0, 2.0])
-    value, _, _ = f0_and_jacobian(x_eq, 1.0, [0.0, 0.0, 2.0])
-    assert np.abs(value).max() < 1e-12
+    field = AutonomousField(c0=1.0, h_mean=np.array([0.0, 0.0, 2.0]))
+    assert np.abs(field.value(x_eq.q, phi_inv(x_eq.p))).max() < 1e-12
 
 
 def test_f0_jacobian_block_structure():
     x = State(q=[0.4, -0.7, 0.2], p=[0.3, 0.1, -0.2])
-    _, jac, _ = f0_and_jacobian(x, 1.3, [0.0, 1.0, 1.0])
+    field = AutonomousField(c0=1.3, h_mean=np.array([0.0, 1.0, 1.0]))
+    jac = fd_jacobian_momentum_first(field, x)
     # momentum-first coordinates: off-diagonal blocks vanish identically
     assert np.array_equal(jac[:3, 3:], np.zeros((3, 3)))
     assert np.array_equal(jac[3:, :3], np.zeros((3, 3)))
-    assert np.allclose(jac[:3, :3], velocity_jacobian(x.p), atol=1e-15)
-    assert np.allclose(jac[3:, 3:], coulomb_force_jacobian(x.q, 1.3), atol=1e-15)
+    assert np.allclose(jac[:3, :3], velocity_jacobian(x.p), atol=1e-8)
+    assert np.allclose(jac[3:, 3:], coulomb_force_jacobian(x.q, 1.3), atol=1e-8)
+    # so the determinant is the product of the block determinants, the closed form
+    rng = np.random.default_rng(39)
+    for _ in range(200):
+        x = random_state(rng)
+        c0 = rng.uniform(0.1, 10.0)
+        product = np.linalg.det(velocity_jacobian(x.p)) * np.linalg.det(
+            coulomb_force_jacobian(x.q, c0)
+        )
+        assert math.isclose(product, f0_determinant_closed_form(c0, x.q, x.p), rel_tol=1e-8)
 
 
 def test_autonomous_field_and_blocks_take_a_cloud():

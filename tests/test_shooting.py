@@ -66,6 +66,20 @@ def test_guess_outside_domain_is_rejected():
         newton_shooting(State(q=[0.0, 0.0, 20.0], p=[0.0, 0.0, 0.0]), problem)
 
 
+def test_failed_damping_names_its_cause(coulomb_problem):
+    # the search region |q| < 0.6 ends short of the equilibrium at |q| = 0.707
+    short = dataclasses.replace(coulomb_problem, region=(0.1, 0.3, 5.0))
+    with pytest.raises(LeftDomain, match="^every damped step left the search region$"):
+        newton_shooting(State(q=[0.0, 0.0, -0.59], p=[0.0, 0.0, 0.0]), short)
+    # no damped step lowers the equilibrium's residual 1.1e-16; with |p| < 2e-20 the
+    # longer ones leave the search region and the shorter ones stay in it
+    strict = dataclasses.replace(
+        coulomb_problem, solver=SolverOptions(newton_tol=1e-300), region=(0.1, 5.0, 1e-20)
+    )
+    with pytest.raises(NewtonDiverged, match=r"^no residual decrease after 20 damping halvings"):
+        newton_shooting(EQ, strict)
+
+
 def test_residual_self_consistency(coulomb_problem):
     sol = newton_shooting(State(q=EQ.q + np.array([1e-3, 0, 0]), p=np.zeros(3)), coulomb_problem)
     res = periodicity_residual(sol.x0, coulomb_problem)
@@ -101,7 +115,7 @@ def test_stacked_monodromy_matches_separate_flows(desk_problem, desk_path):
     assert final.lam == 1.0
     problem = dataclasses.replace(desk_problem, lam=final.lam)
     # the orbit's monodromy is the one at its own x0
-    _, monodromy = problem.flow_with_monodromy(final.x0)
+    _, monodromy = problem.flow_with_monodromy(final.x0.as_array())
     assert np.array_equal(final.monodromy, monodromy)
     assert np.abs(monodromy - per_column_monodromy(final.x0, problem)).max() < 1e-6
     # the deformed field is divergence-free, so the flow preserves volume (Liouville)
