@@ -109,7 +109,12 @@ def _degree_record(report: DegreeReport) -> dict:
 
 
 def _orbit_record(sol: OrbitSolution, verification=None) -> dict:
-    record = {**sol.summary(), "monodromy": sol.monodromy, "newton_trace": sol.newton_trace}
+    record = {
+        **sol.summary(),
+        "monodromy": sol.monodromy,
+        "newton_trace": sol.newton_trace,
+        "n_rejected": sol.trajectory.n_rejected,
+    }
     if verification is not None:
         record["verification"] = [dataclasses.asdict(e) for e in verification.entries]
         record["verified"] = verification.passed

@@ -46,20 +46,27 @@ class HomotopySystem:
             return -self.config.c0 * q / r**3
         return lam * self.config.potential.gradient(q) - (1.0 - lam) * self.config.c0 * q / r**3
 
-    def h_lambda(self, t: float, lam: float) -> np.ndarray:
-        """lam * h(t) + (1-lam) * h_mean; its period average is h_mean for every lam."""
+    def h_lambda(self, t, lam: float) -> np.ndarray:
+        """lam * h(t) + (1-lam) * h_mean for t of shape () or (n,); shape (3,) or (n, 3).
+
+        Its period average is h_mean for every lam.
+        """
         if lam == 0.0 or self.config.forcing.is_constant():
-            return self.h_mean.copy()
+            h = np.empty(np.asarray(t).shape + (3,))
+            h[...] = self.h_mean
+            return h
         h = self.config.forcing.eval(t)
         if lam == 1.0:
             return h
         return lam * h + (1.0 - lam) * self.h_mean
 
-    def rhs_array(self, t: float, y: np.ndarray, lam: float) -> np.ndarray:
+    def rhs_array(self, t, y: np.ndarray, lam: float) -> np.ndarray:
         """Vector field on flat states [q, p]; the hot path for integration.
 
-        y of shape (6,) or a stack of shape (N, 6) gives the same shape;
-        row i of a stack result equals the result for row i alone.
+        y of shape (6,) or a stack of shape (N, 6) gives the same shape, at
+        one time t of shape () or, for a stack, one time per row, t of
+        shape (N,); row i of a stack result equals the result for row i
+        alone at its time.
         Non-finite input propagates to non-finite output (instead of
         raising) so the step controller can reject and shrink the step.
         """

@@ -2,22 +2,27 @@
 
 Integration is done in (position, momentum) coordinates, never
 (position, velocity), so the speed limit |v| < 1 is structural.  The
-stepper is an embedded Runge-Kutta pair with dense output; periodicity
-residuals and period quadratures are read from the stored interpolant,
-never from re-integration.  A stack of N states is integrated as one
-6N-vector with shared step control: shooting integrates the Jacobian
-columns (perturbed copies of the orbit) in the same flow as the orbit,
-and the singularity guard watches every member of the stack.
+stepper is an embedded Runge-Kutta pair, DOP853 or RK45, ported from
+scipy.integrate with the same arithmetic (tables in `lfe.butcher`), so
+nodes and dense output equal scipy's bit for bit.  Every accepted step
+keeps its stages; its dense output is built from them only when the
+trajectory is read (`Trajectory.at`, `row`, `write_csv`, the guard
+bisection), so a trial flow whose nodes are all that is used costs no
+interpolant.  A stack of N states is integrated as one 6N-vector with
+shared step control: shooting integrates the Jacobian columns (perturbed
+copies of the orbit) in the same flow as the orbit, and the singularity
+guard watches every member of the stack.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
-from scipy.integrate import DOP853, RK45, OdeSolution
 
+from lfe import butcher
 from lfe.fields import _check_away_from_origin
 from lfe.homotopy import HomotopySystem
 from lfe.kinematics import State, lorentz_factor
@@ -45,7 +50,130 @@ class StepUnderflow(SolverError):
     """Step control stalled (step size below machine limits)."""
 
 
-_METHODS = {"DOP853": DOP853, "RK45": RK45}
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size**0.5
+
+
+class _RK45:
+    """Dormand-Prince 5(4) with a quartic interpolant."""
+
+    error_order = 4
+    rows = 7  # stages plus f(t + h, y_new)
+    A, B, C = butcher.RK45_A, butcher.RK45_B, butcher.RK45_C
+
+    @staticmethod
+    def error_norm(k: np.ndarray, h: float, scale: np.ndarray) -> float:
+        return _rms(np.dot(k.T, butcher.RK45_E) * h / scale)
+
+    @staticmethod
+    def coefficients(ts, ys, k, fun) -> np.ndarray:
+        return np.array([kj.T.dot(butcher.RK45_P) for kj in k])
+
+    @staticmethod
+    def evaluate(q: np.ndarray, seg: np.ndarray, ts: np.ndarray, ys: np.ndarray, t: np.ndarray):
+        """One np.dot per step over its times in increasing order, as scipy's OdeSolution."""
+
+        def segment(i, t):
+            h = ts[i + 1] - ts[i]
+            x = (t - ts[i]) / h
+            if t.ndim == 0:
+                p = np.cumprod(np.tile(x, 4))
+            else:
+                p = np.cumprod(np.tile(x, (4, 1)), axis=0)
+            y = h * np.dot(q[i], p)
+            y += ys[i] if y.ndim == 1 else ys[i][:, None]
+            return y
+
+        if t.ndim == 0:
+            return segment(seg, t)
+        order = np.argsort(t)
+        out, start = [], 0
+        for i, group in groupby(seg[order]):
+            end = start + len(list(group))
+            out.append(segment(i, t[order[start:end]]))
+            start = end
+        return np.hstack(out)[:, np.argsort(order)]
+
+
+class _DOP853:
+    """Hairer's DOP853 with its 7th-order interpolant, which needs three more stages."""
+
+    error_order = 7
+    rows = 16  # stages, f(t + h, y_new) and the three interpolant stages
+    A = butcher.DOP853_A[: butcher.DOP853_STAGES, : butcher.DOP853_STAGES]
+    B, C = butcher.DOP853_B, butcher.DOP853_C[: butcher.DOP853_STAGES]
+
+    @staticmethod
+    def error_norm(k: np.ndarray, h: float, scale: np.ndarray) -> float:
+        err5 = np.dot(k.T, butcher.DOP853_E5) / scale
+        err3 = np.dot(k.T, butcher.DOP853_E3) / scale
+        err5_norm_2 = np.linalg.norm(err5) ** 2
+        err3_norm_2 = np.linalg.norm(err3) ** 2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            return 0.0
+        denom = err5_norm_2 + 0.01 * err3_norm_2
+        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+
+    @staticmethod
+    def coefficients(ts, ys, k, fun) -> np.ndarray:
+        """The interpolant stages of every step, each stage one call of fun over all steps."""
+        t_old, h, y_old, y = ts[:-1], np.diff(ts), ys[:-1], ys[1:]
+        n_main = butcher.DOP853_STAGES + 1
+        for s in range(n_main, _DOP853.rows):
+            a, c = butcher.DOP853_A[s, :s], butcher.DOP853_C[s]
+            stage_y = [yo + np.dot(kj[:s].T, a) * hj for yo, kj, hj in zip(y_old, k, h)]
+            stage = fun(t_old + c * h, np.array(stage_y))
+            for kj, fj in zip(k, stage):
+                kj[s] = fj
+        f = np.empty((len(k), 7, y_old.shape[1]))
+        for fj, hj, yo, yj, kj in zip(f, h, y_old, y, k):
+            delta_y = yj - yo
+            fj[0] = delta_y
+            fj[1] = hj * kj[0] - delta_y
+            fj[2] = 2 * delta_y - hj * (kj[n_main - 1] + kj[0])
+            fj[3:] = hj * np.dot(butcher.DOP853_D, kj)
+        return f
+
+    @staticmethod
+    def evaluate(f: np.ndarray, seg: np.ndarray, ts: np.ndarray, ys: np.ndarray, t: np.ndarray):
+        """Horner in x and 1 - x, point by point, as scipy's Dop853DenseOutput."""
+        t_old = ts[seg]
+        x = ((t - t_old) / (ts[seg + 1] - t_old))[..., None]
+        coeffs = f[seg]
+        y = np.zeros(t.shape + ys.shape[1:])
+        for i in range(7):
+            y += coeffs[..., 6 - i, :]
+            if i % 2 == 0:
+                y *= x
+            else:
+                y *= 1 - x
+        y += ys[seg]
+        return y.T
+
+
+_METHODS = {"DOP853": _DOP853, "RK45": _RK45}
+
+
+class _DenseOutput:
+    """Dense output of accepted steps, built from their stored stages when first read.
+
+    ts and ys are the nodes (n_nodes,) and flat states (n_nodes, n).
+    Called with t of shape () it gives the flat state (n,); with t of shape
+    (m,), shape (n, m).  A time on a node belongs to the earlier step.
+    The interpolants of all steps are built together, on the first call.
+    """
+
+    def __init__(self, method, ts: np.ndarray, ys: np.ndarray, stages: list, fun: Callable):
+        self._method, self._ts, self._ys, self._stages, self._fun = method, ts, ys, stages, fun
+        self._coeffs = None
+
+    def __call__(self, t) -> np.ndarray:
+        ts, ys = self._ts, self._ys
+        if self._coeffs is None:
+            self._coeffs = self._method.coefficients(ts, ys, self._stages, self._fun)
+        t = np.asarray(t)
+        seg = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
+        return self._method.evaluate(self._coeffs, seg, ts, ys, t)
 
 
 @dataclass(frozen=True)
@@ -73,6 +201,9 @@ class Trajectory:
 
     states has shape (n, 6) for one initial state, or (n, N, 6) for a stack
     of N states integrated with shared steps; `row` picks one of them.
+    n_rhs_evals counts the right-hand-side calls of the run, not those that
+    build the interpolant when it is first read; n_rejected counts the
+    trial steps that step control rejected.
     """
 
     ts: np.ndarray
@@ -80,6 +211,7 @@ class Trajectory:
     lam: float
     interpolant: Callable | None = None
     n_rhs_evals: int = 0
+    n_rejected: int = 0
 
     @property
     def t0(self) -> float:
@@ -139,6 +271,43 @@ def _bisect_guard_crossing(interp, t_lo: float, t_hi: float, r_min: float):
     return t_hi, _nearest(interp(t_hi))[1]
 
 
+def _initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol) -> float:
+    """First step size (Hairer, Norsett & Wanner, Sec. II.4), as scipy's select_initial_step."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = fun(t0 + h0, y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval_length)
+
+
+def _rk_step(fun, t, y, f, h, method, k):
+    """One step from (t, y) with f = fun(t, y); fills the stages k and returns y_new, f_new."""
+    k[0] = f
+    for s, (a, c) in enumerate(zip(method.A[1:], method.C[1:]), start=1):
+        dy = np.dot(k[:s].T, a[:s]) * h
+        k[s] = fun(t + c * h, y + dy)
+    y_new = y + h * np.dot(k[: len(method.B)].T, method.B)
+    f_new = fun(t + h, y_new)
+    k[len(method.B)] = f_new
+    return y_new, f_new
+
+
+# step-size control: safety factor and the bounds of one step's change
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
 def integrate(
     system: HomotopySystem,
     x0: State | np.ndarray,
@@ -172,34 +341,64 @@ def integrate(
     n_evals = 0
 
     def fun(t, y):
+        """The flat right-hand side at time t, or at times t (k,) for k flat states y (k, n)."""
         nonlocal n_evals
         n_evals += 1
-        return system.rhs_array(t, y.reshape(shape), lam).reshape(-1)
+        if np.ndim(t) == 0:
+            return system.rhs_array(t, y.reshape(shape), lam).reshape(-1)
+        return system.rhs_array(np.repeat(t, y0.size // 6), y.reshape(-1, 6), lam).reshape(y.shape)
 
-    stepper = _METHODS[cfg.method](fun, t0, y0, t1, rtol=cfg.rtol, atol=cfg.atol)
-    ts = [t0]
-    ys = [y0]
-    interps = []
-    steps = 0
-    while stepper.status == "running":
-        if steps >= cfg.max_steps:
+    method = _METHODS[cfg.method]
+    rtol, atol = max(cfg.rtol, 100 * np.finfo(float).eps), cfg.atol
+    exponent = -1 / (method.error_order + 1)
+    t, y, f = t0, y0, fun(t0, y0)
+    h_abs = _initial_step(fun, t0, y0, t1, f, method.error_order, rtol, atol)
+    ts, ys, stages = [t0], [y0], []
+    n_rejected = 0
+    while t < t1:
+        if len(stages) >= cfg.max_steps:
             raise MaxStepsExceeded(f"no convergence within {cfg.max_steps} steps")
-        message = stepper.step()
-        steps += 1
-        if stepper.status == "failed":
-            raise StepUnderflow(f"step control failed at t = {stepper.t:.6g}: {message}")
-        interp = stepper.dense_output()
-        interps.append(interp)
-        ts.append(stepper.t)
-        ys.append(stepper.y.copy())
-        if _nearest(stepper.y)[0] < cfg.r_min:
-            t_cross, y_cross = _bisect_guard_crossing(interp, ts[-2], stepper.t, cfg.r_min)
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepUnderflow(f"step control failed at t = {t:.6g}: {_TOO_SMALL_STEP}")
+            t_new = min(t + h_abs, t1)
+            h = t_new - t
+            h_abs = np.abs(h)
+            k = np.empty((method.rows, y0.size))
+            y_new, f_new = _rk_step(fun, t, y, f, h, method, k)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = method.error_norm(k[: len(method.B) + 1], h, scale)
+            if error_norm < 1:
+                factor = _MAX_FACTOR
+                if error_norm != 0:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**exponent)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
+            rejected = True
+            n_rejected += 1
+        ts.append(t_new)
+        ys.append(y_new)
+        stages.append(k)
+        if _nearest(y_new)[0] < cfg.r_min:
+            step = _DenseOutput(method, np.array(ts[-2:]), np.array(ys[-2:]), stages[-1:], fun)
+            t_cross, y_cross = _bisect_guard_crossing(step, t, t_new, cfg.r_min)
             raise SingularityApproach(t_cross, State.from_array(y_cross), cfg.r_min)
+        t, y, f = t_new, y_new, f_new
 
-    ts_arr = np.asarray(ts)
-    states = np.asarray(ys).reshape((len(ts),) + shape)
-    sol = OdeSolution(ts_arr, interps) if interps else None
-    return Trajectory(ts=ts_arr, states=states, lam=lam, interpolant=sol, n_rhs_evals=n_evals)
+    ts_arr, ys_arr = np.asarray(ts), np.asarray(ys)
+    interp = _DenseOutput(method, ts_arr, ys_arr, stages, fun)
+    return Trajectory(
+        ts=ts_arr,
+        states=ys_arr.reshape((len(ts),) + shape),
+        lam=lam,
+        interpolant=interp,
+        n_rhs_evals=n_evals,
+        n_rejected=n_rejected,
+    )
 
 
 def conserved_energy(system: HomotopySystem, y: np.ndarray, lam: float):

@@ -9,13 +9,54 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.stats import qmc
+
+# Sobol direction numbers of dimensions 1-6 (Joe & Kuo 2008): primitive
+# polynomial and initial values; dimension 1 is van der Corput's sequence.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19)
+_SOBOL_INIT = ((1,), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3))
+_SOBOL_BITS = 30
+
+
+def _direction_numbers(dim: int) -> np.ndarray:
+    """The 30-bit direction numbers v[d, j] of the first dim Sobol dimensions."""
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
+    for d in range(1, dim):
+        poly, init = _SOBOL_POLY[d], _SOBOL_INIT[d]
+        deg = len(init)
+        v[d, :deg] = init
+        for j in range(deg, _SOBOL_BITS):
+            new = v[d, j - deg]
+            for k in range(1, deg + 1):
+                if (poly >> (deg - k)) & 1:
+                    new ^= v[d, j - k] << k
+            v[d, j] = new
+    return v << np.arange(_SOBOL_BITS - 1, -1, -1)
 
 
 def sobol_points(n_pow2: int, dim: int, seed: int) -> np.ndarray:
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    return sampler.random_base2(n_pow2)
+    """2**n_pow2 scrambled Sobol points in [0, 1)^dim, dim <= 6.
+
+    Linear matrix scrambling plus a digital shift, drawn from
+    default_rng(seed) in the order of scipy's qmc.Sobol(dim, scramble=True,
+    seed=seed).random_base2(n_pow2), whose output this equals bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, 2, size=(dim, _SOBOL_BITS), dtype=np.uint32) @ (
+        1 << np.arange(_SOBOL_BITS)
+    )
+    ltm = np.tril(rng.integers(0, 2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    # bit l (from the top) of a scrambled number: parity of row l of ltm against its old bits
+    top = np.arange(_SOBOL_BITS - 1, -1, -1)
+    bits = (_direction_numbers(dim)[:, :, None] >> top) & 1
+    v = (np.einsum("dlk,djk->djl", ltm.astype(np.int64), bits) & 1) @ (1 << top)
+    # Gray-code order: point i is the shift XOR the direction numbers of the bits of i ^ (i >> 1)
+    i = np.arange(2**n_pow2)
+    gray = i ^ (i >> 1)
+    quasi = np.broadcast_to(shift.astype(np.int64), (len(i), dim))
+    for j in range(n_pow2):
+        quasi = quasi ^ (((gray >> j) & 1)[:, None] * v[:, j])
+    return quasi * 2.0**-_SOBOL_BITS
 
 
 def unit_vectors(u: np.ndarray) -> np.ndarray:
@@ -50,18 +91,72 @@ _N_RADII = 40
 _DIR_POW2 = 8
 _N_TIME = 4
 _N_REFINE = 5
+# the ascent: central-difference step, iteration cap, step quarterings per iteration
+_FD_STEP = 1e-6
+_ASCENT_ITERS = 200
+_BACKTRACKS = 25
+
+
+def _annulus_point(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, q) of parameter rows z = (log r, cos theta, azimuth, t) of shape (k, 4)."""
+    r = np.exp(z[:, 0])
+    cz = np.clip(z[:, 1], -1.0, 1.0)
+    s = np.sqrt(np.maximum(0.0, 1.0 - cz * cz))
+    return z[:, 3], r[:, None] * np.column_stack([s * np.cos(z[:, 2]), s * np.sin(z[:, 2]), cz])
+
+
+def _ascend(f, z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ascent of f inside the box [lo, hi] from every row of z at once.
+
+    f maps rows of shape (k, 4) to k values.  The gradient is a central
+    difference, scaled by |f|; each iteration tries the last accepted step
+    times 4 and quarters it until the projected point satisfies the Armijo
+    condition with a strict increase.  A row stops when no quartering
+    increases f.  Returns the final rows and their values.
+    """
+    z = z.copy()
+    fz = f(z)
+    probes = _FD_STEP * np.vstack([np.eye(4), -np.eye(4)])
+    step = np.ones(len(z))
+    live = np.arange(len(z))
+    for _ in range(_ASCENT_ITERS):
+        zl, fl = z[live], fz[live]
+        fp = f((zl[:, None, :] + probes).reshape(-1, 4)).reshape(len(live), 8)
+        scale = np.maximum(np.abs(fl), 1e-300)[:, None]
+        grad = (fp[:, :4] - fp[:, 4:]) / (2.0 * _FD_STEP * scale)
+        trial = 4.0 * step[live]
+        moved = np.zeros(len(live), dtype=bool)
+        waiting = np.arange(len(live))
+        for _ in range(_BACKTRACKS):
+            z_try = np.clip(zl[waiting] + trial[waiting, None] * grad[waiting], lo, hi)
+            f_try = f(z_try)
+            rise = np.add.reduce(grad[waiting] * (z_try - zl[waiting]), axis=1)
+            ok = (f_try > fl[waiting]) & (f_try >= fl[waiting] + 1e-4 * scale[waiting, 0] * rise)
+            rows = live[waiting[ok]]
+            z[rows], fz[rows], step[rows] = z_try[ok], f_try[ok], trial[waiting[ok]]
+            moved[waiting[ok]] = True
+            waiting = waiting[~ok]
+            if not waiting.size:
+                break
+            trial[waiting] *= 0.25
+        live = live[moved]
+        if not live.size:
+            break
+    return z, fz
 
 
 def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: int):
     """Sampled maximum of func(t, q) over the shell r_lo <= |q| <= r_hi, t in [0, t_max].
 
-    func takes q of shape (N, 3) for the sweep, one call per time, and of
-    shape (3,) during the ascent; it returns one value per point.
+    func takes q of shape (N, 3) and t of shape () (the sweep, one call
+    per time) or (N,) (the ascent, one time per point); it returns one
+    value per point.
 
     Structured sweep (log radii x quasi-random directions x time grid)
-    followed by local ascent from the best seeds, parametrized in
-    (log r, cos theta, azimuth, t) with the radius kept inside the shell.
-    Returns (value, q, t, meta) where meta records the sample counts.
+    followed by a projected gradient ascent (`_ascend`) from the best
+    seeds, parametrized in (log r, cos theta, azimuth, t) with the radius
+    kept inside the shell.  Returns (value, q, t, meta) where meta records
+    the sample counts.
     """
     points = shells(log_radii(r_lo, r_hi, _N_RADII), sphere_directions(_DIR_POW2, seed))
     times = np.linspace(0.0, t_max, _N_TIME) if t_max > 0 else np.array([0.0])
@@ -69,36 +164,21 @@ def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: i
 
     flat = values.ravel()
     order = np.argsort(flat)[::-1][:_N_REFINE]
-
-    log_lo, log_hi = math.log(r_lo), math.log(r_hi)
-
-    def unpack(z):
-        r = math.exp(z[0])
-        cz = min(1.0, max(-1.0, z[1]))
-        s = math.sqrt(max(0.0, 1.0 - cz * cz))
-        q = r * np.array([s * math.cos(z[2]), s * math.sin(z[2]), cz])
-        return z[3], q
-
-    def neg(z):
-        t, q = unpack(z)
-        return -func(t, q)
+    i, j = np.unravel_index(order, values.shape)
+    q, r = points[j], np.linalg.norm(points[j], axis=1)
+    azimuth = np.arctan2(q[:, 1], q[:, 0]) % (2.0 * math.pi)
+    z0 = np.column_stack([np.log(r), np.clip(q[:, 2] / r, -1.0, 1.0), azimuth, times[i]])
+    lo = np.array([math.log(r_lo), -1.0, 0.0, 0.0])
+    hi = np.array([math.log(r_hi), 1.0, 2.0 * math.pi, max(t_max, 0.0)])
+    z, fz = _ascend(lambda z: func(*_annulus_point(z)), z0, lo, hi)
 
     best_val = float(flat[order[0]])
-    i0, j0 = np.unravel_index(order[0], values.shape)
-    best_q, best_t = points[j0].copy(), float(times[i0])
-
-    bounds = [(log_lo, log_hi), (-1.0, 1.0), (0.0, 2.0 * math.pi), (0.0, max(t_max, 0.0))]
-    for k in order:
-        i, j = np.unravel_index(k, values.shape)
-        q = points[j]
-        r = float(np.linalg.norm(q))
-        cz = min(1.0, max(-1.0, q[2] / r))
-        az = math.atan2(q[1], q[0]) % (2.0 * math.pi)
-        z0 = np.array([math.log(r), cz, az, times[i]])
-        res = minimize(neg, z0, method="L-BFGS-B", bounds=bounds)
-        if -res.fun > best_val:
-            best_val = float(-res.fun)
-            best_t, best_q = unpack(res.x)
+    best_q, best_t = points[j[0]].copy(), float(times[i[0]])
+    k = int(np.argmax(fz))
+    if fz[k] > best_val:
+        best_val = float(fz[k])
+        t, q = _annulus_point(z[k : k + 1])
+        best_t, best_q = float(t[0]), q[0]
 
     meta = {
         "samples": int(flat.size),

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from lfe.certificate import region_checks
+from lfe.fields import gauss_legendre
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import IntegratorConfig, SolverError, Trajectory, integrate
 from lfe.kinematics import State
@@ -38,6 +38,8 @@ class LeftDomain(SolverError):
 
 _DAMPING = tuple(0.5**k for k in range(20))  # Newton step factors 1, 1/2, ..., 2**-19
 _FD_STEP = 1e-7
+# a residual at most this many eps * max(1, |x|_inf) is at round-off level
+_ROUNDOFF = 8.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -156,15 +158,16 @@ def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
     mean_identity: |integral of p' over one period| (zero for a closed orbit).
     virial_lhs:    integral of q . p' dt, non-positive for periodic orbits.
     virial_rhs:    -integral of p . q' = -integral of |p|^2 / sqrt(1+|p|^2) dt.
-    One Gauss-Kronrod quadrature of [p', q . p', p . q'] on the dense output, rtol 1e-8.
+    6-node Gauss-Legendre on every accepted step of the dense output, the
+    integrand [p', q . p', p . q'] at all nodes in one stacked rhs_array call.
     """
-
-    def integrand(t):
-        y = traj.at(t)
-        f = system.rhs_array(t, y, traj.lam)
-        return np.append(f[3:], [float(np.dot(y[:3], f[3:])), float(np.dot(y[3:], f[:3]))])
-
-    total, _ = quad_vec(integrand, traj.t0, traj.t1, epsabs=1e-10, epsrel=1e-8)
+    t, w = gauss_legendre(traj.ts[:-1], traj.ts[1:])
+    t, w = t.ravel(), w.ravel()
+    y = traj.at(t).T
+    f = system.rhs_array(t, y, traj.lam)
+    qf = np.add.reduce(y[:, :3] * f[:, 3:], axis=1)
+    pf = np.add.reduce(y[:, 3:] * f[:, :3], axis=1)
+    total = w @ np.column_stack([f[:, 3:], qf, pf])
     return {
         "mean_identity": float(np.max(np.abs(total[:3]))),
         "virial_lhs": float(total[3]),
@@ -184,9 +187,13 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
     lies in the search region, flows and lowers the residual sup-norm;
     convergence is that norm below problem.solver.newton_tol.  Each
     iteration's starting residual and damping factor go into `newton_trace`.
-    Raises NewtonDiverged (no decrease with any factor, or the iteration
-    cap), SingularJacobian (condition estimate above 1e12) or LeftDomain
-    (the guess, or every damped trial point, outside the search region).
+    Raises NewtonDiverged (no decrease with any factor, the iteration cap,
+    or round-off stagnation: a trial flow fails to lower a residual already
+    within _ROUNDOFF * max(1, |x|_inf), so newton_tol is out of reach),
+    SingularJacobian (condition estimate above 1e12) or LeftDomain (the
+    guess, or every damped trial point, outside the search region).  A
+    failure raised after the first flow carries the iterations so far as
+    `newton_trace`.
     """
     y = guess.as_array()
     bad = problem.violation(y)
@@ -199,39 +206,49 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
 
     tol = problem.solver.newton_tol
     trace = []
-    while res_norm >= tol:
-        if len(trace) >= problem.solver.max_iterations:
-            raise NewtonDiverged(
-                f"residual {res_norm:.3e} after {len(trace)} iterations (tol {tol:g})"
-            )
-        jac = monodromy - np.eye(6)
-        cond = float(np.linalg.cond(jac))
-        if not math.isfinite(cond) or cond > 1e12:
-            raise SingularJacobian(f"shooting Jacobian condition estimate {cond:.3e}")
-        delta = np.linalg.solve(jac, -res)
+    try:
+        while res_norm >= tol:
+            if len(trace) >= problem.solver.max_iterations:
+                raise NewtonDiverged(
+                    f"residual {res_norm:.3e} after {len(trace)} iterations (tol {tol:g})"
+                )
+            jac = monodromy - np.eye(6)
+            cond = float(np.linalg.cond(jac))
+            if not math.isfinite(cond) or cond > 1e12:
+                raise SingularJacobian(f"shooting Jacobian condition estimate {cond:.3e}")
+            delta = np.linalg.solve(jac, -res)
 
-        for alpha in _DAMPING:
-            y_try = y + alpha * delta
-            if problem.violation(y_try) is not None:
-                continue
-            try:
-                traj_try, monodromy_try = problem.flow_with_monodromy(y_try)
-            except SolverError:
-                continue
-            res_try = traj_try.states[-1] - traj_try.states[0]
-            res_try_norm = float(np.max(np.abs(res_try)))
-            if res_try_norm < res_norm:
-                trace.append({"residual": res_norm, "alpha": alpha})
-                y, traj, monodromy = y_try, traj_try, monodromy_try
-                res, res_norm = res_try, res_try_norm
-                break
-        else:
-            if all(problem.violation(y + alpha * delta) is not None for alpha in _DAMPING):
-                raise LeftDomain("every damped step left the search region")
-            raise NewtonDiverged(
-                f"no residual decrease after {len(_DAMPING)} damping halvings "
-                f"(residual {res_norm:.3e})"
-            )
+            for alpha in _DAMPING:
+                y_try = y + alpha * delta
+                if problem.violation(y_try) is not None:
+                    continue
+                try:
+                    traj_try, monodromy_try = problem.flow_with_monodromy(y_try)
+                except SolverError:
+                    continue
+                res_try = traj_try.states[-1] - traj_try.states[0]
+                res_try_norm = float(np.max(np.abs(res_try)))
+                if res_try_norm < res_norm:
+                    trace.append({"residual": res_norm, "alpha": alpha})
+                    y, traj, monodromy = y_try, traj_try, monodromy_try
+                    res, res_norm = res_try, res_try_norm
+                    break
+                if res_norm <= _ROUNDOFF * max(1.0, float(np.max(np.abs(y)))):
+                    raise NewtonDiverged(
+                        f"round-off stagnation: residual {res_norm:.3e} is at round-off level "
+                        f"and a trial step does not lower it; newton_tol = {tol:g} is "
+                        "unreachable in double precision"
+                    )
+            else:
+                if all(problem.violation(y + alpha * delta) is not None for alpha in _DAMPING):
+                    raise LeftDomain("every damped step left the search region")
+                raise NewtonDiverged(
+                    f"no residual decrease after {len(_DAMPING)} damping halvings "
+                    f"(residual {res_norm:.3e})"
+                )
+    except SolverError as err:
+        err.newton_trace = trace
+        raise
 
     return OrbitSolution(
         lam=problem.lam,
@@ -276,8 +293,10 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     after two consecutive successes, and never drops below
     solver.dlam_floor.  The predictor is the previous initial state; each
     accepted orbit is checked against problem.region when it is set.  Each
-    attempt adds one `history` record; at most ceil(target_lambda / dlam_init)
-    * (1 + the halvings that take dlam_init down to dlam_floor) are made.
+    attempt adds one `history` record with its Newton iterations
+    (`newton_trace`, up to the failure for a failed solve); at most
+    ceil(target_lambda / dlam_init) * (1 + the halvings that take dlam_init
+    down to dlam_floor) are made.
     The path reports how far it got rather than raising: status is one of
     reached_target / stepsize_underflow / bound_violation / budget_exhausted.
     A failed path means the path is incomplete, not that no orbit exists.
@@ -299,13 +318,20 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
         try:
             sol = newton_shooting(solutions[-1].x0, replace(problem, lam=lam_try))
         except SolverError as err:
-            sol, reason = None, str(err)
+            sol, reason, trace = None, str(err), getattr(err, "newton_trace", [])
         else:
             region = problem.region
             checks = [] if region is None else region_checks(sol.trajectory.states, region)
             reason = next((check.detail for check in checks if not check.passed), None)
+            trace = sol.newton_trace
         history.append(
-            {"lambda": lam_try, "dlam": dlam, "accepted": reason is None, "reason": reason or ""}
+            {
+                "lambda": lam_try,
+                "dlam": dlam,
+                "accepted": reason is None,
+                "reason": reason or "",
+                "newton_trace": trace,
+            }
         )
         if reason is None:
             solutions.append(sol)

@@ -94,6 +94,15 @@ def test_run_report_records_the_newton_trace(a6_run):
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
 
+def test_run_report_records_every_newton_trace_and_the_rejected_steps(a6_run):
+    report = a6_run["report"]
+    history = report["continuation"]["history"]
+    assert [len(h["newton_trace"]) for h in history] == [3] * 6
+    assert history[-1]["newton_trace"] == report["final_orbit"]["newton_trace"]
+    # step control rejected two trial steps in the final orbit's flow
+    assert report["final_orbit"]["n_rejected"] == 2
+
+
 def test_a1_kinematics():
     t0 = time.perf_counter()
     rng = np.random.default_rng(SEED)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import lfe.shooting
 from lfe.cli import main
 from lfe.config_io import ConfigError, parse_config
 from lfe.fields import DipoleField, GeneralizedCoulomb, ZeroField
@@ -471,6 +472,43 @@ def test_cli_continue_ends_when_the_step_budget_is_used_up(tmp_path):
     assert continuation["message"] == f"attempted-step budget 15 used up at lam = {lam:.6g}"
 
 
+def test_cli_continue_history_records_failed_newton_traces(tmp_path):
+    # one Newton iteration per solve: a failed attempt keeps the iteration it made
+    text = LIGHT.replace("dlam_init = 1.0", "dlam_init = 1.0\nmax_iterations = 1")
+    text = text.replace("mean = 0 0 2", "mean = 0 0 2\nharmonic_1_cos = 0.9 0 0")
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
+    history = json.loads((out / "run_report.json").read_text())["continuation"]["history"]
+    failed = [h for h in history if not h["accepted"]]
+    assert failed and all(h["reason"].startswith("residual ") for h in failed)
+    assert all(len(h["newton_trace"]) == 1 for h in failed)
+    assert all(0.0 < h["newton_trace"][0]["alpha"] <= 1.0 for h in history)
+
+
+def test_cli_find_orbit_stops_at_round_off_stagnation(tmp_path, monkeypatch):
+    # the exact equilibrium has residual 1.1e-16; newton_tol = 1e-300 cannot be reached
+    flows = []
+    integrate = lfe.shooting.integrate
+    monkeypatch.setattr(lfe.shooting, "integrate", lambda *a, **k: flows.append(1) or integrate(*a, **k))
+    text = LIGHT.replace("seed = 7", "seed = 7\nnewton_tol = 1e-300")
+    out = tmp_path / "out"
+    assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
+    assert (out / "orbit_report.txt").read_text() == (
+        "shooting failed: round-off stagnation: residual 1.110e-16 is at round-off level and "
+        "a trial step does not lower it; newton_tol = 1e-300 is unreachable in double precision\n"
+    )
+    assert len(flows) <= 2  # the guess's flow and at most one trial flow
+
+
+def test_cli_reports_the_rejected_steps_of_the_orbit(tmp_path):
+    # at lambda = 1 with c_B = 0.2, step control rejects two trial steps of the desk orbit's flow
+    text = DESK.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
+    out = tmp_path / "out"
+    assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    assert json.loads((out / "orbit_report.json").read_text())["n_rejected"] == 2
+    assert "n_rejected" not in (out / "orbit_report.txt").read_text()
+
+
 def test_cli_continue_without_start_orbit_records_solver_error(tmp_path):
     text = LIGHT.replace("seed = 7", "seed = 7\nnewton_tol = 1e-300\nmax_iterations = 1")
     out = tmp_path / "out"
@@ -503,7 +541,7 @@ def test_cli_find_orbit_text_matches_json(tmp_path):
         expected = payload[key] if isinstance(payload[key], list) else [payload[key]]
         assert [float(v) for v in value.split()] == expected, key
         keys.append(key)
-    assert sorted(keys) == sorted(set(payload) - {"monodromy", "newton_trace"})
+    assert sorted(keys) == sorted(set(payload) - {"monodromy", "newton_trace", "n_rejected"})
 
 
 def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):

@@ -191,6 +191,37 @@ def test_forcing_l1_oracle_mixed():
     assert math.isclose(f.l1_norm(), oracle, rel_tol=1e-8)
 
 
+@pytest.mark.parametrize(
+    "forcing",
+    [
+        # h passes through 0 at t = 0.25 and 0.75 (|h| has kinks where the rule cannot see them)
+        Forcing(1.0, [0.0, 0.0, 0.0], [Harmonic(1, [1.0, 0, 0], [0, 0, 0])]),
+        # zeros of h off every dyadic point, from a shifted third harmonic
+        Forcing(1.0, [0.3, 0.0, 0.0], [Harmonic(3, [1.0, 0, 0], [0.4, 0, 0])]),
+        Forcing(
+            2.0,
+            [2.0, 0.0, 0.0],
+            [Harmonic(1, [0.4, 1.0, 0.0], [0.0, -0.3, 2.0]), Harmonic(3, [0, 0.2, 0], [1, 0, 0])],
+        ),
+    ],
+    ids=["kink-on-grid", "kink-off-grid", "smooth"],
+)
+def test_forcing_l1_matches_adaptive_quadrature(forcing):
+    oracle = quad(
+        lambda t: np.linalg.norm(forcing.eval(t)), 0.0, forcing.period, epsabs=1e-14, epsrel=1e-10, limit=400
+    )[0]
+    assert math.isclose(forcing.l1_norm(), oracle, rel_tol=1e-8)
+
+
+def test_forcing_takes_one_time_per_row():
+    f = Forcing(
+        2.0, [2.0, 0.0, 0.0], [Harmonic(1, [0.4, 1.0, 0.0], [0.0, -0.3, 2.0]), Harmonic(3, [0, 0.2, 0], [1, 0, 0])]
+    )
+    times = np.random.default_rng(5).uniform(-3.0, 3.0, size=50)
+    assert f.eval(0.7).shape == (3,)
+    assert np.array_equal(f.eval(times), [f.eval(t) for t in times])
+
+
 def test_validate_passes_on_desk_scenario():
     report = validate_hypotheses(desk_config(), seed=VALIDATION_SEED)
     assert report.passed, report.lines()

@@ -236,3 +236,22 @@ def test_f0_determinant_always_negative():
         x = random_state(rng)
         c0 = rng.uniform(0.1, 10.0)
         assert f0_determinant_closed_form(c0, x.q, x.p) < 0.0
+
+
+@pytest.mark.parametrize(
+    "magnetic",
+    [ZeroField(), UniformField([0.3, -0.2, 1.0]), DipoleField([0.0, 0.0, 0.1]), ABCField(1.0, 0.5, 0.3)],
+    ids=["zero", "uniform", "dipole", "abc"],
+)
+def test_rhs_takes_one_time_per_row(magnetic):
+    # desk forcing has a cosine harmonic, so h_lambda depends on each row's time
+    system = HomotopySystem(dataclasses.replace(desk_config(), magnetic=magnetic))
+    rng = np.random.default_rng(37)
+    stack = np.array([random_state(rng).as_array() for _ in range(7)])
+    times = rng.uniform(0.0, 1.0, size=7)
+    for lam in (0.0, 0.4, 1.0):
+        h = system.h_lambda(times, lam)
+        assert h.shape == (7, 3)
+        assert np.array_equal(h, [system.h_lambda(t, lam) for t in times])
+        out = system.rhs_array(times, stack, lam)
+        assert np.array_equal(out, [system.rhs_array(t, y, lam) for t, y in zip(times, stack)])

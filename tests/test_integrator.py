@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, RK45, OdeSolution
 
 from conftest import coulomb_config, desk_config, force_free_config, gyro_config, zero_potential
 from lfe.degree import find_zero_f0
@@ -257,3 +258,66 @@ def test_csv_export(tmp_path, gyro_system):
     path2 = tmp_path / "traj2.csv"
     traj.write_csv(path2, grid)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _scipy_flow(system, y0, t1, lam, method):
+    """Nodes, dense output and RHS count of scipy's own stepper on the same flat system."""
+    shape = y0.shape
+    stepper = {"DOP853": DOP853, "RK45": RK45}[method](
+        lambda t, y: system.rhs_array(t, y.reshape(shape), lam).reshape(-1),
+        0.0,
+        y0.reshape(-1),
+        t1,
+        rtol=IntegratorConfig().rtol,
+        atol=IntegratorConfig().atol,
+    )
+    ts, ys, interps = [0.0], [y0.reshape(-1)], []
+    while stepper.status == "running":
+        stepper.step()
+        interps.append(stepper.dense_output())
+        ts.append(stepper.t)
+        ys.append(stepper.y.copy())
+    return np.array(ts), np.array(ys), OdeSolution(np.array(ts), interps), stepper.nfev
+
+
+_EQ = find_zero_f0(1.0, [0.0, 0.0, 2.0]).as_array()
+
+
+@pytest.mark.parametrize("method", ["DOP853", "RK45"])
+@pytest.mark.parametrize(
+    "case",
+    [
+        ("gyro", np.array([5.0, 0.0, 0.0, 0.75, 0.0, 0.0]), 1.0, GYRO_PERIOD),
+        ("desk", _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0]), 1.0, 1.0),
+        ("desk", _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0]), 0.5, 1.0),
+        # the shooting stack: an orbit and its six forward perturbations
+        ("desk", _EQ + np.vstack([np.zeros(6), 1e-7 * np.eye(6)]), 1.0, 1.0),
+    ],
+    ids=["gyro", "desk", "desk-half-lambda", "desk-42-stack"],
+)
+def test_nodes_and_dense_output_equal_scipy(case, method):
+    name, y0, lam, t1 = case
+    system = HomotopySystem(gyro_config() if name == "gyro" else desk_config())
+    ts, ys, oracle, nfev = _scipy_flow(system, y0, t1, lam, method)
+    traj = integrate(system, y0, (0.0, t1), lam, IntegratorConfig(method=method))
+    assert np.array_equal(traj.ts, ts)
+    assert np.array_equal(traj.states.reshape(len(ts), -1), ys)
+    grid = np.linspace(0.0, t1, 1001)
+    shuffled = np.random.default_rng(3).uniform(0.0, t1, size=100)
+    assert np.array_equal(traj.interpolant(grid), oracle(grid))
+    assert np.array_equal(traj.interpolant(shuffled), oracle(shuffled))
+    for t in list(shuffled[:10]) + list(ts):
+        assert np.array_equal(traj.interpolant(t), oracle(t))
+    # scipy's count includes the interpolant stages of every step; ours builds them on reading
+    extra = 3 * (len(ts) - 1) if method == "DOP853" else 0
+    assert traj.n_rhs_evals == nfev - extra
+
+
+def test_trajectory_counts_rejected_steps(gyro_system):
+    x0 = np.array([5.0, 0.0, 0.0, 0.75, 0.0, 0.0])
+    traj = integrate(gyro_system, x0, (0.0, GYRO_PERIOD), 1.0, IntegratorConfig(method="RK45"))
+    # scipy calls the RHS twice to start and 6 times per trial step, accepted or rejected
+    ts, _, _, nfev = _scipy_flow(gyro_system, x0, GYRO_PERIOD, 1.0, "RK45")
+    assert traj.n_rejected == (nfev - 2) // 6 - (len(ts) - 1) > 0
+    stack = integrate(gyro_system, np.array([x0, x0 + 1e-7]), (0.0, GYRO_PERIOD), 1.0)
+    assert stack.row(1).n_rejected == stack.n_rejected

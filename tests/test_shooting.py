@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad_vec
 
 from conftest import coulomb_config, force_free_config
 from lfe.degree import find_zero_f0
 from lfe.homotopy import HomotopySystem
-from lfe.integrator import IntegratorConfig
+from lfe.integrator import IntegratorConfig, StepUnderflow
 from lfe.kinematics import State, phi_inv
 from lfe.shooting import (
     LeftDomain,
@@ -71,13 +72,26 @@ def test_failed_damping_names_its_cause(coulomb_problem):
     short = dataclasses.replace(coulomb_problem, region=(0.1, 0.3, 5.0))
     with pytest.raises(LeftDomain, match="^every damped step left the search region$"):
         newton_shooting(State(q=[0.0, 0.0, -0.59], p=[0.0, 0.0, 0.0]), short)
-    # no damped step lowers the equilibrium's residual 1.1e-16; with |p| < 2e-20 the
-    # longer ones leave the search region and the shorter ones stay in it
+    # no damped step lowers the equilibrium's residual 1.1e-16, which is round-off; with
+    # |p| < 2e-20 the longer steps leave the search region and the first that stays in
+    # flows, fails, and ends the solve
     strict = dataclasses.replace(
         coulomb_problem, solver=SolverOptions(newton_tol=1e-300), region=(0.1, 5.0, 1e-20)
     )
-    with pytest.raises(NewtonDiverged, match=r"^no residual decrease after 20 damping halvings"):
+    with pytest.raises(NewtonDiverged, match=r"^round-off stagnation: residual 1\.110e-16 "):
         newton_shooting(EQ, strict)
+
+    # every trial point stays in the region but no trial flow finishes
+    class FailingTrials(ShootingProblem):
+        def flow_with_monodromy(self, x0):
+            if not np.array_equal(x0, guess.as_array()):
+                raise StepUnderflow("trial flow refused")
+            return super().flow_with_monodromy(x0)
+
+    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
+    failing = FailingTrials(system=coulomb_problem.system, lam=0.0)
+    with pytest.raises(NewtonDiverged, match=r"^no residual decrease after 20 damping halvings"):
+        newton_shooting(guess, failing)
 
 
 def test_residual_self_consistency(coulomb_problem):
@@ -222,6 +236,25 @@ def test_orbit_identities_match_direct_quadrature(coulomb_problem):
     d = sol.diagnostics
     assert math.isclose(d["virial_lhs"], lhs, abs_tol=1e-9)
     assert math.isclose(d["virial_rhs"], rhs, abs_tol=1e-9)
+
+
+def test_orbit_identities_match_adaptive_quadrature(coulomb_problem, desk_problem, desk_path):
+    """The Gauss-Legendre identities against scipy's quad_vec on the same dense output."""
+    perturbed = newton_shooting(State(q=EQ.q + np.array([2e-3, 0, 0]), p=np.zeros(3)), coulomb_problem)
+    for sol, system in ((perturbed, coulomb_problem.system), (desk_path.final, desk_problem.system)):
+        traj = sol.trajectory
+
+        def integrand(t):
+            y = traj.at(t)
+            f = system.rhs_array(t, y, traj.lam)
+            return np.append(f[3:], [np.dot(y[:3], f[3:]), np.dot(y[3:], f[:3])])
+
+        total = quad_vec(integrand, traj.t0, traj.t1, epsabs=1e-12, epsrel=1e-10)[0]
+        ours = sol.diagnostics
+        assert abs(ours["mean_identity"] - np.max(np.abs(total[:3]))) <= 1e-10
+        assert abs(ours["virial_lhs"] - total[3]) <= 1e-10
+        assert abs(ours["virial_rhs"] + total[4]) <= 1e-10
+        assert abs(ours["virial_gap"] - abs(total[3] + total[4])) <= 1e-10
 
 
 def test_trial_step_into_the_guard_radius_is_halved():
