@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lfe.fields import FieldConfig, HypothesisCheck
+from lfe.fields import FieldConfig, HypothesisCheck, radial_powers
 from lfe.kinematics import phi_inv
 from lfe.sampling import log_radii, maximize_on_annulus, shells, sphere_directions
 
@@ -135,10 +135,10 @@ def compute_R(config: FieldConfig, *, seed: int) -> float:
     radius = 1.0
     while radius <= _MAX_RADIUS:
         radii = radius * np.array(_SPHERE_MULTIPLES)
-        cloud = shells(radii, dirs)
+        cloud, rad = radial_powers(shells(radii, dirs))
         coulomb = float((config.c0 / radii**2).max())
-        e_sup = max(float(np.linalg.norm(config.potential.gradient(cloud), axis=-1).max()), coulomb)
-        b_sup = max(float(np.linalg.norm(config.magnetic.eval(t, cloud), axis=-1).max()) for t in times)
+        e_sup = max(float(np.linalg.norm(config.potential.gradient(cloud, rad), axis=-1).max()), coulomb)
+        b_sup = max(float(np.linalg.norm(config.magnetic.eval(t, cloud, rad), axis=-1).max()) for t in times)
         if b_sup < config.c_B and e_sup < threshold:
             return radius
         radius *= 2.0
@@ -174,8 +174,8 @@ def compute_lower_constants(
     c0_eff = 0.5 * config.c0
 
     radii = log_radii(cap * 1e-8, cap, 160)
-    cloud = shells(radii, sphere_directions(6, seed))
-    lhs = -np.add.reduce(cloud * config.potential.gradient(cloud), axis=-1).reshape(len(radii), -1)
+    cloud, rad = radial_powers(shells(radii, sphere_directions(6, seed)))
+    lhs = -np.add.reduce(cloud * config.potential.gradient(cloud, rad), axis=-1).reshape(len(radii), -1)
     rhs = c0_eff / radii + config.c1 * radii ** (-config.beta)
     failing = radii[(lhs < (rhs - 1e-12 * rhs)[:, None]).any(axis=1)]
     r_bad = float(failing.min()) if failing.size else math.inf
@@ -197,8 +197,9 @@ def compute_lower_constants(
     K2 = abs(math.log(epsilon))
 
     def grad_plus_b(t, q):
-        return np.linalg.norm(config.potential.gradient(q), axis=-1) + np.linalg.norm(
-            config.magnetic.eval(t, q), axis=-1
+        q, rad = radial_powers(q)
+        return np.linalg.norm(config.potential.gradient(q, rad), axis=-1) + np.linalg.norm(
+            config.magnetic.eval(t, q, rad), axis=-1
         )
 
     C, _, _, _ = maximize_on_annulus(grad_plus_b, epsilon, R + period, period, seed=seed + 1)
@@ -220,10 +221,11 @@ def compute_momentum_bound(
         raise ValueError(f"need 0 < m < R + T, got m={m}, R+T={R + period}")
 
     def h_total(t, q):
+        q, rad = radial_powers(q)
         return (
-            np.linalg.norm(config.potential.gradient(q), axis=-1)
-            + config.c0 / np.linalg.norm(q, axis=-1) ** 2
-            + np.linalg.norm(config.magnetic.eval(t, q), axis=-1)
+            np.linalg.norm(config.potential.gradient(q, rad), axis=-1)
+            + config.c0 * rad[0][..., 0]
+            + np.linalg.norm(config.magnetic.eval(t, q, rad), axis=-1)
         )
 
     M, _, _, _ = maximize_on_annulus(h_total, m, R + period, period, seed=seed + 2)

@@ -10,7 +10,8 @@ only its failure message to `<stem>.txt`.  `continue` runs the stages in
 order and always writes run_report: a failed stage ends the text with
 `aborted: <message>` and stores the error under `certificate_error`,
 `degree_error` or `solver_error`; `continuation.history` lists every
-attempted step with its lambda, dlam, accepted flag and reason.
+attempted step with its lambda, dlam, accepted flag and reason; only
+`wall_clock_s` and `timings` (seconds per stage) differ between runs.
 Exit codes: 0 success, 2 hypothesis/certificate failure, 3 solver
 failure, 4 I/O or configuration error.  Flags never override file
 values; they only select the subcommand and point at files.  Stdout
@@ -223,9 +224,19 @@ def cmd_find_orbit(cfg: RunConfig, out: Path, report) -> int:
     return EXIT_OK
 
 
+def _lap(timings: dict, stage: str, start: float) -> float:
+    """Add the seconds since `start` to timings[stage]; return the time now."""
+    now = time.perf_counter()
+    timings[stage] = timings.get(stage, 0.0) + (now - start)
+    return now
+
+
 def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
     """The stages of `continue` in order, each adding its section to `text` and `record`."""
+    timings = record["timings"] = {}
+    clock = time.perf_counter()
     validation = validate_hypotheses(cfg.fields, seed=cfg.solver.seed)
+    clock = _lap(timings, "validate", clock)
     text += _section("hypothesis validation", validation.lines())
     record["validation_passed"] = validation.passed
     record["validation"] = [dataclasses.asdict(c) for c in validation.checks]
@@ -234,10 +245,12 @@ def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
         return EXIT_HYPOTHESIS
 
     cert = _certify(cfg)
+    clock = _lap(timings, "certificate", clock)
     text += _section("bounds certificate", cert.lines())
     record["certificate"] = _certificate_record(cert)
 
     degree = _degree(cfg, cert)
+    clock = _lap(timings, "degree", clock)
     text += _section("degree at the autonomous limit", degree.lines())
     record["degree"] = degree.degree
     record["degree_escapes_by_start_decade"] = degree.sweep["escapes_by_start_decade"]
@@ -246,8 +259,10 @@ def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
     equilibrium = find_zero_f0(cfg.fields.c0, cfg.fields.forcing.mean)
     start = _shoot(equilibrium, problem, "no starting orbit at lam = 0")
     path = continue_lambda(problem, start)
+    clock = _lap(timings, "continuation", clock)
     rows = path.summary_rows()
     write_rows_csv(out / "continuation.csv", list(rows[0]), [r.values() for r in rows])
+    clock = _lap(timings, "write", clock)
     text += _section(
         f"continuation: {path.status} ({path.message})",
         [
@@ -265,12 +280,14 @@ def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
 
     final = path.final
     verification = verify_orbit(final, cert)
+    clock = _lap(timings, "verify", clock)
     text += _section(f"final orbit at lambda = {final.lam!r}", _orbit_lines(final))
     text += _section("orbit verification", verification.lines())
     record["final_orbit"] = _orbit_record(final, verification)
 
     grid = np.linspace(0.0, problem.system.period, cfg.output.sample_points)
     final.trajectory.write_csv(out / "orbit.csv", grid)
+    _lap(timings, "write", clock)
 
     ok = path.status == "reached_target" and verification.passed
     text += _section("result: " + ("success" if ok else "path incomplete or verification failed"))

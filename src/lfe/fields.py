@@ -9,12 +9,14 @@ and reports pass/fail per condition; the checks are sampled, not proven.
 
 Every potential and magnetic field takes one point `q` of shape (3,) or
 a cloud of shape (N, 3) through the same code path and returns the
-matching shape: `value` gives a scalar or (N,), `gradient` and `eval`
-give (3,) or (N, 3).  A magnetic field's `eval(t, q)` takes t of shape
-() or (N,), one time per point; the fields here are static, so t only
+matching shape: `value(q)` gives a scalar or (N,), `gradient(q, rad)`
+and `eval(t, q, rad)` give (3,) or (N, 3).  `rad` is the radial data
+(|q|^-2, |q|^-3) that `radial_powers(q)` returns with q, so the terms at
+the same points share one |q|; `radial_powers` and `value` raise
+`SingularityError` if any row is the origin.  `eval` takes t of shape ()
+or (N,), one time per point; the fields here are static, so t only
 broadcasts.  Row i of a cloud result equals, bit for bit, the result for
 row i alone.  `Forcing.eval` takes t of shape () or (n,) in the same way.
-The singular fields raise `SingularityError` if any row is the origin.
 """
 
 from __future__ import annotations
@@ -32,16 +34,14 @@ class SingularityError(ValueError):
     """A field was evaluated at the origin, where it is undefined."""
 
 
-def _check_away_from_origin(q) -> tuple[np.ndarray, np.ndarray]:
-    """q as floats of shape (3,) or (N, 3), and |q| of shape (1,) or (N, 1).
-
-    Raises SingularityError if any row of q is the origin.
-    """
+def radial_powers(q) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """q as floats and its radial data (|q|^-2, |q|^-3), each of shape (1,) or (N, 1)."""
     q = np.asarray(q, dtype=float)
-    r = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
-    if not r.all():
+    r2 = np.add.reduce(q * q, axis=-1, keepdims=True)
+    if not r2.all():
         raise SingularityError("fields are singular at the origin")
-    return q, r
+    s = 1.0 / r2
+    return q, (s, s * np.sqrt(s))
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +68,11 @@ class GeneralizedCoulomb:
             raise ValueError("gamma must be >= 1")
 
     def value(self, q):
-        _, r = _check_away_from_origin(q)
-        return self.c0 / self.gamma * r[..., 0] ** (-self.gamma)
+        _, (s, _) = radial_powers(q)
+        return self.c0 / self.gamma * s[..., 0] ** (0.5 * self.gamma)
 
-    def gradient(self, q) -> np.ndarray:
-        q, r = _check_away_from_origin(q)
-        return -self.c0 * q * r ** (-self.gamma - 2.0)
+    def gradient(self, q, rad) -> np.ndarray:
+        return -self.c0 * rad[0] ** (0.5 * self.gamma + 1.0) * q
 
 
 def _each_row(fn, q: np.ndarray):
@@ -92,18 +91,18 @@ _FD_STEP = 1e-6  # central-difference step of TabulatedPotential.gradient
 class TabulatedPotential:
     """Potential given by one-point callables; gradient falls back to central differences.
 
-    The callables take a single (3,) point, so a cloud is evaluated row by row.
+    The callables take one (3,) point, so a cloud is evaluated row by row; `gradient` ignores `rad`.
     """
 
     value_fn: object
     gradient_fn: object = None
 
     def value(self, q):
-        q, _ = _check_away_from_origin(q)
+        q, _ = radial_powers(q)
         return _each_row(self.value_fn, q)
 
-    def gradient(self, q) -> np.ndarray:
-        q, _ = _check_away_from_origin(q)
+    def gradient(self, q, rad) -> np.ndarray:
+        q = np.asarray(q, dtype=float)
         if self.gradient_fn is not None:
             return _each_row(self.gradient_fn, q)
         e = _FD_STEP * np.eye(3)
@@ -118,7 +117,7 @@ class TabulatedPotential:
 
 @dataclass(frozen=True)
 class ZeroField:
-    def eval(self, t: float, q) -> np.ndarray:
+    def eval(self, t: float, q, rad) -> np.ndarray:
         return np.zeros(np.shape(q))
 
 
@@ -129,7 +128,7 @@ class UniformField:
     def __post_init__(self):
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
 
-    def eval(self, t: float, q) -> np.ndarray:
+    def eval(self, t: float, q, rad) -> np.ndarray:
         return np.broadcast_to(self.b, np.shape(q)).copy()
 
 
@@ -145,10 +144,10 @@ class DipoleField:
     def __post_init__(self):
         object.__setattr__(self, "moment", np.asarray(self.moment, dtype=float))
 
-    def eval(self, t: float, q) -> np.ndarray:
-        q, r = _check_away_from_origin(q)
+    def eval(self, t: float, q, rad) -> np.ndarray:
+        s, s3 = rad
         mu_q = np.add.reduce(q * self.moment, axis=-1, keepdims=True)
-        return 3.0 * q * mu_q / r**5 - self.moment / r**3
+        return s3 * (3.0 * s * mu_q * q - self.moment)
 
     def bound_constants(self) -> tuple[float, float]:
         """(c1, beta) with |B| <= c1 |q|^(-beta-1): c1 = 2|mu|, beta = 2."""
@@ -163,7 +162,7 @@ class ABCField:
     B: float
     C: float
 
-    def eval(self, t: float, q) -> np.ndarray:
+    def eval(self, t: float, q, rad) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         x, y, z = q[..., 0], q[..., 1], q[..., 2]
         return np.stack(
@@ -371,14 +370,14 @@ def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
     checks = []
     dirs = sphere_directions(6, seed)
     times = np.linspace(0.0, config.forcing.period, 5)
-    far = shells(_FAR_RADII, dirs)
+    far, far_rad = radial_powers(shells(_FAR_RADII, dirs))
 
-    def radial(q):
+    def radial(q, rad):
         """q . grad V(q) for every row of the cloud q."""
-        return np.add.reduce(q * config.potential.gradient(q), axis=-1)
+        return np.add.reduce(q * config.potential.gradient(q, rad), axis=-1)
 
     # electric decay at infinity: sphere maxima of |grad V| must fall off
-    gv_far = np.linalg.norm(config.potential.gradient(far), axis=-1)
+    gv_far = np.linalg.norm(config.potential.gradient(far, far_rad), axis=-1)
     gv = gv_far.reshape(len(_FAR_RADII), -1).max(axis=1).tolist()
     decreasing = all(gv[i + 1] < gv[i] for i in range(len(gv) - 1))
     decayed = gv[-1] <= 1e-3 * gv[0] if gv[0] > 0 else True
@@ -393,7 +392,7 @@ def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
 
     # global repulsion sign: q.grad V < 0 on a quasi-random cloud
     cloud = shells(log_radii(1e-3, 1e3, 128), sphere_directions(7, seed + 1))
-    worst = float(radial(cloud).max())
+    worst = float(radial(*radial_powers(cloud)).max())
     checks.append(
         HypothesisCheck(
             "repulsion-sign-global",
@@ -406,7 +405,7 @@ def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
     # near-origin repulsion rate: q.grad V <= -c0 |q|^(-gamma) for |q| < eps0
     radii = log_radii(config.eps0 * 1e-4, config.eps0 * (1.0 - 1e-9), 64)
     bound = -config.c0 * radii[:, None] ** (-config.gamma)
-    val = radial(shells(radii, dirs)).reshape(len(radii), -1)
+    val = radial(*radial_powers(shells(radii, dirs))).reshape(len(radii), -1)
     margin = float(np.min((bound - val) + 1e-9 * np.abs(bound)))
     checks.append(
         HypothesisCheck(
@@ -418,7 +417,7 @@ def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
     )
 
     # magnetic ceiling at infinity: sampled |B| < c_B on far spheres
-    bmax = max(float(np.linalg.norm(config.magnetic.eval(t, far), axis=-1).max()) for t in times)
+    bmax = max(float(np.linalg.norm(config.magnetic.eval(t, far, far_rad), axis=-1).max()) for t in times)
     checks.append(
         HypothesisCheck(
             "magnetic-ceiling-at-infinity",
@@ -430,9 +429,9 @@ def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
 
     # near-origin magnetic growth: |B| <= c1 |q|^(-beta-1) for |q| < eps1
     radii = log_radii(config.eps1 * 1e-4, config.eps1 * (1.0 - 1e-9), 64)
-    near = shells(radii, dirs)
+    near, near_rad = radial_powers(shells(radii, dirs))
     bound = config.c1 * radii[:, None] ** (-config.beta - 1.0)
-    val = np.array([np.linalg.norm(config.magnetic.eval(t, near), axis=-1) for t in times])
+    val = np.array([np.linalg.norm(config.magnetic.eval(t, near, near_rad), axis=-1) for t in times])
     val = val.reshape(len(times), len(radii), -1)
     margin = float(np.min((bound - val) + 1e-9 * np.maximum(bound, 1.0)))
     checks.append(
@@ -474,9 +473,9 @@ def magnetic_ceiling(magnetic, *, period: float, seed: int) -> float:
     Sweeps spheres at radii {1, 2, 4, ..., 64} and a time grid; for a
     dipole the sharp on-axis bound at |q| = 1 is taken if it is larger.
     """
-    cloud = shells(2.0 ** np.arange(7), sphere_directions(10, seed))
+    cloud, rad = radial_powers(shells(2.0 ** np.arange(7), sphere_directions(10, seed)))
     times = np.linspace(0.0, period, 5)
-    best = max(float(np.linalg.norm(magnetic.eval(t, cloud), axis=-1).max()) for t in times)
+    best = max(float(np.linalg.norm(magnetic.eval(t, cloud, rad), axis=-1).max()) for t in times)
     if isinstance(magnetic, DipoleField):
         # sampled sphere maxima undershoot the on-axis peak; use the sharp
         # bound c1 |q|^-(beta+1), which is c1 at |q| = 1

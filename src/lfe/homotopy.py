@@ -19,8 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lfe.fields import FieldConfig, _check_away_from_origin
+from lfe.fields import FieldConfig, radial_powers
 from lfe.kinematics import lorentz_factor, phi_inv
+
+
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # component i+1 and i-1 of a 3-vector
 
 
 @dataclass(frozen=True)
@@ -37,14 +40,14 @@ class HomotopySystem:
     def h_mean(self) -> np.ndarray:
         return self.config.forcing.mean
 
-    def grad_V_lambda(self, q, lam: float) -> np.ndarray:
-        """lam * grad V(q) + (1-lam) * grad(c0/|q|) for q of shape (3,) or (N, 3); singular at the origin."""
+    def grad_V_lambda(self, q, rad, lam: float) -> np.ndarray:
+        """lam * grad V(q) + (1-lam) * grad(c0/|q|) for q, rad = radial_powers(q) of shape (3,) or (N, 3)."""
         if lam == 1.0:
-            return self.config.potential.gradient(q)
-        q, r = _check_away_from_origin(q)
+            return self.config.potential.gradient(q, rad)
+        coulomb = (lam - 1.0) * self.config.c0 * rad[1] * q
         if lam == 0.0:
-            return -self.config.c0 * q / r**3
-        return lam * self.config.potential.gradient(q) - (1.0 - lam) * self.config.c0 * q / r**3
+            return coulomb
+        return lam * self.config.potential.gradient(q, rad) + coulomb
 
     def h_lambda(self, t, lam: float) -> np.ndarray:
         """lam * h(t) + (1-lam) * h_mean for t of shape () or (n,); shape (3,) or (n, 3).
@@ -67,22 +70,20 @@ class HomotopySystem:
         one time t of shape () or, for a stack, one time per row, t of
         shape (N,); row i of a stack result equals the result for row i
         alone at its time.
-        Non-finite input propagates to non-finite output (instead of
-        raising) so the step controller can reject and shrink the step.
+        All field terms share one `radial_powers`: a row at the origin raises
+        SingularityError, while non-finite input propagates to non-finite
+        output so the step controller can reject and shrink the step.
         """
-        q = y[..., :3]
+        q, rad = radial_powers(y[..., :3])
         v = phi_inv(y[..., 3:])
         out = np.empty(np.shape(y))
         out[..., :3] = v
-        out[..., 3:] = self.h_lambda(t, lam) - self.grad_V_lambda(q, lam)
+        out[..., 3:] = self.h_lambda(t, lam) - self.grad_V_lambda(q, rad, lam)
         if lam != 0.0:
-            # v x B written out: np.cross costs more than the rest of the call
-            b = self.config.magnetic.eval(t, q)
-            vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-            bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-            out[..., 3] += lam * (vy * bz - vz * by)
-            out[..., 4] += lam * (vz * bx - vx * bz)
-            out[..., 5] += lam * (vx * by - vy * bx)
+            # v x B written out from cyclic shifts: np.cross costs more than the rest of the call
+            b = self.config.magnetic.eval(t, q, rad)
+            vxb = v.take(_NEXT, -1) * b.take(_PREV, -1) - v.take(_PREV, -1) * b.take(_NEXT, -1)
+            out[..., 3:] += lam * vxb
         return out
 
 
@@ -103,8 +104,8 @@ class AutonomousField:
 
         Raises SingularityError if any row of q is the origin.
         """
-        q, r = _check_away_from_origin(q)
-        return np.concatenate([v, self.h_mean + self.c0 * q / r**3], axis=-1)
+        q, (_, s3) = radial_powers(q)
+        return np.concatenate([v, self.h_mean + self.c0 * s3 * q], axis=-1)
 
 
 def coulomb_force_jacobian(q, c0: float) -> np.ndarray:
@@ -113,9 +114,9 @@ def coulomb_force_jacobian(q, c0: float) -> np.ndarray:
     q of shape (3,) or (N, 3) gives shape (3, 3) or (N, 3, 3); raises
     SingularityError if any row of q is the origin.
     """
-    q, r = _check_away_from_origin(q)
-    r = r[..., None]
-    return c0 * (np.eye(3) / r**3 - 3.0 * q[..., :, None] * q[..., None, :] / r**5)
+    q, (s, s3) = radial_powers(q)
+    s, s3 = s[..., None], s3[..., None]
+    return c0 * s3 * (np.eye(3) - 3.0 * s * q[..., :, None] * q[..., None, :])
 
 
 def f0_determinant_closed_form(c0: float, q, p) -> float:

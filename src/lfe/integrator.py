@@ -23,7 +23,7 @@ from itertools import groupby
 import numpy as np
 
 from lfe import butcher
-from lfe.fields import _check_away_from_origin
+from lfe.fields import radial_powers
 from lfe.homotopy import HomotopySystem
 from lfe.kinematics import State, lorentz_factor
 
@@ -406,8 +406,8 @@ def conserved_energy(system: HomotopySystem, y: np.ndarray, lam: float):
 
     Constant along a flow when h_lam is time-independent.
     """
-    q, r = _check_away_from_origin(y[..., :3])
-    v_lam = (1.0 - lam) * system.config.c0 / r[..., 0]
+    q, (s, _) = radial_powers(y[..., :3])
+    v_lam = (1.0 - lam) * system.config.c0 * np.sqrt(s[..., 0])
     if lam != 0.0:
         v_lam += lam * system.config.potential.value(q)
     return lorentz_factor(y[..., 3:]) + v_lam - np.add.reduce(q * system.h_mean, axis=-1)

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines; every tolerance and runtime budget is asserted, not just printed.
 """
 
+import json
 import math
 import time
 
@@ -18,6 +19,7 @@ from lfe.fields import (
     DipoleField,
     GeneralizedCoulomb,
     TabulatedPotential,
+    radial_powers,
 )
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import IntegratorConfig, energy_drift, integrate
@@ -152,7 +154,7 @@ def test_a2_fields():
                 e = np.zeros(3)
                 e[i] = 1e-6
                 fd[i] = (pot.value(q + e) - pot.value(q - e)) / 2e-6
-            worst_grad = max(worst_grad, float(np.abs(pot.gradient(q) - fd).max()))
+            worst_grad = max(worst_grad, float(np.abs(pot.gradient(*radial_powers(q)) - fd).max()))
 
     dipole = DipoleField([0.0, 0.0, 0.1])
     c1 = 2.0 * np.linalg.norm(dipole.moment)
@@ -161,7 +163,7 @@ def test_a2_fields():
         q = rng.normal(size=3)
         q *= rng.uniform(0.05, 20.0) / np.linalg.norm(q)
         r = np.linalg.norm(q)
-        excess = float(np.linalg.norm(dipole.eval(0.0, q))) - c1 / r**3
+        excess = float(np.linalg.norm(dipole.eval(0.0, *radial_powers(q)))) - c1 / r**3
         worst_excess = max(worst_excess, excess * r**3 / c1)  # relative excess
     elapsed = time.perf_counter() - t0
     ok = worst_grad <= 1e-5 and worst_excess <= 1e-12 and elapsed < 5.0
@@ -353,3 +355,21 @@ def test_a8_determinism(tmp_path, monkeypatch):
         f"repeated continue runs byte-identical: orbit.csv {orbit_same}, "
         f"continuation.csv {cont_same}",
     )
+
+
+def test_run_report_differs_between_runs_only_in_its_timings(tmp_path, monkeypatch):
+    monkeypatch.setenv("LFE_VERBOSITY", "0")
+    config = tmp_path / "scenario.ini"
+    config.write_text(LIGHT_CONFIG, encoding="utf-8")
+    reports = []
+    for name in ("run1", "run2"):
+        out = tmp_path / name
+        assert main(["continue", "--config", str(config), "--out", str(out)]) == 0
+        reports.append(json.loads((out / "run_report.json").read_text()))
+    stages = ["validate", "certificate", "degree", "continuation", "verify", "write"]
+    for payload in reports:
+        assert sorted(payload["timings"]) == sorted(stages)
+        assert all(seconds >= 0.0 for seconds in payload["timings"].values())
+        assert sum(payload["timings"].values()) <= payload["wall_clock_s"]
+        del payload["timings"], payload["wall_clock_s"]
+    assert reports[0] == reports[1]

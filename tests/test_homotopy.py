@@ -7,7 +7,16 @@ from scipy.integrate import quad
 
 from conftest import coulomb_config, desk_config
 from lfe.degree import find_zero_f0
-from lfe.fields import ABCField, DipoleField, SingularityError, UniformField, ZeroField
+from lfe.fields import (
+    ABCField,
+    DipoleField,
+    GeneralizedCoulomb,
+    SingularityError,
+    TabulatedPotential,
+    UniformField,
+    ZeroField,
+    radial_powers,
+)
 from lfe.homotopy import (
     AutonomousField,
     HomotopySystem,
@@ -32,26 +41,28 @@ def random_state(rng):
 def test_grad_V_lambda_endpoints(system):
     rng = np.random.default_rng(31)
     for _ in range(50):
-        q = rng.normal(size=3)
+        q, rad = radial_powers(rng.normal(size=3))
         assert np.allclose(
-            system.grad_V_lambda(q, 1.0), system.config.potential.gradient(q), atol=1e-15
+            system.grad_V_lambda(q, rad, 1.0), system.config.potential.gradient(q, rad), atol=1e-15
         )
         r = np.linalg.norm(q)
-        assert np.allclose(system.grad_V_lambda(q, 0.0), -system.config.c0 * q / r**3, atol=1e-15)
+        expected = -system.config.c0 * q / r**3
+        assert np.allclose(system.grad_V_lambda(q, rad, 0.0), expected, atol=1e-15)
 
 
 def test_grad_V_lambda_is_affine(system):
     rng = np.random.default_rng(32)
     for _ in range(50):
-        q = rng.normal(size=3)
-        mid = system.grad_V_lambda(q, 0.5)
-        mean = 0.5 * (system.grad_V_lambda(q, 0.0) + system.grad_V_lambda(q, 1.0))
+        q, rad = radial_powers(rng.normal(size=3))
+        mid = system.grad_V_lambda(q, rad, 0.5)
+        mean = 0.5 * (system.grad_V_lambda(q, rad, 0.0) + system.grad_V_lambda(q, rad, 1.0))
         assert np.allclose(mid, mean, rtol=1e-14, atol=1e-16)
 
 
 def test_coulomb_gradient_at_unit_point():
     sys0 = HomotopySystem(coulomb_config())
-    assert np.allclose(sys0.grad_V_lambda([1.0, 0.0, 0.0], 0.0), [-1.0, 0.0, 0.0], atol=1e-15)
+    gradient = sys0.grad_V_lambda(*radial_powers([1.0, 0.0, 0.0]), 0.0)
+    assert np.allclose(gradient, [-1.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_h_lambda_endpoints_and_mean(system):
@@ -78,7 +89,7 @@ def test_rhs_magnetic_term_does_no_work(system):
             x = random_state(rng)
             v = phi_inv(x.p)
             force = system.rhs_array(0.4, x.as_array(), lam)[3:]
-            conservative = -system.grad_V_lambda(x.q, lam) + system.h_lambda(0.4, lam)
+            conservative = -system.grad_V_lambda(*radial_powers(x.q), lam) + system.h_lambda(0.4, lam)
             # v . (v x B) = 0, so the magnetic part is orthogonal to v
             assert abs(np.dot(v, force - conservative)) <= 1e-13 * (1 + np.abs(force).max())
 
@@ -107,10 +118,11 @@ def test_rhs_lambda_one_matches_unhomotoped(system):
         x = random_state(rng)
         t = rng.uniform(0.0, 1.0)
         v = phi_inv(x.p)
+        q, rad = radial_powers(x.q)
         expected_force = (
-            -system.config.potential.gradient(x.q)
+            -system.config.potential.gradient(q, rad)
             + system.config.forcing.eval(t)
-            + np.cross(v, system.config.magnetic.eval(t, x.q))
+            + np.cross(v, system.config.magnetic.eval(t, q, rad))
         )
         out = system.rhs_array(t, x.as_array(), 1.0)
         assert np.allclose(out[:3], v, atol=1e-15)
@@ -135,7 +147,78 @@ def test_rhs_stack_rows_match_single_states(magnetic):
         out = system.rhs_array(0.3, stack, lam)
         assert out.shape == stack.shape
         for row, y in zip(out, stack):
-            np.testing.assert_allclose(row, system.rhs_array(0.3, y, lam), rtol=1e-14, atol=0.0)
+            assert np.array_equal(row, system.rhs_array(0.3, y, lam))
+
+
+def _gauss_potential(q):
+    return float(np.exp(-np.dot(q, q)))
+
+
+def _reference_gradient(potential, q):
+    """grad V from |q| directly for the generalized Coulomb family, else the potential's gradient.
+
+    The tabulated potential ignores the radial data and differentiates its values.
+    """
+    if isinstance(potential, GeneralizedCoulomb):
+        r = np.linalg.norm(q, axis=-1, keepdims=True)
+        return -potential.c0 * q / r ** (potential.gamma + 2.0)
+    return potential.gradient(q, None)
+
+
+@pytest.mark.parametrize(
+    "potential",
+    [
+        GeneralizedCoulomb(0.7, 1.0),
+        GeneralizedCoulomb(0.7, 2.5),
+        GeneralizedCoulomb(0.7, 3.0),
+        TabulatedPotential(_gauss_potential),
+    ],
+    ids=["coulomb-gamma1", "coulomb-gamma2.5", "coulomb-gamma3", "tabulated-fd"],
+)
+@pytest.mark.parametrize(
+    "magnetic",
+    [ZeroField(), UniformField([0.3, -0.2, 1.0]), DipoleField([0.05, -0.1, 0.3]), ABCField(1.0, 0.5, 0.3)],
+    ids=["zero", "uniform", "dipole", "abc"],
+)
+def test_rhs_matches_the_field_methods(potential, magnetic):
+    # the potential's c0 differs from the config's, which scales the interpolating Coulomb term
+    system = HomotopySystem(dataclasses.replace(desk_config(), potential=potential, magnetic=magnetic))
+    c0 = system.config.c0
+    rng = np.random.default_rng(40)
+    stack = np.array([random_state(rng).as_array() for _ in range(7)])
+    times = rng.uniform(0.0, 1.0, size=7)
+    for lam in (0.0, 0.37, 1.0):
+        for t, y in [(times[0], stack[0]), (times, stack)]:
+            q, p = y[..., :3], y[..., 3:]
+            v = phi_inv(p)
+            grad_v = _reference_gradient(potential, q)
+            coulomb = c0 * q / np.linalg.norm(q, axis=-1, keepdims=True) ** 3
+            b = magnetic.eval(t, *radial_powers(q))
+            terms = (system.h_lambda(t, lam), lam * grad_v, (1.0 - lam) * coulomb, lam * np.cross(v, b))
+            # the Coulomb term repels: -grad(c0/|q|) = c0 q/|q|^3
+            expected = terms[0] - terms[1] + terms[2] + terms[3]
+            out = system.rhs_array(t, y, lam)
+            assert np.array_equal(out[..., :3], v)
+            # rtol 1e-13 against the size of the terms, so a cancelling sum is not held to its own size
+            scale = sum(np.abs(term) for term in terms)
+            assert np.all(np.abs(out[..., 3:] - expected) <= 1e-13 * scale), (lam, np.shape(t))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_rhs_stack_singular_and_non_finite_rows(system, lam):
+    rng = np.random.default_rng(41)
+    stack = np.array([random_state(rng).as_array() for _ in range(7)])
+    at_origin = stack.copy()
+    at_origin[4, :3] = 0.0
+    with pytest.raises(SingularityError):
+        system.rhs_array(0.3, at_origin, lam)
+    # a non-finite row does not raise, so the step controller can reject the step
+    with_nan = stack.copy()
+    with_nan[2] = np.nan
+    out = system.rhs_array(0.3, with_nan, lam)
+    assert not np.isfinite(out[2]).any()
+    finite = [0, 1, 3, 4, 5, 6]
+    assert np.array_equal(out[finite], system.rhs_array(0.3, stack, lam)[finite])
 
 
 def test_rhs_validates_inputs(system):

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from conftest import coulomb_config, desk_config, gyro_config
-from lfe.fields import ABCField
+from lfe.fields import ABCField, radial_powers
 from lfe.sampling import (
     _DIR_POW2,
     _N_RADII,
@@ -60,8 +60,9 @@ def _certificate_integrands(config):
     """The two functions the certificate maximizes: |grad V| + |B| and that plus c0/|q|^2."""
 
     def grad_plus_b(t, q):
-        return np.linalg.norm(config.potential.gradient(q), axis=-1) + np.linalg.norm(
-            config.magnetic.eval(t, q), axis=-1
+        q, rad = radial_powers(q)
+        return np.linalg.norm(config.potential.gradient(q, rad), axis=-1) + np.linalg.norm(
+            config.magnetic.eval(t, q, rad), axis=-1
         )
 
     def h_total(t, q):
