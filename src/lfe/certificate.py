@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lfe.fields import FieldConfig, HypothesisCheck, radial_powers
+from lfe.fields import FieldConfig, HypothesisCheck, radial_powers, shell_maxima
 from lfe.kinematics import phi_inv
-from lfe.sampling import log_radii, maximize_on_annulus, shells, sphere_directions
+from lfe.sampling import log_radii, maximize_on_annulus, sphere_directions
 
 
 class CertificateError(RuntimeError):
@@ -130,16 +130,12 @@ def compute_R(config: FieldConfig, *, seed: int) -> float:
     threshold = hm - config.c_B
 
     dirs = sphere_directions(10, seed)
-    times = np.linspace(0.0, config.forcing.period, 5)
-
     radius = 1.0
     while radius <= _MAX_RADIUS:
         radii = radius * np.array(_SPHERE_MULTIPLES)
-        cloud, rad = radial_powers(shells(radii, dirs))
-        coulomb = float((config.c0 / radii**2).max())
-        e_sup = max(float(np.linalg.norm(config.potential.gradient(cloud, rad), axis=-1).max()), coulomb)
-        b_sup = max(float(np.linalg.norm(config.magnetic.eval(t, cloud, rad), axis=-1).max()) for t in times)
-        if b_sup < config.c_B and e_sup < threshold:
+        e, b = shell_maxima(radii, dirs, config.potential, config.magnetic, config.forcing.period)
+        e_sup = max(float(e.max()), float((config.c0 / radii**2).max()))
+        if float(b.max()) < config.c_B and e_sup < threshold:
             return radius
         radius *= 2.0
     raise RadiusNotFound(
@@ -174,20 +170,18 @@ def compute_lower_constants(
     c0_eff = 0.5 * config.c0
 
     radii = log_radii(cap * 1e-8, cap, 160)
-    cloud, rad = radial_powers(shells(radii, sphere_directions(6, seed)))
-    lhs = -np.add.reduce(cloud * config.potential.gradient(cloud, rad), axis=-1).reshape(len(radii), -1)
+    # a radius fails if any direction does: its least -q.grad V, skipping NaN directions
+    worst, _ = shell_maxima(radii, sphere_directions(6, seed), config.potential, radial=True, skip_nan=True)
     rhs = c0_eff / radii + config.c1 * radii ** (-config.beta)
-    failing = radii[(lhs < (rhs - 1e-12 * rhs)[:, None]).any(axis=1)]
+    failing = radii[-worst < rhs - 1e-12 * rhs]
     r_bad = float(failing.min()) if failing.size else math.inf
 
-    epsilon = None
-    value = cap
+    epsilon = cap
     for _ in range(_EPS_GRID_STEPS):
-        if value <= r_bad:
-            epsilon = value
+        if epsilon <= r_bad:
             break
-        value *= _EPS_GRID_FACTOR
-    if epsilon is None:
+        epsilon *= _EPS_GRID_FACTOR
+    else:
         raise InequalityFails(
             "no clearance radius satisfies the near-origin inequality "
             f"(first sampled failure at |q| = {r_bad:.3e}); the configuration "

@@ -14,6 +14,7 @@ Schema (INI sections and keys; vectors are space-separated triples):
   [magnetic]    kind = zero | uniform | dipole | abc ; b | moment | abc ;
                 c_B (number or 'auto') ; c1 ; beta ; eps1
   [forcing]     period ; mean ; harmonic_<k>_cos / harmonic_<k>_sin
+                (k >= 1 in ASCII digits without a leading zero)
   [integrator]  rtol ; atol ; max_steps ; method ; r_min (number or 'auto')
   [solver]      newton_tol ; max_iterations ; dlam_init ; dlam_floor ;
                 growth ; target_lambda ; seed
@@ -251,6 +252,8 @@ def parse_config(path) -> RunConfig:
         if not match:
             continue
         k = int(match.group(1))
+        if match.group(1) != str(k):  # 01 or a non-ASCII digit would alias harmonic_1_*
+            raise ConfigError(f"[forcing] harmonic index must be ASCII digits without a leading zero in {key!r}")
         if k < 1:
             raise ConfigError(f"[forcing] harmonic index must be >= 1 in {key!r}")
         harmonics_raw.setdefault(k, {})[match.group(2)] = sec_forcing.parse(key, "vec")

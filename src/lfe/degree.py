@@ -45,9 +45,11 @@ class MultipleZeros(DegreeError):
 def find_zero_f0(c0: float, h_mean) -> State:
     """The unique zero of the autonomous field: p = 0, q = -sqrt(c0) h/|h|^(3/2).
 
-    The returned state is verified to leave a residual below 1e-12.
-    Raises DegenerateForcing when the mean forcing vanishes (the force
-    component c0 q/|q|^3 never vanishes at finite q).
+    The returned state is verified to leave a residual below
+    1e-12 max(1, |h|): the force is h minus a term of the same size, so
+    its rounding error grows with |h|.  Raises DegenerateForcing when the
+    mean forcing vanishes (the force component c0 q/|q|^3 never vanishes
+    at finite q).
     """
     h_mean = np.asarray(h_mean, dtype=float)
     hn = float(np.linalg.norm(h_mean))
@@ -56,8 +58,9 @@ def find_zero_f0(c0: float, h_mean) -> State:
     q_star = -math.sqrt(c0) * h_mean * hn**-1.5
     x0 = State(q=q_star, p=np.zeros(3))
     residual = float(np.linalg.norm(AutonomousField(c0, h_mean).value(x0.q, phi_inv(x0.p))))
-    if residual >= 1e-12:
-        raise ArithmeticError(f"equilibrium residual {residual:.3e} exceeds 1e-12")
+    tol = 1e-12 * max(1.0, hn)
+    if residual >= tol:
+        raise ArithmeticError(f"equilibrium residual {residual:.3e} exceeds {tol:.3e}")
     return x0
 
 

@@ -6,6 +6,9 @@ known singular rate, the magnetic field has a finite ceiling at infinity,
 and its singularity at the origin is strictly weaker than the electric
 one.  `validate_hypotheses` checks all of them on seeded sample clouds
 and reports pass/fail per condition; the checks are sampled, not proven.
+Their numbers, those of `magnetic_ceiling` and those of the certificate's
+R and epsilon come from one sweep, `shell_maxima`: per sphere of radius
+r, the maximum of |grad V|, of q . grad V, or of |B| over a time grid.
 
 Every potential and magnetic field takes one point `q` of shape (3,) or
 a cloud of shape (N, 3) through the same code path and returns the
@@ -358,6 +361,30 @@ class ValidationReport:
         return out
 
 
+def shell_maxima(
+    radii, directions, potential=None, magnetic=None, period=None, *, radial=False, skip_nan=False
+):
+    """(v, b): maxima over each sphere |q| = radii[i], sampled at `directions`.
+
+    v is the maximum of |grad V| of `potential` (of q . grad V if `radial`),
+    b of |B| of `magnetic` over the times 0, T/4, T/2, 3T/4, T of `period`;
+    each is None if its field is.  A NaN sample makes its sphere's maximum
+    NaN unless `skip_nan`.  Rounding is monotone, so a margin bound - v is
+    the least margin over the sphere's samples, bit for bit.
+    """
+    q, rad = radial_powers(shells(radii, directions))
+    reduce = np.fmax.reduce if skip_nan else np.maximum.reduce
+    v = b = None
+    if potential is not None:
+        g = potential.gradient(q, rad)
+        v = np.add.reduce(q * g, axis=-1) if radial else np.linalg.norm(g, axis=-1)
+        v = reduce(v.reshape(len(radii), -1), axis=1)
+    if magnetic is not None:
+        b = [np.linalg.norm(magnetic.eval(t, q, rad), axis=-1) for t in np.linspace(0.0, period, 5)]
+        b = reduce(np.reshape(b, (len(b), len(radii), -1)), axis=(0, 2))
+    return v, b
+
+
 _FAR_RADII = (1e1, 1e2, 1e3, 1e4)
 
 
@@ -369,100 +396,52 @@ def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
     """
     checks = []
     dirs = sphere_directions(6, seed)
-    times = np.linspace(0.0, config.forcing.period, 5)
-    far, far_rad = radial_powers(shells(_FAR_RADII, dirs))
-
-    def radial(q, rad):
-        """q . grad V(q) for every row of the cloud q."""
-        return np.add.reduce(q * config.potential.gradient(q, rad), axis=-1)
 
     # electric decay at infinity: sphere maxima of |grad V| must fall off
-    gv_far = np.linalg.norm(config.potential.gradient(far, far_rad), axis=-1)
-    gv = gv_far.reshape(len(_FAR_RADII), -1).max(axis=1).tolist()
+    gv, b_far = shell_maxima(_FAR_RADII, dirs, config.potential, config.magnetic, config.forcing.period)
     decreasing = all(gv[i + 1] < gv[i] for i in range(len(gv) - 1))
     decayed = gv[-1] <= 1e-3 * gv[0] if gv[0] > 0 else True
-    checks.append(
-        HypothesisCheck(
-            "electric-decay-at-infinity",
-            decreasing and decayed,
-            f"|grad V| on radii {_FAR_RADII}: {['%.3e' % g for g in gv]}",
-            (1e-3 * gv[0] - gv[-1]) if gv[0] > 0 else 0.0,
-        )
-    )
+    margin = (1e-3 * gv[0] - gv[-1]) if gv[0] > 0 else 0.0
+    detail = f"|grad V| on radii {_FAR_RADII}: {['%.3e' % g for g in gv]}"
+    checks.append(HypothesisCheck("electric-decay-at-infinity", decreasing and decayed, detail, margin))
 
     # global repulsion sign: q.grad V < 0 on a quasi-random cloud
-    cloud = shells(log_radii(1e-3, 1e3, 128), sphere_directions(7, seed + 1))
-    worst = float(radial(*radial_powers(cloud)).max())
-    checks.append(
-        HypothesisCheck(
-            "repulsion-sign-global",
-            worst < 0.0,
-            f"max q.grad V over {len(cloud)} sampled points = {worst:.3e}",
-            -worst,
-        )
-    )
+    radii = log_radii(1e-3, 1e3, 128)
+    cloud_dirs = sphere_directions(7, seed + 1)
+    worst = float(shell_maxima(radii, cloud_dirs, config.potential, radial=True)[0].max())
+    detail = f"max q.grad V over {len(radii) * len(cloud_dirs)} sampled points = {worst:.3e}"
+    checks.append(HypothesisCheck("repulsion-sign-global", worst < 0.0, detail, -worst))
 
     # near-origin repulsion rate: q.grad V <= -c0 |q|^(-gamma) for |q| < eps0
     radii = log_radii(config.eps0 * 1e-4, config.eps0 * (1.0 - 1e-9), 64)
-    bound = -config.c0 * radii[:, None] ** (-config.gamma)
-    val = radial(*radial_powers(shells(radii, dirs))).reshape(len(radii), -1)
+    bound = -config.c0 * radii ** (-config.gamma)
+    val, _ = shell_maxima(radii, dirs, config.potential, radial=True)
     margin = float(np.min((bound - val) + 1e-9 * np.abs(bound)))
-    checks.append(
-        HypothesisCheck(
-            "repulsion-rate-near-origin",
-            margin >= 0.0,
-            f"q.grad V <= -c0 |q|^-gamma on |q| < eps0={config.eps0}",
-            margin,
-        )
-    )
+    detail = f"q.grad V <= -c0 |q|^-gamma on |q| < eps0={config.eps0}"
+    checks.append(HypothesisCheck("repulsion-rate-near-origin", margin >= 0.0, detail, margin))
 
     # magnetic ceiling at infinity: sampled |B| < c_B on far spheres
-    bmax = max(float(np.linalg.norm(config.magnetic.eval(t, far, far_rad), axis=-1).max()) for t in times)
-    checks.append(
-        HypothesisCheck(
-            "magnetic-ceiling-at-infinity",
-            bmax < config.c_B,
-            f"max |B| on far spheres = {bmax:.3e} vs c_B = {config.c_B}",
-            config.c_B - bmax,
-        )
-    )
+    bmax = float(b_far.max())
+    detail = f"max |B| on far spheres = {bmax:.3e} vs c_B = {config.c_B}"
+    checks.append(HypothesisCheck("magnetic-ceiling-at-infinity", bmax < config.c_B, detail, config.c_B - bmax))
 
     # near-origin magnetic growth: |B| <= c1 |q|^(-beta-1) for |q| < eps1
     radii = log_radii(config.eps1 * 1e-4, config.eps1 * (1.0 - 1e-9), 64)
-    near, near_rad = radial_powers(shells(radii, dirs))
-    bound = config.c1 * radii[:, None] ** (-config.beta - 1.0)
-    val = np.array([np.linalg.norm(config.magnetic.eval(t, near, near_rad), axis=-1) for t in times])
-    val = val.reshape(len(times), len(radii), -1)
+    bound = config.c1 * radii ** (-config.beta - 1.0)
+    _, val = shell_maxima(radii, dirs, magnetic=config.magnetic, period=config.forcing.period)
     margin = float(np.min((bound - val) + 1e-9 * np.maximum(bound, 1.0)))
-    checks.append(
-        HypothesisCheck(
-            "magnetic-growth-near-origin",
-            margin >= 0.0,
-            f"|B| <= c1 |q|^-(beta+1) on |q| < eps1={config.eps1}",
-            margin,
-        )
-    )
+    detail = f"|B| <= c1 |q|^-(beta+1) on |q| < eps1={config.eps1}"
+    checks.append(HypothesisCheck("magnetic-growth-near-origin", margin >= 0.0, detail, margin))
 
     # singularity ordering between the two fields
-    checks.append(
-        HypothesisCheck(
-            "beta-below-gamma",
-            0.0 < config.beta < config.gamma,
-            f"beta={config.beta}, gamma={config.gamma}",
-            config.gamma - config.beta,
-        )
-    )
+    ordered = 0.0 < config.beta < config.gamma
+    detail = f"beta={config.beta}, gamma={config.gamma}"
+    checks.append(HypothesisCheck("beta-below-gamma", ordered, detail, config.gamma - config.beta))
 
     # the mean forcing must dominate the magnetic ceiling
     hm = float(np.linalg.norm(config.forcing.mean))
-    checks.append(
-        HypothesisCheck(
-            "mean-forcing-dominates-ceiling",
-            hm > config.c_B,
-            f"|mean h| = {hm:.6g} vs c_B = {config.c_B}",
-            hm - config.c_B,
-        )
-    )
+    detail = f"|mean h| = {hm:.6g} vs c_B = {config.c_B}"
+    checks.append(HypothesisCheck("mean-forcing-dominates-ceiling", hm > config.c_B, detail, hm - config.c_B))
 
     return ValidationReport(checks=tuple(checks), seed=seed)
 
@@ -473,9 +452,8 @@ def magnetic_ceiling(magnetic, *, period: float, seed: int) -> float:
     Sweeps spheres at radii {1, 2, 4, ..., 64} and a time grid; for a
     dipole the sharp on-axis bound at |q| = 1 is taken if it is larger.
     """
-    cloud, rad = radial_powers(shells(2.0 ** np.arange(7), sphere_directions(10, seed)))
-    times = np.linspace(0.0, period, 5)
-    best = max(float(np.linalg.norm(magnetic.eval(t, cloud, rad), axis=-1).max()) for t in times)
+    _, b = shell_maxima(2.0 ** np.arange(7), sphere_directions(10, seed), magnetic=magnetic, period=period)
+    best = float(b.max())
     if isinstance(magnetic, DipoleField):
         # sampled sphere maxima undershoot the on-axis peak; use the sharp
         # bound c1 |q|^-(beta+1), which is c1 at |q| = 1

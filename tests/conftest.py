@@ -8,6 +8,8 @@ between the solver tests and the acceptance suite.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,52 @@ def desk_config() -> FieldConfig:
         c1=c1,
         beta=beta,
         eps1=0.5,
+    )
+
+
+@dataclass(frozen=True)
+class PulsedField:
+    """Uniform field b max(sin(2 pi t/T), 0) e_z.
+
+    |B| = b at t = T/4 and 0 (to rounding) at t = 0, T/2, 3T/4 and T.
+    """
+
+    b: float
+    period: float
+
+    def eval(self, t, q, rad):
+        out = np.zeros(np.shape(q))
+        out[..., 2] = self.b * np.maximum(np.sin(2.0 * np.pi * np.asarray(t) / self.period), 0.0)
+        return out
+
+
+@dataclass(frozen=True)
+class PlantedCoulomb:
+    """Coulomb gradient -q/|q|^3, except NaN at the point nan_q and 0 (not repelling) at zero_q."""
+
+    nan_q: np.ndarray
+    zero_q: np.ndarray
+
+    def gradient(self, q, rad):
+        g = -q * rad[1]
+        g[np.all(q == self.nan_q, axis=-1)] = np.nan
+        g[np.all(q == self.zero_q, axis=-1)] = 0.0
+        return g
+
+
+def pulsed_config(c_B: float) -> FieldConfig:
+    """Coulomb potential, a field pulsing to |B| = 0.8 at t = T/4, constant forcing |h| = 2."""
+    return FieldConfig(
+        potential=GeneralizedCoulomb(1.0, 1.0),
+        magnetic=PulsedField(0.8, 1.0),
+        forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
+        c0=1.0,
+        gamma=1.0,
+        eps0=1.0,
+        c_B=c_B,
+        c1=0.0,
+        beta=0.5,
+        eps1=1.0,
     )
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import SEED, coulomb_config, desk_config
+from conftest import SEED, PlantedCoulomb, coulomb_config, desk_config, pulsed_config
 from lfe.certificate import (
     InequalityFails,
+    RadiusNotFound,
     clearance_formula,
     compute_R,
     compute_certificate,
@@ -24,6 +25,7 @@ from lfe.fields import (
     ZeroField,
 )
 from lfe.integrator import Trajectory
+from lfe.sampling import log_radii, shells, sphere_directions
 from lfe.shooting import OrbitSolution
 
 
@@ -110,6 +112,36 @@ def test_epsilon_inequality_fails_for_strong_magnetic_singularity():
     )
     with pytest.raises(InequalityFails):
         compute_lower_constants(config, 2.0, seed=SEED, l1=config.forcing.l1_norm())
+
+
+def test_radius_compares_against_the_field_at_every_time():
+    # |B| peaks at 0.8 at t = T/4 and vanishes at t = 0: a c_B of 0.5 holds at t = 0 only
+    assert compute_R(pulsed_config(1.0), seed=SEED) == 2.0
+    with pytest.raises(RadiusNotFound):
+        compute_R(pulsed_config(0.5), seed=SEED)
+
+
+def test_epsilon_scan_sees_a_failing_direction_next_to_a_nan():
+    # the scan's own cloud: 160 radii under cap = 1 and 2^6 directions
+    radii, dirs = log_radii(1e-8, 1.0, 160), sphere_directions(6, SEED)
+    cloud = shells(radii, dirs)
+    r_star = radii[150]
+    potential = PlantedCoulomb(cloud[150 * len(dirs) + 3], cloud[150 * len(dirs) + 7])
+    config = FieldConfig(
+        potential=potential,
+        magnetic=ZeroField(),
+        forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
+        c0=1.0,
+        gamma=1.0,
+        eps0=1.0,
+        c_B=1.0,
+        c1=0.0,
+        beta=0.5,
+        eps1=1.0,
+    )
+    eps, _, _, _ = compute_lower_constants(config, 2.0, seed=SEED, l1=config.forcing.l1_norm())
+    # everywhere else -q.grad V = 1/|q| clears c0/2 |q|^-1, so r_star is the first failure
+    assert 0.9 * r_star < eps <= r_star
 
 
 def test_momentum_bound_closed_form(a5_cert):

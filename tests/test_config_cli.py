@@ -598,6 +598,45 @@ def test_cli_config_errors_exit_4(tmp_path):
     assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.mark.parametrize("index", ["01", "00", "\u0661"], ids=["leading-zero", "zeros", "arabic-indic-one"])
+def test_harmonic_index_must_be_canonical(tmp_path, capsys, index):
+    # harmonic_01_cos would otherwise replace harmonic_1_cos without a word
+    key = f"harmonic_{index}_cos"
+    cfg = write(tmp_path, MINIMAL.replace("mean = 0 0 2", f"mean = 0 0 2\n{key} = 5 0 0\nharmonic_1_cos = 0.1 0 0"))
+    with pytest.raises(ConfigError, match=key):
+        parse_config(cfg)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert key in capsys.readouterr().err
+
+
+LARGE_MEAN = """
+[potential]
+c0 = 1
+
+[forcing]
+period = 1
+mean = 0 0 1e5
+
+[output]
+sample_points = 50
+"""
+
+
+def test_cli_large_mean_forcing_has_an_equilibrium(tmp_path):
+    # the equilibrium residual is about 3e-11 here, rounding of a force balance at |h| = 1e5
+    q_star = [0.0, 0.0, -(1e5**-0.5)]
+    cfg = parse_config(write(tmp_path, LARGE_MEAN + "[integrator]\nr_min = 1e-3\n"))
+    assert cfg.integrator.r_min == 1e-3
+    out = tmp_path / "out"
+    short = write(tmp_path, LARGE_MEAN + "[initial-state]\nt_end = 0.01\n", "short.ini")
+    assert main(["integrate", "--config", str(short), "--out", str(out)]) == 0
+    assert np.allclose(np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[0, 1:4], q_star, rtol=1e-15)
+    # one period of 0.02 keeps the stiff flow short; the equilibrium does not depend on it
+    fast = write(tmp_path, LARGE_MEAN.replace("period = 1", "period = 0.02"), "fast.ini")
+    assert main(["find-orbit", "--config", str(fast), "--out", str(out)]) == 0
+    assert json.loads((out / "orbit_report.json").read_text())["x0_q"] == pytest.approx(q_star, abs=1e-12)
+
+
 def test_cli_find_orbit_starts_just_outside_the_guard_radius(tmp_path):
     text = LIGHT.replace("sample_points = 101", "sample_points = 101\n[integrator]\nr_min = 0.69")
     cfg = write(tmp_path, text + "\n[initial-state]\nq = 0.7 0 0\n")

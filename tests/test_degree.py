@@ -49,6 +49,16 @@ def test_zero_residual_is_tiny_random():
         assert np.linalg.norm(field.value(x0.q, phi_inv(x0.p))) < 1e-12
 
 
+def test_zero_residual_bound_scales_with_the_mean_forcing():
+    # at |h| = 1e5 the balance c0 q/|q|^3 = -h rounds to a residual above 1e-12
+    h = np.array([0.0, 0.0, 1e5])
+    x0 = find_zero_f0(1.0, h)
+    assert np.array_equal(x0.q, -1.0 * h * 1e5**-1.5)
+    assert np.array_equal(x0.p, np.zeros(3))
+    residual = np.linalg.norm(AutonomousField(c0=1.0, h_mean=h).value(x0.q, phi_inv(x0.p)))
+    assert 1e-12 < residual < 1e-12 * 1e5
+
+
 def test_degenerate_forcing():
     with pytest.raises(DegenerateForcing):
         find_zero_f0(1.0, [0.0, 0.0, 0.0])

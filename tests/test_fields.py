@@ -1,10 +1,12 @@
+import dataclasses
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import desk_config
+from conftest import PlantedCoulomb, coulomb_config, desk_config, pulsed_config
 from lfe.fields import (
     ABCField,
     DipoleField,
@@ -18,8 +20,10 @@ from lfe.fields import (
     ZeroField,
     magnetic_ceiling,
     radial_powers,
+    shell_maxima,
     validate_hypotheses,
 )
+from lfe.sampling import log_radii, shells, sphere_directions
 
 VALIDATION_SEED = 20240801
 
@@ -322,3 +326,99 @@ def test_config_rejects_nonpositive_constants():
             beta=0.5,
             eps1=1.0,
         )
+
+
+def test_sweeps_read_every_time_of_the_grid():
+    # |B| is 0.8 at t = T/4 and 0 at t = 0: a sweep of t = 0 alone would see no field
+    assert magnetic_ceiling(pulsed_config(1.0).magnetic, period=1.0, seed=VALIDATION_SEED) == 0.8
+    report = validate_hypotheses(pulsed_config(0.5), seed=VALIDATION_SEED)
+    ceiling = {c.name: c for c in report.checks}["magnetic-ceiling-at-infinity"]
+    assert not ceiling.passed
+    assert ceiling.detail == "max |B| on far spheres = 8.000e-01 vs c_B = 0.5"
+    assert ceiling.margin == 0.5 - 0.8
+
+
+def _bump(q, centre):
+    """1 at `centre`, 0 (underflowed) one sample spacing away."""
+    return np.exp(-np.sum((q - centre) ** 2, axis=-1) / 1e-4)
+
+
+@dataclass(frozen=True)
+class _PlantedField:
+    """A smooth field with a peak of |B| about 4 at q = centre, t = t_peak."""
+
+    centre: np.ndarray
+    t_peak: float
+
+    def eval(self, t, q, rad):
+        smooth = np.stack([np.cos(t) * q[..., 1], q[..., 2] ** 2 / 4, np.sin(t + q[..., 0])], axis=-1)
+        return smooth + 3.0 * (_bump(q, self.centre) * np.exp(-((t - self.t_peak) ** 2) / 1e-4))[..., None]
+
+
+def test_shell_maxima_match_a_brute_force_loop():
+    radii, dirs, period = np.array([0.5, 1.0, 2.0]), sphere_directions(4, 5), 2.0
+    cloud = shells(radii, dirs)
+    centre = cloud[len(dirs) + 6]  # the planted maximum: radius 1, direction 6, t = 3T/4
+    potential = TabulatedPotential(
+        lambda q: 0.0, lambda q: np.array([np.sin(q[0]), q[1] * q[2], 0.5]) + 4.0 * _bump(q, centre) * q
+    )
+    magnetic = _PlantedField(centre, 0.75 * period)
+    gv, b = shell_maxima(radii, dirs, potential, magnetic, period)
+    qv, none = shell_maxima(radii, dirs, potential, radial=True)
+    assert none is None
+
+    def norm(v):
+        return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+    for i in range(len(radii)):
+        gv_i = qv_i = b_i = -math.inf
+        for q in cloud[i * len(dirs) : (i + 1) * len(dirs)]:
+            g = potential.gradient(q, None)
+            gv_i = max(gv_i, norm(g))
+            qv_i = max(qv_i, q[0] * g[0] + q[1] * g[1] + q[2] * g[2])
+            for t in [0.0, 0.25 * period, 0.5 * period, 0.75 * period, period]:
+                b_i = max(b_i, norm(magnetic.eval(t, q, None)))
+        assert (gv[i], qv[i], b[i]) == (gv_i, qv_i, b_i)
+    # the planted point holds the maximum of its sphere, at its time
+    assert b[1] == norm(magnetic.eval(0.75 * period, centre, None)) > 3.0
+    assert gv[1] == norm(potential.gradient(centre, None)) > gv[0]
+
+
+def test_shell_maxima_nan_samples():
+    # q.grad V = -1/|q| on both spheres, except NaN and 0 at two points of the second
+    radii, dirs = np.array([1.0, 2.0]), sphere_directions(3, 5)
+    cloud = shells(radii, dirs)
+    potential = PlantedCoulomb(cloud[len(dirs) + 1], cloud[len(dirs) + 4])
+    v, _ = shell_maxima(radii, dirs, potential, radial=True)
+    assert v[0] == pytest.approx(-1.0) and math.isnan(v[1])
+    # skipped, the NaN does not hide the largest sample on its sphere
+    v, _ = shell_maxima(radii, dirs, potential, radial=True, skip_nan=True)
+    assert v[0] == pytest.approx(-1.0) and v[1] == 0.0
+
+
+def test_validate_fails_a_nan_sample():
+    # one point of the near-origin cloud of the repulsion-rate check
+    radii, dirs = log_radii(1e-4, 1.0 - 1e-9, 64), sphere_directions(6, VALIDATION_SEED)
+    nan_q = shells(radii, dirs)[10 * len(dirs) + 3]
+    nowhere = np.full(3, np.inf)
+    for planted, fails in [(PlantedCoulomb(nowhere, nowhere), False), (PlantedCoulomb(nan_q, nowhere), True)]:
+        config = dataclasses.replace(coulomb_config(), potential=planted)
+        check = {c.name: c for c in validate_hypotheses(config, seed=VALIDATION_SEED).checks}
+        rate = check["repulsion-rate-near-origin"]
+        assert rate.passed is not fails and math.isnan(rate.margin) is fails
+
+
+@dataclass(frozen=True)
+class _NanAtQuarterPeriod:
+    """B = 0, except NaN everywhere at t = 1/4."""
+
+    def eval(self, t, q, rad):
+        return np.full(np.shape(q), np.nan if t == 0.25 else 0.0)
+
+
+def test_validate_fails_a_nan_field_at_a_later_time():
+    config = dataclasses.replace(coulomb_config(), magnetic=_NanAtQuarterPeriod())
+    checks = {c.name: c for c in validate_hypotheses(config, seed=VALIDATION_SEED).checks}
+    ceiling = checks["magnetic-ceiling-at-infinity"]
+    assert not ceiling.passed and math.isnan(ceiling.margin)
+    assert math.isnan(magnetic_ceiling(config.magnetic, period=1.0, seed=VALIDATION_SEED))
