@@ -61,7 +61,7 @@ class BoundsCertificate:
     L: float
     l1_norm: float
     c0_eff: float
-    provenance: dict = field(default_factory=dict)
+    provenance: dict  # how each constant was found; `compute_certificate` sets every key
 
     def __post_init__(self):
         vals = [self.R, self.epsilon, self.K2, self.C_gradV_B, self.m, self.M, self.L]
@@ -92,17 +92,17 @@ class BoundsCertificate:
     def lines(self) -> list[str]:
         p = self.provenance
         return [
-            f"R          = {self.R!r}   ({p.get('R', 'geometric grid, sampled spheres')})",
+            f"R          = {self.R!r}   ({p['R']})",
             f"upper      = R + T = {self.upper!r}",
-            f"epsilon    = {self.epsilon!r}   ({p.get('epsilon', 'largest grid value passing the sampled inequality')})",
+            f"epsilon    = {self.epsilon!r}   ({p['epsilon']})",
             f"K2         = |ln epsilon| = {self.K2!r}",
-            f"C_gradV_B  = {self.C_gradV_B!r}   ({p.get('C_gradV_B', 'sampled max + local ascent')})",
-            f"m          = {self.m!r}   ({p.get('m', 'exponential formula, as printed')})",
-            f"M          = {self.M!r}   ({p.get('M', 'sampled max + local ascent')})",
+            f"C_gradV_B  = {self.C_gradV_B!r}   ({p['C_gradV_B']})",
+            f"m          = {self.m!r}   ({p['m']})",
+            f"M          = {self.M!r}   ({p['M']})",
             f"L          = T*M + 2*l1 = {self.L!r}",
             f"l1_norm    = {self.l1_norm!r}",
             f"c0_eff     = {self.c0_eff!r}   (halved electric constant used in the inequality and divisions)",
-            f"note       = {p.get('note', 'all suprema sampled, not proven')}",
+            f"note       = {p['note']}",
         ]
 
 
@@ -123,6 +123,8 @@ def compute_R(config: FieldConfig, *, seed: int) -> float:
     directions (and a time grid for the magnetic field): |B| must fall
     strictly below the ceiling c_B, and both the potential gradient and
     the interpolated Coulomb gradient strictly below |mean h| - c_B.
+    Consecutive radii share spheres, so each sphere 2^j is sampled once,
+    and after a failing sphere the search resumes at the next radius.
     """
     hm = float(np.linalg.norm(config.forcing.mean))
     if hm <= config.c_B:
@@ -130,14 +132,17 @@ def compute_R(config: FieldConfig, *, seed: int) -> float:
     threshold = hm - config.c_B
 
     dirs = sphere_directions(10, seed)
-    radius = 1.0
-    while radius <= _MAX_RADIUS:
-        radii = radius * np.array(_SPHERE_MULTIPLES)
+    window = len(_SPHERE_MULTIPLES)  # the multiples are 2^0 ... 2^(window - 1)
+    passed = []  # passed[j]: sphere 2^j meets both conditions (a NaN maximum fails)
+    k = 0
+    while 2.0**k <= _MAX_RADIUS:
+        radii = 2.0 ** np.arange(len(passed), k + window)
         e, b = shell_maxima(radii, dirs, config.potential, config.magnetic, config.forcing.period)
-        e_sup = max(float(e.max()), float((config.c0 / radii**2).max()))
-        if float(b.max()) < config.c_B and e_sup < threshold:
-            return radius
-        radius *= 2.0
+        passed += list((b < config.c_B) & (np.maximum(e, config.c0 / radii**2) < threshold))
+        failed = [j for j in range(k, k + window) if not passed[j]]
+        if not failed:
+            return 2.0**k
+        k = failed[-1] + 1
     raise RadiusNotFound(
         f"no radius up to {_MAX_RADIUS:g} satisfies the far-field conditions "
         "(the decay hypotheses are likely violated)"
@@ -264,7 +269,6 @@ class VerificationReport:
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
         object.__setattr__(self, "passed", all(e.passed for e in self.entries))
 
     def lines(self) -> list[str]:
@@ -312,16 +316,15 @@ def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
 
     Position, momentum and speed are checked at every trajectory node and
     on a dense sample of the interpolant; the integral identities come
-    from the orbit diagnostics.  Failures become report entries with
-    negative margins, never exceptions.
+    from the orbit diagnostics.  The report always has the same six
+    entries; failures are entries with negative margins, never exceptions.
     """
     traj = orbit.trajectory
-    ys = traj.states
-    if traj.interpolant is not None:
-        dense = traj.at(np.linspace(traj.t0, traj.t1, _N_DENSE)).T
-        ys = np.vstack([ys, dense])
+    ys = np.vstack([traj.states, traj.at(np.linspace(traj.t0, traj.t1, _N_DENSE)).T])
     speeds = np.linalg.norm(phi_inv(ys[:, 3:]), axis=1)
 
+    diag = orbit.diagnostics
+    mean_res, virial_lhs, gap = diag["mean_identity"], diag["virial_lhs"], diag["virial_gap"]
     entries = region_checks(ys, cert.region()) + [
         HypothesisCheck(
             "speed-limit",
@@ -329,27 +332,17 @@ def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
             f"max |v| = {float(speeds.max()):.12g}",
             1.0 - speeds.max(),
         ),
+        HypothesisCheck(
+            "mean-identity",
+            mean_res <= IDENTITY_TOL,
+            f"|integral p'| = {mean_res:.3e}",
+            IDENTITY_TOL - mean_res,
+        ),
+        HypothesisCheck(
+            "virial-identity",
+            virial_lhs <= IDENTITY_TOL and gap <= IDENTITY_TOL,
+            f"integral q.p' = {virial_lhs:.6e}, balance gap = {gap:.3e}",
+            IDENTITY_TOL - max(virial_lhs, gap),
+        ),
     ]
-
-    diag = orbit.diagnostics
-    if diag:
-        mean_res = diag["mean_identity"]
-        entries.append(
-            HypothesisCheck(
-                "mean-identity",
-                mean_res <= IDENTITY_TOL,
-                f"|integral p'| = {mean_res:.3e}",
-                IDENTITY_TOL - mean_res,
-            )
-        )
-        virial_lhs = diag["virial_lhs"]
-        gap = diag["virial_gap"]
-        entries.append(
-            HypothesisCheck(
-                "virial-identity",
-                virial_lhs <= IDENTITY_TOL and gap <= IDENTITY_TOL,
-                f"integral q.p' = {virial_lhs:.6e}, balance gap = {gap:.3e}",
-                IDENTITY_TOL - max(virial_lhs, gap),
-            )
-        )
     return VerificationReport(entries=tuple(entries))

@@ -201,11 +201,10 @@ def cmd_integrate(cfg: RunConfig, out: Path, report) -> int:
     t_end = cfg.initial.t_end if cfg.initial.t_end is not None else cfg.fields.forcing.period
     try:
         traj = integrate(system, x0, (0.0, t_end), cfg.initial.lam, cfg.integrator)
-    except SolverError as err:
+    except (SolverError, ValueError) as err:  # ValueError: a start inside the guard radius
         _emit(f"integration failed: {err}")
         return EXIT_SOLVER
-    grid = np.linspace(0.0, t_end, cfg.output.sample_points)
-    traj.write_csv(out / "trajectory.csv", grid)
+    traj.write_csv(out / "trajectory.csv", cfg.output.sample_points)
     _emit(f"wrote {out / 'trajectory.csv'} ({cfg.output.sample_points} samples, lam={cfg.initial.lam})")
     return EXIT_OK
 
@@ -219,8 +218,7 @@ def cmd_find_orbit(cfg: RunConfig, out: Path, report) -> int:
         return EXIT_HYPOTHESIS
     sol = _shoot(guess, problem)
     report(_orbit_lines(sol), _orbit_record(sol))
-    grid = np.linspace(0.0, problem.system.period, cfg.output.sample_points)
-    sol.trajectory.write_csv(out / "orbit.csv", grid)
+    sol.trajectory.write_csv(out / "orbit.csv", cfg.output.sample_points)
     return EXIT_OK
 
 
@@ -285,8 +283,7 @@ def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
     text += _section("orbit verification", verification.lines())
     record["final_orbit"] = _orbit_record(final, verification)
 
-    grid = np.linspace(0.0, problem.system.period, cfg.output.sample_points)
-    final.trajectory.write_csv(out / "orbit.csv", grid)
+    final.trajectory.write_csv(out / "orbit.csv", cfg.output.sample_points)
     _lap(timings, "write", clock)
 
     ok = path.status == "reached_target" and verification.passed

@@ -290,7 +290,8 @@ def parse_config(path) -> RunConfig:
 
     c_B = sec_mag.read("c_B", "float", word="auto")
     if c_B is None:
-        c_B = magnetic_ceiling(magnetic, period=period, seed=solver.seed)
+        with _in_section("magnetic"):
+            c_B = magnetic_ceiling(magnetic, period=period, seed=solver.seed)
         if c_B <= 0.0:
             c_B = 1.0  # vanishing field: any positive ceiling is valid
 

@@ -346,7 +346,6 @@ class ValidationReport:
     note: str = "sampled, not proven"
 
     def __post_init__(self):
-        object.__setattr__(self, "checks", tuple(self.checks))
         object.__setattr__(self, "passed", all(c.passed for c in self.checks))
 
     def failures(self) -> list[HypothesisCheck]:
@@ -447,15 +446,24 @@ def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
 
 
 def magnetic_ceiling(magnetic, *, period: float, seed: int) -> float:
-    """Sampled sup of |B(t, q)| over |q| >= 1; usable as a c_B value.
+    """A ceiling of |B(t, q)| over |q| >= 1 that the sampled checks accept as c_B.
 
-    Sweeps spheres at radii {1, 2, 4, ..., 64} and a time grid; for a
-    dipole the sharp on-axis bound at |q| = 1 is taken if it is larger.
+    A dipole and an ABC field have closed-form bounds that no sample
+    reaches: c1 of `DipoleField.bound_constants` and `ABCField.sup_bound`
+    (a sampled maximum lies below the sup, so the checks' own samples
+    could exceed it).  A uniform field has |B| = |b| at every sample, so no ceiling lies
+    strictly above its sup: a nonzero one raises ValueError.  Any other
+    field gets the sampled sup over spheres at radii {1, 2, 4, ..., 64}
+    and a time grid.
     """
-    _, b = shell_maxima(2.0 ** np.arange(7), sphere_directions(10, seed), magnetic=magnetic, period=period)
-    best = float(b.max())
     if isinstance(magnetic, DipoleField):
-        # sampled sphere maxima undershoot the on-axis peak; use the sharp
-        # bound c1 |q|^-(beta+1), which is c1 at |q| = 1
-        best = max(best, magnetic.bound_constants()[0])
-    return best
+        return magnetic.bound_constants()[0]
+    if isinstance(magnetic, ABCField):
+        return magnetic.sup_bound()
+    if isinstance(magnetic, UniformField) and magnetic.b.any():
+        raise ValueError(
+            f"c_B = auto: a uniform field has |B| = {np.linalg.norm(magnetic.b):g} everywhere, "
+            "and c_B must lie strictly above it; give c_B as a number"
+        )
+    _, b = shell_maxima(2.0 ** np.arange(7), sphere_directions(10, seed), magnetic=magnetic, period=period)
+    return float(b.max())

@@ -10,6 +10,8 @@ At lam = 1 this is the original equation; at lam = 0 it is autonomous with
 a single explicit equilibrium, which anchors both the degree computation
 and the continuation.  The degree sweep takes that limit in velocity
 coordinates v = phi_inv(p), which keeps its zeros and degree (see AutonomousField).
+`HomotopySystem` holds only its FieldConfig; T and h_mean are read from
+`config.forcing`, their one home.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ class HomotopySystem:
 
     config: FieldConfig
 
-    @property
-    def period(self) -> float:
-        return self.config.forcing.period
-
-    @property
-    def h_mean(self) -> np.ndarray:
-        return self.config.forcing.mean
-
     def grad_V_lambda(self, q, rad, lam: float) -> np.ndarray:
         """lam * grad V(q) + (1-lam) * grad(c0/|q|) for q, rad = radial_powers(q) of shape (3,) or (N, 3)."""
         if lam == 1.0:
@@ -56,12 +50,12 @@ class HomotopySystem:
         """
         if lam == 0.0 or self.config.forcing.is_constant():
             h = np.empty(np.asarray(t).shape + (3,))
-            h[...] = self.h_mean
+            h[...] = self.config.forcing.mean
             return h
         h = self.config.forcing.eval(t)
         if lam == 1.0:
             return h
-        return lam * h + (1.0 - lam) * self.h_mean
+        return lam * h + (1.0 - lam) * self.config.forcing.mean
 
     def rhs_array(self, t, y: np.ndarray, lam: float) -> np.ndarray:
         """Vector field on flat states [q, p]; the hot path for integration.

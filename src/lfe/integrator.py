@@ -8,7 +8,9 @@ nodes and dense output equal scipy's bit for bit.  Every accepted step
 keeps its stages; its dense output is built from them only when the
 trajectory is read (`Trajectory.at`, `row`, `write_csv`, the guard
 bisection), so a trial flow whose nodes are all that is used costs no
-interpolant.  A stack of N states is integrated as one 6N-vector with
+interpolant.  `integrate` is the one place a `Trajectory` is built, and
+it sets every field: each trajectory has its dense output and counts.
+A stack of N states is integrated as one 6N-vector with
 shared step control: shooting integrates the Jacobian columns (perturbed
 copies of the orbit) in the same flow as the orbit, and the singularity
 guard watches every member of the stack.
@@ -209,9 +211,9 @@ class Trajectory:
     ts: np.ndarray
     states: np.ndarray
     lam: float
-    interpolant: Callable | None = None
-    n_rhs_evals: int = 0
-    n_rejected: int = 0
+    interpolant: Callable
+    n_rhs_evals: int
+    n_rejected: int
 
     @property
     def t0(self) -> float:
@@ -223,22 +225,17 @@ class Trajectory:
 
     def at(self, t) -> np.ndarray:
         """Dense output: shape (6,) for scalar t, (6, n) for arrays; a stack adds a leading N."""
-        if self.interpolant is None:
-            raise ValueError("trajectory has no interpolant (single node)")
         y = self.interpolant(t)
         return y.reshape(self.states.shape[1:] + y.shape[1:])
 
     def row(self, i: int) -> "Trajectory":
         """Member i of a stacked run, read from the shared nodes and interpolant."""
         interp, rows = self.interpolant, slice(6 * i, 6 * i + 6)
-        return replace(
-            self,
-            states=self.states[:, i],
-            interpolant=None if interp is None else (lambda t: interp(t)[rows]),
-        )
+        return replace(self, states=self.states[:, i], interpolant=lambda t: interp(t)[rows])
 
-    def write_csv(self, path, times) -> None:
-        """Sample the orbit on the given grid and write t,q1,q2,q3,p1,p2,p3 rows."""
+    def write_csv(self, path, n: int) -> None:
+        """Write t,q1,q2,q3,p1,p2,p3 rows at n evenly spaced times from t0 to t1, both included."""
+        times = np.linspace(self.t0, self.t1, n)
         rows = np.column_stack([times, self.at(times).T]).tolist()
         write_rows_csv(path, ["t", "q1", "q2", "q3", "p1", "p2", "p3"], rows)
 
@@ -335,8 +332,9 @@ def integrate(
     if shape[-1:] != (6,) or y0.ndim > 2:
         raise ValueError(f"initial states must have shape (6,) or (N, 6), got {shape}")
     y0 = y0.reshape(-1)
-    if _nearest(y0)[0] <= cfg.r_min:
-        raise ValueError("initial position is inside the guard radius")
+    r0 = _nearest(y0)[0]
+    if r0 <= cfg.r_min:
+        raise ValueError(f"initial position |q| = {r0:g} is inside the guard radius r_min = {cfg.r_min:g}")
 
     n_evals = 0
 
@@ -410,7 +408,7 @@ def conserved_energy(system: HomotopySystem, y: np.ndarray, lam: float):
     v_lam = (1.0 - lam) * system.config.c0 * np.sqrt(s[..., 0])
     if lam != 0.0:
         v_lam += lam * system.config.potential.value(q)
-    return lorentz_factor(y[..., 3:]) + v_lam - np.add.reduce(q * system.h_mean, axis=-1)
+    return lorentz_factor(y[..., 3:]) + v_lam - np.add.reduce(q * system.config.forcing.mean, axis=-1)
 
 
 def energy_drift(system: HomotopySystem, traj: Trajectory) -> float:

@@ -146,7 +146,7 @@ def _ascend(f, z: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
 
 
 def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: int):
-    """Sampled maximum of func(t, q) over the shell r_lo <= |q| <= r_hi, t in [0, t_max].
+    """Sampled maximum of func(t, q) over the shell r_lo <= |q| <= r_hi, t in [0, t_max], t_max > 0.
 
     func takes q of shape (N, 3) and t of shape () (the sweep, one call
     per time) or (N,) (the ascent, one time per point); it returns one
@@ -159,7 +159,7 @@ def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: i
     the sample counts.
     """
     points = shells(log_radii(r_lo, r_hi, _N_RADII), sphere_directions(_DIR_POW2, seed))
-    times = np.linspace(0.0, t_max, _N_TIME) if t_max > 0 else np.array([0.0])
+    times = np.linspace(0.0, t_max, _N_TIME)
     values = np.array([func(t, points) for t in times])
 
     flat = values.ravel()
@@ -169,7 +169,7 @@ def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: i
     azimuth = np.arctan2(q[:, 1], q[:, 0]) % (2.0 * math.pi)
     z0 = np.column_stack([np.log(r), np.clip(q[:, 2] / r, -1.0, 1.0), azimuth, times[i]])
     lo = np.array([math.log(r_lo), -1.0, 0.0, 0.0])
-    hi = np.array([math.log(r_hi), 1.0, 2.0 * math.pi, max(t_max, 0.0)])
+    hi = np.array([math.log(r_hi), 1.0, 2.0 * math.pi, t_max])
     z, fz = _ascend(lambda z: func(*_annulus_point(z)), z0, lo, hi)
 
     best_val = float(flat[order[0]])

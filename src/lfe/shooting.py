@@ -13,7 +13,7 @@ with adaptive step halving and regrowth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class ShootingProblem:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
     def flow(self, x0: State | np.ndarray) -> Trajectory:
-        return integrate(self.system, x0, (0.0, self.system.period), self.lam, self.integrator)
+        return integrate(self.system, x0, (0.0, self.system.config.forcing.period), self.lam, self.integrator)
 
     def flow_with_monodromy(self, x0: np.ndarray) -> tuple[Trajectory, np.ndarray]:
         """The time-T orbit of the flat state x0 and the forward-difference monodromy at x0.
@@ -136,9 +136,9 @@ class OrbitSolution:
     residual_norm: float
     monodromy: np.ndarray
     newton_iterations: int
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict  # the integral identities of `orbit_identities`
     # per Newton iteration: the residual sup-norm it started from and its damping alpha
-    newton_trace: list = field(default_factory=list)
+    newton_trace: list
 
     def summary(self) -> dict:
         out = {

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import lfe.certificate
 from conftest import SEED, PlantedCoulomb, coulomb_config, desk_config, pulsed_config
 from lfe.certificate import (
     InequalityFails,
@@ -23,10 +25,9 @@ from lfe.fields import (
     Harmonic,
     UniformField,
     ZeroField,
+    shell_maxima,
 )
-from lfe.integrator import Trajectory
 from lfe.sampling import log_radii, shells, sphere_directions
-from lfe.shooting import OrbitSolution
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +120,72 @@ def test_radius_compares_against_the_field_at_every_time():
     assert compute_R(pulsed_config(1.0), seed=SEED) == 2.0
     with pytest.raises(RadiusNotFound):
         compute_R(pulsed_config(0.5), seed=SEED)
+
+
+@dataclasses.dataclass(frozen=True)
+class _SphereSpike:
+    """|B| = value on the shell 3.5 < |q| < 4.5, which holds the sphere |q| = 4 of compute_R, and 0 elsewhere."""
+
+    value: float
+
+    def eval(self, t, q, rad):
+        out = np.zeros(np.shape(q))
+        out[..., 2] = np.where(np.abs(np.linalg.norm(q, axis=-1) - 4.0) < 0.5, self.value, 0.0)
+        return out
+
+
+def _radius_window_by_window(config, seed):
+    """The smallest 2^k whose spheres 2^k, ..., 2^(k+3) all pass, each window swept on its own."""
+    dirs = sphere_directions(10, seed)
+    threshold = float(np.linalg.norm(config.forcing.mean)) - config.c_B
+    radius = 1.0
+    while radius <= 1e6:
+        radii = radius * np.array([1.0, 2.0, 4.0, 8.0])
+        e, b = shell_maxima(radii, dirs, config.potential, config.magnetic, config.forcing.period)
+        if b.max() < config.c_B and max(e.max(), (config.c0 / radii**2).max()) < threshold:
+            return radius
+        radius *= 2.0
+    return None
+
+
+_RADIUS_CONFIGS = {
+    "coulomb": coulomb_config(),
+    "coulomb-c0-50": coulomb_config(c0=50.0),
+    "coulomb-thin-margin": coulomb_config(c_B=1.999),
+    "desk": desk_config(),
+    "pulsed": pulsed_config(1.0),
+    "spike": dataclasses.replace(coulomb_config(), magnetic=_SphereSpike(2.0)),
+    "nan-spike": dataclasses.replace(coulomb_config(), magnetic=_SphereSpike(math.nan)),
+}
+
+
+@pytest.mark.parametrize("name", list(_RADIUS_CONFIGS))
+def test_radius_equals_the_window_by_window_search(name):
+    config = _RADIUS_CONFIGS[name]
+    assert compute_R(config, seed=SEED) == _radius_window_by_window(config, SEED)
+
+
+@pytest.mark.parametrize(
+    "name,radius,sweeps",
+    [
+        ("coulomb", 2.0, [[1.0, 2.0, 4.0, 8.0], [16.0]]),
+        # sphere 4 fails, so the radii 1, 2 and 4 are skipped in one step
+        ("spike", 8.0, [[1.0, 2.0, 4.0, 8.0], [16.0, 32.0, 64.0]]),
+        ("nan-spike", 8.0, [[1.0, 2.0, 4.0, 8.0], [16.0, 32.0, 64.0]]),
+    ],
+)
+def test_radius_samples_each_sphere_once(monkeypatch, name, radius, sweeps):
+    seen = []
+
+    def recording(radii, *args, **kwargs):
+        seen.append([float(r) for r in radii])
+        return shell_maxima(radii, *args, **kwargs)
+
+    monkeypatch.setattr(lfe.certificate, "shell_maxima", recording)
+    assert compute_R(_RADIUS_CONFIGS[name], seed=SEED) == radius
+    assert seen == sweeps
+    flat = [r for sweep in seen for r in sweep]
+    assert len(flat) == len(set(flat))
 
 
 def test_epsilon_scan_sees_a_failing_direction_next_to_a_nan():
@@ -247,25 +314,17 @@ def test_verify_equilibrium_orbit(desk_start, desk_cert):
     assert all(e.margin > 0 for e in report.entries)
 
 
-def test_verify_flags_synthetic_violation(desk_cert):
-    # fabricate a two-node trajectory dipping to half the certified clearance
-    q_ok = np.array([0.0, 0.0, -0.7])
-    q_bad = np.array([desk_cert.m / 2.0, 0.0, 0.0])
-    states = np.array([np.concatenate([q_ok, np.zeros(3)]), np.concatenate([q_bad, np.zeros(3)])])
-    traj = Trajectory(ts=np.array([0.0, 1.0]), states=states, lam=0.0, interpolant=None)
-    orbit = OrbitSolution(
-        lam=0.0,
-        x0=None,
-        trajectory=traj,
-        residual_norm=0.0,
-        monodromy=np.eye(6),
-        newton_iterations=0,
-        diagnostics={},
-    )
-    report = verify_orbit(orbit, desk_cert)
+def test_verify_flags_synthetic_violation(desk_path, desk_cert):
+    # plant one node at half the certified clearance in the converged desk orbit
+    orbit = desk_path.final
+    states = orbit.trajectory.states.copy()
+    states[len(states) // 2, :3] = [desk_cert.m / 2.0, 0.0, 0.0]
+    planted = dataclasses.replace(orbit, trajectory=dataclasses.replace(orbit.trajectory, states=states))
+    report = verify_orbit(planted, desk_cert)
     assert not report.passed
+    assert len(report.entries) == 6
+    assert [e.name for e in report.entries if not e.passed] == ["clearance"]
     entry = {e.name: e for e in report.entries}["clearance"]
-    assert not entry.passed
     assert entry.margin < 0.0
 
 

@@ -6,7 +6,7 @@ import pytest
 import lfe.shooting
 from lfe.cli import main
 from lfe.config_io import ConfigError, parse_config
-from lfe.fields import DipoleField, GeneralizedCoulomb, ZeroField
+from lfe.fields import ABCField, DipoleField, GeneralizedCoulomb, ZeroField
 
 MINIMAL = """
 [potential]
@@ -579,11 +579,28 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\nseed = -1", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\nmax_iterations = 0", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nmax_steps = 0", "integrator"),
+        ("c0 = 1.0", "c0 = one", "potential"),
+        ("c0 = 1.0", "c0 = inf", "potential"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\nmax_iterations = 1.5", "solver"),
+        ("gamma = 3.0", "gamma = 3.0\nkind = yukawa", "potential"),
+        ("c0 = 1.0\n", "", "potential"),
+        ("period = 1.0\n", "", "forcing"),
+        ("mean = 0 0 2\n", "", "forcing"),
+        ("mean = 0 0 2", "mean = 0 0 2\nharmonic_0_cos = 0.1 0 0", "forcing"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[magnetic]\nkind = quadrupole", "magnetic"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[magnetic]\nkind = uniform", "magnetic"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[magnetic]\nkind = uniform\nb = 0 0 0.1\nc_B = 0.5", "magnetic"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nlambda = 2", "initial-state"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[output]\nsample_points = 1", "output"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nr_min = 0", "integrator"),
     ],
     ids=[
         "c0", "period", "eps0", "eps1", "rtol", "method", "q", "t_end0", "t_end-1",
         "q_r_min", "q_r_min_auto", "dlam_init0", "dlam_init-", "dlam_floor0", "growth<1",
         "target>1", "target<0", "newton_tol0", "seed-1", "max_iterations0", "max_steps0",
+        "not-a-number", "not-finite", "not-an-integer", "potential-kind", "no-c0", "no-period",
+        "no-mean", "harmonic_0", "magnetic-kind", "no-b", "no-c1", "lambda2", "sample_points1",
+        "r_min0",
     ],
 )
 def test_cli_out_of_range_value_exits_4(tmp_path, capsys, old, new, section):
@@ -592,10 +609,15 @@ def test_cli_out_of_range_value_exits_4(tmp_path, capsys, old, new, section):
     assert capsys.readouterr().err.startswith(f"config error: [{section}] ")
 
 
-def test_cli_config_errors_exit_4(tmp_path):
+def test_cli_config_errors_exit_4(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "missing.ini")]) == 4
     bad = write(tmp_path, MINIMAL.replace("c0 = 1.0", "c00 = 1.0"))
     assert main(["validate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 4
+    capsys.readouterr()
+    # a key before the first section header
+    malformed = write(tmp_path, "c0 = 1.0\n" + MINIMAL, "malformed.ini")
+    assert main(["validate", "--config", str(malformed), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith("config error: malformed config file ")
 
 
 @pytest.mark.parametrize("index", ["01", "00", "\u0661"], ids=["leading-zero", "zeros", "arabic-indic-one"])
@@ -688,3 +710,89 @@ def test_cli_integrate_ultrarelativistic_start(tmp_path):
     # the speed saturates, so the monodromy is singular: a solver failure, not a crash
     assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 3
     assert (out / "orbit_report.txt").read_text().startswith("shooting failed: ")
+
+
+def test_cli_integrate_equilibrium_inside_the_auto_guard_radius_exits_3(tmp_path, capsys):
+    # the equilibrium lies at |q| = 1e13**-0.5 = 3.2e-7, inside the default guard radius 1e-6
+    cfg = write(tmp_path, "[potential]\nc0 = 1\n\n[forcing]\nperiod = 0.02\nmean = 0 0 1e13\n")
+    assert parse_config(cfg).r_min_auto  # continue replaces the radius by m/2, so parsing accepts it
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "integration failed: initial position |q| = 3.16228e-07 is inside the guard radius r_min = 1e-06\n"
+    )
+    assert "Traceback" not in captured.err
+    assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert (out / "orbit_report.txt").read_text() == (
+        "shooting failed: initial guess outside the search region: "
+        "|q| = 3.16227766e-07 <= r_min = 1e-06 plus the difference step 1e-07\n"
+    )
+
+
+def test_cli_integrate_step_budget_exhausted_exits_3(tmp_path, capsys):
+    # away from the equilibrium the flow cannot cover one period in a single step
+    cfg = write(tmp_path, LIGHT + "\n[integrator]\nmax_steps = 1\n[initial-state]\nq = 1 0 0\n")
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().out == "integration failed: no convergence within 1 steps\n"
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_continue_stops_on_a_failed_hypothesis(tmp_path):
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(write(tmp_path, BAD_ORDERING)), "--out", str(out)]) == 2
+    payload = json.loads((out / "run_report.json").read_text())
+    assert payload["validation_passed"] is False
+    assert "certificate" not in payload
+    failed = [c["name"] for c in payload["validation"] if not c["passed"]]
+    assert "beta-below-gamma" in failed
+    lines = (out / "run_report.txt").read_text().splitlines()
+    assert lines[-3] == "aborted: hypothesis validation failed"
+
+
+# c0 = 1e-7 puts the zero at |q| = 2.2e-4, where the central-difference
+# determinant (step 1e-6) misses the closed form by more than 1e-5
+TINY_C0 = """
+[potential]
+c0 = 1e-7
+
+[forcing]
+period = 1e-6
+mean = 0 0 2
+"""
+
+
+def test_cli_degree_failure_exits_3(tmp_path):
+    cfg = write(tmp_path, TINY_C0)
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(cfg), "--out", str(out)]) == 3
+    payload = json.loads((out / "run_report.json").read_text())
+    assert payload["validation_passed"] is True and "certificate" in payload
+    assert payload["degree_error"].startswith("analytic ")
+    assert "degree" not in payload and "continuation" not in payload
+    lines = (out / "run_report.txt").read_text().splitlines()
+    assert lines[-3] == "aborted: degree computation failed: " + payload["degree_error"]
+    assert main(["degree", "--config", str(cfg), "--out", str(out)]) == 3
+    text = (out / "degree_report.txt").read_text()
+    assert text == "degree computation failed: " + payload["degree_error"] + "\n"
+
+
+def test_cli_auto_ceiling_of_an_abc_field_is_its_sup_bound(tmp_path):
+    cfg = write(tmp_path, ABC)
+    assert parse_config(cfg).fields.c_B == ABCField(0.01, 0.02, 0.03).sup_bound()
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "certificate.json").read_text())["R"] == 1.0
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_cli_auto_ceiling_of_a_uniform_field_exits_4(tmp_path, capsys):
+    cfg = write(tmp_path, UNIFORM.replace("c_B = 0.1", "c_B = auto"))
+    with pytest.raises(ConfigError, match="c_B"):
+        parse_config(cfg)
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == (
+        "config error: [magnetic] c_B = auto: a uniform field has |B| = 0.05 everywhere, "
+        "and c_B must lie strictly above it; give c_B as a number\n"
+    )

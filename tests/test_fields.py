@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import PlantedCoulomb, coulomb_config, desk_config, pulsed_config
+from lfe.certificate import compute_R
 from lfe.fields import (
     ABCField,
     DipoleField,
@@ -304,6 +305,41 @@ def test_validate_is_reproducible():
 
 def test_magnetic_ceiling_dipole_sharp():
     assert math.isclose(magnetic_ceiling(DipoleField([0, 0, 0.1]), period=1.0, seed=VALIDATION_SEED), 0.2, rel_tol=1e-12)
+
+
+def _abc_config(c_B: float) -> FieldConfig:
+    return FieldConfig(
+        potential=GeneralizedCoulomb(1.0, 3.0),
+        magnetic=ABCField(0.1, 0.05, 0.03),
+        forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
+        c0=1.0,
+        gamma=3.0,
+        eps0=1.0,
+        c_B=c_B,
+        c1=0.3,
+        beta=1e-3,
+        eps1=1.0,
+    )
+
+
+def test_magnetic_ceiling_of_an_abc_field_passes_the_checks_on_every_seed():
+    # a sampled maximum lies below the sup, so other seeds' samples can exceed it
+    abc = ABCField(0.1, 0.05, 0.03)
+    for seed in range(40):
+        c_B = magnetic_ceiling(abc, period=1.0, seed=seed)
+        assert c_B == abc.sup_bound()
+        config = _abc_config(c_B)
+        checks = {c.name: c for c in validate_hypotheses(config, seed=seed).checks}
+        assert checks["magnetic-ceiling-at-infinity"].passed, seed
+        assert compute_R(config, seed=seed) == 1.0, seed
+
+
+def test_magnetic_ceiling_of_a_uniform_field_is_refused():
+    # |B| = 0.1 at every sample: no c_B equal to the sup passes the strict ceiling check
+    for seed in range(40):
+        with pytest.raises(ValueError, match=r"^c_B = auto: a uniform field has \|B\| = 0.1 everywhere"):
+            magnetic_ceiling(UniformField([0.0, 0.0, 0.1]), period=1.0, seed=seed)
+    assert magnetic_ceiling(UniformField([0.0, 0.0, 0.0]), period=1.0, seed=0) == 0.0
 
 
 def test_config_rejects_nonpositive_constants():

@@ -247,16 +247,19 @@ def test_integrate_validates_inputs(gyro_system):
 def test_csv_export(tmp_path, gyro_system):
     traj = integrate(gyro_system, State(q=[5, 0, 0], p=[0.75, 0, 0]), (0.0, 1.0), 1.0)
     path = tmp_path / "traj.csv"
-    grid = np.linspace(0.0, 1.0, 11)
-    traj.write_csv(path, grid)
+    traj.write_csv(path, 11)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,q1,q2,q3,p1,p2,p3"
     assert len(lines) == 12
     first = [float(tok) for tok in lines[1].split(",")]
     assert first == [0.0, 5.0, 0.0, 0.0, 0.75, 0.0, 0.0]
+    # the samples are the grid np.linspace(0, 1, 11), the last one at the end of the run
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(rows[:, 0], np.linspace(0.0, 1.0, 11))
+    assert np.allclose(rows[-1, 1:], traj.states[-1], rtol=0.0, atol=1e-12)
     # byte-identical on re-export
     path2 = tmp_path / "traj2.csv"
-    traj.write_csv(path2, grid)
+    traj.write_csv(path2, 11)
     assert path.read_bytes() == path2.read_bytes()
 
 
