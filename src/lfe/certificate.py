@@ -20,6 +20,7 @@ the split preserves the structure of the estimate while being checkable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,6 +219,11 @@ def compute_momentum_bound(
     period = config.forcing.period
     if not 0.0 < m < R + period:
         raise ValueError(f"need 0 < m < R + T, got m={m}, R+T={R + period}")
+    if m * m < sys.float_info.min:
+        raise CertificateError(
+            f"momentum bound M: |q|^2 underflows on the sphere |q| = m = {m:.6g} "
+            f"(below {math.sqrt(sys.float_info.min):.3g}), so c0/|q|^2 cannot be sampled there"
+        )
 
     def h_total(t, q):
         q, rad = radial_powers(q)

@@ -6,8 +6,10 @@ negative, so the topological degree on the certified annulus is -1.  That
 nonzero degree is what anchors the continuation; this module takes its
 sign from the closed-form determinant, cross-checked by a central-difference
 Jacobian in momentum coordinates, and guards against a second zero with a
-multi-start Newton sweep in velocity coordinates (see lfe.homotopy), where
-each step needs one 3x3 solve.
+multi-start Newton sweep in velocity coordinates (see lfe.homotopy).  The
+sweep steps in the inverted radius w = q/|q|^3, where the force block is
+linear, so a step needs no solve and a start deep inside the region
+reaches the zero in a few steps.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lfe.homotopy import AutonomousField, coulomb_force_jacobian, f0_determinant_closed_form
+from lfe.homotopy import AutonomousField, f0_determinant_closed_form
 from lfe.kinematics import State, phi_inv
 from lfe.sampling import sobol_points, unit_vectors
 
@@ -96,16 +98,43 @@ def _fd_jacobian_f0(field: AutonomousField, x0: State, step: float = 1e-6) -> np
     return (f[:6] - f[6:]).T / (2.0 * step)
 
 
+def _radial_scale(x: np.ndarray, power: float) -> np.ndarray:
+    """x |x|^-power row by row for x of shape (N, 3), with no warning.
+
+    A row whose result or |x|^2 leaves double range comes back with an
+    infinite, NaN or zero result, which the caller reads as no point.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return x * np.add.reduce(x * x, axis=1, keepdims=True) ** (-0.5 * power)
+
+
+def _g(field: AutonomousField, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g at the rows of y = (q, v) and its norm, which is inf, with no warning, where |g|^2 overflows."""
+    f = field.value(y[:, :3], y[:, 3:])
+    with np.errstate(over="ignore"):
+        return f, np.linalg.norm(f, axis=1)
+
+
 def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: int) -> dict:
     """Damped Newton on g(q, v) from quasi-random starts filling the region; classify the basins.
 
+    The step is taken in the inverted radius w = q |q|^-3, a bijection of
+    R^3 minus the origin with inverse q = w |w|^-3/2.  There the force
+    block of g = (G, F) is h + c0 w, linear in w, and the velocity block
+    G = v has the identity Jacobian, so the Newton step is (-F/c0, -G): no
+    solve.  The Newton point w - F/c0 is formed as -(h + d)/c0, with
+    d = F - h - c0 w the field's departure from that model, and a step of
+    length alpha as (1 - alpha) times the current point plus alpha times
+    the Newton point.  Otherwise a huge w would cancel against F and round
+    the mean forcing away.
+
     Each start runs its own iteration: at most 60 Newton steps, converged
-    once the residual is below 1e-11, each step halved up to 30 times until
-    the residual strictly decreases.  A start escapes when no halving
-    decreases it, when it leaves |q| <= 1e6 upper, or when the force block
-    J_q is singular (also counted as `singular`).  The velocity block is the
-    identity, so a step is (J_q^-1 (-F), -v).  Every Newton step and every
-    halving is one array operation over the starts still running.
+    once the residual of g (in q and v) is below 1e-11, each step halved up
+    to 30 times until the residual strictly decreases.  A start escapes
+    when no halving decreases it, when it leaves |q| <= 1e6 upper, or when
+    its w or its residual leaves double range.  Every Newton step and every
+    halving is one array operation over the starts still running;
+    `iterations` counts the Newton steps of that stack.
 
     Any numerical zero must have v = 0 and coincide with x0; a second zero
     raises MultipleZeros.  Escapes per decade of |q0| show what was searched.
@@ -118,44 +147,43 @@ def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: i
     r_p = np.exp(np.log(p_floor) + u[:, 5] * (np.log(p_max) - np.log(p_floor)))
     r_v = r_p / np.hypot(1.0, r_p)  # the speed of each momentum start
     y = np.hstack([r_q[:, None] * unit_vectors(u[:, :2]), r_v[:, None] * unit_vectors(u[:, 3:5])])
+    w = _radial_scale(y[:, :3], 3.0)  # always w of the q in y
 
+    c0, h = field.c0, field.h_mean
     converged = np.zeros(len(y), dtype=bool)
-    singular = np.zeros(len(y), dtype=bool)
-    live = np.arange(len(y))
-    for _ in range(60):
-        f = field.value(y[live, :3], y[live, 3:])
-        res = np.linalg.norm(f, axis=1)
+    live = np.flatnonzero(np.isfinite(w).all(axis=1))
+    iterations = 0
+    while live.size and iterations < 60:
+        iterations += 1
+        f, res = _g(field, y[live])
         done = res < 1e-11
         converged[live[done]] = True
-        live, f, res = live[~done], f[~done], res[~done]
-
-        jq = coulomb_force_jacobian(y[live, :3], field.c0)
-        # slogdet's sign is 0 exactly when LU meets a zero pivot, which is
-        # when solve would raise for the whole stack
-        ok = np.linalg.slogdet(jq)[0] != 0.0
-        singular[live[~ok]] = True
-        live, f, res, jq = live[ok], f[ok], res[ok], jq[ok]
-        delta = np.hstack([np.linalg.solve(jq, -f[:, 3:, None])[..., 0], -f[:, :3]])
+        keep = ~done & np.isfinite(res)
+        live, f, res = live[keep], f[keep], res[keep]
+        w_newton = -(h + ((f[:, 3:] - h) - c0 * w[live])) / c0
+        v_newton = y[live, 3:] - f[:, :3]
 
         waiting = np.arange(len(live))  # rows of live with no accepted step yet
         alpha = 1.0
         for _ in range(30):
-            y_try = y[live[waiting]] + alpha * delta[waiting]
-            valid = (np.linalg.norm(y_try[:, :3], axis=1) > 0.0) & np.isfinite(y_try).all(axis=1)
+            rows = live[waiting]
+            w_try = (1.0 - alpha) * w[rows] + alpha * w_newton[waiting]
+            v_try = (1.0 - alpha) * y[rows, 3:] + alpha * v_newton[waiting]
+            y_try = np.hstack([_radial_scale(w_try, 1.5), v_try])
+            w_back = _radial_scale(y_try[:, :3], 3.0)
+            valid = np.isfinite(w_back).all(axis=1)
             better = np.zeros_like(valid)
             if valid.any():
-                f_try = field.value(y_try[valid, :3], y_try[valid, 3:])
-                better[valid] = np.linalg.norm(f_try, axis=1) < res[waiting[valid]]
-            y[live[waiting[better]]] = y_try[better]
+                better[valid] = _g(field, y_try[valid])[1] < res[waiting[valid]]
+            y[rows[better]] = y_try[better]
+            w[rows[better]] = w_back[better]
             waiting = waiting[~better]
             if not waiting.size:
                 break
             alpha *= 0.5
-        # no decrease, or a (finite) step out of the region: escaped
+        # no decrease, or a step out of the region: escaped
         live = np.delete(live, waiting)
         live = live[np.linalg.norm(y[live, :3], axis=1) <= 1e6 * upper]
-        if not live.size:
-            break
 
     ref = np.concatenate([x0.q, phi_inv(x0.p)])
     zeros = y[converged]
@@ -171,7 +199,7 @@ def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: i
         "starts": len(y),
         "converged_to_zero": n_converged,
         "escaped": len(y) - n_converged,
-        "singular": int(np.count_nonzero(singular)),
+        "iterations": iterations,
         "seed": seed,
         "escapes_by_start_decade": [
             {"decade": int(d), "starts": int(n), "escaped": int(np.sum(~converged[decade == d]))}

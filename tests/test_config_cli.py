@@ -530,6 +530,16 @@ def test_cli_certificate_failure_writes_only_the_message(tmp_path, command, stem
     assert not list(out.glob("*.json"))
 
 
+def test_cli_bounds_names_the_momentum_bound_when_the_clearance_underflows(tmp_path):
+    # m = 1.9e-174 here, so |q|^2 on the inner sphere of the M sweep is 0
+    text = LIGHT.replace("c0 = 1.0", "c0 = 1e-8").replace("period = 1.0", "period = 1e-6")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
+    message = (out / "certificate.txt").read_text()
+    assert message.startswith("certificate failed: momentum bound M: |q|^2 underflows")
+    assert "m = 1.9" in message and "e-174" in message
+
+
 def test_cli_find_orbit_text_matches_json(tmp_path):
     out = tmp_path / "out"
     assert main(["find-orbit", "--config", str(write(tmp_path, LIGHT)), "--out", str(out)]) == 0
