@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lfe.fields import FieldConfig, HypothesisCheck, radial_powers, shell_maxima
+from lfe.fields import FieldConfig, HypothesisCheck, check_table, radial_powers, shell_maxima
 from lfe.kinematics import phi_inv
 from lfe.sampling import log_radii, maximize_on_annulus, sphere_directions
 
@@ -278,12 +278,7 @@ class VerificationReport:
         object.__setattr__(self, "passed", all(e.passed for e in self.entries))
 
     def lines(self) -> list[str]:
-        out = []
-        for e in self.entries:
-            status = "pass" if e.passed else "FAIL"
-            out.append(f"{status:4s}  {e.name:18s}  margin={e.margin: .6e}  {e.detail}")
-        out.append(f"overall: {'pass' if self.passed else 'FAIL'}")
-        return out
+        return check_table(self.entries, 18, 6)
 
 
 IDENTITY_TOL = 1e-6

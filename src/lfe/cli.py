@@ -3,42 +3,34 @@
     lfe <subcommand> --config scenario.ini [--out DIR]
 
 Subcommands: validate, bounds, degree, integrate, find-orbit, continue.
-Each report is one record rendered to `<stem>.txt` and `<stem>.json`
-(validate_report, certificate, degree_report, orbit_report, run_report)
-and echoed to stdout.  A single-stage command whose stage fails writes
-only its failure message to `<stem>.txt`.  `continue` runs the stages in
-order and always writes run_report: a failed stage ends the text with
+Each stage writes its report section once, with `_Report.section`.  A
+single-stage command's report is that section: its lines go to
+`<stem>.txt` and its record to `<stem>.json` (validate_report,
+certificate, degree_report, orbit_report).  `continue` writes run_report:
+each stage adds a titled section of indented lines to the text and its
+run fields to the record.  The text is echoed to stdout.  A failed stage
+of a single-stage command writes only its message to `<stem>.txt`
+(`integrate` only prints it); in `continue` it ends the text with
 `aborted: <message>` and stores the error under `certificate_error`,
-`degree_error` or `solver_error`; `continuation.history` lists every
-attempted step with its lambda, dlam, accepted flag and reason; only
-`wall_clock_s` and `timings` (seconds per stage) differ between runs.
-Exit codes: 0 success, 2 hypothesis/certificate failure, 3 solver
-failure, 4 I/O or configuration error.  Flags never override file
-values; they only select the subcommand and point at files.  Stdout
-verbosity is controlled by the LFE_VERBOSITY environment variable
-(0 silences the report echo).
+`degree_error` or `solver_error`.  Only `wall_clock_s` and `timings`
+(seconds per stage) differ between runs.  Exit codes: 0 success, 2
+hypothesis/certificate failure, 3 solver failure, 4 I/O or configuration
+error.  Flags never override file values; they only select the
+subcommand and point at files.  LFE_VERBOSITY=0 silences the echo.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import os
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 import lfe
-from lfe.certificate import (
-    BoundsCertificate,
-    CertificateError,
-    compute_certificate,
-    verify_orbit,
-)
+from lfe.certificate import BoundsCertificate, CertificateError, compute_certificate, verify_orbit
 from lfe.config_io import ConfigError, RunConfig, config_hash, parse_config
 from lfe.degree import DegenerateForcing, DegreeError, DegreeReport, brouwer_degree, find_zero_f0
 from lfe.fields import validate_hypotheses
@@ -60,73 +52,71 @@ class _StageFailed(Exception):
     run_report.json under `key`; `code` is the exit code.
     """
 
-    def __init__(self, what: str, err: Exception, code: int, key: str):
+    def __init__(self, what: str, err: Exception, code: int, key: str | None):
         super().__init__(f"{what}: {err}")
         self.error = str(err)
         self.code = code
         self.key = key
 
 
-def _emit(text: str) -> None:
-    if os.environ.get("LFE_VERBOSITY", "1") != "0":
-        print(text)
+# what a failed stage reports -> (exceptions it catches, exit code, run_report key)
+_FAILURES = {
+    "certificate failed": ((CertificateError, ValueError), EXIT_HYPOTHESIS, "certificate_error"),
+    "degree computation failed": (DegreeError, EXIT_SOLVER, "degree_error"),
+    "no starting orbit at lam = 0": (SolverError, EXIT_SOLVER, "solver_error"),
+    "shooting failed": (SolverError, EXIT_SOLVER, None),
+    "no equilibrium guess": (DegenerateForcing, EXIT_HYPOTHESIS, None),
+    "no equilibrium start": (DegenerateForcing, EXIT_HYPOTHESIS, None),
+    # ValueError: a start inside the guard radius
+    "integration failed": ((SolverError, ValueError), EXIT_SOLVER, None),
+}
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _attempt(what: str, call, *args, **kwargs):
+    """call(*args, **kwargs), with the exceptions that _FAILURES[what] lists raised as _StageFailed."""
+    errors, code, key = _FAILURES[what]
+    try:
+        return call(*args, **kwargs)
+    except errors as err:
+        raise _StageFailed(what, err, code, key) from err
 
 
-def _report(out: Path, stem: str, lines: list[str], payload: dict | None = None) -> None:
-    """Write `<stem>.txt`, and `<stem>.json` when there is a payload; echo the text."""
-    text = "\n".join(lines)
-    (out / f"{stem}.txt").write_text(text + "\n", encoding="utf-8")
-    if payload is not None:
-        (out / f"{stem}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
-            encoding="utf-8",
-        )
-    _emit(text)
+class _Report:
+    """The text lines and the record of one command, written once by `write`.
 
+    A section is the whole report until `continue` sets `timings`; from then
+    on it adds its title and indented lines to the text, its run fields to
+    the record and the seconds since the previous section to timings[stage].
+    """
 
-def _section(title: str, lines=()) -> list[str]:
-    """One stage of run_report.txt: a blank line, the title, the lines indented."""
-    return ["", title, *("  " + line for line in lines)]
+    def __init__(self, out: Path, stem: str | None):
+        self.out, self.stem = out, stem
+        self.text: list[str] = []
+        self.record: dict | None = None
+        self.timings: dict | None = None
+        self.start = self.clock = time.perf_counter()
 
+    def section(self, stage, title: str, lines=(), record=None, run=None) -> None:
+        if self.timings is None:
+            self.text, self.record = list(lines), record
+            return
+        if stage is not None:
+            now = time.perf_counter()
+            self.timings[stage] = self.timings.get(stage, 0.0) + (now - self.clock)
+            self.clock = now
+        self.text += ["", title, *("  " + line for line in lines)]
+        self.record.update(run or {})
 
-def _certificate_record(cert: BoundsCertificate) -> dict:
-    record = dataclasses.asdict(cert)
-    record["upper"] = cert.upper
-    record["provenance"] = {k: str(v) for k, v in cert.provenance.items()}
-    return record
-
-
-def _degree_record(report: DegreeReport) -> dict:
-    record = dataclasses.asdict(report)
-    x0 = record.pop("x0")
-    record["x0_q"], record["x0_p"] = x0["q"], x0["p"]
-    return record
-
-
-def _orbit_record(sol: OrbitSolution, verification=None) -> dict:
-    record = {
-        **sol.summary(),
-        "monodromy": sol.monodromy,
-        "newton_trace": sol.newton_trace,
-        "n_rejected": sol.trajectory.n_rejected,
-    }
-    if verification is not None:
-        record["verification"] = [dataclasses.asdict(e) for e in verification.entries]
-        record["verified"] = verification.passed
-    return record
-
-
-def _orbit_lines(sol: OrbitSolution) -> list[str]:
-    return [
-        f"{key} = " + (" ".join(map(repr, val)) if isinstance(val, list) else repr(val))
-        for key, val in sol.summary().items()
-    ]
+    def write(self) -> None:
+        """`<stem>.txt` if there is a stem, `<stem>.json` if there is a record; echo the text."""
+        text = "\n".join(self.text)
+        if self.stem is not None:
+            (self.out / f"{self.stem}.txt").write_text(text + "\n", encoding="utf-8")
+        if self.record is not None:  # the values json cannot write are numpy scalars and arrays
+            record = json.dumps(self.record, indent=2, sort_keys=True, default=lambda x: x.tolist())
+            (self.out / f"{self.stem}.json").write_text(record + "\n", encoding="utf-8")
+        if os.environ.get("LFE_VERBOSITY", "1") != "0":
+            print(text)
 
 
 def _build_problem(cfg: RunConfig, lam: float, cert: BoundsCertificate | None) -> ShootingProblem:
@@ -144,174 +134,142 @@ def _build_problem(cfg: RunConfig, lam: float, cert: BoundsCertificate | None) -
 
 
 def _initial_state(cfg: RunConfig) -> State:
-    if cfg.initial.q is None:
-        eq = find_zero_f0(cfg.fields.c0, cfg.fields.forcing.mean)
-        return State(q=eq.q, p=cfg.initial.p)
-    return State(q=cfg.initial.q, p=cfg.initial.p)
+    if cfg.initial.q is not None:
+        return State(q=cfg.initial.q, p=cfg.initial.p)
+    return State(q=find_zero_f0(cfg.fields.c0, cfg.fields.forcing.mean).q, p=cfg.initial.p)
 
 
-def _certify(cfg: RunConfig) -> BoundsCertificate:
-    try:
-        return compute_certificate(cfg.fields, seed=cfg.solver.seed)
-    except (CertificateError, ValueError) as err:
-        raise _StageFailed("certificate failed", err, EXIT_HYPOTHESIS, "certificate_error") from err
-
-
-def _degree(cfg: RunConfig, cert: BoundsCertificate) -> DegreeReport:
-    try:
-        return brouwer_degree(
-            cfg.fields.c0, cfg.fields.forcing.mean, cert.region(), seed=cfg.solver.seed
-        )
-    except DegreeError as err:
-        raise _StageFailed("degree computation failed", err, EXIT_SOLVER, "degree_error") from err
-
-
-def _shoot(guess: State, problem: ShootingProblem, what: str = "shooting failed") -> OrbitSolution:
-    try:
-        return newton_shooting(guess, problem)
-    except SolverError as err:
-        raise _StageFailed(what, err, EXIT_SOLVER, "solver_error") from err
-
-
-def cmd_validate(cfg: RunConfig, out: Path, report) -> int:
+def cmd_validate(cfg: RunConfig, report: _Report) -> int:
     validation = validate_hypotheses(cfg.fields, seed=cfg.solver.seed)
-    report(validation.lines(), dataclasses.asdict(validation))
+    record = dataclasses.asdict(validation)
+    run = {"validation_passed": validation.passed, "validation": record["checks"]}
+    report.section("validate", "hypothesis validation", validation.lines(), record, run)
     return EXIT_OK if validation.passed else EXIT_HYPOTHESIS
 
 
-def cmd_bounds(cfg: RunConfig, out: Path, report) -> int:
-    cert = _certify(cfg)
-    report(cert.lines(), _certificate_record(cert))
+def _certify(cfg: RunConfig, report: _Report) -> BoundsCertificate:
+    cert = _attempt("certificate failed", compute_certificate, cfg.fields, seed=cfg.solver.seed)
+    record = dataclasses.asdict(cert)
+    record["upper"] = cert.upper
+    record["provenance"] = {k: str(v) for k, v in cert.provenance.items()}
+    report.section("certificate", "bounds certificate", cert.lines(), record, {"certificate": record})
+    return cert
+
+
+def _degree(cfg: RunConfig, cert: BoundsCertificate, report: _Report) -> DegreeReport:
+    c0, mean, seed = cfg.fields.c0, cfg.fields.forcing.mean, cfg.solver.seed
+    degree = _attempt("degree computation failed", brouwer_degree, c0, mean, cert.region(), seed=seed)
+    record = dataclasses.asdict(degree)
+    x0 = record.pop("x0")
+    record["x0_q"], record["x0_p"] = x0["q"], x0["p"]
+    escapes = record["sweep"]["escapes_by_start_decade"]
+    run = {"degree": degree.degree, "degree_escapes_by_start_decade": escapes}
+    report.section("degree", "degree at the autonomous limit", degree.lines(), record, run)
+    return degree
+
+
+def _orbit(sol: OrbitSolution, report: _Report, verification=None) -> None:
+    """The orbit summary as `key = value` lines and, with the solver data, as the record."""
+    summary = sol.summary()
+    record = dict(summary, monodromy=sol.monodromy, newton_trace=sol.newton_trace)
+    record["n_rejected"] = sol.trajectory.n_rejected
+    if verification is not None:
+        record["verification"] = [dataclasses.asdict(e) for e in verification.entries]
+        record["verified"] = verification.passed
+    lines = [
+        f"{key} = " + (" ".join(map(repr, val)) if isinstance(val, list) else repr(val))
+        for key, val in summary.items()
+    ]
+    title = f"final orbit at lambda = {sol.lam!r}"
+    report.section("verify", title, lines, record, {"final_orbit": record})
+
+
+def cmd_bounds(cfg: RunConfig, report: _Report) -> int:
+    _certify(cfg, report)
     return EXIT_OK
 
 
-def cmd_degree(cfg: RunConfig, out: Path, report) -> int:
-    degree = _degree(cfg, _certify(cfg))
-    report(degree.lines(), _degree_record(degree))
+def cmd_degree(cfg: RunConfig, report: _Report) -> int:
+    _degree(cfg, _certify(cfg, report), report)
     return EXIT_OK
 
 
-def cmd_integrate(cfg: RunConfig, out: Path, report) -> int:
-    system = HomotopySystem(cfg.fields)
-    try:
-        x0 = _initial_state(cfg)
-    except DegenerateForcing as err:
-        _emit(f"no equilibrium start: {err}")
-        return EXIT_HYPOTHESIS
+def cmd_integrate(cfg: RunConfig, report: _Report) -> int:
+    x0 = _attempt("no equilibrium start", _initial_state, cfg)
     t_end = cfg.initial.t_end if cfg.initial.t_end is not None else cfg.fields.forcing.period
-    try:
-        traj = integrate(system, x0, (0.0, t_end), cfg.initial.lam, cfg.integrator)
-    except (SolverError, ValueError) as err:  # ValueError: a start inside the guard radius
-        _emit(f"integration failed: {err}")
-        return EXIT_SOLVER
-    traj.write_csv(out / "trajectory.csv", cfg.output.sample_points)
-    _emit(f"wrote {out / 'trajectory.csv'} ({cfg.output.sample_points} samples, lam={cfg.initial.lam})")
+    args = (HomotopySystem(cfg.fields), x0, (0.0, t_end), cfg.initial.lam, cfg.integrator)
+    traj = _attempt("integration failed", integrate, *args)
+    csv, points = report.out / "trajectory.csv", cfg.output.sample_points
+    traj.write_csv(csv, points)
+    report.text = [f"wrote {csv} ({points} samples, lam={cfg.initial.lam})"]
     return EXIT_OK
 
 
-def cmd_find_orbit(cfg: RunConfig, out: Path, report) -> int:
+def cmd_find_orbit(cfg: RunConfig, report: _Report) -> int:
     problem = _build_problem(cfg, cfg.initial.lam, cert=None)
-    try:
-        guess = _initial_state(cfg)
-    except DegenerateForcing as err:
-        _emit(f"no equilibrium guess: {err}")
-        return EXIT_HYPOTHESIS
-    sol = _shoot(guess, problem)
-    report(_orbit_lines(sol), _orbit_record(sol))
-    sol.trajectory.write_csv(out / "orbit.csv", cfg.output.sample_points)
+    guess = _attempt("no equilibrium guess", _initial_state, cfg)
+    sol = _attempt("shooting failed", newton_shooting, guess, problem)
+    sol.trajectory.write_csv(report.out / "orbit.csv", cfg.output.sample_points)
+    _orbit(sol, report)
     return EXIT_OK
 
 
-def _lap(timings: dict, stage: str, start: float) -> float:
-    """Add the seconds since `start` to timings[stage]; return the time now."""
-    now = time.perf_counter()
-    timings[stage] = timings.get(stage, 0.0) + (now - start)
-    return now
-
-
-def _pipeline(cfg: RunConfig, out: Path, record: dict, text: list[str]) -> int:
-    """The stages of `continue` in order, each adding its section to `text` and `record`."""
-    timings = record["timings"] = {}
-    clock = time.perf_counter()
-    validation = validate_hypotheses(cfg.fields, seed=cfg.solver.seed)
-    clock = _lap(timings, "validate", clock)
-    text += _section("hypothesis validation", validation.lines())
-    record["validation_passed"] = validation.passed
-    record["validation"] = [dataclasses.asdict(c) for c in validation.checks]
-    if not validation.passed:
-        text.append("aborted: hypothesis validation failed")
+def _pipeline(cfg: RunConfig, report: _Report) -> int:
+    """The stages of `continue` in order, each writing its section of run_report."""
+    if cmd_validate(cfg, report) != EXIT_OK:
+        report.text.append("aborted: hypothesis validation failed")
         return EXIT_HYPOTHESIS
-
-    cert = _certify(cfg)
-    clock = _lap(timings, "certificate", clock)
-    text += _section("bounds certificate", cert.lines())
-    record["certificate"] = _certificate_record(cert)
-
-    degree = _degree(cfg, cert)
-    clock = _lap(timings, "degree", clock)
-    text += _section("degree at the autonomous limit", degree.lines())
-    record["degree"] = degree.degree
-    record["degree_escapes_by_start_decade"] = degree.sweep["escapes_by_start_decade"]
+    cert = _certify(cfg, report)
+    degree = _degree(cfg, cert, report)
 
     problem = _build_problem(cfg, 0.0, cert)
-    equilibrium = find_zero_f0(cfg.fields.c0, cfg.fields.forcing.mean)
-    start = _shoot(equilibrium, problem, "no starting orbit at lam = 0")
+    start = _attempt("no starting orbit at lam = 0", newton_shooting, degree.x0, problem)
     path = continue_lambda(problem, start)
-    clock = _lap(timings, "continuation", clock)
     rows = path.summary_rows()
-    write_rows_csv(out / "continuation.csv", list(rows[0]), [r.values() for r in rows])
-    clock = _lap(timings, "write", clock)
-    text += _section(
+    continuation = dict(status=path.status, message=path.message, steps=rows, history=path.history)
+    report.section(
+        "continuation",
         f"continuation: {path.status} ({path.message})",
         [
             f"lambda={r['lambda']:.6g}  |x0|={r['x0_norm']:.9g}"
             f"  residual={r['residual']:.3e}  iters={r['newton_iterations']}"
             for r in rows
         ],
+        run={"continuation": continuation},
     )
-    record["continuation"] = {
-        "status": path.status,
-        "message": path.message,
-        "steps": rows,
-        "history": path.history,
-    }
 
     final = path.final
     verification = verify_orbit(final, cert)
-    clock = _lap(timings, "verify", clock)
-    text += _section(f"final orbit at lambda = {final.lam!r}", _orbit_lines(final))
-    text += _section("orbit verification", verification.lines())
-    record["final_orbit"] = _orbit_record(final, verification)
+    _orbit(final, report, verification)
+    report.section("verify", "orbit verification", verification.lines())
 
-    final.trajectory.write_csv(out / "orbit.csv", cfg.output.sample_points)
-    _lap(timings, "write", clock)
-
+    write_rows_csv(report.out / "continuation.csv", list(rows[0]), [r.values() for r in rows])
+    final.trajectory.write_csv(report.out / "orbit.csv", cfg.output.sample_points)
     ok = path.status == "reached_target" and verification.passed
-    text += _section("result: " + ("success" if ok else "path incomplete or verification failed"))
+    result = "success" if ok else "path incomplete or verification failed"
+    report.section("write", f"result: {result}")
     return EXIT_OK if ok else EXIT_SOLVER
 
 
-def cmd_continue(cfg: RunConfig, out: Path, report) -> int:
-    t_start = time.perf_counter()
-    record: dict = {
+def cmd_continue(cfg: RunConfig, report: _Report) -> int:
+    sha = config_hash(cfg.text)
+    report.text = [f"lfe continue (version {lfe.__version__})", f"config sha256 = {sha}"]
+    report.timings = {}
+    report.record = {
         "tool_version": lfe.__version__,
-        "config_sha256": config_hash(cfg.text),
+        "config_sha256": sha,
         "config": cfg.text,
         "seed": cfg.solver.seed,
+        "timings": report.timings,
     }
-    text = [
-        f"lfe continue (version {lfe.__version__})",
-        f"config sha256 = {record['config_sha256']}",
-    ]
     try:
-        code = _pipeline(cfg, out, record, text)
+        code = _pipeline(cfg, report)
     except _StageFailed as err:
-        text.append(f"aborted: {err}")
-        record[err.key] = err.error
+        report.text.append(f"aborted: {err}")
+        report.record[err.key] = err.error
         code = err.code
-    record["wall_clock_s"] = time.perf_counter() - t_start
-    text += _section(f"wall clock [s] = {record['wall_clock_s']:.3f}")
-    report(text, record)
+    wall = time.perf_counter() - report.start
+    report.section(None, f"wall clock [s] = {wall:.3f}", run={"wall_clock_s": wall})
     return code
 
 
@@ -331,12 +289,13 @@ _COMMANDS = {
 
 
 def _run(command, cfg: RunConfig, out: Path, stem: str | None) -> int:
-    report = functools.partial(_report, out, stem)
+    report = _Report(out, stem)
     try:
-        return command(cfg, out, report)
+        code = command(cfg, report)
     except _StageFailed as err:  # a single-stage command reports only the failure
-        report([str(err)])
-        return err.code
+        report.text, report.record, code = [str(err)], None, err.code
+    report.write()
+    return code
 
 
 def main(argv=None) -> int:

@@ -331,6 +331,16 @@ class HypothesisCheck:
         object.__setattr__(self, "margin", float(self.margin))
 
 
+def check_table(checks, name_width: int, digits: int, overall: str = "") -> list[str]:
+    """A `status  name  margin=...  detail` row per check, then `overall: pass` (or FAIL) + overall."""
+    status = {True: "pass", False: "FAIL"}
+    rows = [
+        f"{status[c.passed]:4s}  {c.name:{name_width}s}  margin={c.margin: .{digits}e}  {c.detail}"
+        for c in checks
+    ]
+    return rows + [f"overall: {status[all(c.passed for c in checks)]}{overall}"]
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of the sampled hypothesis checks.
@@ -352,12 +362,7 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
     def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            out.append(f"{status:4s}  {c.name:28s}  margin={c.margin: .3e}  {c.detail}")
-        out.append(f"overall: {'pass' if self.passed else 'FAIL'}  (seed={self.seed}; {self.note})")
-        return out
+        return check_table(self.checks, 28, 3, f"  (seed={self.seed}; {self.note})")
 
 
 def shell_maxima(

@@ -10,6 +10,7 @@ from conftest import SEED, PlantedCoulomb, coulomb_config, desk_config, pulsed_c
 from lfe.certificate import (
     InequalityFails,
     RadiusNotFound,
+    VerificationReport,
     clearance_formula,
     compute_R,
     compute_certificate,
@@ -23,7 +24,9 @@ from lfe.fields import (
     Forcing,
     GeneralizedCoulomb,
     Harmonic,
+    HypothesisCheck,
     UniformField,
+    ValidationReport,
     ZeroField,
     shell_maxima,
 )
@@ -331,3 +334,19 @@ def test_verify_flags_synthetic_violation(desk_path, desk_cert):
 def test_verify_final_desk_orbit(desk_path, desk_cert):
     report = verify_orbit(desk_path.final, desk_cert)
     assert report.passed, report.lines()
+
+
+def test_validation_and_verification_print_one_check_table_in_their_own_widths():
+    checks = (
+        HypothesisCheck("clearance", True, "min |q| = 0.7", 0.25),
+        HypothesisCheck("virial", False, "virial_lhs = 1", -1.5e-7),
+    )
+    assert ValidationReport(checks, seed=7).lines() == [
+        "pass  clearance                     margin= 2.500e-01  min |q| = 0.7",
+        "FAIL  virial                        margin=-1.500e-07  virial_lhs = 1",
+        "overall: FAIL  (seed=7; sampled, not proven)",
+    ]
+    assert VerificationReport(checks[:1]).lines() == [
+        "pass  clearance           margin= 2.500000e-01  min |q| = 0.7",
+        "overall: pass",
+    ]

@@ -540,6 +540,30 @@ def test_cli_bounds_names_the_momentum_bound_when_the_clearance_underflows(tmp_p
     assert "m = 1.9" in message and "e-174" in message
 
 
+def test_cli_continue_renders_each_stage_as_its_own_command_does(tmp_path):
+    cfg = write(tmp_path, LIGHT)
+    out = tmp_path / "out"
+    for command in ("validate", "bounds", "degree", "continue"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    run_text = (out / "run_report.txt").read_text()
+    sections = [
+        ("hypothesis validation", "validate_report"),
+        ("bounds certificate", "certificate"),
+        ("degree at the autonomous limit", "degree_report"),
+    ]
+    for title, stem in sections:
+        lines = (out / f"{stem}.txt").read_text().splitlines()
+        assert "\n".join(["", title, *("  " + line for line in lines), ""]) in run_text, stem
+    run = json.loads((out / "run_report.json").read_text())
+    validation = json.loads((out / "validate_report.json").read_text())
+    degree = json.loads((out / "degree_report.json").read_text())
+    assert run["certificate"] == json.loads((out / "certificate.json").read_text())
+    assert run["validation"] == validation["checks"]
+    assert run["validation_passed"] is validation["passed"] is True
+    assert run["degree"] == degree["degree"]
+    assert run["degree_escapes_by_start_decade"] == degree["sweep"]["escapes_by_start_decade"]
+
+
 def test_cli_find_orbit_text_matches_json(tmp_path):
     out = tmp_path / "out"
     assert main(["find-orbit", "--config", str(write(tmp_path, LIGHT)), "--out", str(out)]) == 0
@@ -554,11 +578,18 @@ def test_cli_find_orbit_text_matches_json(tmp_path):
     assert sorted(keys) == sorted(set(payload) - {"monodromy", "newton_trace", "n_rejected"})
 
 
-def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path):
+def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
     cfg = write(tmp_path, LIGHT.replace("mean = 0 0 2", "mean = 0 0 0"))
-    out = tmp_path / "out"
+    message = "mean forcing is zero; the autonomous field has no zero"
+    out = tmp_path / "integrate"
     assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().out == f"no equilibrium start: {message}\n"
+    assert not list(out.iterdir())
+    # a failed single-stage command writes its message to <stem>.txt and no .json
+    out = tmp_path / "find-orbit"
     assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert (out / "orbit_report.txt").read_text() == f"no equilibrium guess: {message}\n"
+    assert sorted(p.name for p in out.iterdir()) == ["orbit_report.txt"]
 
 
 @pytest.mark.parametrize(
