@@ -107,10 +107,21 @@ class BoundsCertificate:
         ]
 
 
-def clearance_formula(
+def clearance_terms(
     K2: float, period: float, epsilon: float, C_gradV_B: float, c0_eff: float, upper: float, l1: float
-) -> float:
-    return math.exp(-K2 - period / epsilon - period * C_gradV_B / c0_eff - upper * l1 / c0_eff)
+) -> dict[str, float]:
+    """The four terms of the clearance exponent, m = exp(-sum of the terms), by name."""
+    return {
+        "K2": K2,
+        "T/epsilon": period / epsilon,
+        "T*C_gradV_B/c0_eff": period * C_gradV_B / c0_eff,
+        "(R+T)*l1/c0_eff": upper * l1 / c0_eff,
+    }
+
+
+def clearance_formula(*constants: float) -> float:
+    """m = exp[-K2 - T/eps - T C/c0_eff - (R+T) l1/c0_eff] of `clearance_terms`' arguments."""
+    return math.exp(-sum(clearance_terms(*constants).values()))
 
 
 _SPHERE_MULTIPLES = (1.0, 2.0, 4.0, 8.0)
@@ -203,8 +214,15 @@ def compute_lower_constants(
         )
 
     C, _, _, _ = maximize_on_annulus(grad_plus_b, epsilon, R + period, period, seed=seed + 1)
-    m = clearance_formula(K2, period, epsilon, C, c0_eff, R + period, l1)
-    assert m < epsilon
+    constants = (K2, period, epsilon, C, c0_eff, R + period, l1)
+    m = clearance_formula(*constants)
+    if m == 0.0:
+        terms = clearance_terms(*constants)
+        name = max(terms, key=terms.get)
+        raise CertificateError(
+            f"clearance m: exp(-{sum(terms.values()):.6g}) underflows to 0; "
+            f"the largest term of the exponent is {name} = {terms[name]:.6g}"
+        )
     return epsilon, K2, C, m
 
 
@@ -233,7 +251,13 @@ def compute_momentum_bound(
             + np.linalg.norm(config.magnetic.eval(t, q, rad), axis=-1)
         )
 
-    M, _, _, _ = maximize_on_annulus(h_total, m, R + period, period, seed=seed + 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M, _, _, _ = maximize_on_annulus(h_total, m, R + period, period, seed=seed + 2)
+    if not math.isfinite(M):
+        raise CertificateError(
+            f"momentum bound M: the sampled force ceiling is {M}, outside the double range "
+            f"(the powers of 1/|q| overflow near the sphere |q| = m = {m:.6g})"
+        )
     L = period * M + 2.0 * l1
     return M, L
 

@@ -216,6 +216,9 @@ class Forcing:
         if self.period <= 0:
             raise ValueError("period must be positive")
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
+        size = math.hypot(*self.mean)
+        if size * size == math.inf:  # |mean|^2 is in every bound and in the equilibrium
+            raise ValueError(f"mean is too large: |mean| = {size:.6g}, so |mean|^2 overflows")
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
 
     def eval(self, t) -> np.ndarray:

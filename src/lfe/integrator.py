@@ -2,25 +2,25 @@
 
 Integration is done in (position, momentum) coordinates, never
 (position, velocity), so the speed limit |v| < 1 is structural.  The
-stepper is an embedded Runge-Kutta pair, DOP853 or RK45, ported from
-scipy.integrate with the same arithmetic (tables in `lfe.butcher`), so
-nodes and dense output equal scipy's bit for bit.  Every accepted step
-keeps its stages; its dense output is built from them only when the
-trajectory is read (`Trajectory.at`, `row`, `write_csv`, the guard
-bisection), so a trial flow whose nodes are all that is used costs no
-interpolant.  `integrate` is the one place a `Trajectory` is built, and
-it sets every field: each trajectory has its dense output and counts.
-A stack of N states is integrated as one 6N-vector with
-shared step control: shooting integrates the Jacobian columns (perturbed
-copies of the orbit) in the same flow as the orbit, and the singularity
-guard watches every member of the stack.
+one stepper is Hairer's embedded 8(5,3) pair DOP853 with its 7th-order
+dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.5 and
+II.6), ported from scipy.integrate with the same arithmetic (tables in
+`lfe.butcher`), so nodes and dense output equal scipy's bit for bit.
+Every accepted step keeps its stages; its dense output is built from
+them only when the trajectory is read (`Trajectory.at`, `row`,
+`write_csv`, the guard bisection), so a trial flow whose nodes are all
+that is used costs no interpolant.  `integrate` is the one place a
+`Trajectory` is built, and it sets every field: each trajectory has its
+dense output and counts.  A stack of N states is integrated as one
+6N-vector with shared step control: shooting integrates the Jacobian
+columns (perturbed copies of the orbit) in the same flow as the orbit,
+and the singularity guard watches every member of the stack.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
@@ -56,75 +56,45 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size**0.5
 
 
-class _RK45:
-    """Dormand-Prince 5(4) with a quartic interpolant."""
-
-    error_order = 4
-    rows = 7  # stages plus f(t + h, y_new)
-    A, B, C = butcher.RK45_A, butcher.RK45_B, butcher.RK45_C
-
-    @staticmethod
-    def error_norm(k: np.ndarray, h: float, scale: np.ndarray) -> float:
-        return _rms(np.dot(k.T, butcher.RK45_E) * h / scale)
-
-    @staticmethod
-    def coefficients(ts, ys, k, fun) -> np.ndarray:
-        return np.array([kj.T.dot(butcher.RK45_P) for kj in k])
-
-    @staticmethod
-    def evaluate(q: np.ndarray, seg: np.ndarray, ts: np.ndarray, ys: np.ndarray, t: np.ndarray):
-        """One np.dot per step over its times in increasing order, as scipy's OdeSolution."""
-
-        def segment(i, t):
-            h = ts[i + 1] - ts[i]
-            x = (t - ts[i]) / h
-            if t.ndim == 0:
-                p = np.cumprod(np.tile(x, 4))
-            else:
-                p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-            y = h * np.dot(q[i], p)
-            y += ys[i] if y.ndim == 1 else ys[i][:, None]
-            return y
-
-        if t.ndim == 0:
-            return segment(seg, t)
-        order = np.argsort(t)
-        out, start = [], 0
-        for i, group in groupby(seg[order]):
-            end = start + len(list(group))
-            out.append(segment(i, t[order[start:end]]))
-            start = end
-        return np.hstack(out)[:, np.argsort(order)]
+# DOP853: 12 stages per step; k also holds f(t + h, y_new) and the three interpolant stages
+_STAGES = butcher.DOP853_STAGES
+_ROWS = len(butcher.DOP853_C)
+_ERROR_ORDER = 7
 
 
-class _DOP853:
-    """Hairer's DOP853 with its 7th-order interpolant, which needs three more stages."""
+def _error_norm(k: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """Hairer's blend of the 5th- and 3rd-order error estimates over the stages k and f_new."""
+    err5 = np.dot(k.T, butcher.DOP853_E5) / scale
+    err3 = np.dot(k.T, butcher.DOP853_E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
 
-    error_order = 7
-    rows = 16  # stages, f(t + h, y_new) and the three interpolant stages
-    A = butcher.DOP853_A[: butcher.DOP853_STAGES, : butcher.DOP853_STAGES]
-    B, C = butcher.DOP853_B, butcher.DOP853_C[: butcher.DOP853_STAGES]
 
-    @staticmethod
-    def error_norm(k: np.ndarray, h: float, scale: np.ndarray) -> float:
-        err5 = np.dot(k.T, butcher.DOP853_E5) / scale
-        err3 = np.dot(k.T, butcher.DOP853_E3) / scale
-        err5_norm_2 = np.linalg.norm(err5) ** 2
-        err3_norm_2 = np.linalg.norm(err3) ** 2
-        if err5_norm_2 == 0 and err3_norm_2 == 0:
-            return 0.0
-        denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+class _DenseOutput:
+    """The 7th-order dense output of accepted steps, built from their stored stages when first read.
 
-    @staticmethod
-    def coefficients(ts, ys, k, fun) -> np.ndarray:
+    ts and ys are the nodes (n_nodes,) and flat states (n_nodes, n).
+    Called with t of shape () it gives the flat state (n,); with t of shape
+    (m,), shape (n, m).  A time on a node belongs to the earlier step.
+    The interpolants of all steps are built together, on the first call.
+    """
+
+    def __init__(self, ts: np.ndarray, ys: np.ndarray, stages: list, fun: Callable):
+        self._ts, self._ys, self._stages, self._fun = ts, ys, stages, fun
+        self._coeffs = None
+
+    def _coefficients(self) -> np.ndarray:
         """The interpolant stages of every step, each stage one call of fun over all steps."""
+        ts, ys, k = self._ts, self._ys, self._stages
         t_old, h, y_old, y = ts[:-1], np.diff(ts), ys[:-1], ys[1:]
-        n_main = butcher.DOP853_STAGES + 1
-        for s in range(n_main, _DOP853.rows):
+        for s in range(_STAGES + 1, _ROWS):
             a, c = butcher.DOP853_A[s, :s], butcher.DOP853_C[s]
             stage_y = [yo + np.dot(kj[:s].T, a) * hj for yo, kj, hj in zip(y_old, k, h)]
-            stage = fun(t_old + c * h, np.array(stage_y))
+            stage = self._fun(t_old + c * h, np.array(stage_y))
             for kj, fj in zip(k, stage):
                 kj[s] = fj
         f = np.empty((len(k), 7, y_old.shape[1]))
@@ -132,16 +102,20 @@ class _DOP853:
             delta_y = yj - yo
             fj[0] = delta_y
             fj[1] = hj * kj[0] - delta_y
-            fj[2] = 2 * delta_y - hj * (kj[n_main - 1] + kj[0])
+            fj[2] = 2 * delta_y - hj * (kj[_STAGES] + kj[0])
             fj[3:] = hj * np.dot(butcher.DOP853_D, kj)
         return f
 
-    @staticmethod
-    def evaluate(f: np.ndarray, seg: np.ndarray, ts: np.ndarray, ys: np.ndarray, t: np.ndarray):
+    def __call__(self, t) -> np.ndarray:
         """Horner in x and 1 - x, point by point, as scipy's Dop853DenseOutput."""
+        ts, ys = self._ts, self._ys
+        if self._coeffs is None:
+            self._coeffs = self._coefficients()
+        t = np.asarray(t)
+        seg = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
         t_old = ts[seg]
         x = ((t - t_old) / (ts[seg + 1] - t_old))[..., None]
-        coeffs = f[seg]
+        coeffs = self._coeffs[seg]
         y = np.zeros(t.shape + ys.shape[1:])
         for i in range(7):
             y += coeffs[..., 6 - i, :]
@@ -153,37 +127,12 @@ class _DOP853:
         return y.T
 
 
-_METHODS = {"DOP853": _DOP853, "RK45": _RK45}
-
-
-class _DenseOutput:
-    """Dense output of accepted steps, built from their stored stages when first read.
-
-    ts and ys are the nodes (n_nodes,) and flat states (n_nodes, n).
-    Called with t of shape () it gives the flat state (n,); with t of shape
-    (m,), shape (n, m).  A time on a node belongs to the earlier step.
-    The interpolants of all steps are built together, on the first call.
-    """
-
-    def __init__(self, method, ts: np.ndarray, ys: np.ndarray, stages: list, fun: Callable):
-        self._method, self._ts, self._ys, self._stages, self._fun = method, ts, ys, stages, fun
-        self._coeffs = None
-
-    def __call__(self, t) -> np.ndarray:
-        ts, ys = self._ts, self._ys
-        if self._coeffs is None:
-            self._coeffs = self._method.coefficients(ts, ys, self._stages, self._fun)
-        t = np.asarray(t)
-        seg = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
-        return self._method.evaluate(self._coeffs, seg, ts, ys, t)
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 1_000_000
-    method: str = "DOP853"
+    method: str = "DOP853"  # the only stepper; configs may still spell it out
     r_min: float = 1e-6
 
     def __post_init__(self):
@@ -193,8 +142,8 @@ class IntegratorConfig:
             raise ValueError("max_steps must be at least 1")
         if self.r_min <= 0:
             raise ValueError("guard radius must be positive")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {sorted(_METHODS)}")
+        if self.method != "DOP853":
+            raise ValueError(f"method must be DOP853, the only stepper, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -268,7 +217,7 @@ def _bisect_guard_crossing(interp, t_lo: float, t_hi: float, r_min: float):
     return t_hi, _nearest(interp(t_hi))[1]
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol) -> float:
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> float:
     """First step size (Hairer, Norsett & Wanner, Sec. II.4), as scipy's select_initial_step."""
     interval_length = abs(t_bound - t0)
     scale = atol + np.abs(y0) * rtol
@@ -284,19 +233,19 @@ def _initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol) -> float:
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t, y, f, h, method, k):
+def _rk_step(fun, t, y, f, h, k):
     """One step from (t, y) with f = fun(t, y); fills the stages k and returns y_new, f_new."""
     k[0] = f
-    for s, (a, c) in enumerate(zip(method.A[1:], method.C[1:]), start=1):
-        dy = np.dot(k[:s].T, a[:s]) * h
-        k[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(k[: len(method.B)].T, method.B)
+    for s in range(1, _STAGES):
+        dy = np.dot(k[:s].T, butcher.DOP853_A[s, :s]) * h
+        k[s] = fun(t + butcher.DOP853_C[s] * h, y + dy)
+    y_new = y + h * np.dot(k[:_STAGES].T, butcher.DOP853_B)
     f_new = fun(t + h, y_new)
-    k[len(method.B)] = f_new
+    k[_STAGES] = f_new
     return y_new, f_new
 
 
@@ -346,11 +295,10 @@ def integrate(
             return system.rhs_array(t, y.reshape(shape), lam).reshape(-1)
         return system.rhs_array(np.repeat(t, y0.size // 6), y.reshape(-1, 6), lam).reshape(y.shape)
 
-    method = _METHODS[cfg.method]
     rtol, atol = max(cfg.rtol, 100 * np.finfo(float).eps), cfg.atol
-    exponent = -1 / (method.error_order + 1)
+    exponent = -1 / (_ERROR_ORDER + 1)
     t, y, f = t0, y0, fun(t0, y0)
-    h_abs = _initial_step(fun, t0, y0, t1, f, method.error_order, rtol, atol)
+    h_abs = _initial_step(fun, t0, y0, t1, f, rtol, atol)
     ts, ys, stages = [t0], [y0], []
     n_rejected = 0
     while t < t1:
@@ -365,10 +313,10 @@ def integrate(
             t_new = min(t + h_abs, t1)
             h = t_new - t
             h_abs = np.abs(h)
-            k = np.empty((method.rows, y0.size))
-            y_new, f_new = _rk_step(fun, t, y, f, h, method, k)
+            k = np.empty((_ROWS, y0.size))
+            y_new, f_new = _rk_step(fun, t, y, f, h, k)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = method.error_norm(k[: len(method.B) + 1], h, scale)
+            error_norm = _error_norm(k[: _STAGES + 1], h, scale)
             if error_norm < 1:
                 factor = _MAX_FACTOR
                 if error_norm != 0:
@@ -382,13 +330,13 @@ def integrate(
         ys.append(y_new)
         stages.append(k)
         if _nearest(y_new)[0] < cfg.r_min:
-            step = _DenseOutput(method, np.array(ts[-2:]), np.array(ys[-2:]), stages[-1:], fun)
+            step = _DenseOutput(np.array(ts[-2:]), np.array(ys[-2:]), stages[-1:], fun)
             t_cross, y_cross = _bisect_guard_crossing(step, t, t_new, cfg.r_min)
             raise SingularityApproach(t_cross, State.from_array(y_cross), cfg.r_min)
         t, y, f = t_new, y_new, f_new
 
     ts_arr, ys_arr = np.asarray(ts), np.asarray(ys)
-    interp = _DenseOutput(method, ts_arr, ys_arr, stages, fun)
+    interp = _DenseOutput(ts_arr, ys_arr, stages, fun)
     return Trajectory(
         ts=ts_arr,
         states=ys_arr.reshape((len(ts),) + shape),

@@ -187,30 +187,20 @@ def test_a3_integrator():
     perturbed = State(q=eq.q + np.array([1e-2, 0.0, 0.0]), p=np.zeros(3))
     drift = energy_drift(coulomb, integrate(coulomb, perturbed, (0.0, 1.0), 0.0))
 
-    slopes = {}
-    for method, rtols in [
-        ("RK45", (1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10)),
-        ("DOP853", (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)),
-    ]:
-        hs, errs = [], []
-        for rtol in rtols:
-            cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-2, method=method)
-            tr = integrate(gyro, x0, (0.0, GYRO_PERIOD), 1.0, cfg)
-            hs.append(GYRO_PERIOD / (len(tr.ts) - 1))
-            errs.append(max(float(np.abs(tr.states[-1] - x0.as_array()).max()), 1e-15))
-        slopes[method] = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
+    hs, errs = [], []
+    for rtol in (1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        cfg = IntegratorConfig(rtol=rtol, atol=rtol * 1e-2)
+        tr = integrate(gyro, x0, (0.0, GYRO_PERIOD), 1.0, cfg)
+        hs.append(GYRO_PERIOD / (len(tr.ts) - 1))
+        errs.append(max(float(np.abs(tr.states[-1] - x0.as_array()).max()), 1e-15))
+    slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     elapsed = time.perf_counter() - t0
-    ok = (
-        gyro_err < 1e-8
-        and drift < 1e-8
-        and all(s >= 4.5 for s in slopes.values())
-        and elapsed < 10.0
-    )
+    ok = gyro_err < 1e-8 and drift < 1e-8 and slope >= 4.5 and elapsed < 10.0
     report(
         "A3",
         ok,
         f"gyration return error {gyro_err:.3e} (tol 1e-8), energy drift {drift:.3e} "
-        f"(tol 1e-8), observed orders {slopes} (>= 4.5), {elapsed:.2f}s < 10s",
+        f"(tol 1e-8), observed DOP853 order {slope:.3g} (>= 4.5), {elapsed:.2f}s < 10s",
     )
 
 

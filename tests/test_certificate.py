@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 import lfe.certificate
 from conftest import SEED, PlantedCoulomb, coulomb_config, desk_config, pulsed_config
 from lfe.certificate import (
+    CertificateError,
     InequalityFails,
     RadiusNotFound,
     VerificationReport,
@@ -240,6 +241,48 @@ def test_momentum_bound_grows_with_magnetic_field(a5_cert):
         uniform, a5_cert.m, a5_cert.R, seed=SEED, l1=uniform.forcing.l1_norm()
     )
     assert M_b > a5_cert.M
+
+
+@pytest.mark.parametrize(
+    "m,error,match",
+    [
+        (0.0, ValueError, r"^need 0 < m < R \+ T, got m=0.0, R\+T=3.0$"),
+        (3.0, ValueError, r"^need 0 < m < R \+ T, got m=3.0, R\+T=3.0$"),
+        (1e-120, CertificateError, r"^momentum bound M: the sampled force ceiling is inf, outside"),
+        (1e-160, CertificateError, r"^momentum bound M: \|q\|\^2 underflows on the sphere"),
+    ],
+    ids=["m=0", "m=R+T", "M-overflows", "m^2-underflows"],
+)
+def test_momentum_bound_refuses_what_it_cannot_sample(m, error, match):
+    # no numpy warning escapes either: the test configuration turns RuntimeWarning into an error
+    config = coulomb_config()
+    with pytest.raises(error, match=match):
+        compute_momentum_bound(config, m, 2.0, seed=SEED, l1=config.forcing.l1_norm())
+
+
+def test_clearance_underflow_names_m_and_its_largest_term():
+    # terms K2 = 0, T/eps = 1, T C/c0_eff = 2, (R+T) l1/c0_eff = 2 * 2/0.005 = 800: exp(-803) = 0
+    config = coulomb_config(c0=0.01)
+    with pytest.raises(CertificateError) as err:
+        compute_lower_constants(config, 1.0, seed=SEED, l1=config.forcing.l1_norm())
+    assert str(err.value) == (
+        "clearance m: exp(-803) underflows to 0; the largest term of the exponent is (R+T)*l1/c0_eff = 800"
+    )
+
+
+@pytest.mark.parametrize(
+    "change,match",
+    [
+        ({"M": math.inf}, "^certificate constants must be finite$"),
+        ({"m": 0.0}, "^need 0 < m < epsilon <= upper"),
+        ({"epsilon": 10.0}, "^need 0 < m < epsilon <= upper"),
+        ({"L": 0.0}, "^momentum bound must be positive$"),
+    ],
+    ids=["M-inf", "m=0", "epsilon>upper", "L=0"],
+)
+def test_certificate_refuses_inconsistent_constants(a5_cert, change, match):
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(a5_cert, **change)
 
 
 def test_clearance_formula_reproducible(a5_cert):

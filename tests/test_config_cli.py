@@ -248,7 +248,7 @@ newton_tol = 1e-8
 
 [integrator]
 r_min = 1e-3
-method = RK45
+method = DOP853
 max_steps = 5000
 atol = 1e-9
 rtol = 1e-8
@@ -300,7 +300,7 @@ harmonic_2_sin = 0.0 0.0 0.0
 rtol = 1e-08
 atol = 1e-09
 max_steps = 5000
-method = RK45
+method = DOP853
 r_min = 0.001
 
 [solver]
@@ -540,6 +540,26 @@ def test_cli_bounds_names_the_momentum_bound_when_the_clearance_underflows(tmp_p
     assert "m = 1.9" in message and "e-174" in message
 
 
+@pytest.mark.parametrize(
+    "c0,message",
+    [
+        # (R+T) l1/c0_eff = 2 * 2/0.005 = 800 of the exponent 803, past exp's range
+        ("0.01", "clearance m: exp(-803) underflows to 0; "
+         "the largest term of the exponent is (R+T)*l1/c0_eff = 800"),
+        # m = 7.7e-118: c0/m^2 is finite, but |q|^-3 on the way to grad V is not
+        ("0.03", "momentum bound M: the sampled force ceiling is inf, outside the double range "
+         "(the powers of 1/|q| overflow near the sphere |q| = m = 7.67812e-118)"),
+    ],
+    ids=["m-underflows", "M-overflows"],
+)
+def test_cli_bounds_names_the_constant_and_the_term_out_of_range(tmp_path, capsys, c0, message):
+    text = LIGHT.replace("c0 = 1.0", f"c0 = {c0}")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
+    assert (out / "certificate.txt").read_text() == f"certificate failed: {message}\n"
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_continue_renders_each_stage_as_its_own_command_does(tmp_path):
     cfg = write(tmp_path, LIGHT)
     out = tmp_path / "out"
@@ -601,6 +621,7 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
         ("mean = 0 0 2", "mean = 0 0 2\n[magnetic]\neps1 = -1", "magnetic"),
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nrtol = -1", "integrator"),
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nmethod = Radau", "integrator"),
+        ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nmethod = RK45", "integrator"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nq = 0 0 0", "initial-state"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = 0", "initial-state"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = -1", "initial-state"),
@@ -636,7 +657,7 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nr_min = 0", "integrator"),
     ],
     ids=[
-        "c0", "period", "eps0", "eps1", "rtol", "method", "q", "t_end0", "t_end-1",
+        "c0", "period", "eps0", "eps1", "rtol", "method", "method-RK45", "q", "t_end0", "t_end-1",
         "q_r_min", "q_r_min_auto", "dlam_init0", "dlam_init-", "dlam_floor0", "growth<1",
         "target>1", "target<0", "newton_tol0", "seed-1", "max_iterations0", "max_steps0",
         "not-a-number", "not-finite", "not-an-integer", "potential-kind", "no-c0", "no-period",
@@ -659,6 +680,10 @@ def test_cli_config_errors_exit_4(tmp_path, capsys):
     malformed = write(tmp_path, "c0 = 1.0\n" + MINIMAL, "malformed.ini")
     assert main(["validate", "--config", str(malformed), "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err.startswith("config error: malformed config file ")
+    # an output directory under an existing file
+    blocker = write(tmp_path, MINIMAL, "blocker.ini")
+    assert main(["validate", "--config", str(blocker), "--out", str(blocker / "out")]) == 4
+    assert capsys.readouterr().err.startswith(f"cannot create output directory {blocker / 'out'}: ")
 
 
 @pytest.mark.parametrize("index", ["01", "00", "\u0661"], ids=["leading-zero", "zeros", "arabic-indic-one"])
@@ -683,6 +708,16 @@ mean = 0 0 1e5
 [output]
 sample_points = 50
 """
+
+
+@pytest.mark.parametrize("command", ["integrate", "find-orbit"])
+def test_cli_mean_forcing_whose_square_overflows_is_a_config_error(tmp_path, capsys, command):
+    # |mean| = 1e250 is finite, but |mean|^2 is not, and the equilibrium would land on q = 0
+    cfg = write(tmp_path, LIGHT.replace("mean = 0 0 2", "mean = 0 0 1e250"))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == (
+        "config error: [forcing] mean is too large: |mean| = 1e+250, so |mean|^2 overflows\n"
+    )
 
 
 def test_cli_large_mean_forcing_has_an_equilibrium(tmp_path):

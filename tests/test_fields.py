@@ -349,6 +349,12 @@ def test_config_rejects_nonpositive_constants():
         GeneralizedCoulomb(1.0, 0.5)
     with pytest.raises(ValueError):
         Forcing(0.0, [1, 0, 0])
+    with pytest.raises(ValueError, match="^harmonic index must be >= 1$"):
+        Harmonic(0, [0.1, 0, 0], [0, 0, 0])
+    with pytest.raises(ValueError, match="^mean is too large"):
+        Forcing(1.0, [0, 0, 1e250])
+    with pytest.raises(ValueError, match="^gamma must be >= 1$"):
+        dataclasses.replace(coulomb_config(), gamma=0.5)
     with pytest.raises(ValueError):
         FieldConfig(
             potential=GeneralizedCoulomb(1.0, 1.0),

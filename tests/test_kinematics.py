@@ -116,6 +116,16 @@ def test_state_rejects_origin():
         State(q=[0.0, 0.0, 0.0], p=[1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "q,p",
+    [([math.nan, 0.0, 1.0], [0.0, 0.0, 0.0]), ([1.0, 0.0, 0.0], [0.0, math.inf, 0.0])],
+    ids=["q-nan", "p-inf"],
+)
+def test_state_rejects_non_finite_components(q, p):
+    with pytest.raises(ValueError, match="must be finite"):
+        State(q=q, p=p)
+
+
 def test_state_array_round_trip():
     x = State(q=[1.0, 2.0, 3.0], p=[-0.5, 0.0, 4.0])
     assert np.array_equal(State.from_array(x.as_array()).as_array(), x.as_array())

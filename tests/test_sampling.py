@@ -92,3 +92,9 @@ def test_annulus_maximum_reaches_the_lbfgsb_value(config):
         assert r_lo * (1 - 1e-12) <= np.linalg.norm(q) <= r_hi * (1 + 1e-12) and 0.0 <= t <= 1.0
         assert math.isclose(float(func(np.array([t]), q[None])[0]), value, rel_tol=1e-12)
         assert meta["samples"] == _N_RADII * 2**_DIR_POW2 * _N_TIME
+
+
+@pytest.mark.parametrize("r_lo,r_hi", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)], ids=["zero", "equal", "reversed"])
+def test_log_radii_needs_an_increasing_positive_range(r_lo, r_hi):
+    with pytest.raises(ValueError, match=r"^need 0 < r_lo < r_hi"):
+        log_radii(r_lo, r_hi, 5)

@@ -54,6 +54,12 @@ def test_newton_converges_from_perturbed_equilibrium(coulomb_problem):
     assert np.abs(sol.x0.as_array() - EQ.as_array()).max() < 1e-7
 
 
+@pytest.mark.parametrize("lam", [-0.1, 1.5])
+def test_problem_lam_must_lie_in_the_unit_interval(lam):
+    with pytest.raises(ValueError, match=r"^lam must lie in \[0, 1\]"):
+        ShootingProblem(system=HomotopySystem(coulomb_config()), lam=lam)
+
+
 def test_guess_outside_domain_is_rejected():
     problem = ShootingProblem(
         system=HomotopySystem(coulomb_config()),
