@@ -138,7 +138,7 @@ def compute_R(config: FieldConfig, *, seed: int) -> float:
     Consecutive radii share spheres, so each sphere 2^j is sampled once,
     and after a failing sphere the search resumes at the next radius.
     """
-    hm = float(np.linalg.norm(config.forcing.mean))
+    hm = config.forcing.mean_norm
     if hm <= config.c_B:
         raise ValueError(f"requires |mean h| > c_B, got {hm:.6g} <= {config.c_B:.6g}")
     threshold = hm - config.c_B

@@ -47,6 +47,7 @@ from lfe.fields import (
     UniformField,
     ZeroField,
     magnetic_ceiling,
+    near_origin_constants,
 )
 from lfe.integrator import IntegratorConfig
 from lfe.shooting import SolverOptions
@@ -268,7 +269,7 @@ def parse_config(path) -> RunConfig:
     with _in_section("forcing"):
         forcing = Forcing(period=period, mean=mean, harmonics=tuple(harmonics))
 
-    # solver (before [magnetic]: c_B = auto uses the seed)
+    # solver
     sec_solver = _Section(parser, "solver")
     solver = sec_solver.options()
 
@@ -291,17 +292,9 @@ def parse_config(path) -> RunConfig:
     c_B = sec_mag.read("c_B", "float", word="auto")
     if c_B is None:
         with _in_section("magnetic"):
-            c_B = magnetic_ceiling(magnetic, period=period, seed=solver.seed)
-        if c_B <= 0.0:
-            c_B = 1.0  # vanishing field: any positive ceiling is valid
+            c_B = magnetic_ceiling(magnetic)
 
-    # near-origin magnetic constants: sharp defaults where the variant has them
-    if isinstance(magnetic, DipoleField):
-        sharp = magnetic.bound_constants()
-    elif isinstance(magnetic, ZeroField):
-        sharp = (0.0, 0.5 * gamma)
-    else:
-        sharp = (None, None)
+    sharp = near_origin_constants(magnetic, gamma)
     for key, default in zip(("c1", "beta"), sharp):
         if default is None and key not in sec_mag.raw:
             raise ConfigError(f"[magnetic] {key} is required for this field kind")

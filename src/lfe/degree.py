@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lfe.fields import mean_norm
 from lfe.homotopy import AutonomousField, f0_determinant_closed_form
 from lfe.kinematics import State, phi_inv
 from lfe.sampling import sobol_points, unit_vectors
@@ -45,23 +46,21 @@ class MultipleZeros(DegreeError):
 
 
 def find_zero_f0(c0: float, h_mean) -> State:
-    """The unique zero of the autonomous field: p = 0, q = -sqrt(c0) h/|h|^(3/2).
+    """The unique zero of the autonomous field: p = 0, q = -sqrt(c0/|h|) h/|h|, with |h| from `mean_norm`.
 
-    The returned state is verified to leave a residual below
-    1e-12 max(1, |h|): the force is h minus a term of the same size, so
-    its rounding error grows with |h|.  Raises DegenerateForcing when the
-    mean forcing vanishes (the force component c0 q/|q|^3 never vanishes
-    at finite q).
+    The returned state is verified to leave a residual below 1e-12 |h|:
+    the force is h minus a term of the same size, so its rounding error
+    scales with |h|.  Raises DegenerateForcing when the mean forcing
+    vanishes (the force component c0 q/|q|^3 never vanishes at finite q).
     """
     h_mean = np.asarray(h_mean, dtype=float)
-    hn = float(np.linalg.norm(h_mean))
+    hn = mean_norm(h_mean)
     if hn == 0.0:
         raise DegenerateForcing("mean forcing is zero; the autonomous field has no zero")
-    q_star = -math.sqrt(c0) * h_mean * hn**-1.5
-    x0 = State(q=q_star, p=np.zeros(3))
-    residual = float(np.linalg.norm(AutonomousField(c0, h_mean).value(x0.q, phi_inv(x0.p))))
-    tol = 1e-12 * max(1.0, hn)
-    if residual >= tol:
+    x0 = State(q=-math.sqrt(c0 / hn) * (h_mean / hn), p=np.zeros(3))
+    residual = math.hypot(*AutonomousField(c0, h_mean).value(x0.q, phi_inv(x0.p)))
+    tol = 1e-12 * hn
+    if not residual < tol:
         raise ArithmeticError(f"equilibrium residual {residual:.3e} exceeds {tol:.3e}")
     return x0
 
@@ -213,7 +212,6 @@ def brouwer_degree(
     h_mean,
     omega: tuple[float, float, float],
     *,
-    sweep_pow2: int = 10,
     seed: int,
 ) -> DegreeReport:
     """Degree of the autonomous field on the region m < |q| < upper, |p| < p_max.
@@ -221,8 +219,8 @@ def brouwer_degree(
     The sign comes from the closed-form determinant at the explicit zero
     (f0_determinant_closed_form), cross-checked against a central-difference
     Jacobian determinant (relative agreement 1e-5 required, else
-    InconsistentDeterminants).  A quasi-random multi-start Newton sweep must
-    find no zero other than the explicit one.
+    InconsistentDeterminants).  A quasi-random multi-start Newton sweep
+    from 2^10 starts must find no zero other than the explicit one.
     """
     m, upper, p_max = omega
     x0 = find_zero_f0(c0, h_mean)
@@ -238,7 +236,7 @@ def brouwer_degree(
             f"analytic {det_analytic!r} vs finite-difference {det_numeric!r}"
         )
 
-    sweep = _newton_sweep(field, x0, omega, sweep_pow2, seed)
+    sweep = _newton_sweep(field, x0, omega, 10, seed)
     degree = int(math.copysign(1.0, det_analytic))
     return DegreeReport(
         x0=x0,

@@ -6,9 +6,9 @@ known singular rate, the magnetic field has a finite ceiling at infinity,
 and its singularity at the origin is strictly weaker than the electric
 one.  `validate_hypotheses` checks all of them on seeded sample clouds
 and reports pass/fail per condition; the checks are sampled, not proven.
-Their numbers, those of `magnetic_ceiling` and those of the certificate's
-R and epsilon come from one sweep, `shell_maxima`: per sphere of radius
-r, the maximum of |grad V|, of q . grad V, or of |B| over a time grid.
+Their numbers and those of the certificate's R and epsilon come from one
+sweep, `shell_maxima`: per sphere of radius r, the maximum of |grad V|, of
+q . grad V, or of |B| over a time grid; `magnetic_ceiling` is closed-form.
 
 Every potential and magnetic field takes one point `q` of shape (3,) or
 a cloud of shape (N, 3) through the same code path and returns the
@@ -78,39 +78,23 @@ class GeneralizedCoulomb:
         return -self.c0 * rad[0] ** (0.5 * self.gamma + 1.0) * q
 
 
-def _each_row(fn, q: np.ndarray):
-    """fn applied to every 3-vector in q, stacked back into q's leading shape.
-
-    A scalar-valued fn on a single point gives a scalar, not a 0-d array.
-    """
-    out = np.array([fn(row) for row in q.reshape(-1, 3)], dtype=float)
-    return out.reshape(q.shape[:-1] + out.shape[1:])[()]
-
-
-_FD_STEP = 1e-6  # central-difference step of TabulatedPotential.gradient
-
-
 @dataclass(frozen=True)
 class TabulatedPotential:
-    """Potential given by one-point callables; gradient falls back to central differences.
+    """Potential given by callables `value_fn(q)` and `gradient_fn(q)`.
 
-    The callables take one (3,) point, so a cloud is evaluated row by row; `gradient` ignores `rad`.
+    Both take q of shape (3,) or (N, 3), as every field does, and return a
+    scalar or (N,) and (3,) or (N, 3); `gradient` ignores `rad`.
     """
 
     value_fn: object
-    gradient_fn: object = None
+    gradient_fn: object
 
     def value(self, q):
         q, _ = radial_powers(q)
-        return _each_row(self.value_fn, q)
+        return self.value_fn(q)
 
     def gradient(self, q, rad) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if self.gradient_fn is not None:
-            return _each_row(self.gradient_fn, q)
-        e = _FD_STEP * np.eye(3)
-        q = q[..., None, :]
-        return (_each_row(self.value_fn, q + e) - _each_row(self.value_fn, q - e)) / (2.0 * _FD_STEP)
+        return self.gradient_fn(q)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +184,14 @@ class Harmonic:
         object.__setattr__(self, "sin_coeff", np.asarray(self.sin_coeff, dtype=float))
 
 
+def mean_norm(mean) -> float:
+    """|mean| by `math.hypot`, which neither under- nor overflows; ValueError if |mean|^2 overflows."""
+    size = math.hypot(*mean)
+    if size * size == math.inf:  # |mean|^2 is in every bound and in the equilibrium
+        raise ValueError(f"mean is too large: |mean| = {size:.6g}, so |mean|^2 overflows")
+    return size
+
+
 @dataclass(frozen=True)
 class Forcing:
     """Finite Fourier forcing h(t) = mean + sum_k a_k cos(2 pi k t/T) + b_k sin(2 pi k t/T).
@@ -211,14 +203,13 @@ class Forcing:
     period: float
     mean: np.ndarray
     harmonics: tuple = ()
+    mean_norm: float = field(init=False, repr=False, compare=False)  # |mean|, from `mean_norm`
 
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("period must be positive")
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        size = math.hypot(*self.mean)
-        if size * size == math.inf:  # |mean|^2 is in every bound and in the equilibrium
-            raise ValueError(f"mean is too large: |mean| = {size:.6g}, so |mean|^2 overflows")
+        object.__setattr__(self, "mean_norm", mean_norm(self.mean))
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
 
     def eval(self, t) -> np.ndarray:
@@ -248,7 +239,7 @@ class Forcing:
         of |h| where h passes through 0.
         """
         if self.is_constant():
-            return self.period * float(np.linalg.norm(self.mean))
+            return self.period * self.mean_norm
 
         def rule(a, b):
             t, w = gauss_legendre(a, b)
@@ -446,32 +437,42 @@ def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
     checks.append(HypothesisCheck("beta-below-gamma", ordered, detail, config.gamma - config.beta))
 
     # the mean forcing must dominate the magnetic ceiling
-    hm = float(np.linalg.norm(config.forcing.mean))
+    hm = config.forcing.mean_norm
     detail = f"|mean h| = {hm:.6g} vs c_B = {config.c_B}"
     checks.append(HypothesisCheck("mean-forcing-dominates-ceiling", hm > config.c_B, detail, hm - config.c_B))
 
     return ValidationReport(checks=tuple(checks), seed=seed)
 
 
-def magnetic_ceiling(magnetic, *, period: float, seed: int) -> float:
-    """A ceiling of |B(t, q)| over |q| >= 1 that the sampled checks accept as c_B.
+def magnetic_ceiling(magnetic) -> float:
+    """The c_B of `c_B = auto`: a closed-form ceiling of |B(t, q)| over |q| >= 1.
 
-    A dipole and an ABC field have closed-form bounds that no sample
-    reaches: c1 of `DipoleField.bound_constants` and `ABCField.sup_bound`
-    (a sampled maximum lies below the sup, so the checks' own samples
-    could exceed it).  A uniform field has |B| = |b| at every sample, so no ceiling lies
-    strictly above its sup: a nonzero one raises ValueError.  Any other
-    field gets the sampled sup over spheres at radii {1, 2, 4, ..., 64}
-    and a time grid.
+    2|mu| for a dipole and `ABCField.sup_bound` for an ABC field, which no
+    sample reaches; 1.0 for a vanishing field, where any positive ceiling
+    passes.  A nonzero uniform field has |B| = |b| at every sample, so no
+    ceiling lies strictly above its sup: it raises ValueError, as does any
+    other kind.
     """
-    if isinstance(magnetic, DipoleField):
-        return magnetic.bound_constants()[0]
-    if isinstance(magnetic, ABCField):
-        return magnetic.sup_bound()
     if isinstance(magnetic, UniformField) and magnetic.b.any():
         raise ValueError(
             f"c_B = auto: a uniform field has |B| = {np.linalg.norm(magnetic.b):g} everywhere, "
             "and c_B must lie strictly above it; give c_B as a number"
         )
-    _, b = shell_maxima(2.0 ** np.arange(7), sphere_directions(10, seed), magnetic=magnetic, period=period)
-    return float(b.max())
+    if isinstance(magnetic, DipoleField):
+        return magnetic.bound_constants()[0] or 1.0
+    if isinstance(magnetic, ABCField):
+        return magnetic.sup_bound() or 1.0
+    if not isinstance(magnetic, (ZeroField, UniformField)):
+        raise ValueError(
+            f"c_B = auto: a {type(magnetic).__name__} has no closed-form ceiling; give c_B as a number"
+        )
+    return 1.0
+
+
+def near_origin_constants(magnetic, gamma: float) -> tuple:
+    """Default (c1, beta): sharp for a dipole, (0, gamma/2) for a zero field, (None, None) otherwise."""
+    if isinstance(magnetic, DipoleField):
+        return magnetic.bound_constants()
+    if isinstance(magnetic, ZeroField):
+        return 0.0, 0.5 * gamma
+    return None, None

@@ -155,8 +155,8 @@ def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: i
     Structured sweep (log radii x quasi-random directions x time grid)
     followed by a projected gradient ascent (`_ascend`) from the best
     seeds, parametrized in (log r, cos theta, azimuth, t) with the radius
-    kept inside the shell.  Returns (value, q, t, meta) where meta records
-    the sample counts.
+    kept inside the shell.  Returns (value, q, t, meta), with the number
+    of sweep samples in meta["samples"].
     """
     points = shells(log_radii(r_lo, r_hi, _N_RADII), sphere_directions(_DIR_POW2, seed))
     times = np.linspace(0.0, t_max, _N_TIME)
@@ -180,12 +180,4 @@ def maximize_on_annulus(func, r_lo: float, r_hi: float, t_max: float, *, seed: i
         t, q = _annulus_point(z[k : k + 1])
         best_t, best_q = float(t[0]), q[0]
 
-    meta = {
-        "samples": int(flat.size),
-        "n_radii": _N_RADII,
-        "n_directions": 2**_DIR_POW2,
-        "n_time": len(times),
-        "seed": seed,
-        "refined": _N_REFINE,
-    }
-    return best_val, best_q, best_t, meta
+    return best_val, best_q, best_t, {"samples": int(flat.size)}

@@ -135,10 +135,13 @@ class OrbitSolution:
     trajectory: Trajectory
     residual_norm: float
     monodromy: np.ndarray
-    newton_iterations: int
     diagnostics: dict  # the integral identities of `orbit_identities`
     # per Newton iteration: the residual sup-norm it started from and its damping alpha
     newton_trace: list
+
+    @property
+    def newton_iterations(self) -> int:
+        return len(self.newton_trace)
 
     def summary(self) -> dict:
         out = {
@@ -256,7 +259,6 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
         trajectory=traj,
         residual_norm=res_norm,
         monodromy=monodromy,
-        newton_iterations=len(trace),
         diagnostics=orbit_identities(problem.system, traj),
         newton_trace=trace,
     )

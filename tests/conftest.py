@@ -34,7 +34,7 @@ SEED = 20240803
 
 
 def zero_potential():
-    return TabulatedPotential(lambda q: 0.0, lambda q: np.zeros(3))
+    return TabulatedPotential(lambda q: np.zeros(np.shape(q)[:-1]), lambda q: np.zeros(np.shape(q)))
 
 
 def force_free_config(magnetic=None, mean=(0.0, 0.0, 0.0)) -> FieldConfig:
@@ -74,7 +74,7 @@ def desk_config() -> FieldConfig:
     dipole = DipoleField([0.0, 0.0, 0.1])
     c1, beta = dipole.bound_constants()
     forcing = Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.1, 0.0, 0.0], [0.0, 0.0, 0.0])])
-    c_B = magnetic_ceiling(dipole, period=1.0, seed=SEED)
+    c_B = magnetic_ceiling(dipole)
     return FieldConfig(
         potential=GeneralizedCoulomb(1.0, 3.0),
         magnetic=dipole,

@@ -211,7 +211,7 @@ def test_a4_degree(a5_run):
     zero_err = float(
         np.abs(x0.as_array() - np.array([0.0, 0.0, -(2.0**-0.5), 0.0, 0.0, 0.0])).max()
     )
-    deg = brouwer_degree(1.0, [0.0, 0.0, 2.0], cert.region(), sweep_pow2=10, seed=SEED)
+    deg = brouwer_degree(1.0, [0.0, 0.0, 2.0], cert.region(), seed=SEED)
     rel_det = abs(deg.det_numeric - deg.det_analytic) / abs(deg.det_analytic)
     elapsed = time.perf_counter() - t0
     ok = (

@@ -735,6 +735,25 @@ def test_cli_large_mean_forcing_has_an_equilibrium(tmp_path):
     assert json.loads((out / "orbit_report.json").read_text())["x0_q"] == pytest.approx(q_star, abs=1e-12)
 
 
+# |mean|^2 = 1e-400 underflows, but |mean| = 1e-200 is a double and dominates c_B
+TINY_MEAN = LIGHT.replace("c_B = 1.0", "c_B = 1e-300").replace("mean = 0 0 2", "mean = 0 0 1e-200")
+
+
+def test_cli_tiny_mean_forcing_is_not_read_as_zero(tmp_path):
+    cfg = write(tmp_path, TINY_MEAN)
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads((out / "validate_report.json").read_text())["checks"]}
+    dominates = checks["mean-forcing-dominates-ceiling"]
+    assert dominates["passed"] and dominates["detail"] == "|mean h| = 1e-200 vs c_B = 1e-300"
+    # the equilibrium sits at |q| = sqrt(c0/|mean|) = 1e100
+    assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 0
+    start = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[0, 1:4]
+    assert np.array_equal(start, [0.0, 0.0, -1e100])
+    assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads((out / "orbit_report.json").read_text())["x0_q"] == [0.0, 0.0, -1e100]
+
+
 def test_cli_find_orbit_starts_just_outside_the_guard_radius(tmp_path):
     text = LIGHT.replace("sample_points = 101", "sample_points = 101\n[integrator]\nr_min = 0.69")
     cfg = write(tmp_path, text + "\n[initial-state]\nq = 0.7 0 0\n")

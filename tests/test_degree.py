@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import SEED, coulomb_config
+import lfe.degree
 from lfe.certificate import compute_certificate
 from lfe.degree import (
     DegenerateForcing,
@@ -16,6 +17,7 @@ from lfe.degree import (
     f0_determinant_closed_form,
     find_zero_f0,
 )
+from lfe.fields import mean_norm
 from lfe.homotopy import AutonomousField, coulomb_force_jacobian
 from lfe.kinematics import phi_inv
 from lfe.sampling import sobol_points
@@ -60,6 +62,28 @@ def test_zero_residual_bound_scales_with_the_mean_forcing():
     assert 1e-12 < residual < 1e-12 * 1e5
 
 
+def test_zero_of_a_tiny_mean_forcing():
+    # |h|^2 underflows below |h| ~ 1e-154, and |h|^-1.5 overflows below ~1e-205
+    assert np.array_equal(find_zero_f0(1.0, [0.0, 0.0, 1e-200]).q, [0.0, 0.0, -1e100])
+    x0 = find_zero_f0(1.0, [3e-160, 4e-160, 0.0])
+    assert np.allclose(x0.q, [-0.6 / math.sqrt(5e-160), -0.8 / math.sqrt(5e-160), 0.0], rtol=1e-15)
+
+
+def test_zero_residual_check_is_relative_to_the_mean_forcing(monkeypatch):
+    # |h| read 1e-6 too large shortens q* by 1.5e-6 of |q*|, a residual of 3e-6 |h|;
+    # at |h| = 1e-200 a residual bound of 1e-12 in absolute terms would pass it
+    monkeypatch.setattr(lfe.degree, "mean_norm", lambda mean: (1.0 + 1e-6) * mean_norm(mean))
+    with pytest.raises(ArithmeticError, match=r"^equilibrium residual 3\.000e-206 exceeds 1\.000e-212$"):
+        find_zero_f0(1.0, [0.0, 0.0, 1e-200])
+
+
+def test_zero_of_a_mean_whose_square_overflows_names_the_mean():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^mean is too large: \|mean\| = 1e\+250, so \|mean\|\^2"):
+            find_zero_f0(1.0, [0.0, 0.0, 1e250])
+
+
 def test_degenerate_forcing():
     with pytest.raises(DegenerateForcing):
         find_zero_f0(1.0, [0.0, 0.0, 0.0])
@@ -89,7 +113,7 @@ def test_degree_invariant_under_scaling_and_rotation():
         h_rot = s * mat @ h
         x0 = find_zero_f0(1.0, h_rot)
         r = np.linalg.norm(x0.q)
-        report = brouwer_degree(1.0, h_rot, (r / 10, r * 10, 10.0), sweep_pow2=6, seed=SWEEP_SEED)
+        report = brouwer_degree(1.0, h_rot, (r / 10, r * 10, 10.0), seed=SWEEP_SEED)
         assert report.degree == -1
 
 
@@ -235,7 +259,7 @@ def test_sweep_matches_the_per_start_loop(region, seed, desk_cert):
     assert sweep["converged_to_zero"] >= 0.99 * oracle["converged_to_zero"] > 0
     # the stack runs until its slowest start ends
     assert sweep["iterations"] == oracle["iterations"] < 60
-    assert brouwer_degree(1.0, [0.0, 0.0, 2.0], omega, sweep_pow2=8, seed=seed).degree == -1
+    assert brouwer_degree(1.0, [0.0, 0.0, 2.0], omega, seed=seed).degree == -1
 
 
 @pytest.mark.parametrize("region", ["light", "desk"])
@@ -273,7 +297,7 @@ def test_sweep_counts_every_start_where_w_leaves_double_range():
 
 
 def test_degree_on_desk_certificate_region(desk_cert):
-    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], desk_cert.region(), sweep_pow2=8, seed=SWEEP_SEED)
+    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], desk_cert.region(), seed=SWEEP_SEED)
     assert report.degree == -1
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import PlantedCoulomb, coulomb_config, desk_config, pulsed_config
+from conftest import PlantedCoulomb, PulsedField, coulomb_config, desk_config, pulsed_config
 from lfe.certificate import compute_R
 from lfe.fields import (
     ABCField,
@@ -79,12 +79,6 @@ def test_gradient_matches_finite_differences(potential):
         assert np.abs(gradient(potential, q) - fd_gradient(potential, q)).max() <= 1e-5
 
 
-def test_tabulated_fd_fallback():
-    pot = TabulatedPotential(lambda q: float(np.dot(q, q)))
-    q = np.array([0.7, -0.2, 1.1])
-    assert np.abs(gradient(pot, q) - 2 * q).max() <= 1e-8
-
-
 def test_radial_identity_exact():
     rng = np.random.default_rng(22)
     for c0, gamma in [(1.0, 1.0), (2.0, 3.0), (0.5, 2.2)]:
@@ -145,7 +139,11 @@ def test_uniform_and_zero_fields():
 
 
 def _gauss(q):
-    return float(np.exp(-np.dot(q, q)))
+    return np.exp(-np.add.reduce(q * q, axis=-1))
+
+
+def _gauss_gradient(q):
+    return -2.0 * q * _gauss(q)[..., None]
 
 
 def _point_functions(field, singular):
@@ -166,8 +164,7 @@ def _point_functions(field, singular):
     [
         pytest.param(GeneralizedCoulomb(1.0, 1.0), True, id="coulomb-gamma1"),
         pytest.param(GeneralizedCoulomb(0.7, 3.0), True, id="coulomb-gamma3"),
-        pytest.param(TabulatedPotential(_gauss, lambda q: -2.0 * q * _gauss(q)), True, id="tabulated"),
-        pytest.param(TabulatedPotential(_gauss), True, id="tabulated-fd"),
+        pytest.param(TabulatedPotential(_gauss, _gauss_gradient), True, id="tabulated"),
         pytest.param(ZeroField(), False, id="zero"),
         pytest.param(UniformField([0.1, -0.2, 2.0]), False, id="uniform"),
         pytest.param(DipoleField([0.3, -0.2, 0.9]), True, id="dipole"),
@@ -188,10 +185,42 @@ def test_cloud_equals_stacked_points(field, singular):
             assert np.array_equal(evaluate(with_origin), np.array([evaluate(q) for q in with_origin]))
 
 
+def test_tabulated_potential_takes_the_cloud_in_one_call():
+    shapes = []
+
+    def recorded(fn):
+        def call(q):
+            shapes.append(np.shape(q))
+            return fn(q)
+
+        return call
+
+    pot = TabulatedPotential(recorded(_gauss), recorded(_gauss_gradient))
+    cloud = np.random.default_rng(27).normal(size=(64, 3))
+    with_origin = cloud.copy()
+    with_origin[17] = 0.0
+    for evaluate in (pot.value, lambda q: gradient(pot, q)):
+        shapes.clear()
+        out = evaluate(cloud)
+        assert shapes == [(64, 3)]
+        assert np.array_equal(out, np.array([evaluate(q) for q in cloud]))
+        with pytest.raises(SingularityError):
+            evaluate(with_origin)
+
+
 def test_forcing_constant_stats():
     f = Forcing(1.0, [2.0, 0.0, 0.0])
     assert np.array_equal(f.mean, [2.0, 0.0, 0.0])
     assert f.l1_norm() == 2.0
+
+
+def test_forcing_tiny_mean_is_not_read_as_zero():
+    # the squares of these components underflow; math.hypot scales them
+    assert Forcing(1.0, [0.0, 0.0, 1e-200]).l1_norm() == 1e-200
+    assert Forcing(2.0, [3e-160, 4e-160, 0.0]).mean_norm == 5e-160
+    report = validate_hypotheses(coulomb_config(mean=(0.0, 0.0, 1e-200), c_B=1e-300), seed=0)
+    dominates = {c.name: c for c in report.checks}["mean-forcing-dominates-ceiling"]
+    assert dominates.passed and dominates.margin == 1e-200
 
 
 def test_forcing_pure_sine_stats():
@@ -304,7 +333,7 @@ def test_validate_is_reproducible():
 
 
 def test_magnetic_ceiling_dipole_sharp():
-    assert math.isclose(magnetic_ceiling(DipoleField([0, 0, 0.1]), period=1.0, seed=VALIDATION_SEED), 0.2, rel_tol=1e-12)
+    assert math.isclose(magnetic_ceiling(DipoleField([0, 0, 0.1])), 0.2, rel_tol=1e-12)
 
 
 def _abc_config(c_B: float) -> FieldConfig:
@@ -325,10 +354,10 @@ def _abc_config(c_B: float) -> FieldConfig:
 def test_magnetic_ceiling_of_an_abc_field_passes_the_checks_on_every_seed():
     # a sampled maximum lies below the sup, so other seeds' samples can exceed it
     abc = ABCField(0.1, 0.05, 0.03)
+    c_B = magnetic_ceiling(abc)
+    assert c_B == abc.sup_bound()
+    config = _abc_config(c_B)
     for seed in range(40):
-        c_B = magnetic_ceiling(abc, period=1.0, seed=seed)
-        assert c_B == abc.sup_bound()
-        config = _abc_config(c_B)
         checks = {c.name: c for c in validate_hypotheses(config, seed=seed).checks}
         assert checks["magnetic-ceiling-at-infinity"].passed, seed
         assert compute_R(config, seed=seed) == 1.0, seed
@@ -336,10 +365,15 @@ def test_magnetic_ceiling_of_an_abc_field_passes_the_checks_on_every_seed():
 
 def test_magnetic_ceiling_of_a_uniform_field_is_refused():
     # |B| = 0.1 at every sample: no c_B equal to the sup passes the strict ceiling check
-    for seed in range(40):
-        with pytest.raises(ValueError, match=r"^c_B = auto: a uniform field has \|B\| = 0.1 everywhere"):
-            magnetic_ceiling(UniformField([0.0, 0.0, 0.1]), period=1.0, seed=seed)
-    assert magnetic_ceiling(UniformField([0.0, 0.0, 0.0]), period=1.0, seed=0) == 0.0
+    with pytest.raises(ValueError, match=r"^c_B = auto: a uniform field has \|B\| = 0.1 everywhere"):
+        magnetic_ceiling(UniformField([0.0, 0.0, 0.1]))
+
+
+def test_magnetic_ceiling_of_a_vanishing_field_is_one():
+    # any positive ceiling passes the checks of a field that is zero everywhere
+    assert magnetic_ceiling(ZeroField()) == 1.0
+    assert magnetic_ceiling(UniformField([0.0, 0.0, 0.0])) == 1.0
+    assert magnetic_ceiling(DipoleField([0.0, 0.0, 0.0])) == magnetic_ceiling(ABCField(0.0, 0.0, 0.0)) == 1.0
 
 
 def test_config_rejects_nonpositive_constants():
@@ -372,7 +406,6 @@ def test_config_rejects_nonpositive_constants():
 
 def test_sweeps_read_every_time_of_the_grid():
     # |B| is 0.8 at t = T/4 and 0 at t = 0: a sweep of t = 0 alone would see no field
-    assert magnetic_ceiling(pulsed_config(1.0).magnetic, period=1.0, seed=VALIDATION_SEED) == 0.8
     report = validate_hypotheses(pulsed_config(0.5), seed=VALIDATION_SEED)
     ceiling = {c.name: c for c in report.checks}["magnetic-ceiling-at-infinity"]
     assert not ceiling.passed
@@ -402,7 +435,9 @@ def test_shell_maxima_match_a_brute_force_loop():
     cloud = shells(radii, dirs)
     centre = cloud[len(dirs) + 6]  # the planted maximum: radius 1, direction 6, t = 3T/4
     potential = TabulatedPotential(
-        lambda q: 0.0, lambda q: np.array([np.sin(q[0]), q[1] * q[2], 0.5]) + 4.0 * _bump(q, centre) * q
+        lambda q: np.zeros(np.shape(q)[:-1]),
+        lambda q: np.stack([np.sin(q[..., 0]), q[..., 1] * q[..., 2], np.full(np.shape(q)[:-1], 0.5)], axis=-1)
+        + 4.0 * _bump(q, centre)[..., None] * q,
     )
     magnetic = _PlantedField(centre, 0.75 * period)
     gv, b = shell_maxima(radii, dirs, potential, magnetic, period)
@@ -463,4 +498,11 @@ def test_validate_fails_a_nan_field_at_a_later_time():
     checks = {c.name: c for c in validate_hypotheses(config, seed=VALIDATION_SEED).checks}
     ceiling = checks["magnetic-ceiling-at-infinity"]
     assert not ceiling.passed and math.isnan(ceiling.margin)
-    assert math.isnan(magnetic_ceiling(config.magnetic, period=1.0, seed=VALIDATION_SEED))
+
+
+@pytest.mark.parametrize("magnetic", [_NanAtQuarterPeriod(), PulsedField(0.8, 1.0)], ids=["nan", "pulsed"])
+def test_magnetic_ceiling_of_a_kind_with_no_closed_form_is_refused(magnetic):
+    # no closed form is known for these kinds; a sampled sup can lie below the sup, or be NaN
+    name = type(magnetic).__name__
+    with pytest.raises(ValueError, match=rf"^c_B = auto: a {name} has no closed-form ceiling; give c_B as a number$"):
+        magnetic_ceiling(magnetic)

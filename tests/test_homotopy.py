@@ -151,13 +151,20 @@ def test_rhs_stack_rows_match_single_states(magnetic):
 
 
 def _gauss_potential(q):
-    return float(np.exp(-np.dot(q, q)))
+    return np.exp(-np.add.reduce(q * q, axis=-1))
+
+
+def _central_difference_gradient(q, step=1e-6):
+    """Central-difference gradient of `_gauss_potential` at q of shape (3,) or (N, 3)."""
+    e = step * np.eye(3)
+    q = q[..., None, :]
+    return (_gauss_potential(q + e) - _gauss_potential(q - e)) / (2.0 * step)
 
 
 def _reference_gradient(potential, q):
     """grad V from |q| directly for the generalized Coulomb family, else the potential's gradient.
 
-    The tabulated potential ignores the radial data and differentiates its values.
+    The tabulated potential ignores the radial data; its gradient callable differentiates its values.
     """
     if isinstance(potential, GeneralizedCoulomb):
         r = np.linalg.norm(q, axis=-1, keepdims=True)
@@ -171,7 +178,7 @@ def _reference_gradient(potential, q):
         GeneralizedCoulomb(0.7, 1.0),
         GeneralizedCoulomb(0.7, 2.5),
         GeneralizedCoulomb(0.7, 3.0),
-        TabulatedPotential(_gauss_potential),
+        TabulatedPotential(_gauss_potential, _central_difference_gradient),
     ],
     ids=["coulomb-gamma1", "coulomb-gamma2.5", "coulomb-gamma3", "tabulated-fd"],
 )
