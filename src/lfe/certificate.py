@@ -155,9 +155,13 @@ def compute_R(config: FieldConfig, *, seed: int) -> float:
         if not failed:
             return 2.0**k
         k = failed[-1] + 1
+    gradient = np.maximum(e[-1], config.c0 / radii[-1] ** 2)
     raise RadiusNotFound(
-        f"no radius up to {_MAX_RADIUS:g} satisfies the far-field conditions "
-        "(the decay hypotheses are likely violated)"
+        f"no radius up to the search cap {_MAX_RADIUS:g} satisfies the far-field conditions: "
+        f"on the largest sphere sampled, |q| = {radii[-1]:g}, max |grad V| = {gradient:.3e} "
+        f"against the threshold |mean h| - c_B = {threshold:.3e} and max |B| = {b[-1]:.3e} "
+        f"against c_B = {config.c_B:.3e} (the fields may decay too slowly, or below the "
+        "threshold only beyond the cap)"
     )
 
 

@@ -359,6 +359,26 @@ class ValidationReport:
         return check_table(self.checks, 28, 3, f"  (seed={self.seed}; {self.note})")
 
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
+
+def _magnitudes(v: np.ndarray) -> np.ndarray:
+    """|v| over the last axis of v (..., 3), without the under- and overflow of its squares.
+
+    np.linalg.norm squares the components, so a row with |v| below about
+    sqrt(tiny) reads as 0 or loses digits, and one beyond about 1e154 as
+    inf.  Only those rows are redone with nested hypot, as in
+    `kinematics.lorentz_factor`; an all-zero v has nothing to redo.
+    """
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(v, axis=-1)
+    redo = (n < _SQRT_TINY) | np.isinf(n)
+    if redo.any() and v.any():
+        w = v[redo]
+        n[redo] = np.hypot(np.hypot(w[:, 0], w[:, 1]), w[:, 2])
+    return n
+
+
 def shell_maxima(
     radii, directions, potential=None, magnetic=None, period=None, *, radial=False, skip_nan=False
 ):
@@ -375,10 +395,10 @@ def shell_maxima(
     v = b = None
     if potential is not None:
         g = potential.gradient(q, rad)
-        v = np.add.reduce(q * g, axis=-1) if radial else np.linalg.norm(g, axis=-1)
+        v = np.add.reduce(q * g, axis=-1) if radial else _magnitudes(g)
         v = reduce(v.reshape(len(radii), -1), axis=1)
     if magnetic is not None:
-        b = [np.linalg.norm(magnetic.eval(t, q, rad), axis=-1) for t in np.linspace(0.0, period, 5)]
+        b = [_magnitudes(magnetic.eval(t, q, rad)) for t in np.linspace(0.0, period, 5)]
         b = reduce(np.reshape(b, (len(b), len(radii), -1)), axis=(0, 2))
     return v, b
 

@@ -8,6 +8,19 @@ step control gives both the residual and the monodromy at each trial
 point.  The continuation driver walks the deformation parameter from the
 autonomous equilibrium at lam = 0 toward the full equation at lam = 1
 with adaptive step halving and regrowth.
+
+Newton is inexact in the sense of Dembo, Eisenstat & Steihaug ("Inexact
+Newton methods", SIAM J. Numer. Anal. 19, 1982): the trial flows of an
+iteration that starts from the residual sup-norm r run at
+rtol = max(rtol0, min(1e-6, 1e-4 r)), with atol scaled by the same
+factor, where rtol0 is the configured tolerance; an early iteration does
+not resolve digits that the next one discards.  The guess's flow runs at
+the configured tolerance, and convergence is read only from a flow at
+that tolerance: a loose trial whose residual already meets newton_tol
+is flowed once more at it.  That confirming re-flow is no Newton
+iteration, so it adds no `newton_trace` entry and does not count against
+max_iterations.  Each `newton_trace` entry records the `rtol` of its
+accepted trial flow.
 """
 
 from __future__ import annotations
@@ -38,6 +51,9 @@ class LeftDomain(SolverError):
 
 _DAMPING = tuple(0.5**k for k in range(20))  # Newton step factors 1, 1/2, ..., 2**-19
 _FD_STEP = 1e-7
+# inexact Newton: the cap of a trial flow's rtol and its factor of the residual (`_trial_problem`)
+_TRIAL_RTOL_CAP = 1e-6
+_TRIAL_FACTOR = 1e-4
 # a residual at most this many eps * max(1, |x|_inf) is at round-off level
 _ROUNDOFF = 8.0 * np.finfo(float).eps
 
@@ -136,7 +152,7 @@ class OrbitSolution:
     residual_norm: float
     monodromy: np.ndarray
     diagnostics: dict  # the integral identities of `orbit_identities`
-    # per Newton iteration: the residual sup-norm it started from and its damping alpha
+    # per Newton iteration: the residual sup-norm it started from, its damping alpha and trial rtol
     newton_trace: list
 
     @property
@@ -179,17 +195,50 @@ def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
     }
 
 
+def _trial_problem(problem: ShootingProblem, res_norm: float) -> ShootingProblem:
+    """problem with the integrator tolerance of a trial flow from the residual sup-norm res_norm.
+
+    rtol = max(rtol0, min(_TRIAL_RTOL_CAP, _TRIAL_FACTOR * res_norm)) and
+    atol scaled by rtol / rtol0; problem itself when that is the configured rtol0.
+    """
+    cfg = problem.integrator
+    rtol = max(cfg.rtol, min(_TRIAL_RTOL_CAP, _TRIAL_FACTOR * res_norm))
+    if rtol == cfg.rtol:
+        return problem
+    return replace(problem, integrator=replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol)))
+
+
+def _flow_residual(problem: ShootingProblem, y: np.ndarray):
+    """`flow_with_monodromy` at y, with the periodicity residual and its sup-norm."""
+    traj, monodromy = problem.flow_with_monodromy(y)
+    res = traj.states[-1] - traj.states[0]
+    return traj, monodromy, res, float(np.max(np.abs(res)))
+
+
 def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
-    """Damped Newton on the periodicity residual, Jacobian from the stacked flow.
+    """Damped inexact Newton on the periodicity residual, Jacobian from the stacked flow.
 
     Iterates on the flat state [q, p], from guess.as_array() to the
-    solution's x0.  Every flow is `problem.flow_with_monodromy`, so each
-    trial yields the monodromy at the trial point: an accepted trial's
-    monodromy is the next iteration's Jacobian, and the last one is the
-    orbit's.  Each step takes the first factor of _DAMPING whose trial point
-    lies in the search region, flows and lowers the residual sup-norm;
-    convergence is that norm below problem.solver.newton_tol.  Each
-    iteration's starting residual and damping factor go into `newton_trace`.
+    solution's x0.  Every flow is `flow_with_monodromy`, so each trial
+    yields the monodromy at the trial point: an accepted trial's monodromy
+    is the next iteration's Jacobian.  Each step takes the first factor of
+    _DAMPING whose trial point lies in the search region, flows and lowers
+    the residual sup-norm; convergence is that norm below
+    problem.solver.newton_tol.  Each iteration's starting residual, damping
+    factor and trial `rtol` go into `newton_trace`.
+
+    Tolerances, as in the module docstring: the guess flows at
+    problem.integrator and the trials at `_trial_problem`'s tolerance.  A
+    loose trial that meets newton_tol is flowed once more at
+    problem.integrator, and that flow gives the solution's trajectory,
+    monodromy and residual; if its residual misses newton_tol, Newton goes
+    on from it.  A damped step is accepted when its trial's residual is
+    below the iterate's, though the two flows may have run at different
+    tolerances.  That is safe because a loose trial's rtol is at most
+    _TRIAL_FACTOR = 1e-4 times the residual it is compared with: its
+    integration error can pass a step whose true residual exceeds the
+    iterate's only by about that fraction.
+
     Raises NewtonDiverged (no decrease with any factor, the iteration cap,
     or round-off stagnation: a trial flow fails to lower a residual already
     within _ROUNDOFF * max(1, |x|_inf), so newton_tol is out of reach),
@@ -203,9 +252,7 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
     if bad is not None:
         raise LeftDomain(f"initial guess outside the search region: {bad}")
 
-    traj, monodromy = problem.flow_with_monodromy(y)
-    res = traj.states[-1] - traj.states[0]
-    res_norm = float(np.max(np.abs(res)))
+    traj, monodromy, res, res_norm = _flow_residual(problem, y)
 
     tol = problem.solver.newton_tol
     trace = []
@@ -220,19 +267,18 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
             if not math.isfinite(cond) or cond > 1e12:
                 raise SingularJacobian(f"shooting Jacobian condition estimate {cond:.3e}")
             delta = np.linalg.solve(jac, -res)
+            trial = _trial_problem(problem, res_norm)
 
             for alpha in _DAMPING:
                 y_try = y + alpha * delta
                 if problem.violation(y_try) is not None:
                     continue
                 try:
-                    traj_try, monodromy_try = problem.flow_with_monodromy(y_try)
+                    traj_try, monodromy_try, res_try, res_try_norm = _flow_residual(trial, y_try)
                 except SolverError:
                     continue
-                res_try = traj_try.states[-1] - traj_try.states[0]
-                res_try_norm = float(np.max(np.abs(res_try)))
                 if res_try_norm < res_norm:
-                    trace.append({"residual": res_norm, "alpha": alpha})
+                    trace.append({"residual": res_norm, "alpha": alpha, "rtol": trial.integrator.rtol})
                     y, traj, monodromy = y_try, traj_try, monodromy_try
                     res, res_norm = res_try, res_try_norm
                     break
@@ -249,6 +295,9 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
                     f"no residual decrease after {len(_DAMPING)} damping halvings "
                     f"(residual {res_norm:.3e})"
                 )
+            if res_norm < tol and trial is not problem:
+                # the confirming re-flow: convergence is read at the configured tolerance
+                traj, monodromy, res, res_norm = _flow_residual(problem, y)
     except SolverError as err:
         err.newton_trace = trace
         raise

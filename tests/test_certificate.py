@@ -126,6 +126,20 @@ def test_radius_compares_against_the_field_at_every_time():
         compute_R(pulsed_config(0.5), seed=SEED)
 
 
+def test_radius_not_found_names_the_threshold_the_sphere_and_the_cap():
+    # zero field and |mean h| - c_B = 1e-200: |grad V| = 1/|q|^2 falls below it only near |q| = 1e100
+    config = coulomb_config(mean=(0.0, 0.0, 1e-200), c_B=1e-300)
+    assert config.magnetic == ZeroField()
+    with pytest.raises(RadiusNotFound) as err:
+        compute_R(config, seed=SEED)
+    assert str(err.value) == (
+        "no radius up to the search cap 1e+06 satisfies the far-field conditions: on the largest "
+        "sphere sampled, |q| = 524288, max |grad V| = 3.638e-12 against the threshold "
+        "|mean h| - c_B = 1.000e-200 and max |B| = 0.000e+00 against c_B = 1.000e-300 "
+        "(the fields may decay too slowly, or below the threshold only beyond the cap)"
+    )
+
+
 @dataclasses.dataclass(frozen=True)
 class _SphereSpike:
     """|B| = value on the shell 3.5 < |q| < 4.5, which holds the sphere |q| = 4 of compute_R, and 0 elsewhere."""

@@ -485,6 +485,23 @@ def test_cli_continue_history_records_failed_newton_traces(tmp_path):
     assert all(0.0 < h["newton_trace"][0]["alpha"] <= 1.0 for h in history)
 
 
+def test_cli_continue_reports_the_trial_tolerance_of_every_newton_iteration(tmp_path):
+    # the harmonic makes the lam = 1 orbit differ from the start: its first trials run loose
+    text = LIGHT.replace("mean = 0 0 2", "mean = 0 0 2\nharmonic_1_cos = 0.9 0 0")
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    payload = json.loads((out / "run_report.json").read_text())
+    (step,) = payload["continuation"]["history"]
+    trace = step["newton_trace"]
+    assert trace == payload["final_orbit"]["newton_trace"]
+    # rtol = max(1e-10, min(1e-6, 1e-4 r)) for the residual r each iteration starts from
+    assert [entry["rtol"] for entry in trace] == [
+        max(1e-10, min(1e-6, 1e-4 * entry["residual"])) for entry in trace
+    ]
+    assert trace[0]["rtol"] == 1e-6 and trace[-1]["rtol"] == 1e-10
+    assert "rtol" not in (out / "run_report.txt").read_text()
+
+
 def test_cli_find_orbit_stops_at_round_off_stagnation(tmp_path, monkeypatch):
     # the exact equilibrium has residual 1.1e-16; newton_tol = 1e-300 cannot be reached
     flows = []
@@ -498,6 +515,32 @@ def test_cli_find_orbit_stops_at_round_off_stagnation(tmp_path, monkeypatch):
         "a trial step does not lower it; newton_tol = 1e-300 is unreachable in double precision\n"
     )
     assert len(flows) <= 2  # the guess's flow and at most one trial flow
+
+
+def test_cli_find_orbit_trial_flows_take_fewer_steps_than_configured_ones(tmp_path, monkeypatch):
+    # loose trial flows (inexact Newton) against every flow at the configured tolerance:
+    # a trial rtol cap of 0 leaves every flow at the configured rtol
+    text = DESK.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
+    cfg = write(tmp_path, text)
+    integrate = lfe.shooting.integrate
+    steps, x0 = [], []
+
+    def counting(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        steps[-1] += len(traj.ts) - 1
+        return traj
+
+    monkeypatch.setattr(lfe.shooting, "integrate", counting)
+    for cap in (lfe.shooting._TRIAL_RTOL_CAP, 0.0):
+        monkeypatch.setattr(lfe.shooting, "_TRIAL_RTOL_CAP", cap)
+        steps.append(0)
+        out = tmp_path / f"out-{cap}"
+        assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 0
+        orbit = json.loads((out / "orbit_report.json").read_text())
+        x0.append(np.array(orbit["x0_q"] + orbit["x0_p"]))
+    inexact, configured = steps
+    assert inexact < configured
+    assert np.abs(x0[0] - x0[1]).max() < 1e-9
 
 
 def test_cli_reports_the_rejected_steps_of_the_orbit(tmp_path):

@@ -461,6 +461,19 @@ def test_shell_maxima_match_a_brute_force_loop():
     assert gv[1] == norm(potential.gradient(centre, None)) > gv[0]
 
 
+def test_shell_maxima_of_weak_and_strong_fields():
+    # squared, |grad V| = 1e-172 ... 1e-178 underflows to 0, and |B| = 1e200 overflows to inf
+    config = coulomb_config(c0=1e-170)
+    radii = np.array([1e1, 1e2, 1e3, 1e4])
+    for b_z in (1e-200, 1e200):
+        gv, b = shell_maxima(radii, sphere_directions(6, 5), config.potential, UniformField([0.0, b_z, b_z]), 1.0)
+        assert np.abs(gv / (1e-170 / radii**2) - 1.0).max() < 1e-12
+        assert np.abs(b / (math.sqrt(2.0) * b_z) - 1.0).max() < 1e-15
+    checks = {c.name: c for c in validate_hypotheses(config, seed=VALIDATION_SEED).checks}
+    decay = checks["electric-decay-at-infinity"]
+    assert decay.passed and decay.margin > 0.0, decay.detail
+
+
 def test_shell_maxima_nan_samples():
     # q.grad V = -1/|q| on both spheres, except NaN and 0 at two points of the second
     radii, dirs = np.array([1.0, 2.0]), sphere_directions(3, 5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
+import lfe.shooting
 from conftest import coulomb_config, force_free_config
 from lfe.degree import find_zero_f0
 from lfe.homotopy import HomotopySystem
@@ -98,6 +99,72 @@ def test_failed_damping_names_its_cause(coulomb_problem):
     failing = FailingTrials(system=coulomb_problem.system, lam=0.0)
     with pytest.raises(NewtonDiverged, match=r"^no residual decrease after 20 damping halvings"):
         newton_shooting(guess, failing)
+
+
+def recorded_flows(monkeypatch) -> list:
+    """Wrap lfe.shooting.integrate: every flow's (IntegratorConfig, Trajectory) is appended to the list."""
+    flows = []
+    integrate = lfe.shooting.integrate
+
+    def recording(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        flows.append((args[4], traj))
+        return traj
+
+    monkeypatch.setattr(lfe.shooting, "integrate", recording)
+    return flows
+
+
+def loosened(cfg: IntegratorConfig, rtol: float) -> IntegratorConfig:
+    return dataclasses.replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol))
+
+
+@pytest.mark.parametrize("offset", [1e-3, 1e-2, 5e-2])
+def test_converged_orbit_comes_from_a_flow_at_the_configured_tolerance(coulomb_problem, monkeypatch, offset):
+    flows = recorded_flows(monkeypatch)
+    guess = State(q=EQ.q + np.array([offset, 0.0, 0.0]), p=np.zeros(3))
+    sol = newton_shooting(guess, coulomb_problem)
+    configured = coulomb_problem.integrator
+    # the guess's flow at the configured tolerance, then one trial per iteration at its rtol
+    assert [cfg for cfg, _ in flows[: 1 + sol.newton_iterations]] == [configured] + [
+        loosened(configured, step["rtol"]) for step in sol.newton_trace
+    ]
+    assert sol.newton_trace[0]["rtol"] == min(1e-6, 1e-4 * sol.newton_trace[0]["residual"]) > configured.rtol
+    # the orbit's trajectory, monodromy and residual are those of a configured-tolerance flow
+    assert [cfg for cfg, traj in flows if traj.ts is sol.trajectory.ts] == [configured]
+    traj, monodromy = coulomb_problem.flow_with_monodromy(sol.x0.as_array())
+    assert np.array_equal(sol.monodromy, monodromy)
+    assert sol.residual_norm == np.abs(traj.states[-1] - traj.states[0]).max() < 1e-9
+
+
+def test_a_loose_trial_that_meets_newton_tol_is_flowed_once_more(coulomb_problem, monkeypatch):
+    flows = recorded_flows(monkeypatch)
+    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
+    # one iteration allowed: the confirming re-flow is not an iteration
+    problem = dataclasses.replace(coulomb_problem, solver=SolverOptions(newton_tol=1e-5, max_iterations=1))
+    sol = newton_shooting(guess, problem)
+    configured = problem.integrator
+    assert len(sol.newton_trace) == 1
+    loose = loosened(configured, sol.newton_trace[0]["rtol"])
+    assert loose.rtol > configured.rtol
+    assert [cfg for cfg, _ in flows] == [configured, loose, configured]
+    (_, trial), (_, confirmed) = flows[1:]
+    loose_residual = np.abs(trial.states[-1, 0] - trial.states[0, 0]).max()
+    assert loose_residual < 1e-5 and sol.residual_norm < 1e-5
+    assert sol.trajectory.ts is confirmed.ts
+
+    # a newton_tol between the loose and the confirmed residual: Newton goes on from the re-flow
+    between = 0.5 * (loose_residual + sol.residual_norm)
+    assert loose_residual < between < sol.residual_norm
+    flows.clear()
+    strict = dataclasses.replace(problem, solver=SolverOptions(newton_tol=between))
+    again = newton_shooting(guess, strict)
+    assert [step["residual"] for step in again.newton_trace] == [
+        sol.newton_trace[0]["residual"],
+        sol.residual_norm,
+    ]
+    assert [cfg for cfg, _ in flows[:3]] == [configured, loose, configured]
+    assert again.residual_norm < between
 
 
 def test_residual_self_consistency(coulomb_problem):
