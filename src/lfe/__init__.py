@@ -17,7 +17,6 @@ from lfe.fields import (
     Forcing,
     GeneralizedCoulomb,
     Harmonic,
-    TabulatedPotential,
     UniformField,
     ZeroField,
     validate_hypotheses,
@@ -42,7 +41,6 @@ __all__ = [
     "phi_inv",
     "lorentz_factor",
     "GeneralizedCoulomb",
-    "TabulatedPotential",
     "ZeroField",
     "UniformField",
     "DipoleField",

@@ -8,8 +8,12 @@ the deformation parameter:
     field singularity at the origin,
   * a momentum bound L: |p(t)| < L along every periodic orbit.
 
-All suprema are sampled (with seeds recorded) and locally refined, never
-proven; the certificate carries that provenance.  One deliberate change
+R and epsilon are found on grids whose conditions are sampled on spheres
+(with seeds recorded), not proven.  C_gradV_B and M are closed-form: the
+sum of the field kinds' envelopes (`envelope(r)`, non-increasing in r) at
+the inner radius of their annulus, so upper bounds of the suprema, and
+equal to them for the Coulomb family with a dipole, uniform or zero
+field.  The certificate carries that provenance.  One deliberate change
 against the source estimates: the near-origin inequality is required with
 half the electric constant on the right-hand side, and that halved
 constant is used wherever the downstream formula divides by it.  As
@@ -20,14 +24,13 @@ the split preserves the structure of the estimate while being checkable.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from lfe.fields import FieldConfig, HypothesisCheck, check_table, radial_powers, shell_maxima
+from lfe.fields import FieldConfig, HypothesisCheck, check_table, power_law, shell_maxima
 from lfe.kinematics import phi_inv
-from lfe.sampling import log_radii, maximize_on_annulus, sphere_directions
+from lfe.sampling import log_radii, sphere_directions
 
 
 class CertificateError(RuntimeError):
@@ -124,6 +127,13 @@ def clearance_formula(*constants: float) -> float:
     return math.exp(-sum(clearance_terms(*constants).values()))
 
 
+def envelope(constant: str, fld, r: float) -> float:
+    """fld.envelope(r) for the named constant; CertificateError naming both if the kind has none."""
+    if not hasattr(fld, "envelope"):
+        raise CertificateError(f"{constant}: a {type(fld).__name__} has no closed-form envelope")
+    return fld.envelope(r)
+
+
 _SPHERE_MULTIPLES = (1.0, 2.0, 4.0, 8.0)
 _MAX_RADIUS = 1e6
 
@@ -179,8 +189,8 @@ def compute_lower_constants(
 
         -q . grad V(q)  >=  (c0/2) |q|^-1  +  c1 |q|^-beta.
 
-    K2 = |ln epsilon|; C_gradV_B is the sampled maximum of
-    |grad V| + |B| over the annulus epsilon < |q| < R + T; and
+    K2 = |ln epsilon|; C_gradV_B bounds |grad V| + |B| over the annulus
+    epsilon < |q| < R + T by the envelopes at epsilon; and
 
         m = exp[-K2 - T/eps - T C/(c0/2) - (R+T) l1/(c0/2)],
 
@@ -211,13 +221,7 @@ def compute_lower_constants(
 
     K2 = abs(math.log(epsilon))
 
-    def grad_plus_b(t, q):
-        q, rad = radial_powers(q)
-        return np.linalg.norm(config.potential.gradient(q, rad), axis=-1) + np.linalg.norm(
-            config.magnetic.eval(t, q, rad), axis=-1
-        )
-
-    C, _, _, _ = maximize_on_annulus(grad_plus_b, epsilon, R + period, period, seed=seed + 1)
+    C = sum(envelope("C_gradV_B", f, epsilon) for f in (config.potential, config.magnetic))
     constants = (K2, period, epsilon, C, c0_eff, R + period, l1)
     m = clearance_formula(*constants)
     if m == 0.0:
@@ -230,37 +234,23 @@ def compute_lower_constants(
     return epsilon, K2, C, m
 
 
-def compute_momentum_bound(
-    config: FieldConfig, m: float, R: float, *, seed: int, l1: float
-) -> tuple[float, float]:
+def compute_momentum_bound(config: FieldConfig, m: float, R: float, *, l1: float) -> tuple[float, float]:
     """(M, L): the force ceiling on the confined annulus and the momentum bound.
 
-    M maximizes |grad V| + c0/|q|^2 + |B| over m <= |q| <= R + T and one
-    period in time (sampled plus local ascent); L = T M + 2 l1.
+    M bounds |grad V| + c0/|q|^2 + |B| over m <= |q| <= R + T and one
+    period by the envelopes at m, plus c0 m^-2; L = T M + 2 l1.
     """
     period = config.forcing.period
     if not 0.0 < m < R + period:
         raise ValueError(f"need 0 < m < R + T, got m={m}, R+T={R + period}")
-    if m * m < sys.float_info.min:
-        raise CertificateError(
-            f"momentum bound M: |q|^2 underflows on the sphere |q| = m = {m:.6g} "
-            f"(below {math.sqrt(sys.float_info.min):.3g}), so c0/|q|^2 cannot be sampled there"
-        )
-
-    def h_total(t, q):
-        q, rad = radial_powers(q)
-        return (
-            np.linalg.norm(config.potential.gradient(q, rad), axis=-1)
-            + config.c0 * rad[0][..., 0]
-            + np.linalg.norm(config.magnetic.eval(t, q, rad), axis=-1)
-        )
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        M, _, _, _ = maximize_on_annulus(h_total, m, R + period, period, seed=seed + 2)
+    grad, b = (envelope("momentum bound M", f, m) for f in (config.potential, config.magnetic))
+    terms = {"|grad V|": grad, "c0/|q|^2": power_law(config.c0, m, 2.0), "|B|": b}
+    M = sum(terms.values())
     if not math.isfinite(M):
+        name = max(terms, key=terms.get)
         raise CertificateError(
-            f"momentum bound M: the sampled force ceiling is {M}, outside the double range "
-            f"(the powers of 1/|q| overflow near the sphere |q| = m = {m:.6g})"
+            f"momentum bound M: |grad V| + c0/|q|^2 + |B| at |q| = m = {m:.6g} leaves the double "
+            f"range; the largest term is {name} = {terms[name]:.6g}"
         )
     L = period * M + 2.0 * l1
     return M, L
@@ -272,14 +262,14 @@ def compute_certificate(config: FieldConfig, *, seed: int) -> BoundsCertificate:
     l1 = config.forcing.l1_norm()
     R = compute_R(config, seed=seed)
     epsilon, K2, C, m = compute_lower_constants(config, R, seed=seed, l1=l1)
-    M, L = compute_momentum_bound(config, m, R, seed=seed, l1=l1)
+    M, L = compute_momentum_bound(config, m, R, l1=l1)
     provenance = {
         "R": f"geometric grid 2^k, spheres x{_SPHERE_MULTIPLES}, 2^10 directions, seed={seed}",
         "epsilon": f"decreasing grid factor {_EPS_GRID_FACTOR} under min(eps0, eps1, 1), sampled inequality with halved c0",
-        "C_gradV_B": f"sampled max + local ascent on ({epsilon:.6g}, {R + period:.6g}), seed={seed + 1}",
+        "C_gradV_B": f"closed-form envelopes of |grad V| + |B| at the inner radius of ({epsilon:.6g}, {R + period:.6g})",
         "m": "exponential clearance formula, as printed, with halved c0 in the divisions",
-        "M": f"sampled max + local ascent on ({m:.6g}, {R + period:.6g}), seed={seed + 2}",
-        "note": "all suprema sampled, not proven",
+        "M": f"closed-form envelopes of |grad V| + c0/|q|^2 + |B| at the inner radius of ({m:.6g}, {R + period:.6g})",
+        "note": "R and epsilon sampled, not proven; C_gradV_B and M closed-form bounds, exact but for ABC",
         "seed": seed,
     }
     return BoundsCertificate(

@@ -282,17 +282,13 @@ def parse_config(path) -> RunConfig:
     if kind not in _MAGNETIC:
         raise ConfigError(f"[magnetic] kind must be {'|'.join(_MAGNETIC)}, got {kind!r}")
     sec_mag.echo("kind", kind)
-    if vector_key is None:
-        magnetic = make()
-    elif vector_key not in sec_mag.raw:
+    if vector_key is not None and vector_key not in sec_mag.raw:
         raise ConfigError(f"[magnetic] {kind} field needs {vector_key} = {hint}")
-    else:
-        magnetic = make(sec_mag.read(vector_key, "vec"))
-
+    vector = [sec_mag.read(vector_key, "vec")] if vector_key else []
     c_B = sec_mag.read("c_B", "float", word="auto")
-    if c_B is None:
-        with _in_section("magnetic"):
-            c_B = magnetic_ceiling(magnetic)
+    with _in_section("magnetic"):
+        magnetic = make(*vector)
+        c_B = magnetic_ceiling(magnetic) if c_B is None else c_B
 
     sharp = near_origin_constants(magnetic, gamma)
     for key, default in zip(("c1", "beta"), sharp):

@@ -9,13 +9,17 @@ Jacobian in momentum coordinates, and guards against a second zero with a
 multi-start Newton sweep in velocity coordinates (see lfe.homotopy).  The
 sweep steps in the inverted radius w = q/|q|^3, where the force block is
 linear, so a step needs no solve and a start deep inside the region
-reaches the zero in a few steps.
+reaches the zero in a few steps.  The orientation, stated in the report:
+domain ordered (p, q), codomain (q', p'), as in `f0_determinant_closed_form`;
+there the degree is minus the fixed-point index sign det(I - M) of the
+orbit it anchors, M its monodromy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,6 +77,7 @@ class DegreeReport:
     degree: int
     omega: tuple[float, float, float]
     sweep: dict
+    orientation: ClassVar[str] = "domain (p, q), codomain (q', p'): the degree is minus the index sign det(I - M)"
 
     def lines(self) -> list[str]:
         m, upper, p_max = self.omega
@@ -84,6 +89,7 @@ class DegreeReport:
             f"det (analytic):  {self.det_analytic!r}",
             f"det (numeric):   {self.det_numeric!r}",
             f"degree:          {self.degree}",
+            f"orientation:     {self.orientation}",
             "sweep:           "
             + ", ".join(f"{k}={v}" for k, v in self.sweep.items() if isinstance(v, int)),
         ]

@@ -8,7 +8,12 @@ one.  `validate_hypotheses` checks all of them on seeded sample clouds
 and reports pass/fail per condition; the checks are sampled, not proven.
 Their numbers and those of the certificate's R and epsilon come from one
 sweep, `shell_maxima`: per sphere of radius r, the maximum of |grad V|, of
-q . grad V, or of |B| over a time grid; `magnetic_ceiling` is closed-form.
+q . grad V, or of |B| over a time grid.
+
+Each field kind carries its closed forms: `envelope(r)`, a non-increasing
+bound of |grad V| or |B| on the sphere |q| = r (attained but for ABC), read
+by the certificate's C_gradV_B and M; a magnetic kind's `ceiling()`, its
+`c_B = auto`; and `near_origin(gamma)`, its default (c1, beta), if any.
 
 Every potential and magnetic field takes one point `q` of shape (3,) or
 a cloud of shape (N, 3) through the same code path and returns the
@@ -47,6 +52,15 @@ def radial_powers(q) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     return q, (s, s * np.sqrt(s))
 
 
+def power_law(c: float, r: float, k: float) -> float:
+    """c r^-k for c >= 0 and r > 0, or inf where it leaves the double range; never OverflowError."""
+    try:
+        return float(c) * float(r) ** -k
+    except OverflowError:  # r^-k alone overflows; a small c may bring the product back
+        e = math.log(c) - k * math.log(r) if c else -math.inf
+        return math.exp(e) if e < math.log(np.finfo(float).max) else math.inf
+
+
 # ---------------------------------------------------------------------------
 # Electric potentials
 # ---------------------------------------------------------------------------
@@ -77,24 +91,9 @@ class GeneralizedCoulomb:
     def gradient(self, q, rad) -> np.ndarray:
         return -self.c0 * rad[0] ** (0.5 * self.gamma + 1.0) * q
 
-
-@dataclass(frozen=True)
-class TabulatedPotential:
-    """Potential given by callables `value_fn(q)` and `gradient_fn(q)`.
-
-    Both take q of shape (3,) or (N, 3), as every field does, and return a
-    scalar or (N,) and (3,) or (N, 3); `gradient` ignores `rad`.
-    """
-
-    value_fn: object
-    gradient_fn: object
-
-    def value(self, q):
-        q, _ = radial_powers(q)
-        return self.value_fn(q)
-
-    def gradient(self, q, rad) -> np.ndarray:
-        return self.gradient_fn(q)
+    def envelope(self, r: float) -> float:
+        """|grad V| on the sphere |q| = r, exactly: c0 r^-(gamma+1)."""
+        return power_law(self.c0, r, self.gamma + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +106,15 @@ class ZeroField:
     def eval(self, t: float, q, rad) -> np.ndarray:
         return np.zeros(np.shape(q))
 
+    def envelope(self, r: float) -> float:
+        return 0.0
+
+    def ceiling(self) -> float:
+        return 1.0  # any positive ceiling holds
+
+    def near_origin(self, gamma: float) -> tuple[float, float]:
+        return 0.0, 0.5 * gamma
+
 
 @dataclass(frozen=True)
 class UniformField:
@@ -118,27 +126,49 @@ class UniformField:
     def eval(self, t: float, q, rad) -> np.ndarray:
         return np.broadcast_to(self.b, np.shape(q)).copy()
 
+    def envelope(self, r: float) -> float:
+        return math.hypot(*self.b)
+
+    def ceiling(self) -> float:
+        if self.b.any():  # |B| = |b| at every sample, so no ceiling lies strictly above it
+            raise ValueError(
+                f"c_B = auto: a uniform field has |B| = {self.envelope(1.0):g} everywhere, "
+                "and c_B must lie strictly above it; give c_B as a number"
+            )
+        return 1.0
+
 
 @dataclass(frozen=True)
 class DipoleField:
     """Point dipole  B(q) = 3 q (mu.q) |q|^-5 - mu |q|^-3  (prefactor absorbed in mu).
 
-    Satisfies |B(q)| <= 2|mu| |q|^-3, with equality on the dipole axis.
+    |B(q)| <= c1 |q|^-3 with c1 = 2|mu| (by `math.hypot`), with equality on
+    the dipole axis; a moment whose 2|mu| overflows is a ValueError.
     """
 
     moment: np.ndarray
+    c1: float = field(init=False, repr=False, compare=False)  # 2|moment|
 
     def __post_init__(self):
         object.__setattr__(self, "moment", np.asarray(self.moment, dtype=float))
+        size = math.hypot(*self.moment)
+        if 2.0 * size == math.inf:
+            raise ValueError(f"moment is too large: |moment| = {size:.6g}, so 2|moment| overflows")
+        object.__setattr__(self, "c1", 2.0 * size)
 
     def eval(self, t: float, q, rad) -> np.ndarray:
         s, s3 = rad
         mu_q = np.add.reduce(q * self.moment, axis=-1, keepdims=True)
         return s3 * (3.0 * s * mu_q * q - self.moment)
 
-    def bound_constants(self) -> tuple[float, float]:
-        """(c1, beta) with |B| <= c1 |q|^(-beta-1): c1 = 2|mu|, beta = 2."""
-        return 2.0 * float(np.linalg.norm(self.moment)), 2.0
+    def envelope(self, r: float) -> float:
+        return power_law(self.c1, r, 3.0)
+
+    def ceiling(self) -> float:
+        return self.c1 or 1.0
+
+    def near_origin(self, gamma: float) -> tuple[float, float]:
+        return self.c1, 2.0  # sharp
 
 
 @dataclass(frozen=True)
@@ -161,9 +191,13 @@ class ABCField:
             axis=-1,
         )
 
-    def sup_bound(self) -> float:
+    def envelope(self, r: float) -> float:
+        """The sup of |B| over all space, which no sample reaches."""
         a, b, c = abs(self.A), abs(self.B), abs(self.C)
         return math.sqrt((a + c) ** 2 + (b + a) ** 2 + (c + b) ** 2)
+
+    def ceiling(self) -> float:
+        return self.envelope(1.0) or 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -465,34 +499,16 @@ def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
 
 
 def magnetic_ceiling(magnetic) -> float:
-    """The c_B of `c_B = auto`: a closed-form ceiling of |B(t, q)| over |q| >= 1.
-
-    2|mu| for a dipole and `ABCField.sup_bound` for an ABC field, which no
-    sample reaches; 1.0 for a vanishing field, where any positive ceiling
-    passes.  A nonzero uniform field has |B| = |b| at every sample, so no
-    ceiling lies strictly above its sup: it raises ValueError, as does any
-    other kind.
-    """
-    if isinstance(magnetic, UniformField) and magnetic.b.any():
-        raise ValueError(
-            f"c_B = auto: a uniform field has |B| = {np.linalg.norm(magnetic.b):g} everywhere, "
-            "and c_B must lie strictly above it; give c_B as a number"
-        )
-    if isinstance(magnetic, DipoleField):
-        return magnetic.bound_constants()[0] or 1.0
-    if isinstance(magnetic, ABCField):
-        return magnetic.sup_bound() or 1.0
-    if not isinstance(magnetic, (ZeroField, UniformField)):
+    """The c_B of `c_B = auto`: the kind's `ceiling()` of |B| over |q| >= 1, or ValueError if it has none."""
+    ceiling = getattr(magnetic, "ceiling", None)
+    if ceiling is None:
         raise ValueError(
             f"c_B = auto: a {type(magnetic).__name__} has no closed-form ceiling; give c_B as a number"
         )
-    return 1.0
+    return ceiling()
 
 
 def near_origin_constants(magnetic, gamma: float) -> tuple:
-    """Default (c1, beta): sharp for a dipole, (0, gamma/2) for a zero field, (None, None) otherwise."""
-    if isinstance(magnetic, DipoleField):
-        return magnetic.bound_constants()
-    if isinstance(magnetic, ZeroField):
-        return 0.0, 0.5 * gamma
-    return None, None
+    """Default (c1, beta) of the field kind's `near_origin(gamma)`, or (None, None) if it has none."""
+    near_origin = getattr(magnetic, "near_origin", None)
+    return near_origin(gamma) if near_origin else (None, None)

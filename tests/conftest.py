@@ -21,10 +21,10 @@ from lfe.fields import (
     Forcing,
     GeneralizedCoulomb,
     Harmonic,
-    TabulatedPotential,
     UniformField,
     ZeroField,
     magnetic_ceiling,
+    radial_powers,
 )
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import IntegratorConfig
@@ -33,8 +33,38 @@ from lfe.shooting import ShootingProblem, continue_lambda, newton_shooting
 SEED = 20240803
 
 
+@dataclass(frozen=True)
+class TabulatedPotential:
+    """Potential given by callables `value_fn(q)` and `gradient_fn(q)`; it has no closed-form envelope.
+
+    Both take q of shape (3,) or (N, 3), as every field does, and return a
+    scalar or (N,) and (3,) or (N, 3); `gradient` ignores `rad`.
+    """
+
+    value_fn: object
+    gradient_fn: object
+
+    def value(self, q):
+        q, _ = radial_powers(q)
+        return self.value_fn(q)
+
+    def gradient(self, q, rad) -> np.ndarray:
+        return self.gradient_fn(q)
+
+
+@dataclass(frozen=True)
+class ZeroPotential(TabulatedPotential):
+    """V = 0, whose envelope of |grad V| is 0."""
+
+    value_fn: object = lambda q: np.zeros(np.shape(q)[:-1])
+    gradient_fn: object = lambda q: np.zeros(np.shape(q))
+
+    def envelope(self, r):
+        return 0.0
+
+
 def zero_potential():
-    return TabulatedPotential(lambda q: np.zeros(np.shape(q)[:-1]), lambda q: np.zeros(np.shape(q)))
+    return ZeroPotential()
 
 
 def force_free_config(magnetic=None, mean=(0.0, 0.0, 0.0)) -> FieldConfig:
@@ -72,7 +102,7 @@ def coulomb_config(c0=1.0, mean=(0.0, 0.0, 2.0), c_B=1.0) -> FieldConfig:
 def desk_config() -> FieldConfig:
     """Cubic-decay potential, dipole, constant + cosine forcing over one period."""
     dipole = DipoleField([0.0, 0.0, 0.1])
-    c1, beta = dipole.bound_constants()
+    c1, beta = dipole.near_origin(3.0)
     forcing = Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.1, 0.0, 0.0], [0.0, 0.0, 0.0])])
     c_B = magnetic_ceiling(dipole)
     return FieldConfig(
@@ -117,6 +147,9 @@ class PlantedCoulomb:
         g[np.all(q == self.nan_q, axis=-1)] = np.nan
         g[np.all(q == self.zero_q, axis=-1)] = 0.0
         return g
+
+    def envelope(self, r):
+        return r**-2.0
 
 
 def pulsed_config(c_B: float) -> FieldConfig:

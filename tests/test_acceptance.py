@@ -11,14 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SEED, coulomb_config, gyro_config
+from conftest import SEED, TabulatedPotential, coulomb_config, gyro_config
 from lfe.certificate import compute_certificate
 from lfe.cli import main
 from lfe.degree import brouwer_degree, find_zero_f0
 from lfe.fields import (
     DipoleField,
     GeneralizedCoulomb,
-    TabulatedPotential,
     radial_powers,
 )
 from lfe.homotopy import HomotopySystem

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 import lfe.certificate
-from conftest import SEED, PlantedCoulomb, coulomb_config, desk_config, pulsed_config
+from conftest import SEED, PlantedCoulomb, TabulatedPotential, coulomb_config, desk_config, pulsed_config
 from lfe.certificate import (
     CertificateError,
     InequalityFails,
@@ -29,6 +29,7 @@ from lfe.fields import (
     UniformField,
     ValidationReport,
     ZeroField,
+    radial_powers,
     shell_maxima,
 )
 from lfe.sampling import log_radii, shells, sphere_directions
@@ -102,7 +103,7 @@ def test_epsilon_against_scalar_threshold_oracle():
 
 def test_epsilon_inequality_fails_for_strong_magnetic_singularity():
     dipole = DipoleField([0.0, 0.0, 0.1])
-    c1, beta = dipole.bound_constants()
+    c1, beta = dipole.near_origin(1.0)
     config = FieldConfig(
         potential=GeneralizedCoulomb(1.0, 1.0),  # beta = 2 >= gamma = 1
         magnetic=dipole,
@@ -251,27 +252,51 @@ def test_momentum_bound_grows_with_magnetic_field(a5_cert):
         beta=0.5,
         eps1=config.eps1,
     )
-    M_b, _ = compute_momentum_bound(
-        uniform, a5_cert.m, a5_cert.R, seed=SEED, l1=uniform.forcing.l1_norm()
-    )
+    M_b, _ = compute_momentum_bound(uniform, a5_cert.m, a5_cert.R, l1=uniform.forcing.l1_norm())
     assert M_b > a5_cert.M
 
 
 @pytest.mark.parametrize(
-    "m,error,match",
+    "m,outcome",
     [
-        (0.0, ValueError, r"^need 0 < m < R \+ T, got m=0.0, R\+T=3.0$"),
-        (3.0, ValueError, r"^need 0 < m < R \+ T, got m=3.0, R\+T=3.0$"),
-        (1e-120, CertificateError, r"^momentum bound M: the sampled force ceiling is inf, outside"),
-        (1e-160, CertificateError, r"^momentum bound M: \|q\|\^2 underflows on the sphere"),
+        (0.0, (ValueError, r"^need 0 < m < R \+ T, got m=0.0, R\+T=3.0$")),
+        (3.0, (ValueError, r"^need 0 < m < R \+ T, got m=3.0, R\+T=3.0$")),
+        # a sampled |q|^-3 overflowed here, but M = c0 m^-2 + c0 m^-2 is finite
+        (1e-120, 2e240),
+        # m^2 underflows, so both terms of M overflow
+        (1e-160, (CertificateError, r"^momentum bound M: \|grad V\| \+ c0/\|q\|\^2 \+ \|B\| at \|q\| = m = 1e-160 "
+                  r"leaves the double range; the largest term is \|grad V\| = inf$")),
     ],
     ids=["m=0", "m=R+T", "M-overflows", "m^2-underflows"],
 )
-def test_momentum_bound_refuses_what_it_cannot_sample(m, error, match):
-    # no numpy warning escapes either: the test configuration turns RuntimeWarning into an error
+def test_momentum_bound_refuses_what_it_cannot_sample(m, outcome):
+    # M is refused only where its closed form leaves the double range; no numpy warning
+    # escapes either: the test configuration turns RuntimeWarning into an error
     config = coulomb_config()
-    with pytest.raises(error, match=match):
-        compute_momentum_bound(config, m, 2.0, seed=SEED, l1=config.forcing.l1_norm())
+    if not isinstance(outcome, tuple):
+        assert compute_momentum_bound(config, m, 2.0, l1=0.0) == (outcome, outcome)
+        return
+    with pytest.raises(outcome[0], match=outcome[1]):
+        compute_momentum_bound(config, m, 2.0, l1=config.forcing.l1_norm())
+
+
+def _tabulated_coulomb_config():
+    """The light scenario with its Coulomb potential given as callables, which have no envelope."""
+    coulomb = GeneralizedCoulomb(1.0, 1.0)
+    potential = TabulatedPotential(coulomb.value, lambda q: coulomb.gradient(q, radial_powers(q)[1]))
+    return dataclasses.replace(coulomb_config(), potential=potential)
+
+
+@pytest.mark.parametrize(
+    "config,kind",
+    [(pulsed_config(1.0), "PulsedField"), (_tabulated_coulomb_config(), "TabulatedPotential")],
+    ids=["magnetic", "potential"],
+)
+def test_a_field_kind_without_an_envelope_is_named_with_the_constant(config, kind):
+    with pytest.raises(CertificateError, match=rf"^C_gradV_B: a {kind} has no closed-form envelope$"):
+        compute_certificate(config, seed=SEED)
+    with pytest.raises(CertificateError, match=rf"^momentum bound M: a {kind} has no closed-form envelope$"):
+        compute_momentum_bound(config, 0.1, 2.0, l1=0.0)
 
 
 def test_clearance_underflow_names_m_and_its_largest_term():

@@ -574,32 +574,34 @@ def test_cli_certificate_failure_writes_only_the_message(tmp_path, command, stem
 
 
 def test_cli_bounds_names_the_momentum_bound_when_the_clearance_underflows(tmp_path):
-    # m = 1.9e-174 here, so |q|^2 on the inner sphere of the M sweep is 0
+    # m = 1.9e-174 here, so m^2 underflows and both c0 m^-(gamma+1) and c0 m^-2 overflow
     text = LIGHT.replace("c0 = 1.0", "c0 = 1e-8").replace("period = 1.0", "period = 1e-6")
     out = tmp_path / "out"
     assert main(["bounds", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
-    message = (out / "certificate.txt").read_text()
-    assert message.startswith("certificate failed: momentum bound M: |q|^2 underflows")
-    assert "m = 1.9" in message and "e-174" in message
+    assert (out / "certificate.txt").read_text() == (
+        "certificate failed: momentum bound M: |grad V| + c0/|q|^2 + |B| at |q| = m = 1.9144e-174 "
+        "leaves the double range; the largest term is |grad V| = inf\n"
+    )
 
 
 @pytest.mark.parametrize(
-    "c0,message",
+    "c0,code,line",
     [
         # (R+T) l1/c0_eff = 2 * 2/0.005 = 800 of the exponent 803, past exp's range
-        ("0.01", "clearance m: exp(-803) underflows to 0; "
+        ("0.01", 2, "certificate failed: clearance m: exp(-803) underflows to 0; "
          "the largest term of the exponent is (R+T)*l1/c0_eff = 800"),
-        # m = 7.7e-118: c0/m^2 is finite, but |q|^-3 on the way to grad V is not
-        ("0.03", "momentum bound M: the sampled force ceiling is inf, outside the double range "
-         "(the powers of 1/|q| overflow near the sphere |q| = m = 7.67812e-118)"),
+        # m = 7.7e-118: a sampled |q|^-3 overflowed, but M = 2 c0 m^-2 is finite
+        ("0.03", 0, "M          = 1.0177516696810442e+233   (closed-form envelopes of |grad V| + "
+         "c0/|q|^2 + |B| at the inner radius of (7.67812e-118, 2))"),
     ],
     ids=["m-underflows", "M-overflows"],
 )
-def test_cli_bounds_names_the_constant_and_the_term_out_of_range(tmp_path, capsys, c0, message):
+def test_cli_bounds_names_the_constant_and_the_term_out_of_range(tmp_path, capsys, c0, code, line):
     text = LIGHT.replace("c0 = 1.0", f"c0 = {c0}")
     out = tmp_path / "out"
-    assert main(["bounds", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
-    assert (out / "certificate.txt").read_text() == f"certificate failed: {message}\n"
+    assert main(["bounds", "--config", str(write(tmp_path, text)), "--out", str(out)]) == code
+    lines = (out / "certificate.txt").read_text().splitlines()
+    assert (lines == [line]) if code else (line in lines)
     assert capsys.readouterr().err == ""
 
 
@@ -916,9 +918,23 @@ def test_cli_degree_failure_exits_3(tmp_path):
     assert text == "degree computation failed: " + payload["degree_error"] + "\n"
 
 
+def test_tiny_dipole_moment_is_not_read_as_zero(tmp_path):
+    # squaring 1e-170 underflows, so a norm by squares gave c1 = 0 and the false bound |B| <= 0
+    cfg = parse_config(write(tmp_path, DESK.replace("moment = 0 0 0.1", "moment = 0 0 1e-170")))
+    assert cfg.fields.c1 == cfg.fields.c_B == 2e-170
+
+
+def test_large_dipole_moment_has_a_finite_bound_or_is_refused(tmp_path):
+    # squaring 1e200 overflows, but 2|moment| does not
+    cfg = parse_config(write(tmp_path, DESK.replace("moment = 0 0 0.1", "moment = 0 0 1e200")))
+    assert cfg.fields.c1 == cfg.fields.c_B == 2e200
+    with pytest.raises(ConfigError, match=r"^\[magnetic\] moment is too large: \|moment\| = 1e\+308, so 2\|moment\| overflows$"):
+        parse_config(write(tmp_path, DESK.replace("moment = 0 0 0.1", "moment = 0 0 1e308")))
+
+
 def test_cli_auto_ceiling_of_an_abc_field_is_its_sup_bound(tmp_path):
     cfg = write(tmp_path, ABC)
-    assert parse_config(cfg).fields.c_B == ABCField(0.01, 0.02, 0.03).sup_bound()
+    assert parse_config(cfg).fields.c_B == ABCField(0.01, 0.02, 0.03).envelope(1.0)
     out = tmp_path / "out"
     assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
     assert json.loads((out / "certificate.json").read_text())["R"] == 1.0

@@ -296,9 +296,12 @@ def test_sweep_counts_every_start_where_w_leaves_double_range():
     assert all(d["escaped"] == 0 for d in decades if d["decade"] >= -76)
 
 
-def test_degree_on_desk_certificate_region(desk_cert):
+def test_degree_on_desk_certificate_region(desk_cert, desk_start):
     report = brouwer_degree(1.0, [0.0, 0.0, 2.0], desk_cert.region(), seed=SWEEP_SEED)
     assert report.degree == -1
+    # in the stated orientation the degree is minus the fixed-point index of the orbit it anchors
+    assert "orientation:     " + report.orientation in report.lines()
+    assert report.degree == -np.sign(np.linalg.det(np.eye(6) - desk_start.monodromy))
 
 
 def test_closed_form_momentum_bracket():

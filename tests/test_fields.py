@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import PlantedCoulomb, PulsedField, coulomb_config, desk_config, pulsed_config
+from conftest import PlantedCoulomb, PulsedField, TabulatedPotential, coulomb_config, desk_config, pulsed_config
 from lfe.certificate import compute_R
 from lfe.fields import (
     ABCField,
@@ -16,10 +16,10 @@ from lfe.fields import (
     GeneralizedCoulomb,
     Harmonic,
     SingularityError,
-    TabulatedPotential,
     UniformField,
     ZeroField,
     magnetic_ceiling,
+    power_law,
     radial_powers,
     shell_maxima,
     validate_hypotheses,
@@ -110,7 +110,7 @@ def test_dipole_values():
 
 def test_dipole_bound():
     d = DipoleField([0.3, -0.2, 0.9])
-    c1, beta = d.bound_constants()
+    c1, beta = d.near_origin(1.0)
     assert math.isclose(c1, 2 * np.linalg.norm(d.moment))
     assert beta == 2.0
     rng = np.random.default_rng(23)
@@ -119,6 +119,7 @@ def test_dipole_bound():
         q *= rng.uniform(0.05, 20.0) / np.linalg.norm(q)
         r = np.linalg.norm(q)
         assert np.linalg.norm(d.eval(0.0, *radial_powers(q))) <= c1 / r**3 * (1 + 1e-12)
+        assert math.isclose(d.envelope(r), c1 / r**3, rel_tol=1e-14)
 
 
 def test_abc_values_and_bound():
@@ -126,11 +127,37 @@ def test_abc_values_and_bound():
     # bounded fields ignore the radial data, so the origin is allowed
     assert np.allclose(f.eval(0.0, [0.0, 0.0, 0.0], None), [1.0, 1.0, 1.0], atol=1e-15)
     g = ABCField(0.7, -1.3, 0.4)
-    bound = g.sup_bound()
+    bound = g.envelope(1.0)
     rng = np.random.default_rng(24)
     for _ in range(2000):
         q = rng.uniform(-10, 10, size=3)
         assert np.linalg.norm(g.eval(0.0, q, None)) <= bound + 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        GeneralizedCoulomb(1.0, 1.0),
+        GeneralizedCoulomb(1e-3, 3.5),
+        DipoleField([0.3, -0.2, 0.9]),
+        DipoleField([0.0, 0.0, 0.0]),
+        UniformField([0.0, 0.1, 0.0]),
+        ZeroField(),
+        ABCField(0.7, -1.3, 0.4),
+    ],
+    ids=["coulomb", "cubic", "dipole", "zero-dipole", "uniform", "zero", "abc"],
+)
+def test_envelope_is_non_increasing_in_the_radius(kind):
+    # down to radii where the power laws leave the double range: inf there, and no OverflowError
+    values = [kind.envelope(r) for r in np.geomspace(1e-300, 1e6, 400)]
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    assert all(v >= 0.0 and not math.isnan(v) for v in values)
+
+
+def test_power_law_is_finite_where_only_the_power_overflows():
+    # 1e-103^-3 = 1e309 overflows, 1e-10 * 1e309 does not; 1e-200^-3 does
+    assert math.isclose(power_law(1e-10, 1e-103, 3.0), 1e299, rel_tol=1e-12)
+    assert power_law(1.0, 1e-200, 3.0) == math.inf and power_law(0.0, 1e-200, 3.0) == 0.0
 
 
 def test_uniform_and_zero_fields():
@@ -288,7 +315,7 @@ def test_validate_passes_on_desk_scenario():
 def test_validate_flags_singularity_order():
     # plain Coulomb with a dipole: the magnetic singularity is too strong
     dipole = DipoleField([0.0, 0.0, 0.1])
-    c1, beta = dipole.bound_constants()
+    c1, beta = dipole.near_origin(1.0)
     config = FieldConfig(
         potential=GeneralizedCoulomb(1.0, 1.0),
         magnetic=dipole,
@@ -355,7 +382,7 @@ def test_magnetic_ceiling_of_an_abc_field_passes_the_checks_on_every_seed():
     # a sampled maximum lies below the sup, so other seeds' samples can exceed it
     abc = ABCField(0.1, 0.05, 0.03)
     c_B = magnetic_ceiling(abc)
-    assert c_B == abc.sup_bound()
+    assert c_B == abc.envelope(1.0)
     config = _abc_config(c_B)
     for seed in range(40):
         checks = {c.name: c for c in validate_hypotheses(config, seed=seed).checks}

@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import coulomb_config, desk_config
+from conftest import TabulatedPotential, coulomb_config, desk_config
 from lfe.degree import find_zero_f0
 from lfe.fields import (
     ABCField,
     DipoleField,
     GeneralizedCoulomb,
     SingularityError,
-    TabulatedPotential,
     UniformField,
     ZeroField,
     radial_powers,

@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, OdeSolution
 
-from conftest import coulomb_config, desk_config, force_free_config, gyro_config, zero_potential
+from conftest import (
+    TabulatedPotential,
+    coulomb_config,
+    desk_config,
+    force_free_config,
+    gyro_config,
+    zero_potential,
+)
 from lfe.degree import find_zero_f0
-from lfe.fields import FieldConfig, Forcing, TabulatedPotential, ZeroField
+from lfe.fields import FieldConfig, Forcing, ZeroField
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import (
     IntegratorConfig,

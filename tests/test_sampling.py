@@ -1,4 +1,4 @@
-"""The numpy samplers against their scipy oracles: Sobol points and the annulus maximum."""
+"""The numpy samplers and the closed-form certificate constants against their scipy oracles."""
 
 import dataclasses
 import math
@@ -9,18 +9,15 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from conftest import coulomb_config, desk_config, gyro_config
-from lfe.fields import ABCField, radial_powers
-from lfe.sampling import (
-    _DIR_POW2,
-    _N_RADII,
-    _N_REFINE,
-    _N_TIME,
-    log_radii,
-    maximize_on_annulus,
-    shells,
-    sobol_points,
-    sphere_directions,
-)
+from lfe.certificate import compute_momentum_bound, envelope
+from lfe.fields import ABCField, DipoleField, GeneralizedCoulomb, UniformField, ZeroField, radial_powers
+from lfe.sampling import log_radii, shells, sobol_points, sphere_directions
+
+# the oracle's sweep: log radii x 2^_DIR_POW2 directions x times, then L-BFGS-B from the best _N_REFINE
+_N_RADII = 40
+_DIR_POW2 = 8
+_N_TIME = 4
+_N_REFINE = 5
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 6])
@@ -71,27 +68,59 @@ def _certificate_integrands(config):
     return grad_plus_b, h_total
 
 
+def _closed_form(config, r_lo, r_hi):
+    """The certificate's C_gradV_B at epsilon = r_lo and its M at m = r_lo, with R + T = r_hi."""
+    C = envelope("C_gradV_B", config.potential, r_lo) + envelope("C_gradV_B", config.magnetic, r_lo)
+    M, _ = compute_momentum_bound(config, r_lo, r_hi - config.forcing.period, l1=0.0)
+    return C, M
+
+
+def _check_against_the_oracle(config, r_lo, r_hi, seeds, attained):
+    """Each closed form bounds the L-BFGS-B maximum of its integrand, and equals it if `attained`."""
+    for func, bound, seed in zip(_certificate_integrands(config), _closed_form(config, r_lo, r_hi), seeds):
+        oracle = _lbfgsb_maximum(func, r_lo, r_hi, 1.0, seed)
+        assert bound >= oracle * (1.0 - 1e-12), (bound, oracle)
+        if attained:
+            assert math.isclose(bound, oracle, rel_tol=1e-12), (bound, oracle)
+
+
 @pytest.mark.parametrize(
-    "config",
+    "config,attained",
     [
-        desk_config(),
-        coulomb_config(),  # the light scenario
-        coulomb_config(c0=0.5, mean=(1.0, 0.0, 2.0)),
-        gyro_config(),
-        dataclasses.replace(desk_config(), magnetic=ABCField(1.0, 0.7, 0.4)),  # interior maxima
+        (desk_config(), True),
+        (coulomb_config(), True),  # the light scenario
+        (coulomb_config(c0=0.5, mean=(1.0, 0.0, 2.0)), True),
+        (gyro_config(), True),
+        (dataclasses.replace(desk_config(), magnetic=ABCField(1.0, 0.7, 0.4)), False),  # interior maxima
     ],
     ids=["desk", "light", "coulomb", "gyro", "abc"],
 )
-def test_annulus_maximum_reaches_the_lbfgsb_value(config):
-    for func, r_lo, r_hi, seed in zip(
-        _certificate_integrands(config), (0.3, 1e-20), (5.0, 5.0), (20240804, 20240805)
-    ):
-        value, q, t, meta = maximize_on_annulus(func, r_lo, r_hi, 1.0, seed=seed)
-        assert value >= _lbfgsb_maximum(func, r_lo, r_hi, 1.0, seed) * (1.0 - 1e-9)
-        # the reported point is inside the annulus and attains the value
-        assert r_lo * (1 - 1e-12) <= np.linalg.norm(q) <= r_hi * (1 + 1e-12) and 0.0 <= t <= 1.0
-        assert math.isclose(float(func(np.array([t]), q[None])[0]), value, rel_tol=1e-12)
-        assert meta["samples"] == _N_RADII * 2**_DIR_POW2 * _N_TIME
+def test_annulus_maximum_reaches_the_lbfgsb_value(config, attained):
+    for r_lo in (0.3, 1e-20):
+        _check_against_the_oracle(config, r_lo, 5.0, (20240804, 20240805), attained)
+
+
+def _random_config(seed):
+    """A random Coulomb-family potential, field of the seed's kind and annulus; whether the envelopes are attained."""
+    rng = np.random.default_rng(seed)
+    c0, gamma = 10.0 ** rng.uniform(-1, 1), rng.uniform(1.0, 4.0)
+    kind = ("dipole", "uniform", "abc", "zero")[seed % 4]
+    magnetic = {
+        "dipole": lambda: DipoleField(rng.normal(size=3)),
+        "uniform": lambda: UniformField(rng.normal(size=3)),
+        "abc": lambda: ABCField(*rng.normal(size=3)),
+        "zero": ZeroField,
+    }[kind]()
+    potential = GeneralizedCoulomb(c0, gamma)
+    config = dataclasses.replace(coulomb_config(), potential=potential, magnetic=magnetic, c0=c0)
+    r_lo = 10.0 ** rng.uniform(-3, 0)
+    return config, r_lo, r_lo * 10.0 ** rng.uniform(0.5, 2), kind != "abc"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_closed_forms_bound_the_lbfgsb_value_on_random_configs(seed):
+    config, r_lo, r_hi, attained = _random_config(seed)
+    _check_against_the_oracle(config, r_lo, r_hi, (seed, seed + 100), attained)
 
 
 @pytest.mark.parametrize("r_lo,r_hi", [(0.0, 1.0), (1.0, 1.0), (2.0, 1.0)], ids=["zero", "equal", "reversed"])

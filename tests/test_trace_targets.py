@@ -16,13 +16,25 @@ _SPEC = importlib.util.spec_from_file_location(
 bench_trace = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_trace)
 
+# targets deleted from lfe on purpose, which the tracer skips: the annulus
+# maximizer (the certificate's C_gradV_B and M are closed-form) and the
+# callable potential (a test potential in conftest.py)
+_RETIRED = {("lfe.sampling", "maximize_on_annulus"), ("lfe.fields", "TabulatedPotential", "gradient")}
+_FUNCTIONS = [t[:2] for t in bench_trace._FUNCTIONS if t[:2] not in _RETIRED]
+_METHODS = [t[:3] for t in bench_trace._METHODS if t[:3] not in _RETIRED]
 
-@pytest.mark.parametrize("module,function", [target[:2] for target in bench_trace._FUNCTIONS])
+
+@pytest.mark.parametrize("module,function", _FUNCTIONS)
 def test_traced_function_resolves(module, function):
     assert callable(getattr(importlib.import_module(module), function, None))
 
 
-@pytest.mark.parametrize("module,cls,method", [target[:3] for target in bench_trace._METHODS])
+def test_retired_targets_are_gone():
+    for module, name, *_ in _RETIRED:
+        assert not hasattr(importlib.import_module(module), name)
+
+
+@pytest.mark.parametrize("module,cls,method", _METHODS)
 def test_traced_method_resolves(module, cls, method):
     owner = getattr(importlib.import_module(module), cls, None)
     # the tracer patches the method where the class defines it, not where it inherits it
