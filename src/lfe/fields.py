@@ -173,11 +173,28 @@ class DipoleField:
 
 @dataclass(frozen=True)
 class ABCField:
-    """Arnold-Beltrami-Childress field: bounded, divergence-free, trigonometric."""
+    """Arnold-Beltrami-Childress field: bounded, divergence-free, trigonometric.
+
+    |B| <= sup = |(|A| + |C|, |B| + |A|, |C| + |B|)| (by `math.hypot`)
+    everywhere, which no sample reaches; coefficients whose sup overflows
+    are a ValueError.
+    """
 
     A: float
     B: float
     C: float
+    sup: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Python floats, whose sums overflow to inf without a numpy RuntimeWarning
+        a, b, c = (abs(float(v)) for v in (self.A, self.B, self.C))
+        sup = math.hypot(a + c, b + a, c + b)
+        if sup == math.inf:
+            raise ValueError(
+                f"abc = {self.A:g} {self.B:g} {self.C:g} is too large: "
+                "the sup of |B|, |(|A| + |C|, |B| + |A|, |C| + |B|)|, overflows"
+            )
+        object.__setattr__(self, "sup", sup)
 
     def eval(self, t: float, q, rad) -> np.ndarray:
         q = np.asarray(q, dtype=float)
@@ -192,12 +209,10 @@ class ABCField:
         )
 
     def envelope(self, r: float) -> float:
-        """The sup of |B| over all space, which no sample reaches."""
-        a, b, c = abs(self.A), abs(self.B), abs(self.C)
-        return math.sqrt((a + c) ** 2 + (b + a) ** 2 + (c + b) ** 2)
+        return self.sup
 
     def ceiling(self) -> float:
-        return self.envelope(1.0) or 1.0
+        return self.sup or 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,18 @@ Newton methods", SIAM J. Numer. Anal. 19, 1982): the trial flows of an
 iteration that starts from the residual sup-norm r run at
 rtol = max(rtol0, min(1e-6, 1e-4 r)), with atol scaled by the same
 factor, where rtol0 is the configured tolerance; an early iteration does
-not resolve digits that the next one discards.  The guess's flow runs at
-the configured tolerance, and convergence is read only from a flow at
-that tolerance: a loose trial whose residual already meets newton_tol
-is flowed once more at it.  That confirming re-flow is no Newton
-iteration, so it adds no `newton_trace` entry and does not count against
-max_iterations.  Each `newton_trace` entry records the `rtol` of its
-accepted trial flow.
+not resolve digits that the next one discards.  The guess flows at the
+same rule's tolerance for the residual predicted for it (rtol0 when none
+is predicted), and again at its actual residual's tolerance when that is
+tighter.  The continuation predicts each step's guess residual from the
+previous accepted step (Allgower & Georg, "Introduction to Numerical
+Continuation Methods"): the previous orbit's initial state is a constant
+predictor, whose residual grows linearly in the step dlam.  Convergence
+is read only from a flow at rtol0: a loose guess or trial whose residual
+already meets newton_tol is flowed once more at it.  That confirming
+re-flow is no Newton iteration, so it adds no `newton_trace` entry and
+does not count against max_iterations.  Each `newton_trace` entry
+records the `rtol` of its accepted trial flow.
 """
 
 from __future__ import annotations
@@ -215,7 +220,7 @@ def _flow_residual(problem: ShootingProblem, y: np.ndarray):
     return traj, monodromy, res, float(np.max(np.abs(res)))
 
 
-def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
+def newton_shooting(guess: State, problem: ShootingProblem, predicted_residual: float = 0.0) -> OrbitSolution:
     """Damped inexact Newton on the periodicity residual, Jacobian from the stacked flow.
 
     Iterates on the flat state [q, p], from guess.as_array() to the
@@ -228,16 +233,21 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
     factor and trial `rtol` go into `newton_trace`.
 
     Tolerances, as in the module docstring: the guess flows at
-    problem.integrator and the trials at `_trial_problem`'s tolerance.  A
-    loose trial that meets newton_tol is flowed once more at
-    problem.integrator, and that flow gives the solution's trajectory,
-    monodromy and residual; if its residual misses newton_tol, Newton goes
-    on from it.  A damped step is accepted when its trial's residual is
-    below the iterate's, though the two flows may have run at different
-    tolerances.  That is safe because a loose trial's rtol is at most
-    _TRIAL_FACTOR = 1e-4 times the residual it is compared with: its
-    integration error can pass a step whose true residual exceeds the
-    iterate's only by about that fraction.
+    `_trial_problem(problem, predicted_residual)`'s tolerance, which is
+    problem.integrator for the default predicted_residual = 0; if its
+    residual r calls for a tighter one, it flows again at
+    `_trial_problem(problem, r)`'s.  The trials flow at `_trial_problem`'s
+    tolerance for the residual of their iteration.  A loose guess or trial
+    that meets newton_tol is flowed once more at problem.integrator, and
+    that flow gives the solution's trajectory, monodromy and residual; if
+    its residual misses newton_tol, Newton goes on from it.  A damped step
+    is accepted when its trial's residual is below the iterate's, though
+    the two flows may have run at different tolerances.  That is safe
+    because a loose trial's rtol is at most _TRIAL_FACTOR = 1e-4 times the
+    residual it is compared with: its integration error can pass a step
+    whose true residual exceeds the iterate's only by about that fraction.
+    The guess's last flow keeps that bound, since a guess flowed at a
+    tolerance looser than its residual's is flowed again.
 
     Raises NewtonDiverged (no decrease with any factor, the iteration cap,
     or round-off stagnation: a trial flow fails to lower a residual already
@@ -252,12 +262,22 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
     if bad is not None:
         raise LeftDomain(f"initial guess outside the search region: {bad}")
 
-    traj, monodromy, res, res_norm = _flow_residual(problem, y)
+    flowed = _trial_problem(problem, predicted_residual)
+    traj, monodromy, res, res_norm = _flow_residual(flowed, y)
+    matched = _trial_problem(problem, res_norm)
+    if matched.integrator.rtol < flowed.integrator.rtol:
+        flowed = matched
+        traj, monodromy, res, res_norm = _flow_residual(flowed, y)
 
     tol = problem.solver.newton_tol
     trace = []
     try:
-        while res_norm >= tol:
+        while res_norm >= tol or flowed is not problem:
+            if res_norm < tol:
+                # the confirming re-flow: convergence is read at the configured tolerance
+                flowed = problem
+                traj, monodromy, res, res_norm = _flow_residual(problem, y)
+                continue
             if len(trace) >= problem.solver.max_iterations:
                 raise NewtonDiverged(
                     f"residual {res_norm:.3e} after {len(trace)} iterations (tol {tol:g})"
@@ -279,7 +299,7 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
                     continue
                 if res_try_norm < res_norm:
                     trace.append({"residual": res_norm, "alpha": alpha, "rtol": trial.integrator.rtol})
-                    y, traj, monodromy = y_try, traj_try, monodromy_try
+                    y, traj, monodromy, flowed = y_try, traj_try, monodromy_try, trial
                     res, res_norm = res_try, res_try_norm
                     break
                 if res_norm <= _ROUNDOFF * max(1.0, float(np.max(np.abs(y)))):
@@ -295,9 +315,6 @@ def newton_shooting(guess: State, problem: ShootingProblem) -> OrbitSolution:
                     f"no residual decrease after {len(_DAMPING)} damping halvings "
                     f"(residual {res_norm:.3e})"
                 )
-            if res_norm < tol and trial is not problem:
-                # the confirming re-flow: convergence is read at the configured tolerance
-                traj, monodromy, res, res_norm = _flow_residual(problem, y)
     except SolverError as err:
         err.newton_trace = trace
         raise
@@ -343,11 +360,16 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     solver.dlam_init, halves on any solver failure, grows by solver.growth
     after two consecutive successes, and never drops below
     solver.dlam_floor.  The predictor is the previous initial state; each
-    accepted orbit is checked against problem.region when it is set.  Each
-    attempt adds one `history` record with its Newton iterations
-    (`newton_trace`, up to the failure for a failed solve); at most
-    ceil(target_lambda / dlam_init) * (1 + the halvings that take dlam_init
-    down to dlam_floor) are made.
+    accepted orbit is checked against problem.region when it is set.  The
+    first step's guess flows at the configured tolerance; every later one
+    is passed to `newton_shooting` with the predicted residual of the
+    previous accepted step's starting residual (its first `newton_trace`
+    entry, or its residual_norm when it took no iteration) times
+    dlam / dlam_prev.  Each attempt adds one `history` record with the
+    rtol its guess was first flowed at (`guess_rtol`) and its Newton
+    iterations (`newton_trace`, up to the failure for a failed solve); at
+    most ceil(target_lambda / dlam_init) * (1 + the halvings that take
+    dlam_init down to dlam_floor) are made.
     The path reports how far it got rather than raising: status is one of
     reached_target / stepsize_underflow / bound_violation / budget_exhausted.
     A failed path means the path is incomplete, not that no orbit exists.
@@ -363,11 +385,15 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
 
     solutions, history = [start], []
     lam, dlam, consecutive = 0.0, solver.dlam_init, 0
+    # the starting residual of the last accepted step per unit of its dlam
+    residual_per_dlam = 0.0
     end = ("reached_target", "target is the starting parameter") if target_lambda == 0.0 else None
     while end is None and len(history) < budget:
         lam_try = min(lam + dlam, target_lambda)
+        step_problem = replace(problem, lam=lam_try)
+        predicted = residual_per_dlam * dlam
         try:
-            sol = newton_shooting(solutions[-1].x0, replace(problem, lam=lam_try))
+            sol = newton_shooting(solutions[-1].x0, step_problem, predicted)
         except SolverError as err:
             sol, reason, trace = None, str(err), getattr(err, "newton_trace", [])
         else:
@@ -381,11 +407,14 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
                 "dlam": dlam,
                 "accepted": reason is None,
                 "reason": reason or "",
+                "guess_rtol": _trial_problem(step_problem, predicted).integrator.rtol,
                 "newton_trace": trace,
             }
         )
         if reason is None:
             solutions.append(sol)
+            start_residual = trace[0]["residual"] if trace else sol.residual_norm
+            residual_per_dlam = start_residual / dlam
             lam, consecutive = lam_try, consecutive + 1
             if consecutive >= 2:
                 dlam *= solver.growth

@@ -8,11 +8,12 @@ between the solver tests and the acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+import lfe.shooting
 from lfe.certificate import compute_certificate
 from lfe.degree import find_zero_f0
 from lfe.fields import (
@@ -204,3 +205,22 @@ def desk_start(desk_problem):
 @pytest.fixture(scope="session")
 def desk_path(desk_problem, desk_start):
     return continue_lambda(desk_problem, desk_start)
+
+
+def recorded_flows(monkeypatch) -> list:
+    """Wrap lfe.shooting.integrate: every flow's (IntegratorConfig, Trajectory) is appended to the list."""
+    flows = []
+    integrate = lfe.shooting.integrate
+
+    def recording(*args, **kwargs):
+        traj = integrate(*args, **kwargs)
+        flows.append((args[4], traj))
+        return traj
+
+    monkeypatch.setattr(lfe.shooting, "integrate", recording)
+    return flows
+
+
+def loosened(cfg: IntegratorConfig, rtol: float) -> IntegratorConfig:
+    """cfg at rtol, with atol scaled by the same factor, as a trial flow's tolerance."""
+    return replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol))

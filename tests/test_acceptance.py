@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SEED, TabulatedPotential, coulomb_config, gyro_config
+from conftest import SEED, TabulatedPotential, coulomb_config, gyro_config, recorded_flows
 from lfe.certificate import compute_certificate
 from lfe.cli import main
 from lfe.degree import brouwer_degree, find_zero_f0
@@ -102,6 +102,59 @@ def test_run_report_records_every_newton_trace_and_the_rejected_steps(a6_run):
     assert history[-1]["newton_trace"] == report["final_orbit"]["newton_trace"]
     # step control rejected two trial steps in the final orbit's flow
     assert report["final_orbit"]["n_rejected"] == 2
+
+
+@pytest.fixture(scope="module")
+def desk_flows(tmp_path_factory):
+    """The desk scenario through `continue` with every shooting flow recorded: (flows, run_report.json)."""
+    base = tmp_path_factory.mktemp("desk-flows")
+    config = base / "desk.ini"
+    config.write_text(DESK_CONFIG, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("LFE_VERBOSITY", "0")
+        flows = recorded_flows(patch)
+        assert main(["continue", "--config", str(config), "--out", str(base / "out")]) == 0
+    return flows, json.loads((base / "out" / "run_report.json").read_text())
+
+
+def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk_flows):
+    flows, report = desk_flows
+    history = report["continuation"]["history"]
+    assert all(step["accepted"] for step in history)
+    rtol0 = flows[0][0].rtol  # the lambda = 0 start flows at the configured tolerance
+    by_lambda = {}
+    for cfg, traj in flows:
+        by_lambda.setdefault(traj.lam, []).append(cfg.rtol)
+    # the first step's guess flows at rtol0; each later one at the rtol of the previous step's
+    # starting residual scaled by dlam / dlam_prev
+    predicted = [0.0] + [
+        prev["newton_trace"][0]["residual"] / prev["dlam"] * step["dlam"]
+        for prev, step in zip(history, history[1:])
+    ]
+    expected = [max(rtol0, min(1e-6, 1e-4 * r)) for r in predicted]
+    assert [by_lambda[step["lambda"]][0] for step in history] == expected
+    assert [step["guess_rtol"] for step in history] == expected == [1e-10] + [1e-6] * 5
+    # every converged orbit is read from a flow at rtol0: the last one at its lambda
+    assert all(rtols[-1] == rtol0 for rtols in by_lambda.values())
+
+
+def test_desk_continue_takes_fewer_than_190_integrator_steps(desk_flows):
+    # a regression guard on the saving of loose guess flows: 216 steps with every guess at rtol0
+    flows, _ = desk_flows
+    assert len(flows) <= 26
+    assert sum(len(traj.ts) - 1 for _, traj in flows) < 190
+
+
+def test_light_continue_flows_twice_at_the_configured_tolerance(tmp_path, monkeypatch):
+    monkeypatch.setenv("LFE_VERBOSITY", "0")
+    config = tmp_path / "scenario.ini"
+    config.write_text(LIGHT_CONFIG, encoding="utf-8")
+    flows = recorded_flows(monkeypatch)
+    assert main(["continue", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    # the lambda = 0 start and the one step's guess, which already solves lambda = 1
+    assert [(traj.lam, cfg.rtol) for cfg, traj in flows] == [(0.0, 1e-10), (1.0, 1e-10)]
+    history = json.loads((tmp_path / "out" / "run_report.json").read_text())["continuation"]["history"]
+    assert [step["guess_rtol"] for step in history] == [1e-10]
 
 
 def test_a1_kinematics():

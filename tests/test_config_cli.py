@@ -941,6 +941,21 @@ def test_cli_auto_ceiling_of_an_abc_field_is_its_sup_bound(tmp_path):
     assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+def test_large_abc_coefficients_have_a_finite_ceiling_or_are_refused(tmp_path, capsys):
+    # squaring |A| + |C| = 1e200 overflows, but its hypot does not
+    cfg = write(tmp_path, ABC.replace("abc = 0.01 0.02 0.03", "abc = 1e200 0 0"))
+    assert parse_config(cfg).fields.c_B == 1.414213562373095e200
+    # the ceiling is finite, and c_B = 1.4e200 > |mean h| = 2 fails the hypotheses
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "big")]) == 2
+    capsys.readouterr()
+    cfg = write(tmp_path, ABC.replace("abc = 0.01 0.02 0.03", "abc = 1e308 1e308 0"))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "huge")]) == 4
+    assert capsys.readouterr().err == (
+        "config error: [magnetic] abc = 1e+308 1e+308 0 is too large: "
+        "the sup of |B|, |(|A| + |C|, |B| + |A|, |C| + |B|)|, overflows\n"
+    )
+
+
 def test_cli_auto_ceiling_of_a_uniform_field_exits_4(tmp_path, capsys):
     cfg = write(tmp_path, UNIFORM.replace("c_B = 0.1", "c_B = auto"))
     with pytest.raises(ConfigError, match="c_B"):

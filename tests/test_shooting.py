@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-import lfe.shooting
-from conftest import coulomb_config, force_free_config
+from conftest import coulomb_config, force_free_config, loosened, recorded_flows
 from lfe.degree import find_zero_f0
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import IntegratorConfig, StepUnderflow
@@ -101,24 +100,6 @@ def test_failed_damping_names_its_cause(coulomb_problem):
         newton_shooting(guess, failing)
 
 
-def recorded_flows(monkeypatch) -> list:
-    """Wrap lfe.shooting.integrate: every flow's (IntegratorConfig, Trajectory) is appended to the list."""
-    flows = []
-    integrate = lfe.shooting.integrate
-
-    def recording(*args, **kwargs):
-        traj = integrate(*args, **kwargs)
-        flows.append((args[4], traj))
-        return traj
-
-    monkeypatch.setattr(lfe.shooting, "integrate", recording)
-    return flows
-
-
-def loosened(cfg: IntegratorConfig, rtol: float) -> IntegratorConfig:
-    return dataclasses.replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol))
-
-
 @pytest.mark.parametrize("offset", [1e-3, 1e-2, 5e-2])
 def test_converged_orbit_comes_from_a_flow_at_the_configured_tolerance(coulomb_problem, monkeypatch, offset):
     flows = recorded_flows(monkeypatch)
@@ -165,6 +146,41 @@ def test_a_loose_trial_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
     ]
     assert [cfg for cfg, _ in flows[:3]] == [configured, loose, configured]
     assert again.residual_norm < between
+
+
+def test_a_predicted_residual_sets_the_tolerance_of_the_guess_flow(coulomb_problem, monkeypatch):
+    flows = recorded_flows(monkeypatch)
+    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
+    sol = newton_shooting(guess, coulomb_problem, predicted_residual=1.0)
+    configured = coulomb_problem.integrator
+    # the guess flows at the cap (1e-4 x 1.0 > 1e-6); its residual r asks for the tighter
+    # 1e-4 r, so it flows again there, and the trials follow at their own rtol
+    capped = flows[0][1]
+    r = np.abs(capped.states[-1, 0] - capped.states[0, 0]).max()
+    assert 1e-10 < 1e-4 * r < 1e-6
+    assert [cfg for cfg, _ in flows[: 2 + sol.newton_iterations]] == [
+        loosened(configured, 1e-6),
+        loosened(configured, 1e-4 * r),
+    ] + [loosened(configured, step["rtol"]) for step in sol.newton_trace]
+    # the orbit's trajectory, monodromy and residual are those of a configured-tolerance flow
+    assert [cfg for cfg, traj in flows if traj.ts is sol.trajectory.ts] == [configured]
+    traj, monodromy = coulomb_problem.flow_with_monodromy(sol.x0.as_array())
+    assert np.array_equal(sol.monodromy, monodromy)
+    assert sol.residual_norm == np.abs(traj.states[-1] - traj.states[0]).max() < 1e-9
+
+
+def test_a_loose_guess_that_meets_newton_tol_is_flowed_once_more(coulomb_problem, monkeypatch):
+    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
+    r = np.abs(periodicity_residual(guess, coulomb_problem)).max()
+    # predicted below r, so r asks for no tighter flow; newton_tol above r
+    predicted = 0.5 * r
+    problem = dataclasses.replace(coulomb_problem, solver=SolverOptions(newton_tol=10.0 * r))
+    flows = recorded_flows(monkeypatch)
+    sol = newton_shooting(guess, problem, predicted_residual=predicted)
+    configured = problem.integrator
+    assert [cfg for cfg, _ in flows] == [loosened(configured, 1e-4 * predicted), configured]
+    assert sol.newton_trace == []
+    assert sol.trajectory.ts is flows[1][1].ts
 
 
 def test_residual_self_consistency(coulomb_problem):
