@@ -8,17 +8,30 @@ the deformation parameter:
     field singularity at the origin,
   * a momentum bound L: |p(t)| < L along every periodic orbit.
 
-R and epsilon are found on grids whose conditions are sampled on spheres
-(with seeds recorded), not proven.  C_gradV_B and M are closed-form: the
-sum of the field kinds' envelopes (`envelope(r)`, non-increasing in r) at
-the inner radius of their annulus, so upper bounds of the suprema, and
-equal to them for the Coulomb family with a dipole, uniform or zero
-field.  The certificate carries that provenance.  One deliberate change
-against the source estimates: the near-origin inequality is required with
-half the electric constant on the right-hand side, and that halved
-constant is used wherever the downstream formula divides by it.  As
-written the inequality is unsatisfiable for the plain Coulomb exponent;
-the split preserves the structure of the estimate while being checkable.
+Every constant is closed-form, read from the field kinds' closed forms;
+the certificate evaluates no field.  A kind's `envelope(r)` bounds |grad V|
+or |B| on the sphere |q| = r and is non-increasing in r.  R is the first
+r = 2^k with max(envelope_V(r), c0 r^-2) < |mean h| - c_B and
+envelope_B(r) <= c_B, so both hold on every sphere beyond R.  Why that
+confines: average p' over one period of a periodic orbit that stays in
+|q| > R.  p' averages to 0 and the forcing to mean h, for every lam.  The
+electric force, a convex combination of -grad V and c0 q/|q|^3, is
+smaller than |mean h| - c_B, and |lam v x B| < c_B, since |v| < 1 (so the
+magnetic test may be non-strict).  Then |mean h| < |mean h|, which is
+absurd: every periodic orbit meets |q| <= R, and as |v| < 1 it stays
+inside |q| < R + T.  epsilon is read from the potential kind's exact
+radial law (`compute_epsilon`).  C_gradV_B and M are the envelopes at the
+inner radius of their annulus: upper bounds of the suprema, equal to them
+for the Coulomb family with a dipole, uniform or zero field.  A kind
+without a closed form fails with a CertificateError naming the constant
+and the kind.  The certificate carries that provenance.
+
+One deliberate change against the source estimates: the near-origin
+inequality is required with half the electric constant on the right-hand
+side, and that halved constant is used wherever the downstream formula
+divides by it.  As written the inequality is unsatisfiable for the plain
+Coulomb exponent; the split preserves the structure of the estimate
+while being checkable.
 """
 
 from __future__ import annotations
@@ -28,9 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lfe.fields import FieldConfig, HypothesisCheck, check_table, power_law, shell_maxima
+from lfe.fields import FieldConfig, HypothesisCheck, check_table, power_law
 from lfe.kinematics import phi_inv
-from lfe.sampling import log_radii, sphere_directions
 
 
 class CertificateError(RuntimeError):
@@ -127,51 +139,37 @@ def clearance_formula(*constants: float) -> float:
     return math.exp(-sum(clearance_terms(*constants).values()))
 
 
-def envelope(constant: str, fld, r: float) -> float:
-    """fld.envelope(r) for the named constant; CertificateError naming both if the kind has none."""
-    if not hasattr(fld, "envelope"):
-        raise CertificateError(f"{constant}: a {type(fld).__name__} has no closed-form envelope")
-    return fld.envelope(r)
+def closed_form(constant: str, fld, name: str):
+    """The field kind's closed-form method `name`; CertificateError naming the constant and the kind if it has none."""
+    method = getattr(fld, name, None)
+    if method is None:
+        raise CertificateError(f"{constant}: a {type(fld).__name__} has no closed-form {name.replace('_', ' ')}")
+    return method
 
 
-_SPHERE_MULTIPLES = (1.0, 2.0, 4.0, 8.0)
 _MAX_RADIUS = 1e6
 
 
-def compute_R(config: FieldConfig, *, seed: int) -> float:
-    """Smallest grid radius 2^k beyond which both far-field conditions hold.
+def compute_R(config: FieldConfig) -> float:
+    """Smallest grid radius 2^k <= 1e6 beyond which both far-field conditions hold.
 
-    Sampled on spheres at {R, 2R, 4R, 8R} with 2^10 quasi-random
-    directions (and a time grid for the magnetic field): |B| must fall
-    strictly below the ceiling c_B, and both the potential gradient and
-    the interpolated Coulomb gradient strictly below |mean h| - c_B.
-    Consecutive radii share spheres, so each sphere 2^j is sampled once,
-    and after a failing sphere the search resumes at the next radius.
+    max(envelope_V, c0 r^-2) < |mean h| - c_B and envelope_B <= c_B at
+    r = 2^k; the envelopes are non-increasing, so they hold beyond r too.
     """
     hm = config.forcing.mean_norm
     if hm <= config.c_B:
         raise ValueError(f"requires |mean h| > c_B, got {hm:.6g} <= {config.c_B:.6g}")
     threshold = hm - config.c_B
-
-    dirs = sphere_directions(10, seed)
-    window = len(_SPHERE_MULTIPLES)  # the multiples are 2^0 ... 2^(window - 1)
-    passed = []  # passed[j]: sphere 2^j meets both conditions (a NaN maximum fails)
-    k = 0
-    while 2.0**k <= _MAX_RADIUS:
-        radii = 2.0 ** np.arange(len(passed), k + window)
-        e, b = shell_maxima(radii, dirs, config.potential, config.magnetic, config.forcing.period)
-        passed += list((b < config.c_B) & (np.maximum(e, config.c0 / radii**2) < threshold))
-        failed = [j for j in range(k, k + window) if not passed[j]]
-        if not failed:
-            return 2.0**k
-        k = failed[-1] + 1
-    gradient = np.maximum(e[-1], config.c0 / radii[-1] ** 2)
+    envelope_V, envelope_B = (closed_form("R", f, "envelope") for f in (config.potential, config.magnetic))
+    for r in (2.0**k for k in range(20)):  # up to 2^19, the last power of two below the cap
+        gradient, b = max(envelope_V(r), power_law(config.c0, r, 2.0)), envelope_B(r)
+        if gradient < threshold and b <= config.c_B:
+            return r
     raise RadiusNotFound(
-        f"no radius up to the search cap {_MAX_RADIUS:g} satisfies the far-field conditions: "
-        f"on the largest sphere sampled, |q| = {radii[-1]:g}, max |grad V| = {gradient:.3e} "
-        f"against the threshold |mean h| - c_B = {threshold:.3e} and max |B| = {b[-1]:.3e} "
-        f"against c_B = {config.c_B:.3e} (the fields may decay too slowly, or below the "
-        "threshold only beyond the cap)"
+        f"no radius up to the search cap {_MAX_RADIUS:g} satisfies the far-field conditions: at the "
+        f"largest grid radius, |q| = {r:g}, the envelope of |grad V| and c0/|q|^2 is {gradient:.3e} against "
+        f"the threshold |mean h| - c_B = {threshold:.3e} and the envelope of |B| is {b:.3e} against c_B = "
+        f"{config.c_B:.3e} (the fields may decay too slowly, or below the threshold only beyond the cap)"
     )
 
 
@@ -179,49 +177,50 @@ _EPS_GRID_FACTOR = 0.9
 _EPS_GRID_STEPS = 132  # down to ~1e-6 of the cap
 
 
-def compute_lower_constants(
-    config: FieldConfig, R: float, *, seed: int, l1: float
-) -> tuple[float, float, float, float]:
-    """(epsilon, K2, C_gradV_B, m): the singularity-clearance constants.
+def compute_epsilon(config: FieldConfig) -> float:
+    """The first point of a decreasing geometric grid under min(eps0, eps1, 1) such that
 
-    epsilon is the largest value on a decreasing geometric grid below
-    min(eps0, eps1, 1) such that the sampled radii underneath all satisfy
+        -q . grad V(q)  >=  (c0/2) |q|^-1  +  c1 |q|^-beta   for all 0 < |q| <= epsilon.
 
-        -q . grad V(q)  >=  (c0/2) |q|^-1  +  c1 |q|^-beta.
-
-    K2 = |ln epsilon|; C_gradV_B bounds |grad V| + |B| over the annulus
-    epsilon < |q| < R + T by the envelopes at epsilon; and
-
-        m = exp[-K2 - T/eps - T C/(c0/2) - (R+T) l1/(c0/2)],
-
-    with l1 the forcing's L1 norm (`Forcing.l1_norm`).
+    The potential kind's radial law -q . grad V = a |q|^-g turns this into
+    1 >= (c0/2a) r^(g-1) + (c1/a) r^(g-beta), non-decreasing in r for
+    beta <= g (g >= 1), so it holds on (0, epsilon] if it holds at epsilon.
+    With c1 > 0 and beta > g it fails as |q| -> 0.
     """
-    period = config.forcing.period
-    cap = min(config.eps0, config.eps1, 1.0)
-    c0_eff = 0.5 * config.c0
-
-    radii = log_radii(cap * 1e-8, cap, 160)
-    # a radius fails if any direction does: its least -q.grad V, skipping NaN directions
-    worst, _ = shell_maxima(radii, sphere_directions(6, seed), config.potential, radial=True, skip_nan=True)
-    rhs = c0_eff / radii + config.c1 * radii ** (-config.beta)
-    failing = radii[-worst < rhs - 1e-12 * rhs]
-    r_bad = float(failing.min()) if failing.size else math.inf
-
-    epsilon = cap
-    for _ in range(_EPS_GRID_STEPS):
-        if epsilon <= r_bad:
-            break
-        epsilon *= _EPS_GRID_FACTOR
-    else:
+    a, g = closed_form("epsilon", config.potential, "radial_law")()
+    if config.c1 and config.beta > g:
         raise InequalityFails(
-            "no clearance radius satisfies the near-origin inequality "
-            f"(first sampled failure at |q| = {r_bad:.3e}); the configuration "
-            "is outside the certified family"
+            f"the near-origin inequality fails as |q| -> 0: the magnetic exponent beta = {config.beta:g} "
+            f"exceeds the potential's gamma = {g:g}; the configuration is outside the certified family"
         )
 
+    epsilon = min(config.eps0, config.eps1, 1.0)
+    for _ in range(_EPS_GRID_STEPS):  # the divided inequality: epsilon <= 1 and both exponents >= 0
+        magnetic = config.c1 / a * epsilon ** (g - config.beta) if config.c1 else 0.0
+        if 0.5 * config.c0 / a * epsilon ** (g - 1.0) + magnetic <= 1.0:
+            return epsilon
+        epsilon *= _EPS_GRID_FACTOR
+    raise InequalityFails(
+        "no clearance radius satisfies the near-origin inequality "
+        f"(it fails down to |q| = {epsilon / _EPS_GRID_FACTOR:.3e}, the smallest grid radius); "
+        "the configuration is outside the certified family"
+    )
+
+
+def compute_lower_constants(config: FieldConfig, R: float, *, l1: float) -> tuple[float, float, float, float]:
+    """(epsilon, K2, C_gradV_B, m): the singularity-clearance constants.
+
+    epsilon from `compute_epsilon`, K2 = |ln epsilon|, C_gradV_B the
+    envelopes of |grad V| + |B| at epsilon, and, with l1 = `Forcing.l1_norm`,
+
+        m = exp[-K2 - T/eps - T C/(c0/2) - (R+T) l1/(c0/2)].
+    """
+    period = config.forcing.period
+    c0_eff = 0.5 * config.c0
+    epsilon = compute_epsilon(config)
     K2 = abs(math.log(epsilon))
 
-    C = sum(envelope("C_gradV_B", f, epsilon) for f in (config.potential, config.magnetic))
+    C = sum(closed_form("C_gradV_B", f, "envelope")(epsilon) for f in (config.potential, config.magnetic))
     constants = (K2, period, epsilon, C, c0_eff, R + period, l1)
     m = clearance_formula(*constants)
     if m == 0.0:
@@ -243,7 +242,7 @@ def compute_momentum_bound(config: FieldConfig, m: float, R: float, *, l1: float
     period = config.forcing.period
     if not 0.0 < m < R + period:
         raise ValueError(f"need 0 < m < R + T, got m={m}, R+T={R + period}")
-    grad, b = (envelope("momentum bound M", f, m) for f in (config.potential, config.magnetic))
+    grad, b = (closed_form("momentum bound M", f, "envelope")(m) for f in (config.potential, config.magnetic))
     terms = {"|grad V|": grad, "c0/|q|^2": power_law(config.c0, m, 2.0), "|B|": b}
     M = sum(terms.values())
     if not math.isfinite(M):
@@ -256,21 +255,20 @@ def compute_momentum_bound(config: FieldConfig, m: float, R: float, *, l1: float
     return M, L
 
 
-def compute_certificate(config: FieldConfig, *, seed: int) -> BoundsCertificate:
+def compute_certificate(config: FieldConfig) -> BoundsCertificate:
     """Run the three bound computations and assemble the certificate."""
     period = config.forcing.period
     l1 = config.forcing.l1_norm()
-    R = compute_R(config, seed=seed)
-    epsilon, K2, C, m = compute_lower_constants(config, R, seed=seed, l1=l1)
+    R = compute_R(config)
+    epsilon, K2, C, m = compute_lower_constants(config, R, l1=l1)
     M, L = compute_momentum_bound(config, m, R, l1=l1)
     provenance = {
-        "R": f"geometric grid 2^k, spheres x{_SPHERE_MULTIPLES}, 2^10 directions, seed={seed}",
-        "epsilon": f"decreasing grid factor {_EPS_GRID_FACTOR} under min(eps0, eps1, 1), sampled inequality with halved c0",
+        "R": "geometric grid 2^k, closed-form envelopes: max(|grad V|, c0/|q|^2) < |mean h| - c_B, |B| <= c_B",
+        "epsilon": f"decreasing grid factor {_EPS_GRID_FACTOR} under min(eps0, eps1, 1), closed-form radial law of -q.grad V in the inequality with halved c0",
         "C_gradV_B": f"closed-form envelopes of |grad V| + |B| at the inner radius of ({epsilon:.6g}, {R + period:.6g})",
         "m": "exponential clearance formula, as printed, with halved c0 in the divisions",
         "M": f"closed-form envelopes of |grad V| + c0/|q|^2 + |B| at the inner radius of ({m:.6g}, {R + period:.6g})",
-        "note": "R and epsilon sampled, not proven; C_gradV_B and M closed-form bounds, exact but for ABC",
-        "seed": seed,
+        "note": "every constant closed-form from the field kinds; C_gradV_B and M are bounds, exact but for ABC",
     }
     return BoundsCertificate(
         R=R,

@@ -148,10 +148,9 @@ def cmd_validate(cfg: RunConfig, report: _Report) -> int:
 
 
 def _certify(cfg: RunConfig, report: _Report) -> BoundsCertificate:
-    cert = _attempt("certificate failed", compute_certificate, cfg.fields, seed=cfg.solver.seed)
+    cert = _attempt("certificate failed", compute_certificate, cfg.fields)
     record = dataclasses.asdict(cert)
     record["upper"] = cert.upper
-    record["provenance"] = {k: str(v) for k, v in cert.provenance.items()}
     report.section("certificate", "bounds certificate", cert.lines(), record, {"certificate": record})
     return cert
 

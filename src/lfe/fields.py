@@ -6,13 +6,14 @@ known singular rate, the magnetic field has a finite ceiling at infinity,
 and its singularity at the origin is strictly weaker than the electric
 one.  `validate_hypotheses` checks all of them on seeded sample clouds
 and reports pass/fail per condition; the checks are sampled, not proven.
-Their numbers and those of the certificate's R and epsilon come from one
-sweep, `shell_maxima`: per sphere of radius r, the maximum of |grad V|, of
-q . grad V, or of |B| over a time grid.
+Their numbers come from one sweep, `shell_maxima`: per sphere of radius
+r, the maximum of |grad V|, of q . grad V, or of |B| over a time grid.
 
-Each field kind carries its closed forms: `envelope(r)`, a non-increasing
-bound of |grad V| or |B| on the sphere |q| = r (attained but for ABC), read
-by the certificate's C_gradV_B and M; a magnetic kind's `ceiling()`, its
+Each field kind carries the closed forms the certificate reads instead
+of sampling: `envelope(r)`, a non-increasing bound of |grad V| or |B| on
+the sphere |q| = r (attained but for ABC), for R, C_gradV_B and M; a
+potential kind's `radial_law()`, the (a, g) of its exact
+-q . grad V = a |q|^-g, for epsilon; a magnetic kind's `ceiling()`, its
 `c_B = auto`; and `near_origin(gamma)`, its default (c1, beta), if any.
 
 Every potential and magnetic field takes one point `q` of shape (3,) or
@@ -94,6 +95,10 @@ class GeneralizedCoulomb:
     def envelope(self, r: float) -> float:
         """|grad V| on the sphere |q| = r, exactly: c0 r^-(gamma+1)."""
         return power_law(self.c0, r, self.gamma + 1.0)
+
+    def radial_law(self) -> tuple[float, float]:
+        """(c0, gamma): -q . grad V = c0 |q|^-gamma on every sphere, exactly."""
+        return self.c0, self.gamma
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +433,24 @@ def _magnitudes(v: np.ndarray) -> np.ndarray:
     return n
 
 
-def shell_maxima(
-    radii, directions, potential=None, magnetic=None, period=None, *, radial=False, skip_nan=False
-):
+def shell_maxima(radii, directions, potential=None, magnetic=None, period=None, *, radial=False):
     """(v, b): maxima over each sphere |q| = radii[i], sampled at `directions`.
 
     v is the maximum of |grad V| of `potential` (of q . grad V if `radial`),
     b of |B| of `magnetic` over the times 0, T/4, T/2, 3T/4, T of `period`;
     each is None if its field is.  A NaN sample makes its sphere's maximum
-    NaN unless `skip_nan`.  Rounding is monotone, so a margin bound - v is
-    the least margin over the sphere's samples, bit for bit.
+    NaN.  Rounding is monotone, so a margin bound - v is the least margin
+    over the sphere's samples, bit for bit.
     """
     q, rad = radial_powers(shells(radii, directions))
-    reduce = np.fmax.reduce if skip_nan else np.maximum.reduce
     v = b = None
     if potential is not None:
         g = potential.gradient(q, rad)
         v = np.add.reduce(q * g, axis=-1) if radial else _magnitudes(g)
-        v = reduce(v.reshape(len(radii), -1), axis=1)
+        v = np.maximum.reduce(v.reshape(len(radii), -1), axis=1)
     if magnetic is not None:
         b = [_magnitudes(magnetic.eval(t, q, rad)) for t in np.linspace(0.0, period, 5)]
-        b = reduce(np.reshape(b, (len(b), len(radii), -1)), axis=(0, 2))
+        b = np.maximum.reduce(np.reshape(b, (len(b), len(radii), -1)), axis=(0, 2))
     return v, b
 
 

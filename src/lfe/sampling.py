@@ -1,4 +1,4 @@
-"""Quasi-random sampling helpers for the validator sweeps and the certificate's R and epsilon.
+"""Quasi-random sampling helpers for the hypothesis checks and the degree sweep.
 
 Every sweep is seeded and reduced in enumeration order, so repeated runs
 of a check are bit-reproducible.

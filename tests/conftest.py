@@ -149,9 +149,6 @@ class PlantedCoulomb:
         g[np.all(q == self.zero_q, axis=-1)] = 0.0
         return g
 
-    def envelope(self, r):
-        return r**-2.0
-
 
 def pulsed_config(c_B: float) -> FieldConfig:
     """Coulomb potential, a field pulsing to |B| = 0.8 at t = T/4, constant forcing |h| = 2."""
@@ -182,7 +179,7 @@ def desk():
 @pytest.fixture(scope="session")
 def desk_cert(desk):
     config, _ = desk
-    return compute_certificate(config, seed=SEED)
+    return compute_certificate(config)
 
 
 @pytest.fixture(scope="session")

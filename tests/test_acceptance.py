@@ -35,7 +35,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def a5_run():
     t0 = time.perf_counter()
-    cert = compute_certificate(coulomb_config(), seed=SEED)
+    cert = compute_certificate(coulomb_config())
     return cert, time.perf_counter() - t0
 
 

@@ -6,7 +6,9 @@ import pytest
 from scipy.optimize import brentq
 
 import lfe.certificate
-from conftest import SEED, PlantedCoulomb, TabulatedPotential, coulomb_config, desk_config, pulsed_config
+import lfe.fields
+import lfe.sampling
+from conftest import SEED, TabulatedPotential, coulomb_config, desk_config, pulsed_config
 from lfe.certificate import (
     CertificateError,
     InequalityFails,
@@ -15,11 +17,13 @@ from lfe.certificate import (
     clearance_formula,
     compute_R,
     compute_certificate,
+    compute_epsilon,
     compute_lower_constants,
     compute_momentum_bound,
     verify_orbit,
 )
 from lfe.fields import (
+    ABCField,
     DipoleField,
     FieldConfig,
     Forcing,
@@ -32,17 +36,16 @@ from lfe.fields import (
     radial_powers,
     shell_maxima,
 )
-from lfe.sampling import log_radii, shells, sphere_directions
+from lfe.sampling import sphere_directions
 
 
 @pytest.fixture(scope="module")
 def a5_cert():
-    return compute_certificate(coulomb_config(), seed=SEED)
+    return compute_certificate(coulomb_config())
 
 
 def test_radius_closed_form_coulomb(a5_cert):
-    # hand threshold: c0 / R^2 < |mean h| - c_B = 1 at R = 1; grid certifies
-    # the first power of two at which the sampled sphere values pass strictly
+    # hand threshold: c0 / R^2 < |mean h| - c_B = 1 fails at R = 1 (equality) and holds at R = 2
     assert a5_cert.R == 2.0
     assert 1.0 / a5_cert.R**2 < 1.0
     assert abs(math.log2(a5_cert.R / 1.0)) <= 1.0  # within one grid level of the hand value
@@ -51,20 +54,27 @@ def test_radius_closed_form_coulomb(a5_cert):
 def test_radius_requires_dominant_mean():
     config = coulomb_config(mean=(0.0, 0.0, 1.0), c_B=1.0)  # |mean h| == c_B
     with pytest.raises(ValueError):
-        compute_R(config, seed=SEED)
+        compute_R(config)
 
 
 def test_radius_monotone_in_c0():
-    r1 = compute_R(coulomb_config(c0=1.0), seed=SEED)
-    r2 = compute_R(coulomb_config(c0=2.0), seed=SEED)
-    r4 = compute_R(coulomb_config(c0=4.0), seed=SEED)
+    r1 = compute_R(coulomb_config(c0=1.0))
+    r2 = compute_R(coulomb_config(c0=2.0))
+    r4 = compute_R(coulomb_config(c0=4.0))
     assert r2 >= r1
     assert r4 > r1
 
 
+def test_desk_radius_meets_the_dipole_ceiling_with_equality():
+    # c_B = auto is the dipole's envelope at |q| = 1; |v x B| < |B| <= c_B there, as |v| < 1
+    config = desk_config()
+    assert DipoleField([0.0, 0.0, 0.1]).envelope(1.0) == config.c_B == 0.2
+    assert compute_R(config) == 1.0
+
+
 def test_epsilon_capped_by_config_radii():
     config = desk_config()  # eps0 = eps1 = 0.5 cap the grid
-    eps, K2, C, m = compute_lower_constants(config, 1.0, seed=SEED, l1=config.forcing.l1_norm())
+    eps, K2, C, m = compute_lower_constants(config, 1.0, l1=config.forcing.l1_norm())
     assert eps == 0.5
     assert K2 == abs(math.log(0.5))
     assert 0.0 < m < eps
@@ -74,6 +84,28 @@ def test_epsilon_uncapped_reaches_one(a5_cert):
     # no magnetic term: the halved-constant inequality holds everywhere
     assert a5_cert.epsilon == 1.0
     assert a5_cert.K2 == 0.0
+
+
+def _epsilon_margin(config):
+    """c0 r^-gamma - (c0/2 r^-1 + c1 r^-beta): -q . grad V of the Coulomb family against the inequality."""
+    c0, gamma = config.potential.c0, config.potential.gamma
+    return lambda r: c0 * r**-gamma - (0.5 * config.c0 / r + config.c1 * r**-config.beta)
+
+
+def _first_grid_point_below_the_root(config):
+    """The first point of epsilon's grid at or below the brentq root of the margin, or None below the grid."""
+    margin = _epsilon_margin(config)
+    cap = min(config.eps0, config.eps1, 1.0)
+    grid = [cap]
+    for _ in range(131):
+        grid.append(grid[-1] * 0.9)
+    lo = grid[-1] * 0.5
+    if margin(cap) >= 0.0:
+        return cap
+    if margin(lo) < 0.0:
+        return None
+    root = brentq(margin, lo, cap, xtol=1e-300, rtol=1e-15)
+    return next((e for e in grid if e <= root), None)
 
 
 def test_epsilon_against_scalar_threshold_oracle():
@@ -91,14 +123,31 @@ def test_epsilon_against_scalar_threshold_oracle():
         beta=2.0,
         eps1=10.0,
     )
+    r_star = brentq(_epsilon_margin(config), 0.01, 1.0)
+    eps, _, _, _ = compute_lower_constants(config, 2.0, l1=config.forcing.l1_norm())
+    # the first grid point at or below the threshold
+    assert eps == _first_grid_point_below_the_root(config)
+    assert 0.9 * r_star < eps <= r_star
 
-    def margin(r):
-        return r**-3.0 - (0.5 * r**-1.0 + 2.0 * r**-2.0)
 
-    r_star = brentq(margin, 0.01, 1.0)
-    eps, _, _, _ = compute_lower_constants(config, 2.0, seed=SEED, l1=config.forcing.l1_norm())
-    # sampled grid resolves the threshold to within its own spacing
-    assert 0.9 * r_star <= eps <= 1.13 * r_star
+def test_epsilon_holds_between_the_grid_radii():
+    # 1 >= 0.5 + 0.59 sqrt(r) up to r = (0.5/0.59)^2 = 0.718: the grid point 0.729 above it fails
+    config = FieldConfig(
+        potential=GeneralizedCoulomb(1.0, 1.0),
+        magnetic=UniformField([0.0, 0.0, 0.05]),
+        forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
+        c0=1.0,
+        gamma=1.0,
+        eps0=1.0,
+        c_B=0.1,
+        c1=0.59,
+        beta=0.5,
+        eps1=1.0,
+    )
+    eps = compute_certificate(config).epsilon
+    assert eps == 0.6561000000000001  # 0.9^4 on the grid
+    assert _epsilon_margin(config)(eps) >= 0.0
+    assert _epsilon_margin(config)(0.7290000000000001) < 0.0
 
 
 def test_epsilon_inequality_fails_for_strong_magnetic_singularity():
@@ -116,15 +165,8 @@ def test_epsilon_inequality_fails_for_strong_magnetic_singularity():
         beta=beta,
         eps1=1.0,
     )
-    with pytest.raises(InequalityFails):
-        compute_lower_constants(config, 2.0, seed=SEED, l1=config.forcing.l1_norm())
-
-
-def test_radius_compares_against_the_field_at_every_time():
-    # |B| peaks at 0.8 at t = T/4 and vanishes at t = 0: a c_B of 0.5 holds at t = 0 only
-    assert compute_R(pulsed_config(1.0), seed=SEED) == 2.0
-    with pytest.raises(RadiusNotFound):
-        compute_R(pulsed_config(0.5), seed=SEED)
+    with pytest.raises(InequalityFails, match=r"beta = 2 exceeds the potential's gamma = 1"):
+        compute_lower_constants(config, 2.0, l1=config.forcing.l1_norm())
 
 
 def test_radius_not_found_names_the_threshold_the_sphere_and_the_cap():
@@ -132,29 +174,17 @@ def test_radius_not_found_names_the_threshold_the_sphere_and_the_cap():
     config = coulomb_config(mean=(0.0, 0.0, 1e-200), c_B=1e-300)
     assert config.magnetic == ZeroField()
     with pytest.raises(RadiusNotFound) as err:
-        compute_R(config, seed=SEED)
+        compute_R(config)
     assert str(err.value) == (
-        "no radius up to the search cap 1e+06 satisfies the far-field conditions: on the largest "
-        "sphere sampled, |q| = 524288, max |grad V| = 3.638e-12 against the threshold "
-        "|mean h| - c_B = 1.000e-200 and max |B| = 0.000e+00 against c_B = 1.000e-300 "
-        "(the fields may decay too slowly, or below the threshold only beyond the cap)"
+        "no radius up to the search cap 1e+06 satisfies the far-field conditions: at the largest "
+        "grid radius, |q| = 524288, the envelope of |grad V| and c0/|q|^2 is 3.638e-12 against the "
+        "threshold |mean h| - c_B = 1.000e-200 and the envelope of |B| is 0.000e+00 against "
+        "c_B = 1.000e-300 (the fields may decay too slowly, or below the threshold only beyond the cap)"
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class _SphereSpike:
-    """|B| = value on the shell 3.5 < |q| < 4.5, which holds the sphere |q| = 4 of compute_R, and 0 elsewhere."""
-
-    value: float
-
-    def eval(self, t, q, rad):
-        out = np.zeros(np.shape(q))
-        out[..., 2] = np.where(np.abs(np.linalg.norm(q, axis=-1) - 4.0) < 0.5, self.value, 0.0)
-        return out
-
-
 def _radius_window_by_window(config, seed):
-    """The smallest 2^k whose spheres 2^k, ..., 2^(k+3) all pass, each window swept on its own."""
+    """The smallest 2^k whose spheres 2^k, ..., 2^(k+3) all pass, sampled, each window swept on its own."""
     dirs = sphere_directions(10, seed)
     threshold = float(np.linalg.norm(config.forcing.mean)) - config.c_B
     radius = 1.0
@@ -172,62 +202,89 @@ _RADIUS_CONFIGS = {
     "coulomb-c0-50": coulomb_config(c0=50.0),
     "coulomb-thin-margin": coulomb_config(c_B=1.999),
     "desk": desk_config(),
-    "pulsed": pulsed_config(1.0),
-    "spike": dataclasses.replace(coulomb_config(), magnetic=_SphereSpike(2.0)),
-    "nan-spike": dataclasses.replace(coulomb_config(), magnetic=_SphereSpike(math.nan)),
 }
 
 
 @pytest.mark.parametrize("name", list(_RADIUS_CONFIGS))
 def test_radius_equals_the_window_by_window_search(name):
     config = _RADIUS_CONFIGS[name]
-    assert compute_R(config, seed=SEED) == _radius_window_by_window(config, SEED)
+    assert compute_R(config) == _radius_window_by_window(config, SEED)
 
 
-@pytest.mark.parametrize(
-    "name,radius,sweeps",
-    [
-        ("coulomb", 2.0, [[1.0, 2.0, 4.0, 8.0], [16.0]]),
-        # sphere 4 fails, so the radii 1, 2 and 4 are skipped in one step
-        ("spike", 8.0, [[1.0, 2.0, 4.0, 8.0], [16.0, 32.0, 64.0]]),
-        ("nan-spike", 8.0, [[1.0, 2.0, 4.0, 8.0], [16.0, 32.0, 64.0]]),
-    ],
-)
-def test_radius_samples_each_sphere_once(monkeypatch, name, radius, sweeps):
-    seen = []
-
-    def recording(radii, *args, **kwargs):
-        seen.append([float(r) for r in radii])
-        return shell_maxima(radii, *args, **kwargs)
-
-    monkeypatch.setattr(lfe.certificate, "shell_maxima", recording)
-    assert compute_R(_RADIUS_CONFIGS[name], seed=SEED) == radius
-    assert seen == sweeps
-    flat = [r for sweep in seen for r in sweep]
-    assert len(flat) == len(set(flat))
-
-
-def test_epsilon_scan_sees_a_failing_direction_next_to_a_nan():
-    # the scan's own cloud: 160 radii under cap = 1 and 2^6 directions
-    radii, dirs = log_radii(1e-8, 1.0, 160), sphere_directions(6, SEED)
-    cloud = shells(radii, dirs)
-    r_star = radii[150]
-    potential = PlantedCoulomb(cloud[150 * len(dirs) + 3], cloud[150 * len(dirs) + 7])
-    config = FieldConfig(
-        potential=potential,
-        magnetic=ZeroField(),
-        forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
-        c0=1.0,
-        gamma=1.0,
-        eps0=1.0,
-        c_B=1.0,
-        c1=0.0,
-        beta=0.5,
-        eps1=1.0,
+def _random_config(rng, kind):
+    """A seeded random Coulomb-family config with a field of `kind` and near-origin constants beta < gamma."""
+    gamma = float(rng.choice([1.0, 1.5, 2.0, 3.0, 4.0]))
+    c0 = 10.0 ** rng.uniform(-1.0, 2.0)
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    c_B = 10.0 ** rng.uniform(-1.5, 0.5)
+    if kind == "zero":
+        magnetic = ZeroField()
+    elif kind == "uniform":
+        magnetic = UniformField(c_B * 10.0 ** rng.uniform(-1.0, 0.3) * direction)
+    elif kind == "dipole":
+        magnetic = DipoleField(c_B * 10.0 ** rng.uniform(-1.0, 2.0) * direction)
+    else:  # ABC with c_B at its sup (as c_B = auto), above it, or at a third of it, below its maximum
+        magnetic = ABCField(*(c_B * rng.uniform(0.1, 1.0, size=3)))
+        c_B = magnetic.sup / float(rng.choice([1.0, rng.uniform(0.5, 1.0), 3.0]))
+    return FieldConfig(
+        potential=GeneralizedCoulomb(c0, gamma),
+        magnetic=magnetic,
+        forcing=Forcing(rng.uniform(0.5, 2.0), c_B / rng.uniform(0.05, 0.95) * direction),
+        c0=c0 * rng.uniform(0.5, 1.0),
+        gamma=gamma,
+        eps0=rng.uniform(0.2, 2.0),
+        c_B=c_B,
+        c1=10.0 ** rng.uniform(-2.0, 1.0) * c0,
+        beta=rng.uniform(0.05, 0.95) * gamma,
+        eps1=rng.uniform(0.2, 2.0),
     )
-    eps, _, _, _ = compute_lower_constants(config, 2.0, seed=SEED, l1=config.forcing.l1_norm())
-    # everywhere else -q.grad V = 1/|q| clears c0/2 |q|^-1, so r_star is the first failure
-    assert 0.9 * r_star < eps <= r_star
+
+
+_KINDS = ("zero", "uniform", "dipole", "abc")
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_closed_form_radius_and_epsilon_match_their_oracles(kind):
+    rng = np.random.default_rng(_KINDS.index(kind))
+    for i in range(12):
+        config = _random_config(rng, kind)
+        try:
+            R = compute_R(config)
+        except RadiusNotFound:
+            R = None
+        assert R == _radius_window_by_window(config, SEED), (i, config)
+        expected = _first_grid_point_below_the_root(config)
+        if expected is None:
+            with pytest.raises(InequalityFails):
+                compute_epsilon(config)
+            continue
+        eps = compute_epsilon(config)
+        assert eps == expected, (i, config)
+        assert _epsilon_margin(config)(eps) >= 0.0, (i, config)
+
+
+@pytest.mark.parametrize("config", [desk_config(), coulomb_config()], ids=["desk", "light"])
+def test_certificate_evaluates_no_field(monkeypatch, config):
+    calls = []
+
+    def recording(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(lfe.fields, "radial_powers", recording("radial_powers", lfe.fields.radial_powers))
+    monkeypatch.setattr(GeneralizedCoulomb, "gradient", recording("gradient", GeneralizedCoulomb.gradient))
+    for kind in (ZeroField, UniformField, DipoleField, ABCField):
+        monkeypatch.setattr(kind, "eval", recording("eval", kind.eval))
+    compute_certificate(config)
+    assert calls == []
+    # and the module binds no sampler and no sweep
+    bound = vars(lfe.certificate)
+    assert "shell_maxima" not in bound
+    assert not [k for k, v in bound.items() if v is lfe.sampling or getattr(v, "__module__", None) == "lfe.sampling"]
 
 
 def test_momentum_bound_closed_form(a5_cert):
@@ -288,13 +345,19 @@ def _tabulated_coulomb_config():
 
 
 @pytest.mark.parametrize(
-    "config,kind",
-    [(pulsed_config(1.0), "PulsedField"), (_tabulated_coulomb_config(), "TabulatedPotential")],
+    "config,kind,lower",
+    [
+        (pulsed_config(1.0), "PulsedField", "C_gradV_B: a PulsedField has no closed-form envelope"),
+        (_tabulated_coulomb_config(), "TabulatedPotential", "epsilon: a TabulatedPotential has no closed-form radial law"),
+    ],
     ids=["magnetic", "potential"],
 )
-def test_a_field_kind_without_an_envelope_is_named_with_the_constant(config, kind):
-    with pytest.raises(CertificateError, match=rf"^C_gradV_B: a {kind} has no closed-form envelope$"):
-        compute_certificate(config, seed=SEED)
+def test_a_field_kind_without_an_envelope_is_named_with_the_constant(config, kind, lower):
+    # R is the first constant the certificate computes, so it names the kind first
+    with pytest.raises(CertificateError, match=rf"^R: a {kind} has no closed-form envelope$"):
+        compute_certificate(config)
+    with pytest.raises(CertificateError, match=rf"^{lower}$"):
+        compute_lower_constants(config, 1.0, l1=0.0)
     with pytest.raises(CertificateError, match=rf"^momentum bound M: a {kind} has no closed-form envelope$"):
         compute_momentum_bound(config, 0.1, 2.0, l1=0.0)
 
@@ -303,7 +366,7 @@ def test_clearance_underflow_names_m_and_its_largest_term():
     # terms K2 = 0, T/eps = 1, T C/c0_eff = 2, (R+T) l1/c0_eff = 2 * 2/0.005 = 800: exp(-803) = 0
     config = coulomb_config(c0=0.01)
     with pytest.raises(CertificateError) as err:
-        compute_lower_constants(config, 1.0, seed=SEED, l1=config.forcing.l1_norm())
+        compute_lower_constants(config, 1.0, l1=config.forcing.l1_norm())
     assert str(err.value) == (
         "clearance m: exp(-803) underflows to 0; the largest term of the exponent is (R+T)*l1/c0_eff = 800"
     )
@@ -350,8 +413,8 @@ def test_monotonicity_in_forcing_l1():
         beta=base.beta,
         eps1=base.eps1,
     )
-    cert_a = compute_certificate(base, seed=SEED)
-    cert_b = compute_certificate(richer, seed=SEED)
+    cert_a = compute_certificate(base)
+    cert_b = compute_certificate(richer)
     assert cert_b.l1_norm > cert_a.l1_norm
     assert cert_b.m < cert_a.m
     assert cert_b.L > cert_a.L
@@ -372,7 +435,7 @@ def test_certificate_evaluates_the_forcing_l1_norm_once(monkeypatch):
         return l1_norm(self)
 
     monkeypatch.setattr(Forcing, "l1_norm", counted)
-    cert = compute_certificate(desk_config(), seed=SEED)
+    cert = compute_certificate(desk_config())
     assert len(calls) == 1
     assert cert.l1_norm == l1_norm(desk_config().forcing)
 
@@ -382,9 +445,9 @@ def test_interface_is_deformation_free():
     # deformation-parameter argument to pass
     config = coulomb_config()
     with pytest.raises(TypeError):
-        compute_R(config, lam=0.5, seed=SEED)
+        compute_R(config, lam=0.5)
     with pytest.raises(TypeError):
-        compute_certificate(config, lam=0.5, seed=SEED)
+        compute_certificate(config, lam=0.5)
 
 
 def test_certificate_invariants(desk_cert):

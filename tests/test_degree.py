@@ -248,7 +248,7 @@ def loop_sweep(field: AutonomousField, x0, omega, n_pow2: int, seed: int) -> dic
 @pytest.mark.parametrize("region", ["light", "desk"])
 def test_sweep_matches_the_per_start_loop(region, seed, desk_cert):
     # hits may move a little: norms round differently in the batched arithmetic
-    cert = desk_cert if region == "desk" else compute_certificate(coulomb_config(), seed=seed)
+    cert = desk_cert if region == "desk" else compute_certificate(coulomb_config())
     omega = cert.region()
     x0 = find_zero_f0(1.0, [0.0, 0.0, 2.0])
     field = AutonomousField(c0=1.0, h_mean=np.array([0.0, 0.0, 2.0]))
@@ -266,7 +266,7 @@ def test_sweep_matches_the_per_start_loop(region, seed, desk_cert):
 def test_sweep_on_the_acceptance_regions_converges_from_every_decade(region, desk_cert):
     # the regions and seeds of the light and desk `lfe continue` runs, at full size
     seed = SEED if region == "desk" else 7
-    cert = desk_cert if region == "desk" else compute_certificate(coulomb_config(), seed=seed)
+    cert = desk_cert if region == "desk" else compute_certificate(coulomb_config())
     sweep = brouwer_degree(1.0, [0.0, 0.0, 2.0], cert.region(), seed=seed).sweep
     assert sweep["starts"] == 1024
     assert sweep["converged_to_zero"] >= 0.99 * sweep["starts"]

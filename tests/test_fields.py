@@ -387,7 +387,7 @@ def test_magnetic_ceiling_of_an_abc_field_passes_the_checks_on_every_seed():
     for seed in range(40):
         checks = {c.name: c for c in validate_hypotheses(config, seed=seed).checks}
         assert checks["magnetic-ceiling-at-infinity"].passed, seed
-        assert compute_R(config, seed=seed) == 1.0, seed
+    assert compute_R(config) == 1.0  # envelope_B = c_B is allowed: |v x B| < |B| for |v| < 1
 
 
 def test_magnetic_ceiling_of_a_uniform_field_is_refused():
@@ -508,9 +508,6 @@ def test_shell_maxima_nan_samples():
     potential = PlantedCoulomb(cloud[len(dirs) + 1], cloud[len(dirs) + 4])
     v, _ = shell_maxima(radii, dirs, potential, radial=True)
     assert v[0] == pytest.approx(-1.0) and math.isnan(v[1])
-    # skipped, the NaN does not hide the largest sample on its sphere
-    v, _ = shell_maxima(radii, dirs, potential, radial=True, skip_nan=True)
-    assert v[0] == pytest.approx(-1.0) and v[1] == 0.0
 
 
 def test_validate_fails_a_nan_sample():

@@ -9,7 +9,7 @@ from scipy.optimize import minimize
 from scipy.stats import qmc
 
 from conftest import coulomb_config, desk_config, gyro_config
-from lfe.certificate import compute_momentum_bound, envelope
+from lfe.certificate import compute_momentum_bound
 from lfe.fields import ABCField, DipoleField, GeneralizedCoulomb, UniformField, ZeroField, radial_powers
 from lfe.sampling import log_radii, shells, sobol_points, sphere_directions
 
@@ -70,7 +70,7 @@ def _certificate_integrands(config):
 
 def _closed_form(config, r_lo, r_hi):
     """The certificate's C_gradV_B at epsilon = r_lo and its M at m = r_lo, with R + T = r_hi."""
-    C = envelope("C_gradV_B", config.potential, r_lo) + envelope("C_gradV_B", config.magnetic, r_lo)
+    C = config.potential.envelope(r_lo) + config.magnetic.envelope(r_lo)
     M, _ = compute_momentum_bound(config, r_lo, r_hi - config.forcing.period, l1=0.0)
     return C, M
 
