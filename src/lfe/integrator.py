@@ -5,7 +5,9 @@ Integration is done in (position, momentum) coordinates, never
 one stepper is Hairer's embedded 8(5,3) pair DOP853 with its 7th-order
 dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.5 and
 II.6), ported from scipy.integrate with the same arithmetic (tables in
-`lfe.butcher`), so nodes and dense output equal scipy's bit for bit.
+`lfe.butcher`), so nodes and dense output equal scipy's bit for bit,
+also when the first step size is given (`first_step`, as scipy's
+`DOP853(first_step=...)`) instead of taken from the initial-step heuristic.
 Every accepted step keeps its stages; its dense output is built from
 them only when the trajectory is read (`Trajectory.at`, `row`,
 `write_csv`, the guard bisection), so a trial flow whose nodes are all
@@ -177,6 +179,19 @@ class Trajectory:
         y = self.interpolant(t)
         return y.reshape(self.states.shape[1:] + y.shape[1:])
 
+    def warm_step(self, rtol_ratio: float) -> float:
+        """A first step for a flow over the same span at rtol_ratio times this run's rtol.
+
+        The middle one of the sorted accepted steps, scaled by
+        rtol_ratio ** (1 / 8), the step controller's exponent, and at most
+        the span.  The few steps are sorted by Python: `np.median` would
+        import numpy.ma, and `np.sort` would map numpy's SIMD sort code,
+        either of which raises a run's peak memory.
+        """
+        steps = sorted(np.diff(self.ts).tolist())
+        h = steps[len(steps) // 2] * rtol_ratio ** (1 / (_ERROR_ORDER + 1))
+        return min(h, self.t1 - self.t0)
+
     def row(self, i: int) -> "Trajectory":
         """Member i of a stacked run, read from the shared nodes and interpolant."""
         interp, rows = self.interpolant, slice(6 * i, 6 * i + 6)
@@ -260,12 +275,17 @@ def integrate(
     t_span: tuple[float, float],
     lam: float,
     cfg: IntegratorConfig = IntegratorConfig(),
+    first_step: float | None = None,
 ) -> Trajectory:
     """Integrate the homotopy system from x0 over t_span at the given lam.
 
     x0 is a State, or an array of flat states [q, p] of shape (6,) or
     (N, 6); a stack is integrated as one system, so all its members share
     the step sequence, and the guard applies to every member.
+    first_step, in (0, t1 - t0], is the size of the first trial step;
+    without it the initial-step heuristic picks one at the cost of one
+    more right-hand-side call.  A first step that is too large is
+    rejected and shrunk by step control like any other.
     Raises SingularityApproach if |q| reaches the guard radius (with the
     crossing time refined by bisection on the step interpolant),
     MaxStepsExceeded or StepUnderflow on step-control failures.
@@ -276,6 +296,8 @@ def integrate(
         raise ValueError(f"need t0 < t1, got ({t0}, {t1})")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
+    if first_step is not None and not 0.0 < first_step <= t1 - t0:
+        raise ValueError(f"first_step must lie in (0, {t1 - t0:g}], got {first_step}")
     y0 = x0.as_array() if isinstance(x0, State) else np.array(x0, dtype=float)
     shape = y0.shape
     if shape[-1:] != (6,) or y0.ndim > 2:
@@ -298,7 +320,10 @@ def integrate(
     rtol, atol = max(cfg.rtol, 100 * np.finfo(float).eps), cfg.atol
     exponent = -1 / (_ERROR_ORDER + 1)
     t, y, f = t0, y0, fun(t0, y0)
-    h_abs = _initial_step(fun, t0, y0, t1, f, rtol, atol)
+    if first_step is None:
+        h_abs = _initial_step(fun, t0, y0, t1, f, rtol, atol)
+    else:
+        h_abs = float(first_step)
     ts, ys, stages = [t0], [y0], []
     n_rejected = 0
     while t < t1:

@@ -14,18 +14,30 @@ Newton methods", SIAM J. Numer. Anal. 19, 1982): the trial flows of an
 iteration that starts from the residual sup-norm r run at
 rtol = max(rtol0, min(1e-6, 1e-4 r)), with atol scaled by the same
 factor, where rtol0 is the configured tolerance; an early iteration does
-not resolve digits that the next one discards.  The guess flows at the
-same rule's tolerance for the residual predicted for it (rtol0 when none
-is predicted), and again at its actual residual's tolerance when that is
-tighter.  The continuation predicts each step's guess residual from the
-previous accepted step (Allgower & Georg, "Introduction to Numerical
-Continuation Methods"): the previous orbit's initial state is a constant
-predictor, whose residual grows linearly in the step dlam.  Convergence
-is read only from a flow at rtol0: a loose guess or trial whose residual
-already meets newton_tol is flowed once more at it.  That confirming
-re-flow is no Newton iteration, so it adds no `newton_trace` entry and
-does not count against max_iterations.  Each `newton_trace` entry
-records the `rtol` of its accepted trial flow.
+not resolve digits that the next one discards.  An rtol below 2 rtol0 is
+rounded to rtol0: such a flow costs at most 9 % more there, and needs no
+confirming re-flow.  The guess flows at the same rule's tolerance for
+the residual predicted for it (rtol0 when none is predicted), and again
+at its actual residual's tolerance when that is tighter.  The
+continuation predicts each step's guess residual from the previous
+accepted step (Allgower & Georg, "Introduction to Numerical Continuation
+Methods"): the previous orbit's initial state is a constant predictor,
+whose residual grows linearly in the step dlam.  Convergence is read
+only from a flow at rtol0: a loose guess or trial whose residual already
+meets newton_tol is flowed once more at it.  That confirming re-flow is
+no Newton iteration, so it adds no `newton_trace` entry and does not
+count against max_iterations.  Each `newton_trace` entry records the
+`rtol` of its accepted trial flow.
+
+Flows are warm-started.  Each flow integrates the same period from a
+state close to its predecessor's, so it takes its first step from the
+predecessor's steps (`Trajectory.warm_step`): their middle one, scaled
+by (rtol / rtol_prev) ** (1/8), the step controller's exponent, instead
+of the initial-step heuristic.  Within a solve the predecessor is the
+iterate's flow; the guess of a continuation step follows the previous
+accepted orbit's flow, which ran at rtol0.  Only the first flow of a
+solve without a previous orbit (the lam = 0 start, `find-orbit`) starts
+cold.
 """
 
 from __future__ import annotations
@@ -109,19 +121,23 @@ class ShootingProblem:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
-    def flow(self, x0: State | np.ndarray) -> Trajectory:
-        return integrate(self.system, x0, (0.0, self.system.config.forcing.period), self.lam, self.integrator)
+    def flow(self, x0: State | np.ndarray, first_step: float | None = None) -> Trajectory:
+        period = self.system.config.forcing.period
+        return integrate(self.system, x0, (0.0, period), self.lam, self.integrator, first_step=first_step)
 
-    def flow_with_monodromy(self, x0: np.ndarray) -> tuple[Trajectory, np.ndarray]:
+    def flow_with_monodromy(
+        self, x0: np.ndarray, first_step: float | None = None
+    ) -> tuple[Trajectory, np.ndarray]:
         """The time-T orbit of the flat state x0 and the forward-difference monodromy at x0.
 
         x0 and its six perturbations x0 + _FD_STEP e_i are integrated as one
         stacked flow, so column i of the monodromy differences two members
         that took the same steps.  A perturbed member that crosses the guard
-        radius raises SingularityApproach like the orbit itself.
+        radius raises SingularityApproach like the orbit itself.  first_step
+        is passed to `integrate`.
         """
         stack = x0 + np.vstack([np.zeros(6), _FD_STEP * np.eye(6)])
-        traj = self.flow(stack)
+        traj = self.flow(stack, first_step)
         end = traj.states[-1]
         return traj.row(0), (end[1:] - end[0]).T / _FD_STEP
 
@@ -204,23 +220,36 @@ def _trial_problem(problem: ShootingProblem, res_norm: float) -> ShootingProblem
     """problem with the integrator tolerance of a trial flow from the residual sup-norm res_norm.
 
     rtol = max(rtol0, min(_TRIAL_RTOL_CAP, _TRIAL_FACTOR * res_norm)) and
-    atol scaled by rtol / rtol0; problem itself when that is the configured rtol0.
+    atol scaled by rtol / rtol0; problem itself when that rtol is below
+    2 rtol0 (a flow's cost grows like rtol ** (-1/8): at most 9 % more).
     """
     cfg = problem.integrator
     rtol = max(cfg.rtol, min(_TRIAL_RTOL_CAP, _TRIAL_FACTOR * res_norm))
-    if rtol == cfg.rtol:
+    if rtol < 2.0 * cfg.rtol:
         return problem
     return replace(problem, integrator=replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol)))
 
 
-def _flow_residual(problem: ShootingProblem, y: np.ndarray):
-    """`flow_with_monodromy` at y, with the periodicity residual and its sup-norm."""
-    traj, monodromy = problem.flow_with_monodromy(y)
+def _flow_residual(problem: ShootingProblem, y: np.ndarray, previous: Trajectory | None, previous_rtol: float):
+    """`flow_with_monodromy` at y, with the periodicity residual and its sup-norm.
+
+    previous, a flow over the same period at rtol previous_rtol, gives the
+    first step (`Trajectory.warm_step`); with previous None the flow starts cold.
+    """
+    first_step = None
+    if previous is not None:
+        first_step = previous.warm_step(problem.integrator.rtol / previous_rtol)
+    traj, monodromy = problem.flow_with_monodromy(y, first_step)
     res = traj.states[-1] - traj.states[0]
     return traj, monodromy, res, float(np.max(np.abs(res)))
 
 
-def newton_shooting(guess: State, problem: ShootingProblem, predicted_residual: float = 0.0) -> OrbitSolution:
+def newton_shooting(
+    guess: State,
+    problem: ShootingProblem,
+    predicted_residual: float = 0.0,
+    previous: Trajectory | None = None,
+) -> OrbitSolution:
     """Damped inexact Newton on the periodicity residual, Jacobian from the stacked flow.
 
     Iterates on the flat state [q, p], from guess.as_array() to the
@@ -249,6 +278,12 @@ def newton_shooting(guess: State, problem: ShootingProblem, predicted_residual: 
     The guess's last flow keeps that bound, since a guess flowed at a
     tolerance looser than its residual's is flowed again.
 
+    Warm starts, as in the module docstring: the guess's first flow takes
+    its first step from previous, a flow of a nearby problem at
+    problem.integrator's rtol (the previous continuation step's orbit),
+    and starts cold without it; every later flow takes it from the
+    iterate's flow.
+
     Raises NewtonDiverged (no decrease with any factor, the iteration cap,
     or round-off stagnation: a trial flow fails to lower a residual already
     within _ROUNDOFF * max(1, |x|_inf), so newton_tol is out of reach),
@@ -263,11 +298,11 @@ def newton_shooting(guess: State, problem: ShootingProblem, predicted_residual: 
         raise LeftDomain(f"initial guess outside the search region: {bad}")
 
     flowed = _trial_problem(problem, predicted_residual)
-    traj, monodromy, res, res_norm = _flow_residual(flowed, y)
+    traj, monodromy, res, res_norm = _flow_residual(flowed, y, previous, problem.integrator.rtol)
     matched = _trial_problem(problem, res_norm)
     if matched.integrator.rtol < flowed.integrator.rtol:
+        traj, monodromy, res, res_norm = _flow_residual(matched, y, traj, flowed.integrator.rtol)
         flowed = matched
-        traj, monodromy, res, res_norm = _flow_residual(flowed, y)
 
     tol = problem.solver.newton_tol
     trace = []
@@ -275,8 +310,8 @@ def newton_shooting(guess: State, problem: ShootingProblem, predicted_residual: 
         while res_norm >= tol or flowed is not problem:
             if res_norm < tol:
                 # the confirming re-flow: convergence is read at the configured tolerance
+                traj, monodromy, res, res_norm = _flow_residual(problem, y, traj, flowed.integrator.rtol)
                 flowed = problem
-                traj, monodromy, res, res_norm = _flow_residual(problem, y)
                 continue
             if len(trace) >= problem.solver.max_iterations:
                 raise NewtonDiverged(
@@ -294,7 +329,9 @@ def newton_shooting(guess: State, problem: ShootingProblem, predicted_residual: 
                 if problem.violation(y_try) is not None:
                     continue
                 try:
-                    traj_try, monodromy_try, res_try, res_try_norm = _flow_residual(trial, y_try)
+                    traj_try, monodromy_try, res_try, res_try_norm = _flow_residual(
+                        trial, y_try, traj, flowed.integrator.rtol
+                    )
                 except SolverError:
                     continue
                 if res_try_norm < res_norm:
@@ -360,12 +397,13 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     solver.dlam_init, halves on any solver failure, grows by solver.growth
     after two consecutive successes, and never drops below
     solver.dlam_floor.  The predictor is the previous initial state; each
-    accepted orbit is checked against problem.region when it is set.  The
-    first step's guess flows at the configured tolerance; every later one
-    is passed to `newton_shooting` with the predicted residual of the
-    previous accepted step's starting residual (its first `newton_trace`
-    entry, or its residual_norm when it took no iteration) times
-    dlam / dlam_prev.  Each attempt adds one `history` record with the
+    accepted orbit is checked against problem.region when it is set.  Each
+    guess's first flow is warm-started from the previous accepted orbit's
+    trajectory.  The first step's guess flows at the configured tolerance;
+    every later one is passed to `newton_shooting` with the predicted
+    residual of the previous accepted step's starting residual (its first
+    `newton_trace` entry, or its residual_norm when it took no iteration)
+    times dlam / dlam_prev.  Each attempt adds one `history` record with the
     rtol its guess was first flowed at (`guess_rtol`) and its Newton
     iterations (`newton_trace`, up to the failure for a failed solve); at
     most ceil(target_lambda / dlam_init) * (1 + the halvings that take
@@ -393,7 +431,7 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
         step_problem = replace(problem, lam=lam_try)
         predicted = residual_per_dlam * dlam
         try:
-            sol = newton_shooting(solutions[-1].x0, step_problem, predicted)
+            sol = newton_shooting(solutions[-1].x0, step_problem, predicted, solutions[-1].trajectory)
         except SolverError as err:
             sol, reason, trace = None, str(err), getattr(err, "newton_trace", [])
         else:

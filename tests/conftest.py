@@ -200,22 +200,37 @@ def desk_start(desk_problem):
 
 
 @pytest.fixture(scope="session")
-def desk_path(desk_problem, desk_start):
-    return continue_lambda(desk_problem, desk_start)
+def desk_continuation(desk_problem, desk_start):
+    """The desk continuation path and its recorded shooting flows (`recorded_flows`)."""
+    with pytest.MonkeyPatch.context() as patch:
+        flows = recorded_flows(patch)
+        path = continue_lambda(desk_problem, desk_start)
+    return path, flows
+
+
+@pytest.fixture(scope="session")
+def desk_path(desk_continuation):
+    return desk_continuation[0]
 
 
 def recorded_flows(monkeypatch) -> list:
-    """Wrap lfe.shooting.integrate: every flow's (IntegratorConfig, Trajectory) is appended to the list."""
+    """Wrap lfe.shooting.integrate: append each flow's (IntegratorConfig, Trajectory, first_step)."""
     flows = []
     integrate = lfe.shooting.integrate
 
-    def recording(*args, **kwargs):
-        traj = integrate(*args, **kwargs)
-        flows.append((args[4], traj))
+    def recording(*args, first_step=None, **kwargs):
+        traj = integrate(*args, first_step=first_step, **kwargs)
+        flows.append((args[4], traj, first_step))
         return traj
 
     monkeypatch.setattr(lfe.shooting, "integrate", recording)
     return flows
+
+
+def first_step_of(flows: list, traj) -> float | None:
+    """The first_step of the one recorded flow whose nodes are those of traj."""
+    (first_step,) = [step for _, flowed, step in flows if flowed.ts is traj.ts]
+    return first_step
 
 
 def loosened(cfg: IntegratorConfig, rtol: float) -> IntegratorConfig:

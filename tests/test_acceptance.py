@@ -100,8 +100,8 @@ def test_run_report_records_every_newton_trace_and_the_rejected_steps(a6_run):
     history = report["continuation"]["history"]
     assert [len(h["newton_trace"]) for h in history] == [3] * 6
     assert history[-1]["newton_trace"] == report["final_orbit"]["newton_trace"]
-    # step control rejected two trial steps in the final orbit's flow
-    assert report["final_orbit"]["n_rejected"] == 2
+    # step control rejected one trial step in the final orbit's flow (two with a cold start)
+    assert report["final_orbit"]["n_rejected"] == 1
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk_flows):
     assert all(step["accepted"] for step in history)
     rtol0 = flows[0][0].rtol  # the lambda = 0 start flows at the configured tolerance
     by_lambda = {}
-    for cfg, traj in flows:
+    for cfg, traj, _ in flows:
         by_lambda.setdefault(traj.lam, []).append(cfg.rtol)
     # the first step's guess flows at rtol0; each later one at the rtol of the previous step's
     # starting residual scaled by dlam / dlam_prev
@@ -138,11 +138,22 @@ def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk_flows):
     assert all(rtols[-1] == rtol0 for rtols in by_lambda.values())
 
 
-def test_desk_continue_takes_fewer_than_190_integrator_steps(desk_flows):
-    # a regression guard on the saving of loose guess flows: 216 steps with every guess at rtol0
+def test_desk_continue_takes_fewer_than_160_integrator_steps(desk_flows):
+    # a regression guard on the saving of loose guess flows (216 steps with every guess at
+    # rtol0), warm starts and trials rounded to rtol0 (183 steps and 26 flows without them)
     flows, _ = desk_flows
-    assert len(flows) <= 26
-    assert sum(len(traj.ts) - 1 for _, traj in flows) < 190
+    assert len(flows) <= 25
+    assert sum(len(traj.ts) - 1 for _, traj, _ in flows) < 160
+
+
+def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):
+    # only the lambda = 0 start has no predecessor: its first step comes from the heuristic
+    flows, _ = desk_flows
+    assert [(traj.lam, step is None) for _, traj, step in flows[:2]] == [(0.0, True), (0.1, False)]
+    assert all(step is not None for _, _, step in flows[1:])
+    # 34 rejected steps and 2656 right-hand-side calls when every flow starts cold
+    assert sum(traj.n_rejected for _, traj, _ in flows) <= 25
+    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 2200
 
 
 def test_light_continue_flows_twice_at_the_configured_tolerance(tmp_path, monkeypatch):
@@ -152,7 +163,7 @@ def test_light_continue_flows_twice_at_the_configured_tolerance(tmp_path, monkey
     flows = recorded_flows(monkeypatch)
     assert main(["continue", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     # the lambda = 0 start and the one step's guess, which already solves lambda = 1
-    assert [(traj.lam, cfg.rtol) for cfg, traj in flows] == [(0.0, 1e-10), (1.0, 1e-10)]
+    assert [(traj.lam, cfg.rtol) for cfg, traj, _ in flows] == [(0.0, 1e-10), (1.0, 1e-10)]
     history = json.loads((tmp_path / "out" / "run_report.json").read_text())["continuation"]["history"]
     assert [step["guess_rtol"] for step in history] == [1e-10]
 

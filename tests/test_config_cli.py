@@ -544,11 +544,12 @@ def test_cli_find_orbit_trial_flows_take_fewer_steps_than_configured_ones(tmp_pa
 
 
 def test_cli_reports_the_rejected_steps_of_the_orbit(tmp_path):
-    # at lambda = 1 with c_B = 0.2, step control rejects two trial steps of the desk orbit's flow
+    # at lambda = 1 with c_B = 0.2, step control rejects one trial step of the desk orbit's
+    # flow, which takes its first step from the previous flow's steps
     text = DESK.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
     out = tmp_path / "out"
     assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
-    assert json.loads((out / "orbit_report.json").read_text())["n_rejected"] == 2
+    assert json.loads((out / "orbit_report.json").read_text())["n_rejected"] == 1
     assert "n_rejected" not in (out / "orbit_report.txt").read_text()
 
 

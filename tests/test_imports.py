@@ -29,24 +29,41 @@ harmonic_1_cos = 0.1 0 0
 lambda = 1.0
 """
 
+# the desk scenario of `continue`: the same fields with c_B = auto, from lambda = 0
+DESK = DESK_ORBIT.replace("c_B = 0.2", "c_B = auto").replace("[initial-state]\nlambda = 1.0\n", "")
+
 _CHILD = """
 import sys
 import lfe.cli
-code = lfe.cli.main(["find-orbit", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+code = lfe.cli.main([sys.argv[1], "--config", sys.argv[2], "--out", sys.argv[3]])
+print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), "numpy.ma" in sys.modules)
 """
 
 
-def test_find_orbit_never_imports_scipy(tmp_path):
-    # integrator, shooting, identities and CSV output all run
-    config = tmp_path / "desk-orbit.ini"
-    config.write_text(DESK_ORBIT)
+def _run(tmp_path, subcommand: str, text: str) -> str:
+    """The last line of a fresh interpreter running the subcommand on the config text.
+
+    It reads: the exit code, the scipy modules imported, and whether numpy.ma was imported.
+    A fresh interpreter, because the test process itself has imported scipy.
+    """
+    config = tmp_path / "scenario.ini"
+    config.write_text(text)
     child = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(config), str(tmp_path / "out")],
+        [sys.executable, "-c", _CHILD, subcommand, str(config), str(tmp_path / "out")],
         env={**os.environ, "PYTHONPATH": str(SRC), "LFE_VERBOSITY": "0"},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.split("\n")[-2] == "0 []"
+    return child.stdout.split("\n")[-2]
+
+
+def test_find_orbit_never_imports_scipy(tmp_path):
+    # integrator, shooting, identities and CSV output all run
+    assert _run(tmp_path, "find-orbit", DESK_ORBIT) == "0 [] False"
+
+
+def test_continue_never_imports_numpy_ma(tmp_path):
+    # numpy.ma (imported by np.median, for one) would add about 1.3 MB to a run's peak memory
+    assert _run(tmp_path, "continue", DESK) == "0 [] False"

@@ -248,6 +248,9 @@ def test_integrate_validates_inputs(gyro_system):
     for shape in [(5,), (2, 7), (1, 2, 6)]:
         with pytest.raises(ValueError, match=r"^initial states must have shape \(6,\) or \(N, 6\)"):
             integrate(gyro_system, np.ones(shape), (0.0, 1.0), 1.0)
+    for first_step in [0.0, -0.1, 1.5]:
+        with pytest.raises(ValueError, match=r"^first_step must lie in \(0, 1\]"):
+            integrate(gyro_system, x0, (0.0, 1.0), 1.0, first_step=first_step)
 
 
 def test_csv_export(tmp_path, gyro_system):
@@ -269,7 +272,7 @@ def test_csv_export(tmp_path, gyro_system):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def _scipy_flow(system, y0, t1, lam):
+def _scipy_flow(system, y0, t1, lam, first_step=None):
     """Nodes, dense output and RHS count of scipy's own DOP853 on the same flat system."""
     shape = y0.shape
     stepper = DOP853(
@@ -279,6 +282,7 @@ def _scipy_flow(system, y0, t1, lam):
         t1,
         rtol=IntegratorConfig().rtol,
         atol=IntegratorConfig().atol,
+        first_step=first_step,
     )
     ts, ys, interps = [0.0], [y0.reshape(-1)], []
     while stepper.status == "running":
@@ -296,19 +300,21 @@ _EQ = find_zero_f0(1.0, [0.0, 0.0, 2.0]).as_array()
 @pytest.mark.parametrize(
     "case",
     [
-        ("gyro", np.array([5.0, 0.0, 0.0, 0.75, 0.0, 0.0]), 1.0, GYRO_PERIOD),
-        ("desk", _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0]), 1.0, 1.0),
-        ("desk", _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0]), 0.5, 1.0),
+        ("gyro", np.array([5.0, 0.0, 0.0, 0.75, 0.0, 0.0]), 1.0, GYRO_PERIOD, None),
+        ("desk", _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0]), 1.0, 1.0, None),
+        ("desk", _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0]), 0.5, 1.0, None),
         # the shooting stack: an orbit and its six forward perturbations
-        ("desk", _EQ + np.vstack([np.zeros(6), 1e-7 * np.eye(6)]), 1.0, 1.0),
+        ("desk", _EQ + np.vstack([np.zeros(6), 1e-7 * np.eye(6)]), 1.0, 1.0, None),
+        # a given first step, too large: step control rejects and shrinks it as scipy does
+        ("desk", _EQ + np.vstack([np.zeros(6), 1e-7 * np.eye(6)]), 1.0, 1.0, 0.5),
     ],
-    ids=["gyro", "desk", "desk-half-lambda", "desk-42-stack"],
+    ids=["gyro", "desk", "desk-half-lambda", "desk-42-stack", "desk-42-stack-first-step"],
 )
 def test_nodes_and_dense_output_equal_scipy(case, method):
-    name, y0, lam, t1 = case
+    name, y0, lam, t1, first_step = case
     system = HomotopySystem(gyro_config() if name == "gyro" else desk_config())
-    ts, ys, oracle, nfev = _scipy_flow(system, y0, t1, lam)
-    traj = integrate(system, y0, (0.0, t1), lam, IntegratorConfig(method=method))
+    ts, ys, oracle, nfev = _scipy_flow(system, y0, t1, lam, first_step)
+    traj = integrate(system, y0, (0.0, t1), lam, IntegratorConfig(method=method), first_step=first_step)
     assert np.array_equal(traj.ts, ts)
     assert np.array_equal(traj.states.reshape(len(ts), -1), ys)
     grid = np.linspace(0.0, t1, 1001)
@@ -317,8 +323,21 @@ def test_nodes_and_dense_output_equal_scipy(case, method):
     assert np.array_equal(traj.interpolant(shuffled), oracle(shuffled))
     for t in list(shuffled[:10]) + list(ts):
         assert np.array_equal(traj.interpolant(t), oracle(t))
-    # scipy's count includes the interpolant stages of every step; ours builds them on reading
+    # scipy's count includes the interpolant stages of every step; ours builds them on reading.
+    # Both start with one call, and the initial-step heuristic takes one more in each
     assert traj.n_rhs_evals == nfev - 3 * (len(ts) - 1)
+
+
+def test_a_first_step_of_the_whole_period_is_rejected_and_shrunk():
+    system = HomotopySystem(desk_config())
+    y0 = _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0])
+    cfg = IntegratorConfig(rtol=1e-10)
+    whole = integrate(system, y0, (0.0, 1.0), 1.0, cfg, first_step=1.0)
+    assert whole.n_rejected >= 1 and len(whole.ts) > 2
+    # one call to start and 12 per trial step: the initial-step heuristic did not run
+    assert whole.n_rhs_evals == 1 + 12 * (len(whole.ts) - 1 + whole.n_rejected)
+    cold = integrate(system, y0, (0.0, 1.0), 1.0, cfg)
+    assert np.abs(whole.states[-1] - cold.states[-1]).max() <= 1e-8
 
 
 def test_trajectory_counts_rejected_steps(gyro_system):

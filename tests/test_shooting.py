@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-from conftest import coulomb_config, force_free_config, loosened, recorded_flows
+from conftest import coulomb_config, first_step_of, force_free_config, loosened, recorded_flows
 from lfe.degree import find_zero_f0
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import IntegratorConfig, StepUnderflow
@@ -89,10 +89,10 @@ def test_failed_damping_names_its_cause(coulomb_problem):
 
     # every trial point stays in the region but no trial flow finishes
     class FailingTrials(ShootingProblem):
-        def flow_with_monodromy(self, x0):
+        def flow_with_monodromy(self, x0, first_step=None):
             if not np.array_equal(x0, guess.as_array()):
                 raise StepUnderflow("trial flow refused")
-            return super().flow_with_monodromy(x0)
+            return super().flow_with_monodromy(x0, first_step)
 
     guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
     failing = FailingTrials(system=coulomb_problem.system, lam=0.0)
@@ -107,13 +107,15 @@ def test_converged_orbit_comes_from_a_flow_at_the_configured_tolerance(coulomb_p
     sol = newton_shooting(guess, coulomb_problem)
     configured = coulomb_problem.integrator
     # the guess's flow at the configured tolerance, then one trial per iteration at its rtol
-    assert [cfg for cfg, _ in flows[: 1 + sol.newton_iterations]] == [configured] + [
+    assert [cfg for cfg, _, _ in flows[: 1 + sol.newton_iterations]] == [configured] + [
         loosened(configured, step["rtol"]) for step in sol.newton_trace
     ]
     assert sol.newton_trace[0]["rtol"] == min(1e-6, 1e-4 * sol.newton_trace[0]["residual"]) > configured.rtol
     # the orbit's trajectory, monodromy and residual are those of a configured-tolerance flow
-    assert [cfg for cfg, traj in flows if traj.ts is sol.trajectory.ts] == [configured]
-    traj, monodromy = coulomb_problem.flow_with_monodromy(sol.x0.as_array())
+    assert [cfg for cfg, traj, _ in flows if traj.ts is sol.trajectory.ts] == [configured]
+    # a re-flow with the first step that flow took is the same flow
+    first_step = first_step_of(flows, sol.trajectory)
+    traj, monodromy = coulomb_problem.flow_with_monodromy(sol.x0.as_array(), first_step)
     assert np.array_equal(sol.monodromy, monodromy)
     assert sol.residual_norm == np.abs(traj.states[-1] - traj.states[0]).max() < 1e-9
 
@@ -128,8 +130,8 @@ def test_a_loose_trial_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
     assert len(sol.newton_trace) == 1
     loose = loosened(configured, sol.newton_trace[0]["rtol"])
     assert loose.rtol > configured.rtol
-    assert [cfg for cfg, _ in flows] == [configured, loose, configured]
-    (_, trial), (_, confirmed) = flows[1:]
+    assert [cfg for cfg, _, _ in flows] == [configured, loose, configured]
+    (_, trial, _), (_, confirmed, _) = flows[1:]
     loose_residual = np.abs(trial.states[-1, 0] - trial.states[0, 0]).max()
     assert loose_residual < 1e-5 and sol.residual_norm < 1e-5
     assert sol.trajectory.ts is confirmed.ts
@@ -144,8 +146,23 @@ def test_a_loose_trial_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
         sol.newton_trace[0]["residual"],
         sol.residual_norm,
     ]
-    assert [cfg for cfg, _ in flows[:3]] == [configured, loose, configured]
+    assert [cfg for cfg, _, _ in flows[:3]] == [configured, loose, configured]
     assert again.residual_norm < between
+
+
+def test_a_trial_rtol_below_twice_the_configured_one_flows_once_at_it(coulomb_problem, monkeypatch):
+    flows = recorded_flows(monkeypatch)
+    # the guess's residual, about 1.5e-6, asks for a trial rtol of about 1.5e-10 < 2 rtol0
+    guess = State(q=EQ.q + np.array([3.5e-7, 0.0, 0.0]), p=np.zeros(3))
+    sol = newton_shooting(guess, coulomb_problem)
+    configured = coulomb_problem.integrator
+    (step,) = sol.newton_trace
+    assert 1e-6 < step["residual"] < 2e-6
+    assert step["rtol"] == configured.rtol
+    # the trial flows once, at rtol0, and gives the orbit: there is no confirming re-flow
+    assert [cfg for cfg, _, _ in flows] == [configured, configured]
+    assert sol.trajectory.ts is flows[1][1].ts
+    assert sol.residual_norm < 1e-9
 
 
 def test_a_predicted_residual_sets_the_tolerance_of_the_guess_flow(coulomb_problem, monkeypatch):
@@ -158,13 +175,14 @@ def test_a_predicted_residual_sets_the_tolerance_of_the_guess_flow(coulomb_probl
     capped = flows[0][1]
     r = np.abs(capped.states[-1, 0] - capped.states[0, 0]).max()
     assert 1e-10 < 1e-4 * r < 1e-6
-    assert [cfg for cfg, _ in flows[: 2 + sol.newton_iterations]] == [
+    assert [cfg for cfg, _, _ in flows[: 2 + sol.newton_iterations]] == [
         loosened(configured, 1e-6),
         loosened(configured, 1e-4 * r),
     ] + [loosened(configured, step["rtol"]) for step in sol.newton_trace]
     # the orbit's trajectory, monodromy and residual are those of a configured-tolerance flow
-    assert [cfg for cfg, traj in flows if traj.ts is sol.trajectory.ts] == [configured]
-    traj, monodromy = coulomb_problem.flow_with_monodromy(sol.x0.as_array())
+    assert [cfg for cfg, traj, _ in flows if traj.ts is sol.trajectory.ts] == [configured]
+    first_step = first_step_of(flows, sol.trajectory)
+    traj, monodromy = coulomb_problem.flow_with_monodromy(sol.x0.as_array(), first_step)
     assert np.array_equal(sol.monodromy, monodromy)
     assert sol.residual_norm == np.abs(traj.states[-1] - traj.states[0]).max() < 1e-9
 
@@ -178,7 +196,7 @@ def test_a_loose_guess_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
     flows = recorded_flows(monkeypatch)
     sol = newton_shooting(guess, problem, predicted_residual=predicted)
     configured = problem.integrator
-    assert [cfg for cfg, _ in flows] == [loosened(configured, 1e-4 * predicted), configured]
+    assert [cfg for cfg, _, _ in flows] == [loosened(configured, 1e-4 * predicted), configured]
     assert sol.newton_trace == []
     assert sol.trajectory.ts is flows[1][1].ts
 
@@ -213,12 +231,13 @@ def per_column_monodromy(x0: State, problem: ShootingProblem, step: float = 1e-7
     return np.column_stack(columns)
 
 
-def test_stacked_monodromy_matches_separate_flows(desk_problem, desk_path):
-    final = desk_path.final
+def test_stacked_monodromy_matches_separate_flows(desk_problem, desk_continuation):
+    path, flows = desk_continuation
+    final = path.final
     assert final.lam == 1.0
     problem = dataclasses.replace(desk_problem, lam=final.lam)
-    # the orbit's monodromy is the one at its own x0
-    _, monodromy = problem.flow_with_monodromy(final.x0.as_array())
+    # the orbit's monodromy is the one at its own x0, flowed with the first step its flow took
+    _, monodromy = problem.flow_with_monodromy(final.x0.as_array(), first_step_of(flows, final.trajectory))
     assert np.array_equal(final.monodromy, monodromy)
     assert np.abs(monodromy - per_column_monodromy(final.x0, problem)).max() < 1e-6
     # the deformed field is divergence-free, so the flow preserves volume (Liouville)
