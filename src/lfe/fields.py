@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from lfe.sampling import log_radii, shells, sphere_directions
 
@@ -46,8 +45,8 @@ class SingularityError(ValueError):
 def radial_powers(q) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """q as floats and its radial data (|q|^-2, |q|^-3), each of shape (1,) or (N, 1)."""
     q = np.asarray(q, dtype=float)
-    r2 = np.add.reduce(q * q, axis=-1, keepdims=True)
-    if not r2.all():
+    r2 = np.einsum("...i,...i", q, q)[..., None]
+    if np.count_nonzero(r2) != r2.size:
         raise SingularityError("fields are singular at the origin")
     s = 1.0 / r2
     return q, (s, s * np.sqrt(s))
@@ -163,7 +162,8 @@ class DipoleField:
 
     def eval(self, t: float, q, rad) -> np.ndarray:
         s, s3 = rad
-        mu_q = np.add.reduce(q * self.moment, axis=-1, keepdims=True)
+        # einsum, not q @ moment, whose BLAS sum differs between a row and a stack
+        mu_q = np.einsum("...i,i", q, self.moment)[..., None]
         return s3 * (3.0 * s * mu_q * q - self.moment)
 
     def envelope(self, r: float) -> float:
@@ -258,6 +258,8 @@ class Forcing:
     mean: np.ndarray
     harmonics: tuple = ()
     mean_norm: float = field(init=False, repr=False, compare=False)  # |mean|, from `mean_norm`
+    # (2 pi k / T, np.cos or np.sin, its coefficient) per nonzero a_k and b_k, for `eval`
+    _waves: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.period <= 0:
@@ -265,19 +267,34 @@ class Forcing:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "mean_norm", mean_norm(self.mean))
         object.__setattr__(self, "harmonics", tuple(self.harmonics))
-
-    def eval(self, t) -> np.ndarray:
-        """h at t of shape () or (n,): shape (3,) or (n, 3), row i equal to h at time i alone."""
-        t = np.asarray(t, dtype=float)
-        h = np.empty(t.shape + (3,))
-        h[...] = self.mean
-        t = t[..., None] if t.ndim else t
         w = 2.0 * math.pi / self.period
-        for harm in self.harmonics:
-            angle = w * harm.k * t
-            h += harm.cos_coeff * np.cos(angle)
-            h += harm.sin_coeff * np.sin(angle)
-        return h
+        waves = tuple(
+            (w * harm.k, wave, coeff)
+            for harm in self.harmonics
+            for wave, coeff in ((np.cos, harm.cos_coeff), (np.sin, harm.sin_coeff))
+            if coeff.any()
+        )
+        object.__setattr__(self, "_waves", waves)
+
+    def eval(self, t, scale: float = 1.0) -> np.ndarray:
+        """mean + scale * (h(t) - mean) at t of shape () or (n,): shape (3,) or (n, 3).
+
+        scale = 1 gives h(t).  The harmonic terms are summed first and the
+        mean is added once, so a scaled forcing costs one pass; row i equals
+        the value at time i alone.
+        """
+        t = np.asarray(t, dtype=float)
+        if scale == 0.0 or not self._waves:
+            h = np.empty(t.shape + (3,))
+            h[...] = self.mean
+            return h
+        # a numpy scalar, not a 0-d array: it multiplies a Python float at a tenth of the cost
+        t = t[..., None] if t.ndim else t[()]
+        total = None
+        for w, wave, coeff in self._waves:
+            term = coeff * wave(w * t)
+            total = term if total is None else total + term
+        return self.mean + scale * total
 
     def is_constant(self) -> bool:
         return len(self.harmonics) == 0
@@ -317,7 +334,27 @@ class Forcing:
         return total + float(np.sum(whole))
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(6)
+# numpy.polynomial.legendre.leggauss(6), written out so the runtime does not import numpy.polynomial
+_GL_NODES = np.array(
+    [
+        -0.9324695142031519,
+        -0.6612093864662645,
+        -0.2386191860831969,
+        0.2386191860831969,
+        0.6612093864662645,
+        0.9324695142031519,
+    ]
+)
+_GL_WEIGHTS = np.array(
+    [
+        0.17132449237917027,
+        0.3607615730481387,
+        0.46791393457269104,
+        0.46791393457269104,
+        0.3607615730481387,
+        0.17132449237917027,
+    ]
+)
 _L1_HALVINGS = 60
 
 

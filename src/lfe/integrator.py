@@ -62,6 +62,8 @@ def _rms(x: np.ndarray) -> float:
 _STAGES = butcher.DOP853_STAGES
 _ROWS = len(butcher.DOP853_C)
 _ERROR_ORDER = 7
+# step-size control: safety factor and the bounds of one step's change
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 
 
 def _error_norm(k: np.ndarray, h: float, scale: np.ndarray) -> float:
@@ -183,13 +185,15 @@ class Trajectory:
         """A first step for a flow over the same span at rtol_ratio times this run's rtol.
 
         The middle one of the sorted accepted steps, scaled by
-        rtol_ratio ** (1 / 8), the step controller's exponent, and at most
-        the span.  The few steps are sorted by Python: `np.median` would
-        import numpy.ma, and `np.sort` would map numpy's SIMD sort code,
-        either of which raises a run's peak memory.
+        rtol_ratio ** (1 / 8), the step controller's exponent, and by its
+        safety factor 0.9, as step control scales every step it proposes,
+        and at most the span; without that factor the first step overshoots
+        and is often rejected.  The few steps are sorted by Python:
+        `np.median` would import numpy.ma, and `np.sort` would map numpy's
+        SIMD sort code, either of which raises a run's peak memory.
         """
         steps = sorted(np.diff(self.ts).tolist())
-        h = steps[len(steps) // 2] * rtol_ratio ** (1 / (_ERROR_ORDER + 1))
+        h = _SAFETY * steps[len(steps) // 2] * rtol_ratio ** (1 / (_ERROR_ORDER + 1))
         return min(h, self.t1 - self.t0)
 
     def row(self, i: int) -> "Trajectory":
@@ -252,20 +256,21 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> float:
     return min(100 * h0, h1, interval_length)
 
 
+# (s, c_s, a_s0 ... a_s(s-1)) of the stages after the first, read once at import
+_STAGE_ROWS = tuple((s, float(butcher.DOP853_C[s]), butcher.DOP853_A[s, :s]) for s in range(1, _STAGES))
+
+
 def _rk_step(fun, t, y, f, h, k):
     """One step from (t, y) with f = fun(t, y); fills the stages k and returns y_new, f_new."""
     k[0] = f
-    for s in range(1, _STAGES):
-        dy = np.dot(k[:s].T, butcher.DOP853_A[s, :s]) * h
-        k[s] = fun(t + butcher.DOP853_C[s] * h, y + dy)
+    for s, c, a in _STAGE_ROWS:
+        k[s] = fun(t + c * h, y + np.dot(k[:s].T, a) * h)
     y_new = y + h * np.dot(k[:_STAGES].T, butcher.DOP853_B)
     f_new = fun(t + h, y_new)
     k[_STAGES] = f_new
     return y_new, f_new
 
 
-# step-size control: safety factor and the bounds of one step's change
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -307,15 +312,15 @@ def integrate(
     if r0 <= cfg.r_min:
         raise ValueError(f"initial position |q| = {r0:g} is inside the guard radius r_min = {cfg.r_min:g}")
 
-    n_evals = 0
+    n_evals, members = 0, y0.size // 6
 
     def fun(t, y):
-        """The flat right-hand side at time t, or at times t (k,) for k flat states y (k, n)."""
+        """The flat right-hand side of a flat state y (n,) at t, or of k states y (k, n) at times t (k,)."""
         nonlocal n_evals
         n_evals += 1
-        if np.ndim(t) == 0:
+        if y.ndim == 1:
             return system.rhs_array(t, y.reshape(shape), lam).reshape(-1)
-        return system.rhs_array(np.repeat(t, y0.size // 6), y.reshape(-1, 6), lam).reshape(y.shape)
+        return system.rhs_array(np.repeat(t, members), y.reshape(-1, 6), lam).reshape(y.shape)
 
     rtol, atol = max(cfg.rtol, 100 * np.finfo(float).eps), cfg.atol
     exponent = -1 / (_ERROR_ORDER + 1)

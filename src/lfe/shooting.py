@@ -32,16 +32,17 @@ count against max_iterations.  Each `newton_trace` entry records the
 Flows are warm-started.  Each flow integrates the same period from a
 state close to its predecessor's, so it takes its first step from the
 predecessor's steps (`Trajectory.warm_step`): their middle one, scaled
-by (rtol / rtol_prev) ** (1/8), the step controller's exponent, instead
-of the initial-step heuristic.  Within a solve the predecessor is the
-iterate's flow; the guess of a continuation step follows the previous
-accepted orbit's flow, which ran at rtol0.  Only the first flow of a
-solve without a previous orbit (the lam = 0 start, `find-orbit`) starts
-cold.
+by (rtol / rtol_prev) ** (1/8), the step controller's exponent, and by
+its safety factor 0.9, instead of the initial-step heuristic.  Within a
+solve the predecessor is the iterate's flow; the guess of a continuation
+step follows the previous accepted orbit's flow, which ran at rtol0.
+Only the first flow of a solve without a previous orbit (the lam = 0
+start, `find-orbit`) starts cold.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -167,18 +168,27 @@ def periodicity_residual(x0: State, problem: ShootingProblem) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrbitSolution:
+    system: HomotopySystem
     lam: float
     x0: State
     trajectory: Trajectory
     residual_norm: float
     monodromy: np.ndarray
-    diagnostics: dict  # the integral identities of `orbit_identities`
     # per Newton iteration: the residual sup-norm it started from, its damping alpha and trial rtol
     newton_trace: list
 
     @property
     def newton_iterations(self) -> int:
         return len(self.newton_trace)
+
+    @functools.cached_property
+    def diagnostics(self) -> dict:
+        """The integral identities of `orbit_identities`, computed when first read.
+
+        A continuation reads them of its final orbit only, so the orbits
+        before it never build their dense output for them.
+        """
+        return orbit_identities(self.system, self.trajectory)
 
     def summary(self) -> dict:
         out = {
@@ -357,12 +367,12 @@ def newton_shooting(
         raise
 
     return OrbitSolution(
+        system=problem.system,
         lam=problem.lam,
         x0=State.from_array(y),
         trajectory=traj,
         residual_norm=res_norm,
         monodromy=monodromy,
-        diagnostics=orbit_identities(problem.system, traj),
         newton_trace=trace,
     )
 

@@ -227,6 +227,19 @@ def recorded_flows(monkeypatch) -> list:
     return flows
 
 
+def counted_identities(monkeypatch) -> list:
+    """Wrap lfe.shooting.orbit_identities: append the trajectory of each call."""
+    calls = []
+    identities = lfe.shooting.orbit_identities
+
+    def counting(system, traj):
+        calls.append(traj)
+        return identities(system, traj)
+
+    monkeypatch.setattr(lfe.shooting, "orbit_identities", counting)
+    return calls
+
+
 def first_step_of(flows: list, traj) -> float | None:
     """The first_step of the one recorded flow whose nodes are those of traj."""
     (first_step,) = [step for _, flowed, step in flows if flowed.ts is traj.ts]

@@ -18,6 +18,7 @@ from lfe.fields import (
     SingularityError,
     UniformField,
     ZeroField,
+    gauss_legendre,
     magnetic_ceiling,
     power_law,
     radial_powers,
@@ -304,6 +305,15 @@ def test_forcing_takes_one_time_per_row():
     times = np.random.default_rng(5).uniform(-3.0, 3.0, size=50)
     assert f.eval(0.7).shape == (3,)
     assert np.array_equal(f.eval(times), [f.eval(t) for t in times])
+
+
+def test_gauss_legendre_rule_is_numpys_leggauss():
+    # the runtime writes the nodes and weights out instead of importing numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = gauss_legendre([-1.0], [1.0])
+    expected = leggauss(6)
+    assert np.array_equal(nodes[0], expected[0]) and np.array_equal(weights[0], expected[1])
 
 
 def test_validate_passes_on_desk_scenario():

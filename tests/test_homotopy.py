@@ -10,7 +10,9 @@ from lfe.degree import find_zero_f0
 from lfe.fields import (
     ABCField,
     DipoleField,
+    Forcing,
     GeneralizedCoulomb,
+    Harmonic,
     SingularityError,
     UniformField,
     ZeroField,
@@ -344,3 +346,27 @@ def test_rhs_takes_one_time_per_row(magnetic):
         assert np.array_equal(h, [system.h_lambda(t, lam) for t in times])
         out = system.rhs_array(times, stack, lam)
         assert np.array_equal(out, [system.rhs_array(t, y, lam) for t, y in zip(times, stack)])
+
+
+def test_multi_harmonic_forcing_takes_one_time_per_row():
+    # three harmonics, each with a cosine and a sine term, against the desk fields
+    harmonics = (
+        Harmonic(1, [0.3, -0.1, 0.2], [0.05, 0.4, -0.2]),
+        Harmonic(2, [-0.2, 0.15, 0.1], [0.1, -0.05, 0.3]),
+        Harmonic(3, [0.1, 0.2, -0.15], [-0.25, 0.1, 0.05]),
+    )
+    forcing = Forcing(1.0, [0.0, 0.0, 2.0], harmonics)
+    system = HomotopySystem(dataclasses.replace(desk_config(), forcing=forcing))
+    rng = np.random.default_rng(38)
+    stack = np.array([random_state(rng).as_array() for _ in range(7)])
+    times = rng.uniform(0.0, 1.0, size=7)
+    for lam in (0.0, 0.4, 1.0):
+        h = system.h_lambda(times, lam)
+        out = system.rhs_array(times, stack, lam)
+        for i, t in enumerate(times):
+            assert np.array_equal(system.h_lambda(t, lam), h[i])
+            assert np.array_equal(system.rhs_array(t, stack[i], lam), out[i])
+        # one pass, mean + lam * (h - mean), against the blend that defines h_lambda
+        blend = lam * forcing.eval(times) + (1.0 - lam) * forcing.mean
+        size = np.linalg.norm(blend, axis=-1, keepdims=True)
+        assert np.all(np.abs(h - blend) <= 1e-15 * size), lam

@@ -1,4 +1,4 @@
-"""The runtime imports numpy only: scipy stays a test dependency."""
+"""The runtime imports numpy only: scipy stays a test dependency, and numpy.polynomial is not loaded."""
 
 import os
 import subprocess
@@ -67,3 +67,27 @@ def test_find_orbit_never_imports_scipy(tmp_path):
 def test_continue_never_imports_numpy_ma(tmp_path):
     # numpy.ma (imported by np.median, for one) would add about 1.3 MB to a run's peak memory
     assert _run(tmp_path, "continue", DESK) == "0 [] False"
+
+
+_POLYNOMIAL = """
+import sys
+{}
+print(sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "polynomial"]))
+"""
+
+
+def test_import_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rule is written out: numpy.polynomial added about 4.7 ms to `import lfe.cli`
+    loaded = {}
+    for module in ("numpy", "lfe.cli"):
+        child = subprocess.run(
+            [sys.executable, "-c", _POLYNOMIAL.format(f"import {module}")],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        loaded[module] = child.stdout.strip()
+    # an older numpy imports numpy.polynomial itself; lfe.cli adds none of it
+    assert loaded["lfe.cli"] == loaded["numpy"]

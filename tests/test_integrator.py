@@ -340,6 +340,18 @@ def test_a_first_step_of_the_whole_period_is_rejected_and_shrunk():
     assert np.abs(whole.states[-1] - cold.states[-1]).max() <= 1e-8
 
 
+def test_warm_step_is_the_middle_step_scaled_as_step_control_scales_a_step():
+    system = HomotopySystem(desk_config())
+    y0 = _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0])
+    traj = integrate(system, y0, (0.0, 1.0), 1.0, IntegratorConfig(rtol=1e-10))
+    steps = sorted(np.diff(traj.ts).tolist())
+    middle = steps[len(steps) // 2]
+    # the controller's exponent 1/8 and its safety factor 0.9; at most the span
+    assert traj.warm_step(1.0) == 0.9 * middle
+    assert traj.warm_step(1e4) == 0.9 * middle * 1e4 ** (1 / 8) < 1.0
+    assert traj.warm_step(1e30) == 1.0
+
+
 def test_trajectory_counts_rejected_steps(gyro_system):
     x0 = np.array([5.0, 0.0, 0.0, 0.75, 0.0, 0.0])
     traj = integrate(gyro_system, x0, (0.0, GYRO_PERIOD), 1.0)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
-from conftest import coulomb_config, first_step_of, force_free_config, loosened, recorded_flows
+from conftest import (
+    coulomb_config,
+    counted_identities,
+    first_step_of,
+    force_free_config,
+    loosened,
+    recorded_flows,
+)
 from lfe.degree import find_zero_f0
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import IntegratorConfig, StepUnderflow
@@ -250,6 +257,19 @@ def test_identities_on_converged_orbit(coulomb_problem):
     assert d["mean_identity"] < 1e-6
     assert d["virial_lhs"] <= 1e-6
     assert d["virial_gap"] < 1e-6
+
+
+def test_identities_are_computed_when_first_read(desk_problem, desk_start, monkeypatch):
+    calls = counted_identities(monkeypatch)
+    path = continue_lambda(desk_problem, desk_start)
+    assert path.status == "reached_target" and len(path.solutions) == 7
+    # no orbit of the path builds its dense output for the identities
+    assert calls == []
+    diagnostics = path.final.diagnostics
+    assert len(calls) == 1 and calls[0] is path.final.trajectory
+    # a second read is the cached result
+    assert path.final.diagnostics is diagnostics
+    assert len(calls) == 1
 
 
 def test_lambda_independent_family_single_step():
