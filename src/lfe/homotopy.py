@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lfe.fields import FieldConfig, radial_powers
-from lfe.kinematics import lorentz_factor
+from lfe.kinematics import lorentz_factor, phi_inv
 
 
 # (v x B)_i = v_(i+1) b_(i-1) - v_(i-1) b_(i+1): components [i+1, i-1] of v and [i-1, i+1] of b
@@ -60,16 +60,14 @@ class HomotopySystem:
         shape (N,); row i of a stack result equals the result for row i
         alone at its time.
         One pass over the stack: all field terms share one `radial_powers`,
-        v = phi_inv(p) is computed inline, v x B is one product of two
-        six-wide gathers and one difference, and the output is built once.
+        v = phi_inv(p) once, v x B is one product of two six-wide gathers
+        and one difference, and the output is built once.
         A row at the origin raises SingularityError, while non-finite input
         propagates to non-finite output so the step controller can reject
         and shrink the step.
         """
         q, rad = radial_powers(y[..., :3])
-        p = y[..., 3:]
-        # phi_inv(p), with its nested hypot: sqrt(1 + |p|^2) overflows past |p| ~ 1e154
-        v = p / np.hypot(1.0, np.hypot(np.hypot(p[..., 0], p[..., 1]), p[..., 2]))[..., None]
+        v = phi_inv(y[..., 3:])
         force = self.h_lambda(t, lam) - self.grad_V_lambda(q, rad, lam)
         if lam != 0.0:
             # v x B from cyclic shifts: np.cross costs more than the rest of the call

@@ -553,6 +553,17 @@ def test_cli_reports_the_rejected_steps_of_the_orbit(tmp_path):
     assert "n_rejected" not in (out / "orbit_report.txt").read_text()
 
 
+def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path):
+    # the benchmark's desk-orbit scenario: its final residual, 8.6e-10, sits 14 % below
+    # newton_tol, so a small drift in the flows would cost a fifth iteration and flow
+    text = DESK.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
+    out = tmp_path / "out"
+    assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    orbit = json.loads((out / "orbit_report.json").read_text())
+    assert orbit["newton_iterations"] == 4
+    assert orbit["residual_norm"] < lfe.shooting.SolverOptions().newton_tol
+
+
 def test_cli_continue_without_start_orbit_records_solver_error(tmp_path):
     text = LIGHT.replace("seed = 7", "seed = 7\nnewton_tol = 1e-300\nmax_iterations = 1")
     out = tmp_path / "out"
