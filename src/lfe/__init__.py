@@ -22,7 +22,7 @@ from lfe.fields import (
     validate_hypotheses,
 )
 from lfe.homotopy import HomotopySystem
-from lfe.integrator import IntegratorConfig, Trajectory, energy_drift, integrate
+from lfe.integrator import IntegratorConfig, Trajectory, integrate
 from lfe.kinematics import State, lorentz_factor, phi, phi_inv
 from lfe.shooting import (
     ContinuationPath,
@@ -31,7 +31,6 @@ from lfe.shooting import (
     SolverOptions,
     continue_lambda,
     newton_shooting,
-    periodicity_residual,
 )
 
 __all__ = [
@@ -53,12 +52,10 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "integrate",
-    "energy_drift",
     "ShootingProblem",
     "SolverOptions",
     "OrbitSolution",
     "ContinuationPath",
-    "periodicity_residual",
     "newton_shooting",
     "continue_lambda",
     "BoundsCertificate",

@@ -140,7 +140,7 @@ def _initial_state(cfg: RunConfig) -> State:
 
 
 def cmd_validate(cfg: RunConfig, report: _Report) -> int:
-    validation = validate_hypotheses(cfg.fields, seed=cfg.solver.seed)
+    validation = validate_hypotheses(cfg.fields)
     record = dataclasses.asdict(validation)
     run = {"validation_passed": validation.passed, "validation": record["checks"]}
     report.section("validate", "hypothesis validation", validation.lines(), record, run)
@@ -274,7 +274,7 @@ def cmd_continue(cfg: RunConfig, report: _Report) -> int:
 
 # subcommand -> (help, command, stem of the report the command writes)
 _COMMANDS = {
-    "validate": ("check the field hypotheses on sample clouds", cmd_validate, "validate_report"),
+    "validate": ("check the field hypotheses against the field kinds' closed forms", cmd_validate, "validate_report"),
     "bounds": ("compute the a priori bound certificate", cmd_bounds, "certificate"),
     "degree": ("compute the degree of the autonomous field", cmd_degree, "degree_report"),
     "integrate": ("integrate one trajectory and export CSV", cmd_integrate, None),

@@ -4,17 +4,18 @@ The solver needs four structural properties of the field configuration:
 the electric force decays at infinity, it repels from the origin at a
 known singular rate, the magnetic field has a finite ceiling at infinity,
 and its singularity at the origin is strictly weaker than the electric
-one.  `validate_hypotheses` checks all of them on seeded sample clouds
-and reports pass/fail per condition; the checks are sampled, not proven.
-Their numbers come from one sweep, `shell_maxima`: per sphere of radius
-r, the maximum of |grad V|, of q . grad V, or of |B| over a time grid.
+one.  `validate_hypotheses` compares the constants of the configuration
+with the field kinds' closed forms and reports pass/fail per condition;
+it evaluates no field.
 
-Each field kind carries the closed forms the certificate reads instead
-of sampling: `envelope(r)`, a non-increasing bound of |grad V| or |B| on
-the sphere |q| = r (attained but for ABC), for R, C_gradV_B and M; a
-potential kind's `radial_law()`, the (a, g) of its exact
--q . grad V = a |q|^-g, for epsilon; a magnetic kind's `ceiling()`, its
-`c_B = auto`; and `near_origin(gamma)`, its default (c1, beta), if any.
+Each field kind carries the closed forms that the hypothesis checks and
+the certificate read instead of sampling: `envelope(r)`, a
+non-increasing bound of |grad V| or |B| on the sphere |q| = r (attained
+but for ABC), for R, C_gradV_B and M; a potential kind's `radial_law()`,
+the (a, g) of its exact -q . grad V = a |q|^-g, for epsilon; a magnetic
+kind's `envelope_law()`, the (c, k) of its envelope c r^-k, for the
+magnetic growth check; its `ceiling()`, its `c_B = auto`; and
+`near_origin(gamma)`, its default (c1, beta), if any.
 
 Every potential and magnetic field takes one point `q` of shape (3,) or
 a cloud of shape (N, 3) through the same code path and returns the
@@ -34,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from lfe.sampling import log_radii, shells, sphere_directions
 
 
 class SingularityError(ValueError):
@@ -105,13 +104,21 @@ class GeneralizedCoulomb:
 # ---------------------------------------------------------------------------
 
 
+class _PowerLawEnvelope:
+    """A magnetic kind whose envelope of |B| is the power law c r^-k of its `envelope_law()`."""
+
+    def envelope(self, r: float) -> float:
+        c, k = self.envelope_law()
+        return power_law(c, r, k)
+
+
 @dataclass(frozen=True)
-class ZeroField:
+class ZeroField(_PowerLawEnvelope):
     def eval(self, t: float, q, rad) -> np.ndarray:
         return np.zeros(np.shape(q))
 
-    def envelope(self, r: float) -> float:
-        return 0.0
+    def envelope_law(self) -> tuple[float, float]:
+        return 0.0, 0.0
 
     def ceiling(self) -> float:
         return 1.0  # any positive ceiling holds
@@ -121,7 +128,7 @@ class ZeroField:
 
 
 @dataclass(frozen=True)
-class UniformField:
+class UniformField(_PowerLawEnvelope):
     b: np.ndarray
 
     def __post_init__(self):
@@ -130,20 +137,15 @@ class UniformField:
     def eval(self, t: float, q, rad) -> np.ndarray:
         return np.broadcast_to(self.b, np.shape(q)).copy()
 
-    def envelope(self, r: float) -> float:
-        return math.hypot(*self.b)
+    def envelope_law(self) -> tuple[float, float]:
+        return math.hypot(*self.b), 0.0
 
     def ceiling(self) -> float:
-        if self.b.any():  # |B| = |b| at every sample, so no ceiling lies strictly above it
-            raise ValueError(
-                f"c_B = auto: a uniform field has |B| = {self.envelope(1.0):g} everywhere, "
-                "and c_B must lie strictly above it; give c_B as a number"
-            )
-        return 1.0
+        return self.envelope(1.0) or 1.0
 
 
 @dataclass(frozen=True)
-class DipoleField:
+class DipoleField(_PowerLawEnvelope):
     """Point dipole  B(q) = 3 q (mu.q) |q|^-5 - mu |q|^-3  (prefactor absorbed in mu).
 
     |B(q)| <= c1 |q|^-3 with c1 = 2|mu| (by `math.hypot`), with equality on
@@ -166,8 +168,8 @@ class DipoleField:
         mu_q = np.einsum("...i,i", q, self.moment)[..., None]
         return s3 * (3.0 * s * mu_q * q - self.moment)
 
-    def envelope(self, r: float) -> float:
-        return power_law(self.c1, r, 3.0)
+    def envelope_law(self) -> tuple[float, float]:
+        return self.c1, 3.0
 
     def ceiling(self) -> float:
         return self.c1 or 1.0
@@ -177,7 +179,7 @@ class DipoleField:
 
 
 @dataclass(frozen=True)
-class ABCField:
+class ABCField(_PowerLawEnvelope):
     """Arnold-Beltrami-Childress field: bounded, divergence-free, trigonometric.
 
     |B| <= sup = |(|A| + |C|, |B| + |A|, |C| + |B|)| (by `math.hypot`)
@@ -213,8 +215,8 @@ class ABCField:
             axis=-1,
         )
 
-    def envelope(self, r: float) -> float:
-        return self.sup
+    def envelope_law(self) -> tuple[float, float]:
+        return self.sup, 0.0
 
     def ceiling(self) -> float:
         return self.sup or 1.0
@@ -374,13 +376,14 @@ class FieldConfig:
     """Potential + magnetic field + forcing, with the bound constants made explicit.
 
     c0, gamma, eps0: near-origin electric repulsion,  q.grad V <= -c0 |q|^(-gamma)
-                     for |q| < eps0.
+                     for |q| <= eps0.
     c_B:             ceiling of |B| at large |q|.
     c1, beta, eps1:  near-origin magnetic growth,  |B| <= c1 |q|^(-beta-1)
-                     for |q| < eps1.  c1 = 0 is allowed for a vanishing field.
+                     for |q| <= eps1.  c1 = 0 is allowed for a vanishing field.
 
     Construction only enforces positivity/shape; whether the recorded
-    constants actually hold for the fields is the validator's job.
+    constants hold for the fields is the validator's job, which compares
+    them with the field kinds' closed forms.
     """
 
     potential: object
@@ -428,17 +431,10 @@ def check_table(checks, name_width: int, digits: int, overall: str = "") -> list
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the sampled hypothesis checks.
-
-    `passed` is the conjunction of all checks.  The sweeps use the recorded
-    seed, so the report is reproducible; sign conditions over all of space
-    are sampled, not proven, and the report says so.
-    """
+    """Outcome of the hypothesis checks; `passed` is the conjunction of all checks."""
 
     checks: tuple
-    seed: int
     passed: bool = field(init=False)
-    note: str = "sampled, not proven"
 
     def __post_init__(self):
         object.__setattr__(self, "passed", all(c.passed for c in self.checks))
@@ -447,109 +443,84 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
     def lines(self) -> list[str]:
-        return check_table(self.checks, 28, 3, f"  (seed={self.seed}; {self.note})")
-
-
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
-
-
-def _magnitudes(v: np.ndarray) -> np.ndarray:
-    """|v| over the last axis of v (..., 3), without the under- and overflow of its squares.
-
-    np.linalg.norm squares the components, so a row with |v| below about
-    sqrt(tiny) reads as 0 or loses digits, and one beyond about 1e154 as
-    inf.  Only those rows are redone with nested hypot, as in
-    `kinematics.lorentz_factor`; an all-zero v has nothing to redo.
-    """
-    with np.errstate(over="ignore"):
-        n = np.linalg.norm(v, axis=-1)
-    redo = (n < _SQRT_TINY) | np.isinf(n)
-    if redo.any() and v.any():
-        w = v[redo]
-        n[redo] = np.hypot(np.hypot(w[:, 0], w[:, 1]), w[:, 2])
-    return n
-
-
-def shell_maxima(radii, directions, potential=None, magnetic=None, period=None, *, radial=False):
-    """(v, b): maxima over each sphere |q| = radii[i], sampled at `directions`.
-
-    v is the maximum of |grad V| of `potential` (of q . grad V if `radial`),
-    b of |B| of `magnetic` over the times 0, T/4, T/2, 3T/4, T of `period`;
-    each is None if its field is.  A NaN sample makes its sphere's maximum
-    NaN.  Rounding is monotone, so a margin bound - v is the least margin
-    over the sphere's samples, bit for bit.
-    """
-    q, rad = radial_powers(shells(radii, directions))
-    v = b = None
-    if potential is not None:
-        g = potential.gradient(q, rad)
-        v = np.add.reduce(q * g, axis=-1) if radial else _magnitudes(g)
-        v = np.maximum.reduce(v.reshape(len(radii), -1), axis=1)
-    if magnetic is not None:
-        b = [_magnitudes(magnetic.eval(t, q, rad)) for t in np.linspace(0.0, period, 5)]
-        b = np.maximum.reduce(np.reshape(b, (len(b), len(radii), -1)), axis=(0, 2))
-    return v, b
+        return check_table(self.checks, 28, 3)
 
 
 _FAR_RADII = (1e1, 1e2, 1e3, 1e4)
 
 
-def validate_hypotheses(config: FieldConfig, *, seed: int) -> ValidationReport:
-    """Check the decay/repulsion/ceiling/singularity-order conditions on samples.
+def dominated(c: float, k: float, bound_c: float, bound_k: float, eps: float) -> tuple[bool, float]:
+    """(holds, margin) of  c r^-k <= bound_c r^-bound_k  for all 0 < r <= eps, with c >= 0.
 
-    Never raises for a violated hypothesis; every condition becomes a
-    pass/fail entry with its worst sampled margin.
+    Divided by r^-bound_k, the left side c r^(bound_k - k) is non-decreasing
+    in r for k <= bound_k, so the end point decides: margin
+    bound_c - c eps^(bound_k - k).  For k > bound_k it grows without bound
+    as r -> 0, so only c = 0 holds; otherwise the margin is -inf.
     """
-    checks = []
-    dirs = sphere_directions(6, seed)
+    if k > bound_k and c:
+        return False, -math.inf
+    margin = bound_c - power_law(c, eps, k - bound_k)
+    return margin >= 0.0, margin
 
-    # electric decay at infinity: sphere maxima of |grad V| must fall off
-    gv, b_far = shell_maxima(_FAR_RADII, dirs, config.potential, config.magnetic, config.forcing.period)
-    decreasing = all(gv[i + 1] < gv[i] for i in range(len(gv) - 1))
-    decayed = gv[-1] <= 1e-3 * gv[0] if gv[0] > 0 else True
-    margin = (1e-3 * gv[0] - gv[-1]) if gv[0] > 0 else 0.0
-    detail = f"|grad V| on radii {_FAR_RADII}: {['%.3e' % g for g in gv]}"
-    checks.append(HypothesisCheck("electric-decay-at-infinity", decreasing and decayed, detail, margin))
 
-    # global repulsion sign: q.grad V < 0 on a quasi-random cloud
-    radii = log_radii(1e-3, 1e3, 128)
-    cloud_dirs = sphere_directions(7, seed + 1)
-    worst = float(shell_maxima(radii, cloud_dirs, config.potential, radial=True)[0].max())
-    detail = f"max q.grad V over {len(radii) * len(cloud_dirs)} sampled points = {worst:.3e}"
-    checks.append(HypothesisCheck("repulsion-sign-global", worst < 0.0, detail, -worst))
+def _row(name: str, kind, method: str, check) -> HypothesisCheck:
+    """Row `name` from check(kind.method) = (passed, detail, margin), or failed, naming the kind, without it."""
+    law = getattr(kind, method, None)
+    if law is None:
+        detail = f"a {type(kind).__name__} has no closed-form {method.replace('_', ' ')}"
+        return HypothesisCheck(name, False, detail, math.nan)
+    return HypothesisCheck(name, *check(law))
 
-    # near-origin repulsion rate: q.grad V <= -c0 |q|^(-gamma) for |q| < eps0
-    radii = log_radii(config.eps0 * 1e-4, config.eps0 * (1.0 - 1e-9), 64)
-    bound = -config.c0 * radii ** (-config.gamma)
-    val, _ = shell_maxima(radii, dirs, config.potential, radial=True)
-    margin = float(np.min((bound - val) + 1e-9 * np.abs(bound)))
-    detail = f"q.grad V <= -c0 |q|^-gamma on |q| < eps0={config.eps0}"
-    checks.append(HypothesisCheck("repulsion-rate-near-origin", margin >= 0.0, detail, margin))
 
-    # magnetic ceiling at infinity: sampled |B| < c_B on far spheres
-    bmax = float(b_far.max())
-    detail = f"max |B| on far spheres = {bmax:.3e} vs c_B = {config.c_B}"
-    checks.append(HypothesisCheck("magnetic-ceiling-at-infinity", bmax < config.c_B, detail, config.c_B - bmax))
+def validate_hypotheses(config: FieldConfig) -> ValidationReport:
+    """Check the decay/repulsion/ceiling/singularity-order conditions from the field kinds' closed forms.
 
-    # near-origin magnetic growth: |B| <= c1 |q|^(-beta-1) for |q| < eps1
-    radii = log_radii(config.eps1 * 1e-4, config.eps1 * (1.0 - 1e-9), 64)
-    bound = config.c1 * radii ** (-config.beta - 1.0)
-    _, val = shell_maxima(radii, dirs, magnetic=config.magnetic, period=config.forcing.period)
-    margin = float(np.min((bound - val) + 1e-9 * np.maximum(bound, 1.0)))
-    detail = f"|B| <= c1 |q|^-(beta+1) on |q| < eps1={config.eps1}"
-    checks.append(HypothesisCheck("magnetic-growth-near-origin", margin >= 0.0, detail, margin))
+    Each row compares the constants of `config` with the potential's
+    `envelope` and `radial_law()` or the magnetic kind's `envelope` and
+    `envelope_law()`; no field is evaluated.  Never raises for a violated
+    hypothesis; every condition becomes a pass/fail entry with its margin.
+    """
+    c = config
 
-    # singularity ordering between the two fields
-    ordered = 0.0 < config.beta < config.gamma
-    detail = f"beta={config.beta}, gamma={config.gamma}"
-    checks.append(HypothesisCheck("beta-below-gamma", ordered, detail, config.gamma - config.beta))
+    def decay(envelope):  # |grad V| falls by 1e-3 or more over the far radii
+        gv = [envelope(r) for r in _FAR_RADII]
+        margin = 1e-3 * gv[0] - gv[-1] if gv[0] > 0 else 0.0
+        detail = f"envelope of |grad V| on radii {_FAR_RADII}: {['%.3e' % g for g in gv]}"
+        return all(b < a for a, b in zip(gv, gv[1:])) and margin >= 0.0, detail, margin
 
-    # the mean forcing must dominate the magnetic ceiling
-    hm = config.forcing.mean_norm
-    detail = f"|mean h| = {hm:.6g} vs c_B = {config.c_B}"
-    checks.append(HypothesisCheck("mean-forcing-dominates-ceiling", hm > config.c_B, detail, hm - config.c_B))
+    def sign(radial_law):  # -q.grad V = a |q|^-g > 0 everywhere
+        a, g = radial_law()
+        return a > 0.0, f"-q.grad V = {a:.6g} |q|^-{g:g} on every sphere", a
 
-    return ValidationReport(checks=tuple(checks), seed=seed)
+    def rate(radial_law):  # c0 |q|^-gamma <= a |q|^-g on 0 < |q| <= eps0
+        a, g = radial_law()
+        passed, margin = dominated(c.c0, c.gamma, a, g, c.eps0)
+        return passed, f"q.grad V = -{a:.6g} |q|^-{g:g} <= -c0 |q|^-gamma on |q| <= eps0={c.eps0}", margin
+
+    def ceiling(envelope):  # non-strict, as |v x B| < |B| for |v| < 1
+        b = envelope(_FAR_RADII[0])
+        return b <= c.c_B, f"|B| <= {b:.3e} (envelope) on |q| >= {_FAR_RADII[0]:g} vs c_B = {c.c_B}", c.c_B - b
+
+    def growth(envelope_law):  # b |q|^-k <= c1 |q|^-(beta+1) on 0 < |q| <= eps1
+        b, k = envelope_law()
+        passed, margin = dominated(b, k, c.c1, c.beta + 1.0, c.eps1)
+        return passed, f"|B| <= {b:.6g} |q|^-{k:g} <= c1 |q|^-(beta+1) on |q| <= eps1={c.eps1}", margin
+
+    hm = c.forcing.mean_norm
+    checks = (
+        _row("electric-decay-at-infinity", c.potential, "envelope", decay),
+        _row("repulsion-sign-global", c.potential, "radial_law", sign),
+        _row("repulsion-rate-near-origin", c.potential, "radial_law", rate),
+        _row("magnetic-ceiling-at-infinity", c.magnetic, "envelope", ceiling),
+        _row("magnetic-growth-near-origin", c.magnetic, "envelope_law", growth),
+        HypothesisCheck(
+            "beta-below-gamma", 0.0 < c.beta < c.gamma, f"beta={c.beta}, gamma={c.gamma}", c.gamma - c.beta
+        ),
+        HypothesisCheck(
+            "mean-forcing-dominates-ceiling", hm > c.c_B, f"|mean h| = {hm:.6g} vs c_B = {c.c_B}", hm - c.c_B
+        ),
+    )
+    return ValidationReport(checks)
 
 
 def magnetic_ceiling(magnetic) -> float:

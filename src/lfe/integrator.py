@@ -27,9 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from lfe import butcher
-from lfe.fields import radial_powers
 from lfe.homotopy import HomotopySystem
-from lfe.kinematics import State, lorentz_factor
+from lfe.kinematics import State
 
 
 class SolverError(RuntimeError):
@@ -376,26 +375,3 @@ def integrate(
         n_rejected=n_rejected,
     )
 
-
-def conserved_energy(system: HomotopySystem, y: np.ndarray, lam: float):
-    """sqrt(1+|p|^2) + V_lam(q) - h_mean . q for y of shape (6,) or (n, 6); shape () or (n,).
-
-    Constant along a flow when h_lam is time-independent.
-    """
-    q, (s, _) = radial_powers(y[..., :3])
-    v_lam = (1.0 - lam) * system.config.c0 * np.sqrt(s[..., 0])
-    if lam != 0.0:
-        v_lam += lam * system.config.potential.value(q)
-    return lorentz_factor(y[..., 3:]) + v_lam - np.add.reduce(q * system.config.forcing.mean, axis=-1)
-
-
-def energy_drift(system: HomotopySystem, traj: Trajectory) -> float:
-    """Max node deviation of the conserved energy along an autonomous-forcing run.
-
-    Only meaningful when the interpolated forcing is time-independent
-    (lam = 0 or no harmonics); raises ValueError otherwise.
-    """
-    if traj.lam != 0.0 and not system.config.forcing.is_constant():
-        raise ValueError("energy drift is undefined for time-dependent forcing")
-    energy = conserved_energy(system, traj.states, traj.lam)
-    return float(np.max(np.abs(energy - energy[0])))

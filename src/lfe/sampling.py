@@ -1,7 +1,7 @@
-"""Quasi-random sampling helpers for the hypothesis checks and the degree sweep.
+"""Quasi-random starts for the degree sweep: scrambled Sobol points and unit vectors.
 
-Every sweep is seeded and reduced in enumeration order, so repeated runs
-of a check are bit-reproducible.
+The sweep is seeded and reduced in enumeration order, so repeated runs
+are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -65,23 +65,4 @@ def unit_vectors(u: np.ndarray) -> np.ndarray:
     az = 2.0 * math.pi * u[:, 1]
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     return np.column_stack([s * np.cos(az), s * np.sin(az), z])
-
-
-def sphere_directions(n_pow2: int, seed: int) -> np.ndarray:
-    """2**n_pow2 quasi-random unit vectors, area-uniform on the sphere."""
-    return unit_vectors(sobol_points(n_pow2, 2, seed))
-
-
-def log_radii(r_lo: float, r_hi: float, n: int) -> np.ndarray:
-    """Log-spaced radii including both endpoints exactly."""
-    if not (0.0 < r_lo < r_hi):
-        raise ValueError(f"need 0 < r_lo < r_hi, got [{r_lo}, {r_hi}]")
-    r = np.geomspace(r_lo, r_hi, n)
-    r[0], r[-1] = r_lo, r_hi
-    return r
-
-
-def shells(radii, dirs: np.ndarray) -> np.ndarray:
-    """Cloud of shape (len(radii) * len(dirs), 3): every direction at each radius in turn."""
-    return (np.asarray(radii, dtype=float)[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
 

@@ -78,7 +78,7 @@ _ROUNDOFF = 8.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The [solver] settings: Newton tolerance and budget, continuation steps, sampling seed."""
+    """The [solver] settings: Newton tolerance and budget, continuation steps, degree-sweep seed."""
 
     newton_tol: float = 1e-9
     max_iterations: int = 50
@@ -158,12 +158,6 @@ class ShootingProblem:
         if pn >= p_max:
             return f"|p| = {pn:.6g} >= p_max = {p_max:.6g}"
         return None
-
-
-def periodicity_residual(x0: State, problem: ShootingProblem) -> np.ndarray:
-    """Flow(T, x0) - x0; zero exactly at a T-periodic orbit."""
-    traj = problem.flow(x0)
-    return traj.states[-1] - traj.states[0]
 
 
 @dataclass(frozen=True)

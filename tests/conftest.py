@@ -28,7 +28,8 @@ from lfe.fields import (
     radial_powers,
 )
 from lfe.homotopy import HomotopySystem
-from lfe.integrator import IntegratorConfig
+from lfe.integrator import IntegratorConfig, Trajectory
+from lfe.kinematics import State, lorentz_factor
 from lfe.shooting import ShootingProblem, continue_lambda, newton_shooting
 
 SEED = 20240803
@@ -249,3 +250,33 @@ def first_step_of(flows: list, traj) -> float | None:
 def loosened(cfg: IntegratorConfig, rtol: float) -> IntegratorConfig:
     """cfg at rtol, with atol scaled by the same factor, as a trial flow's tolerance."""
     return replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol))
+
+
+def conserved_energy(system: HomotopySystem, y: np.ndarray, lam: float):
+    """sqrt(1+|p|^2) + V_lam(q) - h_mean . q for y of shape (6,) or (n, 6); shape () or (n,).
+
+    Constant along a flow when h_lam is time-independent.
+    """
+    q, (s, _) = radial_powers(y[..., :3])
+    v_lam = (1.0 - lam) * system.config.c0 * np.sqrt(s[..., 0])
+    if lam != 0.0:
+        v_lam += lam * system.config.potential.value(q)
+    return lorentz_factor(y[..., 3:]) + v_lam - np.add.reduce(q * system.config.forcing.mean, axis=-1)
+
+
+def energy_drift(system: HomotopySystem, traj: Trajectory) -> float:
+    """Max node deviation of the conserved energy along an autonomous-forcing run.
+
+    Only meaningful when the interpolated forcing is time-independent
+    (lam = 0 or no harmonics); raises ValueError otherwise.
+    """
+    if traj.lam != 0.0 and not system.config.forcing.is_constant():
+        raise ValueError("energy drift is undefined for time-dependent forcing")
+    energy = conserved_energy(system, traj.states, traj.lam)
+    return float(np.max(np.abs(energy - energy[0])))
+
+
+def periodicity_residual(x0: State, problem: ShootingProblem) -> np.ndarray:
+    """Flow(T, x0) - x0; zero exactly at a T-periodic orbit."""
+    traj = problem.flow(x0)
+    return traj.states[-1] - traj.states[0]

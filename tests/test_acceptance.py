@@ -11,7 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import SEED, TabulatedPotential, coulomb_config, counted_identities, gyro_config, recorded_flows
+from conftest import (
+    SEED,
+    TabulatedPotential,
+    coulomb_config,
+    counted_identities,
+    energy_drift,
+    gyro_config,
+    recorded_flows,
+)
 from lfe.certificate import compute_certificate
 from lfe.cli import main
 from lfe.degree import brouwer_degree, find_zero_f0
@@ -21,7 +29,7 @@ from lfe.fields import (
     radial_powers,
 )
 from lfe.homotopy import HomotopySystem
-from lfe.integrator import IntegratorConfig, energy_drift, integrate
+from lfe.integrator import IntegratorConfig, integrate
 from lfe.kinematics import State, phi, phi_inv
 
 GYRO_PERIOD = 2.0 * math.pi * 1.25

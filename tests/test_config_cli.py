@@ -968,12 +968,12 @@ def test_large_abc_coefficients_have_a_finite_ceiling_or_are_refused(tmp_path, c
     )
 
 
-def test_cli_auto_ceiling_of_a_uniform_field_exits_4(tmp_path, capsys):
+def test_cli_auto_ceiling_of_a_uniform_field_is_its_magnitude(tmp_path):
+    # |B| = |b| everywhere; the ceiling row and the certificate's R both take c_B = |b|
     cfg = write(tmp_path, UNIFORM.replace("c_B = 0.1", "c_B = auto"))
-    with pytest.raises(ConfigError, match="c_B"):
-        parse_config(cfg)
-    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
-    assert capsys.readouterr().err == (
-        "config error: [magnetic] c_B = auto: a uniform field has |B| = 0.05 everywhere, "
-        "and c_B must lie strictly above it; give c_B as a number\n"
-    )
+    assert parse_config(cfg).fields.c_B == 0.05
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(cfg), "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads((out / "validate_report.json").read_text())["checks"]}
+    assert checks["magnetic-ceiling-at-infinity"]["margin"] == 0.0
+    assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0

@@ -22,10 +22,9 @@ from lfe.fields import (
     magnetic_ceiling,
     power_law,
     radial_powers,
-    shell_maxima,
     validate_hypotheses,
 )
-from lfe.sampling import log_radii, shells, sphere_directions
+from sampled_checks import log_radii, sampled_hypotheses, shell_maxima, shells, sphere_directions
 
 VALIDATION_SEED = 20240801
 
@@ -246,7 +245,7 @@ def test_forcing_tiny_mean_is_not_read_as_zero():
     # the squares of these components underflow; math.hypot scales them
     assert Forcing(1.0, [0.0, 0.0, 1e-200]).l1_norm() == 1e-200
     assert Forcing(2.0, [3e-160, 4e-160, 0.0]).mean_norm == 5e-160
-    report = validate_hypotheses(coulomb_config(mean=(0.0, 0.0, 1e-200), c_B=1e-300), seed=0)
+    report = validate_hypotheses(coulomb_config(mean=(0.0, 0.0, 1e-200), c_B=1e-300))
     dominates = {c.name: c for c in report.checks}["mean-forcing-dominates-ceiling"]
     assert dominates.passed and dominates.margin == 1e-200
 
@@ -317,9 +316,9 @@ def test_gauss_legendre_rule_is_numpys_leggauss():
 
 
 def test_validate_passes_on_desk_scenario():
-    report = validate_hypotheses(desk_config(), seed=VALIDATION_SEED)
+    report = validate_hypotheses(desk_config())
     assert report.passed, report.lines()
-    assert report.note == "sampled, not proven"
+    assert not [line for line in report.lines() if "sampled" in line]
 
 
 def test_validate_flags_singularity_order():
@@ -338,7 +337,7 @@ def test_validate_flags_singularity_order():
         beta=beta,
         eps1=0.5,
     )
-    report = validate_hypotheses(config, seed=VALIDATION_SEED)
+    report = validate_hypotheses(config)
     assert not report.passed
     failed = {c.name for c in report.failures()}
     assert "beta-below-gamma" in failed
@@ -357,15 +356,15 @@ def test_validate_flags_equal_mean_and_ceiling():
         beta=1.5,
         eps1=0.5,
     )
-    report = validate_hypotheses(config, seed=VALIDATION_SEED)
+    report = validate_hypotheses(config)
     assert not report.passed
     failed = {c.name for c in report.failures()}
     assert "mean-forcing-dominates-ceiling" in failed
 
 
 def test_validate_is_reproducible():
-    a = validate_hypotheses(desk_config(), seed=7)
-    b = validate_hypotheses(desk_config(), seed=7)
+    a = validate_hypotheses(desk_config())
+    b = validate_hypotheses(desk_config())
     assert [c.margin for c in a.checks] == [c.margin for c in b.checks]
 
 
@@ -389,21 +388,27 @@ def _abc_config(c_B: float) -> FieldConfig:
 
 
 def test_magnetic_ceiling_of_an_abc_field_passes_the_checks_on_every_seed():
-    # a sampled maximum lies below the sup, so other seeds' samples can exceed it
+    # the sup bound is the closed-form row's envelope; every seed's sampled maximum lies below it
     abc = ABCField(0.1, 0.05, 0.03)
     c_B = magnetic_ceiling(abc)
     assert c_B == abc.envelope(1.0)
     config = _abc_config(c_B)
+    ceiling = {c.name: c for c in validate_hypotheses(config).checks}["magnetic-ceiling-at-infinity"]
+    assert ceiling.passed and ceiling.margin == 0.0
     for seed in range(40):
-        checks = {c.name: c for c in validate_hypotheses(config, seed=seed).checks}
-        assert checks["magnetic-ceiling-at-infinity"].passed, seed
+        passed, _, margin = sampled_hypotheses(config, seed, slack=0.0)["magnetic-ceiling-at-infinity"]
+        assert passed and margin > 0.0, seed
     assert compute_R(config) == 1.0  # envelope_B = c_B is allowed: |v x B| < |B| for |v| < 1
 
 
-def test_magnetic_ceiling_of_a_uniform_field_is_refused():
-    # |B| = 0.1 at every sample: no c_B equal to the sup passes the strict ceiling check
-    with pytest.raises(ValueError, match=r"^c_B = auto: a uniform field has \|B\| = 0.1 everywhere"):
-        magnetic_ceiling(UniformField([0.0, 0.0, 0.1]))
+def test_magnetic_ceiling_of_a_uniform_field_is_its_magnitude():
+    # |B| = |b| everywhere, and the ceiling row, like the certificate's R, is non-strict
+    uniform = UniformField([0.0, 0.3, 0.4])
+    assert magnetic_ceiling(uniform) == 0.5
+    config = dataclasses.replace(_abc_config(0.5), magnetic=uniform, c1=0.5)
+    ceiling = {c.name: c for c in validate_hypotheses(config).checks}["magnetic-ceiling-at-infinity"]
+    assert ceiling.passed and ceiling.margin == 0.0
+    assert compute_R(config) == 1.0
 
 
 def test_magnetic_ceiling_of_a_vanishing_field_is_one():
@@ -443,11 +448,12 @@ def test_config_rejects_nonpositive_constants():
 
 def test_sweeps_read_every_time_of_the_grid():
     # |B| is 0.8 at t = T/4 and 0 at t = 0: a sweep of t = 0 alone would see no field
-    report = validate_hypotheses(pulsed_config(0.5), seed=VALIDATION_SEED)
-    ceiling = {c.name: c for c in report.checks}["magnetic-ceiling-at-infinity"]
-    assert not ceiling.passed
-    assert ceiling.detail == "max |B| on far spheres = 8.000e-01 vs c_B = 0.5"
-    assert ceiling.margin == 0.5 - 0.8
+    passed, detail, margin = sampled_hypotheses(pulsed_config(0.5), VALIDATION_SEED, slack=0.0)[
+        "magnetic-ceiling-at-infinity"
+    ]
+    assert not passed
+    assert detail == "max |B| on far spheres = 8.000e-01 vs c_B = 0.5"
+    assert margin == 0.5 - 0.8
 
 
 def _bump(q, centre):
@@ -506,9 +512,10 @@ def test_shell_maxima_of_weak_and_strong_fields():
         gv, b = shell_maxima(radii, sphere_directions(6, 5), config.potential, UniformField([0.0, b_z, b_z]), 1.0)
         assert np.abs(gv / (1e-170 / radii**2) - 1.0).max() < 1e-12
         assert np.abs(b / (math.sqrt(2.0) * b_z) - 1.0).max() < 1e-15
-    checks = {c.name: c for c in validate_hypotheses(config, seed=VALIDATION_SEED).checks}
-    decay = checks["electric-decay-at-infinity"]
+    decay = {c.name: c for c in validate_hypotheses(config).checks}["electric-decay-at-infinity"]
     assert decay.passed and decay.margin > 0.0, decay.detail
+    passed, detail, margin = sampled_hypotheses(config, VALIDATION_SEED)["electric-decay-at-infinity"]
+    assert passed and margin > 0.0, detail
 
 
 def test_shell_maxima_nan_samples():
@@ -527,9 +534,8 @@ def test_validate_fails_a_nan_sample():
     nowhere = np.full(3, np.inf)
     for planted, fails in [(PlantedCoulomb(nowhere, nowhere), False), (PlantedCoulomb(nan_q, nowhere), True)]:
         config = dataclasses.replace(coulomb_config(), potential=planted)
-        check = {c.name: c for c in validate_hypotheses(config, seed=VALIDATION_SEED).checks}
-        rate = check["repulsion-rate-near-origin"]
-        assert rate.passed is not fails and math.isnan(rate.margin) is fails
+        passed, _, margin = sampled_hypotheses(config, VALIDATION_SEED)["repulsion-rate-near-origin"]
+        assert passed is not fails and math.isnan(margin) is fails
 
 
 @dataclass(frozen=True)
@@ -542,9 +548,12 @@ class _NanAtQuarterPeriod:
 
 def test_validate_fails_a_nan_field_at_a_later_time():
     config = dataclasses.replace(coulomb_config(), magnetic=_NanAtQuarterPeriod())
-    checks = {c.name: c for c in validate_hypotheses(config, seed=VALIDATION_SEED).checks}
-    ceiling = checks["magnetic-ceiling-at-infinity"]
+    passed, _, margin = sampled_hypotheses(config, VALIDATION_SEED)["magnetic-ceiling-at-infinity"]
+    assert not passed and math.isnan(margin)
+    # the closed-form row fails too: the kind has no envelope
+    ceiling = {c.name: c for c in validate_hypotheses(config).checks}["magnetic-ceiling-at-infinity"]
     assert not ceiling.passed and math.isnan(ceiling.margin)
+    assert ceiling.detail == "a _NanAtQuarterPeriod has no closed-form envelope"
 
 
 @pytest.mark.parametrize("magnetic", [_NanAtQuarterPeriod(), PulsedField(0.8, 1.0)], ids=["nan", "pulsed"])

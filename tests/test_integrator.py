@@ -6,8 +6,10 @@ from scipy.integrate import DOP853, OdeSolution
 
 from conftest import (
     TabulatedPotential,
+    conserved_energy,
     coulomb_config,
     desk_config,
+    energy_drift,
     force_free_config,
     gyro_config,
     zero_potential,
@@ -21,8 +23,6 @@ from lfe.integrator import (
     SingularityApproach,
     StepUnderflow,
     Trajectory,
-    conserved_energy,
-    energy_drift,
     integrate,
 )
 from lfe.kinematics import State, phi_inv

@@ -11,7 +11,8 @@ from scipy.stats import qmc
 from conftest import coulomb_config, desk_config, gyro_config
 from lfe.certificate import compute_momentum_bound
 from lfe.fields import ABCField, DipoleField, GeneralizedCoulomb, UniformField, ZeroField, radial_powers
-from lfe.sampling import log_radii, shells, sobol_points, sphere_directions
+from lfe.sampling import sobol_points
+from sampled_checks import log_radii, shells, sphere_directions
 
 # the oracle's sweep: log radii x 2^_DIR_POW2 directions x times, then L-BFGS-B from the best _N_REFINE
 _N_RADII = 40

@@ -11,6 +11,7 @@ from conftest import (
     first_step_of,
     force_free_config,
     loosened,
+    periodicity_residual,
     recorded_flows,
 )
 from lfe.degree import find_zero_f0
@@ -25,7 +26,6 @@ from lfe.shooting import (
     continue_lambda,
     newton_shooting,
     orbit_identities,
-    periodicity_residual,
 )
 
 EQ = find_zero_f0(1.0, [0.0, 0.0, 2.0])
