@@ -17,7 +17,7 @@ Schema (INI sections and keys; vectors are space-separated triples):
                 (k >= 1 in ASCII digits without a leading zero)
   [integrator]  rtol ; atol ; max_steps ; method ; r_min (number or 'auto')
   [solver]      newton_tol ; max_iterations ; dlam_init ; dlam_floor ;
-                growth ; target_lambda ; seed
+                target_lambda ; seed
   [initial-state]  lambda ; q (triple or 'equilibrium') ; p ; t_end
   [output]      sample_points
 

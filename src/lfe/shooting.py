@@ -6,8 +6,20 @@ finite-difference monodromy matrix, whose six columns are integrated in
 the same stacked flow as the trial orbit: one 42-vector run with shared
 step control gives both the residual and the monodromy at each trial
 point.  The continuation driver walks the deformation parameter from the
-autonomous equilibrium at lam = 0 toward the full equation at lam = 1
-with adaptive step halving and regrowth.
+autonomous equilibrium at lam = 0 toward the full equation at lam = 1.
+Its step lengths come from Newton's contraction (Deuflhard, "Newton
+Methods for Nonlinear Problems", 2004, section 5.1; Allgower & Georg,
+section 6.1): after an accepted step with first contraction
+theta0 = r1 / r0, the next step is dlam * min(_GROWTH_CAP,
+sqrt(_THETA_MAX / theta0)), capped by the rest of the interval; a failed
+solve halves the step.  Every accepted orbit keeps the sign of
+det(I - M) of the lam = 0 orbit, minus the degree of the autonomous
+field, so a step that lands on another branch is rejected.  The rule
+holds the step where theta0 = _THETA_MAX, and the attempt budget gives
+each of the ceil(target_lambda / dlam_init) steps of such a path one
+allowance of the halvings from dlam_init to dlam_floor:
+ceil(target_lambda / dlam_init) * (1 + ceil(log2(dlam_init / dlam_floor)))
+attempts (`continue_lambda`).
 
 Newton is inexact in the sense of Dembo, Eisenstat & Steihaug ("Inexact
 Newton methods", SIAM J. Numer. Anal. 19, 1982): the trial flows of an
@@ -72,6 +84,9 @@ _FD_STEP = 1e-7
 # inexact Newton: the cap of a trial flow's rtol and its factor of the residual (`_trial_problem`)
 _TRIAL_RTOL_CAP = 1e-6
 _TRIAL_FACTOR = 1e-4
+# continuation steps (`_next_dlam`): the first contraction a step aims at and the cap of its growth
+_THETA_MAX = 0.25
+_GROWTH_CAP = 4.0
 # a residual at most this many eps * max(1, |x|_inf) is at round-off level
 _ROUNDOFF = 8.0 * np.finfo(float).eps
 
@@ -84,7 +99,6 @@ class SolverOptions:
     max_iterations: int = 50
     dlam_init: float = 0.1
     dlam_floor: float = 1e-4
-    growth: float = 1.5
     target_lambda: float = 1.0
     seed: int = 20240803
 
@@ -94,8 +108,6 @@ class SolverOptions:
                 raise ValueError(f"{name} must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not self.growth >= 1.0:
-            raise ValueError("growth must be at least 1")
         if not 0.0 <= self.target_lambda <= 1.0:
             raise ValueError("target_lambda must lie in [0, 1]")
         if self.seed < 0:
@@ -174,6 +186,23 @@ class OrbitSolution:
     @property
     def newton_iterations(self) -> int:
         return len(self.newton_trace)
+
+    @property
+    def theta0(self) -> float:
+        """Newton's first contraction r1 / r0: the residuals its first two iterations started from.
+
+        With one iteration r1 is residual_norm; with none theta0 is 0.
+        """
+        trace = self.newton_trace
+        if not trace:
+            return 0.0
+        r1 = trace[1]["residual"] if len(trace) > 1 else self.residual_norm
+        return r1 / trace[0]["residual"]
+
+    @property
+    def index_det(self) -> float:
+        """det(I - M) of the monodromy M; its sign is minus the orbit's fixed-point index."""
+        return float(np.linalg.det(np.eye(6) - self.monodromy))
 
     @functools.cached_property
     def diagnostics(self) -> dict:
@@ -394,24 +423,60 @@ class ContinuationPath:
         ]
 
 
+def _next_dlam(dlam: float, theta0: float, remaining: float) -> float:
+    """The step after an accepted step of length dlam whose first Newton contraction was theta0.
+
+    dlam * min(_GROWTH_CAP, sqrt(_THETA_MAX / theta0)), capped by remaining:
+    Deuflhard's (2004, section 5.1) rule for a contraction that grows like
+    dlam ** 2 aims the next step at theta0 = _THETA_MAX.  On the desk path
+    theta0 grows more slowly (0.026, 0.048 and 0.069 at dlam 0.1, 0.31 and
+    0.59), so the rule stays short of its aim.
+    """
+    factor = _GROWTH_CAP if theta0 * _GROWTH_CAP**2 <= _THETA_MAX else math.sqrt(_THETA_MAX / theta0)
+    return min(dlam * factor, remaining)
+
+
 def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> ContinuationPath:
     """Natural-parameter continuation from a converged lam = 0 orbit.
 
-    Walks lam to problem.solver.target_lambda.  The step size starts at
-    solver.dlam_init, halves on any solver failure, grows by solver.growth
-    after two consecutive successes, and never drops below
-    solver.dlam_floor.  The predictor is the previous initial state; each
-    accepted orbit is checked against problem.region when it is set.  Each
-    guess's first flow is warm-started from the previous accepted orbit's
-    trajectory.  The first step's guess flows at the configured tolerance;
-    every later one is passed to `newton_shooting` with the predicted
-    residual of the previous accepted step's starting residual (its first
-    `newton_trace` entry, or its residual_norm when it took no iteration)
-    times dlam / dlam_prev.  Each attempt adds one `history` record with the
-    rtol its guess was first flowed at (`guess_rtol`) and its Newton
-    iterations (`newton_trace`, up to the failure for a failed solve); at
-    most ceil(target_lambda / dlam_init) * (1 + the halvings that take
-    dlam_init down to dlam_floor) are made.
+    Walks lam to problem.solver.target_lambda.  The first step is
+    solver.dlam_init; after each accepted step the next one is
+    `_next_dlam` of its first Newton contraction (`OrbitSolution.theta0`),
+    and a failed solve halves the step.  Every step is capped by the rest
+    of the interval.  The path ends in stepsize_underflow when a step
+    shorter than both solver.dlam_floor and the rest of the interval would
+    come next.  A converged orbit is accepted even when its theta0 exceeds
+    _THETA_MAX: that theta0 only shortens the next step, and no converged
+    solve is thrown away (Deuflhard's pathfollower instead aborts such a
+    step after its first iteration; here it has usually converged by the
+    time theta0 is known).
+
+    Branch safety: sign det(I - M) of the start orbit (+1, minus the degree
+    of the autonomous field) is kept by every accepted orbit.  A converged
+    orbit whose det(I - M) has the other sign lies on another branch: the
+    step is rejected with a reason naming det(I - M), and halved.
+
+    The predictor is the previous initial state; each accepted orbit is
+    checked against problem.region when it is set.  Each guess's first
+    flow is warm-started from the previous accepted orbit's trajectory.
+    The first step's guess flows at the configured tolerance; every later
+    one is passed to `newton_shooting` with the predicted residual of the
+    previous accepted step's starting residual (its first `newton_trace`
+    entry, or its residual_norm when it took no iteration) times
+    dlam / dlam_prev.  Each attempt adds one `history` record with the
+    rtol its guess was first flowed at (`guess_rtol`), its Newton
+    iterations (`newton_trace`, up to the failure for a failed solve), and
+    the solved orbit's `theta0` and det(I - M) (`index_det`), both None for
+    a failed solve.
+
+    Budget: the controller holds the step where theta0 = _THETA_MAX, so a
+    path that contracts at its aim throughout takes ceil(target_lambda /
+    dlam_init) steps of dlam_init; each gets one allowance of the halvings
+    that take dlam_init down to dlam_floor, so at most
+    ceil(target_lambda / dlam_init) * (1 + max(0, ceil(log2(dlam_init /
+    dlam_floor)))) attempts are made.  A path whose every solve fails
+    underflows within one allowance: at most 1 + max(0, ceil(log2(dlam_init
+    / dlam_floor))) attempts.
     The path reports how far it got rather than raising: status is one of
     reached_target / stepsize_underflow / bound_violation / budget_exhausted.
     A failed path means the path is incomplete, not that no orbit exists.
@@ -426,23 +491,30 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     budget = math.ceil(target_lambda / solver.dlam_init) * (1 + halvings)
 
     solutions, history = [start], []
-    lam, dlam, consecutive = 0.0, solver.dlam_init, 0
+    start_det = start.index_det
+    lam, dlam = 0.0, min(solver.dlam_init, target_lambda)
     # the starting residual of the last accepted step per unit of its dlam
     residual_per_dlam = 0.0
     end = ("reached_target", "target is the starting parameter") if target_lambda == 0.0 else None
     while end is None and len(history) < budget:
-        lam_try = min(lam + dlam, target_lambda)
+        lam_try = target_lambda if dlam >= target_lambda - lam else lam + dlam
         step_problem = replace(problem, lam=lam_try)
         predicted = residual_per_dlam * dlam
+        theta0 = index_det = violation = None
         try:
             sol = newton_shooting(solutions[-1].x0, step_problem, predicted, solutions[-1].trajectory)
         except SolverError as err:
-            sol, reason, trace = None, str(err), getattr(err, "newton_trace", [])
+            reason, trace = str(err), getattr(err, "newton_trace", [])
         else:
+            trace, theta0, index_det = sol.newton_trace, sol.theta0, sol.index_det
             region = problem.region
             checks = [] if region is None else region_checks(sol.trajectory.states, region)
-            reason = next((check.detail for check in checks if not check.passed), None)
-            trace = sol.newton_trace
+            reason = violation = next((check.detail for check in checks if not check.passed), None)
+            if reason is None and np.sign(index_det) != np.sign(start_det):
+                reason = (
+                    f"det(I - M) = {index_det:.6g} differs in sign from {start_det:.6g} "
+                    "at lam = 0: the orbit lies on another branch"
+                )
         history.append(
             {
                 "lambda": lam_try,
@@ -451,28 +523,30 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
                 "reason": reason or "",
                 "guess_rtol": _trial_problem(step_problem, predicted).integrator.rtol,
                 "newton_trace": trace,
+                "theta0": theta0,
+                "index_det": index_det,
             }
         )
-        if reason is None:
-            solutions.append(sol)
-            start_residual = trace[0]["residual"] if trace else sol.residual_norm
-            residual_per_dlam = start_residual / dlam
-            lam, consecutive = lam_try, consecutive + 1
-            if consecutive >= 2:
-                dlam *= solver.growth
-            if lam >= target_lambda:
-                end = ("reached_target", f"reached lam = {target_lambda:g}")
-        elif sol is None:
-            dlam, consecutive = 0.5 * dlam, 0
-            if dlam < solver.dlam_floor:
-                end = (
-                    "stepsize_underflow",
-                    f"step below floor {solver.dlam_floor:g} at lam = {lam:.6g}: {reason}",
-                )
-        else:
+        if violation is not None:
             end = (
                 "bound_violation",
                 f"orbit at lam = {lam_try:.6g} exited the certified region: {reason}",
+            )
+        elif reason is None:
+            solutions.append(sol)
+            start_residual = trace[0]["residual"] if trace else sol.residual_norm
+            residual_per_dlam = start_residual / dlam
+            lam = lam_try
+            if lam >= target_lambda:
+                end = ("reached_target", f"reached lam = {target_lambda:g}")
+            dlam = _next_dlam(dlam, theta0, target_lambda - lam)
+        else:
+            dlam *= 0.5
+        if end is None and dlam < min(solver.dlam_floor, target_lambda - lam):
+            cause = reason or f"first contraction theta0 = {theta0:.3g}"
+            end = (
+                "stepsize_underflow",
+                f"step below floor {solver.dlam_floor:g} at lam = {lam:.6g}: {cause}",
             )
     if end is None:
         end = ("budget_exhausted", f"attempted-step budget {budget} used up at lam = {lam:.6g}")

@@ -106,10 +106,28 @@ def test_run_report_records_the_newton_trace(a6_run):
 def test_run_report_records_every_newton_trace_and_the_rejected_steps(a6_run):
     report = a6_run["report"]
     history = report["continuation"]["history"]
-    assert [len(h["newton_trace"]) for h in history] == [3] * 6
+    assert [len(h["newton_trace"]) for h in history] == [3] * 3
+    # each step's first contraction and det(I - M) of its orbit
+    assert [h["theta0"] for h in history] == [
+        h["newton_trace"][1]["residual"] / h["newton_trace"][0]["residual"] for h in history
+    ]
+    assert all(h["index_det"] > 0.0 for h in history)
     assert history[-1]["newton_trace"] == report["final_orbit"]["newton_trace"]
     # step control rejected one trial step in the final orbit's flow (two with a cold start)
     assert report["final_orbit"]["n_rejected"] == 1
+
+
+@pytest.mark.parametrize("amplitude", ["0.1", "0.5", "1.0"])
+def test_desk_path_takes_fewer_newton_iterations_than_the_fixed_rule(tmp_path, monkeypatch, amplitude):
+    # steps of 0.1 grown x1.5 after two successes took 6 steps and 18 iterations at each amplitude
+    monkeypatch.setenv("LFE_VERBOSITY", "0")
+    config = tmp_path / "desk.ini"
+    config.write_text(DESK_CONFIG.replace("harmonic_1_cos = 0.1 0 0", f"harmonic_1_cos = {amplitude} 0 0"))
+    assert main(["continue", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    history = json.loads((tmp_path / "out" / "run_report.json").read_text())["continuation"]["history"]
+    assert all(step["accepted"] for step in history) and history[-1]["lambda"] == 1.0
+    assert sum(len(step["newton_trace"]) for step in history) < 18
+    assert all(step["index_det"] > 0.0 for step in history)
 
 
 @pytest.fixture(scope="module")
@@ -141,14 +159,15 @@ def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk_flows):
     ]
     expected = [max(rtol0, min(1e-6, 1e-4 * r)) for r in predicted]
     assert [by_lambda[step["lambda"]][0] for step in history] == expected
-    assert [step["guess_rtol"] for step in history] == expected == [1e-10] + [1e-6] * 5
+    assert [step["guess_rtol"] for step in history] == expected == [1e-10] + [1e-6] * 2
     # every converged orbit is read from a flow at rtol0: the last one at its lambda
     assert all(rtols[-1] == rtol0 for rtols in by_lambda.values())
 
 
 def test_desk_continue_takes_fewer_than_160_integrator_steps(desk_flows):
     # a regression guard on the saving of loose guess flows (216 steps with every guess at
-    # rtol0), warm starts and trials rounded to rtol0 (183 steps and 26 flows without them)
+    # rtol0), warm starts and trials rounded to rtol0 (183 steps and 26 flows without them);
+    # the fixed-growth path took 25 flows and 153 steps, the contraction-driven one 15 and 95
     flows, _ = desk_flows
     assert len(flows) <= 25
     assert sum(len(traj.ts) - 1 for _, traj, _ in flows) < 160
@@ -166,7 +185,7 @@ def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):
 
 
 def test_desk_continue_computes_the_identities_of_the_final_orbit_only(tmp_path, monkeypatch):
-    # of the seven orbits of the path, only the final one is verified and reported
+    # of the four orbits of the path, only the final one is verified and reported
     monkeypatch.setenv("LFE_VERBOSITY", "0")
     config = tmp_path / "desk.ini"
     config.write_text(DESK_CONFIG, encoding="utf-8")
@@ -375,7 +394,8 @@ def test_a7_identity_suite(desk_start, desk_path):
             assert diag["virial_lhs"] < 0.0
             worst_virial = max(worst_virial, diag["virial_lhs"])
         checked += 1
-    ok = worst_mean <= 1e-6 and checked >= 7
+    # the lambda = 0 start, counted twice, and the three steps of the desk path
+    ok = worst_mean <= 1e-6 and checked == 5
     report(
         "A7",
         ok,

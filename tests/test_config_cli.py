@@ -165,7 +165,6 @@ newton_tol = 1e-09
 max_iterations = 50
 dlam_init = 0.1
 dlam_floor = 0.0001
-growth = 1.5
 target_lambda = 1.0
 seed = 20240803
 
@@ -240,7 +239,6 @@ lambda = 0.5
 [solver]
 seed = 3
 target_lambda = 0.75
-growth = 2
 dlam_floor = 1e-3
 dlam_init = 0.25
 max_iterations = 7
@@ -308,7 +306,6 @@ newton_tol = 1e-08
 max_iterations = 7
 dlam_init = 0.25
 dlam_floor = 0.001
-growth = 2.0
 target_lambda = 0.75
 seed = 3
 
@@ -691,7 +688,6 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ndlam_init = 0", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ndlam_init = -0.1", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ndlam_floor = 0", "solver"),
-        ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ngrowth = 0.5", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ntarget_lambda = 1.5", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ntarget_lambda = -0.5", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\nnewton_tol = 0", "solver"),
@@ -715,8 +711,8 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
     ],
     ids=[
         "c0", "period", "eps0", "eps1", "rtol", "method", "method-RK45", "q", "t_end0", "t_end-1",
-        "q_r_min", "q_r_min_auto", "dlam_init0", "dlam_init-", "dlam_floor0", "growth<1",
-        "target>1", "target<0", "newton_tol0", "seed-1", "max_iterations0", "max_steps0",
+        "q_r_min", "q_r_min_auto", "dlam_init0", "dlam_init-", "dlam_floor0", "target>1",
+        "target<0", "newton_tol0", "seed-1", "max_iterations0", "max_steps0",
         "not-a-number", "not-finite", "not-an-integer", "potential-kind", "no-c0", "no-period",
         "no-mean", "harmonic_0", "magnetic-kind", "no-b", "no-c1", "lambda2", "sample_points1",
         "r_min0",
@@ -726,6 +722,14 @@ def test_cli_out_of_range_value_exits_4(tmp_path, capsys, old, new, section):
     cfg = write(tmp_path, MINIMAL.replace(old, new))
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err.startswith(f"config error: [{section}] ")
+
+
+@pytest.mark.parametrize("value", ["0.5", "1.5"], ids=["growth<1", "growth-former-default"])
+def test_cli_retired_growth_key_exits_4(tmp_path, capsys, value):
+    # continuation steps come from Newton's contraction, so [solver] has no growth key
+    cfg = write(tmp_path, MINIMAL.replace("mean = 0 0 2", f"mean = 0 0 2\n[solver]\ngrowth = {value}"))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == "config error: unknown key 'growth' in section [solver]\n"
 
 
 def test_cli_config_errors_exit_4(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad_vec
 
+import lfe.shooting
 from conftest import (
     coulomb_config,
     counted_identities,
@@ -21,8 +22,10 @@ from lfe.kinematics import State, phi_inv
 from lfe.shooting import (
     LeftDomain,
     NewtonDiverged,
+    OrbitSolution,
     ShootingProblem,
     SolverOptions,
+    _next_dlam,
     continue_lambda,
     newton_shooting,
     orbit_identities,
@@ -262,7 +265,7 @@ def test_identities_on_converged_orbit(coulomb_problem):
 def test_identities_are_computed_when_first_read(desk_problem, desk_start, monkeypatch):
     calls = counted_identities(monkeypatch)
     path = continue_lambda(desk_problem, desk_start)
-    assert path.status == "reached_target" and len(path.solutions) == 7
+    assert path.status == "reached_target" and len(path.solutions) == 4
     # no orbit of the path builds its dense output for the identities
     assert calls == []
     diagnostics = path.final.diagnostics
@@ -403,3 +406,96 @@ def test_trial_step_into_the_guard_radius_is_halved():
     assert any("<= r_min = 0.69" in bad for bad in rejected)
     assert sol.residual_norm < 1e-9
     assert np.abs(sol.x0.as_array() - EQ.as_array()).max() < 1e-7
+
+
+def planted(residuals, residual_norm, monodromy=np.zeros((6, 6))) -> OrbitSolution:
+    """An orbit that only carries a Newton trace with the given starting residuals, and a monodromy."""
+    trace = [{"residual": r, "alpha": 1.0, "rtol": 1e-10} for r in residuals]
+    return OrbitSolution(None, 0.5, None, None, residual_norm, monodromy, trace)
+
+
+def test_step_controller_on_planted_traces():
+    # theta0 = r1 / r0: r1 is the final residual after one iteration, and theta0 is 0 after none
+    assert planted([], 1e-12).theta0 == 0.0
+    assert planted([0.5], 0.125).theta0 == 0.25
+    assert planted([0.5, 0.0625, 1e-6], 1e-12).theta0 == 0.125
+    # dlam * sqrt(theta_max / theta0) with theta_max = 1/4
+    assert _next_dlam(0.1, 0.0625, 1.0) == 0.2
+    assert _next_dlam(0.1, 0.25, 1.0) == 0.1
+    assert _next_dlam(0.1, 1.0, 1.0) == 0.05
+    # at most x4: from theta0 = 1/64 down, and for a step that took no iteration
+    assert _next_dlam(0.1, 1 / 64, 1.0) == _next_dlam(0.1, 1e-3, 1.0) == _next_dlam(0.1, 0.0, 1.0) == 0.4
+    # never past the rest of the interval
+    assert _next_dlam(0.1, 1e-3, 0.3) == 0.3
+    assert _next_dlam(0.1, 0.0625, 0.15) == 0.15
+    # det(I - M), whose sign is the branch check
+    assert planted([], 0.0, np.diag([2.0] * 6)).index_det == 1.0
+    assert planted([], 0.0, np.diag([2.0, 0, 0, 0, 0, 0])).index_det == -1.0
+
+
+def test_continuation_rejects_a_step_that_flips_the_index(desk_problem, desk_start, monkeypatch):
+    solve = lfe.shooting.newton_shooting
+    calls = []
+
+    def flipping(guess, problem, *args):
+        sol = solve(guess, problem, *args)
+        calls.append(problem.lam)
+        if len(calls) == 2:  # the second step's orbit, with the first row of I - M negated
+            negate = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+            sol = dataclasses.replace(sol, monodromy=np.eye(6) - negate @ (np.eye(6) - sol.monodromy))
+        return sol
+
+    monkeypatch.setattr(lfe.shooting, "newton_shooting", flipping)
+    path = continue_lambda(desk_problem, desk_start)
+    assert path.status == "reached_target"
+    flipped, retry = path.history[1:3]
+    assert not flipped["accepted"] and flipped["index_det"] < 0.0
+    assert flipped["reason"].startswith("det(I - M) = ")
+    assert flipped["lambda"] not in [sol.lam for sol in path.solutions]
+    # the path goes on from the same orbit with half the step
+    assert retry["accepted"] and retry["dlam"] == 0.5 * flipped["dlam"]
+    assert retry["lambda"] == path.solutions[2].lam == path.solutions[1].lam + retry["dlam"]
+    assert all(step["index_det"] > 0.0 for step in path.history if step["accepted"])
+
+
+@pytest.mark.parametrize(
+    "dlam_init,dlam_floor,attempts", [(0.1, 1e-4, 10), (0.125, 0.125 / 8, 4)], ids=["default", "power-of-2"]
+)
+def test_continuation_whose_every_solve_fails_underflows_within_its_budget(
+    coulomb_problem, monkeypatch, dlam_init, dlam_floor, attempts
+):
+    start = newton_shooting(EQ, coulomb_problem)
+
+    def failing(*args):
+        raise NewtonDiverged("planted failure")
+
+    monkeypatch.setattr(lfe.shooting, "newton_shooting", failing)
+    solver = SolverOptions(dlam_init=dlam_init, dlam_floor=dlam_floor)
+    path = continue_lambda(dataclasses.replace(coulomb_problem, solver=solver), start)
+    halvings = math.ceil(math.log2(dlam_init / dlam_floor))
+    budget = math.ceil(1.0 / dlam_init) * (1 + halvings)
+    assert path.status == "stepsize_underflow" and path.final is start
+    assert len(path.history) == attempts <= 1 + halvings <= budget
+    assert [step["dlam"] for step in path.history] == [dlam_init * 0.5**k for k in range(attempts)]
+    assert all(step["theta0"] is step["index_det"] is None for step in path.history)
+    assert path.message.endswith("planted failure")
+
+
+def test_continuation_underflows_when_the_contraction_shrinks_the_step(coulomb_problem, monkeypatch):
+    start = newton_shooting(EQ, coulomb_problem)
+    solve = lfe.shooting.newton_shooting
+
+    def contracting(guess, problem, *args):
+        # every step converges with a planted first contraction of 0.64: the next is 5/8 as long
+        sol = solve(guess, problem, *args)
+        return dataclasses.replace(sol, newton_trace=planted([1.0, 0.64], 1e-12).newton_trace)
+
+    monkeypatch.setattr(lfe.shooting, "newton_shooting", contracting)
+    solver = SolverOptions(dlam_init=0.1, dlam_floor=0.01)
+    path = continue_lambda(dataclasses.replace(coulomb_problem, solver=solver), start)
+    assert path.status == "stepsize_underflow"
+    dlams = [step["dlam"] for step in path.history]
+    assert all(step["accepted"] for step in path.history) and len(dlams) == 5
+    assert dlams == pytest.approx([0.1 * 0.625**k for k in range(5)], rel=1e-15)
+    assert 0.625 * dlams[-1] < 0.01
+    assert "first contraction theta0 = 0.64" in path.message
