@@ -20,11 +20,13 @@ smaller than |mean h| - c_B, and |lam v x B| < c_B, since |v| < 1 (so the
 magnetic test may be non-strict).  Then |mean h| < |mean h|, which is
 absurd: every periodic orbit meets |q| <= R, and as |v| < 1 it stays
 inside |q| < R + T.  epsilon is read from the potential kind's exact
-radial law (`compute_epsilon`).  C_gradV_B and M are the envelopes at the
-inner radius of their annulus: upper bounds of the suprema, equal to them
-for the Coulomb family with a dipole, uniform or zero field.  A kind
-without a closed form fails with a CertificateError naming the constant
-and the kind.  The certificate carries that provenance.
+radial law -q . grad V = a |q|^-g (`compute_epsilon`), and c0, here and
+below, is its a: the constant of the homotopy's Coulomb term.  C_gradV_B
+and M are the envelopes at the inner radius of their annulus: upper
+bounds of the suprema, equal to them for the Coulomb family with a
+dipole, uniform or zero field.  A kind without a closed form fails with a
+CertificateError naming the constant and the kind.  The certificate
+carries that provenance.
 
 One deliberate change against the source estimates: the near-origin
 inequality is required with half the electric constant on the right-hand
@@ -161,8 +163,9 @@ def compute_R(config: FieldConfig) -> float:
         raise ValueError(f"requires |mean h| > c_B, got {hm:.6g} <= {config.c_B:.6g}")
     threshold = hm - config.c_B
     envelope_V, envelope_B = (closed_form("R", f, "envelope") for f in (config.potential, config.magnetic))
+    c0, _ = closed_form("R", config.potential, "radial_law")()
     for r in (2.0**k for k in range(20)):  # up to 2^19, the last power of two below the cap
-        gradient, b = max(envelope_V(r), power_law(config.c0, r, 2.0)), envelope_B(r)
+        gradient, b = max(envelope_V(r), power_law(c0, r, 2.0)), envelope_B(r)
         if gradient < threshold and b <= config.c_B:
             return r
     raise RadiusNotFound(
@@ -182,10 +185,10 @@ def compute_epsilon(config: FieldConfig) -> float:
 
         -q . grad V(q)  >=  (c0/2) |q|^-1  +  c1 |q|^-beta   for all 0 < |q| <= epsilon.
 
-    The potential kind's radial law -q . grad V = a |q|^-g turns this into
-    1 >= (c0/2a) r^(g-1) + (c1/a) r^(g-beta), non-decreasing in r for
-    beta <= g (g >= 1), so it holds on (0, epsilon] if it holds at epsilon.
-    With c1 > 0 and beta > g it fails as |q| -> 0.
+    The potential kind's radial law -q . grad V = a |q|^-g, whose a is c0,
+    turns this into 1 >= (1/2) r^(g-1) + (c1/a) r^(g-beta), non-decreasing
+    in r for beta <= g (g >= 1), so it holds on (0, epsilon] if it holds at
+    epsilon.  With c1 > 0 and beta > g it fails as |q| -> 0.
     """
     a, g = closed_form("epsilon", config.potential, "radial_law")()
     if config.c1 and config.beta > g:
@@ -197,7 +200,7 @@ def compute_epsilon(config: FieldConfig) -> float:
     epsilon = min(config.eps0, config.eps1, 1.0)
     for _ in range(_EPS_GRID_STEPS):  # the divided inequality: epsilon <= 1 and both exponents >= 0
         magnetic = config.c1 / a * epsilon ** (g - config.beta) if config.c1 else 0.0
-        if 0.5 * config.c0 / a * epsilon ** (g - 1.0) + magnetic <= 1.0:
+        if 0.5 * epsilon ** (g - 1.0) + magnetic <= 1.0:
             return epsilon
         epsilon *= _EPS_GRID_FACTOR
     raise InequalityFails(
@@ -216,8 +219,8 @@ def compute_lower_constants(config: FieldConfig, R: float, *, l1: float) -> tupl
         m = exp[-K2 - T/eps - T C/(c0/2) - (R+T) l1/(c0/2)].
     """
     period = config.forcing.period
-    c0_eff = 0.5 * config.c0
     epsilon = compute_epsilon(config)
+    c0_eff = 0.5 * config.potential.radial_law()[0]  # compute_epsilon has found the law
     K2 = abs(math.log(epsilon))
 
     C = sum(closed_form("C_gradV_B", f, "envelope")(epsilon) for f in (config.potential, config.magnetic))
@@ -243,7 +246,8 @@ def compute_momentum_bound(config: FieldConfig, m: float, R: float, *, l1: float
     if not 0.0 < m < R + period:
         raise ValueError(f"need 0 < m < R + T, got m={m}, R+T={R + period}")
     grad, b = (closed_form("momentum bound M", f, "envelope")(m) for f in (config.potential, config.magnetic))
-    terms = {"|grad V|": grad, "c0/|q|^2": power_law(config.c0, m, 2.0), "|B|": b}
+    c0, _ = closed_form("momentum bound M", config.potential, "radial_law")()
+    terms = {"|grad V|": grad, "c0/|q|^2": power_law(c0, m, 2.0), "|B|": b}
     M = sum(terms.values())
     if not math.isfinite(M):
         name = max(terms, key=terms.get)
@@ -280,7 +284,7 @@ def compute_certificate(config: FieldConfig) -> BoundsCertificate:
         M=M,
         L=L,
         l1_norm=l1,
-        c0_eff=0.5 * config.c0,
+        c0_eff=0.5 * config.potential.radial_law()[0],
         provenance=provenance,
     )
 

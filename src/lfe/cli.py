@@ -136,7 +136,8 @@ def _build_problem(cfg: RunConfig, lam: float, cert: BoundsCertificate | None) -
 def _initial_state(cfg: RunConfig) -> State:
     if cfg.initial.q is not None:
         return State(q=cfg.initial.q, p=cfg.initial.p)
-    return State(q=find_zero_f0(cfg.fields.c0, cfg.fields.forcing.mean).q, p=cfg.initial.p)
+    c0, _ = cfg.fields.potential.radial_law()
+    return State(q=find_zero_f0(c0, cfg.fields.forcing.mean).q, p=cfg.initial.p)
 
 
 def cmd_validate(cfg: RunConfig, report: _Report) -> int:
@@ -156,7 +157,7 @@ def _certify(cfg: RunConfig, report: _Report) -> BoundsCertificate:
 
 
 def _degree(cfg: RunConfig, cert: BoundsCertificate, report: _Report) -> DegreeReport:
-    c0, mean, seed = cfg.fields.c0, cfg.fields.forcing.mean, cfg.solver.seed
+    (c0, _), mean, seed = cfg.fields.potential.radial_law(), cfg.fields.forcing.mean, cfg.solver.seed
     degree = _attempt("degree computation failed", brouwer_degree, c0, mean, cert.region(), seed=seed)
     record = dataclasses.asdict(degree)
     x0 = record.pop("x0")

@@ -15,7 +15,7 @@ Schema (INI sections and keys; vectors are space-separated triples):
                 c_B (number or 'auto') ; c1 ; beta ; eps1
   [forcing]     period ; mean ; harmonic_<k>_cos / harmonic_<k>_sin
                 (k >= 1 in ASCII digits without a leading zero)
-  [integrator]  rtol ; atol ; max_steps ; method ; r_min (number or 'auto')
+  [integrator]  rtol ; atol ; max_steps ; r_min (number or 'auto')
   [solver]      newton_tol ; max_iterations ; dlam_init ; dlam_floor ;
                 target_lambda ; seed
   [initial-state]  lambda ; q (triple or 'equilibrium') ; p ; t_end
@@ -303,8 +303,6 @@ def parse_config(path) -> RunConfig:
             potential=potential,
             magnetic=magnetic,
             forcing=forcing,
-            c0=c0,
-            gamma=gamma,
             eps0=eps0,
             c_B=c_B,
             c1=c1,
@@ -330,7 +328,7 @@ def parse_config(path) -> RunConfig:
     q = initial.q
     if q is None and not r_min_auto:  # an explicit guard radius must clear the equilibrium too
         try:
-            q = find_zero_f0(field_config.c0, field_config.forcing.mean).q
+            q = find_zero_f0(potential.radial_law()[0], forcing.mean).q
         except DegenerateForcing:  # no equilibrium: the commands that need one say so
             pass
     if q is not None and np.linalg.norm(q) <= integrator.r_min:

@@ -4,12 +4,12 @@ The autonomous field has a single zero (momentum zero, position on the ray
 opposite the mean forcing), and its Jacobian determinant there is strictly
 negative, so the topological degree on the certified annulus is -1.  That
 nonzero degree is what anchors the continuation; this module takes its
-sign from the closed-form determinant, cross-checked by a central-difference
-Jacobian in momentum coordinates, and guards against a second zero with a
-multi-start Newton sweep in velocity coordinates (see lfe.homotopy).  The
-sweep steps in the inverted radius w = q/|q|^3, where the force block is
-linear, so a step needs no solve and a start deep inside the region
-reaches the zero in a few steps.  The orientation, stated in the report:
+sign from the closed-form determinant (its central-difference oracle is a
+test), and guards against a second zero with a multi-start Newton sweep
+in velocity coordinates (see lfe.homotopy).  The sweep steps in the
+inverted radius w = q/|q|^3, where the force block is linear, so a step
+needs no solve and a start deep inside the region reaches the zero in a
+few steps.  The orientation, stated in the report:
 domain ordered (p, q), codomain (q', p'), as in `f0_determinant_closed_form`;
 there the degree is minus the fixed-point index sign det(I - M) of the
 orbit it anchors, M its monodromy.
@@ -41,10 +41,6 @@ class ZeroOutsideOmega(DegreeError):
     pass
 
 
-class InconsistentDeterminants(DegreeError):
-    pass
-
-
 class MultipleZeros(DegreeError):
     pass
 
@@ -73,7 +69,6 @@ def find_zero_f0(c0: float, h_mean) -> State:
 class DegreeReport:
     x0: State
     det_analytic: float
-    det_numeric: float
     degree: int
     omega: tuple[float, float, float]
     sweep: dict
@@ -87,20 +82,11 @@ class DegreeReport:
             f"zero:            q = ({q}), p = ({p})",
             f"region:          {m:.6g} < |q| < {upper:.6g}, |p| < {p_max:.6g}",
             f"det (analytic):  {self.det_analytic!r}",
-            f"det (numeric):   {self.det_numeric!r}",
             f"degree:          {self.degree}",
             f"orientation:     {self.orientation}",
             "sweep:           "
             + ", ".join(f"{k}={v}" for k, v in self.sweep.items() if isinstance(v, int)),
         ]
-
-
-def _fd_jacobian_f0(field: AutonomousField, x0: State, step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian in the same momentum-first layout as the analytic one."""
-    z0 = np.concatenate([x0.p, x0.q])
-    z = np.concatenate([z0 + step * np.eye(6), z0 - step * np.eye(6)])
-    f = field.value(z[:, 3:], phi_inv(z[:, :3]))
-    return (f[:6] - f[6:]).T / (2.0 * step)
 
 
 def _radial_scale(x: np.ndarray, power: float) -> np.ndarray:
@@ -223,9 +209,7 @@ def brouwer_degree(
     """Degree of the autonomous field on the region m < |q| < upper, |p| < p_max.
 
     The sign comes from the closed-form determinant at the explicit zero
-    (f0_determinant_closed_form), cross-checked against a central-difference
-    Jacobian determinant (relative agreement 1e-5 required, else
-    InconsistentDeterminants).  A quasi-random multi-start Newton sweep
+    (f0_determinant_closed_form).  A quasi-random multi-start Newton sweep
     from 2^10 starts must find no zero other than the explicit one.
     """
     m, upper, p_max = omega
@@ -236,18 +220,11 @@ def brouwer_degree(
 
     field = AutonomousField(c0=c0, h_mean=np.asarray(h_mean, dtype=float))
     det_analytic = f0_determinant_closed_form(c0, x0.q, x0.p)
-    det_numeric = float(np.linalg.det(_fd_jacobian_f0(field, x0)))
-    if abs(det_numeric - det_analytic) > 1e-5 * abs(det_analytic):
-        raise InconsistentDeterminants(
-            f"analytic {det_analytic!r} vs finite-difference {det_numeric!r}"
-        )
-
     sweep = _newton_sweep(field, x0, omega, 10, seed)
     degree = int(math.copysign(1.0, det_analytic))
     return DegreeReport(
         x0=x0,
         det_analytic=det_analytic,
-        det_numeric=det_numeric,
         degree=degree,
         omega=(float(m), float(upper), float(p_max)),
         sweep=sweep,
@@ -258,7 +235,6 @@ __all__ = [
     "DegenerateForcing",
     "DegreeError",
     "ZeroOutsideOmega",
-    "InconsistentDeterminants",
     "MultipleZeros",
     "DegreeReport",
     "find_zero_f0",

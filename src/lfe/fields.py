@@ -6,7 +6,10 @@ known singular rate, the magnetic field has a finite ceiling at infinity,
 and its singularity at the origin is strictly weaker than the electric
 one.  `validate_hypotheses` compares the constants of the configuration
 with the field kinds' closed forms and reports pass/fail per condition;
-it evaluates no field.
+it evaluates no field.  The repulsion rate is not a constant of the
+configuration: the potential kind's `radial_law()` states it exactly, and
+it is the one home of the electric constants c0 and gamma, read by the
+homotopy's Coulomb term, the certificate and the degree stage alike.
 
 Each field kind carries the closed forms that the hypothesis checks and
 the certificate read instead of sampling: `envelope(r)`, a
@@ -375,8 +378,10 @@ def gauss_legendre(a, b) -> tuple[np.ndarray, np.ndarray]:
 class FieldConfig:
     """Potential + magnetic field + forcing, with the bound constants made explicit.
 
-    c0, gamma, eps0: near-origin electric repulsion,  q.grad V <= -c0 |q|^(-gamma)
-                     for |q| <= eps0.
+    The electric constants (c0, gamma) have one home, the potential kind's
+    `radial_law()`: -q . grad V = c0 |q|^(-gamma), exactly.
+
+    eps0:            cap of the certificate's clearance radius epsilon.
     c_B:             ceiling of |B| at large |q|.
     c1, beta, eps1:  near-origin magnetic growth,  |B| <= c1 |q|^(-beta-1)
                      for |q| <= eps1.  c1 = 0 is allowed for a vanishing field.
@@ -389,8 +394,6 @@ class FieldConfig:
     potential: object
     magnetic: object
     forcing: Forcing
-    c0: float
-    gamma: float
     eps0: float
     c_B: float
     c1: float
@@ -398,11 +401,9 @@ class FieldConfig:
     eps1: float
 
     def __post_init__(self):
-        for name in ("c0", "gamma", "eps0", "c_B", "beta", "eps1"):
+        for name in ("eps0", "c_B", "beta", "eps1"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
         if self.c1 < 0:
             raise ValueError("c1 must be >= 0")
 
@@ -492,10 +493,9 @@ def validate_hypotheses(config: FieldConfig) -> ValidationReport:
         a, g = radial_law()
         return a > 0.0, f"-q.grad V = {a:.6g} |q|^-{g:g} on every sphere", a
 
-    def rate(radial_law):  # c0 |q|^-gamma <= a |q|^-g on 0 < |q| <= eps0
-        a, g = radial_law()
-        passed, margin = dominated(c.c0, c.gamma, a, g, c.eps0)
-        return passed, f"q.grad V = -{a:.6g} |q|^-{g:g} <= -c0 |q|^-gamma on |q| <= eps0={c.eps0}", margin
+    def order(radial_law):  # the magnetic singularity is weaker than the electric one
+        _, g = radial_law()
+        return 0.0 < c.beta < g, f"beta={c.beta}, gamma={g}", g - c.beta
 
     def ceiling(envelope):  # non-strict, as |v x B| < |B| for |v| < 1
         b = envelope(_FAR_RADII[0])
@@ -510,12 +510,9 @@ def validate_hypotheses(config: FieldConfig) -> ValidationReport:
     checks = (
         _row("electric-decay-at-infinity", c.potential, "envelope", decay),
         _row("repulsion-sign-global", c.potential, "radial_law", sign),
-        _row("repulsion-rate-near-origin", c.potential, "radial_law", rate),
         _row("magnetic-ceiling-at-infinity", c.magnetic, "envelope", ceiling),
         _row("magnetic-growth-near-origin", c.magnetic, "envelope_law", growth),
-        HypothesisCheck(
-            "beta-below-gamma", 0.0 < c.beta < c.gamma, f"beta={c.beta}, gamma={c.gamma}", c.gamma - c.beta
-        ),
+        _row("beta-below-gamma", c.potential, "radial_law", order),
         HypothesisCheck(
             "mean-forcing-dominates-ceiling", hm > c.c_B, f"|mean h| = {hm:.6g} vs c_B = {c.c_B}", hm - c.c_B
         ),

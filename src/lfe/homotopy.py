@@ -6,12 +6,15 @@ For lam in [0, 1] the first-order system in (position, momentum) reads
     p' = -grad V_lam(q) + h_lam(t) + lam * (phi_inv(p) x B(t, q))
 
 with  V_lam = lam*V + (1-lam)*c0/|q|  and  h_lam = lam*h(t) + (1-lam)*h_mean.
-At lam = 1 this is the original equation; at lam = 0 it is autonomous with
-a single explicit equilibrium, which anchors both the degree computation
-and the continuation.  The degree sweep takes that limit in velocity
-coordinates v = phi_inv(p), which keeps its zeros and degree (see AutonomousField).
-`HomotopySystem` holds only its FieldConfig; T and h_mean are read from
-`config.forcing`, their one home.
+c0 is the a of the potential kind's exact radial law -q . grad V = a |q|^-g
+(`radial_law()`), so below lam = 1 the potential needs one; h_lam is
+`Forcing.eval(t, lam)`.  At lam = 1 this is the original equation; at
+lam = 0 it is autonomous with a single explicit equilibrium, which anchors
+both the degree computation and the continuation.  The degree sweep takes
+that limit in velocity coordinates v = phi_inv(p), which keeps its zeros
+and degree (see AutonomousField).  `HomotopySystem` holds only its
+FieldConfig; T and h_mean are read from `config.forcing` and c0 from
+`config.potential`, the one home of each.
 """
 
 from __future__ import annotations
@@ -36,21 +39,24 @@ class HomotopySystem:
     config: FieldConfig
 
     def grad_V_lambda(self, q, rad, lam: float) -> np.ndarray:
-        """lam * grad V(q) + (1-lam) * grad(c0/|q|) for q, rad = radial_powers(q) of shape (3,) or (N, 3)."""
+        """lam * grad V(q) + (1-lam) * grad(c0/|q|) for q, rad = radial_powers(q) of shape (3,) or (N, 3).
+
+        c0 is the a of the potential's `radial_law()`; below lam = 1 a
+        potential without one is a ValueError naming its kind.
+        """
+        potential = self.config.potential
         if lam == 1.0:
-            return self.config.potential.gradient(q, rad)
-        coulomb = (lam - 1.0) * self.config.c0 * rad[1] * q
+            return potential.gradient(q, rad)
+        radial_law = getattr(potential, "radial_law", None)
+        if radial_law is None:
+            raise ValueError(
+                f"lam = {lam:g} < 1 needs the potential's c0 for its Coulomb term: "
+                f"a {type(potential).__name__} has no closed-form radial law"
+            )
+        coulomb = (lam - 1.0) * radial_law()[0] * rad[1] * q
         if lam == 0.0:
             return coulomb
-        return lam * self.config.potential.gradient(q, rad) + coulomb
-
-    def h_lambda(self, t, lam: float) -> np.ndarray:
-        """lam * h(t) + (1-lam) * h_mean for t of shape () or (n,); shape (3,) or (n, 3).
-
-        Computed as h_mean + lam * (h(t) - h_mean) in one pass (`Forcing.eval`),
-        so its period average is h_mean for every lam.
-        """
-        return self.config.forcing.eval(t, lam)
+        return lam * potential.gradient(q, rad) + coulomb
 
     def rhs_array(self, t, y: np.ndarray, lam: float) -> np.ndarray:
         """Vector field on flat states [q, p]; the hot path for integration.
@@ -68,7 +74,7 @@ class HomotopySystem:
         """
         q, rad = radial_powers(y[..., :3])
         v = phi_inv(y[..., 3:])
-        force = self.h_lambda(t, lam) - self.grad_V_lambda(q, rad, lam)
+        force = self.config.forcing.eval(t, lam) - self.grad_V_lambda(q, rad, lam)
         if lam != 0.0:
             # v x B from cyclic shifts: np.cross costs more than the rest of the call
             b = self.config.magnetic.eval(t, q, rad)

@@ -135,7 +135,6 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 1_000_000
-    method: str = "DOP853"  # the only stepper; configs may still spell it out
     r_min: float = 1e-6
 
     def __post_init__(self):
@@ -145,8 +144,6 @@ class IntegratorConfig:
             raise ValueError("max_steps must be at least 1")
         if self.r_min <= 0:
             raise ValueError("guard radius must be positive")
-        if self.method != "DOP853":
-            raise ValueError(f"method must be DOP853, the only stepper, got {self.method!r}")
 
 
 @dataclass(frozen=True)

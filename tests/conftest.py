@@ -27,9 +27,9 @@ from lfe.fields import (
     magnetic_ceiling,
     radial_powers,
 )
-from lfe.homotopy import HomotopySystem
+from lfe.homotopy import AutonomousField, HomotopySystem
 from lfe.integrator import IntegratorConfig, Trajectory
-from lfe.kinematics import State, lorentz_factor
+from lfe.kinematics import State, lorentz_factor, phi_inv
 from lfe.shooting import ShootingProblem, continue_lambda, newton_shooting
 
 SEED = 20240803
@@ -75,8 +75,6 @@ def force_free_config(magnetic=None, mean=(0.0, 0.0, 0.0)) -> FieldConfig:
         potential=zero_potential(),
         magnetic=magnetic if magnetic is not None else ZeroField(),
         forcing=Forcing(1.0, mean),
-        c0=1.0,
-        gamma=1.0,
         eps0=1.0,
         c_B=1.0,
         c1=0.0,
@@ -91,8 +89,6 @@ def coulomb_config(c0=1.0, mean=(0.0, 0.0, 2.0), c_B=1.0) -> FieldConfig:
         potential=GeneralizedCoulomb(c0, 1.0),
         magnetic=ZeroField(),
         forcing=Forcing(1.0, np.asarray(mean, dtype=float)),
-        c0=c0,
-        gamma=1.0,
         eps0=1.0,
         c_B=c_B,
         c1=0.0,
@@ -111,8 +107,6 @@ def desk_config() -> FieldConfig:
         potential=GeneralizedCoulomb(1.0, 3.0),
         magnetic=dipole,
         forcing=forcing,
-        c0=1.0,
-        gamma=3.0,
         eps0=0.5,
         c_B=c_B,
         c1=c1,
@@ -139,10 +133,16 @@ class PulsedField:
 
 @dataclass(frozen=True)
 class PlantedCoulomb:
-    """Coulomb gradient -q/|q|^3, except NaN at the point nan_q and 0 (not repelling) at zero_q."""
+    """Coulomb gradient -q/|q|^3, except NaN at the point nan_q and 0 (not repelling) at zero_q.
+
+    Its `radial_law()` states the Coulomb law, which the two points break.
+    """
 
     nan_q: np.ndarray
     zero_q: np.ndarray
+
+    def radial_law(self):
+        return 1.0, 1.0
 
     def gradient(self, q, rad):
         g = -q * rad[1]
@@ -157,8 +157,6 @@ def pulsed_config(c_B: float) -> FieldConfig:
         potential=GeneralizedCoulomb(1.0, 1.0),
         magnetic=PulsedField(0.8, 1.0),
         forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
-        c0=1.0,
-        gamma=1.0,
         eps0=1.0,
         c_B=c_B,
         c1=0.0,
@@ -258,7 +256,7 @@ def conserved_energy(system: HomotopySystem, y: np.ndarray, lam: float):
     Constant along a flow when h_lam is time-independent.
     """
     q, (s, _) = radial_powers(y[..., :3])
-    v_lam = (1.0 - lam) * system.config.c0 * np.sqrt(s[..., 0])
+    v_lam = 0.0 if lam == 1.0 else (1.0 - lam) * system.config.potential.radial_law()[0] * np.sqrt(s[..., 0])
     if lam != 0.0:
         v_lam += lam * system.config.potential.value(q)
     return lorentz_factor(y[..., 3:]) + v_lam - np.add.reduce(q * system.config.forcing.mean, axis=-1)
@@ -280,3 +278,15 @@ def periodicity_residual(x0: State, problem: ShootingProblem) -> np.ndarray:
     """Flow(T, x0) - x0; zero exactly at a T-periodic orbit."""
     traj = problem.flow(x0)
     return traj.states[-1] - traj.states[0]
+
+
+def fd_jacobian_momentum_first(field: AutonomousField, x: State, step: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of f0 at x in momentum-first coordinates (p, q), all 12 points in one call.
+
+    The oracle of `f0_determinant_closed_form`: its determinant agrees
+    with the closed form to about 1e-5 relative.
+    """
+    z0 = np.concatenate([x.p, x.q])
+    z = np.concatenate([z0 + step * np.eye(6), z0 - step * np.eye(6)])
+    f = field.value(z[:, 3:], phi_inv(z[:, :3]))
+    return (f[:6] - f[6:]).T / (2.0 * step)

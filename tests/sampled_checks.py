@@ -1,11 +1,17 @@
 """The sampled hypothesis checks: the oracle of `lfe.fields.validate_hypotheses`.
 
-`sampled_hypotheses(config, seed)` checks the seven hypothesis rows on
+`sampled_hypotheses(config, seed)` checks the six hypothesis rows on
 seeded Sobol clouds, without the field kinds' closed forms that
 `validate_hypotheses` reads.  Its numbers come from one sweep,
 `shell_maxima`: per sphere of radius r, the maximum of |grad V|, of
 q . grad V, or of |B| over a time grid.  It needs only a field's
-`gradient` or `eval`, so it also runs on kinds without closed forms.
+`gradient` or `eval`, so it also runs on kinds without closed forms; the
+one exception is the beta-below-gamma row, which compares constants and
+reads gamma from its one home, the potential's `radial_law()`.
+
+`sampled_radial_law(potential, eps, seed)` is the oracle of that closed
+form itself: it compares q . grad V on a near-origin cloud with the
+-a |q|^-g of the kind's `radial_law()`.
 
 Every bound comparison allows a rounding slack of `slack` times the bound
 (the magnetic growth row: times max(bound, 1)); the magnetic ceiling is
@@ -105,14 +111,6 @@ def sampled_hypotheses(config: FieldConfig, seed: int, slack: float = SLACK) -> 
     detail = f"max q.grad V over {len(radii) * len(cloud_dirs)} sampled points = {worst:.3e}"
     rows["repulsion-sign-global"] = (worst < 0.0, detail, -worst)
 
-    # near-origin repulsion rate: q.grad V <= -c0 |q|^(-gamma) for |q| < eps0
-    radii = log_radii(config.eps0 * NEAR_DEPTH, config.eps0 * (1.0 - 1e-9), 64)
-    bound = -config.c0 * radii ** (-config.gamma)
-    val, _ = shell_maxima(radii, dirs, config.potential, radial=True)
-    margin = float(np.min((bound - val) + slack * np.abs(bound)))
-    detail = f"q.grad V <= -c0 |q|^-gamma on |q| < eps0={config.eps0}"
-    rows["repulsion-rate-near-origin"] = (margin >= 0.0, detail, margin)
-
     # magnetic ceiling at infinity: sampled |B| <= c_B on far spheres
     bmax = float(b_far.max())
     margin = config.c_B - bmax + slack * config.c_B
@@ -128,9 +126,25 @@ def sampled_hypotheses(config: FieldConfig, seed: int, slack: float = SLACK) -> 
     rows["magnetic-growth-near-origin"] = (margin >= 0.0, detail, margin)
 
     # singularity ordering between the two fields, and the mean forcing over the ceiling
-    ordered = 0.0 < config.beta < config.gamma
-    rows["beta-below-gamma"] = (ordered, f"beta={config.beta}, gamma={config.gamma}", config.gamma - config.beta)
+    _, gamma = config.potential.radial_law()
+    rows["beta-below-gamma"] = (0.0 < config.beta < gamma, f"beta={config.beta}, gamma={gamma}", gamma - config.beta)
     hm = config.forcing.mean_norm
     detail = f"|mean h| = {hm:.6g} vs c_B = {config.c_B}"
     rows["mean-forcing-dominates-ceiling"] = (hm > config.c_B, detail, hm - config.c_B)
     return rows
+
+
+def sampled_radial_law(potential, eps: float, seed: int, slack: float = SLACK) -> tuple[bool, str, float]:
+    """(passed, detail, worst margin) of the potential's `radial_law()` on the near-origin cloud |q| < eps.
+
+    The law states -q . grad V = a |q|^-g exactly, so every sampled
+    q . grad V must lie within slack a |q|^-g of -a |q|^-g, on log radii
+    from NEAR_DEPTH eps to eps.  A NaN sample makes the margin NaN, which fails.
+    """
+    a, g = potential.radial_law()
+    radii, dirs = log_radii(eps * NEAR_DEPTH, eps * (1.0 - 1e-9), 64), sphere_directions(6, seed)
+    q, rad = radial_powers(shells(radii, dirs))
+    law = -a * np.repeat(radii, len(dirs)) ** -g
+    sampled = np.add.reduce(q * potential.gradient(q, rad), axis=-1)
+    margin = float(np.min(slack * np.abs(law) - np.abs(sampled - law)))
+    return margin >= 0.0, f"q.grad V = -{a:.6g} |q|^-{g:g} on |q| < eps={eps}", margin

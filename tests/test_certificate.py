@@ -88,7 +88,7 @@ def test_epsilon_uncapped_reaches_one(a5_cert):
 def _epsilon_margin(config):
     """c0 r^-gamma - (c0/2 r^-1 + c1 r^-beta): -q . grad V of the Coulomb family against the inequality."""
     c0, gamma = config.potential.c0, config.potential.gamma
-    return lambda r: c0 * r**-gamma - (0.5 * config.c0 / r + config.c1 * r**-config.beta)
+    return lambda r: c0 * r**-gamma - (0.5 * c0 / r + config.c1 * r**-config.beta)
 
 
 def _first_grid_point_below_the_root(config):
@@ -114,8 +114,6 @@ def test_epsilon_against_scalar_threshold_oracle():
         potential=GeneralizedCoulomb(1.0, 3.0),
         magnetic=dipole,
         forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
-        c0=1.0,
-        gamma=3.0,
         eps0=10.0,
         c_B=2.1,
         c1=2.0,
@@ -135,8 +133,6 @@ def test_epsilon_holds_between_the_grid_radii():
         potential=GeneralizedCoulomb(1.0, 1.0),
         magnetic=UniformField([0.0, 0.0, 0.05]),
         forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
-        c0=1.0,
-        gamma=1.0,
         eps0=1.0,
         c_B=0.1,
         c1=0.59,
@@ -156,8 +152,6 @@ def test_epsilon_inequality_fails_for_strong_magnetic_singularity():
         potential=GeneralizedCoulomb(1.0, 1.0),  # beta = 2 >= gamma = 1
         magnetic=dipole,
         forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
-        c0=1.0,
-        gamma=1.0,
         eps0=1.0,
         c_B=0.2,
         c1=c1,
@@ -190,7 +184,7 @@ def _radius_window_by_window(config, seed):
     while radius <= 1e6:
         radii = radius * np.array([1.0, 2.0, 4.0, 8.0])
         e, b = shell_maxima(radii, dirs, config.potential, config.magnetic, config.forcing.period)
-        if b.max() < config.c_B and max(e.max(), (config.c0 / radii**2).max()) < threshold:
+        if b.max() < config.c_B and max(e.max(), (config.potential.c0 / radii**2).max()) < threshold:
             return radius
         radius *= 2.0
     return None
@@ -230,8 +224,6 @@ def _random_config(rng, kind):
         potential=GeneralizedCoulomb(c0, gamma),
         magnetic=magnetic,
         forcing=Forcing(rng.uniform(0.5, 2.0), c_B / rng.uniform(0.05, 0.95) * direction),
-        c0=c0 * rng.uniform(0.5, 1.0),
-        gamma=gamma,
         eps0=rng.uniform(0.2, 2.0),
         c_B=c_B,
         c1=10.0 ** rng.uniform(-2.0, 1.0) * c0,
@@ -300,8 +292,6 @@ def test_momentum_bound_grows_with_magnetic_field(a5_cert):
         potential=config.potential,
         magnetic=UniformField([0.0, 0.0, 0.1]),
         forcing=config.forcing,
-        c0=config.c0,
-        gamma=config.gamma,
         eps0=config.eps0,
         c_B=config.c_B,
         c1=0.1,
@@ -404,8 +394,6 @@ def test_monotonicity_in_forcing_l1():
         forcing=Forcing(
             1.0, [0.0, 0.0, 2.0], [Harmonic(2, [0.5, 0.0, 0.0], [0.0, 0.5, 0.0])]
         ),
-        c0=base.c0,
-        gamma=base.gamma,
         eps0=base.eps0,
         c_B=base.c_B,
         c1=base.c1,

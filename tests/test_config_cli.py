@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import lfe.degree
 import lfe.shooting
 from lfe.cli import main
 from lfe.config_io import ConfigError, parse_config
+from lfe.degree import MultipleZeros
 from lfe.fields import ABCField, DipoleField, GeneralizedCoulomb, ZeroField
 
 MINIMAL = """
@@ -157,7 +159,6 @@ mean = 0.0 0.0 2.0
 rtol = 1e-10
 atol = 1e-12
 max_steps = 1000000
-method = DOP853
 r_min = auto
 
 [solver]
@@ -246,7 +247,6 @@ newton_tol = 1e-8
 
 [integrator]
 r_min = 1e-3
-method = DOP853
 max_steps = 5000
 atol = 1e-9
 rtol = 1e-8
@@ -298,7 +298,6 @@ harmonic_2_sin = 0.0 0.0 0.0
 rtol = 1e-08
 atol = 1e-09
 max_steps = 5000
-method = DOP853
 r_min = 0.001
 
 [solver]
@@ -674,8 +673,6 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
         ("gamma = 3.0", "gamma = 3.0\neps0 = -1", "potential"),
         ("mean = 0 0 2", "mean = 0 0 2\n[magnetic]\neps1 = -1", "magnetic"),
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nrtol = -1", "integrator"),
-        ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nmethod = Radau", "integrator"),
-        ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nmethod = RK45", "integrator"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nq = 0 0 0", "initial-state"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = 0", "initial-state"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = -1", "initial-state"),
@@ -710,7 +707,7 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nr_min = 0", "integrator"),
     ],
     ids=[
-        "c0", "period", "eps0", "eps1", "rtol", "method", "method-RK45", "q", "t_end0", "t_end-1",
+        "c0", "period", "eps0", "eps1", "rtol", "q", "t_end0", "t_end-1",
         "q_r_min", "q_r_min_auto", "dlam_init0", "dlam_init-", "dlam_floor0", "target>1",
         "target<0", "newton_tol0", "seed-1", "max_iterations0", "max_steps0",
         "not-a-number", "not-finite", "not-an-integer", "potential-kind", "no-c0", "no-period",
@@ -730,6 +727,14 @@ def test_cli_retired_growth_key_exits_4(tmp_path, capsys, value):
     cfg = write(tmp_path, MINIMAL.replace("mean = 0 0 2", f"mean = 0 0 2\n[solver]\ngrowth = {value}"))
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err == "config error: unknown key 'growth' in section [solver]\n"
+
+
+@pytest.mark.parametrize("value", ["Radau", "RK45", "DOP853"])
+def test_cli_retired_method_key_exits_4(tmp_path, capsys, value):
+    # DOP853 is the one stepper, so [integrator] has no method key, not even for its only value
+    cfg = write(tmp_path, MINIMAL.replace("mean = 0 0 2", f"mean = 0 0 2\n[integrator]\nmethod = {value}"))
+    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == "config error: unknown key 'method' in section [integrator]\n"
 
 
 def test_cli_config_errors_exit_4(tmp_path, capsys):
@@ -907,7 +912,7 @@ def test_cli_continue_stops_on_a_failed_hypothesis(tmp_path):
     assert lines[-3] == "aborted: hypothesis validation failed"
 
 
-# c0 = 1e-7 puts the zero at |q| = 2.2e-4, where the central-difference
+# c0 = 1e-7 puts the zero at |q| = 2.2e-4, where a central-difference
 # determinant (step 1e-6) misses the closed form by more than 1e-5
 TINY_C0 = """
 [potential]
@@ -919,19 +924,35 @@ mean = 0 0 2
 """
 
 
-def test_cli_degree_failure_exits_3(tmp_path):
-    cfg = write(tmp_path, TINY_C0)
+def test_cli_degree_failure_exits_3(tmp_path, monkeypatch):
+    # the degree stage fails on a second zero or a zero outside the region; the sweep is made to find a second one
+    def second_zero(*args):
+        raise MultipleZeros("Newton converged to a second zero near [0. 0. 1. 0. 0. 0.]")
+
+    monkeypatch.setattr(lfe.degree, "_newton_sweep", second_zero)
+    cfg = write(tmp_path, LIGHT)
     out = tmp_path / "out"
     assert main(["continue", "--config", str(cfg), "--out", str(out)]) == 3
     payload = json.loads((out / "run_report.json").read_text())
     assert payload["validation_passed"] is True and "certificate" in payload
-    assert payload["degree_error"].startswith("analytic ")
+    assert payload["degree_error"] == "Newton converged to a second zero near [0. 0. 1. 0. 0. 0.]"
     assert "degree" not in payload and "continuation" not in payload
     lines = (out / "run_report.txt").read_text().splitlines()
     assert lines[-3] == "aborted: degree computation failed: " + payload["degree_error"]
     assert main(["degree", "--config", str(cfg), "--out", str(out)]) == 3
     text = (out / "degree_report.txt").read_text()
     assert text == "degree computation failed: " + payload["degree_error"] + "\n"
+
+
+def test_cli_degree_takes_the_closed_form_determinant_at_a_tiny_c0(tmp_path):
+    # the closed form alone gives the sign: no central-difference check refuses this zero
+    cfg = write(tmp_path, TINY_C0)
+    out = tmp_path / "out"
+    assert main(["degree", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "degree_report.json").read_text())
+    assert payload["degree"] == -1
+    r_star = float(np.linalg.norm(payload["x0_q"]))
+    assert payload["det_analytic"] == pytest.approx(-2.0 * 1e-21 * r_star**-9, rel=1e-12)
 
 
 def test_tiny_dipole_moment_is_not_read_as_zero(tmp_path):

@@ -24,7 +24,7 @@ from lfe.fields import (
     radial_powers,
     validate_hypotheses,
 )
-from sampled_checks import log_radii, sampled_hypotheses, shell_maxima, shells, sphere_directions
+from sampled_checks import log_radii, sampled_hypotheses, sampled_radial_law, shell_maxima, shells, sphere_directions
 
 VALIDATION_SEED = 20240801
 
@@ -329,8 +329,6 @@ def test_validate_flags_singularity_order():
         potential=GeneralizedCoulomb(1.0, 1.0),
         magnetic=dipole,
         forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
-        c0=1.0,
-        gamma=1.0,
         eps0=1.0,
         c_B=0.2,
         c1=c1,
@@ -348,8 +346,6 @@ def test_validate_flags_equal_mean_and_ceiling():
         potential=GeneralizedCoulomb(1.0, 3.0),
         magnetic=ZeroField(),
         forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
-        c0=1.0,
-        gamma=3.0,
         eps0=0.5,
         c_B=2.0,  # exactly |mean h|
         c1=0.0,
@@ -377,8 +373,6 @@ def _abc_config(c_B: float) -> FieldConfig:
         potential=GeneralizedCoulomb(1.0, 3.0),
         magnetic=ABCField(0.1, 0.05, 0.03),
         forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
-        c0=1.0,
-        gamma=3.0,
         eps0=1.0,
         c_B=c_B,
         c1=0.3,
@@ -419,9 +413,10 @@ def test_magnetic_ceiling_of_a_vanishing_field_is_one():
 
 
 def test_config_rejects_nonpositive_constants():
-    with pytest.raises(ValueError):
+    # c0 and gamma have one home, the potential, which checks them
+    with pytest.raises(ValueError, match="^c0 must be positive$"):
         GeneralizedCoulomb(-1.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^gamma must be >= 1$"):
         GeneralizedCoulomb(1.0, 0.5)
     with pytest.raises(ValueError):
         Forcing(0.0, [1, 0, 0])
@@ -429,15 +424,11 @@ def test_config_rejects_nonpositive_constants():
         Harmonic(0, [0.1, 0, 0], [0, 0, 0])
     with pytest.raises(ValueError, match="^mean is too large"):
         Forcing(1.0, [0, 0, 1e250])
-    with pytest.raises(ValueError, match="^gamma must be >= 1$"):
-        dataclasses.replace(coulomb_config(), gamma=0.5)
     with pytest.raises(ValueError):
         FieldConfig(
             potential=GeneralizedCoulomb(1.0, 1.0),
             magnetic=ZeroField(),
             forcing=Forcing(1.0, [0, 0, 2]),
-            c0=1.0,
-            gamma=1.0,
             eps0=1.0,
             c_B=1.0,
             c1=-0.1,
@@ -528,13 +519,12 @@ def test_shell_maxima_nan_samples():
 
 
 def test_validate_fails_a_nan_sample():
-    # one point of the near-origin cloud of the repulsion-rate check
+    # one point of the near-origin cloud of the oracle's radial-law check
     radii, dirs = log_radii(1e-4, 1.0 - 1e-9, 64), sphere_directions(6, VALIDATION_SEED)
     nan_q = shells(radii, dirs)[10 * len(dirs) + 3]
     nowhere = np.full(3, np.inf)
     for planted, fails in [(PlantedCoulomb(nowhere, nowhere), False), (PlantedCoulomb(nan_q, nowhere), True)]:
-        config = dataclasses.replace(coulomb_config(), potential=planted)
-        passed, _, margin = sampled_hypotheses(config, VALIDATION_SEED)["repulsion-rate-near-origin"]
+        passed, _, margin = sampled_radial_law(planted, 1.0, VALIDATION_SEED)
         assert passed is not fails and math.isnan(margin) is fails
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import TabulatedPotential, coulomb_config, desk_config
+from conftest import TabulatedPotential, coulomb_config, desk_config, fd_jacobian_momentum_first
 from lfe.degree import find_zero_f0
 from lfe.fields import (
     ABCField,
@@ -47,7 +47,7 @@ def test_grad_V_lambda_endpoints(system):
             system.grad_V_lambda(q, rad, 1.0), system.config.potential.gradient(q, rad), atol=1e-15
         )
         r = np.linalg.norm(q)
-        expected = -system.config.c0 * q / r**3
+        expected = -system.config.potential.c0 * q / r**3
         assert np.allclose(system.grad_V_lambda(q, rad, 0.0), expected, atol=1e-15)
 
 
@@ -68,12 +68,12 @@ def test_coulomb_gradient_at_unit_point():
 
 def test_h_lambda_endpoints_and_mean(system):
     f = system.config.forcing
-    assert np.array_equal(system.h_lambda(0.3, 0.0), f.mean)
-    assert np.allclose(system.h_lambda(0.3, 1.0), f.eval(0.3), atol=1e-15)
+    assert np.array_equal(f.eval(0.3, 0.0), f.mean)
+    assert np.allclose(f.eval(0.3, 1.0), f.eval(0.3), atol=1e-15)
     # the period average equals the stored mean for every lam
     for lam in (0.0, 0.3, 1.0):
         for i in range(3):
-            avg = quad(lambda t: system.h_lambda(t, lam)[i], 0.0, f.period, limit=200)[0]
+            avg = quad(lambda t: f.eval(t, lam)[i], 0.0, f.period, limit=200)[0]
             assert math.isclose(avg / f.period, f.mean[i], abs_tol=1e-10)
 
 
@@ -90,7 +90,7 @@ def test_rhs_magnetic_term_does_no_work(system):
             x = random_state(rng)
             v = phi_inv(x.p)
             force = system.rhs_array(0.4, x.as_array(), lam)[3:]
-            conservative = -system.grad_V_lambda(*radial_powers(x.q), lam) + system.h_lambda(0.4, lam)
+            conservative = -system.grad_V_lambda(*radial_powers(x.q), lam) + system.config.forcing.eval(0.4, lam)
             # v . (v x B) = 0, so the magnetic part is orthogonal to v
             assert abs(np.dot(v, force - conservative)) <= 1e-13 * (1 + np.abs(force).max())
 
@@ -189,20 +189,22 @@ def _reference_gradient(potential, q):
     ids=["zero", "uniform", "dipole", "abc"],
 )
 def test_rhs_matches_the_field_methods(potential, magnetic):
-    # the potential's c0 differs from the config's, which scales the interpolating Coulomb term
+    # below lam = 1 the Coulomb term takes the potential's own c0 (0.7, not the desk's 1.0);
+    # a potential without a radial law runs at lam = 1 only
     system = HomotopySystem(dataclasses.replace(desk_config(), potential=potential, magnetic=magnetic))
-    c0 = system.config.c0
+    coulomb_law = isinstance(potential, GeneralizedCoulomb)
+    c0, lams = (potential.c0, (0.0, 0.37, 1.0)) if coulomb_law else (0.0, (1.0,))
     rng = np.random.default_rng(40)
     stack = np.array([random_state(rng).as_array() for _ in range(7)])
     times = rng.uniform(0.0, 1.0, size=7)
-    for lam in (0.0, 0.37, 1.0):
+    for lam in lams:
         for t, y in [(times[0], stack[0]), (times, stack)]:
             q, p = y[..., :3], y[..., 3:]
             v = phi_inv(p)
             grad_v = _reference_gradient(potential, q)
             coulomb = c0 * q / np.linalg.norm(q, axis=-1, keepdims=True) ** 3
             b = magnetic.eval(t, *radial_powers(q))
-            terms = (system.h_lambda(t, lam), lam * grad_v, (1.0 - lam) * coulomb, lam * np.cross(v, b))
+            terms = (system.config.forcing.eval(t, lam), lam * grad_v, (1.0 - lam) * coulomb, lam * np.cross(v, b))
             # the Coulomb term repels: -grad(c0/|q|) = c0 q/|q|^3
             expected = terms[0] - terms[1] + terms[2] + terms[3]
             out = system.rhs_array(t, y, lam)
@@ -210,6 +212,16 @@ def test_rhs_matches_the_field_methods(potential, magnetic):
             # rtol 1e-13 against the size of the terms, so a cancelling sum is not held to its own size
             scale = sum(np.abs(term) for term in terms)
             assert np.all(np.abs(out[..., 3:] - expected) <= 1e-13 * scale), (lam, np.shape(t))
+
+
+def test_lambda_below_one_needs_the_potential_radial_law():
+    potential = TabulatedPotential(_gauss_potential, _central_difference_gradient)
+    system = HomotopySystem(dataclasses.replace(desk_config(), potential=potential))
+    y = random_state(np.random.default_rng(42)).as_array()
+    assert np.isfinite(system.rhs_array(0.3, y, 1.0)).all()
+    for lam in (0.0, 0.5):
+        with pytest.raises(ValueError, match=r"^lam = .* < 1 .*: a TabulatedPotential has no closed-form radial law$"):
+            system.rhs_array(0.3, y, lam)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
@@ -297,19 +309,6 @@ def test_autonomous_field_and_blocks_take_a_cloud():
         coulomb_force_jacobian(q, 1.3)
 
 
-def fd_jacobian_momentum_first(field: AutonomousField, x: State, step=1e-6):
-    def g(z):
-        return field.value(z[3:], phi_inv(z[:3]))
-
-    z0 = np.concatenate([x.p, x.q])
-    jac = np.empty((6, 6))
-    for j in range(6):
-        e = np.zeros(6)
-        e[j] = step
-        jac[:, j] = (g(z0 + e) - g(z0 - e)) / (2 * step)
-    return jac
-
-
 def test_f0_determinant_matches_finite_differences():
     rng = np.random.default_rng(36)
     for _ in range(20):
@@ -335,15 +334,15 @@ def test_f0_determinant_always_negative():
     ids=["zero", "uniform", "dipole", "abc"],
 )
 def test_rhs_takes_one_time_per_row(magnetic):
-    # desk forcing has a cosine harmonic, so h_lambda depends on each row's time
+    # desk forcing has a cosine harmonic, so h_lam depends on each row's time
     system = HomotopySystem(dataclasses.replace(desk_config(), magnetic=magnetic))
     rng = np.random.default_rng(37)
     stack = np.array([random_state(rng).as_array() for _ in range(7)])
     times = rng.uniform(0.0, 1.0, size=7)
     for lam in (0.0, 0.4, 1.0):
-        h = system.h_lambda(times, lam)
+        h = system.config.forcing.eval(times, lam)
         assert h.shape == (7, 3)
-        assert np.array_equal(h, [system.h_lambda(t, lam) for t in times])
+        assert np.array_equal(h, [system.config.forcing.eval(t, lam) for t in times])
         out = system.rhs_array(times, stack, lam)
         assert np.array_equal(out, [system.rhs_array(t, y, lam) for t, y in zip(times, stack)])
 
@@ -361,12 +360,12 @@ def test_multi_harmonic_forcing_takes_one_time_per_row():
     stack = np.array([random_state(rng).as_array() for _ in range(7)])
     times = rng.uniform(0.0, 1.0, size=7)
     for lam in (0.0, 0.4, 1.0):
-        h = system.h_lambda(times, lam)
+        h = forcing.eval(times, lam)
         out = system.rhs_array(times, stack, lam)
         for i, t in enumerate(times):
-            assert np.array_equal(system.h_lambda(t, lam), h[i])
+            assert np.array_equal(forcing.eval(t, lam), h[i])
             assert np.array_equal(system.rhs_array(t, stack[i], lam), out[i])
-        # one pass, mean + lam * (h - mean), against the blend that defines h_lambda
+        # one pass, mean + lam * (h - mean), against the blend that defines h_lam
         blend = lam * forcing.eval(times) + (1.0 - lam) * forcing.mean
         size = np.linalg.norm(blend, axis=-1, keepdims=True)
         assert np.all(np.abs(h - blend) <= 1e-15 * size), lam

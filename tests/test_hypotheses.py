@@ -23,9 +23,9 @@ from lfe.fields import (
     power_law,
     validate_hypotheses,
 )
-from sampled_checks import NEAR_DEPTH, sampled_hypotheses
+from sampled_checks import NEAR_DEPTH, sampled_hypotheses, sampled_radial_law
 
-DECAY, SIGN, RATE = "electric-decay-at-infinity", "repulsion-sign-global", "repulsion-rate-near-origin"
+DECAY, SIGN = "electric-decay-at-infinity", "repulsion-sign-global"
 CEILING, GROWTH = "magnetic-ceiling-at-infinity", "magnetic-growth-near-origin"
 ORDER, DOMINATES = "beta-below-gamma", "mean-forcing-dominates-ceiling"
 
@@ -66,14 +66,16 @@ def test_rows_of_kinds_without_closed_forms_fail_and_name_the_kind():
     missing = {
         DECAY: "a TabulatedPotential has no closed-form envelope",
         SIGN: "a TabulatedPotential has no closed-form radial law",
-        RATE: "a TabulatedPotential has no closed-form radial law",
         CEILING: "a PulsedField has no closed-form envelope",
         GROWTH: "a PulsedField has no closed-form envelope law",
+        # gamma has one home, the radial law, so the order of the singularities needs it too
+        ORDER: "a TabulatedPotential has no closed-form radial law",
     }
+    assert len(checks) == 6
     for name, detail in missing.items():
         assert not checks[name].passed and math.isnan(checks[name].margin)
         assert checks[name].detail == detail
-    assert checks[ORDER].passed and checks[DOMINATES].passed
+    assert checks[DOMINATES].passed
 
 
 @pytest.mark.parametrize(
@@ -123,8 +125,6 @@ def _planted(**changes) -> FieldConfig:
         potential=GeneralizedCoulomb(1.0, 3.0),
         magnetic=DipoleField([0.0, 0.0, 0.1]),
         forcing=Forcing(1.0, [0.0, 0.0, 2.0]),
-        c0=1.0,
-        gamma=3.0,
         eps0=0.5,
         c_B=0.2,
         c1=0.2,
@@ -139,8 +139,6 @@ _PLANTED = {
     DECAY: _planted(potential=PowerPotential(1.0, -0.5)),
     # an attracting potential: q . grad V = +|q|^-3
     SIGN: _planted(potential=PowerPotential(-1.0, 3.0)),
-    # the recorded rate is twice the potential's
-    RATE: _planted(c0=2.0),
     # |B| = 0.3 everywhere, above c_B = 0.25
     CEILING: _planted(magnetic=UniformField([0.0, 0.0, 0.3]), c_B=0.25),
     # the dipole's 0.2 |q|^-3 outgrows c1 |q|^-(beta+1) = 0.2 |q|^-2.5 as |q| -> 0
@@ -162,6 +160,22 @@ def test_planted_config_fails_its_row_in_both(row):
     assert not closed.passed and closed.margin < 0.0, closed
     for seed in (1, 2, 3):
         passed, detail, margin = sampled_hypotheses(config, seed)[row]
+        assert not passed and margin < 0.0, (seed, detail)
+
+
+@dataclass(frozen=True)
+class MisstatedLaw(PowerPotential):
+    """A PowerPotential whose `radial_law()` states twice the a of its gradient."""
+
+    def radial_law(self):
+        return 2.0 * self.a, self.g
+
+
+def test_sampled_radial_law_fails_a_law_that_is_not_the_gradients():
+    passed, detail, margin = sampled_radial_law(PowerPotential(1.0, 3.0), 0.5, 1)
+    assert passed and margin > 0.0 and detail == "q.grad V = -1 |q|^-3 on |q| < eps=0.5"
+    for seed in (1, 2, 3):
+        passed, detail, margin = sampled_radial_law(MisstatedLaw(1.0, 3.0), 0.5, seed)
         assert not passed and margin < 0.0, (seed, detail)
 
 
@@ -190,8 +204,6 @@ def _random_config(rng, kind) -> FieldConfig:
         potential=GeneralizedCoulomb(c0, gamma),
         magnetic=magnetic,
         forcing=Forcing(rng.uniform(0.5, 2.0), c_B / rng.uniform(0.05, 1.2) * direction),
-        c0=c0 * float(rng.choice([1.0, rng.uniform(0.5, 1.5)])),
-        gamma=max(1.0, gamma + float(rng.choice([0.0, rng.uniform(-0.5, 0.5)]))),
         eps0=rng.uniform(0.2, 2.0),
         c_B=c_B,
         c1=float(rng.choice([0.0, (b or 1.0) * 10.0 ** rng.uniform(-1.0, 1.0)])),
@@ -200,19 +212,13 @@ def _random_config(rng, kind) -> FieldConfig:
     )
 
 
-def _laws(config, row):
-    """(c, k, bound_c, bound_k, eps) of the row's power-law comparison  c r^-k <= bound_c r^-bound_k."""
-    if row == RATE:
-        return (config.c0, config.gamma, *config.potential.radial_law(), config.eps0)
-    return (*config.magnetic.envelope_law(), config.c1, config.beta + 1.0, config.eps1)
-
-
 def _disagreement(config, kind, row, closed) -> str:
     """Why the closed form fails a row the oracle passes; '' if no named reason holds."""
     if kind == "abc" and row in (CEILING, GROWTH):
         return "unattained sup"  # the ABC envelope is a sup bound that no point attains
-    if row in (RATE, GROWTH) and closed.margin == -math.inf:
-        c, k, bound_c, bound_k, eps = _laws(config, row)
+    if row == GROWTH and closed.margin == -math.inf:
+        # the power-law comparison  c r^-k <= bound_c r^-bound_k
+        c, k, bound_c, bound_k, eps = (*config.magnetic.envelope_law(), config.c1, config.beta + 1.0, config.eps1)
         # the row fails on (0, r_star) only, and the oracle samples no radius below eps * NEAR_DEPTH
         r_star = (c / bound_c) ** (1.0 / (k - bound_k)) if bound_c > 0 else math.inf
         if r_star <= eps * NEAR_DEPTH * (1.0 + 1e-6):
@@ -224,10 +230,13 @@ def _disagreement(config, kind, row, closed) -> str:
 def test_closed_form_rows_never_pass_what_the_oracle_fails(kind):
     rng = np.random.default_rng(100 + _KINDS.index(kind))
     # the rows whose outcome the random constants vary: a zero field passes the magnetic rows at any c_B and c1
-    outcomes = {row: set() for row in ((RATE,) if kind == "zero" else (RATE, CEILING, GROWTH))}
+    outcomes = {row: set() for row in ((DOMINATES,) if kind == "zero" else (CEILING, GROWTH, DOMINATES))}
     for i in range(60):
         config = _random_config(rng, kind)
         seed = 1000 + i
+        # the radial law that every row and the certificate read is the gradient's, on a near-origin cloud
+        law = sampled_radial_law(config.potential, config.eps0, seed)
+        assert law[0], (i, law, config)
         oracle = sampled_hypotheses(config, seed)
         for row, closed in rows(config).items():
             passed = oracle[row][0]

@@ -223,8 +223,6 @@ def test_step_underflow_on_nonfinite_field():
         potential=bad_pot,
         magnetic=ZeroField(),
         forcing=Forcing(1.0, [0.0, 0.0, 0.0]),
-        c0=1.0,
-        gamma=1.0,
         eps0=1.0,
         c_B=1.0,
         c1=0.0,
@@ -272,10 +270,10 @@ def test_csv_export(tmp_path, gyro_system):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def _scipy_flow(system, y0, t1, lam, first_step=None):
-    """Nodes, dense output and RHS count of scipy's own DOP853 on the same flat system."""
+def _scipy_flow(system, y0, t1, lam, first_step=None, oracle=DOP853):
+    """Nodes, dense output and RHS count of scipy's own stepper `oracle` on the same flat system."""
     shape = y0.shape
-    stepper = DOP853(
+    stepper = oracle(
         lambda t, y: system.rhs_array(t, y.reshape(shape), lam).reshape(-1),
         0.0,
         y0.reshape(-1),
@@ -296,7 +294,7 @@ def _scipy_flow(system, y0, t1, lam, first_step=None):
 _EQ = find_zero_f0(1.0, [0.0, 0.0, 2.0]).as_array()
 
 
-@pytest.mark.parametrize("method", ["DOP853"])  # the one stepper, named as a config names it
+@pytest.mark.parametrize("oracle", [DOP853], ids=["DOP853"])  # scipy's stepper of the pair lfe implements
 @pytest.mark.parametrize(
     "case",
     [
@@ -310,19 +308,19 @@ _EQ = find_zero_f0(1.0, [0.0, 0.0, 2.0]).as_array()
     ],
     ids=["gyro", "desk", "desk-half-lambda", "desk-42-stack", "desk-42-stack-first-step"],
 )
-def test_nodes_and_dense_output_equal_scipy(case, method):
+def test_nodes_and_dense_output_equal_scipy(case, oracle):
     name, y0, lam, t1, first_step = case
     system = HomotopySystem(gyro_config() if name == "gyro" else desk_config())
-    ts, ys, oracle, nfev = _scipy_flow(system, y0, t1, lam, first_step)
-    traj = integrate(system, y0, (0.0, t1), lam, IntegratorConfig(method=method), first_step=first_step)
+    ts, ys, dense, nfev = _scipy_flow(system, y0, t1, lam, first_step, oracle)
+    traj = integrate(system, y0, (0.0, t1), lam, IntegratorConfig(), first_step=first_step)
     assert np.array_equal(traj.ts, ts)
     assert np.array_equal(traj.states.reshape(len(ts), -1), ys)
     grid = np.linspace(0.0, t1, 1001)
     shuffled = np.random.default_rng(3).uniform(0.0, t1, size=100)
-    assert np.array_equal(traj.interpolant(grid), oracle(grid))
-    assert np.array_equal(traj.interpolant(shuffled), oracle(shuffled))
+    assert np.array_equal(traj.interpolant(grid), dense(grid))
+    assert np.array_equal(traj.interpolant(shuffled), dense(shuffled))
     for t in list(shuffled[:10]) + list(ts):
-        assert np.array_equal(traj.interpolant(t), oracle(t))
+        assert np.array_equal(traj.interpolant(t), dense(t))
     # scipy's count includes the interpolant stages of every step; ours builds them on reading.
     # Both start with one call, and the initial-step heuristic takes one more in each
     assert traj.n_rhs_evals == nfev - 3 * (len(ts) - 1)

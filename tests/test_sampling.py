@@ -64,7 +64,7 @@ def _certificate_integrands(config):
         )
 
     def h_total(t, q):
-        return grad_plus_b(t, q) + config.c0 / np.linalg.norm(q, axis=-1) ** 2
+        return grad_plus_b(t, q) + config.potential.c0 / np.linalg.norm(q, axis=-1) ** 2
 
     return grad_plus_b, h_total
 
@@ -91,7 +91,8 @@ def _check_against_the_oracle(config, r_lo, r_hi, seeds, attained):
         (desk_config(), True),
         (coulomb_config(), True),  # the light scenario
         (coulomb_config(c0=0.5, mean=(1.0, 0.0, 2.0)), True),
-        (gyro_config(), True),
+        # the gyration field with the light scenario's potential: the certificate reads its c0
+        (dataclasses.replace(coulomb_config(), magnetic=gyro_config().magnetic), True),
         (dataclasses.replace(desk_config(), magnetic=ABCField(1.0, 0.7, 0.4)), False),  # interior maxima
     ],
     ids=["desk", "light", "coulomb", "gyro", "abc"],
@@ -113,7 +114,7 @@ def _random_config(seed):
         "zero": ZeroField,
     }[kind]()
     potential = GeneralizedCoulomb(c0, gamma)
-    config = dataclasses.replace(coulomb_config(), potential=potential, magnetic=magnetic, c0=c0)
+    config = dataclasses.replace(coulomb_config(), potential=potential, magnetic=magnetic)
     r_lo = 10.0 ** rng.uniform(-3, 0)
     return config, r_lo, r_lo * 10.0 ** rng.uniform(0.5, 2), kind != "abc"
 
