@@ -64,6 +64,7 @@ _FAILURES = {
     "certificate failed": ((CertificateError, ValueError), EXIT_HYPOTHESIS, "certificate_error"),
     "degree computation failed": (DegreeError, EXIT_SOLVER, "degree_error"),
     "no starting orbit at lam = 0": (SolverError, EXIT_SOLVER, "solver_error"),
+    "index check failed": (SolverError, EXIT_SOLVER, "solver_error"),
     "shooting failed": (SolverError, EXIT_SOLVER, None),
     "no equilibrium guess": (DegenerateForcing, EXIT_HYPOTHESIS, None),
     "no equilibrium start": (DegenerateForcing, EXIT_HYPOTHESIS, None),
@@ -168,6 +169,20 @@ def _degree(cfg: RunConfig, cert: BoundsCertificate, report: _Report) -> DegreeR
     return degree
 
 
+def _check_index(start: OrbitSolution, degree: DegreeReport) -> None:
+    """sign det(I - M) of the lam = 0 orbit must be minus the degree; a SolverError if not.
+
+    A wrong monodromy, or a degree of the wrong orientation, fails it.
+    """
+    det = start.index_det
+    sign = (det > 0.0) - (det < 0.0)
+    if sign != -degree.degree:
+        raise SolverError(
+            f"sign det(I - M) = {sign:+d} of the lam = 0 orbit (det(I - M) = {det:.6g}) "
+            f"is not minus the degree {degree.degree}"
+        )
+
+
 def _orbit(sol: OrbitSolution, report: _Report, verification=None) -> None:
     """The orbit summary as `key = value` lines and, with the solver data, as the record."""
     summary = sol.summary()
@@ -224,6 +239,7 @@ def _pipeline(cfg: RunConfig, report: _Report) -> int:
 
     problem = _build_problem(cfg, 0.0, cert)
     start = _attempt("no starting orbit at lam = 0", newton_shooting, degree.x0, problem)
+    _attempt("index check failed", _check_index, start, degree)
     path = continue_lambda(problem, start)
     rows = path.summary_rows()
     continuation = dict(status=path.status, message=path.message, steps=rows, history=path.history)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lfe.fields import FieldConfig, radial_powers
+from lfe.fields import FieldConfig, ZeroField, radial_powers
 from lfe.kinematics import lorentz_factor, phi_inv
 
 
@@ -67,7 +67,9 @@ class HomotopySystem:
         alone at its time.
         One pass over the stack: all field terms share one `radial_powers`,
         v = phi_inv(p) once, v x B is one product of two six-wide gathers
-        and one difference, and the output is built once.
+        and one difference, and the output is built once.  A `ZeroField`
+        adds no magnetic term, so the branch that builds it is skipped as at
+        lam = 0.
         A row at the origin raises SingularityError, while non-finite input
         propagates to non-finite output so the step controller can reject
         and shrink the step.
@@ -75,7 +77,7 @@ class HomotopySystem:
         q, rad = radial_powers(y[..., :3])
         v = phi_inv(y[..., 3:])
         force = self.config.forcing.eval(t, lam) - self.grad_V_lambda(q, rad, lam)
-        if lam != 0.0:
+        if lam != 0.0 and not isinstance(self.config.magnetic, ZeroField):
             # v x B from cyclic shifts: np.cross costs more than the rest of the call
             b = self.config.magnetic.eval(t, q, rad)
             vb = v.take(_V_CROSS, -1) * b.take(_B_CROSS, -1)

@@ -29,17 +29,29 @@ factor, where rtol0 is the configured tolerance; an early iteration does
 not resolve digits that the next one discards.  An rtol below 2 rtol0 is
 rounded to rtol0: such a flow costs at most 9 % more there, and needs no
 confirming re-flow.  The guess flows at the same rule's tolerance for
-the residual predicted for it (rtol0 when none is predicted), and again
-at its actual residual's tolerance when that is tighter.  The
-continuation predicts each step's guess residual from the previous
-accepted step (Allgower & Georg, "Introduction to Numerical Continuation
-Methods"): the previous orbit's initial state is a constant predictor,
-whose residual grows linearly in the step dlam.  Convergence is read
-only from a flow at rtol0: a loose guess or trial whose residual already
-meets newton_tol is flowed once more at it.  That confirming re-flow is
-no Newton iteration, so it adds no `newton_trace` entry and does not
-count against max_iterations.  Each `newton_trace` entry records the
-`rtol` of its accepted trial flow.
+the residual predicted for it, and again at its actual residual's
+tolerance when that is tighter.  With no predicted residual, the
+guess's drift over one period, T max|f(0, y0)|, is the prediction
+(`_drift_residual`, one right-hand-side call): an equilibrium, such as
+the lam = 0 start, flows at rtol0, and a guess that moves at a rate of
+order one flows at the cap.  The continuation predicts each later
+step's guess residual from the previous accepted step (Allgower &
+Georg, "Introduction to Numerical Continuation Methods"): the previous
+orbit's initial state is a constant predictor, whose residual grows
+linearly in the step dlam.
+
+Convergence is read only from a flow at rtol0.  From the second
+iteration on, an iteration that starts from the residual r, after one
+that started from r_prev, is predicted to converge when Newton's
+quadratic convergence model (Deuflhard 2004), in which the contraction
+squares from one iteration to the next (theta_k = theta_(k-1)^2 with
+theta_(k-1) = r / r_prev), puts the next residual r^3 / r_prev^2 below
+newton_tol.  Its trial then flows at rtol0, so convergence is read from
+that flow.  Any other loose guess or trial whose residual already meets
+newton_tol is flowed once more at rtol0.  That confirming re-flow is no
+Newton iteration, so it adds no `newton_trace` entry and does not count
+against max_iterations.  Each `newton_trace` entry records the `rtol`
+of its accepted trial flow.
 
 Flows are warm-started.  Each flow integrates the same period from a
 state close to its predecessor's, so it takes its first step from the
@@ -263,6 +275,17 @@ def _trial_problem(problem: ShootingProblem, res_norm: float) -> ShootingProblem
     return replace(problem, integrator=replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol)))
 
 
+def _drift_residual(problem: ShootingProblem, y: np.ndarray) -> float:
+    """The residual predicted for a guess y from its drift: T * max|f(0, y)|.
+
+    A state that moves at the speed |f(0, y)| for the period T misses
+    its start by about that much; an equilibrium (f = 0) is predicted to
+    be periodic.  One `rhs_array` call.
+    """
+    period = problem.system.config.forcing.period
+    return period * float(np.max(np.abs(problem.system.rhs_array(0.0, y, problem.lam))))
+
+
 def _flow_residual(problem: ShootingProblem, y: np.ndarray, previous: Trajectory | None, previous_rtol: float):
     """`flow_with_monodromy` at y, with the periodicity residual and its sup-norm.
 
@@ -280,7 +303,7 @@ def _flow_residual(problem: ShootingProblem, y: np.ndarray, previous: Trajectory
 def newton_shooting(
     guess: State,
     problem: ShootingProblem,
-    predicted_residual: float = 0.0,
+    predicted_residual: float | None = None,
     previous: Trajectory | None = None,
 ) -> OrbitSolution:
     """Damped inexact Newton on the periodicity residual, Jacobian from the stacked flow.
@@ -295,14 +318,27 @@ def newton_shooting(
     factor and trial `rtol` go into `newton_trace`.
 
     Tolerances, as in the module docstring: the guess flows at
-    `_trial_problem(problem, predicted_residual)`'s tolerance, which is
-    problem.integrator for the default predicted_residual = 0; if its
-    residual r calls for a tighter one, it flows again at
-    `_trial_problem(problem, r)`'s.  The trials flow at `_trial_problem`'s
-    tolerance for the residual of their iteration.  A loose guess or trial
-    that meets newton_tol is flowed once more at problem.integrator, and
-    that flow gives the solution's trajectory, monodromy and residual; if
-    its residual misses newton_tol, Newton goes on from it.  A damped step
+    `_trial_problem(problem, predicted_residual)`'s tolerance, where the
+    default predicted_residual None stands for the guess's drift
+    (`_drift_residual`); if its residual r calls for a tighter one, it
+    flows again at `_trial_problem(problem, r)`'s.  The trials flow at
+    `_trial_problem`'s tolerance for the residual r of their iteration,
+    or at problem.integrator when the iteration is predicted to converge:
+    it is not the first, and r^3 / r_prev^2 < newton_tol for the residual
+    r_prev of the iteration before.  A loose guess or trial that meets
+    newton_tol is flowed once more at problem.integrator, and that flow
+    gives the solution's trajectory, monodromy and residual; if its
+    residual misses newton_tol, Newton goes on from it.
+
+    A wrong prediction costs no more flows than the loose trial it
+    replaces.  If the rtol0 trial misses newton_tol, Newton goes on from
+    it with one more trial; the loose trial would have needed that trial
+    too, and a confirming re-flow before it whenever its own residual met
+    newton_tol.  If the model predicts no convergence but the loose trial
+    converges, the loose trial and its re-flow are flowed as without the
+    model.  Either way convergence is read from an rtol0 flow only.
+
+    A damped step
     is accepted when its trial's residual is below the iterate's, though
     the two flows may have run at different tolerances.  That is safe
     because a loose trial's rtol is at most _TRIAL_FACTOR = 1e-4 times the
@@ -330,6 +366,8 @@ def newton_shooting(
     if bad is not None:
         raise LeftDomain(f"initial guess outside the search region: {bad}")
 
+    if predicted_residual is None:
+        predicted_residual = _drift_residual(problem, y)
     flowed = _trial_problem(problem, predicted_residual)
     traj, monodromy, res, res_norm = _flow_residual(flowed, y, previous, problem.integrator.rtol)
     matched = _trial_problem(problem, res_norm)
@@ -356,6 +394,8 @@ def newton_shooting(
                 raise SingularJacobian(f"shooting Jacobian condition estimate {cond:.3e}")
             delta = np.linalg.solve(jac, -res)
             trial = _trial_problem(problem, res_norm)
+            if trace and res_norm * (res_norm / trace[-1]["residual"]) ** 2 < tol:
+                trial = problem  # predicted to converge: convergence is read from this flow
 
             for alpha in _DAMPING:
                 y_try = y + alpha * delta
@@ -459,12 +499,13 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     The predictor is the previous initial state; each accepted orbit is
     checked against problem.region when it is set.  Each guess's first
     flow is warm-started from the previous accepted orbit's trajectory.
-    The first step's guess flows at the configured tolerance; every later
-    one is passed to `newton_shooting` with the predicted residual of the
-    previous accepted step's starting residual (its first `newton_trace`
-    entry, or its residual_norm when it took no iteration) times
-    dlam / dlam_prev.  Each attempt adds one `history` record with the
-    rtol its guess was first flowed at (`guess_rtol`), its Newton
+    Each guess is passed to `newton_shooting` with a predicted residual:
+    until a step is accepted, its drift at the step's lam
+    (`_drift_residual`); after that, the previous accepted step's starting
+    residual (its first `newton_trace` entry, or its residual_norm when it
+    took no iteration) times dlam / dlam_prev.  Each attempt adds one
+    `history` record with the rtol its guess was first flowed at
+    (`guess_rtol`, that of the predicted residual), its Newton
     iterations (`newton_trace`, up to the failure for a failed solve), and
     the solved orbit's `theta0` and det(I - M) (`index_det`), both None for
     a failed solve.
@@ -493,16 +534,20 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     solutions, history = [start], []
     start_det = start.index_det
     lam, dlam = 0.0, min(solver.dlam_init, target_lambda)
-    # the starting residual of the last accepted step per unit of its dlam
-    residual_per_dlam = 0.0
+    # the starting residual of the last accepted step per unit of its dlam, None before the first
+    residual_per_dlam = None
     end = ("reached_target", "target is the starting parameter") if target_lambda == 0.0 else None
     while end is None and len(history) < budget:
         lam_try = target_lambda if dlam >= target_lambda - lam else lam + dlam
         step_problem = replace(problem, lam=lam_try)
-        predicted = residual_per_dlam * dlam
+        guess = solutions[-1].x0
+        if residual_per_dlam is None:
+            predicted = _drift_residual(step_problem, guess.as_array())
+        else:
+            predicted = residual_per_dlam * dlam
         theta0 = index_det = violation = None
         try:
-            sol = newton_shooting(solutions[-1].x0, step_problem, predicted, solutions[-1].trajectory)
+            sol = newton_shooting(guess, step_problem, predicted, solutions[-1].trajectory)
         except SolverError as err:
             reason, trace = str(err), getattr(err, "newton_trace", [])
         else:

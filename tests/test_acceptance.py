@@ -144,7 +144,8 @@ def desk_flows(tmp_path_factory):
     return flows, json.loads((base / "out" / "run_report.json").read_text())
 
 
-def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk_flows):
+def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk, desk_flows):
+    _, system = desk
     flows, report = desk_flows
     history = report["continuation"]["history"]
     assert all(step["accepted"] for step in history)
@@ -152,15 +153,20 @@ def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk_flows):
     by_lambda = {}
     for cfg, traj, _ in flows:
         by_lambda.setdefault(traj.lam, []).append(cfg.rtol)
-    # the first step's guess flows at rtol0; each later one at the rtol of the previous step's
+    # the first step's guess, the lambda = 0 orbit's x0, flows at the rtol of its drift over
+    # one period, T max|f(0, x0; lam)|; each later one at the rtol of the previous step's
     # starting residual scaled by dlam / dlam_prev
-    predicted = [0.0] + [
+    lam = history[0]["lambda"]
+    (x0,) = {tuple(traj.states[0, 0]) for _, traj, _ in flows if traj.lam == 0.0}
+    drift = system.config.forcing.period * np.abs(system.rhs_array(0.0, np.array(x0), lam)).max()
+    assert history[0]["newton_trace"][0]["residual"] < drift  # 0.055 against 0.2
+    predicted = [drift] + [
         prev["newton_trace"][0]["residual"] / prev["dlam"] * step["dlam"]
         for prev, step in zip(history, history[1:])
     ]
     expected = [max(rtol0, min(1e-6, 1e-4 * r)) for r in predicted]
     assert [by_lambda[step["lambda"]][0] for step in history] == expected
-    assert [step["guess_rtol"] for step in history] == expected == [1e-10] + [1e-6] * 2
+    assert [step["guess_rtol"] for step in history] == expected == [1e-6] * 3
     # every converged orbit is read from a flow at rtol0: the last one at its lambda
     assert all(rtols[-1] == rtol0 for rtols in by_lambda.values())
 
@@ -172,6 +178,16 @@ def test_desk_continue_takes_fewer_than_160_integrator_steps(desk_flows):
     flows, _ = desk_flows
     assert len(flows) <= 25
     assert sum(len(traj.ts) - 1 for _, traj, _ in flows) < 160
+
+
+def test_desk_continue_reads_each_convergence_from_its_last_trial(desk_flows):
+    # each step's last iteration is predicted to converge, so its trial flows at rtol0 and no
+    # converged loose trial is flowed once more: the lambda = 0 start, and per step one guess
+    # flow and one trial per iteration, 13 flows (15 with two re-flows of converged loose trials)
+    flows, report = desk_flows
+    history = report["continuation"]["history"]
+    assert len(flows) == 1 + sum(1 + len(step["newton_trace"]) for step in history) == 13
+    assert all(step["newton_trace"][-1]["rtol"] == flows[0][0].rtol for step in history)
 
 
 def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):

@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
+import lfe.cli
 import lfe.degree
 import lfe.shooting
+from conftest import recorded_flows
 from lfe.cli import main
 from lfe.config_io import ConfigError, parse_config
 from lfe.degree import MultipleZeros
@@ -490,11 +494,19 @@ def test_cli_continue_reports_the_trial_tolerance_of_every_newton_iteration(tmp_
     (step,) = payload["continuation"]["history"]
     trace = step["newton_trace"]
     assert trace == payload["final_orbit"]["newton_trace"]
-    # rtol = max(1e-10, min(1e-6, 1e-4 r)) for the residual r each iteration starts from
+    # rtol = max(1e-10, min(1e-6, 1e-4 r)) for the residual r each iteration starts from, or
+    # 1e-10 from the second iteration on when a squared contraction predicts convergence:
+    # r (r / r_prev)^2 < newton_tol for the residual r_prev of the iteration before
+    residuals = [entry["residual"] for entry in trace]
+    converging = [False] + [r * (r / r_prev) ** 2 < 1e-9 for r_prev, r in zip(residuals, residuals[1:])]
     assert [entry["rtol"] for entry in trace] == [
-        max(1e-10, min(1e-6, 1e-4 * entry["residual"])) for entry in trace
+        1e-10 if predicted else max(1e-10, min(1e-6, 1e-4 * r)) for r, predicted in zip(residuals, converging)
     ]
-    assert trace[0]["rtol"] == 1e-6 and trace[-1]["rtol"] == 1e-10
+    # the third trial, predicted to converge, misses newton_tol (3.0e-9): Newton goes on from it
+    assert converging == [False, False, True, True] and residuals[3] > 1e-9
+    assert [entry["rtol"] for entry in trace] == [1e-6, 1e-4 * residuals[1], 1e-10, 1e-10]
+    # the guess flows at the tolerance of its drift over the period, which is capped
+    assert step["guess_rtol"] == 1e-6
     assert "rtol" not in (out / "run_report.txt").read_text()
 
 
@@ -549,15 +561,67 @@ def test_cli_reports_the_rejected_steps_of_the_orbit(tmp_path):
     assert "n_rejected" not in (out / "orbit_report.txt").read_text()
 
 
-def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path):
+def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path, monkeypatch):
     # the benchmark's desk-orbit scenario: its final residual, 8.6e-10, sits 14 % below
     # newton_tol, so a small drift in the flows would cost a fifth iteration and flow
+    flows = recorded_flows(monkeypatch)
     text = DESK.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
     out = tmp_path / "out"
     assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
     orbit = json.loads((out / "orbit_report.json").read_text())
     assert orbit["newton_iterations"] == 4
     assert orbit["residual_norm"] < lfe.shooting.SolverOptions().newton_tol
+    trace = orbit["newton_trace"]
+    # the guess flows cold at the tolerance of its drift over the period, 2.0, so at the cap
+    # 1e-6 (its residual, 0.31, asks for no tighter flow); each iteration flows one warm trial,
+    # the last, predicted to converge, at rtol0 = 1e-10, and that flow gives the orbit
+    assert [(cfg.rtol, first_step is None) for cfg, _, first_step in flows] == [
+        (1e-6, True),
+        (1e-6, False),
+        (1e-6, False),
+        (1e-4 * trace[2]["residual"], False),
+        (1e-10, False),
+    ]
+    assert [entry["rtol"] for entry in trace] == [cfg.rtol for cfg, _, _ in flows[1:]]
+    assert len({tuple(traj.states[0, 0]) for _, traj, _ in flows}) == 5
+    # 667 right-hand-side calls in 6 flows with the guess at rtol0 and the converged loose trial
+    # flowed once more
+    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 430
+
+
+def test_cli_light_continue_flows_twice_at_the_configured_tolerance(tmp_path, monkeypatch):
+    flows = recorded_flows(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(write(tmp_path, LIGHT)), "--out", str(out)]) == 0
+    # both guesses are the equilibrium, whose drift (4e-16 at lambda = 0, 7e-16 at 1) asks for
+    # rtol0, and each converges at its one flow
+    assert [(traj.lam, cfg.rtol, first_step is None) for cfg, traj, first_step in flows] == [
+        (0.0, 1e-10, True),
+        (1.0, 1e-10, False),
+    ]
+    (step,) = json.loads((out / "run_report.json").read_text())["continuation"]["history"]
+    assert step["guess_rtol"] == 1e-10 and step["newton_trace"] == []
+
+
+@pytest.mark.parametrize("planted", ["degree", "index_det"])
+def test_cli_continue_checks_the_start_orbit_index_against_the_degree(tmp_path, monkeypatch, planted):
+    # sign det(I - M) of the lam = 0 orbit (+43.7 on light) must be minus the degree (-1)
+    if planted == "degree":
+        degree = lfe.cli.brouwer_degree
+        monkeypatch.setattr(
+            lfe.cli, "brouwer_degree", lambda *a, **k: dataclasses.replace(degree(*a, **k), degree=1)
+        )
+        expected = r"sign det\(I - M\) = \+1 of the lam = 0 orbit \(det\(I - M\) = 43\.\d+\) is not minus the degree 1"
+    else:
+        monkeypatch.setattr(lfe.shooting.OrbitSolution, "index_det", -2.5)
+        expected = r"sign det\(I - M\) = -1 of the lam = 0 orbit \(det\(I - M\) = -2\.5\) is not minus the degree -1"
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(write(tmp_path, LIGHT)), "--out", str(out)]) == 3
+    payload = json.loads((out / "run_report.json").read_text())
+    assert re.fullmatch(expected, payload["solver_error"])
+    assert "continuation" not in payload
+    lines = (out / "run_report.txt").read_text().splitlines()
+    assert lines[-3] == "aborted: index check failed: " + payload["solver_error"]
 
 
 def test_cli_continue_without_start_orbit_records_solver_error(tmp_path):

@@ -214,6 +214,24 @@ def test_rhs_matches_the_field_methods(potential, magnetic):
             assert np.all(np.abs(out[..., 3:] - expected) <= 1e-13 * scale), (lam, np.shape(t))
 
 
+def test_a_zero_field_system_never_evaluates_its_field(monkeypatch):
+    # the zero field adds no magnetic term, so rhs_array takes the lam = 0 branch for it; the
+    # values equal those of a uniform field of strength 0, whose v x B is exactly zero
+    system = HomotopySystem(coulomb_config())
+    reference = HomotopySystem(dataclasses.replace(coulomb_config(), magnetic=UniformField([0.0, 0.0, 0.0])))
+    rng = np.random.default_rng(41)
+    stack = np.array([random_state(rng).as_array() for _ in range(7)])
+    expected = {lam: reference.rhs_array(0.5, stack, lam) for lam in (0.0, 0.37, 1.0)}
+
+    def refuse(self, t, q, rad):
+        raise AssertionError("ZeroField.eval was called")
+
+    monkeypatch.setattr(ZeroField, "eval", refuse)
+    for lam, values in expected.items():
+        assert np.array_equal(system.rhs_array(0.5, stack, lam), values)
+    integrate(system, find_zero_f0(1.0, [0.0, 0.0, 2.0]), (0.0, 1.0), 1.0)
+
+
 def test_lambda_below_one_needs_the_potential_radial_law():
     potential = TabulatedPotential(_gauss_potential, _central_difference_gradient)
     system = HomotopySystem(dataclasses.replace(desk_config(), potential=potential))

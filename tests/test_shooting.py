@@ -110,19 +110,31 @@ def test_failed_damping_names_its_cause(coulomb_problem):
         newton_shooting(guess, failing)
 
 
+def drift_flow(problem: ShootingProblem, guess: State):
+    """The tolerance a guess with no predicted residual flows at: that of its drift T max|f(0, guess)|."""
+    cfg = problem.integrator
+    period = problem.system.config.forcing.period
+    drift = period * np.abs(problem.system.rhs_array(0.0, guess.as_array(), problem.lam)).max()
+    return loosened(cfg, max(cfg.rtol, min(1e-6, 1e-4 * drift)))
+
+
 @pytest.mark.parametrize("offset", [1e-3, 1e-2, 5e-2])
 def test_converged_orbit_comes_from_a_flow_at_the_configured_tolerance(coulomb_problem, monkeypatch, offset):
     flows = recorded_flows(monkeypatch)
     guess = State(q=EQ.q + np.array([offset, 0.0, 0.0]), p=np.zeros(3))
     sol = newton_shooting(guess, coulomb_problem)
     configured = coulomb_problem.integrator
-    # the guess's flow at the configured tolerance, then one trial per iteration at its rtol
-    assert [cfg for cfg, _, _ in flows[: 1 + sol.newton_iterations]] == [configured] + [
+    # the guess's flow at the tolerance of its drift, looser than the configured one, then one
+    # trial per iteration at its rtol
+    assert drift_flow(coulomb_problem, guess).rtol > configured.rtol
+    assert [cfg for cfg, _, _ in flows] == [drift_flow(coulomb_problem, guess)] + [
         loosened(configured, step["rtol"]) for step in sol.newton_trace
     ]
     assert sol.newton_trace[0]["rtol"] == min(1e-6, 1e-4 * sol.newton_trace[0]["residual"]) > configured.rtol
-    # the orbit's trajectory, monodromy and residual are those of a configured-tolerance flow
-    assert [cfg for cfg, traj, _ in flows if traj.ts is sol.trajectory.ts] == [configured]
+    # the last trial flows at the configured tolerance and gives the orbit's trajectory, monodromy
+    # and residual: there is no confirming re-flow
+    assert sol.newton_trace[-1]["rtol"] == configured.rtol
+    assert sol.trajectory.ts is flows[-1][1].ts
     # a re-flow with the first step that flow took is the same flow
     first_step = first_step_of(flows, sol.trajectory)
     traj, monodromy = coulomb_problem.flow_with_monodromy(sol.x0.as_array(), first_step)
@@ -140,7 +152,8 @@ def test_a_loose_trial_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
     assert len(sol.newton_trace) == 1
     loose = loosened(configured, sol.newton_trace[0]["rtol"])
     assert loose.rtol > configured.rtol
-    assert [cfg for cfg, _, _ in flows] == [configured, loose, configured]
+    guessed = drift_flow(problem, guess)
+    assert [cfg for cfg, _, _ in flows] == [guessed, loose, configured]
     (_, trial, _), (_, confirmed, _) = flows[1:]
     loose_residual = np.abs(trial.states[-1, 0] - trial.states[0, 0]).max()
     assert loose_residual < 1e-5 and sol.residual_norm < 1e-5
@@ -156,8 +169,30 @@ def test_a_loose_trial_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
         sol.newton_trace[0]["residual"],
         sol.residual_norm,
     ]
-    assert [cfg for cfg, _, _ in flows[:3]] == [configured, loose, configured]
+    assert [cfg for cfg, _, _ in flows[:3]] == [guessed, loose, configured]
     assert again.residual_norm < between
+
+
+def test_a_mispredicted_convergence_goes_on_from_its_configured_tolerance_trial(coulomb_problem, monkeypatch):
+    guess = State(q=EQ.q + np.array([5e-2, 0.0, 0.0]), p=np.zeros(3))
+    # newton_tol = 5e-9 lies between the residual a squared contraction predicts after the third
+    # iteration and the one its trial reaches
+    problem = dataclasses.replace(coulomb_problem, solver=SolverOptions(newton_tol=5e-9))
+    flows = recorded_flows(monkeypatch)
+    sol = newton_shooting(guess, problem)
+    r = [step["residual"] for step in sol.newton_trace]
+    assert r[2] * (r[2] / r[1]) ** 2 < 5e-9 < r[3]  # 3.5e-9 predicted, 7.4e-9 reached
+    # so the third trial flows at the configured tolerance, misses newton_tol, and Newton goes
+    # on from it with no re-flow and converges at the next trial: five flows, as with a loose
+    # third trial, each at a point of its own
+    configured = problem.integrator
+    assert [step["rtol"] for step in sol.newton_trace] == [1e-6, 1e-6, 1e-10, 1e-10]
+    assert [cfg for cfg, _, _ in flows] == [drift_flow(problem, guess)] + [
+        loosened(configured, 1e-6)
+    ] * 2 + [configured] * 2
+    assert len({tuple(traj.states[0, 0]) for _, traj, _ in flows}) == 5
+    assert sol.trajectory.ts is flows[-1][1].ts
+    assert sol.residual_norm < 5e-9
 
 
 def test_a_trial_rtol_below_twice_the_configured_one_flows_once_at_it(coulomb_problem, monkeypatch):
