@@ -205,12 +205,15 @@ class Trajectory:
 
 
 def write_rows_csv(path, header, rows) -> None:
-    """CSV of the header and rows; floats are written with repr, so they read back exactly."""
+    """CSV of the header and rows, each cell written with repr, so floats read back exactly.
+
+    Rows hold Python floats and ints (`tolist()` gives them), not numpy
+    scalars, whose repr names their type.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = (repr(float(x)) if isinstance(x, float) else str(x) for x in row)
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _nearest(y: np.ndarray) -> tuple[float, np.ndarray]:

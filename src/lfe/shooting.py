@@ -10,14 +10,16 @@ autonomous equilibrium at lam = 0 toward the full equation at lam = 1.
 Its step lengths come from Newton's contraction (Deuflhard, "Newton
 Methods for Nonlinear Problems", 2004, section 5.1; Allgower & Georg,
 section 6.1): after an accepted step with first contraction
-theta0 = r1 / r0, the next step is dlam * min(_GROWTH_CAP,
-sqrt(_THETA_MAX / theta0)), capped by the rest of the interval; a failed
-solve halves the step.  Every accepted orbit keeps the sign of
-det(I - M) of the lam = 0 orbit, minus the degree of the autonomous
-field, so a step that lands on another branch is rejected.  The rule
-holds the step where theta0 = _THETA_MAX, and the attempt budget gives
-each of the ceil(target_lambda / dlam_init) steps of such a path one
-allowance of the halvings from dlam_init to dlam_floor:
+theta0 = r1 / r0, the next step is dlam * _THETA_MAX / theta0, capped by
+the rest of the interval; a failed solve halves the step.  That is
+Deuflhard's rule dlam * (_THETA_MAX / theta0) ** (1/p) for a predictor of
+order p = 1: the previous orbit's initial state, a constant predictor.
+A tangent predictor would bring p = 2 back.  Every accepted orbit keeps
+the sign of det(I - M) of the lam = 0 orbit, minus the degree of the
+autonomous field, so a step that lands on another branch is rejected.
+The rule holds the step where theta0 = _THETA_MAX, and the attempt
+budget gives each of the ceil(target_lambda / dlam_init) steps of such a
+path one allowance of the halvings from dlam_init to dlam_floor:
 ceil(target_lambda / dlam_init) * (1 + ceil(log2(dlam_init / dlam_floor)))
 attempts (`continue_lambda`).
 
@@ -96,9 +98,8 @@ _FD_STEP = 1e-7
 # inexact Newton: the cap of a trial flow's rtol and its factor of the residual (`_trial_problem`)
 _TRIAL_RTOL_CAP = 1e-6
 _TRIAL_FACTOR = 1e-4
-# continuation steps (`_next_dlam`): the first contraction a step aims at and the cap of its growth
+# continuation steps (`_next_dlam`): the first contraction a step aims at
 _THETA_MAX = 0.25
-_GROWTH_CAP = 4.0
 # a residual at most this many eps * max(1, |x|_inf) is at round-off level
 _ROUNDOFF = 8.0 * np.finfo(float).eps
 
@@ -466,14 +467,17 @@ class ContinuationPath:
 def _next_dlam(dlam: float, theta0: float, remaining: float) -> float:
     """The step after an accepted step of length dlam whose first Newton contraction was theta0.
 
-    dlam * min(_GROWTH_CAP, sqrt(_THETA_MAX / theta0)), capped by remaining:
-    Deuflhard's (2004, section 5.1) rule for a contraction that grows like
-    dlam ** 2 aims the next step at theta0 = _THETA_MAX.  On the desk path
-    theta0 grows more slowly (0.026, 0.048 and 0.069 at dlam 0.1, 0.31 and
-    0.59), so the rule stays short of its aim.
+    dlam * _THETA_MAX / theta0, capped by remaining; a theta0 of 0 (a step
+    that took no Newton iteration) gives remaining.  Deuflhard's (2004,
+    section 5.1) rule dlam * (_THETA_MAX / theta0) ** (1/p) for a predictor
+    of order p aims the next step at theta0 = _THETA_MAX.  The previous
+    orbit's initial state is a constant predictor, of order p = 1
+    (Allgower & Georg, section 6.1): its error, and with it theta0, grows
+    linearly in dlam.  A tangent predictor would bring p = 2 back.
     """
-    factor = _GROWTH_CAP if theta0 * _GROWTH_CAP**2 <= _THETA_MAX else math.sqrt(_THETA_MAX / theta0)
-    return min(dlam * factor, remaining)
+    if theta0 == 0.0:
+        return remaining
+    return min(dlam * _THETA_MAX / theta0, remaining)
 
 
 def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> ContinuationPath:

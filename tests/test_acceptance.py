@@ -107,7 +107,7 @@ def test_run_report_records_the_newton_trace(a6_run):
 def test_run_report_records_every_newton_trace_and_the_rejected_steps(a6_run):
     report = a6_run["report"]
     history = report["continuation"]["history"]
-    assert [len(h["newton_trace"]) for h in history] == [3] * 3
+    assert [len(h["newton_trace"]) for h in history] == [3, 4]
     # each step's first contraction and det(I - M) of its orbit
     assert [h["theta0"] for h in history] == [
         h["newton_trace"][1]["residual"] / h["newton_trace"][0]["residual"] for h in history
@@ -118,16 +118,36 @@ def test_run_report_records_every_newton_trace_and_the_rejected_steps(a6_run):
     assert report["final_orbit"]["n_rejected"] == 1
 
 
+def test_desk_csv_cells_are_the_repr_of_the_python_numbers_they_hold(a6_run):
+    # the bytes of the per-cell repr(float(x)) format, str(x) for an int: a numpy scalar in a row
+    # would write its type's name, and a float that does not read back exactly would differ
+    def cell(text):
+        return text if text.lstrip("-").isdigit() else repr(float(text))
+
+    for name, columns in (("orbit.csv", 7), ("continuation.csv", 4)):
+        data = (a6_run["out"] / name).read_bytes()
+        header, *rows = data.decode("utf-8").split("\n")[:-1]
+        assert len(header.split(",")) == columns and len(rows) > 2
+        expected = [header] + [",".join(cell(text) for text in row.split(",")) for row in rows]
+        assert data == "".join(line + "\n" for line in expected).encode("utf-8")
+
+
+# Newton iterations of the three-step desk path whose steps grew by sqrt(theta_max / theta0), at most x4
+SQRT_RULE_ITERATIONS = {"0.1": 9, "0.5": 11, "1.0": 11}
+
+
 @pytest.mark.parametrize("amplitude", ["0.1", "0.5", "1.0"])
 def test_desk_path_takes_fewer_newton_iterations_than_the_fixed_rule(tmp_path, monkeypatch, amplitude):
-    # steps of 0.1 grown x1.5 after two successes took 6 steps and 18 iterations at each amplitude
+    # steps of 0.1 grown x1.5 after two successes took 6 steps and 18 iterations at each amplitude;
+    # the first step's contraction sends the second to lam = 1
     monkeypatch.setenv("LFE_VERBOSITY", "0")
     config = tmp_path / "desk.ini"
     config.write_text(DESK_CONFIG.replace("harmonic_1_cos = 0.1 0 0", f"harmonic_1_cos = {amplitude} 0 0"))
     assert main(["continue", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     history = json.loads((tmp_path / "out" / "run_report.json").read_text())["continuation"]["history"]
-    assert all(step["accepted"] for step in history) and history[-1]["lambda"] == 1.0
-    assert sum(len(step["newton_trace"]) for step in history) < 18
+    assert [step["lambda"] for step in history] == [0.1, 1.0]
+    assert all(step["accepted"] for step in history)
+    assert sum(len(step["newton_trace"]) for step in history) < SQRT_RULE_ITERATIONS[amplitude] < 18
     assert all(step["index_det"] > 0.0 for step in history)
 
 
@@ -166,7 +186,7 @@ def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk, desk_flo
     ]
     expected = [max(rtol0, min(1e-6, 1e-4 * r)) for r in predicted]
     assert [by_lambda[step["lambda"]][0] for step in history] == expected
-    assert [step["guess_rtol"] for step in history] == expected == [1e-6] * 3
+    assert [step["guess_rtol"] for step in history] == expected == [1e-6] * 2
     # every converged orbit is read from a flow at rtol0: the last one at its lambda
     assert all(rtols[-1] == rtol0 for rtols in by_lambda.values())
 
@@ -183,10 +203,10 @@ def test_desk_continue_takes_fewer_than_160_integrator_steps(desk_flows):
 def test_desk_continue_reads_each_convergence_from_its_last_trial(desk_flows):
     # each step's last iteration is predicted to converge, so its trial flows at rtol0 and no
     # converged loose trial is flowed once more: the lambda = 0 start, and per step one guess
-    # flow and one trial per iteration, 13 flows (15 with two re-flows of converged loose trials)
+    # flow and one trial per iteration, 10 flows (13 on the three-step path of the sqrt rule)
     flows, report = desk_flows
     history = report["continuation"]["history"]
-    assert len(flows) == 1 + sum(1 + len(step["newton_trace"]) for step in history) == 13
+    assert len(flows) == 1 + sum(1 + len(step["newton_trace"]) for step in history) == 10
     assert all(step["newton_trace"][-1]["rtol"] == flows[0][0].rtol for step in history)
 
 
@@ -202,7 +222,7 @@ def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):
 
 
 def test_desk_continue_computes_the_identities_of_the_final_orbit_only(tmp_path, monkeypatch):
-    # of the four orbits of the path, only the final one is verified and reported
+    # of the three orbits of the path, only the final one is verified and reported
     monkeypatch.setenv("LFE_VERBOSITY", "0")
     config = tmp_path / "desk.ini"
     config.write_text(DESK_CONFIG, encoding="utf-8")
@@ -413,8 +433,8 @@ def test_a7_identity_suite(desk_start, desk_path):
             assert diag["virial_lhs"] < 0.0
             worst_virial = max(worst_virial, diag["virial_lhs"])
         checked += 1
-    # the lambda = 0 start, counted twice, and the three steps of the desk path
-    ok = worst_mean <= 1e-6 and checked == 5
+    # the lambda = 0 start, counted twice, and the two steps of the desk path
+    ok = worst_mean <= 1e-6 and checked == 4
     report(
         "A7",
         ok,

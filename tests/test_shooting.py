@@ -300,7 +300,7 @@ def test_identities_on_converged_orbit(coulomb_problem):
 def test_identities_are_computed_when_first_read(desk_problem, desk_start, monkeypatch):
     calls = counted_identities(monkeypatch)
     path = continue_lambda(desk_problem, desk_start)
-    assert path.status == "reached_target" and len(path.solutions) == 4
+    assert path.status == "reached_target" and len(path.solutions) == 3
     # no orbit of the path builds its dense output for the identities
     assert calls == []
     diagnostics = path.final.diagnostics
@@ -454,23 +454,49 @@ def test_step_controller_on_planted_traces():
     assert planted([], 1e-12).theta0 == 0.0
     assert planted([0.5], 0.125).theta0 == 0.25
     assert planted([0.5, 0.0625, 1e-6], 1e-12).theta0 == 0.125
-    # dlam * sqrt(theta_max / theta0) with theta_max = 1/4
-    assert _next_dlam(0.1, 0.0625, 1.0) == 0.2
+    # dlam * theta_max / theta0 with theta_max = 1/4
+    assert _next_dlam(0.1, 0.0625, 1.0) == 0.4
     assert _next_dlam(0.1, 0.25, 1.0) == 0.1
-    assert _next_dlam(0.1, 1.0, 1.0) == 0.05
-    # at most x4: from theta0 = 1/64 down, and for a step that took no iteration
-    assert _next_dlam(0.1, 1 / 64, 1.0) == _next_dlam(0.1, 1e-3, 1.0) == _next_dlam(0.1, 0.0, 1.0) == 0.4
-    # never past the rest of the interval
-    assert _next_dlam(0.1, 1e-3, 0.3) == 0.3
+    assert _next_dlam(0.1, 0.5, 1.0) == 0.05
+    assert _next_dlam(0.1, 1.0, 1.0) == 0.025
+    # no growth cap: x64 from theta0 = 1/256
+    assert _next_dlam(0.01, 1 / 256, 1.0) == 0.64
+    # never past the rest of the interval, where a step that took no iteration goes
+    assert _next_dlam(0.1, 1 / 64, 1.0) == _next_dlam(0.1, 0.0, 1.0) == 1.0
+    assert _next_dlam(0.1, 1e-3, 0.3) == _next_dlam(0.1, 0.0, 0.3) == 0.3
     assert _next_dlam(0.1, 0.0625, 0.15) == 0.15
     # det(I - M), whose sign is the branch check
     assert planted([], 0.0, np.diag([2.0] * 6)).index_det == 1.0
     assert planted([], 0.0, np.diag([2.0, 0, 0, 0, 0, 0])).index_det == -1.0
 
 
+@pytest.mark.parametrize("c", [0.3, 1.0, 4.0])
+def test_continuation_steps_to_where_a_linear_contraction_meets_its_aim(coulomb_problem, monkeypatch, c):
+    # a constant predictor's first contraction grows linearly in the step: with a planted
+    # theta0 = c dlam, each step after the first lands where c dlam = theta_max = 1/4, or at the end
+    start = newton_shooting(EQ, coulomb_problem)
+    solve = lfe.shooting.newton_shooting
+    lams = [0.0]
+
+    def linear(guess, problem, *args):
+        sol = solve(guess, problem, *args)
+        theta0 = c * (problem.lam - lams[-1])
+        lams.append(problem.lam)
+        return dataclasses.replace(sol, newton_trace=planted([1.0, theta0], 1e-12).newton_trace)
+
+    monkeypatch.setattr(lfe.shooting, "newton_shooting", linear)
+    path = continue_lambda(coulomb_problem, start)
+    steps = path.history
+    assert path.status == "reached_target" and all(step["accepted"] for step in steps)
+    assert steps[0]["dlam"] == 0.1 and len(steps) == 1 + math.ceil(0.9 * c / 0.25)
+    for prev, step in zip(steps, steps[1:]):
+        assert step["dlam"] == pytest.approx(min(0.25 / c, 1.0 - prev["lambda"]), rel=1e-12)
+        assert step["theta0"] == pytest.approx(0.25, rel=1e-12) or step["lambda"] == 1.0
+
+
 def test_continuation_rejects_a_step_that_flips_the_index(desk_problem, desk_start, monkeypatch):
     solve = lfe.shooting.newton_shooting
-    calls = []
+    calls, flipped_orbits = [], []
 
     def flipping(guess, problem, *args):
         sol = solve(guess, problem, *args)
@@ -478,15 +504,17 @@ def test_continuation_rejects_a_step_that_flips_the_index(desk_problem, desk_sta
         if len(calls) == 2:  # the second step's orbit, with the first row of I - M negated
             negate = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
             sol = dataclasses.replace(sol, monodromy=np.eye(6) - negate @ (np.eye(6) - sol.monodromy))
+            flipped_orbits.append(sol)
         return sol
 
     monkeypatch.setattr(lfe.shooting, "newton_shooting", flipping)
     path = continue_lambda(desk_problem, desk_start)
     assert path.status == "reached_target"
     flipped, retry = path.history[1:3]
-    assert not flipped["accepted"] and flipped["index_det"] < 0.0
+    # the second step is the one to lam = 1: the first step's contraction reaches the end
+    assert flipped["lambda"] == 1.0 and not flipped["accepted"] and flipped["index_det"] < 0.0
     assert flipped["reason"].startswith("det(I - M) = ")
-    assert flipped["lambda"] not in [sol.lam for sol in path.solutions]
+    assert all(sol is not flipped_orbits[0] for sol in path.solutions)
     # the path goes on from the same orbit with half the step
     assert retry["accepted"] and retry["dlam"] == 0.5 * flipped["dlam"]
     assert retry["lambda"] == path.solutions[2].lam == path.solutions[1].lam + retry["dlam"]
@@ -521,7 +549,7 @@ def test_continuation_underflows_when_the_contraction_shrinks_the_step(coulomb_p
     solve = lfe.shooting.newton_shooting
 
     def contracting(guess, problem, *args):
-        # every step converges with a planted first contraction of 0.64: the next is 5/8 as long
+        # every step converges with a planted first contraction of 0.64: the next is 25/64 as long
         sol = solve(guess, problem, *args)
         return dataclasses.replace(sol, newton_trace=planted([1.0, 0.64], 1e-12).newton_trace)
 
@@ -530,7 +558,7 @@ def test_continuation_underflows_when_the_contraction_shrinks_the_step(coulomb_p
     path = continue_lambda(dataclasses.replace(coulomb_problem, solver=solver), start)
     assert path.status == "stepsize_underflow"
     dlams = [step["dlam"] for step in path.history]
-    assert all(step["accepted"] for step in path.history) and len(dlams) == 5
-    assert dlams == pytest.approx([0.1 * 0.625**k for k in range(5)], rel=1e-15)
-    assert 0.625 * dlams[-1] < 0.01
+    assert all(step["accepted"] for step in path.history) and len(dlams) == 3
+    assert dlams == pytest.approx([0.1 * 0.390625**k for k in range(3)], rel=1e-15)
+    assert 0.390625 * dlams[-1] < 0.01
     assert "first contraction theta0 = 0.64" in path.message
