@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -314,7 +315,9 @@ def _run(command, cfg: RunConfig, out: Path, stem: str | None) -> int:
     return code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser of `main`, built on its first call rather than at import."""
     parser = argparse.ArgumentParser(
         prog="lfe",
         description="Periodic orbits of the relativistic Lorentz force equation",
@@ -324,7 +327,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scenario configuration file (INI)")
         p.add_argument("--out", default=".", help="output directory (default: current)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = parse_config(args.config)

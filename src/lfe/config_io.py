@@ -16,8 +16,9 @@ Schema (INI sections and keys; vectors are space-separated triples):
   [forcing]     period ; mean ; harmonic_<k>_cos / harmonic_<k>_sin
                 (k >= 1 in ASCII digits without a leading zero)
   [integrator]  rtol ; atol ; max_steps ; r_min (number or 'auto')
-  [solver]      newton_tol ; max_iterations ; dlam_init ; dlam_floor ;
-                target_lambda ; seed
+  [solver]      newton_tol ; max_iterations ; dlam_init (the first
+                continuation step; default 1.0, the whole interval) ;
+                dlam_floor ; target_lambda ; seed
   [initial-state]  lambda ; q (triple or 'equilibrium') ; p ; t_end
   [output]      sample_points
 

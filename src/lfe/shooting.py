@@ -9,19 +9,20 @@ point.  The continuation driver walks the deformation parameter from the
 autonomous equilibrium at lam = 0 toward the full equation at lam = 1.
 Its step lengths come from Newton's contraction (Deuflhard, "Newton
 Methods for Nonlinear Problems", 2004, section 5.1; Allgower & Georg,
-section 6.1): after an accepted step with first contraction
-theta0 = r1 / r0, the next step is dlam * _THETA_MAX / theta0, capped by
-the rest of the interval; a failed solve halves the step.  That is
-Deuflhard's rule dlam * (_THETA_MAX / theta0) ** (1/p) for a predictor of
-order p = 1: the previous orbit's initial state, a constant predictor.
-A tangent predictor would bring p = 2 back.  Every accepted orbit keeps
-the sign of det(I - M) of the lam = 0 orbit, minus the degree of the
-autonomous field, so a step that lands on another branch is rejected.
-The rule holds the step where theta0 = _THETA_MAX, and the attempt
-budget gives each of the ceil(target_lambda / dlam_init) steps of such a
-path one allowance of the halvings from dlam_init to dlam_floor:
-ceil(target_lambda / dlam_init) * (1 + ceil(log2(dlam_init / dlam_floor)))
-attempts (`continue_lambda`).
+section 6.1).  The first step has no previous contraction to size it,
+so it tries the whole interval (dlam_init = 1.0, capped by target_lambda).
+After an accepted step with first contraction theta0 = r1 / r0, the
+next step is dlam * _THETA_MAX / theta0, capped by the rest of the
+interval; a failed solve halves the step.  That is Deuflhard's rule
+dlam * (_THETA_MAX / theta0) ** (1/p) for a predictor of order p = 1:
+the previous orbit's initial state, a constant predictor.  A tangent
+predictor would bring p = 2 back.  Every accepted orbit keeps the sign
+of det(I - M) of the lam = 0 orbit, minus the degree of the autonomous
+field, so a step that lands on another branch is rejected.  With
+h = ceil(log2(target_lambda / dlam_floor)) halvings from the whole
+interval to the floor, the attempt budget gives each of the 1 + h step
+lengths target_lambda * 2**-k (k = 0, ..., h) one allowance of 1 + h
+attempts: (1 + h)**2 attempts, 225 at the defaults (`continue_lambda`).
 
 Newton is inexact in the sense of Dembo, Eisenstat & Steihaug ("Inexact
 Newton methods", SIAM J. Numer. Anal. 19, 1982): the trial flows of an
@@ -106,11 +107,16 @@ _ROUNDOFF = 8.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The [solver] settings: Newton tolerance and budget, continuation steps, degree-sweep seed."""
+    """The [solver] settings: Newton tolerance and budget, continuation steps, degree-sweep seed.
+
+    dlam_init is the first continuation step, capped by target_lambda: by
+    default the whole interval, since no contraction has been measured
+    before it.  The attempt budget of `continue_lambda` does not depend on it.
+    """
 
     newton_tol: float = 1e-9
     max_iterations: int = 50
-    dlam_init: float = 0.1
+    dlam_init: float = 1.0
     dlam_floor: float = 1e-4
     target_lambda: float = 1.0
     seed: int = 20240803
@@ -484,16 +490,19 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     """Natural-parameter continuation from a converged lam = 0 orbit.
 
     Walks lam to problem.solver.target_lambda.  The first step is
-    solver.dlam_init; after each accepted step the next one is
-    `_next_dlam` of its first Newton contraction (`OrbitSolution.theta0`),
-    and a failed solve halves the step.  Every step is capped by the rest
-    of the interval.  The path ends in stepsize_underflow when a step
-    shorter than both solver.dlam_floor and the rest of the interval would
-    come next.  A converged orbit is accepted even when its theta0 exceeds
-    _THETA_MAX: that theta0 only shortens the next step, and no converged
-    solve is thrown away (Deuflhard's pathfollower instead aborts such a
-    step after its first iteration; here it has usually converged by the
-    time theta0 is known).
+    solver.dlam_init, by default 1.0: the whole interval, as no Newton
+    contraction has been measured yet.  After each accepted step the next
+    one is `_next_dlam` of its first Newton contraction
+    (`OrbitSolution.theta0`), and a failed solve halves the step.  Every
+    step is capped by the rest of the interval.  The path ends in
+    stepsize_underflow when a step shorter than both solver.dlam_floor and
+    the rest of the interval would come next.  A converged orbit is
+    accepted even when its theta0 exceeds _THETA_MAX: that theta0 only
+    shortens the next step, and no converged solve is thrown away.
+    Deuflhard's pathfollower instead aborts a step whose theta0 reaches
+    1/2 after its first iteration; on the desk config with periods 2 to 3
+    the whole-interval step has theta0 = 0.60 to 0.88 and converges in 8
+    to 15 iterations, where shorter steps took up to 395 or failed.
 
     Branch safety: sign det(I - M) of the start orbit (+1, minus the degree
     of the autonomous field) is kept by every accepted orbit.  A converged
@@ -514,14 +523,15 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     the solved orbit's `theta0` and det(I - M) (`index_det`), both None for
     a failed solve.
 
-    Budget: the controller holds the step where theta0 = _THETA_MAX, so a
-    path that contracts at its aim throughout takes ceil(target_lambda /
-    dlam_init) steps of dlam_init; each gets one allowance of the halvings
-    that take dlam_init down to dlam_floor, so at most
-    ceil(target_lambda / dlam_init) * (1 + max(0, ceil(log2(dlam_init /
-    dlam_floor)))) attempts are made.  A path whose every solve fails
-    underflows within one allowance: at most 1 + max(0, ceil(log2(dlam_init
-    / dlam_floor))) attempts.
+    Budget, from target_lambda and dlam_floor alone: h = max(0,
+    ceil(log2(target_lambda / dlam_floor))) halvings take the whole
+    interval down to the floor, so a run of failed solves underflows
+    within one allowance of 1 + h attempts, whatever the first step.  The
+    budget gives one allowance to each of the 1 + h step lengths
+    target_lambda * 2**-k, k = 0, ..., h: at most (1 + h)**2 attempts,
+    225 with the defaults target_lambda = 1 and dlam_floor = 1e-4 (h = 14).
+    One allowance per step of dlam_init would shrink it to 15 with the
+    whole-interval first step.
     The path reports how far it got rather than raising: status is one of
     reached_target / stepsize_underflow / bound_violation / budget_exhausted.
     A failed path means the path is incomplete, not that no orbit exists.
@@ -532,8 +542,8 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
         raise ValueError("continuation must start from a lam = 0 solution")
     if start.residual_norm > solver.newton_tol:
         raise ValueError("continuation must start from a converged solution")
-    halvings = max(0, math.ceil(math.log2(solver.dlam_init / solver.dlam_floor)))
-    budget = math.ceil(target_lambda / solver.dlam_init) * (1 + halvings)
+    halvings = math.ceil(math.log2(max(target_lambda, solver.dlam_floor) / solver.dlam_floor))
+    budget = (1 + halvings) ** 2
 
     solutions, history = [start], []
     start_det = start.index_det

@@ -30,7 +30,7 @@ from lfe.fields import (
 from lfe.homotopy import AutonomousField, HomotopySystem
 from lfe.integrator import IntegratorConfig, Trajectory
 from lfe.kinematics import State, lorentz_factor, phi_inv
-from lfe.shooting import ShootingProblem, continue_lambda, newton_shooting
+from lfe.shooting import ShootingProblem, SolverOptions, continue_lambda, newton_shooting
 
 SEED = 20240803
 
@@ -200,10 +200,15 @@ def desk_start(desk_problem):
 
 @pytest.fixture(scope="session")
 def desk_continuation(desk_problem, desk_start):
-    """The desk continuation path and its recorded shooting flows (`recorded_flows`)."""
+    """The two-step desk continuation path and its recorded shooting flows (`recorded_flows`).
+
+    Its first step is dlam_init = 0.1, so the second is sized from the
+    first's contraction and starts from a warm, predicted guess.
+    """
+    problem = replace(desk_problem, solver=SolverOptions(dlam_init=0.1))
     with pytest.MonkeyPatch.context() as patch:
         flows = recorded_flows(patch)
-        path = continue_lambda(desk_problem, desk_start)
+        path = continue_lambda(problem, desk_start)
     return path, flows
 
 

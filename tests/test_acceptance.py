@@ -70,29 +70,35 @@ seed = {SEED}
 """
 
 
-@pytest.fixture(scope="module")
-def a6_run(tmp_path_factory):
-    """The desk scenario driven through the `continue` subcommand, timed end to end."""
-    import json
-    import os
+# the desk scenario with a first continuation step of 0.1: the second step is sized from the
+# first's contraction, and its guess is warm-started at a predicted tolerance
+DESK_TWO_STEP_CONFIG = DESK_CONFIG.replace("[solver]\n", "[solver]\ndlam_init = 0.1\n")
 
-    base = tmp_path_factory.mktemp("a6")
+
+def run_continue(base, text: str) -> dict:
+    """`continue` on the config text in the directory base, timed end to end."""
     config = base / "desk.ini"
-    config.write_text(DESK_CONFIG, encoding="utf-8")
+    config.write_text(text, encoding="utf-8")
     out = base / "out"
-    previous = os.environ.get("LFE_VERBOSITY")
-    os.environ["LFE_VERBOSITY"] = "0"
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("LFE_VERBOSITY", "0")
         t0 = time.perf_counter()
         code = main(["continue", "--config", str(config), "--out", str(out)])
         elapsed = time.perf_counter() - t0
-    finally:
-        if previous is None:
-            os.environ.pop("LFE_VERBOSITY", None)
-        else:
-            os.environ["LFE_VERBOSITY"] = previous
     payload = json.loads((out / "run_report.json").read_text())
     return {"exit_code": code, "report": payload, "out": out, "elapsed": elapsed}
+
+
+@pytest.fixture(scope="module")
+def a6_run(tmp_path_factory):
+    """The desk scenario driven through the `continue` subcommand: one step over the whole interval."""
+    return run_continue(tmp_path_factory.mktemp("a6"), DESK_CONFIG)
+
+
+@pytest.fixture(scope="module")
+def desk_two_step_run(tmp_path_factory):
+    """The desk scenario through `continue` with a first step of 0.1: two steps."""
+    return run_continue(tmp_path_factory.mktemp("desk-two-step"), DESK_TWO_STEP_CONFIG)
 
 
 def test_run_report_records_the_newton_trace(a6_run):
@@ -104,8 +110,8 @@ def test_run_report_records_the_newton_trace(a6_run):
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
 
-def test_run_report_records_every_newton_trace_and_the_rejected_steps(a6_run):
-    report = a6_run["report"]
+def test_run_report_records_every_newton_trace_and_the_rejected_steps(desk_two_step_run):
+    report = desk_two_step_run["report"]
     history = report["continuation"]["history"]
     assert [len(h["newton_trace"]) for h in history] == [3, 4]
     # each step's first contraction and det(I - M) of its orbit
@@ -118,14 +124,14 @@ def test_run_report_records_every_newton_trace_and_the_rejected_steps(a6_run):
     assert report["final_orbit"]["n_rejected"] == 1
 
 
-def test_desk_csv_cells_are_the_repr_of_the_python_numbers_they_hold(a6_run):
+def test_desk_csv_cells_are_the_repr_of_the_python_numbers_they_hold(desk_two_step_run):
     # the bytes of the per-cell repr(float(x)) format, str(x) for an int: a numpy scalar in a row
     # would write its type's name, and a float that does not read back exactly would differ
     def cell(text):
         return text if text.lstrip("-").isdigit() else repr(float(text))
 
     for name, columns in (("orbit.csv", 7), ("continuation.csv", 4)):
-        data = (a6_run["out"] / name).read_bytes()
+        data = (desk_two_step_run["out"] / name).read_bytes()
         header, *rows = data.decode("utf-8").split("\n")[:-1]
         assert len(header.split(",")) == columns and len(rows) > 2
         expected = [header] + [",".join(cell(text) for text in row.split(",")) for row in rows]
@@ -134,29 +140,73 @@ def test_desk_csv_cells_are_the_repr_of_the_python_numbers_they_hold(a6_run):
 
 # Newton iterations of the three-step desk path whose steps grew by sqrt(theta_max / theta0), at most x4
 SQRT_RULE_ITERATIONS = {"0.1": 9, "0.5": 11, "1.0": 11}
+# Newton iterations of the two-step desk path whose first step was 0.1 (3 + 4 at each amplitude)
+TWO_STEP_ITERATIONS = 7
+# Newton iterations of the one step over the whole interval
+ONE_STEP_ITERATIONS = {"0.1": 4, "0.5": 5, "1.0": 5}
 
 
 @pytest.mark.parametrize("amplitude", ["0.1", "0.5", "1.0"])
 def test_desk_path_takes_fewer_newton_iterations_than_the_fixed_rule(tmp_path, monkeypatch, amplitude):
     # steps of 0.1 grown x1.5 after two successes took 6 steps and 18 iterations at each amplitude;
-    # the first step's contraction sends the second to lam = 1
+    # the first step tries the whole interval and converges there
     monkeypatch.setenv("LFE_VERBOSITY", "0")
     config = tmp_path / "desk.ini"
     config.write_text(DESK_CONFIG.replace("harmonic_1_cos = 0.1 0 0", f"harmonic_1_cos = {amplitude} 0 0"))
+    flows = recorded_flows(monkeypatch)
     assert main(["continue", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
     history = json.loads((tmp_path / "out" / "run_report.json").read_text())["continuation"]["history"]
-    assert [step["lambda"] for step in history] == [0.1, 1.0]
+    assert [(step["lambda"], step["dlam"]) for step in history] == [(1.0, 1.0)]
     assert all(step["accepted"] for step in history)
-    assert sum(len(step["newton_trace"]) for step in history) < SQRT_RULE_ITERATIONS[amplitude] < 18
+    iterations = sum(len(step["newton_trace"]) for step in history)
+    assert iterations <= ONE_STEP_ITERATIONS[amplitude] < TWO_STEP_ITERATIONS < SQRT_RULE_ITERATIONS[amplitude] < 18
     assert all(step["index_det"] > 0.0 for step in history)
+    # the lambda = 0 start, the step's guess flow and one trial per iteration (10 flows at 0.1 on
+    # the two-step path)
+    assert len(flows) == 2 + iterations
+
+
+# A scenario atlas: the desk config with its period T and the x-amplitude of harmonic_1_cos changed.
+# (T, amplitude) -> (exit code, continuation status, at most this many Newton iterations on the path).
+# Each path that reaches lambda = 1 does so in one step.  With a first step of 0.1 the paths took
+# 22 iterations at (2, 1), 93 at (3, 1) and 395 (about 15 s) at (2.6, 1), and the one at (2.6, 5)
+# ended in stepsize_underflow after 610.
+ATLAS = {
+    ("1", "1"): (0, "reached_target", 5),
+    ("1", "5"): (0, "reached_target", 5),
+    ("2", "1"): (0, "reached_target", 8),
+    ("2", "5"): (0, "reached_target", 10),
+    ("2.6", "1"): (0, "reached_target", 12),
+    ("2.6", "5"): (0, "reached_target", 14),
+    ("3", "1"): (0, "reached_target", 15),
+    # the certificate stops: its momentum bound M leaves double range (m ~ 5e-90)
+    ("3", "5"): (2, None, None),
+}
+
+
+@pytest.mark.parametrize("cell", ATLAS, ids=lambda cell: f"T{cell[0]}-amplitude{cell[1]}")
+def test_desk_atlas_cell_status_and_newton_iterations(tmp_path, cell):
+    period, amplitude = cell
+    code, status, iterations = ATLAS[cell]
+    text = DESK_CONFIG.replace("period = 1.0", f"period = {period}")
+    run = run_continue(tmp_path, text.replace("harmonic_1_cos = 0.1 0 0", f"harmonic_1_cos = {amplitude} 0 0"))
+    assert run["exit_code"] == code
+    continuation = run["report"].get("continuation", {})
+    assert continuation.get("status") == status
+    if iterations is None:
+        assert run["report"]["certificate_error"].startswith("momentum bound M")
+    else:
+        history = continuation["history"]
+        assert [step["lambda"] for step in history if step["accepted"]] == [1.0]
+        assert sum(len(step["newton_trace"]) for step in history) <= iterations
 
 
 @pytest.fixture(scope="module")
 def desk_flows(tmp_path_factory):
-    """The desk scenario through `continue` with every shooting flow recorded: (flows, run_report.json)."""
+    """The two-step desk scenario through `continue` with every shooting flow recorded: (flows, run_report.json)."""
     base = tmp_path_factory.mktemp("desk-flows")
     config = base / "desk.ini"
-    config.write_text(DESK_CONFIG, encoding="utf-8")
+    config.write_text(DESK_TWO_STEP_CONFIG, encoding="utf-8")
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("LFE_VERBOSITY", "0")
         flows = recorded_flows(patch)
@@ -222,7 +272,7 @@ def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):
 
 
 def test_desk_continue_computes_the_identities_of_the_final_orbit_only(tmp_path, monkeypatch):
-    # of the three orbits of the path, only the final one is verified and reported
+    # of the orbits of the path, only the final one is verified and reported
     monkeypatch.setenv("LFE_VERBOSITY", "0")
     config = tmp_path / "desk.ini"
     config.write_text(DESK_CONFIG, encoding="utf-8")

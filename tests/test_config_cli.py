@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -168,7 +169,7 @@ r_min = auto
 [solver]
 newton_tol = 1e-09
 max_iterations = 50
-dlam_init = 0.1
+dlam_init = 1.0
 dlam_floor = 0.0001
 target_lambda = 1.0
 seed = 20240803
@@ -431,6 +432,35 @@ def test_cli_continue_full_pipeline(tmp_path):
     )
 
 
+def test_cli_builds_its_argument_parser_once(tmp_path, monkeypatch):
+    built, construct = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setenv("LFE_VERBOSITY", "0")
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    lfe.cli._parser.cache_clear()
+    try:
+        cfg = write(tmp_path, LIGHT)
+        for name in ("run1", "run2"):
+            assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    finally:
+        lfe.cli._parser.cache_clear()  # later calls build an uncounted parser
+    # the top-level parser and its subcommands' parsers, built by the first call only
+    assert built == ["lfe"] + [f"lfe {name}" for name in lfe.cli._COMMANDS]
+
+
+@pytest.mark.parametrize("argv", [["bogus", "--config", "x.ini"], ["validate"]], ids=["subcommand", "no-config"])
+def test_cli_usage_errors_exit_2(argv, capsys):
+    for _ in range(2):  # the cached parser rejects the same arguments again
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    assert "usage: lfe" in capsys.readouterr().err
+
+
 def test_cli_continue_partial_target(tmp_path):
     cfg = write(tmp_path, LIGHT.replace("seed = 7", "seed = 7\ntarget_lambda = 0.5"))
     out = tmp_path / "out"
@@ -458,18 +488,18 @@ def test_cli_continue_solver_failure_writes_partial_report(tmp_path):
 
 
 def test_cli_continue_ends_when_the_step_budget_is_used_up(tmp_path):
-    # one Newton iteration per step: the path creeps with tiny steps, so only
-    # the budget ceil(1 / 1.0) * (1 + ceil(log2(1.0 / 1e-4))) = 15 ends it
+    # one Newton iteration per step: the path creeps with tiny steps, so only the budget
+    # (1 + h)^2 = 225 ends it, with h = ceil(log2(target_lambda / dlam_floor)) = ceil(log2(1e4)) = 14
     text = LIGHT.replace("dlam_init = 1.0", "dlam_init = 1.0\nmax_iterations = 1")
     text = text.replace("mean = 0 0 2", "mean = 0 0 2\nharmonic_1_cos = 0.9 0 0")
     out = tmp_path / "out"
     assert main(["continue", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
     continuation = json.loads((out / "run_report.json").read_text())["continuation"]
     assert continuation["status"] == "budget_exhausted"
-    assert len(continuation["history"]) == 15
+    assert len(continuation["history"]) == 225
     lam = continuation["steps"][-1]["lambda"]
     assert 0.0 < lam < 1.0
-    assert continuation["message"] == f"attempted-step budget 15 used up at lam = {lam:.6g}"
+    assert continuation["message"] == f"attempted-step budget 225 used up at lam = {lam:.6g}"
 
 
 def test_cli_continue_history_records_failed_newton_traces(tmp_path):

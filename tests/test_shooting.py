@@ -300,7 +300,8 @@ def test_identities_on_converged_orbit(coulomb_problem):
 def test_identities_are_computed_when_first_read(desk_problem, desk_start, monkeypatch):
     calls = counted_identities(monkeypatch)
     path = continue_lambda(desk_problem, desk_start)
-    assert path.status == "reached_target" and len(path.solutions) == 3
+    # the lam = 0 start and the one step over the whole interval
+    assert path.status == "reached_target" and len(path.solutions) == 2
     # no orbit of the path builds its dense output for the identities
     assert calls == []
     diagnostics = path.final.diagnostics
@@ -485,7 +486,7 @@ def test_continuation_steps_to_where_a_linear_contraction_meets_its_aim(coulomb_
         return dataclasses.replace(sol, newton_trace=planted([1.0, theta0], 1e-12).newton_trace)
 
     monkeypatch.setattr(lfe.shooting, "newton_shooting", linear)
-    path = continue_lambda(coulomb_problem, start)
+    path = continue_lambda(dataclasses.replace(coulomb_problem, solver=SolverOptions(dlam_init=0.1)), start)
     steps = path.history
     assert path.status == "reached_target" and all(step["accepted"] for step in steps)
     assert steps[0]["dlam"] == 0.1 and len(steps) == 1 + math.ceil(0.9 * c / 0.25)
@@ -508,7 +509,7 @@ def test_continuation_rejects_a_step_that_flips_the_index(desk_problem, desk_sta
         return sol
 
     monkeypatch.setattr(lfe.shooting, "newton_shooting", flipping)
-    path = continue_lambda(desk_problem, desk_start)
+    path = continue_lambda(dataclasses.replace(desk_problem, solver=SolverOptions(dlam_init=0.1)), desk_start)
     assert path.status == "reached_target"
     flipped, retry = path.history[1:3]
     # the second step is the one to lam = 1: the first step's contraction reaches the end
@@ -522,7 +523,9 @@ def test_continuation_rejects_a_step_that_flips_the_index(desk_problem, desk_sta
 
 
 @pytest.mark.parametrize(
-    "dlam_init,dlam_floor,attempts", [(0.1, 1e-4, 10), (0.125, 0.125 / 8, 4)], ids=["default", "power-of-2"]
+    "dlam_init,dlam_floor,attempts",
+    [(0.1, 1e-4, 10), (0.125, 0.125 / 8, 4), (1.0, 1e-4, 14)],
+    ids=["default", "power-of-2", "whole-interval"],
 )
 def test_continuation_whose_every_solve_fails_underflows_within_its_budget(
     coulomb_problem, monkeypatch, dlam_init, dlam_floor, attempts
@@ -535,10 +538,11 @@ def test_continuation_whose_every_solve_fails_underflows_within_its_budget(
     monkeypatch.setattr(lfe.shooting, "newton_shooting", failing)
     solver = SolverOptions(dlam_init=dlam_init, dlam_floor=dlam_floor)
     path = continue_lambda(dataclasses.replace(coulomb_problem, solver=solver), start)
-    halvings = math.ceil(math.log2(dlam_init / dlam_floor))
-    budget = math.ceil(1.0 / dlam_init) * (1 + halvings)
+    # a run of failures underflows within one allowance of the budget (1 + h)^2, h the halvings
+    # from the whole interval to the floor
+    halvings = math.ceil(math.log2(1.0 / dlam_floor))
     assert path.status == "stepsize_underflow" and path.final is start
-    assert len(path.history) == attempts <= 1 + halvings <= budget
+    assert len(path.history) == attempts <= 1 + halvings
     assert [step["dlam"] for step in path.history] == [dlam_init * 0.5**k for k in range(attempts)]
     assert all(step["theta0"] is step["index_det"] is None for step in path.history)
     assert path.message.endswith("planted failure")
