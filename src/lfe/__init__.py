@@ -30,6 +30,7 @@ from lfe.shooting import (
     ShootingProblem,
     SolverOptions,
     continue_lambda,
+    equilibrium_orbit,
     newton_shooting,
 )
 
@@ -58,6 +59,7 @@ __all__ = [
     "ContinuationPath",
     "newton_shooting",
     "continue_lambda",
+    "equilibrium_orbit",
     "BoundsCertificate",
     "compute_certificate",
     "verify_orbit",

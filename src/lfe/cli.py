@@ -38,7 +38,7 @@ from lfe.fields import validate_hypotheses
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import SolverError, integrate, write_rows_csv
 from lfe.kinematics import State
-from lfe.shooting import OrbitSolution, ShootingProblem, continue_lambda, newton_shooting
+from lfe.shooting import OrbitSolution, ShootingProblem, continue_lambda, equilibrium_orbit, newton_shooting
 
 EXIT_OK = 0
 EXIT_HYPOTHESIS = 2
@@ -159,13 +159,15 @@ def _certify(cfg: RunConfig, report: _Report) -> BoundsCertificate:
 
 
 def _degree(cfg: RunConfig, cert: BoundsCertificate, report: _Report) -> DegreeReport:
-    (c0, _), mean, seed = cfg.fields.potential.radial_law(), cfg.fields.forcing.mean, cfg.solver.seed
-    degree = _attempt("degree computation failed", brouwer_degree, c0, mean, cert.region(), seed=seed)
+    (c0, _), forcing, seed = cfg.fields.potential.radial_law(), cfg.fields.forcing, cfg.solver.seed
+    args = (c0, forcing.mean, cert.region())
+    degree = _attempt("degree computation failed", brouwer_degree, *args, period=forcing.period, seed=seed)
     record = dataclasses.asdict(degree)
     x0 = record.pop("x0")
     record["x0_q"], record["x0_p"] = x0["q"], x0["p"]
     escapes = record["sweep"]["escapes_by_start_decade"]
     run = {"degree": degree.degree, "degree_escapes_by_start_decade": escapes}
+    run.update((key, record[key]) for key in ("omega_T_over_2pi", "T_res", "det_I_minus_M0"))
     report.section("degree", "degree at the autonomous limit", degree.lines(), record, run)
     return degree
 
@@ -173,7 +175,8 @@ def _degree(cfg: RunConfig, cert: BoundsCertificate, report: _Report) -> DegreeR
 def _check_index(start: OrbitSolution, degree: DegreeReport) -> None:
     """sign det(I - M) of the lam = 0 orbit must be minus the degree; a SolverError if not.
 
-    A wrong monodromy, or a degree of the wrong orientation, fails it.
+    det(I - M) is the closed form of `equilibrium_orbit`; a wrong monodromy,
+    or a degree of the wrong orientation, fails it.
     """
     det = start.index_det
     sign = (det > 0.0) - (det < 0.0)
@@ -239,7 +242,7 @@ def _pipeline(cfg: RunConfig, report: _Report) -> int:
     degree = _degree(cfg, cert, report)
 
     problem = _build_problem(cfg, 0.0, cert)
-    start = _attempt("no starting orbit at lam = 0", newton_shooting, degree.x0, problem)
+    start = _attempt("no starting orbit at lam = 0", equilibrium_orbit, problem, degree.x0)
     _attempt("index check failed", _check_index, start, degree)
     path = continue_lambda(problem, start)
     rows = path.summary_rows()

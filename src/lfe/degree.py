@@ -12,7 +12,12 @@ needs no solve and a start deep inside the region reaches the zero in a
 few steps.  The orientation, stated in the report:
 domain ordered (p, q), codomain (q', p'), as in `f0_determinant_closed_form`;
 there the degree is minus the fixed-point index sign det(I - M) of the
-orbit it anchors, M its monodromy.
+orbit it anchors, M its monodromy.  That orbit is the equilibrium itself,
+whose monodromy M0 is closed-form (`EquilibriumLinearization`): the report
+gives omega T / 2 pi, the resonant period T_res = 2 pi / omega and
+det(I - M0), which is positive but at a resonance (Capietto, Mawhin &
+Zanolin, Trans. AMS 329, 1992, relate the degree of f0 to that of the
+lam = 0 periodic problem).
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import ClassVar
 import numpy as np
 
 from lfe.fields import mean_norm
-from lfe.homotopy import AutonomousField, f0_determinant_closed_form
+from lfe.homotopy import AutonomousField, EquilibriumLinearization, f0_determinant_closed_form
 from lfe.kinematics import State, phi_inv
 from lfe.sampling import sobol_points, unit_vectors
 
@@ -72,6 +77,10 @@ class DegreeReport:
     degree: int
     omega: tuple[float, float, float]
     sweep: dict
+    # the lam = 0 orbit at x0 over the period T: omega T / 2 pi, 2 pi / omega and det(I - M0)
+    omega_T_over_2pi: float
+    T_res: float
+    det_I_minus_M0: float
     orientation: ClassVar[str] = "domain (p, q), codomain (q', p'): the degree is minus the index sign det(I - M)"
 
     def lines(self) -> list[str]:
@@ -84,6 +93,9 @@ class DegreeReport:
             f"det (analytic):  {self.det_analytic!r}",
             f"degree:          {self.degree}",
             f"orientation:     {self.orientation}",
+            f"omega T / 2pi:   {self.omega_T_over_2pi!r}",
+            f"T_res:           {self.T_res!r} (2 pi / omega, omega = sqrt(2 c0 / |q|^3))",
+            f"det(I - M0):     {self.det_I_minus_M0!r} ((2 - 2 cosh sT)^2 (2 - 2 cos omega T))",
             "sweep:           "
             + ", ".join(f"{k}={v}" for k, v in self.sweep.items() if isinstance(v, int)),
         ]
@@ -204,13 +216,16 @@ def brouwer_degree(
     h_mean,
     omega: tuple[float, float, float],
     *,
+    period: float,
     seed: int,
 ) -> DegreeReport:
     """Degree of the autonomous field on the region m < |q| < upper, |p| < p_max.
 
     The sign comes from the closed-form determinant at the explicit zero
     (f0_determinant_closed_form).  A quasi-random multi-start Newton sweep
-    from 2^10 starts must find no zero other than the explicit one.
+    from 2^10 starts must find no zero other than the explicit one.  The
+    report also gives the equilibrium orbit's resonance data over the
+    period (`EquilibriumLinearization`).
     """
     m, upper, p_max = omega
     x0 = find_zero_f0(c0, h_mean)
@@ -222,12 +237,16 @@ def brouwer_degree(
     det_analytic = f0_determinant_closed_form(c0, x0.q, x0.p)
     sweep = _newton_sweep(field, x0, omega, 10, seed)
     degree = int(math.copysign(1.0, det_analytic))
+    start = EquilibriumLinearization.at(c0, x0.q, period)
     return DegreeReport(
         x0=x0,
         det_analytic=det_analytic,
         degree=degree,
         omega=(float(m), float(upper), float(p_max)),
         sweep=sweep,
+        omega_T_over_2pi=start.turns,
+        T_res=start.resonant_period,
+        det_I_minus_M0=start.index_det(),
     )
 
 

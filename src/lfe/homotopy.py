@@ -12,9 +12,10 @@ c0 is the a of the potential kind's exact radial law -q . grad V = a |q|^-g
 lam = 0 it is autonomous with a single explicit equilibrium, which anchors
 both the degree computation and the continuation.  The degree sweep takes
 that limit in velocity coordinates v = phi_inv(p), which keeps its zeros
-and degree (see AutonomousField).  `HomotopySystem` holds only its
-FieldConfig; T and h_mean are read from `config.forcing` and c0 from
-`config.potential`, the one home of each.
+and degree (see AutonomousField); the linearization there, and its flow
+over one period, are closed-form (`EquilibriumLinearization`).
+`HomotopySystem` holds only its FieldConfig; T and h_mean are read from
+`config.forcing` and c0 from `config.potential`, the one home of each.
 """
 
 from __future__ import annotations
@@ -115,6 +116,85 @@ def coulomb_force_jacobian(q, c0: float) -> np.ndarray:
     q, (s, s3) = radial_powers(q)
     s, s3 = s[..., None], s3[..., None]
     return c0 * s3 * (np.eye(3) - 3.0 * s * q[..., :, None] * q[..., None, :])
+
+
+# omega T / 2 pi within this many eps * n of the integer n >= 1 is the resonance n: r*, omega,
+# omega T and the quotient by 2 pi each round by an ulp or two, as does a period written as 2 pi n / omega
+_RESONANCE_ROUNDOFF = 16.0 * np.finfo(float).eps
+
+
+@dataclass(frozen=True)
+class EquilibriumLinearization:
+    """The lam = 0 system linearized at its equilibrium (q*, 0), and that linear flow over the period.
+
+    phi_inv has the identity Jacobian at p = 0, so the linearization is
+    A = [[0, I], [K, 0]] with K = `coulomb_force_jacobian`(q*, c0).  With
+    r = |q*|, u = q*/r, P = u u^T and Q = I - P, K = s^2 Q - omega^2 P:
+    s = sqrt(c0/r^3) across the radius, omega = sqrt(2 c0/r^3) along it.
+    So the monodromy M0 = exp(T A) of the equilibrium orbit is closed-form
+    (`monodromy`): hyperbolic across the radius, a harmonic oscillation
+    along it.  Each direction adds a factor to det(I - M0) (`index_det`):
+    (2 - 2 cosh sT)^2 (2 - 2 cos omega T), which is >= 0 and vanishes only
+    at the resonances omega T = 2 pi n, the periods n T_res with
+    T_res = 2 pi / omega (`resonance`).  There the lam = 0 orbit is
+    degenerate and has no fixed-point index.
+    """
+
+    u: np.ndarray
+    s: float
+    omega: float
+    period: float
+
+    @classmethod
+    def at(cls, c0: float, q, period: float) -> "EquilibriumLinearization":
+        """The linearization at the equilibrium position q of the lam = 0 field with constant c0."""
+        q = np.asarray(q, dtype=float)
+        r = math.hypot(*q)
+        rate = c0 / r**3
+        return cls(u=q / r, s=math.sqrt(rate), omega=math.sqrt(2.0 * rate), period=period)
+
+    @property
+    def turns(self) -> float:
+        """omega T / 2 pi: the radial oscillations per period."""
+        return self.omega * self.period / (2.0 * math.pi)
+
+    @property
+    def resonant_period(self) -> float:
+        """T_res = 2 pi / omega, the period of the radial oscillation."""
+        return 2.0 * math.pi / self.omega
+
+    def resonance(self) -> int:
+        """The n >= 1 with |omega T / 2 pi - n| <= 16 eps n, eps the machine epsilon, else 0.
+
+        Within that bound the factor 2 - 2 cos omega T of det(I - M0) is zero
+        up to the rounding of omega T.
+        """
+        n = round(self.turns)
+        return n if n >= 1 and abs(self.turns - n) <= _RESONANCE_ROUNDOFF * n else 0
+
+    def monodromy(self) -> np.ndarray:
+        """M0 = exp(T A) = [[C, S], [K S, C]].
+
+        C = cosh(sT) Q + cos(omega T) P and S = sinh(sT)/s Q + sin(omega T)/omega P.
+        """
+        st, wt = self.s * self.period, self.omega * self.period
+        along = np.outer(self.u, self.u)  # P
+        across = np.eye(3) - along  # Q
+        c = np.cosh(st) * across + math.cos(wt) * along
+        sinh, sin = np.sinh(st), math.sin(wt)
+        s = sinh / self.s * across + sin / self.omega * along
+        return np.block([[c, s], [self.s * sinh * across - self.omega * sin * along, c]])
+
+    def index_det(self) -> float:
+        """det(I - M0) = (2 - 2 cosh sT)^2 (2 - 2 cos omega T), from its factors.
+
+        Written as (4 sinh^2(sT/2))^2 * 4 sin^2(omega T/2), which loses no
+        digits to cancellation when sT or omega T is small.  Its sign is that
+        of the factor 2 - 2 cos omega T: positive but at a resonance, where
+        it is zero.  No LU of M0, whose entries grow like e^(sT).
+        """
+        hyper = 4.0 * np.sinh(0.5 * self.s * self.period) ** 2
+        return float(hyper * hyper * 4.0 * math.sin(0.5 * self.omega * self.period) ** 2)
 
 
 def f0_determinant_closed_form(c0: float, q, p) -> float:

@@ -82,8 +82,11 @@ class _DenseOutput:
 
     ts and ys are the nodes (n_nodes,) and flat states (n_nodes, n).
     Called with t of shape () it gives the flat state (n,); with t of shape
-    (m,), shape (n, m).  A time on a node belongs to the earlier step.
-    The interpolants of all steps are built together, on the first call.
+    (m,), shape (n, m).  columns, a slice of the n components, gives only
+    those: it gathers and evaluates only their coefficients, with the
+    same values, since Horner's rule is elementwise.  A time on a node
+    belongs to the earlier step.  The interpolants of all steps are built
+    together, on the first call.
     """
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray, stages: list, fun: Callable):
@@ -109,24 +112,24 @@ class _DenseOutput:
             fj[3:] = hj * np.dot(butcher.DOP853_D, kj)
         return f
 
-    def __call__(self, t) -> np.ndarray:
+    def __call__(self, t, columns: slice = slice(None)) -> np.ndarray:
         """Horner in x and 1 - x, point by point, as scipy's Dop853DenseOutput."""
-        ts, ys = self._ts, self._ys
+        ts = self._ts
         if self._coeffs is None:
             self._coeffs = self._coefficients()
         t = np.asarray(t)
         seg = np.clip(np.searchsorted(ts, t) - 1, 0, len(ts) - 2)
         t_old = ts[seg]
         x = ((t - t_old) / (ts[seg + 1] - t_old))[..., None]
-        coeffs = self._coeffs[seg]
-        y = np.zeros(t.shape + ys.shape[1:])
+        coeffs = self._coeffs[seg, :, columns]
+        y = np.zeros(coeffs.shape[:-2] + coeffs.shape[-1:])
         for i in range(7):
             y += coeffs[..., 6 - i, :]
             if i % 2 == 0:
                 y *= x
             else:
                 y *= 1 - x
-        y += ys[seg]
+        y += self._ys[seg, columns]
         return y.T
 
 
@@ -193,9 +196,9 @@ class Trajectory:
         return min(h, self.t1 - self.t0)
 
     def row(self, i: int) -> "Trajectory":
-        """Member i of a stacked run, read from the shared nodes and interpolant."""
-        interp, rows = self.interpolant, slice(6 * i, 6 * i + 6)
-        return replace(self, states=self.states[:, i], interpolant=lambda t: interp(t)[rows])
+        """Member i of a stacked run, read from the shared nodes and its six columns of the interpolant."""
+        interp, columns = self.interpolant, slice(6 * i, 6 * i + 6)
+        return replace(self, states=self.states[:, i], interpolant=lambda t: interp(t, columns))
 
     def write_csv(self, path, n: int) -> None:
         """Write t,q1,q2,q3,p1,p2,p3 rows at n evenly spaced times from t0 to t1, both included."""

@@ -35,9 +35,9 @@ confirming re-flow.  The guess flows at the same rule's tolerance for
 the residual predicted for it, and again at its actual residual's
 tolerance when that is tighter.  With no predicted residual, the
 guess's drift over one period, T max|f(0, y0)|, is the prediction
-(`_drift_residual`, one right-hand-side call): an equilibrium, such as
-the lam = 0 start, flows at rtol0, and a guess that moves at a rate of
-order one flows at the cap.  The continuation predicts each later
+(`_drift_residual`, one right-hand-side call): a guess at an equilibrium
+flows at rtol0, and a guess that moves at a rate of order one flows at
+the cap.  The continuation predicts each later
 step's guess residual from the previous accepted step (Allgower &
 Georg, "Introduction to Numerical Continuation Methods"): the previous
 orbit's initial state is a constant predictor, whose residual grows
@@ -62,22 +62,31 @@ predecessor's steps (`Trajectory.warm_step`): their middle one, scaled
 by (rtol / rtol_prev) ** (1/8), the step controller's exponent, and by
 its safety factor 0.9, instead of the initial-step heuristic.  Within a
 solve the predecessor is the iterate's flow; the guess of a continuation
-step follows the previous accepted orbit's flow, which ran at rtol0.
-Only the first flow of a solve without a previous orbit (the lam = 0
-start, `find-orbit`) starts cold.
+step after the first follows the previous accepted orbit's flow, which
+ran at rtol0.  The first flow of a solve without a previous orbit starts
+cold: that of `find-orbit`, and the first continuation step's guess.
+
+The lam = 0 start is no solve (`equilibrium_orbit`).  It is the
+equilibrium (q*, 0) of `find_zero_f0`, whose linearized flow over the
+period is closed-form (`EquilibriumLinearization`): its monodromy is
+exp(TA) and its det(I - M) = (2 - 2 cosh sT)^2 (2 - 2 cos omega T), which
+is positive but at a resonance omega T = 2 pi n, a named failure
+(`ResonantStart`).  Its trajectory is flowed only when it is read: when
+the path stops at lam = 0.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from lfe.certificate import region_checks
 from lfe.fields import gauss_legendre
-from lfe.homotopy import HomotopySystem
+from lfe.homotopy import EquilibriumLinearization, HomotopySystem
 from lfe.integrator import IntegratorConfig, SolverError, Trajectory, integrate
 from lfe.kinematics import State
 
@@ -92,6 +101,10 @@ class SingularJacobian(SolverError):
 
 class LeftDomain(SolverError):
     """An iterate exited the numerical search region."""
+
+
+class ResonantStart(SolverError):
+    """The period is a multiple of the radial oscillation's: the lam = 0 orbit has no index."""
 
 
 _DAMPING = tuple(0.5**k for k in range(20))  # Newton step factors 1, 1/2, ..., 2**-19
@@ -193,14 +206,27 @@ class ShootingProblem:
 
 @dataclass(frozen=True)
 class OrbitSolution:
+    """A periodic orbit at lam: its initial state x0, residual sup-norm and monodromy.
+
+    flow gives the orbit's one-period `Trajectory`; `trajectory` calls it
+    once, when first read, so the closed-form lam = 0 start is flowed only
+    if something reads it.  closed_form_det, when set, is det(I - M) from
+    the factors of a closed-form monodromy, read instead of an LU of M.
+    """
+
     system: HomotopySystem
     lam: float
     x0: State
-    trajectory: Trajectory
+    flow: Callable[[], Trajectory]
     residual_norm: float
     monodromy: np.ndarray
     # per Newton iteration: the residual sup-norm it started from, its damping alpha and trial rtol
     newton_trace: list
+    closed_form_det: float | None = None
+
+    @functools.cached_property
+    def trajectory(self) -> Trajectory:
+        return self.flow()
 
     @property
     def newton_iterations(self) -> int:
@@ -221,6 +247,8 @@ class OrbitSolution:
     @property
     def index_det(self) -> float:
         """det(I - M) of the monodromy M; its sign is minus the orbit's fixed-point index."""
+        if self.closed_form_det is not None:
+            return self.closed_form_det
         return float(np.linalg.det(np.eye(6) - self.monodromy))
 
     @functools.cached_property
@@ -440,10 +468,57 @@ def newton_shooting(
         system=problem.system,
         lam=problem.lam,
         x0=State.from_array(y),
-        trajectory=traj,
+        flow=lambda traj=traj: traj,
         residual_norm=res_norm,
         monodromy=monodromy,
         newton_trace=trace,
+    )
+
+
+def equilibrium_orbit(problem: ShootingProblem, x0: State) -> OrbitSolution:
+    """The lam = 0 orbit at the equilibrium x0 = (q*, 0) of `find_zero_f0`, in closed form.
+
+    No Newton solve and no flow.  The monodromy is exp(TA) and det(I - M)
+    its closed form (`EquilibriumLinearization`); the residual is the drift
+    T max|f(0, x0)| of the rounded equilibrium (`_drift_residual`, one
+    right-hand-side call), and the trajectory is flowed at problem's
+    tolerance when it is first read.  Raises LeftDomain when x0 lies outside
+    the search region, NewtonDiverged when that residual misses newton_tol
+    (a newton_tol below round-off, which no solve could reach either), and
+    ResonantStart when omega T / 2 pi is an integer n within 16 eps n
+    (`EquilibriumLinearization.resonance`): there det(I - M) = 0, and the
+    orbit has no fixed-point index to continue.
+    """
+    if problem.lam != 0.0:
+        raise ValueError(f"the equilibrium orbit is the lam = 0 start, not lam = {problem.lam:g}")
+    y = x0.as_array()
+    bad = problem.violation(y)
+    if bad is not None:
+        raise LeftDomain(f"equilibrium outside the search region: {bad}")
+    residual, tol = _drift_residual(problem, y), problem.solver.newton_tol
+    if not residual < tol:
+        raise NewtonDiverged(
+            f"the equilibrium's residual {residual:.3e}, its drift T max|f(0, x0)|, "
+            f"is not below newton_tol = {tol:g}"
+        )
+    config = problem.system.config
+    linear = EquilibriumLinearization.at(config.potential.radial_law()[0], x0.q, config.forcing.period)
+    n = linear.resonance()
+    if n:
+        raise ResonantStart(
+            f"the period T = {linear.period!r} is {n} x T_res = 2 pi / omega = {linear.resonant_period!r}, "
+            f"the period of the radial oscillation about the equilibrium (omega T / 2 pi = {linear.turns!r}): "
+            "det(I - M) = 0 at lam = 0, so the start has no fixed-point index"
+        )
+    return OrbitSolution(
+        system=problem.system,
+        lam=0.0,
+        x0=x0,
+        flow=functools.partial(problem.flow, x0),
+        residual_norm=residual,
+        monodromy=linear.monodromy(),
+        newton_trace=[],
+        closed_form_det=linear.index_det(),
     )
 
 
@@ -487,7 +562,7 @@ def _next_dlam(dlam: float, theta0: float, remaining: float) -> float:
 
 
 def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> ContinuationPath:
-    """Natural-parameter continuation from a converged lam = 0 orbit.
+    """Natural-parameter continuation from a converged lam = 0 orbit, such as `equilibrium_orbit`.
 
     Walks lam to problem.solver.target_lambda.  The first step is
     solver.dlam_init, by default 1.0: the whole interval, as no Newton
@@ -510,8 +585,9 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     step is rejected with a reason naming det(I - M), and halved.
 
     The predictor is the previous initial state; each accepted orbit is
-    checked against problem.region when it is set.  Each guess's first
-    flow is warm-started from the previous accepted orbit's trajectory.
+    checked against problem.region when it is set.  The first step's guess
+    flows cold, so the start's trajectory is not read; each later guess's
+    first flow is warm-started from the previous accepted orbit's trajectory.
     Each guess is passed to `newton_shooting` with a predicted residual:
     until a step is accepted, its drift at the step's lam
     (`_drift_residual`); after that, the previous accepted step's starting
@@ -560,8 +636,9 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
         else:
             predicted = residual_per_dlam * dlam
         theta0 = index_det = violation = None
+        previous = solutions[-1].trajectory if len(solutions) > 1 else None
         try:
-            sol = newton_shooting(guess, step_problem, predicted, solutions[-1].trajectory)
+            sol = newton_shooting(guess, step_problem, predicted, previous)
         except SolverError as err:
             reason, trace = str(err), getattr(err, "newton_trace", [])
         else:

@@ -30,7 +30,7 @@ from lfe.fields import (
 from lfe.homotopy import AutonomousField, HomotopySystem
 from lfe.integrator import IntegratorConfig, Trajectory
 from lfe.kinematics import State, lorentz_factor, phi_inv
-from lfe.shooting import ShootingProblem, SolverOptions, continue_lambda, newton_shooting
+from lfe.shooting import ShootingProblem, SolverOptions, continue_lambda, equilibrium_orbit
 
 SEED = 20240803
 
@@ -194,8 +194,7 @@ def desk_problem(desk, desk_cert):
 
 @pytest.fixture(scope="session")
 def desk_start(desk_problem):
-    equilibrium = find_zero_f0(1.0, [0.0, 0.0, 2.0])
-    return newton_shooting(equilibrium, desk_problem)
+    return equilibrium_orbit(desk_problem, find_zero_f0(1.0, [0.0, 0.0, 2.0]))
 
 
 @pytest.fixture(scope="session")

@@ -161,9 +161,9 @@ def test_desk_path_takes_fewer_newton_iterations_than_the_fixed_rule(tmp_path, m
     iterations = sum(len(step["newton_trace"]) for step in history)
     assert iterations <= ONE_STEP_ITERATIONS[amplitude] < TWO_STEP_ITERATIONS < SQRT_RULE_ITERATIONS[amplitude] < 18
     assert all(step["index_det"] > 0.0 for step in history)
-    # the lambda = 0 start, the step's guess flow and one trial per iteration (10 flows at 0.1 on
-    # the two-step path)
-    assert len(flows) == 2 + iterations
+    # the step's guess flow and one trial per iteration: the lambda = 0 start is closed-form and
+    # not flowed (9 flows at 0.1 on the two-step path)
+    assert len(flows) == 1 + iterations
 
 
 # A scenario atlas: the desk config with its period T and the x-amplitude of harmonic_1_cos changed.
@@ -219,7 +219,7 @@ def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk, desk_flo
     flows, report = desk_flows
     history = report["continuation"]["history"]
     assert all(step["accepted"] for step in history)
-    rtol0 = flows[0][0].rtol  # the lambda = 0 start flows at the configured tolerance
+    rtol0 = IntegratorConfig().rtol
     by_lambda = {}
     for cfg, traj, _ in flows:
         by_lambda.setdefault(traj.lam, []).append(cfg.rtol)
@@ -227,8 +227,9 @@ def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk, desk_flo
     # one period, T max|f(0, x0; lam)|; each later one at the rtol of the previous step's
     # starting residual scaled by dlam / dlam_prev
     lam = history[0]["lambda"]
-    (x0,) = {tuple(traj.states[0, 0]) for _, traj, _ in flows if traj.lam == 0.0}
-    drift = system.config.forcing.period * np.abs(system.rhs_array(0.0, np.array(x0), lam)).max()
+    assert 0.0 not in by_lambda  # the lambda = 0 start is closed-form and not flowed
+    x0 = find_zero_f0(1.0, [0.0, 0.0, 2.0]).as_array()
+    drift = system.config.forcing.period * np.abs(system.rhs_array(0.0, x0, lam)).max()
     assert history[0]["newton_trace"][0]["residual"] < drift  # 0.055 against 0.2
     predicted = [drift] + [
         prev["newton_trace"][0]["residual"] / prev["dlam"] * step["dlam"]
@@ -252,18 +253,20 @@ def test_desk_continue_takes_fewer_than_160_integrator_steps(desk_flows):
 
 def test_desk_continue_reads_each_convergence_from_its_last_trial(desk_flows):
     # each step's last iteration is predicted to converge, so its trial flows at rtol0 and no
-    # converged loose trial is flowed once more: the lambda = 0 start, and per step one guess
-    # flow and one trial per iteration, 10 flows (13 on the three-step path of the sqrt rule)
+    # converged loose trial is flowed once more: per step one guess flow and one trial per
+    # iteration, 9 flows (10 when the lambda = 0 start was flowed, 13 on the three-step path of
+    # the sqrt rule)
     flows, report = desk_flows
     history = report["continuation"]["history"]
-    assert len(flows) == 1 + sum(1 + len(step["newton_trace"]) for step in history) == 10
-    assert all(step["newton_trace"][-1]["rtol"] == flows[0][0].rtol for step in history)
+    assert len(flows) == sum(1 + len(step["newton_trace"]) for step in history) == 9
+    assert all(step["newton_trace"][-1]["rtol"] == IntegratorConfig().rtol for step in history)
 
 
 def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):
-    # only the lambda = 0 start has no predecessor: its first step comes from the heuristic
+    # only the first step's guess has no predecessor, since the lambda = 0 start is closed-form
+    # and not flowed: its first step comes from the heuristic
     flows, _ = desk_flows
-    assert [(traj.lam, step is None) for _, traj, step in flows[:2]] == [(0.0, True), (0.1, False)]
+    assert [(traj.lam, step is None) for _, traj, step in flows[:2]] == [(0.1, True), (0.1, False)]
     assert all(step is not None for _, _, step in flows[1:])
     # 34 rejected steps and 2656 right-hand-side calls when every flow starts cold, and 25 and
     # 2174 when the warm first step leaves out the step controller's safety factor
@@ -281,14 +284,15 @@ def test_desk_continue_computes_the_identities_of_the_final_orbit_only(tmp_path,
     assert [traj.lam for traj in calls] == [1.0]
 
 
-def test_light_continue_flows_twice_at_the_configured_tolerance(tmp_path, monkeypatch):
+def test_light_continue_flows_once_at_the_configured_tolerance(tmp_path, monkeypatch):
     monkeypatch.setenv("LFE_VERBOSITY", "0")
     config = tmp_path / "scenario.ini"
     config.write_text(LIGHT_CONFIG, encoding="utf-8")
     flows = recorded_flows(monkeypatch)
     assert main(["continue", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    # the lambda = 0 start and the one step's guess, which already solves lambda = 1
-    assert [(traj.lam, cfg.rtol) for cfg, traj, _ in flows] == [(0.0, 1e-10), (1.0, 1e-10)]
+    # the one step's guess, cold, which already solves lambda = 1; the lambda = 0 start is
+    # closed-form and not flowed
+    assert [(traj.lam, cfg.rtol, step is None) for cfg, traj, step in flows] == [(1.0, 1e-10, True)]
     history = json.loads((tmp_path / "out" / "run_report.json").read_text())["continuation"]["history"]
     assert [step["guess_rtol"] for step in history] == [1e-10]
 
@@ -399,7 +403,7 @@ def test_a4_degree(a5_run):
     zero_err = float(
         np.abs(x0.as_array() - np.array([0.0, 0.0, -(2.0**-0.5), 0.0, 0.0, 0.0])).max()
     )
-    deg = brouwer_degree(1.0, [0.0, 0.0, 2.0], cert.region(), seed=SEED)
+    deg = brouwer_degree(1.0, [0.0, 0.0, 2.0], cert.region(), period=1.0, seed=SEED)
     field = AutonomousField(c0=1.0, h_mean=np.array([0.0, 0.0, 2.0]))
     det_numeric = float(np.linalg.det(fd_jacobian_momentum_first(field, deg.x0)))
     rel_det = abs(det_numeric - deg.det_analytic) / abs(deg.det_analytic)

@@ -454,7 +454,7 @@ def test_verify_flags_synthetic_violation(desk_path, desk_cert):
     orbit = desk_path.final
     states = orbit.trajectory.states.copy()
     states[len(states) // 2, :3] = [desk_cert.m / 2.0, 0.0, 0.0]
-    planted = dataclasses.replace(orbit, trajectory=dataclasses.replace(orbit.trajectory, states=states))
+    planted = dataclasses.replace(orbit, flow=lambda: dataclasses.replace(orbit.trajectory, states=states))
     report = verify_orbit(planted, desk_cert)
     assert not report.passed
     assert len(report.entries) == 6

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -393,6 +394,14 @@ def test_cli_degree(tmp_path):
     assert counts["converged_to_zero"] + counts["escaped"] == counts["starts"]
     decades = payload["sweep"]["escapes_by_start_decade"]
     assert sum(d["escaped"] for d in decades) == counts["escaped"]
+    # the lam = 0 orbit over T = 1: omega = 2^(5/4), so omega T / 2 pi = 0.3785 and T_res = 2.6418,
+    # and det(I - M0) = (2 - 2 cosh sT)^2 (2 - 2 cos omega T) = 43.69421
+    assert payload["omega_T_over_2pi"] == pytest.approx(2.0**1.25 / (2.0 * math.pi), rel=1e-15)
+    assert payload["T_res"] == pytest.approx(2.0 * math.pi / 2.0**1.25, rel=1e-15)
+    assert round(payload["det_I_minus_M0"], 5) == 43.69421
+    for label, key in (("omega T / 2pi:   ", "omega_T_over_2pi"), ("T_res:           ", "T_res"),
+                       ("det(I - M0):     ", "det_I_minus_M0")):
+        assert label + repr(payload[key]) in text
 
 
 def test_cli_integrate_csv_contract(tmp_path):
@@ -485,6 +494,25 @@ def test_cli_continue_solver_failure_writes_partial_report(tmp_path):
     rejected = [h for h in history if not h["accepted"]]
     assert rejected and rejected[0]["lambda"] == 1.0 and rejected[0]["dlam"] == 1.0
     assert all(h["reason"] for h in rejected)
+    # the path stops at the closed-form lam = 0 start, which is flowed to be verified and written
+    assert payload["final_orbit"]["lambda"] == 0.0 and payload["final_orbit"]["verified"] is True
+    assert len((out / "orbit.csv").read_text().splitlines()) == 1 + 101
+
+
+def test_cli_continue_to_target_lambda_zero_verifies_and_writes_the_start(tmp_path, monkeypatch):
+    flows = recorded_flows(monkeypatch)
+    cfg = write(tmp_path, LIGHT.replace("seed = 7", "seed = 7\ntarget_lambda = 0.0"))
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(cfg), "--out", str(out)]) == 0
+    payload = json.loads((out / "run_report.json").read_text())
+    assert payload["continuation"]["status"] == "reached_target"
+    assert payload["continuation"]["history"] == []
+    final = payload["final_orbit"]
+    assert final["lambda"] == 0.0 and final["verified"] is True and final["newton_trace"] == []
+    assert final["mean_identity"] <= 1e-6 and final["virial_gap"] <= 1e-6
+    assert len((out / "orbit.csv").read_text().splitlines()) == 1 + 101
+    # the start's one flow, for verify and orbit.csv: cold, at the configured tolerance
+    assert [(traj.lam, flowed.rtol, step) for flowed, traj, step in flows] == [(0.0, 1e-10, None)]
 
 
 def test_cli_continue_ends_when_the_step_budget_is_used_up(tmp_path):
@@ -619,16 +647,18 @@ def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path, monkeypatc
     assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 430
 
 
-def test_cli_light_continue_flows_twice_at_the_configured_tolerance(tmp_path, monkeypatch):
-    flows = recorded_flows(monkeypatch)
+def test_cli_light_continue_flows_once_at_the_configured_tolerance(tmp_path, monkeypatch):
+    flows, solves = recorded_flows(monkeypatch), []
+    solve = lfe.shooting.newton_shooting
+    monkeypatch.setattr(lfe.shooting, "newton_shooting", lambda g, p, *a: solves.append(p.lam) or solve(g, p, *a))
     out = tmp_path / "out"
     assert main(["continue", "--config", str(write(tmp_path, LIGHT)), "--out", str(out)]) == 0
-    # both guesses are the equilibrium, whose drift (4e-16 at lambda = 0, 7e-16 at 1) asks for
-    # rtol0, and each converges at its one flow
+    # the lambda = 0 start is closed-form and not flowed; the one step's guess is the equilibrium,
+    # whose drift at lambda = 1 (7e-16) asks for rtol0, and it converges at its one, cold flow
     assert [(traj.lam, cfg.rtol, first_step is None) for cfg, traj, first_step in flows] == [
-        (0.0, 1e-10, True),
-        (1.0, 1e-10, False),
+        (1.0, 1e-10, True),
     ]
+    assert solves == [1.0]  # no Newton solve at lambda = 0
     (step,) = json.loads((out / "run_report.json").read_text())["continuation"]["history"]
     assert step["guess_rtol"] == 1e-10 and step["newton_trace"] == []
 
@@ -655,14 +685,36 @@ def test_cli_continue_checks_the_start_orbit_index_against_the_degree(tmp_path, 
 
 
 def test_cli_continue_without_start_orbit_records_solver_error(tmp_path):
-    text = LIGHT.replace("seed = 7", "seed = 7\nnewton_tol = 1e-300\nmax_iterations = 1")
+    # at the resonant periods n T_res, T_res = 2 pi / omega with omega = sqrt(2 c0 / |q*|^3) =
+    # sqrt(2) |mean|^(3/4) c0^(-1/4), the lam = 0 orbit has det(I - M) = 0 and no index
+    t_res = 2.0 * math.pi / (math.sqrt(2.0) * 2.0**0.75)
+    for n in (1, 2):
+        text = LIGHT.replace("period = 1.0", f"period = {n * t_res!r}")
+        out = tmp_path / f"out-{n}"
+        assert main(["continue", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
+        payload = json.loads((out / "run_report.json").read_text())
+        assert payload["degree"] == -1 and "continuation" not in payload
+        assert payload["omega_T_over_2pi"] == pytest.approx(n, rel=1e-15)
+        assert payload["T_res"] == pytest.approx(t_res, rel=1e-15)
+        assert re.match(
+            rf"the period T = {re.escape(repr(n * t_res))} is {n} x T_res = 2 pi / omega = 2\.64175\d*, ",
+            payload["solver_error"],
+        )
+        lines = (out / "run_report.txt").read_text().splitlines()
+        assert lines[-3] == "aborted: no starting orbit at lam = 0: " + payload["solver_error"]
+
+
+def test_cli_continue_start_must_meet_newton_tol(tmp_path, monkeypatch):
+    # newton_tol = 1e-300 is below the equilibrium's round-off drift: no solve could reach it
+    flows = recorded_flows(monkeypatch)
+    text = LIGHT.replace("seed = 7", "seed = 7\nnewton_tol = 1e-300")
     out = tmp_path / "out"
     assert main(["continue", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
     payload = json.loads((out / "run_report.json").read_text())
-    assert payload["degree"] == -1 and payload["solver_error"]
-    assert "continuation" not in payload
-    lines = (out / "run_report.txt").read_text().splitlines()
-    assert lines[-3] == "aborted: no starting orbit at lam = 0: " + payload["solver_error"]
+    assert payload["solver_error"] == (
+        "the equilibrium's residual 4.441e-16, its drift T max|f(0, x0)|, is not below newton_tol = 1e-300"
+    )
+    assert "continuation" not in payload and flows == []
 
 
 @pytest.mark.parametrize("command,stem", [("bounds", "certificate"), ("degree", "degree_report")])
@@ -729,6 +781,8 @@ def test_cli_continue_renders_each_stage_as_its_own_command_does(tmp_path):
     assert run["validation_passed"] is validation["passed"] is True
     assert run["degree"] == degree["degree"]
     assert run["degree_escapes_by_start_decade"] == degree["sweep"]["escapes_by_start_decade"]
+    for key in ("omega_T_over_2pi", "T_res", "det_I_minus_M0"):
+        assert run[key] == degree[key]
 
 
 def test_cli_find_orbit_text_matches_json(tmp_path):

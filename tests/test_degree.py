@@ -90,7 +90,7 @@ def test_degenerate_forcing():
 
 
 def test_degree_canonical_case():
-    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], OMEGA, seed=SWEEP_SEED)
+    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], OMEGA, period=1.0, seed=SWEEP_SEED)
     assert report.degree == -1
     assert report.det_analytic < 0.0
     # at rest the momentum bracket collapses to 1: det = -2 |q*|^-9
@@ -115,16 +115,16 @@ def test_degree_invariant_under_scaling_and_rotation():
         h_rot = s * mat @ h
         x0 = find_zero_f0(1.0, h_rot)
         r = np.linalg.norm(x0.q)
-        report = brouwer_degree(1.0, h_rot, (r / 10, r * 10, 10.0), seed=SWEEP_SEED)
+        report = brouwer_degree(1.0, h_rot, (r / 10, r * 10, 10.0), period=1.0, seed=SWEEP_SEED)
         assert report.degree == -1
 
 
 def test_zero_outside_omega():
     # |q*| = 1/sqrt(2) for the canonical data; shrink the annulus above it
     with pytest.raises(ZeroOutsideOmega):
-        brouwer_degree(1.0, [0.0, 0.0, 2.0], (1.0, 2.0, 10.0), seed=SWEEP_SEED)
+        brouwer_degree(1.0, [0.0, 0.0, 2.0], (1.0, 2.0, 10.0), period=1.0, seed=SWEEP_SEED)
     with pytest.raises(ZeroOutsideOmega):
-        brouwer_degree(1.0, [0.0, 0.0, 2.0], (1e-3, 0.5, 10.0), seed=SWEEP_SEED)
+        brouwer_degree(1.0, [0.0, 0.0, 2.0], (1e-3, 0.5, 10.0), period=1.0, seed=SWEEP_SEED)
 
 
 def doctored_field(q_b, v_b) -> AutonomousField:
@@ -261,7 +261,7 @@ def test_sweep_matches_the_per_start_loop(region, seed, desk_cert):
     assert sweep["converged_to_zero"] >= 0.99 * oracle["converged_to_zero"] > 0
     # the stack runs until its slowest start ends
     assert sweep["iterations"] == oracle["iterations"] < 60
-    assert brouwer_degree(1.0, [0.0, 0.0, 2.0], omega, seed=seed).degree == -1
+    assert brouwer_degree(1.0, [0.0, 0.0, 2.0], omega, period=1.0, seed=seed).degree == -1
 
 
 @pytest.mark.parametrize("region", ["light", "desk"])
@@ -269,7 +269,7 @@ def test_sweep_on_the_acceptance_regions_converges_from_every_decade(region, des
     # the regions and seeds of the light and desk `lfe continue` runs, at full size
     seed = SEED if region == "desk" else 7
     cert = desk_cert if region == "desk" else compute_certificate(coulomb_config())
-    sweep = brouwer_degree(1.0, [0.0, 0.0, 2.0], cert.region(), seed=seed).sweep
+    sweep = brouwer_degree(1.0, [0.0, 0.0, 2.0], cert.region(), period=1.0, seed=seed).sweep
     assert sweep["starts"] == 1024
     assert sweep["converged_to_zero"] >= 0.99 * sweep["starts"]
     assert sweep["iterations"] < 60
@@ -299,7 +299,7 @@ def test_sweep_counts_every_start_where_w_leaves_double_range():
 
 
 def test_degree_on_desk_certificate_region(desk_cert, desk_start):
-    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], desk_cert.region(), seed=SWEEP_SEED)
+    report = brouwer_degree(1.0, [0.0, 0.0, 2.0], desk_cert.region(), period=1.0, seed=SWEEP_SEED)
     assert report.degree == -1
     # in the stated orientation the degree is minus the fixed-point index of the orbit it anchors
     assert "orientation:     " + report.orientation in report.lines()

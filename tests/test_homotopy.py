@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 from conftest import TabulatedPotential, coulomb_config, desk_config, fd_jacobian_momentum_first
 from lfe.degree import find_zero_f0
@@ -20,6 +21,7 @@ from lfe.fields import (
 )
 from lfe.homotopy import (
     AutonomousField,
+    EquilibriumLinearization,
     HomotopySystem,
     coulomb_force_jacobian,
     f0_determinant_closed_form,
@@ -336,6 +338,68 @@ def test_f0_determinant_matches_finite_differences():
         det_fd = np.linalg.det(fd_jacobian_momentum_first(field, x))
         det_closed = f0_determinant_closed_form(c0, x.q, x.p)
         assert math.isclose(det_fd, det_closed, rel_tol=1e-5)
+
+
+def equilibrium_generator(c0: float, q) -> np.ndarray:
+    """A = [[0, Dphi_inv(0)], [K, 0]]: the lam = 0 system linearized at its equilibrium (q, 0)."""
+    a = np.zeros((6, 6))
+    a[:3, 3:] = velocity_jacobian(np.zeros(3))
+    a[3:, :3] = coulomb_force_jacobian(q, c0)
+    return a
+
+
+# a mean forcing off the axes, so that P = u u^T and Q = I - P have no zero entries
+MEAN_DIRECTION = np.array([1.0, -2.0, 2.0]) / 3.0
+
+
+@pytest.mark.parametrize("c0", [1e-2, 1.0, 100.0])
+@pytest.mark.parametrize("mean", [0.5, 2.0, 50.0])
+def test_equilibrium_monodromy_is_the_exponential_of_the_linearization(c0, mean):
+    q = find_zero_f0(c0, mean * MEAN_DIRECTION).q
+    a = equilibrium_generator(c0, q)
+    for period in (0.01, 0.5, 1.0, 2.6, 3.0):
+        linear = EquilibriumLinearization.at(c0, q, period)
+        oracle = expm(period * a)
+        assert np.abs(linear.monodromy() - oracle).max() <= 1e-9 * np.abs(oracle).max()
+        # sT reaches 178 at c0 = 1e-2, |mean| = 50, T = 3, where an LU of I - M0 overflows;
+        # the closed-form det(I - M0) stays finite, positive and warning-free
+        assert 0.0 < linear.index_det() < math.inf
+
+
+# (period, digits, det(I - M0) to those digits, or None)
+@pytest.mark.parametrize("period,digits,det", [(0.01, 0, None), (1.0, 5, 43.69421), (2.6, 2, 58.83), (3.0, 0, None)])
+def test_equilibrium_monodromy_keeps_volume_and_det_of_I_minus_it_is_the_product_formula(period, digits, det):
+    # the light and desk equilibrium, c0 = 1 and |mean| = 2: s = 2^(3/4), omega = 2^(5/4)
+    q = find_zero_f0(1.0, [0.0, 0.0, 2.0]).q
+    linear = EquilibriumLinearization.at(1.0, q, period)
+    assert math.isclose(linear.s, 2.0**0.75, rel_tol=1e-15)
+    assert math.isclose(linear.omega, 2.0**1.25, rel_tol=1e-15)
+    m0 = linear.monodromy()
+    st, wt = linear.s * period, linear.omega * period
+    # the linearized field is divergence-free, so its flow keeps volume (Liouville); an LU
+    # loses digits to cosh(sT)^2 - sinh(sT)^2 = 1
+    assert abs(np.linalg.det(m0) - 1.0) < 1e-14 * math.cosh(st) ** 2
+    product = (2.0 - 2.0 * math.cosh(st)) ** 2 * (2.0 - 2.0 * math.cos(wt))
+    assert math.isclose(linear.index_det(), product, rel_tol=1e-9)
+    assert math.isclose(linear.index_det(), np.linalg.det(np.eye(6) - m0), rel_tol=1e-9)
+    if det is not None:
+        assert round(linear.index_det(), digits) == det
+
+
+def test_a_resonance_is_a_whole_number_of_radial_oscillations_within_round_off():
+    q = find_zero_f0(1.0, [0.0, 0.0, 2.0]).q
+    t_res = 2.0 * math.pi / (math.sqrt(2.0) * 2.0**0.75)  # 2 pi / omega, omega = sqrt(2) |mean|^(3/4) c0^(-1/4)
+    for n in (1, 2, 3):
+        linear = EquilibriumLinearization.at(1.0, q, n * t_res)
+        assert linear.resonance() == n
+        assert math.isclose(linear.resonant_period, t_res, rel_tol=1e-15)
+        assert math.isclose(linear.turns, n, rel_tol=1e-15)
+        # the factor 2 - 2 cos omega T is zero but for the rounding of omega T
+        hyperbolic = (2.0 - 2.0 * math.cosh(linear.s * linear.period)) ** 2
+        assert 0.0 <= linear.index_det() < 1e-27 * hyperbolic
+    # 1e-12 off a resonance, 2 - 2 cos omega T = 4e-23 is no round-off: T = 2.6 is 0.984 T_res
+    for period in (t_res * (1.0 + 1e-12), 2.6, 0.5 * t_res, 1e-9):
+        assert EquilibriumLinearization.at(1.0, q, period).resonance() == 0
 
 
 def test_f0_determinant_always_negative():

@@ -206,6 +206,9 @@ def test_stack_members_match_single_runs(gyro_system):
         assert np.array_equal(member.states[0], y0)
         assert np.abs(member.states[-1] - single.states[-1]).max() < 1e-9
         assert np.array_equal(member.at(1.3), traj.at(1.3)[i])
+        # a member evaluates only its own six columns, with the values of the whole stack's
+        grid = np.linspace(0.0, 2.0, 101)
+        assert np.array_equal(member.at(grid), traj.at(grid)[i])
 
 
 def test_max_steps_exceeded(gyro_system):

@@ -16,17 +16,19 @@ from conftest import (
     recorded_flows,
 )
 from lfe.degree import find_zero_f0
-from lfe.homotopy import HomotopySystem
+from lfe.homotopy import EquilibriumLinearization, HomotopySystem
 from lfe.integrator import IntegratorConfig, StepUnderflow
 from lfe.kinematics import State, phi_inv
 from lfe.shooting import (
     LeftDomain,
     NewtonDiverged,
     OrbitSolution,
+    ResonantStart,
     ShootingProblem,
     SolverOptions,
     _next_dlam,
     continue_lambda,
+    equilibrium_orbit,
     newton_shooting,
     orbit_identities,
 )
@@ -326,6 +328,44 @@ def test_lambda_independent_family_single_step():
     assert np.abs(path.final.x0.as_array() - start.x0.as_array()).max() < 1e-9
 
 
+def test_equilibrium_orbit_is_closed_form_and_flows_only_when_read(coulomb_problem, monkeypatch):
+    flows = recorded_flows(monkeypatch)
+    start = equilibrium_orbit(coulomb_problem, EQ)
+    assert flows == [] and start.newton_trace == [] and start.lam == 0.0
+    assert start.x0 is EQ
+    # the residual is the rounded equilibrium's drift over the period, round-off
+    assert start.residual_norm == np.abs(coulomb_problem.system.rhs_array(0.0, EQ.as_array(), 0.0)).max() < 1e-15
+    linear = EquilibriumLinearization.at(1.0, EQ.q, 1.0)
+    assert np.array_equal(start.monodromy, linear.monodromy())
+    assert start.index_det == linear.index_det() > 0.0
+    # the difference monodromy of the equilibrium's stacked flow agrees with exp(TA) (8.8e-6)
+    _, difference = coulomb_problem.flow_with_monodromy(EQ.as_array())
+    assert np.abs(difference - start.monodromy).max() < 1e-4
+    flows.clear()
+    # the trajectory is one flow of the equilibrium at the configured tolerance, on first read
+    traj = start.trajectory
+    assert [(cfg, step) for cfg, _, step in flows] == [(coulomb_problem.integrator, None)]
+    assert start.trajectory is traj and len(flows) == 1
+    assert np.abs(traj.states - EQ.as_array()).max() < 1e-10
+
+
+def test_equilibrium_orbit_keeps_the_checks_of_a_solve(coulomb_problem):
+    with pytest.raises(ValueError, match="^the equilibrium orbit is the lam = 0 start"):
+        equilibrium_orbit(dataclasses.replace(coulomb_problem, lam=0.5), EQ)
+    # |q*| = 0.707 lies outside the search region |q| < 2 * 0.3
+    with pytest.raises(LeftDomain, match=r"^equilibrium outside the search region: \|q\| = 0\.707107 >= r_max"):
+        equilibrium_orbit(dataclasses.replace(coulomb_problem, region=(0.1, 0.3, 5.0)), EQ)
+    strict = dataclasses.replace(coulomb_problem, solver=SolverOptions(newton_tol=1e-300))
+    with pytest.raises(NewtonDiverged, match=r"^the equilibrium's residual 4\.441e-16, its drift"):
+        equilibrium_orbit(strict, EQ)
+    # the period 2 pi / omega: det(I - M) = 0, the named resonance
+    t_res = 2.0 * math.pi / 2.0**1.25
+    forcing = dataclasses.replace(coulomb_problem.system.config.forcing, period=t_res)
+    system = HomotopySystem(dataclasses.replace(coulomb_problem.system.config, forcing=forcing))
+    with pytest.raises(ResonantStart, match=r"is 1 x T_res = 2 pi / omega = 2\.64175"):
+        equilibrium_orbit(dataclasses.replace(coulomb_problem, system=system), EQ)
+
+
 def test_continuation_lambda_strictly_increasing(desk_path):
     lams = [sol.lam for sol in desk_path.solutions]
     assert lams[0] == 0.0
@@ -350,7 +390,7 @@ def test_continuation_target_zero_is_identity(coulomb_problem):
 
 
 def test_continuation_requires_converged_lambda_zero_start(coulomb_problem):
-    good = newton_shooting(EQ, coulomb_problem)
+    good = equilibrium_orbit(coulomb_problem, EQ)
     bad_lam = dataclasses.replace(good, lam=0.5)
     with pytest.raises(ValueError):
         continue_lambda(coulomb_problem, bad_lam)
