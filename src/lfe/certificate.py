@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from lfe.fields import FieldConfig, HypothesisCheck, check_table, power_law
+from lfe.fields import FieldConfig, HypothesisCheck, check_table, closed_form, power_law
 from lfe.kinematics import phi_inv
 
 
@@ -141,14 +141,6 @@ def clearance_formula(*constants: float) -> float:
     return math.exp(-sum(clearance_terms(*constants).values()))
 
 
-def closed_form(constant: str, fld, name: str):
-    """The field kind's closed-form method `name`; CertificateError naming the constant and the kind if it has none."""
-    method = getattr(fld, name, None)
-    if method is None:
-        raise CertificateError(f"{constant}: a {type(fld).__name__} has no closed-form {name.replace('_', ' ')}")
-    return method
-
-
 _MAX_RADIUS = 1e6
 
 
@@ -162,8 +154,10 @@ def compute_R(config: FieldConfig) -> float:
     if hm <= config.c_B:
         raise ValueError(f"requires |mean h| > c_B, got {hm:.6g} <= {config.c_B:.6g}")
     threshold = hm - config.c_B
-    envelope_V, envelope_B = (closed_form("R", f, "envelope") for f in (config.potential, config.magnetic))
-    c0, _ = closed_form("R", config.potential, "radial_law")()
+    envelope_V, envelope_B = (
+        closed_form(f, "envelope", "R", CertificateError) for f in (config.potential, config.magnetic)
+    )
+    c0, _ = closed_form(config.potential, "radial_law", "R", CertificateError)()
     for r in (2.0**k for k in range(20)):  # up to 2^19, the last power of two below the cap
         gradient, b = max(envelope_V(r), power_law(c0, r, 2.0)), envelope_B(r)
         if gradient < threshold and b <= config.c_B:
@@ -190,7 +184,7 @@ def compute_epsilon(config: FieldConfig) -> float:
     in r for beta <= g (g >= 1), so it holds on (0, epsilon] if it holds at
     epsilon.  With c1 > 0 and beta > g it fails as |q| -> 0.
     """
-    a, g = closed_form("epsilon", config.potential, "radial_law")()
+    a, g = closed_form(config.potential, "radial_law", "epsilon", CertificateError)()
     if config.c1 and config.beta > g:
         raise InequalityFails(
             f"the near-origin inequality fails as |q| -> 0: the magnetic exponent beta = {config.beta:g} "
@@ -223,7 +217,9 @@ def compute_lower_constants(config: FieldConfig, R: float, *, l1: float) -> tupl
     c0_eff = 0.5 * config.potential.radial_law()[0]  # compute_epsilon has found the law
     K2 = abs(math.log(epsilon))
 
-    C = sum(closed_form("C_gradV_B", f, "envelope")(epsilon) for f in (config.potential, config.magnetic))
+    C = sum(
+        closed_form(f, "envelope", "C_gradV_B", CertificateError)(epsilon) for f in (config.potential, config.magnetic)
+    )
     constants = (K2, period, epsilon, C, c0_eff, R + period, l1)
     m = clearance_formula(*constants)
     if m == 0.0:
@@ -245,8 +241,9 @@ def compute_momentum_bound(config: FieldConfig, m: float, R: float, *, l1: float
     period = config.forcing.period
     if not 0.0 < m < R + period:
         raise ValueError(f"need 0 < m < R + T, got m={m}, R+T={R + period}")
-    grad, b = (closed_form("momentum bound M", f, "envelope")(m) for f in (config.potential, config.magnetic))
-    c0, _ = closed_form("momentum bound M", config.potential, "radial_law")()
+    what = "momentum bound M"
+    grad, b = (closed_form(f, "envelope", what, CertificateError)(m) for f in (config.potential, config.magnetic))
+    c0, _ = closed_form(config.potential, "radial_law", what, CertificateError)()
     terms = {"|grad V|": grad, "c0/|q|^2": power_law(c0, m, 2.0), "|B|": b}
     M = sum(terms.values())
     if not math.isfinite(M):

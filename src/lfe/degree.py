@@ -225,7 +225,8 @@ def brouwer_degree(
     (f0_determinant_closed_form).  A quasi-random multi-start Newton sweep
     from 2^10 starts must find no zero other than the explicit one.  The
     report also gives the equilibrium orbit's resonance data over the
-    period (`EquilibriumLinearization`).
+    period (`EquilibriumLinearization`); a period whose det(I - M0) leaves
+    the double range is a DegreeError naming sT.
     """
     m, upper, p_max = omega
     x0 = find_zero_f0(c0, h_mean)
@@ -233,11 +234,12 @@ def brouwer_degree(
     if not m < r_star < upper:
         raise ZeroOutsideOmega(f"zero radius {r_star:.6g} outside ({m:.6g}, {upper:.6g})")
 
+    start = EquilibriumLinearization.at(c0, x0.q, period)
+    start.require_double_range(DegreeError)
     field = AutonomousField(c0=c0, h_mean=np.asarray(h_mean, dtype=float))
     det_analytic = f0_determinant_closed_form(c0, x0.q, x0.p)
     sweep = _newton_sweep(field, x0, omega, 10, seed)
     degree = int(math.copysign(1.0, det_analytic))
-    start = EquilibriumLinearization.at(c0, x0.q, period)
     return DegreeReport(
         x0=x0,
         det_analytic=det_analytic,

@@ -17,8 +17,9 @@ non-increasing bound of |grad V| or |B| on the sphere |q| = r (attained
 but for ABC), for R, C_gradV_B and M; a potential kind's `radial_law()`,
 the (a, g) of its exact -q . grad V = a |q|^-g, for epsilon; a magnetic
 kind's `envelope_law()`, the (c, k) of its envelope c r^-k, for the
-magnetic growth check; its `ceiling()`, its `c_B = auto`; and
-`near_origin(gamma)`, its default (c1, beta), if any.
+magnetic growth check, and for `c_B = auto` and the default (c1, beta)
+(`magnetic_ceiling`, `near_origin_constants`).  `closed_form` looks each
+one up, and names a kind that lacks it.
 
 Every potential and magnetic field takes one point `q` of shape (3,) or
 a cloud of shape (N, 3) through the same code path and returns the
@@ -61,6 +62,18 @@ def power_law(c: float, r: float, k: float) -> float:
     except OverflowError:  # r^-k alone overflows; a small c may bring the product back
         e = math.log(c) - k * math.log(r) if c else -math.inf
         return math.exp(e) if e < math.log(np.finfo(float).max) else math.inf
+
+
+def closed_form(kind, name: str, what: str = "", error: type[Exception] = ValueError):
+    """The kind's closed-form method `name`, else error `<what>: a <Kind> has no closed-form <name>`.
+
+    Without `what` the message starts at `a <Kind>`.
+    """
+    method = getattr(kind, name, None)
+    if method is None:
+        missing = f"a {type(kind).__name__} has no closed-form {name.replace('_', ' ')}"
+        raise error(f"{what}: {missing}" if what else missing)
+    return method
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +136,6 @@ class ZeroField(_PowerLawEnvelope):
     def envelope_law(self) -> tuple[float, float]:
         return 0.0, 0.0
 
-    def ceiling(self) -> float:
-        return 1.0  # any positive ceiling holds
-
-    def near_origin(self, gamma: float) -> tuple[float, float]:
-        return 0.0, 0.5 * gamma
-
 
 @dataclass(frozen=True)
 class UniformField(_PowerLawEnvelope):
@@ -142,9 +149,6 @@ class UniformField(_PowerLawEnvelope):
 
     def envelope_law(self) -> tuple[float, float]:
         return math.hypot(*self.b), 0.0
-
-    def ceiling(self) -> float:
-        return self.envelope(1.0) or 1.0
 
 
 @dataclass(frozen=True)
@@ -173,12 +177,6 @@ class DipoleField(_PowerLawEnvelope):
 
     def envelope_law(self) -> tuple[float, float]:
         return self.c1, 3.0
-
-    def ceiling(self) -> float:
-        return self.c1 or 1.0
-
-    def near_origin(self, gamma: float) -> tuple[float, float]:
-        return self.c1, 2.0  # sharp
 
 
 @dataclass(frozen=True)
@@ -220,9 +218,6 @@ class ABCField(_PowerLawEnvelope):
 
     def envelope_law(self) -> tuple[float, float]:
         return self.sup, 0.0
-
-    def ceiling(self) -> float:
-        return self.sup or 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +461,10 @@ def dominated(c: float, k: float, bound_c: float, bound_k: float, eps: float) ->
 
 def _row(name: str, kind, method: str, check) -> HypothesisCheck:
     """Row `name` from check(kind.method) = (passed, detail, margin), or failed, naming the kind, without it."""
-    law = getattr(kind, method, None)
-    if law is None:
-        detail = f"a {type(kind).__name__} has no closed-form {method.replace('_', ' ')}"
-        return HypothesisCheck(name, False, detail, math.nan)
+    try:
+        law = closed_form(kind, method)
+    except ValueError as missing:
+        return HypothesisCheck(name, False, str(missing), math.nan)
     return HypothesisCheck(name, *check(law))
 
 
@@ -521,16 +516,13 @@ def validate_hypotheses(config: FieldConfig) -> ValidationReport:
 
 
 def magnetic_ceiling(magnetic) -> float:
-    """The c_B of `c_B = auto`: the kind's `ceiling()` of |B| over |q| >= 1, or ValueError if it has none."""
-    ceiling = getattr(magnetic, "ceiling", None)
-    if ceiling is None:
-        raise ValueError(
-            f"c_B = auto: a {type(magnetic).__name__} has no closed-form ceiling; give c_B as a number"
-        )
-    return ceiling()
+    """`c_B = auto`: c of the kind's `envelope_law()` (c, k), for k >= 0 sup |B| on |q| >= 1, or 1.0 if c = 0."""
+    return closed_form(magnetic, "envelope_law", "c_B = auto")()[0] or 1.0
 
 
 def near_origin_constants(magnetic, gamma: float) -> tuple:
-    """Default (c1, beta) of the field kind's `near_origin(gamma)`, or (None, None) if it has none."""
-    near_origin = getattr(magnetic, "near_origin", None)
-    return near_origin(gamma) if near_origin else (None, None)
+    """Default (c1, beta) from `envelope_law()` (c, k): (c, k - 1) if k > 1, (0, gamma/2) if c = 0, else none."""
+    c, k = closed_form(magnetic, "envelope_law", "c1, beta defaults")()
+    if k > 1.0:
+        return c, k - 1.0
+    return (0.0, 0.5 * gamma) if c == 0.0 else (None, None)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lfe.fields import FieldConfig, ZeroField, radial_powers
+from lfe.fields import FieldConfig, ZeroField, closed_form, radial_powers
 from lfe.kinematics import lorentz_factor, phi_inv
 
 
@@ -48,13 +48,8 @@ class HomotopySystem:
         potential = self.config.potential
         if lam == 1.0:
             return potential.gradient(q, rad)
-        radial_law = getattr(potential, "radial_law", None)
-        if radial_law is None:
-            raise ValueError(
-                f"lam = {lam:g} < 1 needs the potential's c0 for its Coulomb term: "
-                f"a {type(potential).__name__} has no closed-form radial law"
-            )
-        coulomb = (lam - 1.0) * radial_law()[0] * rad[1] * q
+        what = f"lam = {lam:g} < 1 needs the potential's c0 for its Coulomb term"
+        coulomb = (lam - 1.0) * closed_form(potential, "radial_law", what)()[0] * rad[1] * q
         if lam == 0.0:
             return coulomb
         return lam * potential.gradient(q, rad) + coulomb
@@ -171,6 +166,15 @@ class EquilibriumLinearization:
         """
         n = round(self.turns)
         return n if n >= 1 and abs(self.turns - n) <= _RESONANCE_ROUNDOFF * n else 0
+
+    def require_double_range(self, error: type[Exception]) -> None:
+        """error naming sT if an entry of M0, up to max(1, s, 1/s) e^sT, or det(I - M0) <= 4 e^(2 sT) overflows."""
+        st = self.s * self.period
+        if max(st + abs(math.log(self.s)), 2.0 * st + math.log(4.0)) >= math.log(np.finfo(float).max):
+            raise error(
+                f"sT = {st:.6g} (s = sqrt(c0/|q*|^3) = {self.s:.6g}, T = {self.period!r}) puts M0 = exp(TA) or "
+                "det(I - M0) ~ 4 e^(2 sT) beyond the double range: the lam = 0 orbit has no computable index"
+            )
 
     def monodromy(self) -> np.ndarray:
         """M0 = exp(T A) = [[C, S], [K S, C]].

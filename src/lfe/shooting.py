@@ -484,8 +484,9 @@ def equilibrium_orbit(problem: ShootingProblem, x0: State) -> OrbitSolution:
     right-hand-side call), and the trajectory is flowed at problem's
     tolerance when it is first read.  Raises LeftDomain when x0 lies outside
     the search region, NewtonDiverged when that residual misses newton_tol
-    (a newton_tol below round-off, which no solve could reach either), and
-    ResonantStart when omega T / 2 pi is an integer n within 16 eps n
+    (a newton_tol below round-off, which no solve could reach either), a
+    SolverError naming sT past the double range, and ResonantStart when
+    omega T / 2 pi is an integer n within 16 eps n
     (`EquilibriumLinearization.resonance`): there det(I - M) = 0, and the
     orbit has no fixed-point index to continue.
     """
@@ -503,6 +504,7 @@ def equilibrium_orbit(problem: ShootingProblem, x0: State) -> OrbitSolution:
         )
     config = problem.system.config
     linear = EquilibriumLinearization.at(config.potential.radial_law()[0], x0.q, config.forcing.period)
+    linear.require_double_range(SolverError)
     n = linear.resonance()
     if n:
         raise ResonantStart(

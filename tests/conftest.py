@@ -25,6 +25,7 @@ from lfe.fields import (
     UniformField,
     ZeroField,
     magnetic_ceiling,
+    near_origin_constants,
     radial_powers,
 )
 from lfe.homotopy import AutonomousField, HomotopySystem
@@ -100,7 +101,7 @@ def coulomb_config(c0=1.0, mean=(0.0, 0.0, 2.0), c_B=1.0) -> FieldConfig:
 def desk_config() -> FieldConfig:
     """Cubic-decay potential, dipole, constant + cosine forcing over one period."""
     dipole = DipoleField([0.0, 0.0, 0.1])
-    c1, beta = dipole.near_origin(3.0)
+    c1, beta = near_origin_constants(dipole, 3.0)
     forcing = Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.1, 0.0, 0.0], [0.0, 0.0, 0.0])])
     c_B = magnetic_ceiling(dipole)
     return FieldConfig(

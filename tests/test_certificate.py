@@ -33,6 +33,7 @@ from lfe.fields import (
     UniformField,
     ValidationReport,
     ZeroField,
+    near_origin_constants,
     radial_powers,
 )
 from sampled_checks import shell_maxima, sphere_directions
@@ -147,7 +148,7 @@ def test_epsilon_holds_between_the_grid_radii():
 
 def test_epsilon_inequality_fails_for_strong_magnetic_singularity():
     dipole = DipoleField([0.0, 0.0, 0.1])
-    c1, beta = dipole.near_origin(1.0)
+    c1, beta = near_origin_constants(dipole, 1.0)
     config = FieldConfig(
         potential=GeneralizedCoulomb(1.0, 1.0),  # beta = 2 >= gamma = 1
         magnetic=dipole,

@@ -103,6 +103,16 @@ def test_parse_minimal_applies_defaults(tmp_path):
     assert cfg.solver.newton_tol == 1e-9
     assert cfg.initial.q is None
     assert cfg.output.sample_points == 1000
+    # a uniform or abc field that vanishes takes the same (c1, beta) and passes all six rows
+    for magnetic in ("kind = uniform\nb = 0 0 0", "kind = abc\nabc = 0 0 0"):
+        path = write(tmp_path, MINIMAL + f"\n[magnetic]\n{magnetic}\nc_B = auto\n")
+        cfg = parse_config(path)
+        assert (cfg.fields.c1, cfg.fields.beta, cfg.fields.c_B) == (0.0, 1.5, 1.0)
+        assert "c1 = 0.0\nbeta = 1.5\n" in cfg.text
+        out = tmp_path / "validate"
+        assert main(["validate", "--config", str(path), "--out", str(out)]) == 0
+        rows = (out / "validate_report.txt").read_text().splitlines()
+        assert sum(row.startswith("pass  ") for row in rows) == 6 and rows[-1] == "overall: pass"
 
 
 def test_parse_desk_scenario(tmp_path):

@@ -127,6 +127,13 @@ def test_zero_outside_omega():
         brouwer_degree(1.0, [0.0, 0.0, 2.0], (1e-3, 0.5, 10.0), period=1.0, seed=SWEEP_SEED)
 
 
+def test_degree_refuses_a_period_whose_det_of_I_minus_M0_leaves_the_double_range():
+    # c0 = 1e-6, |mean| = 50, T = 3: sT = 1783.8, so sinh(sT/2) and det(I - M0) overflow
+    r = math.hypot(*find_zero_f0(1e-6, [0.0, 0.0, 50.0]).q)
+    with pytest.raises(DegreeError, match=r"^sT = 1783\.81 .* beyond the double range"):
+        brouwer_degree(1e-6, [0.0, 0.0, 50.0], (r / 10, r * 10, 10.0), period=3.0, seed=SWEEP_SEED)
+
+
 def doctored_field(q_b, v_b) -> AutonomousField:
     """The canonical field (c0 = 1, mean 2 z) with a planted zero at (q_b, v_b).
 

@@ -20,6 +20,7 @@ from lfe.fields import (
     ZeroField,
     gauss_legendre,
     magnetic_ceiling,
+    near_origin_constants,
     power_law,
     radial_powers,
     validate_hypotheses,
@@ -110,7 +111,7 @@ def test_dipole_values():
 
 def test_dipole_bound():
     d = DipoleField([0.3, -0.2, 0.9])
-    c1, beta = d.near_origin(1.0)
+    c1, beta = near_origin_constants(d, 1.0)
     assert math.isclose(c1, 2 * np.linalg.norm(d.moment))
     assert beta == 2.0
     rng = np.random.default_rng(23)
@@ -324,7 +325,7 @@ def test_validate_passes_on_desk_scenario():
 def test_validate_flags_singularity_order():
     # plain Coulomb with a dipole: the magnetic singularity is too strong
     dipole = DipoleField([0.0, 0.0, 0.1])
-    c1, beta = dipole.near_origin(1.0)
+    c1, beta = near_origin_constants(dipole, 1.0)
     config = FieldConfig(
         potential=GeneralizedCoulomb(1.0, 1.0),
         magnetic=dipole,
@@ -366,6 +367,9 @@ def test_validate_is_reproducible():
 
 def test_magnetic_ceiling_dipole_sharp():
     assert math.isclose(magnetic_ceiling(DipoleField([0, 0, 0.1])), 0.2, rel_tol=1e-12)
+    # the law 2|mu| r^-3 gives the sharp (c1, beta) = (2|mu|, 3 - 1) for every gamma
+    for gamma in (1.0, 3.0):
+        assert near_origin_constants(DipoleField([0, 0, 0.1]), gamma) == (0.2, 2.0)
 
 
 def _abc_config(c_B: float) -> FieldConfig:
@@ -386,6 +390,8 @@ def test_magnetic_ceiling_of_an_abc_field_passes_the_checks_on_every_seed():
     abc = ABCField(0.1, 0.05, 0.03)
     c_B = magnetic_ceiling(abc)
     assert c_B == abc.envelope(1.0)
+    # a bounded field that does not vanish has no default c1: it depends on the beta and eps1 chosen
+    assert near_origin_constants(abc, 3.0) == (None, None)
     config = _abc_config(c_B)
     ceiling = {c.name: c for c in validate_hypotheses(config).checks}["magnetic-ceiling-at-infinity"]
     assert ceiling.passed and ceiling.margin == 0.0
@@ -399,6 +405,7 @@ def test_magnetic_ceiling_of_a_uniform_field_is_its_magnitude():
     # |B| = |b| everywhere, and the ceiling row, like the certificate's R, is non-strict
     uniform = UniformField([0.0, 0.3, 0.4])
     assert magnetic_ceiling(uniform) == 0.5
+    assert near_origin_constants(uniform, 3.0) == (None, None)
     config = dataclasses.replace(_abc_config(0.5), magnetic=uniform, c1=0.5)
     ceiling = {c.name: c for c in validate_hypotheses(config).checks}["magnetic-ceiling-at-infinity"]
     assert ceiling.passed and ceiling.margin == 0.0
@@ -410,6 +417,11 @@ def test_magnetic_ceiling_of_a_vanishing_field_is_one():
     assert magnetic_ceiling(ZeroField()) == 1.0
     assert magnetic_ceiling(UniformField([0.0, 0.0, 0.0])) == 1.0
     assert magnetic_ceiling(DipoleField([0.0, 0.0, 0.0])) == magnetic_ceiling(ABCField(0.0, 0.0, 0.0)) == 1.0
+    # and any beta: gamma/2, the middle of (0, gamma), but for the dipole's law r^-3, which keeps beta = 2
+    for gamma in (1.0, 3.0):
+        for vanishing in (ZeroField(), UniformField([0.0, 0.0, 0.0]), ABCField(0.0, 0.0, 0.0)):
+            assert near_origin_constants(vanishing, gamma) == (0.0, 0.5 * gamma)
+        assert near_origin_constants(DipoleField([0.0, 0.0, 0.0]), gamma) == (0.0, 2.0)
 
 
 def test_config_rejects_nonpositive_constants():
@@ -550,5 +562,7 @@ def test_validate_fails_a_nan_field_at_a_later_time():
 def test_magnetic_ceiling_of_a_kind_with_no_closed_form_is_refused(magnetic):
     # no closed form is known for these kinds; a sampled sup can lie below the sup, or be NaN
     name = type(magnetic).__name__
-    with pytest.raises(ValueError, match=rf"^c_B = auto: a {name} has no closed-form ceiling; give c_B as a number$"):
+    with pytest.raises(ValueError, match=rf"^c_B = auto: a {name} has no closed-form envelope law$"):
         magnetic_ceiling(magnetic)
+    with pytest.raises(ValueError, match=rf"^c1, beta defaults: a {name} has no closed-form envelope law$"):
+        near_origin_constants(magnetic, 1.0)

@@ -402,6 +402,33 @@ def test_a_resonance_is_a_whole_number_of_radial_oscillations_within_round_off()
         assert EquilibriumLinearization.at(1.0, q, period).resonance() == 0
 
 
+def test_the_equilibrium_linearization_is_refused_where_it_leaves_the_double_range():
+    # c0 = 1, |mean| = 2, s = 2^(3/4): det(I - M0) ~ 4 e^(2 sT) passes the double maximum e^709.78 near sT = 354.2
+    q = find_zero_f0(1.0, [0.0, 0.0, 2.0]).q
+    s = 2.0**0.75
+    inside = EquilibriumLinearization.at(1.0, q, 354.0 / s)
+    inside.require_double_range(ValueError)
+    assert np.isfinite(inside.monodromy()).all() and 0.0 < inside.index_det() < math.inf
+    outside = EquilibriumLinearization.at(1.0, q, 355.5 / s)
+    with pytest.raises(ValueError, match=r"^sT = 355\.5 .* det\(I - M0\) ~ 4 e\^\(2 sT\) beyond the double range"):
+        outside.require_double_range(ValueError)
+    with np.errstate(over="ignore"):  # unchecked, det(I - M0) overflows
+        assert outside.index_det() == math.inf
+    # c0 = 1e-130, |mean| = 1e-250: s = 1e-155, so sinh(sT)/s in M0 overflows before det(I - M0) does
+    q = find_zero_f0(1e-130, [0.0, 0.0, 1e-250]).q
+    s = EquilibriumLinearization.at(1e-130, q, 1.0).s
+    assert math.isclose(s, 1e-155, rel_tol=1e-12)
+    inside = EquilibriumLinearization.at(1e-130, q, 352.0 / s)
+    inside.require_double_range(ValueError)
+    assert np.isfinite(inside.monodromy()).all() and 0.0 < inside.index_det() < math.inf
+    outside = EquilibriumLinearization.at(1e-130, q, 353.8 / s)
+    with pytest.raises(ValueError, match=r"^sT = 353\.8 .* beyond the double range"):
+        outside.require_double_range(ValueError)
+    assert 0.0 < outside.index_det() < math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # unchecked, M0 holds inf and NaN
+        assert not np.isfinite(outside.monodromy()).all()
+
+
 def test_f0_determinant_always_negative():
     rng = np.random.default_rng(37)
     for _ in range(200):

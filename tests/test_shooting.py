@@ -16,8 +16,9 @@ from conftest import (
     recorded_flows,
 )
 from lfe.degree import find_zero_f0
+from lfe.fields import Forcing
 from lfe.homotopy import EquilibriumLinearization, HomotopySystem
-from lfe.integrator import IntegratorConfig, StepUnderflow
+from lfe.integrator import IntegratorConfig, SolverError, StepUnderflow
 from lfe.kinematics import State, phi_inv
 from lfe.shooting import (
     LeftDomain,
@@ -364,6 +365,12 @@ def test_equilibrium_orbit_keeps_the_checks_of_a_solve(coulomb_problem):
     system = HomotopySystem(dataclasses.replace(coulomb_problem.system.config, forcing=forcing))
     with pytest.raises(ResonantStart, match=r"is 1 x T_res = 2 pi / omega = 2\.64175"):
         equilibrium_orbit(dataclasses.replace(coulomb_problem, system=system), EQ)
+    # c0 = 1e-6, |mean| = 50, T = 3: sT = 1783.8, where cosh(sT) is inf and M0 would hold NaN
+    mean = [0.0, 0.0, 50.0]
+    config = dataclasses.replace(coulomb_config(c0=1e-6), forcing=Forcing(3.0, mean))
+    problem = ShootingProblem(system=HomotopySystem(config), lam=0.0)
+    with pytest.raises(SolverError, match=r"^sT = 1783\.81 \(s = sqrt\(c0/\|q\*\|\^3\) = 594\.604, T = 3\.0\) puts M0"):
+        equilibrium_orbit(problem, find_zero_f0(1e-6, mean))
 
 
 def test_continuation_lambda_strictly_increasing(desk_path):
