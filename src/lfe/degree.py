@@ -35,7 +35,7 @@ from lfe.sampling import sobol_points, unit_vectors
 
 
 class DegenerateForcing(ValueError):
-    """Zero mean forcing: the autonomous field has no zero at finite position."""
+    """No zero of the autonomous field in double range: a zero mean, or a radius sqrt(c0/|mean|) of 0 or inf."""
 
 
 class DegreeError(RuntimeError):
@@ -56,13 +56,18 @@ def find_zero_f0(c0: float, h_mean) -> State:
     The returned state is verified to leave a residual below 1e-12 |h|:
     the force is h minus a term of the same size, so its rounding error
     scales with |h|.  Raises DegenerateForcing when the mean forcing
-    vanishes (the force component c0 q/|q|^3 never vanishes at finite q).
+    vanishes (the force component c0 q/|q|^3 never vanishes at finite q),
+    or when the radius sqrt(c0/|h|) underflows to 0 or overflows.
     """
     h_mean = np.asarray(h_mean, dtype=float)
     hn = mean_norm(h_mean)
     if hn == 0.0:
         raise DegenerateForcing("mean forcing is zero; the autonomous field has no zero")
-    x0 = State(q=-math.sqrt(c0 / hn) * (h_mean / hn), p=np.zeros(3))
+    radius = math.sqrt(float(c0) / hn)
+    if not 0.0 < radius < math.inf:
+        what = f"the equilibrium radius sqrt(c0/|mean|) = sqrt({c0:.6g}/{hn:.6g}) = {radius:g}"
+        raise DegenerateForcing(f"{what} leaves the double range")
+    x0 = State(q=-radius * (h_mean / hn), p=np.zeros(3))
     residual = math.hypot(*AutonomousField(c0, h_mean).value(x0.q, phi_inv(x0.p)))
     tol = 1e-12 * hn
     if not residual < tol:

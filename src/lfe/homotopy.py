@@ -15,11 +15,12 @@ that limit in velocity coordinates v = phi_inv(p), which keeps its zeros
 and degree (see AutonomousField); the linearization there, and its flow
 over one period, are closed-form (`EquilibriumLinearization`).
 `HomotopySystem` holds only its FieldConfig; T and h_mean are read from
-`config.forcing` and c0 from `config.potential`, the one home of each.
+`config.forcing`, c0 once from `config.potential` (`HomotopySystem.c0`): the one home of each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,17 +40,21 @@ class HomotopySystem:
 
     config: FieldConfig
 
-    def grad_V_lambda(self, q, rad, lam: float) -> np.ndarray:
-        """lam * grad V(q) + (1-lam) * grad(c0/|q|) for q, rad = radial_powers(q) of shape (3,) or (N, 3).
+    @functools.cached_property
+    def c0(self) -> float:
+        """The c0 of the lam < 1 Coulomb term: the a of the potential's `radial_law()`, read once.
 
-        c0 is the a of the potential's `radial_law()`; below lam = 1 a
-        potential without one is a ValueError naming its kind.
+        A potential without one is a ValueError naming its kind.
         """
+        what = "lam < 1 needs the potential's c0 for its Coulomb term"
+        return closed_form(self.config.potential, "radial_law", what)()[0]
+
+    def grad_V_lambda(self, q, rad, lam: float) -> np.ndarray:
+        """lam * grad V(q) + (1-lam) * grad(c0/|q|) for q, rad = radial_powers(q) of shape (3,) or (N, 3)."""
         potential = self.config.potential
         if lam == 1.0:
             return potential.gradient(q, rad)
-        what = f"lam = {lam:g} < 1 needs the potential's c0 for its Coulomb term"
-        coulomb = (lam - 1.0) * closed_form(potential, "radial_law", what)()[0] * rad[1] * q
+        coulomb = (lam - 1.0) * self.c0 * rad[1] * q
         if lam == 0.0:
             return coulomb
         return lam * potential.gradient(q, rad) + coulomb

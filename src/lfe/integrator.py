@@ -155,6 +155,7 @@ class Trajectory:
 
     states has shape (n, 6) for one initial state, or (n, N, 6) for a stack
     of N states integrated with shared steps; `row` picks one of them.
+    rtol is the configured tolerance of the run (`IntegratorConfig.rtol`).
     n_rhs_evals counts the right-hand-side calls of the run, not those that
     build the interpolant when it is first read; n_rejected counts the
     trial steps that step control rejected.
@@ -163,6 +164,7 @@ class Trajectory:
     ts: np.ndarray
     states: np.ndarray
     lam: float
+    rtol: float
     interpolant: Callable
     n_rhs_evals: int
     n_rejected: int
@@ -180,11 +182,11 @@ class Trajectory:
         y = self.interpolant(t)
         return y.reshape(self.states.shape[1:] + y.shape[1:])
 
-    def warm_step(self, rtol_ratio: float) -> float:
-        """A first step for a flow over the same span at rtol_ratio times this run's rtol.
+    def warm_step(self, rtol: float) -> float:
+        """A first step for a flow over the same span at rtol, after this run at self.rtol.
 
         The middle one of the sorted accepted steps, scaled by
-        rtol_ratio ** (1 / 8), the step controller's exponent, and by its
+        (rtol / self.rtol) ** (1 / 8), the step controller's exponent, and by its
         safety factor 0.9, as step control scales every step it proposes,
         and at most the span; without that factor the first step overshoots
         and is often rejected.  The few steps are sorted by Python:
@@ -192,7 +194,7 @@ class Trajectory:
         SIMD sort code, either of which raises a run's peak memory.
         """
         steps = sorted(np.diff(self.ts).tolist())
-        h = _SAFETY * steps[len(steps) // 2] * rtol_ratio ** (1 / (_ERROR_ORDER + 1))
+        h = _SAFETY * steps[len(steps) // 2] * (rtol / self.rtol) ** (1 / (_ERROR_ORDER + 1))
         return min(h, self.t1 - self.t0)
 
     def row(self, i: int) -> "Trajectory":
@@ -373,6 +375,7 @@ def integrate(
         ts=ts_arr,
         states=ys_arr.reshape((len(ts),) + shape),
         lam=lam,
+        rtol=cfg.rtol,
         interpolant=interp,
         n_rhs_evals=n_evals,
         n_rejected=n_rejected,

@@ -60,11 +60,12 @@ Flows are warm-started.  Each flow integrates the same period from a
 state close to its predecessor's, so it takes its first step from the
 predecessor's steps (`Trajectory.warm_step`): their middle one, scaled
 by (rtol / rtol_prev) ** (1/8), the step controller's exponent, and by
-its safety factor 0.9, instead of the initial-step heuristic.  Within a
-solve the predecessor is the iterate's flow; the guess of a continuation
-step after the first follows the previous accepted orbit's flow, which
-ran at rtol0.  The first flow of a solve without a previous orbit starts
-cold: that of `find-orbit`, and the first continuation step's guess.
+its safety factor 0.9, instead of the initial-step heuristic; rtol_prev
+is the rtol the predecessor ran at, which it records (`Trajectory.rtol`).
+Within a solve the predecessor is the iterate's flow; the guess of a
+continuation step after the first follows the previous accepted orbit's
+flow.  The first flow of a solve without a previous orbit starts cold:
+that of `find-orbit`, and the first continuation step's guess.
 
 The lam = 0 start is no solve (`equilibrium_orbit`).  It is the
 equilibrium (q*, 0) of `find_zero_f0`, whose linearized flow over the
@@ -109,7 +110,7 @@ class ResonantStart(SolverError):
 
 _DAMPING = tuple(0.5**k for k in range(20))  # Newton step factors 1, 1/2, ..., 2**-19
 _FD_STEP = 1e-7
-# inexact Newton: the cap of a trial flow's rtol and its factor of the residual (`_trial_problem`)
+# inexact Newton: the cap of a trial flow's rtol and its factor of the residual (`_trial_rtol`)
 _TRIAL_RTOL_CAP = 1e-6
 _TRIAL_FACTOR = 1e-4
 # continuation steps (`_next_dlam`): the first contraction a step aims at
@@ -206,12 +207,12 @@ class ShootingProblem:
 
 @dataclass(frozen=True)
 class OrbitSolution:
-    """A periodic orbit at lam: its initial state x0, residual sup-norm and monodromy.
+    """A periodic orbit at lam: its initial state x0, residual sup-norm and monodromy M.
 
     flow gives the orbit's one-period `Trajectory`; `trajectory` calls it
     once, when first read, so the closed-form lam = 0 start is flowed only
-    if something reads it.  closed_form_det, when set, is det(I - M) from
-    the factors of a closed-form monodromy, read instead of an LU of M.
+    if something reads it.  index_det is det(I - M), set where M is made;
+    its sign is minus the orbit's fixed-point index.
     """
 
     system: HomotopySystem
@@ -220,9 +221,9 @@ class OrbitSolution:
     flow: Callable[[], Trajectory]
     residual_norm: float
     monodromy: np.ndarray
+    index_det: float
     # per Newton iteration: the residual sup-norm it started from, its damping alpha and trial rtol
     newton_trace: list
-    closed_form_det: float | None = None
 
     @functools.cached_property
     def trajectory(self) -> Trajectory:
@@ -243,13 +244,6 @@ class OrbitSolution:
             return 0.0
         r1 = trace[1]["residual"] if len(trace) > 1 else self.residual_norm
         return r1 / trace[0]["residual"]
-
-    @property
-    def index_det(self) -> float:
-        """det(I - M) of the monodromy M; its sign is minus the orbit's fixed-point index."""
-        if self.closed_form_det is not None:
-            return self.closed_form_det
-        return float(np.linalg.det(np.eye(6) - self.monodromy))
 
     @functools.cached_property
     def diagnostics(self) -> dict:
@@ -296,18 +290,14 @@ def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
     }
 
 
-def _trial_problem(problem: ShootingProblem, res_norm: float) -> ShootingProblem:
-    """problem with the integrator tolerance of a trial flow from the residual sup-norm res_norm.
+def _trial_rtol(rtol0: float, res_norm: float) -> float:
+    """The rtol of a trial flow from the residual sup-norm res_norm, rtol0 the configured one.
 
-    rtol = max(rtol0, min(_TRIAL_RTOL_CAP, _TRIAL_FACTOR * res_norm)) and
-    atol scaled by rtol / rtol0; problem itself when that rtol is below
-    2 rtol0 (a flow's cost grows like rtol ** (-1/8): at most 9 % more).
+    max(rtol0, min(_TRIAL_RTOL_CAP, _TRIAL_FACTOR * res_norm)), rounded to rtol0
+    below 2 rtol0 (a flow's cost grows like rtol ** (-1/8): at most 9 % more).
     """
-    cfg = problem.integrator
-    rtol = max(cfg.rtol, min(_TRIAL_RTOL_CAP, _TRIAL_FACTOR * res_norm))
-    if rtol < 2.0 * cfg.rtol:
-        return problem
-    return replace(problem, integrator=replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol)))
+    rtol = max(rtol0, min(_TRIAL_RTOL_CAP, _TRIAL_FACTOR * res_norm))
+    return rtol0 if rtol < 2.0 * rtol0 else rtol
 
 
 def _drift_residual(problem: ShootingProblem, y: np.ndarray) -> float:
@@ -321,15 +311,17 @@ def _drift_residual(problem: ShootingProblem, y: np.ndarray) -> float:
     return period * float(np.max(np.abs(problem.system.rhs_array(0.0, y, problem.lam))))
 
 
-def _flow_residual(problem: ShootingProblem, y: np.ndarray, previous: Trajectory | None, previous_rtol: float):
-    """`flow_with_monodromy` at y, with the periodicity residual and its sup-norm.
+def _flow_residual(problem: ShootingProblem, y: np.ndarray, rtol: float, previous: Trajectory | None):
+    """`flow_with_monodromy` at y and rtol, with the periodicity residual and its sup-norm.
 
-    previous, a flow over the same period at rtol previous_rtol, gives the
-    first step (`Trajectory.warm_step`); with previous None the flow starts cold.
+    The one place an rtol becomes an integrator config, with atol scaled by
+    the same factor.  previous, a flow over the same period, gives the first
+    step (`Trajectory.warm_step`); with previous None the flow starts cold.
     """
-    first_step = None
-    if previous is not None:
-        first_step = previous.warm_step(problem.integrator.rtol / previous_rtol)
+    cfg = problem.integrator
+    if rtol != cfg.rtol:
+        problem = replace(problem, integrator=replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol)))
+    first_step = None if previous is None else previous.warm_step(rtol)
     traj, monodromy = problem.flow_with_monodromy(y, first_step)
     res = traj.states[-1] - traj.states[0]
     return traj, monodromy, res, float(np.max(np.abs(res)))
@@ -352,18 +344,18 @@ def newton_shooting(
     problem.solver.newton_tol.  Each iteration's starting residual, damping
     factor and trial `rtol` go into `newton_trace`.
 
-    Tolerances, as in the module docstring: the guess flows at
-    `_trial_problem(problem, predicted_residual)`'s tolerance, where the
-    default predicted_residual None stands for the guess's drift
-    (`_drift_residual`); if its residual r calls for a tighter one, it
-    flows again at `_trial_problem(problem, r)`'s.  The trials flow at
-    `_trial_problem`'s tolerance for the residual r of their iteration,
-    or at problem.integrator when the iteration is predicted to converge:
-    it is not the first, and r^3 / r_prev^2 < newton_tol for the residual
-    r_prev of the iteration before.  A loose guess or trial that meets
-    newton_tol is flowed once more at problem.integrator, and that flow
-    gives the solution's trajectory, monodromy and residual; if its
-    residual misses newton_tol, Newton goes on from it.
+    Tolerances, as in the module docstring, with rtol0 that of
+    problem.integrator: the guess flows at `_trial_rtol(rtol0,
+    predicted_residual)`, where the default predicted_residual None stands
+    for the guess's drift (`_drift_residual`); if its residual r calls for
+    a tighter one, it flows again at `_trial_rtol(rtol0, r)`.  The trials
+    flow at `_trial_rtol` of the residual r of their iteration, or at
+    rtol0 when the iteration is predicted to converge: it is not the
+    first, and r^3 / r_prev^2 < newton_tol for the residual r_prev of the
+    iteration before.  A loose guess or trial that meets newton_tol is
+    flowed once more at rtol0, and that flow gives the solution's
+    trajectory, monodromy and residual; if its residual misses
+    newton_tol, Newton goes on from it.
 
     A wrong prediction costs no more flows than the loose trial it
     replaces.  If the rtol0 trial misses newton_tol, Newton goes on from
@@ -383,10 +375,9 @@ def newton_shooting(
     tolerance looser than its residual's is flowed again.
 
     Warm starts, as in the module docstring: the guess's first flow takes
-    its first step from previous, a flow of a nearby problem at
-    problem.integrator's rtol (the previous continuation step's orbit),
-    and starts cold without it; every later flow takes it from the
-    iterate's flow.
+    its first step from previous, a flow of a nearby problem (the previous
+    continuation step's orbit), and starts cold without it; every later
+    flow takes it from the iterate's flow.
 
     Raises NewtonDiverged (no decrease with any factor, the iteration cap,
     or round-off stagnation: a trial flow fails to lower a residual already
@@ -403,21 +394,19 @@ def newton_shooting(
 
     if predicted_residual is None:
         predicted_residual = _drift_residual(problem, y)
-    flowed = _trial_problem(problem, predicted_residual)
-    traj, monodromy, res, res_norm = _flow_residual(flowed, y, previous, problem.integrator.rtol)
-    matched = _trial_problem(problem, res_norm)
-    if matched.integrator.rtol < flowed.integrator.rtol:
-        traj, monodromy, res, res_norm = _flow_residual(matched, y, traj, flowed.integrator.rtol)
-        flowed = matched
+    rtol0 = problem.integrator.rtol
+    traj, monodromy, res, res_norm = _flow_residual(problem, y, _trial_rtol(rtol0, predicted_residual), previous)
+    rtol = _trial_rtol(rtol0, res_norm)
+    if rtol < traj.rtol:
+        traj, monodromy, res, res_norm = _flow_residual(problem, y, rtol, traj)
 
     tol = problem.solver.newton_tol
     trace = []
     try:
-        while res_norm >= tol or flowed is not problem:
+        while res_norm >= tol or traj.rtol != rtol0:
             if res_norm < tol:
                 # the confirming re-flow: convergence is read at the configured tolerance
-                traj, monodromy, res, res_norm = _flow_residual(problem, y, traj, flowed.integrator.rtol)
-                flowed = problem
+                traj, monodromy, res, res_norm = _flow_residual(problem, y, rtol0, traj)
                 continue
             if len(trace) >= problem.solver.max_iterations:
                 raise NewtonDiverged(
@@ -428,23 +417,21 @@ def newton_shooting(
             if not math.isfinite(cond) or cond > 1e12:
                 raise SingularJacobian(f"shooting Jacobian condition estimate {cond:.3e}")
             delta = np.linalg.solve(jac, -res)
-            trial = _trial_problem(problem, res_norm)
+            rtol = _trial_rtol(rtol0, res_norm)
             if trace and res_norm * (res_norm / trace[-1]["residual"]) ** 2 < tol:
-                trial = problem  # predicted to converge: convergence is read from this flow
+                rtol = rtol0  # predicted to converge: convergence is read from this flow
 
             for alpha in _DAMPING:
                 y_try = y + alpha * delta
                 if problem.violation(y_try) is not None:
                     continue
                 try:
-                    traj_try, monodromy_try, res_try, res_try_norm = _flow_residual(
-                        trial, y_try, traj, flowed.integrator.rtol
-                    )
+                    traj_try, monodromy_try, res_try, res_try_norm = _flow_residual(problem, y_try, rtol, traj)
                 except SolverError:
                     continue
                 if res_try_norm < res_norm:
-                    trace.append({"residual": res_norm, "alpha": alpha, "rtol": trial.integrator.rtol})
-                    y, traj, monodromy, flowed = y_try, traj_try, monodromy_try, trial
+                    trace.append({"residual": res_norm, "alpha": alpha, "rtol": rtol})
+                    y, traj, monodromy = y_try, traj_try, monodromy_try
                     res, res_norm = res_try, res_try_norm
                     break
                 if res_norm <= _ROUNDOFF * max(1.0, float(np.max(np.abs(y)))):
@@ -471,6 +458,7 @@ def newton_shooting(
         flow=lambda traj=traj: traj,
         residual_norm=res_norm,
         monodromy=monodromy,
+        index_det=float(np.linalg.det(np.eye(6) - monodromy)),
         newton_trace=trace,
     )
 
@@ -502,8 +490,7 @@ def equilibrium_orbit(problem: ShootingProblem, x0: State) -> OrbitSolution:
             f"the equilibrium's residual {residual:.3e}, its drift T max|f(0, x0)|, "
             f"is not below newton_tol = {tol:g}"
         )
-    config = problem.system.config
-    linear = EquilibriumLinearization.at(config.potential.radial_law()[0], x0.q, config.forcing.period)
+    linear = EquilibriumLinearization.at(problem.system.c0, x0.q, problem.system.config.forcing.period)
     linear.require_double_range(SolverError)
     n = linear.resonance()
     if n:
@@ -519,8 +506,8 @@ def equilibrium_orbit(problem: ShootingProblem, x0: State) -> OrbitSolution:
         flow=functools.partial(problem.flow, x0),
         residual_norm=residual,
         monodromy=linear.monodromy(),
+        index_det=linear.index_det(),
         newton_trace=[],
-        closed_form_det=linear.index_det(),
     )
 
 
@@ -659,7 +646,7 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
                 "dlam": dlam,
                 "accepted": reason is None,
                 "reason": reason or "",
-                "guess_rtol": _trial_problem(step_problem, predicted).integrator.rtol,
+                "guess_rtol": _trial_rtol(problem.integrator.rtol, predicted),
                 "newton_trace": trace,
                 "theta0": theta0,
                 "index_det": index_det,

@@ -683,7 +683,8 @@ def test_cli_continue_checks_the_start_orbit_index_against_the_degree(tmp_path, 
         )
         expected = r"sign det\(I - M\) = \+1 of the lam = 0 orbit \(det\(I - M\) = 43\.\d+\) is not minus the degree 1"
     else:
-        monkeypatch.setattr(lfe.shooting.OrbitSolution, "index_det", -2.5)
+        start = lfe.cli.equilibrium_orbit
+        monkeypatch.setattr(lfe.cli, "equilibrium_orbit", lambda *a: dataclasses.replace(start(*a), index_det=-2.5))
         expected = r"sign det\(I - M\) = -1 of the lam = 0 orbit \(det\(I - M\) = -2\.5\) is not minus the degree -1"
     out = tmp_path / "out"
     assert main(["continue", "--config", str(write(tmp_path, LIGHT)), "--out", str(out)]) == 3
@@ -810,17 +811,31 @@ def test_cli_find_orbit_text_matches_json(tmp_path):
 
 
 def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
-    cfg = write(tmp_path, LIGHT.replace("mean = 0 0 2", "mean = 0 0 0"))
-    message = "mean forcing is zero; the autonomous field has no zero"
-    out = tmp_path / "integrate"
-    assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 2
-    assert capsys.readouterr().out == f"no equilibrium start: {message}\n"
-    assert not list(out.iterdir())
-    # a failed single-stage command writes its message to <stem>.txt and no .json
-    out = tmp_path / "find-orbit"
-    assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 2
-    assert (out / "orbit_report.txt").read_text() == f"no equilibrium guess: {message}\n"
-    assert sorted(p.name for p in out.iterdir()) == ["orbit_report.txt"]
+    radius = "the equilibrium radius sqrt(c0/|mean|) = sqrt({}) = {} leaves the double range"
+    # (c0, mean, message, exit code of validate): a zero mean, and an equilibrium radius
+    # sqrt(c0/|mean|) that underflows to 0 or overflows to inf
+    cases = [
+        ("1.0", "0 0 0", "mean forcing is zero; the autonomous field has no zero", 2),
+        ("1e-300", "0 0 1e150", radius.format("1e-300/1e+150", "0"), 0),
+        ("1e300", "0 0 1e-150", radius.format("1e+300/1e-150", "inf"), 2),
+    ]
+    for i, (c0, mean, message, validated) in enumerate(cases):
+        text = LIGHT.replace("c0 = 1.0", f"c0 = {c0}").replace("mean = 0 0 2", f"mean = {mean}")
+        cfg = write(tmp_path, text, f"case{i}.ini")
+        out = tmp_path / f"integrate{i}"
+        assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"no equilibrium start: {message}\n"
+        assert not list(out.iterdir())
+        # a failed single-stage command writes its message to <stem>.txt and no .json
+        out = tmp_path / f"find-orbit{i}"
+        assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert (out / "orbit_report.txt").read_text() == f"no equilibrium guess: {message}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["orbit_report.txt"]
+        # an explicit guard radius is checked against the equilibrium only where there is one
+        guarded = write(tmp_path, text + "\n[integrator]\nr_min = 1e-6\n", f"guarded{i}.ini")
+        assert main(["validate", "--config", str(guarded), "--out", str(tmp_path / f"validate{i}")]) == validated
+        assert main(["integrate", "--config", str(guarded), "--out", str(tmp_path / f"guarded{i}")]) == 2
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -893,6 +908,28 @@ def test_cli_retired_method_key_exits_4(tmp_path, capsys, value):
     cfg = write(tmp_path, MINIMAL.replace("mean = 0 0 2", f"mean = 0 0 2\n[integrator]\nmethod = {value}"))
     assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err == "config error: unknown key 'method' in section [integrator]\n"
+
+
+def test_cli_bounds_names_the_smallest_grid_radius_when_epsilon_runs_out(tmp_path):
+    # c1 / c0 = 2 with beta = gamma: the near-origin inequality 1 >= r^2 / 2 + 2 holds at no radius
+    text = UNIFORM.replace("c1 = 0.05", "c1 = 2").replace("beta = 0.5", "beta = 3")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
+    assert (out / "certificate.txt").read_text() == (
+        "certificate failed: no clearance radius satisfies the near-origin inequality "
+        "(it fails down to |q| = 1.013e-06, the smallest grid radius); "
+        "the configuration is outside the certified family\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["certificate.txt"]
+
+
+def test_cli_report_that_cannot_be_written_exits_4(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "certificate.txt").mkdir(parents=True)
+    assert main(["bounds", "--config", str(write(tmp_path, LIGHT)), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("I/O error: ")
+    assert str(out / "certificate.txt") in captured.err
 
 
 def test_cli_config_errors_exit_4(tmp_path, capsys):

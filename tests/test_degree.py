@@ -89,6 +89,20 @@ def test_degenerate_forcing():
         find_zero_f0(1.0, [0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "c0,mean,text",
+    [(1e-300, 1e150, "sqrt(1e-300/1e+150) = 0 "), (np.float64(1e300), 1e-150, "sqrt(1e+300/1e-150) = inf ")],
+    ids=["underflows", "overflows"],
+)
+def test_an_equilibrium_radius_outside_the_double_range_is_degenerate_forcing(c0, mean, text):
+    # sqrt(c0/|mean|) is 0 or inf, so q* would be the origin or [nan, nan, -inf]; a numpy c0 warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateForcing) as raised:
+            find_zero_f0(c0, [0.0, 0.0, mean])
+    assert str(raised.value) == f"the equilibrium radius sqrt(c0/|mean|) = {text}leaves the double range"
+
+
 def test_degree_canonical_case():
     report = brouwer_degree(1.0, [0.0, 0.0, 2.0], OMEGA, period=1.0, seed=SWEEP_SEED)
     assert report.degree == -1

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,13 +235,25 @@ def test_a_zero_field_system_never_evaluates_its_field(monkeypatch):
     integrate(system, find_zero_f0(1.0, [0.0, 0.0, 2.0]), (0.0, 1.0), 1.0)
 
 
+def test_the_coulomb_term_reads_c0_from_the_radial_law_once(monkeypatch):
+    calls = []
+    radial_law = GeneralizedCoulomb.radial_law
+    monkeypatch.setattr(GeneralizedCoulomb, "radial_law", lambda self: calls.append(self) or radial_law(self))
+    system = HomotopySystem(desk_config())
+    y = random_state(np.random.default_rng(43)).as_array()
+    for lam in (1.0, 0.0, 0.5, 0.5, 0.0):
+        system.rhs_array(0.3, y, lam)
+    assert len(calls) == 1 and system.c0 == 1.0
+
+
 def test_lambda_below_one_needs_the_potential_radial_law():
     potential = TabulatedPotential(_gauss_potential, _central_difference_gradient)
     system = HomotopySystem(dataclasses.replace(desk_config(), potential=potential))
     y = random_state(np.random.default_rng(42)).as_array()
     assert np.isfinite(system.rhs_array(0.3, y, 1.0)).all()
+    message = "lam < 1 needs the potential's c0 for its Coulomb term: a TabulatedPotential has no closed-form radial law"
     for lam in (0.0, 0.5):
-        with pytest.raises(ValueError, match=r"^lam = .* < 1 .*: a TabulatedPotential has no closed-form radial law$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             system.rhs_array(0.3, y, lam)
 
 

@@ -347,10 +347,12 @@ def test_warm_step_is_the_middle_step_scaled_as_step_control_scales_a_step():
     traj = integrate(system, y0, (0.0, 1.0), 1.0, IntegratorConfig(rtol=1e-10))
     steps = sorted(np.diff(traj.ts).tolist())
     middle = steps[len(steps) // 2]
-    # the controller's exponent 1/8 and its safety factor 0.9; at most the span
-    assert traj.warm_step(1.0) == 0.9 * middle
-    assert traj.warm_step(1e4) == 0.9 * middle * 1e4 ** (1 / 8) < 1.0
-    assert traj.warm_step(1e30) == 1.0
+    # scaled from the rtol the run recorded by the controller's exponent 1/8, and by its safety
+    # factor 0.9; at most the span
+    assert traj.rtol == 1e-10
+    assert traj.warm_step(1e-10) == 0.9 * middle
+    assert traj.warm_step(1e-6) == 0.9 * middle * (1e-6 / 1e-10) ** (1 / 8) < 1.0
+    assert traj.warm_step(1e20) == 1.0
 
 
 def test_trajectory_counts_rejected_steps(gyro_system):

@@ -18,7 +18,7 @@ from conftest import (
 from lfe.degree import find_zero_f0
 from lfe.fields import Forcing
 from lfe.homotopy import EquilibriumLinearization, HomotopySystem
-from lfe.integrator import IntegratorConfig, SolverError, StepUnderflow
+from lfe.integrator import IntegratorConfig, SolverError, StepUnderflow, integrate
 from lfe.kinematics import State, phi_inv
 from lfe.shooting import (
     LeftDomain,
@@ -247,6 +247,47 @@ def test_a_loose_guess_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
     assert [cfg for cfg, _, _ in flows] == [loosened(configured, 1e-4 * predicted), configured]
     assert sol.newton_trace == []
     assert sol.trajectory.ts is flows[1][1].ts
+
+
+def test_each_newton_trace_entry_records_the_rtol_of_the_flow_it_accepted(desk_problem, monkeypatch):
+    flows = []
+    flow_residual = lfe.shooting._flow_residual
+
+    def recording(problem, y, rtol, previous):
+        out = flow_residual(problem, y, rtol, previous)
+        flows.append((previous, out[0]))
+        return out
+
+    monkeypatch.setattr(lfe.shooting, "_flow_residual", recording)
+    sol = newton_shooting(EQ, dataclasses.replace(desk_problem, lam=1.0))
+    # every flow after the guess's first warm-starts from the iterate's flow, so the iterates'
+    # flows are, in order, the predecessors of the later flows and then the solution's flow
+    iterates = [flows[0][1]]
+    for previous, _ in flows[1:]:
+        if previous is not iterates[-1]:
+            iterates.append(previous)
+    if sol.trajectory is not iterates[-1]:
+        iterates.append(sol.trajectory)
+    # an accepted trial starts at the point of a Newton step; a re-flow starts where its iterate did
+    accepted = [b for a, b in zip(iterates, iterates[1:]) if not np.array_equal(a.states[0], b.states[0])]
+    rtols = [step["rtol"] for step in sol.newton_trace]
+    assert rtols == [traj.rtol for traj in accepted]
+    assert len(set(rtols)) > 1 and rtols[-1] == desk_problem.integrator.rtol
+
+
+def test_a_guess_warm_starts_from_the_rtol_its_previous_flow_recorded(coulomb_problem, monkeypatch):
+    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
+    configured = coulomb_problem.integrator
+    previous = integrate(coulomb_problem.system, guess, (0.0, 1.0), 0.0, loosened(configured, 1e-6))
+    steps = sorted(np.diff(previous.ts).tolist())
+    middle = steps[len(steps) // 2]
+    flows = recorded_flows(monkeypatch)
+    newton_shooting(guess, coulomb_problem, predicted_residual=0.0, previous=previous)
+    # the guess flows at rtol0 = 1e-10, its first step scaled from the 1e-6 that previous recorded,
+    # not from rtol0
+    cfg, _, first_step = flows[0]
+    assert previous.rtol == 1e-6 and cfg.rtol == configured.rtol == 1e-10
+    assert first_step == 0.9 * middle * (1e-10 / 1e-6) ** (1 / 8) < 0.9 * middle
 
 
 def test_residual_self_consistency(coulomb_problem):
@@ -491,13 +532,13 @@ def test_trial_step_into_the_guard_radius_is_halved():
     assert np.abs(sol.x0.as_array() - EQ.as_array()).max() < 1e-7
 
 
-def planted(residuals, residual_norm, monodromy=np.zeros((6, 6))) -> OrbitSolution:
-    """An orbit that only carries a Newton trace with the given starting residuals, and a monodromy."""
+def planted(residuals, residual_norm) -> OrbitSolution:
+    """An orbit that only carries a Newton trace with the given starting residuals (M = 0, det(I - M) = 1)."""
     trace = [{"residual": r, "alpha": 1.0, "rtol": 1e-10} for r in residuals]
-    return OrbitSolution(None, 0.5, None, None, residual_norm, monodromy, trace)
+    return OrbitSolution(None, 0.5, None, None, residual_norm, np.zeros((6, 6)), 1.0, trace)
 
 
-def test_step_controller_on_planted_traces():
+def test_step_controller_on_planted_traces(coulomb_problem, monkeypatch):
     # theta0 = r1 / r0: r1 is the final residual after one iteration, and theta0 is 0 after none
     assert planted([], 1e-12).theta0 == 0.0
     assert planted([0.5], 0.125).theta0 == 0.25
@@ -513,9 +554,12 @@ def test_step_controller_on_planted_traces():
     assert _next_dlam(0.1, 1 / 64, 1.0) == _next_dlam(0.1, 0.0, 1.0) == 1.0
     assert _next_dlam(0.1, 1e-3, 0.3) == _next_dlam(0.1, 0.0, 0.3) == 0.3
     assert _next_dlam(0.1, 0.0625, 0.15) == 0.15
-    # det(I - M), whose sign is the branch check
-    assert planted([], 0.0, np.diag([2.0] * 6)).index_det == 1.0
-    assert planted([], 0.0, np.diag([2.0, 0, 0, 0, 0, 0])).index_det == -1.0
+    # det(I - M), whose sign is the branch check, from the monodromy the solve's flow planted
+    flow = ShootingProblem.flow_with_monodromy
+    for monodromy, det in [(np.diag([2.0] * 6), 1.0), (np.diag([2.0, 0, 0, 0, 0, 0]), -1.0)]:
+        monkeypatch.setattr(ShootingProblem, "flow_with_monodromy", lambda *args: (flow(*args)[0], monodromy))
+        sol = newton_shooting(EQ, coulomb_problem)
+        assert sol.newton_trace == [] and sol.monodromy is monodromy and sol.index_det == det
 
 
 @pytest.mark.parametrize("c", [0.3, 1.0, 4.0])
@@ -551,7 +595,8 @@ def test_continuation_rejects_a_step_that_flips_the_index(desk_problem, desk_sta
         calls.append(problem.lam)
         if len(calls) == 2:  # the second step's orbit, with the first row of I - M negated
             negate = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-            sol = dataclasses.replace(sol, monodromy=np.eye(6) - negate @ (np.eye(6) - sol.monodromy))
+            monodromy = np.eye(6) - negate @ (np.eye(6) - sol.monodromy)
+            sol = dataclasses.replace(sol, monodromy=monodromy, index_det=float(np.linalg.det(np.eye(6) - monodromy)))
             flipped_orbits.append(sol)
         return sol
 
