@@ -6,10 +6,12 @@ negative, so the topological degree on the certified annulus is -1.  That
 nonzero degree is what anchors the continuation; this module takes its
 sign from the closed-form determinant (its central-difference oracle is a
 test), and guards against a second zero with a multi-start Newton sweep
-in velocity coordinates (see lfe.homotopy).  The sweep steps in the
-inverted radius w = q/|q|^3, where the force block is linear, so a step
-needs no solve and a start deep inside the region reaches the zero in a
-few steps.  The orientation, stated in the report:
+in velocity coordinates (see lfe.homotopy).  Its starts are uniform
+numbers from `numpy.random.default_rng(seed)`, so under one numpy version
+a seed repeats the sweep bit for bit.  The sweep steps in the inverted
+radius w = q/|q|^3, where the force block is linear, so a step needs no
+solve and a start deep inside the region reaches the zero in a few steps.
+The orientation, stated in the report:
 domain ordered (p, q), codomain (q', p'), as in `f0_determinant_closed_form`;
 there the degree is minus the fixed-point index sign det(I - M) of the
 orbit it anchors, M its monodromy.  That orbit is the equilibrium itself,
@@ -28,14 +30,13 @@ from typing import ClassVar
 
 import numpy as np
 
-from lfe.fields import mean_norm
+from lfe.fields import mean_norm, power_law
 from lfe.homotopy import AutonomousField, EquilibriumLinearization, f0_determinant_closed_form
 from lfe.kinematics import State, phi_inv
-from lfe.sampling import sobol_points, unit_vectors
 
 
 class DegenerateForcing(ValueError):
-    """No zero of the autonomous field in double range: a zero mean, or a radius sqrt(c0/|mean|) of 0 or inf."""
+    """No zero of the autonomous field in double range: a zero mean, or r^-3 of r = sqrt(c0/|mean|) not normal."""
 
 
 class DegreeError(RuntimeError):
@@ -57,16 +58,19 @@ def find_zero_f0(c0: float, h_mean) -> State:
     the force is h minus a term of the same size, so its rounding error
     scales with |h|.  Raises DegenerateForcing when the mean forcing
     vanishes (the force component c0 q/|q|^3 never vanishes at finite q),
-    or when the radius sqrt(c0/|h|) underflows to 0 or overflows.
+    or when r^-3 of the radius r = sqrt(c0/|h|), which the force at the
+    zero reads, is not a normal double: r is 0 or inf, or r^-3 over- or
+    underflows although r does not.
     """
     h_mean = np.asarray(h_mean, dtype=float)
     hn = mean_norm(h_mean)
     if hn == 0.0:
         raise DegenerateForcing("mean forcing is zero; the autonomous field has no zero")
     radius = math.sqrt(float(c0) / hn)
-    if not 0.0 < radius < math.inf:
+    inverse_cube = power_law(1.0, radius, 3.0) if radius else math.inf
+    if not np.finfo(float).tiny <= inverse_cube < math.inf:
         what = f"the equilibrium radius sqrt(c0/|mean|) = sqrt({c0:.6g}/{hn:.6g}) = {radius:g}"
-        raise DegenerateForcing(f"{what} leaves the double range")
+        raise DegenerateForcing(f"{what} leaves the double range: r^-3 = {inverse_cube:g}")
     x0 = State(q=-radius * (h_mean / hn), p=np.zeros(3))
     residual = math.hypot(*AutonomousField(c0, h_mean).value(x0.q, phi_inv(x0.p)))
     tol = 1e-12 * hn
@@ -106,6 +110,14 @@ class DegreeReport:
         ]
 
 
+def _unit_vectors(u: np.ndarray) -> np.ndarray:
+    """One unit vector per row of u in [0, 1)^2; uniform u gives area-uniform directions."""
+    z = 1.0 - 2.0 * u[:, 0]
+    az = 2.0 * math.pi * u[:, 1]
+    s = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.column_stack([s * np.cos(az), s * np.sin(az), z])
+
+
 def _radial_scale(x: np.ndarray, power: float) -> np.ndarray:
     """x |x|^-power row by row for x of shape (N, 3), with no warning.
 
@@ -124,7 +136,11 @@ def _g(field: AutonomousField, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: int) -> dict:
-    """Damped Newton on g(q, v) from quasi-random starts filling the region; classify the basins.
+    """Damped Newton on g(q, v) from 2**n_pow2 random starts filling the region; classify the basins.
+
+    A start is six uniform numbers of `numpy.random.default_rng(seed)`: the
+    direction and log radius of q, then of p.  So the sweep is a pure
+    function of the seed, bit for bit under one numpy version.
 
     The step is taken in the inverted radius w = q |q|^-3, a bijection of
     R^3 minus the origin with inverse q = w |w|^-3/2.  There the force
@@ -148,13 +164,13 @@ def _newton_sweep(field: AutonomousField, x0: State, omega, n_pow2: int, seed: i
     raises MultipleZeros.  Escapes per decade of |q0| show what was searched.
     """
     m, upper, p_max = omega
-    u = sobol_points(n_pow2, 6, seed)
+    u = np.random.default_rng(seed).random((2**n_pow2, 6))
     # log-spaced radii cover the decades an a priori annulus can span
     r_q = np.exp(np.log(m) + u[:, 2] * (np.log(upper) - np.log(m)))
     p_floor = min(1e-3, 0.1 * p_max)
     r_p = np.exp(np.log(p_floor) + u[:, 5] * (np.log(p_max) - np.log(p_floor)))
     r_v = r_p / np.hypot(1.0, r_p)  # the speed of each momentum start
-    y = np.hstack([r_q[:, None] * unit_vectors(u[:, :2]), r_v[:, None] * unit_vectors(u[:, 3:5])])
+    y = np.hstack([r_q[:, None] * _unit_vectors(u[:, :2]), r_v[:, None] * _unit_vectors(u[:, 3:5])])
     w = _radial_scale(y[:, :3], 3.0)  # always w of the q in y
 
     c0, h = field.c0, field.h_mean
@@ -227,11 +243,12 @@ def brouwer_degree(
     """Degree of the autonomous field on the region m < |q| < upper, |p| < p_max.
 
     The sign comes from the closed-form determinant at the explicit zero
-    (f0_determinant_closed_form).  A quasi-random multi-start Newton sweep
-    from 2^10 starts must find no zero other than the explicit one.  The
-    report also gives the equilibrium orbit's resonance data over the
-    period (`EquilibriumLinearization`); a period whose det(I - M0) leaves
-    the double range is a DegreeError naming sT.
+    (f0_determinant_closed_form).  A multi-start Newton sweep from 2^10
+    starts, uniform numbers of `numpy.random.default_rng(seed)`, must find
+    no zero other than the explicit one.  The report also gives the
+    equilibrium orbit's resonance data over the period
+    (`EquilibriumLinearization`); a period whose det(I - M0) leaves the
+    double range is a DegreeError naming sT.
     """
     m, upper, p_max = omega
     x0 = find_zero_f0(c0, h_mean)

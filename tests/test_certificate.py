@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 
 import lfe.certificate
 import lfe.fields
-import lfe.sampling
 from conftest import SEED, TabulatedPotential, coulomb_config, desk_config, pulsed_config
 from lfe.certificate import (
     CertificateError,
@@ -268,6 +267,7 @@ def test_certificate_evaluates_no_field(monkeypatch, config):
         return wrapper
 
     monkeypatch.setattr(lfe.fields, "radial_powers", recording("radial_powers", lfe.fields.radial_powers))
+    monkeypatch.setattr(np.random, "default_rng", recording("default_rng", np.random.default_rng))
     monkeypatch.setattr(GeneralizedCoulomb, "gradient", recording("gradient", GeneralizedCoulomb.gradient))
     for kind in (ZeroField, UniformField, DipoleField, ABCField):
         monkeypatch.setattr(kind, "eval", recording("eval", kind.eval))
@@ -276,7 +276,9 @@ def test_certificate_evaluates_no_field(monkeypatch, config):
     # and the module binds no sampler and no sweep
     bound = vars(lfe.certificate)
     assert "shell_maxima" not in bound
-    assert not [k for k, v in bound.items() if v is lfe.sampling or getattr(v, "__module__", None) == "lfe.sampling"]
+    assert not [
+        k for k, v in bound.items() if v is np.random or str(getattr(v, "__module__", "")).startswith("numpy.random")
+    ]
 
 
 def test_momentum_bound_closed_form(a5_cert):

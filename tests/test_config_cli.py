@@ -811,13 +811,15 @@ def test_cli_find_orbit_text_matches_json(tmp_path):
 
 
 def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
-    radius = "the equilibrium radius sqrt(c0/|mean|) = sqrt({}) = {} leaves the double range"
-    # (c0, mean, message, exit code of validate): a zero mean, and an equilibrium radius
-    # sqrt(c0/|mean|) that underflows to 0 or overflows to inf
+    radius = "the equilibrium radius sqrt(c0/|mean|) = sqrt({}) = {} leaves the double range: r^-3 = {}"
+    # (c0, mean, message, exit code of validate): a zero mean, an equilibrium radius r = sqrt(c0/|mean|)
+    # that underflows to 0 or overflows to inf, and a finite r whose r^-3 overflows or underflows
     cases = [
         ("1.0", "0 0 0", "mean forcing is zero; the autonomous field has no zero", 2),
-        ("1e-300", "0 0 1e150", radius.format("1e-300/1e+150", "0"), 0),
-        ("1e300", "0 0 1e-150", radius.format("1e+300/1e-150", "inf"), 2),
+        ("1e-300", "0 0 1e150", radius.format("1e-300/1e+150", "0", "inf"), 0),
+        ("1e300", "0 0 1e-150", radius.format("1e+300/1e-150", "inf", "0"), 2),
+        ("1e-200", "0 0 1e100", radius.format("1e-200/1e+100", "1e-150", "inf"), 0),
+        ("1e200", "0 0 1e-100", radius.format("1e+200/1e-100", "1e+150", "0"), 2),
     ]
     for i, (c0, mean, message, validated) in enumerate(cases):
         text = LIGHT.replace("c0 = 1.0", f"c0 = {c0}").replace("mean = 0 0 2", f"mean = {mean}")

@@ -20,7 +20,6 @@ from lfe.degree import (
 from lfe.fields import mean_norm
 from lfe.homotopy import AutonomousField, coulomb_force_jacobian
 from lfe.kinematics import phi_inv
-from lfe.sampling import sobol_points
 
 OMEGA = (1e-3, 3.0, 10.0)
 SWEEP_SEED = 20240802
@@ -91,16 +90,22 @@ def test_degenerate_forcing():
 
 @pytest.mark.parametrize(
     "c0,mean,text",
-    [(1e-300, 1e150, "sqrt(1e-300/1e+150) = 0 "), (np.float64(1e300), 1e-150, "sqrt(1e+300/1e-150) = inf ")],
-    ids=["underflows", "overflows"],
+    [
+        (1e-300, 1e150, "sqrt(1e-300/1e+150) = 0 leaves the double range: r^-3 = inf"),
+        (np.float64(1e300), 1e-150, "sqrt(1e+300/1e-150) = inf leaves the double range: r^-3 = 0"),
+        (1e-200, 1e100, "sqrt(1e-200/1e+100) = 1e-150 leaves the double range: r^-3 = inf"),
+        (np.float64(1e200), 1e-100, "sqrt(1e+200/1e-100) = 1e+150 leaves the double range: r^-3 = 0"),
+    ],
+    ids=["underflows", "overflows", "inverse-cube-overflows", "inverse-cube-underflows"],
 )
 def test_an_equilibrium_radius_outside_the_double_range_is_degenerate_forcing(c0, mean, text):
-    # sqrt(c0/|mean|) is 0 or inf, so q* would be the origin or [nan, nan, -inf]; a numpy c0 warns of nothing
+    # sqrt(c0/|mean|) is 0 or inf, so q* would be the origin or [nan, nan, -inf]; or r is finite but the
+    # force c0 r^-3 q* reads r^-3 as inf or 0, so the residual would be inf or |mean|; a numpy c0 warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateForcing) as raised:
             find_zero_f0(c0, [0.0, 0.0, mean])
-    assert str(raised.value) == f"the equilibrium radius sqrt(c0/|mean|) = {text}leaves the double range"
+    assert str(raised.value) == f"the equilibrium radius sqrt(c0/|mean|) = {text}"
 
 
 def test_degree_canonical_case():
@@ -198,7 +203,7 @@ def loop_sweep(field: AutonomousField, x0, omega, n_pow2: int, seed: int) -> dic
     whose w or residual is not finite is no point.
     """
     m, upper, p_max = omega
-    u = sobol_points(n_pow2, 6, seed)
+    u = np.random.default_rng(seed).random((2**n_pow2, 6))
     z_q = 1.0 - 2.0 * u[:, 0]
     az_q = 2.0 * math.pi * u[:, 1]
     r_q = np.exp(np.log(m) + u[:, 2] * (np.log(upper) - np.log(m)))
@@ -283,6 +288,11 @@ def test_sweep_matches_the_per_start_loop(region, seed, desk_cert):
     # the stack runs until its slowest start ends
     assert sweep["iterations"] == oracle["iterations"] < 60
     assert brouwer_degree(1.0, [0.0, 0.0, 2.0], omega, period=1.0, seed=seed).degree == -1
+    # the sweep is a pure function of its seed: the same seed repeats it, another moves its starts
+    assert _newton_sweep(field, x0, omega, 8, seed) == sweep
+    other = _newton_sweep(field, x0, omega, 8, seed + 1)
+    starts = [[d["starts"] for d in s["escapes_by_start_decade"]] for s in (sweep, other)]
+    assert starts[0] != starts[1]
 
 
 @pytest.mark.parametrize("region", ["light", "desk"])

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import lfe.fields
-import lfe.sampling
 from conftest import PulsedField, TabulatedPotential, coulomb_config, desk_config
 from lfe.fields import (
     ABCField,
@@ -46,14 +45,17 @@ def test_validate_evaluates_no_field_and_draws_no_sample(monkeypatch, config):
         return wrapper
 
     monkeypatch.setattr(lfe.fields, "radial_powers", recording("radial_powers", lfe.fields.radial_powers))
-    monkeypatch.setattr(lfe.sampling, "sobol_points", recording("sobol_points", lfe.sampling.sobol_points))
+    monkeypatch.setattr(np.random, "default_rng", recording("default_rng", np.random.default_rng))
     monkeypatch.setattr(GeneralizedCoulomb, "gradient", recording("gradient", GeneralizedCoulomb.gradient))
     for kind in (ZeroField, UniformField, DipoleField, ABCField):
         monkeypatch.setattr(kind, "eval", recording("eval", kind.eval))
     assert validate_hypotheses(config).passed
     assert calls == []
+    # and the module binds no sampler of its own
     bound = vars(lfe.fields)
-    assert not [k for k, v in bound.items() if v is lfe.sampling or getattr(v, "__module__", None) == "lfe.sampling"]
+    assert not [
+        k for k, v in bound.items() if v is np.random or str(getattr(v, "__module__", "")).startswith("numpy.random")
+    ]
 
 
 def test_rows_of_kinds_without_closed_forms_fail_and_name_the_kind():

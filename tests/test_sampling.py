@@ -1,4 +1,4 @@
-"""The numpy samplers and the closed-form certificate constants against their scipy oracles."""
+"""The closed-form certificate constants against their scipy L-BFGS-B oracle."""
 
 import dataclasses
 import math
@@ -6,12 +6,10 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize
-from scipy.stats import qmc
 
 from conftest import coulomb_config, desk_config, gyro_config
 from lfe.certificate import compute_momentum_bound
 from lfe.fields import ABCField, DipoleField, GeneralizedCoulomb, UniformField, ZeroField, radial_powers
-from lfe.sampling import sobol_points
 from sampled_checks import log_radii, shells, sphere_directions
 
 # the oracle's sweep: log radii x 2^_DIR_POW2 directions x times, then L-BFGS-B from the best _N_REFINE
@@ -19,15 +17,6 @@ _N_RADII = 40
 _DIR_POW2 = 8
 _N_TIME = 4
 _N_REFINE = 5
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 6])
-def test_sobol_points_equal_scipy_bit_for_bit(dim):
-    for seed in (0, 1, 7, 42, 20240803, 20240804, 20240805, 2**31 + 5):
-        for m in range(13):
-            ours = sobol_points(m, dim, seed)
-            oracle = qmc.Sobol(d=dim, scramble=True, seed=seed).random_base2(m)
-            assert ours.dtype == oracle.dtype and np.array_equal(ours, oracle), (dim, seed, m)
 
 
 def _lbfgsb_maximum(func, r_lo, r_hi, t_max, seed):
