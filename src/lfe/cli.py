@@ -192,6 +192,7 @@ def _orbit(sol: OrbitSolution, report: _Report, verification=None) -> None:
     summary = sol.summary()
     record = dict(summary, monodromy=sol.monodromy, newton_trace=sol.newton_trace)
     record["n_rejected"] = sol.trajectory.n_rejected
+    record.update(sol.symmetry)
     if verification is not None:
         record["verification"] = [dataclasses.asdict(e) for e in verification.entries]
         record["verified"] = verification.passed

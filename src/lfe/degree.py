@@ -36,7 +36,7 @@ from lfe.kinematics import State, phi_inv
 
 
 class DegenerateForcing(ValueError):
-    """No zero of the autonomous field in double range: a zero mean, or r^-3 of r = sqrt(c0/|mean|) not normal."""
+    """No zero of the autonomous field in double range: a zero mean, or a force at it out of range."""
 
 
 class DegreeError(RuntimeError):
@@ -51,6 +51,12 @@ class MultipleZeros(DegreeError):
     pass
 
 
+# the zero's residual bound, relative to |mean|
+_ZERO_RTOL = 1e-12
+# a force term below this rounds by more than _ZERO_RTOL of itself: the least subnormal over _ZERO_RTOL
+_LEAST_FORCE = math.ulp(0.0) / _ZERO_RTOL
+
+
 def find_zero_f0(c0: float, h_mean) -> State:
     """The unique zero of the autonomous field: p = 0, q = -sqrt(c0/|h|) h/|h|, with |h| from `mean_norm`.
 
@@ -58,9 +64,12 @@ def find_zero_f0(c0: float, h_mean) -> State:
     the force is h minus a term of the same size, so its rounding error
     scales with |h|.  Raises DegenerateForcing when the mean forcing
     vanishes (the force component c0 q/|q|^3 never vanishes at finite q),
-    or when r^-3 of the radius r = sqrt(c0/|h|), which the force at the
-    zero reads, is not a normal double: r is 0 or inf, or r^-3 over- or
-    underflows although r does not.
+    or when the force at the zero leaves the double range: r^-3 of the
+    radius r = sqrt(c0/|h|) is not a normal double (r is 0 or inf, or r^-3
+    over- or underflows although r does not), or a force term, the
+    coefficient c0 r^-3 = |h|/r or |h| itself, is so far below the normal
+    range (under _LEAST_FORCE = 4.9e-312) that its rounding alone misses
+    the residual bound, as when c0 r^-3 underflows to 0.
     """
     h_mean = np.asarray(h_mean, dtype=float)
     hn = mean_norm(h_mean)
@@ -68,12 +77,20 @@ def find_zero_f0(c0: float, h_mean) -> State:
         raise DegenerateForcing("mean forcing is zero; the autonomous field has no zero")
     radius = math.sqrt(float(c0) / hn)
     inverse_cube = power_law(1.0, radius, 3.0) if radius else math.inf
-    if not np.finfo(float).tiny <= inverse_cube < math.inf:
-        what = f"the equilibrium radius sqrt(c0/|mean|) = sqrt({c0:.6g}/{hn:.6g}) = {radius:g}"
-        raise DegenerateForcing(f"{what} leaves the double range: r^-3 = {inverse_cube:g}")
+    coefficient = float(c0) * inverse_cube
+    # (name, value, least value): the force at the zero reads r^-3 and its two terms of size |mean|
+    terms = (
+        ("r^-3", inverse_cube, np.finfo(float).tiny),
+        ("c0 r^-3", coefficient, _LEAST_FORCE),
+        ("|mean|", hn, _LEAST_FORCE),
+    )
+    for name, value, least in terms:
+        if not least <= value < math.inf:
+            what = f"the equilibrium radius sqrt(c0/|mean|) = sqrt({c0:.6g}/{hn:.6g}) = {radius:g}"
+            raise DegenerateForcing(f"{what} leaves the double range: {name} = {value:g}")
     x0 = State(q=-radius * (h_mean / hn), p=np.zeros(3))
     residual = math.hypot(*AutonomousField(c0, h_mean).value(x0.q, phi_inv(x0.p)))
-    tol = 1e-12 * hn
+    tol = _ZERO_RTOL * hn
     if not residual < tol:
         raise ArithmeticError(f"equilibrium residual {residual:.3e} exceeds {tol:.3e}")
     return x0

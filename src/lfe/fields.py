@@ -21,6 +21,13 @@ magnetic growth check, and for `c_B = auto` and the default (c1, beta)
 (`magnetic_ceiling`, `near_origin_constants`).  `closed_form` looks each
 one up, and names a kind that lacks it.
 
+Each kind also states which coordinate mirrors R_n (q_n -> -q_n) it
+commutes with, as `mirrors()`: the axes n with grad V(R_n q) = R_n grad V(q)
+or B(R_n q) = R_n B(q), and for the forcing R_n h(-t) = h(t).  A kind that
+states none, such as ABC, commutes with none.  `FieldConfig.mirrors()` is
+what the three parts share: under such a mirror the equation is
+reversible, which the shooting uses (`lfe.shooting`).
+
 Every potential and magnetic field takes one point `q` of shape (3,) or
 a cloud of shape (N, 3) through the same code path and returns the
 matching shape: `value(q)` gives a scalar or (N,), `gradient(q, rad)`
@@ -39,6 +46,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+# the coordinate axes, each the axis of a mirror R_n: q_n -> -q_n (`mirrors()`)
+_AXES = (0, 1, 2)
 
 
 class SingularityError(ValueError):
@@ -114,6 +125,10 @@ class GeneralizedCoulomb:
         """(c0, gamma): -q . grad V = c0 |q|^-gamma on every sphere, exactly."""
         return self.c0, self.gamma
 
+    def mirrors(self) -> tuple[int, ...]:
+        """Every coordinate mirror: V is radial."""
+        return _AXES
+
 
 # ---------------------------------------------------------------------------
 # Magnetic fields
@@ -136,6 +151,9 @@ class ZeroField(_PowerLawEnvelope):
     def envelope_law(self) -> tuple[float, float]:
         return 0.0, 0.0
 
+    def mirrors(self) -> tuple[int, ...]:
+        return _AXES
+
 
 @dataclass(frozen=True)
 class UniformField(_PowerLawEnvelope):
@@ -149,6 +167,10 @@ class UniformField(_PowerLawEnvelope):
 
     def envelope_law(self) -> tuple[float, float]:
         return math.hypot(*self.b), 0.0
+
+    def mirrors(self) -> tuple[int, ...]:
+        """The mirrors n with b_n = 0, the ones that fix b."""
+        return tuple(n for n in _AXES if self.b[n] == 0.0)
 
 
 @dataclass(frozen=True)
@@ -177,6 +199,10 @@ class DipoleField(_PowerLawEnvelope):
 
     def envelope_law(self) -> tuple[float, float]:
         return self.c1, 3.0
+
+    def mirrors(self) -> tuple[int, ...]:
+        """The mirrors n with mu_n = 0: then mu . R_n q = mu . q, so B(R_n q) = R_n B(q)."""
+        return tuple(n for n in _AXES if self.moment[n] == 0.0)
 
 
 @dataclass(frozen=True)
@@ -299,6 +325,21 @@ class Forcing:
     def is_constant(self) -> bool:
         return len(self.harmonics) == 0
 
+    def mirrors(self) -> tuple[int, ...]:
+        """The mirrors n with R_n h(-t) = h(t).
+
+        That is mean_n = 0, a_k,n = 0 for every cosine coefficient a_k, and
+        every sine coefficient b_k parallel to e_n, as R_n b_k = -b_k asks.
+        """
+
+        def reverses(n):
+            across = [i for i in _AXES if i != n]
+            return self.mean[n] == 0.0 and not any(
+                harm.cos_coeff[n] or harm.sin_coeff[across].any() for harm in self.harmonics
+            )
+
+        return tuple(n for n in _AXES if reverses(n))
+
     def l1_norm(self) -> float:
         """Integral of |h(t)| over one period.
 
@@ -401,6 +442,19 @@ class FieldConfig:
                 raise ValueError(f"{name} must be positive")
         if self.c1 < 0:
             raise ValueError("c1 must be >= 0")
+
+    def mirrors(self) -> tuple[int, ...]:
+        """The axes n of the mirrors that the potential, the magnetic field and the forcing all state.
+
+        Under each, with G = diag(R_n, -R_n) on (q, p), G x(-t) solves the
+        equation whenever x(t) does, at every lam: the family is reversible.
+        A part that states no `mirrors()` commutes with none.
+        """
+        common = set(_AXES)
+        for part in (self.potential, self.magnetic, self.forcing):
+            stated = getattr(part, "mirrors", None)
+            common &= set(stated() if stated is not None else ())
+        return tuple(sorted(common))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ that is used costs no interpolant.  `integrate` is the one place a
 dense output and counts.  A stack of N states is integrated as one
 6N-vector with shared step control: shooting integrates the Jacobian
 columns (perturbed copies of the orbit) in the same flow as the orbit,
-and the singularity guard watches every member of the stack.
+and the singularity guard watches every member of the stack.  A run of a
+reversible system over half a period, from Fix(G) to Fix(G), continues to
+the whole period as its G-image read backwards (`Trajectory.reflected`),
+with no further right-hand-side call.
 """
 
 from __future__ import annotations
@@ -182,8 +185,8 @@ class Trajectory:
         y = self.interpolant(t)
         return y.reshape(self.states.shape[1:] + y.shape[1:])
 
-    def warm_step(self, rtol: float) -> float:
-        """A first step for a flow over the same span at rtol, after this run at self.rtol.
+    def warm_step(self, rtol: float, span: float | None = None) -> float:
+        """A first step for a nearby flow over span (default: this run's) at rtol, after this run at self.rtol.
 
         The middle one of the sorted accepted steps, scaled by
         (rtol / self.rtol) ** (1 / 8), the step controller's exponent, and by its
@@ -195,12 +198,33 @@ class Trajectory:
         """
         steps = sorted(np.diff(self.ts).tolist())
         h = _SAFETY * steps[len(steps) // 2] * (rtol / self.rtol) ** (1 / (_ERROR_ORDER + 1))
-        return min(h, self.t1 - self.t0)
+        return min(h, self.t1 - self.t0 if span is None else span)
 
     def row(self, i: int) -> "Trajectory":
         """Member i of a stacked run, read from the shared nodes and its six columns of the interpolant."""
         interp, columns = self.interpolant, slice(6 * i, 6 * i + 6)
         return replace(self, states=self.states[:, i], interpolant=lambda t: interp(t, columns))
+
+    def reflected(self, g: np.ndarray) -> "Trajectory":
+        """This run of one state over [t0, t1], continued to [t0, 2 t1 - t0] by x(t1 + s) = G x(t1 - s).
+
+        G = diag(g) is a reversor of the system about t1, and x(t1) lies in
+        Fix(G): the run of a reversible system from Fix(G) to Fix(G) over
+        half a period gives the whole period so.  The second half's nodes
+        and dense output are the G-images of the first half's, read
+        backwards; rtol and the counts are this run's.
+        """
+        t1, interp = self.t1, self.interpolant
+
+        def interpolant(t):
+            t = np.asarray(t)
+            later = t > t1
+            sign = np.where(later, g.reshape(g.shape + (1,) * t.ndim), 1.0)
+            return sign * interp(np.where(later, 2.0 * t1 - t, t))
+
+        ts = np.concatenate([self.ts, 2.0 * t1 - self.ts[-2::-1]])
+        states = np.concatenate([self.states, g * self.states[-2::-1]])
+        return replace(self, ts=ts, states=states, interpolant=interpolant)
 
     def write_csv(self, path, n: int) -> None:
         """Write t,q1,q2,q3,p1,p2,p3 rows at n evenly spaced times from t0 to t1, both included."""

@@ -5,7 +5,46 @@ Newton iterates on the flow residual.  Its Jacobian is the forward
 finite-difference monodromy matrix, whose six columns are integrated in
 the same stacked flow as the trial orbit: one 42-vector run with shared
 step control gives both the residual and the monodromy at each trial
-point.  The continuation driver walks the deformation parameter from the
+point.
+
+Reversible shooting.  Let R be a coordinate mirror q_n -> -q_n and
+G = diag(R, -R) on (q, p).  When the potential, the magnetic field and
+the forcing all commute with R (`FieldConfig.mirrors`: grad V(Rq) =
+R grad V(q), B(Rq) = R B(q), R h(-t) = h(t)), the map x(t) -> G x(-t)
+takes solutions to solutions at every lam: the family is reversible, and
+the lam = 0 equilibrium lies in Fix(G) = {q_n = 0, p_i = 0 for i != n}.
+A start u in Fix(G) whose flow is in Fix(G) again at T/2 is a symmetric
+T-periodic orbit (Devaney, "Reversible diffeomorphisms and flows", Trans.
+AMS 218, 1976; Lamb & Roberts, Physica D 112, 1998; Munoz-Almaraz,
+Freire, Galan, Doedel & Vanderbauwhede, "Continuation of periodic orbits
+in conservative and Hamiltonian systems", Physica D 181, 2003).  So when
+the config has a mirror whose Fix(G) holds the guess, a solve takes the
+reversible path (`_shooting`, chosen once per solve): 3 equations, the
+off-Fix coordinates of y = phi_T/2(x0), in the 3 Fix(G) coordinates of
+x0, over half the period.  The same 7-member stack gives Phi =
+D phi_T/2(x0), whose columns [off, fix] are the Jacobian; one right-hand
+side call costs about the same for 1 row or 7.  The full-period facts
+follow from the half flow, since phi_T = G phi_T/2^-1 G phi_T/2 on Fix(G):
+
+- the monodromy M = G Phi^-1 G Phi, which gives det(I - M);
+- the residual G Phi^-1 (G y - y), the linearization of phi_T(x0) - x0,
+  whose sup-norm convergence is read from;
+- the one-period trajectory, whose second half is x(t) = G x(T - t)
+  (`Trajectory.reflected`).
+
+det M = det Phi^-1 det Phi = 1 holds on this path by construction, so it
+is no independent check of the flow there, as it is of a full-period
+difference monodromy (Liouville: the deformed field is divergence-free).
+A config with no common mirror, a guess outside every Fix(G), or a guess
+with a coordinate too large for x0 + _FD_STEP e_i to differ from it
+(Phi would be singular) takes the full path: [0, T], six unknowns,
+Jacobian M - I.  A reversible solve keeps x0 in Fix(G) exactly, so a
+continuation stays on the symmetric branch until the branch check or a
+failed solve stops it; a symmetry-breaking bifurcation, where M - I gains
+a kernel off Fix(G) while the reduced Jacobian stays regular, shows as a
+small `sigma_min_M_minus_I` in `OrbitSolution.symmetry`.
+
+The continuation driver walks the deformation parameter from the
 autonomous equilibrium at lam = 0 toward the full equation at lam = 1.
 Its step lengths come from Newton's contraction (Deuflhard, "Newton
 Methods for Nonlinear Problems", 2004, section 5.1; Allgower & Georg,
@@ -56,16 +95,18 @@ Newton iteration, so it adds no `newton_trace` entry and does not count
 against max_iterations.  Each `newton_trace` entry records the `rtol`
 of its accepted trial flow.
 
-Flows are warm-started.  Each flow integrates the same period from a
+Flows are warm-started.  Each flow integrates the same span from a
 state close to its predecessor's, so it takes its first step from the
 predecessor's steps (`Trajectory.warm_step`): their middle one, scaled
 by (rtol / rtol_prev) ** (1/8), the step controller's exponent, and by
-its safety factor 0.9, instead of the initial-step heuristic; rtol_prev
-is the rtol the predecessor ran at, which it records (`Trajectory.rtol`).
-Within a solve the predecessor is the iterate's flow; the guess of a
-continuation step after the first follows the previous accepted orbit's
-flow.  The first flow of a solve without a previous orbit starts cold:
-that of `find-orbit`, and the first continuation step's guess.
+its safety factor 0.9, instead of the initial-step heuristic, and at
+most the span; rtol_prev is the rtol the predecessor ran at, which it
+records (`Trajectory.rtol`).  Within a solve the predecessor is the
+iterate's flow; the guess of a continuation step after the first follows
+the previous accepted orbit's trajectory (on the reversible path its
+reflection, whose steps are the half flow's, each twice).  The first
+flow of a solve without a previous orbit starts cold: that of
+`find-orbit`, and the first continuation step's guess.
 
 The lam = 0 start is no solve (`equilibrium_orbit`).  It is the
 equilibrium (q*, 0) of `find_zero_f0`, whose linearized flow over the
@@ -82,6 +123,7 @@ import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,23 +209,27 @@ class ShootingProblem:
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
-    def flow(self, x0: State | np.ndarray, first_step: float | None = None) -> Trajectory:
-        period = self.system.config.forcing.period
-        return integrate(self.system, x0, (0.0, period), self.lam, self.integrator, first_step=first_step)
+    def flow(
+        self, x0: State | np.ndarray, first_step: float | None = None, span: float | None = None
+    ) -> Trajectory:
+        """The flow of x0 over [0, span], by default one period."""
+        span = self.system.config.forcing.period if span is None else span
+        return integrate(self.system, x0, (0.0, span), self.lam, self.integrator, first_step=first_step)
 
     def flow_with_monodromy(
-        self, x0: np.ndarray, first_step: float | None = None
+        self, x0: np.ndarray, first_step: float | None = None, span: float | None = None
     ) -> tuple[Trajectory, np.ndarray]:
-        """The time-T orbit of the flat state x0 and the forward-difference monodromy at x0.
+        """The orbit of the flat state x0 over [0, span] and the forward-difference Jacobian of that flow at x0.
 
+        span is one period by default, and the Jacobian is the monodromy.
         x0 and its six perturbations x0 + _FD_STEP e_i are integrated as one
-        stacked flow, so column i of the monodromy differences two members
+        stacked flow, so column i of the Jacobian differences two members
         that took the same steps.  A perturbed member that crosses the guard
         radius raises SingularityApproach like the orbit itself.  first_step
         is passed to `integrate`.
         """
         stack = x0 + np.vstack([np.zeros(6), _FD_STEP * np.eye(6)])
-        traj = self.flow(stack, first_step)
+        traj = self.flow(stack, first_step, span)
         end = traj.states[-1]
         return traj.row(0), (end[1:] - end[0]).T / _FD_STEP
 
@@ -211,8 +257,11 @@ class OrbitSolution:
 
     flow gives the orbit's one-period `Trajectory`; `trajectory` calls it
     once, when first read, so the closed-form lam = 0 start is flowed only
-    if something reads it.  index_det is det(I - M), set where M is made;
-    its sign is minus the orbit's fixed-point index.
+    if something reads it, and the half-period flow of a reversible solve
+    is reflected only then.  index_det is det(I - M), set where M is made;
+    its sign is minus the orbit's fixed-point index.  shooting names the
+    path that solved it (`_shooting`): "full", "reversible <axis>", or
+    "closed form" for the lam = 0 start.
     """
 
     system: HomotopySystem
@@ -224,6 +273,7 @@ class OrbitSolution:
     index_det: float
     # per Newton iteration: the residual sup-norm it started from, its damping alpha and trial rtol
     newton_trace: list
+    shooting: str = "full"
 
     @functools.cached_property
     def trajectory(self) -> Trajectory:
@@ -244,6 +294,26 @@ class OrbitSolution:
             return 0.0
         r1 = trace[1]["residual"] if len(trace) > 1 else self.residual_norm
         return r1 / trace[0]["residual"]
+
+    @functools.cached_property
+    def symmetry(self) -> dict:
+        """The path that solved the orbit, the smallest singular value of M - I and the symmetry defect.
+
+        Computed when first read, for the continuation history and the
+        orbit record alike.  The singular value is near 0 where M gains
+        the eigenvalue 1.  At a symmetry-breaking bifurcation that happens
+        off Fix(G), where the reversible path's 3 x 3 Jacobian stays
+        regular, so this value is what names one.  The defect is min |x0 - G x0|_inf over the mirrors
+        of the config (`FieldConfig.mirrors`): 0 on a symmetric orbit, None
+        for a config with no mirror.
+        """
+        x0 = self.x0.as_array()
+        defects = (float(np.max(np.abs(x0 - _reversor(n) * x0))) for n in self.system.config.mirrors())
+        return {
+            "shooting": self.shooting,
+            "sigma_min_M_minus_I": float(np.linalg.svd(self.monodromy - np.eye(6), compute_uv=False)[-1]),
+            "symmetry_defect": min(defects, default=None),
+        }
 
     @functools.cached_property
     def diagnostics(self) -> dict:
@@ -311,20 +381,105 @@ def _drift_residual(problem: ShootingProblem, y: np.ndarray) -> float:
     return period * float(np.max(np.abs(problem.system.rhs_array(0.0, y, problem.lam))))
 
 
-def _flow_residual(problem: ShootingProblem, y: np.ndarray, rtol: float, previous: Trajectory | None):
-    """`flow_with_monodromy` at y and rtol, with the periodicity residual and its sup-norm.
+def _reversor(axis: int) -> np.ndarray:
+    """The diagonal of G = diag(R, -R) on (q, p), R the mirror q_axis -> -q_axis.
+
+    Fix(G) is where it is +1: q_axis = 0 and the two other momenta 0.
+    """
+    g = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    g[[axis, axis + 3]] *= -1.0
+    return g
+
+
+class _Flowed(NamedTuple):
+    """One flow of a solve, read by its `_Shooting`."""
+
+    traj: Trajectory  # the orbit's member of the stacked flow
+    res: np.ndarray  # the residual of the equations
+    jac: np.ndarray  # their Jacobian in the unknowns
+    norm: float  # the residual sup-norm of phi_T(x0) - x0 that convergence is read from
+    monodromy: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Shooting:
+    """The span, the unknowns and the residual map of one solve, chosen once (`_shooting`).
+
+    The full path (g None) flows [0, T]; its unknowns are all of x0, its
+    equations phi_T(x0) - x0 = 0, its Jacobian M - I.  The reversible path,
+    g the diagonal of a reversor G, flows [0, T/2]; its unknowns are the
+    Fix(G) coordinates of x0 (g = +1), its equations say that the off-Fix
+    coordinates (g = -1) of y = phi_T/2(x0) vanish, and its Jacobian is
+    Phi[off, fix], Phi = D phi_T/2(x0) the difference Jacobian of the flow.
+    """
+
+    name: str
+    span: float
+    g: np.ndarray | None = None
+
+    @property
+    def unknowns(self):
+        return slice(None) if self.g is None else self.g > 0.0
+
+    def read(self, x0: np.ndarray, traj: Trajectory, phi: np.ndarray) -> _Flowed:
+        """The flow traj of x0 and its Jacobian phi, read as equations, residual norm and monodromy.
+
+        On the reversible path M = G Phi^-1 G Phi and the residual is
+        G Phi^-1 (G y - y), the linearization of phi_T(x0) - x0, both from
+        one LU of Phi.  A singular Phi raises SingularJacobian.
+        """
+        y = traj.states[-1]
+        if self.g is None:
+            res = y - x0
+            return _Flowed(traj, res, phi - np.eye(6), float(np.max(np.abs(res))), phi)
+        g, off = self.g, self.g < 0.0
+        try:
+            solved = np.linalg.solve(phi, np.column_stack([g * y - y, g[:, None] * phi]))
+        except np.linalg.LinAlgError:
+            solved = None
+        if solved is None or not np.all(np.isfinite(solved)):
+            raise SingularJacobian(f"the Jacobian of the half-period flow is singular ({self.name} shooting)")
+        norm = float(np.max(np.abs(g * solved[:, 0])))
+        return _Flowed(traj, y[off], phi[np.ix_(off, ~off)], norm, g[:, None] * solved[:, 1:])
+
+    def one_period(self, traj: Trajectory) -> Callable[[], Trajectory]:
+        """The flow of the one-period trajectory of a solution whose flow is traj."""
+        if self.g is None:
+            return lambda: traj
+        return functools.partial(traj.reflected, self.g)
+
+
+def _shooting(problem: ShootingProblem, y: np.ndarray) -> _Shooting:
+    """The reversible path for the first mirror of the config whose Fix(G) holds y, else the full path.
+
+    The reversible path also needs each member y + _FD_STEP e_i of the
+    difference stack to differ from y: one that rounds to y would make Phi
+    singular.
+    """
+    period = problem.system.config.forcing.period
+    if np.all(y + _FD_STEP != y):
+        for axis in problem.system.config.mirrors():
+            g = _reversor(axis)
+            if np.array_equal(g * y, y):
+                return _Shooting(f"reversible {'xyz'[axis]}", 0.5 * period, g)
+    return _Shooting("full", period)
+
+
+def _flow_residual(
+    problem: ShootingProblem, shooting: _Shooting, y: np.ndarray, rtol: float, previous: Trajectory | None
+) -> _Flowed:
+    """`flow_with_monodromy` at y and rtol over shooting.span, read by shooting.
 
     The one place an rtol becomes an integrator config, with atol scaled by
-    the same factor.  previous, a flow over the same period, gives the first
+    the same factor.  previous, a flow of a nearby problem, gives the first
     step (`Trajectory.warm_step`); with previous None the flow starts cold.
     """
     cfg = problem.integrator
     if rtol != cfg.rtol:
         problem = replace(problem, integrator=replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol)))
-    first_step = None if previous is None else previous.warm_step(rtol)
-    traj, monodromy = problem.flow_with_monodromy(y, first_step)
-    res = traj.states[-1] - traj.states[0]
-    return traj, monodromy, res, float(np.max(np.abs(res)))
+    first_step = None if previous is None else previous.warm_step(rtol, shooting.span)
+    traj, phi = problem.flow_with_monodromy(y, first_step, shooting.span)
+    return shooting.read(y, traj, phi)
 
 
 def newton_shooting(
@@ -336,9 +491,12 @@ def newton_shooting(
     """Damped inexact Newton on the periodicity residual, Jacobian from the stacked flow.
 
     Iterates on the flat state [q, p], from guess.as_array() to the
-    solution's x0.  Every flow is `flow_with_monodromy`, so each trial
-    yields the monodromy at the trial point: an accepted trial's monodromy
-    is the next iteration's Jacobian.  Each step takes the first factor of
+    solution's x0, on the path `_shooting` chooses once: the full one, or
+    the reversible one, which moves only the Fix(G) coordinates of x0 and
+    flows half the period (module docstring).  Every flow is
+    `flow_with_monodromy`, so each trial yields the Jacobian at the trial
+    point: an accepted trial's Jacobian is the next iteration's.  Each
+    step takes the first factor of
     _DAMPING whose trial point lies in the search region, flows and lowers
     the residual sup-norm; convergence is that norm below
     problem.solver.newton_tol.  Each iteration's starting residual, damping
@@ -382,41 +540,44 @@ def newton_shooting(
     Raises NewtonDiverged (no decrease with any factor, the iteration cap,
     or round-off stagnation: a trial flow fails to lower a residual already
     within _ROUNDOFF * max(1, |x|_inf), so newton_tol is out of reach),
-    SingularJacobian (condition estimate above 1e12) or LeftDomain (the
-    guess, or every damped trial point, outside the search region).  A
-    failure raised after the first flow carries the iterations so far as
-    `newton_trace`.
+    SingularJacobian (condition estimate above 1e12, or a singular Phi of
+    the guess's half-period flow) or LeftDomain (the guess, or every
+    damped trial point, outside the search region).  A failure raised
+    once the path is chosen carries the iterations so far as
+    `newton_trace` and the path's name as `shooting`.
     """
     y = guess.as_array()
     bad = problem.violation(y)
     if bad is not None:
         raise LeftDomain(f"initial guess outside the search region: {bad}")
 
+    shooting = _shooting(problem, y)
     if predicted_residual is None:
         predicted_residual = _drift_residual(problem, y)
     rtol0 = problem.integrator.rtol
-    traj, monodromy, res, res_norm = _flow_residual(problem, y, _trial_rtol(rtol0, predicted_residual), previous)
-    rtol = _trial_rtol(rtol0, res_norm)
-    if rtol < traj.rtol:
-        traj, monodromy, res, res_norm = _flow_residual(problem, y, rtol, traj)
-
     tol = problem.solver.newton_tol
     trace = []
     try:
-        while res_norm >= tol or traj.rtol != rtol0:
-            if res_norm < tol:
+        flowed = _flow_residual(problem, shooting, y, _trial_rtol(rtol0, predicted_residual), previous)
+        rtol = _trial_rtol(rtol0, flowed.norm)
+        if rtol < flowed.traj.rtol:
+            flowed = _flow_residual(problem, shooting, y, rtol, flowed.traj)
+
+        while flowed.norm >= tol or flowed.traj.rtol != rtol0:
+            if flowed.norm < tol:
                 # the confirming re-flow: convergence is read at the configured tolerance
-                traj, monodromy, res, res_norm = _flow_residual(problem, y, rtol0, traj)
+                flowed = _flow_residual(problem, shooting, y, rtol0, flowed.traj)
                 continue
+            res_norm = flowed.norm
             if len(trace) >= problem.solver.max_iterations:
                 raise NewtonDiverged(
                     f"residual {res_norm:.3e} after {len(trace)} iterations (tol {tol:g})"
                 )
-            jac = monodromy - np.eye(6)
-            cond = float(np.linalg.cond(jac))
+            cond = float(np.linalg.cond(flowed.jac))
             if not math.isfinite(cond) or cond > 1e12:
                 raise SingularJacobian(f"shooting Jacobian condition estimate {cond:.3e}")
-            delta = np.linalg.solve(jac, -res)
+            delta = np.zeros(6)
+            delta[shooting.unknowns] = np.linalg.solve(flowed.jac, -flowed.res)
             rtol = _trial_rtol(rtol0, res_norm)
             if trace and res_norm * (res_norm / trace[-1]["residual"]) ** 2 < tol:
                 rtol = rtol0  # predicted to converge: convergence is read from this flow
@@ -426,13 +587,12 @@ def newton_shooting(
                 if problem.violation(y_try) is not None:
                     continue
                 try:
-                    traj_try, monodromy_try, res_try, res_try_norm = _flow_residual(problem, y_try, rtol, traj)
+                    trial = _flow_residual(problem, shooting, y_try, rtol, flowed.traj)
                 except SolverError:
                     continue
-                if res_try_norm < res_norm:
+                if trial.norm < res_norm:
                     trace.append({"residual": res_norm, "alpha": alpha, "rtol": rtol})
-                    y, traj, monodromy = y_try, traj_try, monodromy_try
-                    res, res_norm = res_try, res_try_norm
+                    y, flowed = y_try, trial
                     break
                 if res_norm <= _ROUNDOFF * max(1.0, float(np.max(np.abs(y)))):
                     raise NewtonDiverged(
@@ -448,18 +608,19 @@ def newton_shooting(
                     f"(residual {res_norm:.3e})"
                 )
     except SolverError as err:
-        err.newton_trace = trace
+        err.newton_trace, err.shooting = trace, shooting.name
         raise
 
     return OrbitSolution(
         system=problem.system,
         lam=problem.lam,
         x0=State.from_array(y),
-        flow=lambda traj=traj: traj,
-        residual_norm=res_norm,
-        monodromy=monodromy,
-        index_det=float(np.linalg.det(np.eye(6) - monodromy)),
+        flow=shooting.one_period(flowed.traj),
+        residual_norm=flowed.norm,
+        monodromy=flowed.monodromy,
+        index_det=float(np.linalg.det(np.eye(6) - flowed.monodromy)),
         newton_trace=trace,
+        shooting=shooting.name,
     )
 
 
@@ -508,6 +669,7 @@ def equilibrium_orbit(problem: ShootingProblem, x0: State) -> OrbitSolution:
         monodromy=linear.monodromy(),
         index_det=linear.index_det(),
         newton_trace=[],
+        shooting="closed form",
     )
 
 
@@ -584,9 +746,11 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     took no iteration) times dlam / dlam_prev.  Each attempt adds one
     `history` record with the rtol its guess was first flowed at
     (`guess_rtol`, that of the predicted residual), its Newton
-    iterations (`newton_trace`, up to the failure for a failed solve), and
-    the solved orbit's `theta0` and det(I - M) (`index_det`), both None for
-    a failed solve.
+    iterations (`newton_trace`, up to the failure for a failed solve), the
+    solved orbit's `theta0` and det(I - M) (`index_det`), and its
+    `OrbitSolution.symmetry`: the path (`shooting`), the smallest singular
+    value of M - I and the symmetry defect |x0 - G x0|_inf.  A failed solve
+    has None for all of these but `shooting`.
 
     Budget, from target_lambda and dlam_floor alone: h = max(0,
     ceil(log2(target_lambda / dlam_floor))) halvings take the whole
@@ -630,8 +794,10 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
             sol = newton_shooting(guess, step_problem, predicted, previous)
         except SolverError as err:
             reason, trace = str(err), getattr(err, "newton_trace", [])
+            symmetry = dict.fromkeys(("shooting", "sigma_min_M_minus_I", "symmetry_defect"))
+            symmetry["shooting"] = getattr(err, "shooting", None)
         else:
-            trace, theta0, index_det = sol.newton_trace, sol.theta0, sol.index_det
+            trace, theta0, index_det, symmetry = sol.newton_trace, sol.theta0, sol.index_det, sol.symmetry
             region = problem.region
             checks = [] if region is None else region_checks(sol.trajectory.states, region)
             reason = violation = next((check.detail for check in checks if not check.passed), None)
@@ -650,6 +816,7 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
                 "newton_trace": trace,
                 "theta0": theta0,
                 "index_det": index_det,
+                **symmetry,
             }
         )
         if violation is not None:

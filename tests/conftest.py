@@ -200,10 +200,10 @@ def desk_start(desk_problem):
 
 @pytest.fixture(scope="session")
 def desk_continuation(desk_problem, desk_start):
-    """The two-step desk continuation path and its recorded shooting flows (`recorded_flows`).
+    """The desk continuation path with a first step of 0.1 and its recorded shooting flows (`recorded_flows`).
 
-    Its first step is dlam_init = 0.1, so the second is sized from the
-    first's contraction and starts from a warm, predicted guess.
+    Its first step is dlam_init = 0.1, so each later one is sized from the
+    contraction of the one before and starts from a warm, predicted guess.
     """
     problem = replace(desk_problem, solver=SolverOptions(dlam_init=0.1))
     with pytest.MonkeyPatch.context() as patch:
@@ -244,10 +244,40 @@ def counted_identities(monkeypatch) -> list:
     return calls
 
 
+def flowed_from(traj: Trajectory, flowed: Trajectory) -> bool:
+    """Whether traj is the orbit of the recorded stacked flow flowed.
+
+    That is its first member, or, for a reversible solve, that member
+    reflected to the whole period (`Trajectory.reflected`).
+    """
+    if traj.ts is flowed.ts:
+        return True
+    n = len(flowed.ts)
+    return (
+        traj.t1 == 2.0 * flowed.t1
+        and np.array_equal(traj.ts[:n], flowed.ts)
+        and np.array_equal(traj.states[:n], flowed.states[:, 0])
+    )
+
+
 def first_step_of(flows: list, traj) -> float | None:
-    """The first_step of the one recorded flow whose nodes are those of traj."""
-    (first_step,) = [step for _, flowed, step in flows if flowed.ts is traj.ts]
+    """The first_step of the one recorded flow that traj is the orbit of (`flowed_from`)."""
+    (first_step,) = [step for _, flowed, step in flows if flowed_from(traj, flowed)]
     return first_step
+
+
+def read_flow(problem: ShootingProblem, flowed: Trajectory):
+    """A recorded stacked flow of a solve of problem, read as the solve reads it (`_Shooting.read`)."""
+    y, end = flowed.states[0, 0], flowed.states[-1]
+    shooting = lfe.shooting._shooting(problem, y)
+    return shooting.read(y, flowed.row(0), (end[1:] - end[0]).T / lfe.shooting._FD_STEP)
+
+
+def reflow(problem: ShootingProblem, x0: State, first_step: float | None):
+    """The flow of a solve of problem at x0 again, read as the solve reads it: its residual norm and monodromy."""
+    y = x0.as_array()
+    shooting = lfe.shooting._shooting(problem, y)
+    return shooting.read(y, *problem.flow_with_monodromy(y, first_step, shooting.span))
 
 
 def loosened(cfg: IntegratorConfig, rtol: float) -> IntegratorConfig:

@@ -70,9 +70,9 @@ seed = {SEED}
 """
 
 
-# the desk scenario with a first continuation step of 0.1: the second step is sized from the
-# first's contraction, and its guess is warm-started at a predicted tolerance
-DESK_TWO_STEP_CONFIG = DESK_CONFIG.replace("[solver]\n", "[solver]\ndlam_init = 0.1\n")
+# the desk scenario with a first continuation step of 0.1: each later step is sized from the
+# contraction of the one before, and its guess is warm-started at a predicted tolerance
+DESK_SHORT_FIRST_STEP_CONFIG = DESK_CONFIG.replace("[solver]\n", "[solver]\ndlam_init = 0.1\n")
 
 
 def run_continue(base, text: str) -> dict:
@@ -96,9 +96,9 @@ def a6_run(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def desk_two_step_run(tmp_path_factory):
-    """The desk scenario through `continue` with a first step of 0.1: two steps."""
-    return run_continue(tmp_path_factory.mktemp("desk-two-step"), DESK_TWO_STEP_CONFIG)
+def desk_short_first_step_run(tmp_path_factory):
+    """The desk scenario through `continue` with a first step of 0.1: three steps, to 0.1, 0.775 and 1."""
+    return run_continue(tmp_path_factory.mktemp("desk-short-first-step"), DESK_SHORT_FIRST_STEP_CONFIG)
 
 
 def test_run_report_records_the_newton_trace(a6_run):
@@ -110,28 +110,34 @@ def test_run_report_records_the_newton_trace(a6_run):
     assert all(b < a for a, b in zip(residuals, residuals[1:]))
 
 
-def test_run_report_records_every_newton_trace_and_the_rejected_steps(desk_two_step_run):
-    report = desk_two_step_run["report"]
+def test_run_report_records_every_newton_trace_and_the_rejected_steps(desk_short_first_step_run):
+    report = desk_short_first_step_run["report"]
     history = report["continuation"]["history"]
-    assert [len(h["newton_trace"]) for h in history] == [3, 4]
+    assert [len(h["newton_trace"]) for h in history] == [3, 4, 3]
     # each step's first contraction and det(I - M) of its orbit
     assert [h["theta0"] for h in history] == [
         h["newton_trace"][1]["residual"] / h["newton_trace"][0]["residual"] for h in history
     ]
     assert all(h["index_det"] > 0.0 for h in history)
     assert history[-1]["newton_trace"] == report["final_orbit"]["newton_trace"]
-    # step control rejected one trial step in the final orbit's flow (two with a cold start)
-    assert report["final_orbit"]["n_rejected"] == 1
+    # each orbit is symmetric, solved on the reversible path, and M - I stays far from singular
+    symmetry = ("shooting", "sigma_min_M_minus_I", "symmetry_defect")
+    assert all(h["shooting"] == "reversible y" and h["symmetry_defect"] == 0.0 for h in history)
+    assert all(h["sigma_min_M_minus_I"] > 0.1 for h in history)
+    assert [report["final_orbit"][key] for key in symmetry] == [history[-1][key] for key in symmetry]
+    # step control rejected no trial step in the final orbit's half-period flow (one in the
+    # full-period flow of the two-step path that full shooting took)
+    assert report["final_orbit"]["n_rejected"] == 0
 
 
-def test_desk_csv_cells_are_the_repr_of_the_python_numbers_they_hold(desk_two_step_run):
+def test_desk_csv_cells_are_the_repr_of_the_python_numbers_they_hold(desk_short_first_step_run):
     # the bytes of the per-cell repr(float(x)) format, str(x) for an int: a numpy scalar in a row
     # would write its type's name, and a float that does not read back exactly would differ
     def cell(text):
         return text if text.lstrip("-").isdigit() else repr(float(text))
 
     for name, columns in (("orbit.csv", 7), ("continuation.csv", 4)):
-        data = (desk_two_step_run["out"] / name).read_bytes()
+        data = (desk_short_first_step_run["out"] / name).read_bytes()
         header, *rows = data.decode("utf-8").split("\n")[:-1]
         assert len(header.split(",")) == columns and len(rows) > 2
         expected = [header] + [",".join(cell(text) for text in row.split(",")) for row in rows]
@@ -167,27 +173,33 @@ def test_desk_path_takes_fewer_newton_iterations_than_the_fixed_rule(tmp_path, m
 
 
 # A scenario atlas: the desk config with its period T and the x-amplitude of harmonic_1_cos changed.
-# (T, amplitude) -> (exit code, continuation status, at most this many Newton iterations on the path).
-# Each path that reaches lambda = 1 does so in one step.  With a first step of 0.1 the paths took
-# 22 iterations at (2, 1), 93 at (3, 1) and 395 (about 15 s) at (2.6, 1), and the one at (2.6, 5)
-# ended in stepsize_underflow after 610.
+# (T, amplitude) -> (exit code, continuation status, the accepted lambdas, at most this many Newton
+# iterations on the path).  Each path solves symmetric orbits on the reversible path (mirror y).
+# With a first step of 0.1 the full-period paths took 22 iterations at (2, 1), 93 at (3, 1) and 395
+# (about 15 s) at (2.6, 1), and the one at (2.6, 5) ended in stepsize_underflow after 610; with the
+# whole-interval first step they took 8, 15, 12 and 14, and three of them, (2.6, 1), (2.6, 5) and
+# (3, 1), ended off the symmetric branch.
 ATLAS = {
-    ("1", "1"): (0, "reached_target", 5),
-    ("1", "5"): (0, "reached_target", 5),
-    ("2", "1"): (0, "reached_target", 8),
-    ("2", "5"): (0, "reached_target", 10),
-    ("2.6", "1"): (0, "reached_target", 12),
-    ("2.6", "5"): (0, "reached_target", 14),
-    ("3", "1"): (0, "reached_target", 15),
+    ("1", "1"): (0, "reached_target", [1.0], 5),
+    ("1", "5"): (0, "reached_target", [1.0], 5),
+    ("2", "1"): (0, "reached_target", [1.0], 6),
+    ("2", "5"): (0, "reached_target", [1.0], 5),
+    # the whole-interval step converges to a symmetric orbit with det(I - M) = -55.65, on another
+    # branch, which the branch check rejects; the path then goes through lambda = 0.5
+    ("2.6", "1"): (0, "reached_target", [0.5, 1.0], 15),
+    ("2.6", "5"): (0, "reached_target", [1.0], 6),
+    # next to the resonance T_res = 2.6418 of the lambda = 0 orbit
+    ("2.6", "0.1"): (0, "reached_target", [0.5, 0.7911613387245143, 1.0], 19),
+    ("3", "1"): (0, "reached_target", [1.0], 5),
     # the certificate stops: its momentum bound M leaves double range (m ~ 5e-90)
-    ("3", "5"): (2, None, None),
+    ("3", "5"): (2, None, None, None),
 }
 
 
 @pytest.mark.parametrize("cell", ATLAS, ids=lambda cell: f"T{cell[0]}-amplitude{cell[1]}")
 def test_desk_atlas_cell_status_and_newton_iterations(tmp_path, cell):
     period, amplitude = cell
-    code, status, iterations = ATLAS[cell]
+    code, status, accepted, iterations = ATLAS[cell]
     text = DESK_CONFIG.replace("period = 1.0", f"period = {period}")
     run = run_continue(tmp_path, text.replace("harmonic_1_cos = 0.1 0 0", f"harmonic_1_cos = {amplitude} 0 0"))
     assert run["exit_code"] == code
@@ -197,16 +209,20 @@ def test_desk_atlas_cell_status_and_newton_iterations(tmp_path, cell):
         assert run["report"]["certificate_error"].startswith("momentum bound M")
     else:
         history = continuation["history"]
-        assert [step["lambda"] for step in history if step["accepted"]] == [1.0]
+        assert [step["lambda"] for step in history if step["accepted"]] == pytest.approx(accepted, rel=1e-9)
         assert sum(len(step["newton_trace"]) for step in history) <= iterations
+        # the final orbit lies in Fix(G) = {y = 0, p_x = 0, p_z = 0} exactly: on the symmetric branch
+        final = run["report"]["final_orbit"]
+        assert final["shooting"] == "reversible y" and final["symmetry_defect"] == 0.0
+        assert [final["x0_q"][1], final["x0_p"][0], final["x0_p"][2]] == [0.0, 0.0, 0.0]
 
 
 @pytest.fixture(scope="module")
 def desk_flows(tmp_path_factory):
-    """The two-step desk scenario through `continue` with every shooting flow recorded: (flows, run_report.json)."""
+    """The desk scenario with a first step of 0.1 through `continue`, every shooting flow recorded: (flows, run_report.json)."""
     base = tmp_path_factory.mktemp("desk-flows")
     config = base / "desk.ini"
-    config.write_text(DESK_TWO_STEP_CONFIG, encoding="utf-8")
+    config.write_text(DESK_SHORT_FIRST_STEP_CONFIG, encoding="utf-8")
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("LFE_VERBOSITY", "0")
         flows = recorded_flows(patch)
@@ -237,7 +253,7 @@ def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk, desk_flo
     ]
     expected = [max(rtol0, min(1e-6, 1e-4 * r)) for r in predicted]
     assert [by_lambda[step["lambda"]][0] for step in history] == expected
-    assert [step["guess_rtol"] for step in history] == expected == [1e-6] * 2
+    assert [step["guess_rtol"] for step in history] == expected == [1e-6] * 3
     # every converged orbit is read from a flow at rtol0: the last one at its lambda
     assert all(rtols[-1] == rtol0 for rtols in by_lambda.values())
 
@@ -254,11 +270,10 @@ def test_desk_continue_takes_fewer_than_160_integrator_steps(desk_flows):
 def test_desk_continue_reads_each_convergence_from_its_last_trial(desk_flows):
     # each step's last iteration is predicted to converge, so its trial flows at rtol0 and no
     # converged loose trial is flowed once more: per step one guess flow and one trial per
-    # iteration, 9 flows (10 when the lambda = 0 start was flowed, 13 on the three-step path of
-    # the sqrt rule)
+    # iteration, 13 flows on the three steps (9 on the two steps of the full-period path)
     flows, report = desk_flows
     history = report["continuation"]["history"]
-    assert len(flows) == sum(1 + len(step["newton_trace"]) for step in history) == 9
+    assert len(flows) == sum(1 + len(step["newton_trace"]) for step in history) == 13
     assert all(step["newton_trace"][-1]["rtol"] == IntegratorConfig().rtol for step in history)
 
 
@@ -269,9 +284,11 @@ def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):
     assert [(traj.lam, step is None) for _, traj, step in flows[:2]] == [(0.1, True), (0.1, False)]
     assert all(step is not None for _, _, step in flows[1:])
     # 34 rejected steps and 2656 right-hand-side calls when every flow starts cold, and 25 and
-    # 2174 when the warm first step leaves out the step controller's safety factor
-    assert sum(traj.n_rejected for _, traj, _ in flows) <= 20
-    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 2102
+    # 2174 when the warm first step leaves out the step controller's safety factor; the 9
+    # full-period flows of the two-step path took 10 and 754, the 13 half-period flows take 3 and 602
+    assert {traj.t1 for _, traj, _ in flows} == {0.5}
+    assert sum(traj.n_rejected for _, traj, _ in flows) <= 3
+    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 602
 
 
 def test_desk_continue_computes_the_identities_of_the_final_orbit_only(tmp_path, monkeypatch):
@@ -487,8 +504,8 @@ def test_a7_identity_suite(desk_start, desk_path):
             assert diag["virial_lhs"] < 0.0
             worst_virial = max(worst_virial, diag["virial_lhs"])
         checked += 1
-    # the lambda = 0 start, counted twice, and the two steps of the desk path
-    ok = worst_mean <= 1e-6 and checked == 4
+    # the lambda = 0 start, counted twice, and the three steps of the desk path
+    ok = worst_mean <= 1e-6 and checked == 5
     report(
         "A7",
         ok,

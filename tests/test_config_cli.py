@@ -550,6 +550,9 @@ def test_cli_continue_history_records_failed_newton_traces(tmp_path):
     failed = [h for h in history if not h["accepted"]]
     assert failed and all(h["reason"].startswith("residual ") for h in failed)
     assert all(len(h["newton_trace"]) == 1 for h in failed)
+    # a failed solve names its path; it has no monodromy, so no singular value, and no x0
+    assert all(h["shooting"] == "reversible y" for h in failed)
+    assert all(h["sigma_min_M_minus_I"] is h["symmetry_defect"] is None for h in failed)
     assert all(0.0 < h["newton_trace"][0]["alpha"] <= 1.0 for h in history)
 
 
@@ -570,16 +573,19 @@ def test_cli_continue_reports_the_trial_tolerance_of_every_newton_iteration(tmp_
     assert [entry["rtol"] for entry in trace] == [
         1e-10 if predicted else max(1e-10, min(1e-6, 1e-4 * r)) for r, predicted in zip(residuals, converging)
     ]
-    # the third trial, predicted to converge, misses newton_tol (3.0e-9): Newton goes on from it
-    assert converging == [False, False, True, True] and residuals[3] > 1e-9
-    assert [entry["rtol"] for entry in trace] == [1e-6, 1e-4 * residuals[1], 1e-10, 1e-10]
+    # the third trial, predicted to converge, meets newton_tol (9.9e-10) on the reversible path;
+    # on the full-period path it missed it (3.0e-9), and Newton went on from it to a fourth
+    assert step["shooting"] == "reversible y"
+    assert converging == [False, False, True] and payload["final_orbit"]["residual_norm"] < 1e-9
+    assert [entry["rtol"] for entry in trace] == [1e-6, 1e-4 * residuals[1], 1e-10]
     # the guess flows at the tolerance of its drift over the period, which is capped
     assert step["guess_rtol"] == 1e-6
     assert "rtol" not in (out / "run_report.txt").read_text()
 
 
 def test_cli_find_orbit_stops_at_round_off_stagnation(tmp_path, monkeypatch):
-    # the exact equilibrium has residual 1.1e-16; newton_tol = 1e-300 cannot be reached
+    # the exact equilibrium has residual 1.7e-16 (read from its half-period flow, reversible
+    # about the x mirror); newton_tol = 1e-300 cannot be reached
     flows = []
     integrate = lfe.shooting.integrate
     monkeypatch.setattr(lfe.shooting, "integrate", lambda *a, **k: flows.append(1) or integrate(*a, **k))
@@ -587,10 +593,12 @@ def test_cli_find_orbit_stops_at_round_off_stagnation(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 3
     assert (out / "orbit_report.txt").read_text() == (
-        "shooting failed: round-off stagnation: residual 1.110e-16 is at round-off level and "
+        "shooting failed: round-off stagnation: residual 1.733e-16 is at round-off level and "
         "a trial step does not lower it; newton_tol = 1e-300 is unreachable in double precision\n"
     )
-    assert len(flows) <= 2  # the guess's flow and at most one trial flow
+    # the guess's flow and two trial flows: the first lowers the residual by 5e-25, at round-off,
+    # and the second does not (on the full-period path, the first trial did not)
+    assert len(flows) == 3
 
 
 def test_cli_find_orbit_trial_flows_take_fewer_steps_than_configured_ones(tmp_path, monkeypatch):
@@ -620,18 +628,19 @@ def test_cli_find_orbit_trial_flows_take_fewer_steps_than_configured_ones(tmp_pa
 
 
 def test_cli_reports_the_rejected_steps_of_the_orbit(tmp_path):
-    # at lambda = 1 with c_B = 0.2, step control rejects one trial step of the desk orbit's
-    # flow, which takes its first step from the previous flow's steps
+    # at lambda = 1 with c_B = 0.2, step control rejects no trial step of the desk orbit's
+    # half-period flow, which takes its first step from the previous flow's steps (it rejected
+    # one of the full-period flow)
     text = DESK.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
     out = tmp_path / "out"
     assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
-    assert json.loads((out / "orbit_report.json").read_text())["n_rejected"] == 1
+    assert json.loads((out / "orbit_report.json").read_text())["n_rejected"] == 0
     assert "n_rejected" not in (out / "orbit_report.txt").read_text()
 
 
 def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path, monkeypatch):
-    # the benchmark's desk-orbit scenario: its final residual, 8.6e-10, sits 14 % below
-    # newton_tol, so a small drift in the flows would cost a fifth iteration and flow
+    # the benchmark's desk-orbit scenario, a symmetric orbit solved on the reversible path: its
+    # final residual is 1.0e-10 (8.6e-10, 14 % below newton_tol, on the full-period path)
     flows = recorded_flows(monkeypatch)
     text = DESK.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
     out = tmp_path / "out"
@@ -641,7 +650,7 @@ def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path, monkeypatc
     assert orbit["residual_norm"] < lfe.shooting.SolverOptions().newton_tol
     trace = orbit["newton_trace"]
     # the guess flows cold at the tolerance of its drift over the period, 2.0, so at the cap
-    # 1e-6 (its residual, 0.31, asks for no tighter flow); each iteration flows one warm trial,
+    # 1e-6 (its residual, 0.34, asks for no tighter flow); each iteration flows one warm trial,
     # the last, predicted to converge, at rtol0 = 1e-10, and that flow gives the orbit
     assert [(cfg.rtol, first_step is None) for cfg, _, first_step in flows] == [
         (1e-6, True),
@@ -652,9 +661,13 @@ def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path, monkeypatc
     ]
     assert [entry["rtol"] for entry in trace] == [cfg.rtol for cfg, _, _ in flows[1:]]
     assert len({tuple(traj.states[0, 0]) for _, traj, _ in flows}) == 5
+    # every flow spans half the period, and x0 lies in Fix(G) = {y = 0, p_x = 0, p_z = 0}
+    assert orbit["shooting"] == "reversible y"
+    assert [(traj.t0, traj.t1) for _, traj, _ in flows] == [(0.0, 0.5)] * 5
+    assert [orbit["x0_q"][1], orbit["x0_p"][0], orbit["x0_p"][2]] == [0.0, 0.0, 0.0]
     # 667 right-hand-side calls in 6 flows with the guess at rtol0 and the converged loose trial
-    # flowed once more
-    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 430
+    # flowed once more, and 426 in the 5 full-period flows
+    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 258
 
 
 def test_cli_light_continue_flows_once_at_the_configured_tolerance(tmp_path, monkeypatch):
@@ -807,19 +820,22 @@ def test_cli_find_orbit_text_matches_json(tmp_path):
         expected = payload[key] if isinstance(payload[key], list) else [payload[key]]
         assert [float(v) for v in value.split()] == expected, key
         keys.append(key)
-    assert sorted(keys) == sorted(set(payload) - {"monodromy", "newton_trace", "n_rejected"})
+    solver_data = {"monodromy", "newton_trace", "n_rejected", "shooting", "sigma_min_M_minus_I", "symmetry_defect"}
+    assert sorted(keys) == sorted(set(payload) - solver_data)
 
 
 def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
-    radius = "the equilibrium radius sqrt(c0/|mean|) = sqrt({}) = {} leaves the double range: r^-3 = {}"
+    radius = "the equilibrium radius sqrt(c0/|mean|) = sqrt({}) = {} leaves the double range: {} = {}"
     # (c0, mean, message, exit code of validate): a zero mean, an equilibrium radius r = sqrt(c0/|mean|)
-    # that underflows to 0 or overflows to inf, and a finite r whose r^-3 overflows or underflows
+    # that underflows to 0 or overflows to inf, a finite r whose r^-3 overflows or underflows, and a
+    # normal r^-3 whose force coefficient c0 r^-3 underflows
     cases = [
         ("1.0", "0 0 0", "mean forcing is zero; the autonomous field has no zero", 2),
-        ("1e-300", "0 0 1e150", radius.format("1e-300/1e+150", "0", "inf"), 0),
-        ("1e300", "0 0 1e-150", radius.format("1e+300/1e-150", "inf", "0"), 2),
-        ("1e-200", "0 0 1e100", radius.format("1e-200/1e+100", "1e-150", "inf"), 0),
-        ("1e200", "0 0 1e-100", radius.format("1e+200/1e-100", "1e+150", "0"), 2),
+        ("1e-300", "0 0 1e150", radius.format("1e-300/1e+150", "0", "r^-3", "inf"), 0),
+        ("1e300", "0 0 1e-150", radius.format("1e+300/1e-150", "inf", "r^-3", "0"), 2),
+        ("1e-200", "0 0 1e100", radius.format("1e-200/1e+100", "1e-150", "r^-3", "inf"), 0),
+        ("1e200", "0 0 1e-100", radius.format("1e+200/1e-100", "1e+150", "r^-3", "0"), 2),
+        ("1.24e-95", "0 0 1e-300", radius.format("1.24e-95/1e-300", "3.52136e+102", "c0 r^-3", "0"), 2),
     ]
     for i, (c0, mean, message, validated) in enumerate(cases):
         text = LIGHT.replace("c0 = 1.0", f"c0 = {c0}").replace("mean = 0 0 2", f"mean = {mean}")
@@ -1058,7 +1074,7 @@ def test_cli_equilibrium_inside_the_guard_radius_exits_4(tmp_path, capsys):
     assert main(["integrate", "--config", str(degenerate), "--out", str(out)]) == 2
 
 
-def test_cli_integrate_ultrarelativistic_start(tmp_path):
+def test_cli_integrate_ultrarelativistic_start(tmp_path, monkeypatch):
     text = LIGHT.replace("sample_points = 101", "sample_points = 101\n[integrator]\nr_min = 0.69")
     cfg = write(tmp_path, text + "\n[initial-state]\nq = 0.7 0 0\np = 1e9 0 0\n")
     out = tmp_path / "out"
@@ -1066,8 +1082,38 @@ def test_cli_integrate_ultrarelativistic_start(tmp_path):
     rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
     assert np.all(np.isfinite(rows))
     # the speed saturates, so the monodromy is singular: a solver failure, not a crash
+    flows = recorded_flows(monkeypatch)
     assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 3
     assert (out / "orbit_report.txt").read_text().startswith("shooting failed: ")
+    # the guess lies in neither Fix(G) of light's mirrors x (q_x = 0.7) and y (p_x = 1e9): every flow
+    # spans the whole period
+    assert flows and {(traj.t0, traj.t1) for _, traj, _ in flows} == {(0.0, 1.0)}
+
+
+# configs whose parts share no mirror, with the flows and Newton iterations of find-orbit at
+# lambda = 1 on the full-period path (as before reversible shooting, with the same x0 bit for bit)
+NO_COMMON_MIRROR = {
+    # the x-cosine breaks the mirror x, and the x-sine the mirror y, which asks for a sine along y
+    "sine": (DESK.replace("harmonic_1_cos = 0.1 0 0", "harmonic_1_cos = 0.1 0 0\nharmonic_1_sin = 0.1 0 0"), 5, 4),
+    # an ABC field commutes with no mirror
+    "abc": (DESK.replace("kind = dipole\nmoment = 0 0 0.1", "kind = abc\nabc = 0.01 0.02 0.03\nc1 = 0.3\nbeta = 1e-3"), 5, 4),
+    # a dipole with mu_y != 0 commutes with the mirror x only, which the x-cosine breaks
+    "dipole": (DESK.replace("moment = 0 0 0.1", "moment = 0 0.1 0.1"), 6, 5),
+}
+
+
+@pytest.mark.parametrize("name", NO_COMMON_MIRROR)
+def test_cli_a_config_with_no_common_mirror_takes_the_full_period_path(tmp_path, monkeypatch, name):
+    text, n_flows, iterations = NO_COMMON_MIRROR[name]
+    assert parse_config(write(tmp_path, text)).fields.mirrors() == ()
+    text = text.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
+    flows = recorded_flows(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    orbit = json.loads((out / "orbit_report.json").read_text())
+    assert orbit["shooting"] == "full" and orbit["symmetry_defect"] is None
+    assert [(traj.t0, traj.t1) for _, traj, _ in flows] == [(0.0, 1.0)] * n_flows
+    assert orbit["newton_iterations"] == iterations and orbit["residual_norm"] < 1e-9
 
 
 def test_cli_integrate_equilibrium_inside_the_auto_guard_radius_exits_3(tmp_path, capsys):

@@ -95,12 +95,24 @@ def test_degenerate_forcing():
         (np.float64(1e300), 1e-150, "sqrt(1e+300/1e-150) = inf leaves the double range: r^-3 = 0"),
         (1e-200, 1e100, "sqrt(1e-200/1e+100) = 1e-150 leaves the double range: r^-3 = inf"),
         (np.float64(1e200), 1e-100, "sqrt(1e+200/1e-100) = 1e+150 leaves the double range: r^-3 = 0"),
+        (1.24e-95, 1e-300, "sqrt(1.24e-95/1e-300) = 3.52136e+102 leaves the double range: c0 r^-3 = 0"),
+        (1e-315, 1e-312, "sqrt(1e-315/1e-312) = 0.0316228 leaves the double range: |mean| = 1e-312"),
     ],
-    ids=["underflows", "overflows", "inverse-cube-overflows", "inverse-cube-underflows"],
+    ids=[
+        "underflows",
+        "overflows",
+        "inverse-cube-overflows",
+        "inverse-cube-underflows",
+        "coefficient-underflows",
+        "subnormal-mean",
+    ],
 )
 def test_an_equilibrium_radius_outside_the_double_range_is_degenerate_forcing(c0, mean, text):
     # sqrt(c0/|mean|) is 0 or inf, so q* would be the origin or [nan, nan, -inf]; or r is finite but the
-    # force c0 r^-3 q* reads r^-3 as inf or 0, so the residual would be inf or |mean|; a numpy c0 warns of nothing
+    # force c0 r^-3 q* reads r^-3 as inf or 0, so the residual would be inf or |mean|; or r^-3 = 2.3e-308
+    # is normal but the coefficient c0 r^-3 = |mean|/r underflows to 0, so the residual would be
+    # |mean| = 1e-300; or |mean| = 1e-312 is so far subnormal that the residual bound 1e-12 |mean|
+    # rounds to 0; a numpy c0 warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateForcing) as raised:

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import PlantedCoulomb, PulsedField, TabulatedPotential, coulomb_config, desk_config, pulsed_config
+from conftest import (
+    PlantedCoulomb,
+    PulsedField,
+    TabulatedPotential,
+    coulomb_config,
+    desk_config,
+    force_free_config,
+    pulsed_config,
+)
 from lfe.certificate import compute_R
 from lfe.fields import (
     ABCField,
@@ -566,3 +574,70 @@ def test_magnetic_ceiling_of_a_kind_with_no_closed_form_is_refused(magnetic):
         magnetic_ceiling(magnetic)
     with pytest.raises(ValueError, match=rf"^c1, beta defaults: a {name} has no closed-form envelope law$"):
         near_origin_constants(magnetic, 1.0)
+
+
+# The coordinate mirrors R_n: q_n -> -q_n.  Test oracle: each stated mirror is checked against
+# grad V(R q) = R grad V(q), B(R q) = R B(q) or R h(-t) = h(t) at random points, and every
+# mirror a kind does not state must fail there.
+MIRROR_SEED = 36
+MIRRORS = [np.diag([-1.0 if i == n else 1.0 for i in range(3)]) for n in range(3)]
+MIRROR_FIELDS = {
+    "coulomb": (GeneralizedCoulomb(1.0, 1.0), (0, 1, 2)),
+    "cubic": (GeneralizedCoulomb(2.0, 3.0), (0, 1, 2)),
+    "zero": (ZeroField(), (0, 1, 2)),
+    "uniform-z": (UniformField([0.0, 0.0, 0.05]), (0, 1)),
+    "uniform-xy": (UniformField([0.3, -0.2, 0.0]), (2,)),
+    "dipole-z": (DipoleField([0.0, 0.0, 0.1]), (0, 1)),
+    "dipole-yz": (DipoleField([0.0, 0.1, 0.1]), (0,)),
+    "dipole-xyz": (DipoleField([0.2, -0.1, 0.3]), ()),
+    "abc": (ABCField(0.01, 0.02, 0.03), ()),
+}
+MIRROR_FORCINGS = {
+    "constant-z": (Forcing(1.0, [0.0, 0.0, 2.0]), (0, 1)),
+    "desk": (Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.1, 0.0, 0.0], [0.0, 0.0, 0.0])]), (1,)),
+    "sine-x": (Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.1, 0.0, 0.0], [0.1, 0.0, 0.0])]), ()),
+    "sine-y": (Forcing(2.0, [0.0, 0.0, 2.0], [Harmonic(2, [0.0, 0.0, 0.3], [0.0, 0.2, 0.0])]), (1,)),
+    "two-harmonics": (
+        Forcing(1.5, [0.0, 1.0, 0.0], [Harmonic(1, [0.0, 0.4, 0.0], [0.1, 0.0, 0.0]), Harmonic(3, [0.0, 0.0, 0.2], [0.0] * 3)]),
+        (0,),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", MIRROR_FIELDS)
+def test_each_field_kind_states_exactly_the_mirrors_it_commutes_with(name):
+    kind, stated = MIRROR_FIELDS[name]
+    assert getattr(kind, "mirrors", tuple)() == stated
+    q = np.random.default_rng(MIRROR_SEED).normal(size=(64, 3))
+    field = kind.gradient if hasattr(kind, "gradient") else lambda q, rad: kind.eval(0.0, q, rad)
+    for n, mirror in enumerate(MIRRORS):
+        commutes = np.allclose(field(*radial_powers(q @ mirror)), field(*radial_powers(q)) @ mirror, rtol=1e-14, atol=0.0)
+        assert commutes == (n in stated), n
+
+
+@pytest.mark.parametrize("name", MIRROR_FORCINGS)
+def test_a_forcing_states_exactly_the_mirrors_it_reverses(name):
+    forcing, stated = MIRROR_FORCINGS[name]
+    assert forcing.mirrors() == stated
+    t = np.random.default_rng(MIRROR_SEED).uniform(-2.0, 2.0, size=64)
+    for n, mirror in enumerate(MIRRORS):
+        reverses = np.allclose(forcing.eval(-t) @ mirror, forcing.eval(t), rtol=1e-14, atol=1e-15)
+        assert reverses == (n in stated), n
+
+
+def test_a_configuration_shares_the_mirrors_of_its_parts():
+    assert desk_config().mirrors() == (1,)
+    assert coulomb_config().mirrors() == (0, 1)
+    # a potential that states no mirror commutes with none
+    assert force_free_config().mirrors() == ()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.4, 1.0])
+def test_the_desk_family_is_reversible_under_its_mirror(desk, lam):
+    # G = diag(R_y, -R_y): f(t, G y) = -G f(-t, y), so G x(-t) solves the equation when x(t) does
+    _, system = desk
+    g = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    rng = np.random.default_rng(MIRROR_SEED)
+    y = np.column_stack([rng.normal(size=(32, 3)), 0.3 * rng.normal(size=(32, 3))])
+    t = rng.uniform(0.0, 1.0, size=32)
+    assert np.allclose(system.rhs_array(t, g * y, lam), -g * system.rhs_array(-t, y, lam), rtol=1e-13, atol=1e-15)

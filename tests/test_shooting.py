@@ -10,13 +10,16 @@ from conftest import (
     coulomb_config,
     counted_identities,
     first_step_of,
+    flowed_from,
     force_free_config,
     loosened,
     periodicity_residual,
+    read_flow,
     recorded_flows,
+    reflow,
 )
 from lfe.degree import find_zero_f0
-from lfe.fields import Forcing
+from lfe.fields import Forcing, Harmonic
 from lfe.homotopy import EquilibriumLinearization, HomotopySystem
 from lfe.integrator import IntegratorConfig, SolverError, StepUnderflow, integrate
 from lfe.kinematics import State, phi_inv
@@ -26,6 +29,7 @@ from lfe.shooting import (
     OrbitSolution,
     ResonantStart,
     ShootingProblem,
+    SingularJacobian,
     SolverOptions,
     _next_dlam,
     continue_lambda,
@@ -91,21 +95,21 @@ def test_failed_damping_names_its_cause(coulomb_problem):
     short = dataclasses.replace(coulomb_problem, region=(0.1, 0.3, 5.0))
     with pytest.raises(LeftDomain, match="^every damped step left the search region$"):
         newton_shooting(State(q=[0.0, 0.0, -0.59], p=[0.0, 0.0, 0.0]), short)
-    # no damped step lowers the equilibrium's residual 1.1e-16, which is round-off; with
-    # |p| < 2e-20 the longer steps leave the search region and the first that stays in
-    # flows, fails, and ends the solve
+    # no damped step lowers the equilibrium's residual 1.7e-16 (that of its half-period flow,
+    # reversible about the x mirror), which is round-off; with |p| < 2e-20 the longer steps
+    # leave the search region and the first that stays in flows, fails, and ends the solve
     strict = dataclasses.replace(
         coulomb_problem, solver=SolverOptions(newton_tol=1e-300), region=(0.1, 5.0, 1e-20)
     )
-    with pytest.raises(NewtonDiverged, match=r"^round-off stagnation: residual 1\.110e-16 "):
+    with pytest.raises(NewtonDiverged, match=r"^round-off stagnation: residual 1\.733e-16 "):
         newton_shooting(EQ, strict)
 
     # every trial point stays in the region but no trial flow finishes
     class FailingTrials(ShootingProblem):
-        def flow_with_monodromy(self, x0, first_step=None):
+        def flow_with_monodromy(self, x0, first_step=None, span=None):
             if not np.array_equal(x0, guess.as_array()):
                 raise StepUnderflow("trial flow refused")
-            return super().flow_with_monodromy(x0, first_step)
+            return super().flow_with_monodromy(x0, first_step, span)
 
     guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
     failing = FailingTrials(system=coulomb_problem.system, lam=0.0)
@@ -137,17 +141,18 @@ def test_converged_orbit_comes_from_a_flow_at_the_configured_tolerance(coulomb_p
     # the last trial flows at the configured tolerance and gives the orbit's trajectory, monodromy
     # and residual: there is no confirming re-flow
     assert sol.newton_trace[-1]["rtol"] == configured.rtol
-    assert sol.trajectory.ts is flows[-1][1].ts
+    assert flowed_from(sol.trajectory, flows[-1][1])
     # a re-flow with the first step that flow took is the same flow
-    first_step = first_step_of(flows, sol.trajectory)
-    traj, monodromy = coulomb_problem.flow_with_monodromy(sol.x0.as_array(), first_step)
-    assert np.array_equal(sol.monodromy, monodromy)
-    assert sol.residual_norm == np.abs(traj.states[-1] - traj.states[0]).max() < 1e-9
+    again = reflow(coulomb_problem, sol.x0, first_step_of(flows, sol.trajectory))
+    assert np.array_equal(sol.monodromy, again.monodromy)
+    assert sol.residual_norm == again.norm < 1e-9
 
 
 def test_a_loose_trial_that_meets_newton_tol_is_flowed_once_more(coulomb_problem, monkeypatch):
     flows = recorded_flows(monkeypatch)
-    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
+    # a momentum kick across the mirror plane y = 0: its loose trial's residual lies below the
+    # confirmed one (a position offset along x gives the reverse order)
+    guess = State(q=EQ.q, p=np.array([0.0, 1e-3, 0.0]))
     # one iteration allowed: the confirming re-flow is not an iteration
     problem = dataclasses.replace(coulomb_problem, solver=SolverOptions(newton_tol=1e-5, max_iterations=1))
     sol = newton_shooting(guess, problem)
@@ -158,9 +163,9 @@ def test_a_loose_trial_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
     guessed = drift_flow(problem, guess)
     assert [cfg for cfg, _, _ in flows] == [guessed, loose, configured]
     (_, trial, _), (_, confirmed, _) = flows[1:]
-    loose_residual = np.abs(trial.states[-1, 0] - trial.states[0, 0]).max()
+    loose_residual = read_flow(problem, trial).norm
     assert loose_residual < 1e-5 and sol.residual_norm < 1e-5
-    assert sol.trajectory.ts is confirmed.ts
+    assert flowed_from(sol.trajectory, confirmed)
 
     # a newton_tol between the loose and the confirmed residual: Newton goes on from the re-flow
     between = 0.5 * (loose_residual + sol.residual_norm)
@@ -177,14 +182,14 @@ def test_a_loose_trial_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
 
 
 def test_a_mispredicted_convergence_goes_on_from_its_configured_tolerance_trial(coulomb_problem, monkeypatch):
-    guess = State(q=EQ.q + np.array([5e-2, 0.0, 0.0]), p=np.zeros(3))
-    # newton_tol = 5e-9 lies between the residual a squared contraction predicts after the third
+    guess = State(q=EQ.q + np.array([7e-2, 0.0, 0.0]), p=np.zeros(3))
+    # newton_tol = 8e-9 lies between the residual a squared contraction predicts after the third
     # iteration and the one its trial reaches
-    problem = dataclasses.replace(coulomb_problem, solver=SolverOptions(newton_tol=5e-9))
+    problem = dataclasses.replace(coulomb_problem, solver=SolverOptions(newton_tol=8e-9))
     flows = recorded_flows(monkeypatch)
     sol = newton_shooting(guess, problem)
     r = [step["residual"] for step in sol.newton_trace]
-    assert r[2] * (r[2] / r[1]) ** 2 < 5e-9 < r[3]  # 3.5e-9 predicted, 7.4e-9 reached
+    assert r[2] * (r[2] / r[1]) ** 2 < 8e-9 < r[3]  # 7.5e-9 predicted, 8.5e-9 reached
     # so the third trial flows at the configured tolerance, misses newton_tol, and Newton goes
     # on from it with no re-flow and converges at the next trial: five flows, as with a loose
     # third trial, each at a point of its own
@@ -194,8 +199,8 @@ def test_a_mispredicted_convergence_goes_on_from_its_configured_tolerance_trial(
         loosened(configured, 1e-6)
     ] * 2 + [configured] * 2
     assert len({tuple(traj.states[0, 0]) for _, traj, _ in flows}) == 5
-    assert sol.trajectory.ts is flows[-1][1].ts
-    assert sol.residual_norm < 5e-9
+    assert flowed_from(sol.trajectory, flows[-1][1])
+    assert sol.residual_norm < 8e-9
 
 
 def test_a_trial_rtol_below_twice_the_configured_one_flows_once_at_it(coulomb_problem, monkeypatch):
@@ -209,7 +214,7 @@ def test_a_trial_rtol_below_twice_the_configured_one_flows_once_at_it(coulomb_pr
     assert step["rtol"] == configured.rtol
     # the trial flows once, at rtol0, and gives the orbit: there is no confirming re-flow
     assert [cfg for cfg, _, _ in flows] == [configured, configured]
-    assert sol.trajectory.ts is flows[1][1].ts
+    assert flowed_from(sol.trajectory, flows[1][1])
     assert sol.residual_norm < 1e-9
 
 
@@ -220,19 +225,17 @@ def test_a_predicted_residual_sets_the_tolerance_of_the_guess_flow(coulomb_probl
     configured = coulomb_problem.integrator
     # the guess flows at the cap (1e-4 x 1.0 > 1e-6); its residual r asks for the tighter
     # 1e-4 r, so it flows again there, and the trials follow at their own rtol
-    capped = flows[0][1]
-    r = np.abs(capped.states[-1, 0] - capped.states[0, 0]).max()
+    r = read_flow(coulomb_problem, flows[0][1]).norm
     assert 1e-10 < 1e-4 * r < 1e-6
     assert [cfg for cfg, _, _ in flows[: 2 + sol.newton_iterations]] == [
         loosened(configured, 1e-6),
         loosened(configured, 1e-4 * r),
     ] + [loosened(configured, step["rtol"]) for step in sol.newton_trace]
     # the orbit's trajectory, monodromy and residual are those of a configured-tolerance flow
-    assert [cfg for cfg, traj, _ in flows if traj.ts is sol.trajectory.ts] == [configured]
-    first_step = first_step_of(flows, sol.trajectory)
-    traj, monodromy = coulomb_problem.flow_with_monodromy(sol.x0.as_array(), first_step)
-    assert np.array_equal(sol.monodromy, monodromy)
-    assert sol.residual_norm == np.abs(traj.states[-1] - traj.states[0]).max() < 1e-9
+    assert [cfg for cfg, traj, _ in flows if flowed_from(sol.trajectory, traj)] == [configured]
+    again = reflow(coulomb_problem, sol.x0, first_step_of(flows, sol.trajectory))
+    assert np.array_equal(sol.monodromy, again.monodromy)
+    assert sol.residual_norm == again.norm < 1e-9
 
 
 def test_a_loose_guess_that_meets_newton_tol_is_flowed_once_more(coulomb_problem, monkeypatch):
@@ -246,16 +249,16 @@ def test_a_loose_guess_that_meets_newton_tol_is_flowed_once_more(coulomb_problem
     configured = problem.integrator
     assert [cfg for cfg, _, _ in flows] == [loosened(configured, 1e-4 * predicted), configured]
     assert sol.newton_trace == []
-    assert sol.trajectory.ts is flows[1][1].ts
+    assert flowed_from(sol.trajectory, flows[1][1])
 
 
 def test_each_newton_trace_entry_records_the_rtol_of_the_flow_it_accepted(desk_problem, monkeypatch):
     flows = []
     flow_residual = lfe.shooting._flow_residual
 
-    def recording(problem, y, rtol, previous):
-        out = flow_residual(problem, y, rtol, previous)
-        flows.append((previous, out[0]))
+    def recording(problem, shooting, y, rtol, previous):
+        out = flow_residual(problem, shooting, y, rtol, previous)
+        flows.append((previous, out.traj))
         return out
 
     monkeypatch.setattr(lfe.shooting, "_flow_residual", recording)
@@ -266,7 +269,7 @@ def test_each_newton_trace_entry_records_the_rtol_of_the_flow_it_accepted(desk_p
     for previous, _ in flows[1:]:
         if previous is not iterates[-1]:
             iterates.append(previous)
-    if sol.trajectory is not iterates[-1]:
+    if not flowed_from(sol.trajectory, iterates[-1]):
         iterates.append(sol.trajectory)
     # an accepted trial starts at the point of a Newton step; a re-flow starts where its iterate did
     accepted = [b for a, b in zip(iterates, iterates[1:]) if not np.array_equal(a.states[0], b.states[0])]
@@ -323,14 +326,20 @@ def per_column_monodromy(x0: State, problem: ShootingProblem, step: float = 1e-7
 def test_stacked_monodromy_matches_separate_flows(desk_problem, desk_continuation):
     path, flows = desk_continuation
     final = path.final
-    assert final.lam == 1.0
+    assert final.lam == 1.0 and final.shooting == "reversible y"
     problem = dataclasses.replace(desk_problem, lam=final.lam)
-    # the orbit's monodromy is the one at its own x0, flowed with the first step its flow took
-    _, monodromy = problem.flow_with_monodromy(final.x0.as_array(), first_step_of(flows, final.trajectory))
-    assert np.array_equal(final.monodromy, monodromy)
-    assert np.abs(monodromy - per_column_monodromy(final.x0, problem)).max() < 1e-6
-    # the deformed field is divergence-free, so the flow preserves volume (Liouville)
-    assert abs(np.linalg.det(monodromy) - 1.0) < 1e-6
+    # the orbit's monodromy G Phi^-1 G Phi is the one of the half-period flow at its own x0,
+    # flowed with the first step its flow took
+    again = reflow(problem, final.x0, first_step_of(flows, final.trajectory))
+    assert np.array_equal(final.monodromy, again.monodromy)
+    # over the whole period, the stacked difference monodromy matches seven separate flows
+    _, stacked = problem.flow_with_monodromy(final.x0.as_array())
+    separate = per_column_monodromy(final.x0, problem)
+    assert np.abs(stacked - separate).max() < 1e-6
+    assert np.abs(final.monodromy - separate).max() < 1e-5
+    # the deformed field is divergence-free, so the flow preserves volume (Liouville); G Phi^-1 G Phi
+    # has det 1 by construction, so the full-period flows are what this checks
+    assert abs(np.linalg.det(stacked) - 1.0) < 1e-6
 
 
 def test_identities_on_converged_orbit(coulomb_problem):
@@ -554,12 +563,25 @@ def test_step_controller_on_planted_traces(coulomb_problem, monkeypatch):
     assert _next_dlam(0.1, 1 / 64, 1.0) == _next_dlam(0.1, 0.0, 1.0) == 1.0
     assert _next_dlam(0.1, 1e-3, 0.3) == _next_dlam(0.1, 0.0, 0.3) == 0.3
     assert _next_dlam(0.1, 0.0625, 0.15) == 0.15
-    # det(I - M), whose sign is the branch check, from the monodromy the solve's flow planted
+    # det(I - M), whose sign is the branch check, from the monodromy the solve's flow planted: on
+    # the full path, which a mean forcing off every coordinate plane takes (it shares no mirror)
+    tilted = ShootingProblem(system=HomotopySystem(coulomb_config(mean=(1.0, 1.0, 1.0))), lam=0.0)
+    start = find_zero_f0(1.0, [1.0, 1.0, 1.0])
     flow = ShootingProblem.flow_with_monodromy
     for monodromy, det in [(np.diag([2.0] * 6), 1.0), (np.diag([2.0, 0, 0, 0, 0, 0]), -1.0)]:
         monkeypatch.setattr(ShootingProblem, "flow_with_monodromy", lambda *args: (flow(*args)[0], monodromy))
-        sol = newton_shooting(EQ, coulomb_problem)
+        sol = newton_shooting(start, tilted)
+        assert sol.shooting == "full"
         assert sol.newton_trace == [] and sol.monodromy is monodromy and sol.index_det == det
+    # on the reversible path M = G Phi^-1 G Phi: a planted diagonal Phi commutes with G, so M = I;
+    # a singular one is named
+    monodromy = np.diag([2.0] * 6)
+    sol = newton_shooting(EQ, coulomb_problem)
+    assert sol.shooting == "reversible x" and sol.newton_trace == []
+    assert np.array_equal(sol.monodromy, np.eye(6)) and sol.index_det == 0.0
+    monodromy = np.diag([2.0, 0, 0, 0, 0, 0])
+    with pytest.raises(SingularJacobian, match=r"^the Jacobian of the half-period flow is singular"):
+        newton_shooting(EQ, coulomb_problem)
 
 
 @pytest.mark.parametrize("c", [0.3, 1.0, 4.0])
@@ -604,8 +626,8 @@ def test_continuation_rejects_a_step_that_flips_the_index(desk_problem, desk_sta
     path = continue_lambda(dataclasses.replace(desk_problem, solver=SolverOptions(dlam_init=0.1)), desk_start)
     assert path.status == "reached_target"
     flipped, retry = path.history[1:3]
-    # the second step is the one to lam = 1: the first step's contraction reaches the end
-    assert flipped["lambda"] == 1.0 and not flipped["accepted"] and flipped["index_det"] < 0.0
+    # the second step, sized from the first's contraction, to lam = 0.775
+    assert flipped["lambda"] == 0.1 + flipped["dlam"] and not flipped["accepted"] and flipped["index_det"] < 0.0
     assert flipped["reason"].startswith("det(I - M) = ")
     assert all(sol is not flipped_orbits[0] for sol in path.solutions)
     # the path goes on from the same orbit with half the step
@@ -658,3 +680,65 @@ def test_continuation_underflows_when_the_contraction_shrinks_the_step(coulomb_p
     assert dlams == pytest.approx([0.1 * 0.390625**k for k in range(3)], rel=1e-15)
     assert 0.390625 * dlams[-1] < 0.01
     assert "first contraction theta0 = 0.64" in path.message
+
+
+def light_harmonic_problem() -> ShootingProblem:
+    """The light config (Coulomb, no magnetic field) with an x-cosine harmonic at lam = 1: reversible about y."""
+    forcing = Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.9, 0.0, 0.0], [0.0, 0.0, 0.0])])
+    return ShootingProblem(system=HomotopySystem(dataclasses.replace(coulomb_config(), forcing=forcing)), lam=1.0)
+
+
+@pytest.fixture(scope="module")
+def symmetric_orbits(desk_problem):
+    """name -> (problem, orbit): the desk and light symmetric orbits at lam = 1, solved from the equilibrium."""
+    problems = {"desk": dataclasses.replace(desk_problem, lam=1.0), "light": light_harmonic_problem()}
+    return {name: (problem, newton_shooting(EQ, problem)) for name, problem in problems.items()}
+
+
+@pytest.mark.parametrize("name", ["desk", "light"])
+def test_a_symmetric_orbit_is_solved_from_half_period_flows(symmetric_orbits, name, monkeypatch):
+    problem, sol = symmetric_orbits[name]
+    assert sol.shooting == "reversible y" and sol.residual_norm < problem.solver.newton_tol
+    # x0 lies in Fix(G) = {y = 0, p_x = 0, p_z = 0} exactly, and so it stays along a continuation
+    x0 = sol.x0.as_array()
+    assert [x0[1], x0[3], x0[5]] == [0.0, 0.0, 0.0]
+    assert sol.symmetry["symmetry_defect"] == 0.0
+    flows = recorded_flows(monkeypatch)
+    again = newton_shooting(EQ, problem)
+    assert {(traj.t0, traj.t1) for _, traj, _ in flows} == {(0.0, 0.5)}
+    assert np.array_equal(again.x0.as_array(), x0)
+
+
+@pytest.mark.parametrize("name", ["desk", "light"])
+def test_the_reversible_monodromy_matches_a_full_period_difference_monodromy(symmetric_orbits, name):
+    problem, sol = symmetric_orbits[name]
+    # M = G Phi^-1 G Phi against the forward differences over the whole period of the full path
+    _, full = problem.flow_with_monodromy(sol.x0.as_array())
+    assert np.abs(sol.monodromy - full).max() < 1e-5
+    assert sol.index_det == pytest.approx(np.linalg.det(np.eye(6) - full), rel=1e-5)
+    singular = np.linalg.svd(full - np.eye(6), compute_uv=False)[-1]
+    assert sol.symmetry["sigma_min_M_minus_I"] == pytest.approx(singular, rel=1e-4)
+
+
+@pytest.mark.parametrize("name", ["desk", "light"])
+def test_the_reversible_residual_is_that_of_a_full_period_flow(symmetric_orbits, name):
+    problem, sol = symmetric_orbits[name]
+    # |G Phi^-1 (G y - y)|_inf, y = phi_T/2(x0), against |phi_T(x0) - x0|_inf of a flow at rtol0
+    full = np.abs(periodicity_residual(sol.x0, problem)).max()
+    assert abs(sol.residual_norm - full) <= 0.01 * full
+
+
+@pytest.mark.parametrize("name", ["desk", "light"])
+def test_the_reflected_trajectory_matches_a_full_period_flow(symmetric_orbits, name):
+    problem, sol = symmetric_orbits[name]
+    traj, full = sol.trajectory, problem.flow(sol.x0)
+    assert traj.t0 == full.t0 == 0.0 and traj.t1 == full.t1 == 1.0
+    t = np.linspace(0.0, 1.0, 1000)
+    assert np.abs(traj.at(t) - full.at(t)).max() < 1e-8
+    # the second half's nodes are the first half's G-images, read backwards from t = T/2
+    half = len(traj.ts) // 2
+    g = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    assert traj.ts[half] == 0.5
+    assert np.array_equal(traj.ts[half + 1 :], 1.0 - traj.ts[half - 1 :: -1])
+    assert np.array_equal(traj.states[half + 1 :], g * traj.states[half - 1 :: -1])
+    assert np.array_equal(traj.at(traj.ts[half + 1 :]), (g * traj.at(1.0 - traj.ts[half + 1 :]).T).T)
