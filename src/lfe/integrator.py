@@ -5,9 +5,11 @@ Integration is done in (position, momentum) coordinates, never
 one stepper is Hairer's embedded 8(5,3) pair DOP853 with its 7th-order
 dense output (Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.5 and
 II.6), ported from scipy.integrate with the same arithmetic (tables in
-`lfe.butcher`), so nodes and dense output equal scipy's bit for bit,
-also when the first step size is given (`first_step`, as scipy's
-`DOP853(first_step=...)`) instead of taken from the initial-step heuristic.
+`lfe.butcher`), so nodes and dense output equal scipy's bit for bit
+when scipy is given the same first step (`DOP853(first_step=...)`).  A
+run takes no initial-step heuristic: a cold run's first trial step is
+its whole span, which step control rejects and shrinks like any other,
+and a warm run's is the `first_step` it is given.
 Every accepted step keeps its stages; its dense output is built from
 them only when the trajectory is read (`Trajectory.at`, `row`,
 `write_csv`, the guard bisection), so a trial flow whose nodes are all
@@ -54,10 +56,6 @@ class MaxStepsExceeded(SolverError):
 
 class StepUnderflow(SolverError):
     """Step control stalled (step size below machine limits)."""
-
-
-def _rms(x: np.ndarray) -> float:
-    return np.linalg.norm(x) / x.size**0.5
 
 
 # DOP853: 12 stages per step; k also holds f(t + h, y_new) and the three interpolant stages
@@ -264,26 +262,6 @@ def _bisect_guard_crossing(interp, t_lo: float, t_hi: float, r_min: float):
     return t_hi, _nearest(interp(t_hi))[1]
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol) -> float:
-    """First step size (Hairer, Norsett & Wanner, Sec. II.4), as scipy's select_initial_step."""
-    interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    if d0 < 1e-5 or d1 < 1e-5:
-        h0 = 1e-6
-    else:
-        h0 = 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = fun(t0 + h0, y0 + h0 * f0)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
-    return min(100 * h0, h1, interval_length)
-
-
 # (s, c_s, a_s0 ... a_s(s-1)) of the stages after the first, read once at import
 _STAGE_ROWS = tuple((s, float(butcher.DOP853_C[s]), butcher.DOP853_A[s, :s]) for s in range(1, _STAGES))
 
@@ -316,9 +294,9 @@ def integrate(
     (N, 6); a stack is integrated as one system, so all its members share
     the step sequence, and the guard applies to every member.
     first_step, in (0, t1 - t0], is the size of the first trial step;
-    without it the initial-step heuristic picks one at the cost of one
-    more right-hand-side call.  A first step that is too large is
-    rejected and shrunk by step control like any other.
+    without it the first trial step is the whole span t1 - t0.  A first
+    step that is too large is rejected and shrunk by step control like
+    any other.
     Raises SingularityApproach if |q| reaches the guard radius (with the
     crossing time refined by bisection on the step interpolant),
     MaxStepsExceeded or StepUnderflow on step-control failures.
@@ -353,10 +331,7 @@ def integrate(
     rtol, atol = max(cfg.rtol, 100 * np.finfo(float).eps), cfg.atol
     exponent = -1 / (_ERROR_ORDER + 1)
     t, y, f = t0, y0, fun(t0, y0)
-    if first_step is None:
-        h_abs = _initial_step(fun, t0, y0, t1, f, rtol, atol)
-    else:
-        h_abs = float(first_step)
+    h_abs = t1 - t0 if first_step is None else float(first_step)
     ts, ys, stages = [t0], [y0], []
     n_rejected = 0
     while t < t1:

@@ -35,14 +35,13 @@ follow from the half flow, since phi_T = G phi_T/2^-1 G phi_T/2 on Fix(G):
 det M = det Phi^-1 det Phi = 1 holds on this path by construction, so it
 is no independent check of the flow there, as it is of a full-period
 difference monodromy (Liouville: the deformed field is divergence-free).
-A config with no common mirror, a guess outside every Fix(G), or a guess
-with a coordinate too large for x0 + _FD_STEP e_i to differ from it
-(Phi would be singular) takes the full path: [0, T], six unknowns,
-Jacobian M - I.  A reversible solve keeps x0 in Fix(G) exactly, so a
-continuation stays on the symmetric branch until the branch check or a
-failed solve stops it; a symmetry-breaking bifurcation, where M - I gains
-a kernel off Fix(G) while the reduced Jacobian stays regular, shows as a
-small `sigma_min_M_minus_I` in `OrbitSolution.symmetry`.
+A config with no common mirror or a guess outside every Fix(G) takes
+the full path: [0, T], six unknowns, Jacobian M - I.  A reversible solve
+keeps x0 in Fix(G) exactly, so a continuation stays on the symmetric
+branch until the branch check or a failed solve stops it; a
+symmetry-breaking bifurcation, where M - I gains a kernel off Fix(G)
+while the reduced Jacobian stays regular, shows as a small
+`sigma_min_M_minus_I` in `OrbitSolution.symmetry`.
 
 The continuation driver walks the deformation parameter from the
 autonomous equilibrium at lam = 0 toward the full equation at lam = 1.
@@ -99,14 +98,15 @@ Flows are warm-started.  Each flow integrates the same span from a
 state close to its predecessor's, so it takes its first step from the
 predecessor's steps (`Trajectory.warm_step`): their middle one, scaled
 by (rtol / rtol_prev) ** (1/8), the step controller's exponent, and by
-its safety factor 0.9, instead of the initial-step heuristic, and at
-most the span; rtol_prev is the rtol the predecessor ran at, which it
-records (`Trajectory.rtol`).  Within a solve the predecessor is the
-iterate's flow; the guess of a continuation step after the first follows
-the previous accepted orbit's trajectory (on the reversible path its
-reflection, whose steps are the half flow's, each twice).  The first
-flow of a solve without a previous orbit starts cold: that of
-`find-orbit`, and the first continuation step's guess.
+its safety factor 0.9, and at most the span; rtol_prev is the rtol the
+predecessor ran at, which it records (`Trajectory.rtol`).  Within a
+solve the predecessor is the iterate's flow; the guess of a continuation
+step after the first follows the previous accepted orbit's trajectory
+(on the reversible path its reflection, whose steps are the half flow's,
+each twice).  The first flow of a solve without a previous orbit starts
+cold, and tries its whole span as its first step, which step control
+shrinks if it is too long: that of `find-orbit`, and the first
+continuation step's guess.
 
 The lam = 0 start is no solve (`equilibrium_orbit`).  It is the
 equilibrium (q*, 0) of `find_zero_f0`, whose linearized flow over the
@@ -194,9 +194,10 @@ class ShootingProblem:
     """The periodic problem at one lam, with its solver settings and certified region.
 
     region is the certified (m, R + T, L) of a bounds certificate, or None.
-    Newton searches |q| > integrator.r_min + _FD_STEP (so every member of the
-    monodromy stack starts outside the guard radius) and, with a region,
-    |q| < 2 (R + T) and |p| < 2 L; continue_lambda checks accepted orbits against it.
+    Newton searches |q| > integrator.r_min + _FD_STEP max(1, |q|) (so every
+    member of the monodromy stack starts outside the guard radius) and,
+    with a region, |q| < 2 (R + T) and |p| < 2 L; continue_lambda checks
+    accepted orbits against it.
     """
 
     system: HomotopySystem
@@ -222,23 +223,25 @@ class ShootingProblem:
         """The orbit of the flat state x0 over [0, span] and the forward-difference Jacobian of that flow at x0.
 
         span is one period by default, and the Jacobian is the monodromy.
-        x0 and its six perturbations x0 + _FD_STEP e_i are integrated as one
-        stacked flow, so column i of the Jacobian differences two members
-        that took the same steps.  A perturbed member that crosses the guard
-        radius raises SingularityApproach like the orbit itself.  first_step
-        is passed to `integrate`.
+        x0 and its six perturbations x0 + h_i e_i, h_i = _FD_STEP max(1, |x0_i|),
+        are integrated as one stacked flow, so column i of the Jacobian
+        differences two members that took the same steps, divided by h_i.
+        The step is relative where |x0_i| > 1, so every member differs from
+        x0.  A perturbed member that crosses the guard radius raises
+        SingularityApproach like the orbit itself.  first_step is passed to
+        `integrate`.
         """
-        stack = x0 + np.vstack([np.zeros(6), _FD_STEP * np.eye(6)])
-        traj = self.flow(stack, first_step, span)
+        steps = _FD_STEP * np.maximum(1.0, np.abs(x0))
+        traj = self.flow(x0 + np.vstack([np.zeros(6), np.diag(steps)]), first_step, span)
         end = traj.states[-1]
-        return traj.row(0), (end[1:] - end[0]).T / _FD_STEP
+        return traj.row(0), (end[1:] - end[0]).T / steps
 
     def violation(self, y: np.ndarray) -> str | None:
         """Why the phase point y = (q, p) lies outside Newton's search region, or None."""
         r = float(np.linalg.norm(y[:3]))
-        r_min = self.integrator.r_min
-        if r <= r_min + _FD_STEP:
-            return f"|q| = {r:.9g} <= r_min = {r_min:.6g} plus the difference step {_FD_STEP:g}"
+        r_min, step = self.integrator.r_min, _FD_STEP * max(1.0, r)
+        if r <= r_min + step:
+            return f"|q| = {r:.9g} <= r_min = {r_min:.6g} plus the difference step {step:g}"
         if self.region is None:
             return None
         _, upper, p_bound = self.region
@@ -450,18 +453,12 @@ class _Shooting:
 
 
 def _shooting(problem: ShootingProblem, y: np.ndarray) -> _Shooting:
-    """The reversible path for the first mirror of the config whose Fix(G) holds y, else the full path.
-
-    The reversible path also needs each member y + _FD_STEP e_i of the
-    difference stack to differ from y: one that rounds to y would make Phi
-    singular.
-    """
+    """The reversible path for the first mirror of the config whose Fix(G) holds y, else the full path."""
     period = problem.system.config.forcing.period
-    if np.all(y + _FD_STEP != y):
-        for axis in problem.system.config.mirrors():
-            g = _reversor(axis)
-            if np.array_equal(g * y, y):
-                return _Shooting(f"reversible {'xyz'[axis]}", 0.5 * period, g)
+    for axis in problem.system.config.mirrors():
+        g = _reversor(axis)
+        if np.array_equal(g * y, y):
+            return _Shooting(f"reversible {'xyz'[axis]}", 0.5 * period, g)
     return _Shooting("full", period)
 
 

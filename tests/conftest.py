@@ -270,7 +270,8 @@ def read_flow(problem: ShootingProblem, flowed: Trajectory):
     """A recorded stacked flow of a solve of problem, read as the solve reads it (`_Shooting.read`)."""
     y, end = flowed.states[0, 0], flowed.states[-1]
     shooting = lfe.shooting._shooting(problem, y)
-    return shooting.read(y, flowed.row(0), (end[1:] - end[0]).T / lfe.shooting._FD_STEP)
+    steps = lfe.shooting._FD_STEP * np.maximum(1.0, np.abs(y))
+    return shooting.read(y, flowed.row(0), (end[1:] - end[0]).T / steps)
 
 
 def reflow(problem: ShootingProblem, x0: State, first_step: float | None):

@@ -189,7 +189,7 @@ ATLAS = {
     ("2.6", "1"): (0, "reached_target", [0.5, 1.0], 15),
     ("2.6", "5"): (0, "reached_target", [1.0], 6),
     # next to the resonance T_res = 2.6418 of the lambda = 0 orbit
-    ("2.6", "0.1"): (0, "reached_target", [0.5, 0.7911613387245143, 1.0], 19),
+    ("2.6", "0.1"): (0, "reached_target", [0.5, 0.7911608160190566, 1.0], 19),
     ("3", "1"): (0, "reached_target", [1.0], 5),
     # the certificate stops: its momentum bound M leaves double range (m ~ 5e-90)
     ("3", "5"): (2, None, None, None),
@@ -279,7 +279,7 @@ def test_desk_continue_reads_each_convergence_from_its_last_trial(desk_flows):
 
 def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):
     # only the first step's guess has no predecessor, since the lambda = 0 start is closed-form
-    # and not flowed: its first step comes from the heuristic
+    # and not flowed: it tries its whole span as its first step
     flows, _ = desk_flows
     assert [(traj.lam, step is None) for _, traj, step in flows[:2]] == [(0.1, True), (0.1, False)]
     assert all(step is not None for _, _, step in flows[1:])

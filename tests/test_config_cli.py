@@ -573,11 +573,12 @@ def test_cli_continue_reports_the_trial_tolerance_of_every_newton_iteration(tmp_
     assert [entry["rtol"] for entry in trace] == [
         1e-10 if predicted else max(1e-10, min(1e-6, 1e-4 * r)) for r, predicted in zip(residuals, converging)
     ]
-    # the third trial, predicted to converge, meets newton_tol (9.9e-10) on the reversible path;
-    # on the full-period path it missed it (3.0e-9), and Newton went on from it to a fourth
+    # the third trial, predicted to converge, misses newton_tol (1.5e-9), and Newton goes on from
+    # it to a fourth at rtol0 (the third met it, 9.9e-10, when the guess's cold flow started
+    # from the initial-step heuristic)
     assert step["shooting"] == "reversible y"
-    assert converging == [False, False, True] and payload["final_orbit"]["residual_norm"] < 1e-9
-    assert [entry["rtol"] for entry in trace] == [1e-6, 1e-4 * residuals[1], 1e-10]
+    assert converging == [False, False, True, True] and payload["final_orbit"]["residual_norm"] < 1e-9
+    assert [entry["rtol"] for entry in trace] == [1e-6, 1e-4 * residuals[1], 1e-10, 1e-10]
     # the guess flows at the tolerance of its drift over the period, which is capped
     assert step["guess_rtol"] == 1e-6
     assert "rtol" not in (out / "run_report.txt").read_text()
@@ -596,9 +597,9 @@ def test_cli_find_orbit_stops_at_round_off_stagnation(tmp_path, monkeypatch):
         "shooting failed: round-off stagnation: residual 1.733e-16 is at round-off level and "
         "a trial step does not lower it; newton_tol = 1e-300 is unreachable in double precision\n"
     )
-    # the guess's flow and two trial flows: the first lowers the residual by 5e-25, at round-off,
-    # and the second does not (on the full-period path, the first trial did not)
-    assert len(flows) == 3
+    # the guess's flow and four trial flows: the first three lower the residual by 3e-24 or less,
+    # at round-off, and the fourth does not (with the initial-step heuristic the second did not)
+    assert len(flows) == 5
 
 
 def test_cli_find_orbit_trial_flows_take_fewer_steps_than_configured_ones(tmp_path, monkeypatch):
@@ -666,8 +667,11 @@ def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path, monkeypatc
     assert [(traj.t0, traj.t1) for _, traj, _ in flows] == [(0.0, 0.5)] * 5
     assert [orbit["x0_q"][1], orbit["x0_p"][0], orbit["x0_p"][2]] == [0.0, 0.0, 0.0]
     # 667 right-hand-side calls in 6 flows with the guess at rtol0 and the converged loose trial
-    # flowed once more, and 426 in the 5 full-period flows
-    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 258
+    # flowed once more, 426 in the 5 full-period flows, and 258 with the initial-step heuristic;
+    # the guess's cold flow tries its whole span, which step control rejects once
+    assert [traj.n_rhs_evals for _, traj, _ in flows] == [49, 37, 37, 37, 73]
+    assert flows[0][1].n_rejected == 1
+    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 233
 
 
 def test_cli_light_continue_flows_once_at_the_configured_tolerance(tmp_path, monkeypatch):
@@ -681,6 +685,10 @@ def test_cli_light_continue_flows_once_at_the_configured_tolerance(tmp_path, mon
     assert [(traj.lam, cfg.rtol, first_step is None) for cfg, traj, first_step in flows] == [
         (1.0, 1e-10, True),
     ]
+    # that flow tries its whole span, half the period, and step control accepts it: one step of
+    # 12 right-hand-side calls after the first (26 calls in 2 steps from the initial-step heuristic)
+    ((_, traj, _),) = flows
+    assert (len(traj.ts) - 1, traj.n_rejected, traj.n_rhs_evals) == (1, 0, 13)
     assert solves == [1.0]  # no Newton solve at lambda = 0
     (step,) = json.loads((out / "run_report.json").read_text())["continuation"]["history"]
     assert step["guess_rtol"] == 1e-10 and step["newton_trace"] == []
@@ -1030,7 +1038,13 @@ def test_cli_tiny_mean_forcing_is_not_read_as_zero(tmp_path):
     start = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)[0, 1:4]
     assert np.array_equal(start, [0.0, 0.0, -1e100])
     assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 0
-    assert json.loads((out / "orbit_report.json").read_text())["x0_q"] == [0.0, 0.0, -1e100]
+    orbit = json.loads((out / "orbit_report.json").read_text())
+    assert orbit["x0_q"] == [0.0, 0.0, -1e100]
+    # the difference step of z is 1e-7 |z| = 1e93, so the stack's z member differs from the orbit:
+    # the flow is near the identity, M's diagonal is 1 (with a step of 1e-7, z + 1e-7 rounds to z,
+    # and M[2, 2] read 0), and the guess in Fix(G) of the x mirror takes the reversible path
+    assert orbit["shooting"] == "reversible x"
+    assert np.diag(orbit["monodromy"]).tolist() == [1.0] * 6
 
 
 def test_cli_find_orbit_starts_just_outside_the_guard_radius(tmp_path):

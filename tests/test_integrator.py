@@ -314,7 +314,8 @@ _EQ = find_zero_f0(1.0, [0.0, 0.0, 2.0]).as_array()
 def test_nodes_and_dense_output_equal_scipy(case, oracle):
     name, y0, lam, t1, first_step = case
     system = HomotopySystem(gyro_config() if name == "gyro" else desk_config())
-    ts, ys, dense, nfev = _scipy_flow(system, y0, t1, lam, first_step, oracle)
+    # without a first step the first trial is the whole span, scipy's given the same
+    ts, ys, dense, nfev = _scipy_flow(system, y0, t1, lam, first_step or t1, oracle)
     traj = integrate(system, y0, (0.0, t1), lam, IntegratorConfig(), first_step=first_step)
     assert np.array_equal(traj.ts, ts)
     assert np.array_equal(traj.states.reshape(len(ts), -1), ys)
@@ -325,20 +326,23 @@ def test_nodes_and_dense_output_equal_scipy(case, oracle):
     for t in list(shuffled[:10]) + list(ts):
         assert np.array_equal(traj.interpolant(t), dense(t))
     # scipy's count includes the interpolant stages of every step; ours builds them on reading.
-    # Both start with one call, and the initial-step heuristic takes one more in each
+    # Both start with one call and make 12 per trial step
     assert traj.n_rhs_evals == nfev - 3 * (len(ts) - 1)
 
 
 def test_a_first_step_of_the_whole_period_is_rejected_and_shrunk():
+    # a run with no first step tries its whole span first: one state, and the shooting stack
     system = HomotopySystem(desk_config())
     y0 = _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0])
     cfg = IntegratorConfig(rtol=1e-10)
-    whole = integrate(system, y0, (0.0, 1.0), 1.0, cfg, first_step=1.0)
-    assert whole.n_rejected >= 1 and len(whole.ts) > 2
-    # one call to start and 12 per trial step: the initial-step heuristic did not run
-    assert whole.n_rhs_evals == 1 + 12 * (len(whole.ts) - 1 + whole.n_rejected)
-    cold = integrate(system, y0, (0.0, 1.0), 1.0, cfg)
-    assert np.abs(whole.states[-1] - cold.states[-1]).max() <= 1e-8
+    for start in (y0, y0 + np.vstack([np.zeros(6), 1e-7 * np.eye(6)])):
+        cold = integrate(system, start, (0.0, 1.0), 1.0, cfg)
+        whole = integrate(system, start, (0.0, 1.0), 1.0, cfg, first_step=1.0)
+        assert np.array_equal(cold.ts, whole.ts)
+        assert np.array_equal(cold.states, whole.states)
+        assert cold.n_rejected >= 1 and len(cold.ts) > 2
+        # one call to start and 12 per trial step, accepted or rejected
+        assert cold.n_rhs_evals == 1 + 12 * (len(cold.ts) - 1 + cold.n_rejected)
 
 
 def test_warm_step_is_the_middle_step_scaled_as_step_control_scales_a_step():
@@ -358,10 +362,10 @@ def test_warm_step_is_the_middle_step_scaled_as_step_control_scales_a_step():
 def test_trajectory_counts_rejected_steps(gyro_system):
     x0 = np.array([5.0, 0.0, 0.0, 0.75, 0.0, 0.0])
     traj = integrate(gyro_system, x0, (0.0, GYRO_PERIOD), 1.0)
-    # scipy calls the RHS twice to start, 12 times per trial step, accepted or rejected,
-    # and 3 more times per accepted step for its interpolant
-    ts, _, _, nfev = _scipy_flow(gyro_system, x0, GYRO_PERIOD, 1.0)
+    # scipy, given the whole span as its first step, calls the RHS once to start, 12 times per
+    # trial step, accepted or rejected, and 3 more times per accepted step for its interpolant
+    ts, _, _, nfev = _scipy_flow(gyro_system, x0, GYRO_PERIOD, 1.0, first_step=GYRO_PERIOD)
     steps = len(ts) - 1
-    assert traj.n_rejected == (nfev - 2 - 3 * steps) // 12 - steps > 0
+    assert traj.n_rejected == (nfev - 1 - 3 * steps) // 12 - steps == 4
     stack = integrate(gyro_system, np.array([x0, x0 + 1e-7]), (0.0, GYRO_PERIOD), 1.0)
     assert stack.row(1).n_rejected == stack.n_rejected

@@ -584,6 +584,18 @@ def test_step_controller_on_planted_traces(coulomb_problem, monkeypatch):
         newton_shooting(EQ, coulomb_problem)
 
 
+def test_the_difference_step_is_relative_to_a_large_coordinate():
+    # a mean forcing off every coordinate plane shares no mirror: the full path's Jacobian at a
+    # state 1e17 out on x, where x + 1e-7 rounds to x; its step there is 1e-7 x = 1e10
+    problem = ShootingProblem(system=HomotopySystem(coulomb_config(mean=(1.0, 1.0, 1.0))), lam=1.0)
+    x0 = np.array([1e17, 0.0, 0.0, 0.0, 0.0, 0.0])
+    assert x0[0] + lfe.shooting._FD_STEP == x0[0]
+    _, jac = problem.flow_with_monodromy(x0)
+    assert np.all(np.any(jac != 0.0, axis=0))
+    # so far out the force does not depend on q: the q columns are those of the identity
+    assert np.abs(jac[:, :3] - np.eye(6)[:, :3]).max() < 1e-6
+
+
 @pytest.mark.parametrize("c", [0.3, 1.0, 4.0])
 def test_continuation_steps_to_where_a_linear_contraction_meets_its_aim(coulomb_problem, monkeypatch, c):
     # a constant predictor's first contraction grows linearly in the step: with a planted
@@ -723,9 +735,15 @@ def test_the_reversible_monodromy_matches_a_full_period_difference_monodromy(sym
 @pytest.mark.parametrize("name", ["desk", "light"])
 def test_the_reversible_residual_is_that_of_a_full_period_flow(symmetric_orbits, name):
     problem, sol = symmetric_orbits[name]
-    # |G Phi^-1 (G y - y)|_inf, y = phi_T/2(x0), against |phi_T(x0) - x0|_inf of a flow at rtol0
-    full = np.abs(periodicity_residual(sol.x0, problem)).max()
-    assert abs(sol.residual_norm - full) <= 0.01 * full
+    # |G Phi^-1 (G y - y)|_inf, y = phi_T/2(x0), against |phi_T(x0) - x0|_inf of a flow at rtol0,
+    # 1e-6 along the Fix(G) coordinate x from the orbit, where the residual (4.3e-6 on light) is
+    # far above the flow's own error: light's orbit converges to 1.1e-13, and an rtol0 flow from
+    # it reads 3.4e-13
+    moved = State.from_array(sol.x0.as_array() + np.array([1e-6, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    reversible = reflow(problem, moved, None)
+    full = np.abs(periodicity_residual(moved, problem)).max()
+    assert full > 1e-8
+    assert abs(reversible.norm - full) <= 0.01 * full
 
 
 @pytest.mark.parametrize("name", ["desk", "light"])
