@@ -44,23 +44,21 @@ while the reduced Jacobian stays regular, shows as a small
 `sigma_min_M_minus_I` in `OrbitSolution.symmetry`.
 
 The continuation driver walks the deformation parameter from the
-autonomous equilibrium at lam = 0 toward the full equation at lam = 1.
-Its step lengths come from Newton's contraction (Deuflhard, "Newton
-Methods for Nonlinear Problems", 2004, section 5.1; Allgower & Georg,
-section 6.1).  The first step has no previous contraction to size it,
-so it tries the whole interval (dlam_init = 1.0, capped by target_lambda).
-After an accepted step with first contraction theta0 = r1 / r0, the
-next step is dlam * _THETA_MAX / theta0, capped by the rest of the
-interval; a failed solve halves the step.  That is Deuflhard's rule
-dlam * (_THETA_MAX / theta0) ** (1/p) for a predictor of order p = 1:
-the previous orbit's initial state, a constant predictor.  A tangent
-predictor would bring p = 2 back.  Every accepted orbit keeps the sign
+autonomous equilibrium at lam = 0 toward the full equation at lam = 1,
+with one step rule: the first step tries the whole interval
+(dlam_init = 1.0, capped by target_lambda), every accepted step is
+followed by an attempt at the rest of the interval, and a failed or
+rejected attempt halves the step.  The predictor is the previous
+orbit's initial state.  Every accepted orbit keeps the sign
 of det(I - M) of the lam = 0 orbit, minus the degree of the autonomous
-field, so a step that lands on another branch is rejected.  With
+field, so a step that lands on another branch is rejected, and so is
+one whose det(I - M) is 0: there the difference monodromy does not
+resolve the index.  With
 h = ceil(log2(target_lambda / dlam_floor)) halvings from the whole
-interval to the floor, the attempt budget gives each of the 1 + h step
-lengths target_lambda * 2**-k (k = 0, ..., h) one allowance of 1 + h
-attempts: (1 + h)**2 attempts, 225 at the defaults (`continue_lambda`).
+interval to the floor, a run of failed attempts after an accepted step
+underflows within 1 + h attempts, and the attempt budget gives 1 + h
+accepted steps one such allowance each: (1 + h)**2 attempts, 225 at the
+defaults (`continue_lambda`).
 
 Newton is inexact in the sense of Dembo, Eisenstat & Steihaug ("Inexact
 Newton methods", SIAM J. Numer. Anal. 19, 1982): the trial flows of an
@@ -69,22 +67,17 @@ rtol = max(rtol0, min(1e-6, 1e-4 r)), with atol scaled by the same
 factor, where rtol0 is the configured tolerance; an early iteration does
 not resolve digits that the next one discards.  An rtol below 2 rtol0 is
 rounded to rtol0: such a flow costs at most 9 % more there, and needs no
-confirming re-flow.  The guess flows at the same rule's tolerance for
-the residual predicted for it, and again at its actual residual's
-tolerance when that is tighter.  With no predicted residual, the
-guess's drift over one period, T max|f(0, y0)|, is the prediction
-(`_drift_residual`, one right-hand-side call): a guess at an equilibrium
-flows at rtol0, and a guess that moves at a rate of order one flows at
-the cap.  The continuation predicts each later
-step's guess residual from the previous accepted step (Allgower &
-Georg, "Introduction to Numerical Continuation Methods"): the previous
-orbit's initial state is a constant predictor, whose residual grows
-linearly in the step dlam.
+confirming re-flow.  Every guess flows at the same rule's tolerance for
+its drift over one period, T max|f(0, y0)| (`_drift_residual`, one
+right-hand-side call), and again at its actual residual's tolerance
+when that is tighter: a guess at an equilibrium flows at rtol0, and a
+guess that moves at a rate of order one flows at the cap.
 
 Convergence is read only from a flow at rtol0.  From the second
 iteration on, an iteration that starts from the residual r, after one
 that started from r_prev, is predicted to converge when Newton's
-quadratic convergence model (Deuflhard 2004), in which the contraction
+quadratic convergence model (Deuflhard, "Newton Methods for Nonlinear
+Problems", 2004), in which the contraction
 squares from one iteration to the next (theta_k = theta_(k-1)^2 with
 theta_(k-1) = r / r_prev), puts the next residual r^3 / r_prev^2 below
 newton_tol.  Its trial then flows at rtol0, so convergence is read from
@@ -155,8 +148,6 @@ _FD_STEP = 1e-7
 # inexact Newton: the cap of a trial flow's rtol and its factor of the residual (`_trial_rtol`)
 _TRIAL_RTOL_CAP = 1e-6
 _TRIAL_FACTOR = 1e-4
-# continuation steps (`_next_dlam`): the first contraction a step aims at
-_THETA_MAX = 0.25
 # a residual at most this many eps * max(1, |x|_inf) is at round-off level
 _ROUNDOFF = 8.0 * np.finfo(float).eps
 
@@ -264,7 +255,8 @@ class OrbitSolution:
     is reflected only then.  index_det is det(I - M), set where M is made;
     its sign is minus the orbit's fixed-point index.  shooting names the
     path that solved it (`_shooting`): "full", "reversible <axis>", or
-    "closed form" for the lam = 0 start.
+    "closed form" for the lam = 0 start.  guess_rtol is the rtol the
+    solve's guess was first flowed at, None for the unflowed lam = 0 start.
     """
 
     system: HomotopySystem
@@ -277,6 +269,7 @@ class OrbitSolution:
     # per Newton iteration: the residual sup-norm it started from, its damping alpha and trial rtol
     newton_trace: list
     shooting: str = "full"
+    guess_rtol: float | None = None
 
     @functools.cached_property
     def trajectory(self) -> Trajectory:
@@ -285,18 +278,6 @@ class OrbitSolution:
     @property
     def newton_iterations(self) -> int:
         return len(self.newton_trace)
-
-    @property
-    def theta0(self) -> float:
-        """Newton's first contraction r1 / r0: the residuals its first two iterations started from.
-
-        With one iteration r1 is residual_norm; with none theta0 is 0.
-        """
-        trace = self.newton_trace
-        if not trace:
-            return 0.0
-        r1 = trace[1]["residual"] if len(trace) > 1 else self.residual_norm
-        return r1 / trace[0]["residual"]
 
     @functools.cached_property
     def symmetry(self) -> dict:
@@ -482,7 +463,6 @@ def _flow_residual(
 def newton_shooting(
     guess: State,
     problem: ShootingProblem,
-    predicted_residual: float | None = None,
     previous: Trajectory | None = None,
 ) -> OrbitSolution:
     """Damped inexact Newton on the periodicity residual, Jacobian from the stacked flow.
@@ -500,10 +480,10 @@ def newton_shooting(
     factor and trial `rtol` go into `newton_trace`.
 
     Tolerances, as in the module docstring, with rtol0 that of
-    problem.integrator: the guess flows at `_trial_rtol(rtol0,
-    predicted_residual)`, where the default predicted_residual None stands
-    for the guess's drift (`_drift_residual`); if its residual r calls for
-    a tighter one, it flows again at `_trial_rtol(rtol0, r)`.  The trials
+    problem.integrator: the guess flows at `_trial_rtol` of its drift
+    (`_drift_residual`), which the solution keeps as guess_rtol; if its
+    residual r calls for a tighter one, it flows again at
+    `_trial_rtol(rtol0, r)`.  The trials
     flow at `_trial_rtol` of the residual r of their iteration, or at
     rtol0 when the iteration is predicted to converge: it is not the
     first, and r^3 / r_prev^2 < newton_tol for the residual r_prev of the
@@ -535,13 +515,15 @@ def newton_shooting(
     flow takes it from the iterate's flow.
 
     Raises NewtonDiverged (no decrease with any factor, the iteration cap,
-    or round-off stagnation: a trial flow fails to lower a residual already
-    within _ROUNDOFF * max(1, |x|_inf), so newton_tol is out of reach),
+    or round-off stagnation: the residual is already within _ROUNDOFF *
+    max(1, |x|_inf) and a trial flow fails to lower it by that much, so
+    newton_tol is out of reach and the solve ends at its first trial),
     SingularJacobian (condition estimate above 1e12, or a singular Phi of
     the guess's half-period flow) or LeftDomain (the guess, or every
     damped trial point, outside the search region).  A failure raised
     once the path is chosen carries the iterations so far as
-    `newton_trace` and the path's name as `shooting`.
+    `newton_trace`, the path's name as `shooting` and the guess's rtol as
+    `guess_rtol`.
     """
     y = guess.as_array()
     bad = problem.violation(y)
@@ -549,13 +531,12 @@ def newton_shooting(
         raise LeftDomain(f"initial guess outside the search region: {bad}")
 
     shooting = _shooting(problem, y)
-    if predicted_residual is None:
-        predicted_residual = _drift_residual(problem, y)
     rtol0 = problem.integrator.rtol
+    guess_rtol = _trial_rtol(rtol0, _drift_residual(problem, y))
     tol = problem.solver.newton_tol
     trace = []
     try:
-        flowed = _flow_residual(problem, shooting, y, _trial_rtol(rtol0, predicted_residual), previous)
+        flowed = _flow_residual(problem, shooting, y, guess_rtol, previous)
         rtol = _trial_rtol(rtol0, flowed.norm)
         if rtol < flowed.traj.rtol:
             flowed = _flow_residual(problem, shooting, y, rtol, flowed.traj)
@@ -578,6 +559,9 @@ def newton_shooting(
             rtol = _trial_rtol(rtol0, res_norm)
             if trace and res_norm * (res_norm / trace[-1]["residual"]) ** 2 < tol:
                 rtol = rtol0  # predicted to converge: convergence is read from this flow
+            # at round-off level, a decrease smaller than that level counts as none
+            roundoff = _ROUNDOFF * max(1.0, float(np.max(np.abs(y))))
+            least = roundoff if res_norm <= roundoff else 0.0
 
             for alpha in _DAMPING:
                 y_try = y + alpha * delta
@@ -587,11 +571,11 @@ def newton_shooting(
                     trial = _flow_residual(problem, shooting, y_try, rtol, flowed.traj)
                 except SolverError:
                     continue
-                if trial.norm < res_norm:
+                if trial.norm < res_norm and res_norm - trial.norm >= least:
                     trace.append({"residual": res_norm, "alpha": alpha, "rtol": rtol})
                     y, flowed = y_try, trial
                     break
-                if res_norm <= _ROUNDOFF * max(1.0, float(np.max(np.abs(y)))):
+                if least:
                     raise NewtonDiverged(
                         f"round-off stagnation: residual {res_norm:.3e} is at round-off level "
                         f"and a trial step does not lower it; newton_tol = {tol:g} is "
@@ -605,7 +589,7 @@ def newton_shooting(
                     f"(residual {res_norm:.3e})"
                 )
     except SolverError as err:
-        err.newton_trace, err.shooting = trace, shooting.name
+        err.newton_trace, err.shooting, err.guess_rtol = trace, shooting.name, guess_rtol
         raise
 
     return OrbitSolution(
@@ -618,6 +602,7 @@ def newton_shooting(
         index_det=float(np.linalg.det(np.eye(6) - flowed.monodromy)),
         newton_trace=trace,
         shooting=shooting.name,
+        guess_rtol=guess_rtol,
     )
 
 
@@ -693,71 +678,48 @@ class ContinuationPath:
         ]
 
 
-def _next_dlam(dlam: float, theta0: float, remaining: float) -> float:
-    """The step after an accepted step of length dlam whose first Newton contraction was theta0.
-
-    dlam * _THETA_MAX / theta0, capped by remaining; a theta0 of 0 (a step
-    that took no Newton iteration) gives remaining.  Deuflhard's (2004,
-    section 5.1) rule dlam * (_THETA_MAX / theta0) ** (1/p) for a predictor
-    of order p aims the next step at theta0 = _THETA_MAX.  The previous
-    orbit's initial state is a constant predictor, of order p = 1
-    (Allgower & Georg, section 6.1): its error, and with it theta0, grows
-    linearly in dlam.  A tangent predictor would bring p = 2 back.
-    """
-    if theta0 == 0.0:
-        return remaining
-    return min(dlam * _THETA_MAX / theta0, remaining)
-
-
 def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> ContinuationPath:
     """Natural-parameter continuation from a converged lam = 0 orbit, such as `equilibrium_orbit`.
 
-    Walks lam to problem.solver.target_lambda.  The first step is
-    solver.dlam_init, by default 1.0: the whole interval, as no Newton
-    contraction has been measured yet.  After each accepted step the next
-    one is `_next_dlam` of its first Newton contraction
-    (`OrbitSolution.theta0`), and a failed solve halves the step.  Every
-    step is capped by the rest of the interval.  The path ends in
+    Walks lam to problem.solver.target_lambda with one step rule.  The
+    first step is solver.dlam_init, by default 1.0: the whole interval.
+    After each accepted step the next attempt is the rest of the interval,
+    target_lambda - lam, and a failed or rejected attempt halves the step.
+    Every step is capped by the rest of the interval.  The path ends in
     stepsize_underflow when a step shorter than both solver.dlam_floor and
-    the rest of the interval would come next.  A converged orbit is
-    accepted even when its theta0 exceeds _THETA_MAX: that theta0 only
-    shortens the next step, and no converged solve is thrown away.
-    Deuflhard's pathfollower instead aborts a step whose theta0 reaches
-    1/2 after its first iteration; on the desk config with periods 2 to 3
-    the whole-interval step has theta0 = 0.60 to 0.88 and converges in 8
-    to 15 iterations, where shorter steps took up to 395 or failed.
+    the rest of the interval would come next, which only a halving can
+    bring.  On the desk config with periods 2 to 3 the whole-interval step
+    converges in 8 to 15 iterations, where steps of 0.1 took up to 395 or
+    failed.
 
     Branch safety: sign det(I - M) of the start orbit (+1, minus the degree
     of the autonomous field) is kept by every accepted orbit.  A converged
-    orbit whose det(I - M) has the other sign lies on another branch: the
-    step is rejected with a reason naming det(I - M), and halved.
+    orbit whose det(I - M) has the other sign lies on another branch, and
+    one whose det(I - M) is 0 has an index the difference monodromy does
+    not resolve (a period so short that the flow moves the difference
+    members by nothing, so M = I): either step is rejected with a reason
+    naming det(I - M), and halved.
 
     The predictor is the previous initial state; each accepted orbit is
     checked against problem.region when it is set.  The first step's guess
     flows cold, so the start's trajectory is not read; each later guess's
     first flow is warm-started from the previous accepted orbit's trajectory.
-    Each guess is passed to `newton_shooting` with a predicted residual:
-    until a step is accepted, its drift at the step's lam
-    (`_drift_residual`); after that, the previous accepted step's starting
-    residual (its first `newton_trace` entry, or its residual_norm when it
-    took no iteration) times dlam / dlam_prev.  Each attempt adds one
-    `history` record with the rtol its guess was first flowed at
-    (`guess_rtol`, that of the predicted residual), its Newton
-    iterations (`newton_trace`, up to the failure for a failed solve), the
-    solved orbit's `theta0` and det(I - M) (`index_det`), and its
+    Each attempt adds one `history` record with the rtol its guess was
+    first flowed at (`guess_rtol`, that of its drift, from the solve), its
+    Newton iterations (`newton_trace`, up to the failure for a failed
+    solve), the solved orbit's det(I - M) (`index_det`), and its
     `OrbitSolution.symmetry`: the path (`shooting`), the smallest singular
     value of M - I and the symmetry defect |x0 - G x0|_inf.  A failed solve
-    has None for all of these but `shooting`.
+    has None for the orbit's entries.
 
     Budget, from target_lambda and dlam_floor alone: h = max(0,
     ceil(log2(target_lambda / dlam_floor))) halvings take the whole
-    interval down to the floor, so a run of failed solves underflows
-    within one allowance of 1 + h attempts, whatever the first step.  The
-    budget gives one allowance to each of the 1 + h step lengths
-    target_lambda * 2**-k, k = 0, ..., h: at most (1 + h)**2 attempts,
-    225 with the defaults target_lambda = 1 and dlam_floor = 1e-4 (h = 14).
-    One allowance per step of dlam_init would shrink it to 15 with the
-    whole-interval first step.
+    interval down to the floor.  Each accepted step is followed by the rest
+    of the interval, at most target_lambda, so a run of failed solves after
+    it, or from the first step, underflows within one allowance of 1 + h
+    attempts.  The budget gives 1 + h accepted steps one allowance each: at
+    most (1 + h)**2 attempts, 225 with the defaults target_lambda = 1 and
+    dlam_floor = 1e-4 (h = 14).
     The path reports how far it got rather than raising: status is one of
     reached_target / stepsize_underflow / bound_violation / budget_exhausted.
     A failed path means the path is incomplete, not that no orbit exists.
@@ -774,31 +736,27 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     solutions, history = [start], []
     start_det = start.index_det
     lam, dlam = 0.0, min(solver.dlam_init, target_lambda)
-    # the starting residual of the last accepted step per unit of its dlam, None before the first
-    residual_per_dlam = None
     end = ("reached_target", "target is the starting parameter") if target_lambda == 0.0 else None
     while end is None and len(history) < budget:
         lam_try = target_lambda if dlam >= target_lambda - lam else lam + dlam
-        step_problem = replace(problem, lam=lam_try)
-        guess = solutions[-1].x0
-        if residual_per_dlam is None:
-            predicted = _drift_residual(step_problem, guess.as_array())
-        else:
-            predicted = residual_per_dlam * dlam
-        theta0 = index_det = violation = None
+        index_det = violation = None
         previous = solutions[-1].trajectory if len(solutions) > 1 else None
         try:
-            sol = newton_shooting(guess, step_problem, predicted, previous)
+            sol = newton_shooting(solutions[-1].x0, replace(problem, lam=lam_try), previous)
         except SolverError as err:
             reason, trace = str(err), getattr(err, "newton_trace", [])
+            guess_rtol = getattr(err, "guess_rtol", None)
             symmetry = dict.fromkeys(("shooting", "sigma_min_M_minus_I", "symmetry_defect"))
             symmetry["shooting"] = getattr(err, "shooting", None)
         else:
-            trace, theta0, index_det, symmetry = sol.newton_trace, sol.theta0, sol.index_det, sol.symmetry
+            trace, guess_rtol, index_det = sol.newton_trace, sol.guess_rtol, sol.index_det
+            symmetry = sol.symmetry
             region = problem.region
             checks = [] if region is None else region_checks(sol.trajectory.states, region)
             reason = violation = next((check.detail for check in checks if not check.passed), None)
-            if reason is None and np.sign(index_det) != np.sign(start_det):
+            if reason is None and index_det == 0.0:
+                reason = "det(I - M) = 0: the difference monodromy does not resolve the orbit's index"
+            elif reason is None and np.sign(index_det) != np.sign(start_det):
                 reason = (
                     f"det(I - M) = {index_det:.6g} differs in sign from {start_det:.6g} "
                     "at lam = 0: the orbit lies on another branch"
@@ -809,9 +767,8 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
                 "dlam": dlam,
                 "accepted": reason is None,
                 "reason": reason or "",
-                "guess_rtol": _trial_rtol(problem.integrator.rtol, predicted),
+                "guess_rtol": guess_rtol,
                 "newton_trace": trace,
-                "theta0": theta0,
                 "index_det": index_det,
                 **symmetry,
             }
@@ -823,19 +780,16 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
             )
         elif reason is None:
             solutions.append(sol)
-            start_residual = trace[0]["residual"] if trace else sol.residual_norm
-            residual_per_dlam = start_residual / dlam
             lam = lam_try
             if lam >= target_lambda:
                 end = ("reached_target", f"reached lam = {target_lambda:g}")
-            dlam = _next_dlam(dlam, theta0, target_lambda - lam)
+            dlam = target_lambda - lam
         else:
             dlam *= 0.5
         if end is None and dlam < min(solver.dlam_floor, target_lambda - lam):
-            cause = reason or f"first contraction theta0 = {theta0:.3g}"
             end = (
                 "stepsize_underflow",
-                f"step below floor {solver.dlam_floor:g} at lam = {lam:.6g}: {cause}",
+                f"step below floor {solver.dlam_floor:g} at lam = {lam:.6g}: {reason}",
             )
     if end is None:
         end = ("budget_exhausted", f"attempted-step budget {budget} used up at lam = {lam:.6g}")

@@ -202,8 +202,8 @@ def desk_start(desk_problem):
 def desk_continuation(desk_problem, desk_start):
     """The desk continuation path with a first step of 0.1 and its recorded shooting flows (`recorded_flows`).
 
-    Its first step is dlam_init = 0.1, so each later one is sized from the
-    contraction of the one before and starts from a warm, predicted guess.
+    Its first step is dlam_init = 0.1, so a second step, to the end of the
+    interval, starts from a warm guess.
     """
     problem = replace(desk_problem, solver=SolverOptions(dlam_init=0.1))
     with pytest.MonkeyPatch.context() as patch:

@@ -70,8 +70,8 @@ seed = {SEED}
 """
 
 
-# the desk scenario with a first continuation step of 0.1: each later step is sized from the
-# contraction of the one before, and its guess is warm-started at a predicted tolerance
+# the desk scenario with a first continuation step of 0.1: the step after it tries the rest of the
+# interval, and its guess is warm-started at the tolerance of its drift
 DESK_SHORT_FIRST_STEP_CONFIG = DESK_CONFIG.replace("[solver]\n", "[solver]\ndlam_init = 0.1\n")
 
 
@@ -97,7 +97,7 @@ def a6_run(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def desk_short_first_step_run(tmp_path_factory):
-    """The desk scenario through `continue` with a first step of 0.1: three steps, to 0.1, 0.775 and 1."""
+    """The desk scenario through `continue` with a first step of 0.1: two steps, to 0.1 and 1."""
     return run_continue(tmp_path_factory.mktemp("desk-short-first-step"), DESK_SHORT_FIRST_STEP_CONFIG)
 
 
@@ -113,11 +113,14 @@ def test_run_report_records_the_newton_trace(a6_run):
 def test_run_report_records_every_newton_trace_and_the_rejected_steps(desk_short_first_step_run):
     report = desk_short_first_step_run["report"]
     history = report["continuation"]["history"]
-    assert [len(h["newton_trace"]) for h in history] == [3, 4, 3]
-    # each step's first contraction and det(I - M) of its orbit
-    assert [h["theta0"] for h in history] == [
-        h["newton_trace"][1]["residual"] / h["newton_trace"][0]["residual"] for h in history
-    ]
+    # the first step of 0.1, then the rest of the interval
+    assert [(h["lambda"], h["accepted"]) for h in history] == [(0.1, True), (1.0, True)]
+    assert [len(h["newton_trace"]) for h in history] == [3, 4]
+    assert set(history[0]) == {
+        "lambda", "dlam", "accepted", "reason", "guess_rtol", "newton_trace", "index_det",
+        "shooting", "sigma_min_M_minus_I", "symmetry_defect",
+    }
+    # det(I - M) of each orbit
     assert all(h["index_det"] > 0.0 for h in history)
     assert history[-1]["newton_trace"] == report["final_orbit"]["newton_trace"]
     # each orbit is symmetric, solved on the reversible path, and M - I stays far from singular
@@ -189,7 +192,7 @@ ATLAS = {
     ("2.6", "1"): (0, "reached_target", [0.5, 1.0], 15),
     ("2.6", "5"): (0, "reached_target", [1.0], 6),
     # next to the resonance T_res = 2.6418 of the lambda = 0 orbit
-    ("2.6", "0.1"): (0, "reached_target", [0.5, 0.7911608160190566, 1.0], 19),
+    ("2.6", "0.1"): (0, "reached_target", [0.5, 1.0], 16),
     ("3", "1"): (0, "reached_target", [1.0], 5),
     # the certificate stops: its momentum bound M leaves double range (m ~ 5e-90)
     ("3", "5"): (2, None, None, None),
@@ -231,6 +234,7 @@ def desk_flows(tmp_path_factory):
 
 
 def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk, desk_flows):
+    """Each guess flows at the rtol of its drift, the residual predicted for it."""
     _, system = desk
     flows, report = desk_flows
     history = report["continuation"]["history"]
@@ -238,24 +242,23 @@ def test_each_continuation_guess_flows_at_its_predicted_tolerance(desk, desk_flo
     rtol0 = IntegratorConfig().rtol
     by_lambda = {}
     for cfg, traj, _ in flows:
-        by_lambda.setdefault(traj.lam, []).append(cfg.rtol)
-    # the first step's guess, the lambda = 0 orbit's x0, flows at the rtol of its drift over
-    # one period, T max|f(0, x0; lam)|; each later one at the rtol of the previous step's
-    # starting residual scaled by dlam / dlam_prev
-    lam = history[0]["lambda"]
+        by_lambda.setdefault(traj.lam, []).append((cfg.rtol, traj.states[0, 0]))
+    # each step's guess, the previous orbit's x0 (at first the lambda = 0 orbit's), flows first at
+    # the rtol of its drift over one period, T max|f(0, x0; lam)|, at the step's lam
     assert 0.0 not in by_lambda  # the lambda = 0 start is closed-form and not flowed
-    x0 = find_zero_f0(1.0, [0.0, 0.0, 2.0]).as_array()
-    drift = system.config.forcing.period * np.abs(system.rhs_array(0.0, x0, lam)).max()
-    assert history[0]["newton_trace"][0]["residual"] < drift  # 0.055 against 0.2
-    predicted = [drift] + [
-        prev["newton_trace"][0]["residual"] / prev["dlam"] * step["dlam"]
-        for prev, step in zip(history, history[1:])
+    guesses = [by_lambda[step["lambda"]][0] for step in history]
+    assert np.array_equal(guesses[0][1], find_zero_f0(1.0, [0.0, 0.0, 2.0]).as_array())
+    assert np.array_equal(guesses[1][1], by_lambda[history[0]["lambda"]][-1][1])
+    drifts = [
+        system.config.forcing.period * np.abs(system.rhs_array(0.0, x0, step["lambda"])).max()
+        for (_, x0), step in zip(guesses, history)
     ]
-    expected = [max(rtol0, min(1e-6, 1e-4 * r)) for r in predicted]
-    assert [by_lambda[step["lambda"]][0] for step in history] == expected
-    assert [step["guess_rtol"] for step in history] == expected == [1e-6] * 3
+    assert history[0]["newton_trace"][0]["residual"] < drifts[0]  # 0.053 against 0.2
+    expected = [max(rtol0, min(1e-6, 1e-4 * r)) for r in drifts]
+    assert [rtol for rtol, _ in guesses] == expected
+    assert [step["guess_rtol"] for step in history] == expected == [1e-6] * 2
     # every converged orbit is read from a flow at rtol0: the last one at its lambda
-    assert all(rtols[-1] == rtol0 for rtols in by_lambda.values())
+    assert all(flowed[-1][0] == rtol0 for flowed in by_lambda.values())
 
 
 def test_desk_continue_takes_fewer_than_160_integrator_steps(desk_flows):
@@ -270,10 +273,10 @@ def test_desk_continue_takes_fewer_than_160_integrator_steps(desk_flows):
 def test_desk_continue_reads_each_convergence_from_its_last_trial(desk_flows):
     # each step's last iteration is predicted to converge, so its trial flows at rtol0 and no
     # converged loose trial is flowed once more: per step one guess flow and one trial per
-    # iteration, 13 flows on the three steps (9 on the two steps of the full-period path)
+    # iteration, 9 flows on the two steps
     flows, report = desk_flows
     history = report["continuation"]["history"]
-    assert len(flows) == sum(1 + len(step["newton_trace"]) for step in history) == 13
+    assert len(flows) == sum(1 + len(step["newton_trace"]) for step in history) == 9
     assert all(step["newton_trace"][-1]["rtol"] == IntegratorConfig().rtol for step in history)
 
 
@@ -285,10 +288,11 @@ def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):
     assert all(step is not None for _, _, step in flows[1:])
     # 34 rejected steps and 2656 right-hand-side calls when every flow starts cold, and 25 and
     # 2174 when the warm first step leaves out the step controller's safety factor; the 9
-    # full-period flows of the two-step path took 10 and 754, the 13 half-period flows take 3 and 602
+    # full-period flows of the two-step path took 10 and 754, the 13 half-period flows of the
+    # three-step path 2 and 553, and the 9 half-period flows of the two-step path take 2 and 393
     assert {traj.t1 for _, traj, _ in flows} == {0.5}
-    assert sum(traj.n_rejected for _, traj, _ in flows) <= 3
-    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 602
+    assert sum(traj.n_rejected for _, traj, _ in flows) <= 2
+    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 393
 
 
 def test_desk_continue_computes_the_identities_of_the_final_orbit_only(tmp_path, monkeypatch):
@@ -504,8 +508,8 @@ def test_a7_identity_suite(desk_start, desk_path):
             assert diag["virial_lhs"] < 0.0
             worst_virial = max(worst_virial, diag["virial_lhs"])
         checked += 1
-    # the lambda = 0 start, counted twice, and the three steps of the desk path
-    ok = worst_mean <= 1e-6 and checked == 5
+    # the lambda = 0 start, counted twice, and the two steps of the desk path
+    ok = worst_mean <= 1e-6 and checked == 4
     report(
         "A7",
         ok,

@@ -509,6 +509,20 @@ def test_cli_continue_solver_failure_writes_partial_report(tmp_path):
     assert len((out / "orbit.csv").read_text().splitlines()) == 1 + 101
 
 
+def test_cli_continue_rejects_a_step_whose_index_is_not_resolved(tmp_path):
+    # over T = 1e-12 the flow moves the difference members, 1e-7 apart, by nothing the forward
+    # differences resolve: Phi = I exactly, so M = I and det(I - M) = 0, while the closed-form
+    # lambda = 0 start has det(I - M) = 4.5e-71
+    cfg, out = write(tmp_path, DESK.replace("period = 1.0", "period = 1e-12")), tmp_path / "out"
+    assert main(["continue", "--config", str(cfg), "--out", str(out)]) == 3
+    continuation = json.loads((out / "run_report.json").read_text())["continuation"]
+    assert continuation["status"] == "stepsize_underflow"
+    reason = "det(I - M) = 0: the difference monodromy does not resolve the orbit's index"
+    history = continuation["history"]
+    assert len(history) == 14 and all(h["reason"] == reason and h["index_det"] == 0.0 for h in history)
+    assert continuation["message"] == f"step below floor 0.0001 at lam = 0: {reason}"
+
+
 def test_cli_continue_to_target_lambda_zero_verifies_and_writes_the_start(tmp_path, monkeypatch):
     flows = recorded_flows(monkeypatch)
     cfg = write(tmp_path, LIGHT.replace("seed = 7", "seed = 7\ntarget_lambda = 0.0"))
@@ -550,8 +564,11 @@ def test_cli_continue_history_records_failed_newton_traces(tmp_path):
     failed = [h for h in history if not h["accepted"]]
     assert failed and all(h["reason"].startswith("residual ") for h in failed)
     assert all(len(h["newton_trace"]) == 1 for h in failed)
-    # a failed solve names its path; it has no monodromy, so no singular value, and no x0
-    assert all(h["shooting"] == "reversible y" for h in failed)
+    # a failed solve names its path and the rtol its guess flowed at (the first, from the
+    # equilibrium at lam = 1, drifts by 0.9 and flows at the cap); it has no monodromy, so no
+    # singular value, and no x0
+    assert all(h["shooting"] == "reversible y" and h["guess_rtol"] is not None for h in failed)
+    assert failed[0]["lambda"] == 1.0 and failed[0]["guess_rtol"] == 1e-6
     assert all(h["sigma_min_M_minus_I"] is h["symmetry_defect"] is None for h in failed)
     assert all(0.0 < h["newton_trace"][0]["alpha"] <= 1.0 for h in history)
 
@@ -597,9 +614,10 @@ def test_cli_find_orbit_stops_at_round_off_stagnation(tmp_path, monkeypatch):
         "shooting failed: round-off stagnation: residual 1.733e-16 is at round-off level and "
         "a trial step does not lower it; newton_tol = 1e-300 is unreachable in double precision\n"
     )
-    # the guess's flow and four trial flows: the first three lower the residual by 3e-24 or less,
-    # at round-off, and the fourth does not (with the initial-step heuristic the second did not)
-    assert len(flows) == 5
+    # the guess's flow and one trial flow: at round-off level a decrease below that level counts
+    # as none (the first three of four trials lowered the residual by 3e-24 or less when any
+    # decrease counted)
+    assert len(flows) == 2
 
 
 def test_cli_find_orbit_trial_flows_take_fewer_steps_than_configured_ones(tmp_path, monkeypatch):

@@ -26,12 +26,10 @@ from lfe.kinematics import State, phi_inv
 from lfe.shooting import (
     LeftDomain,
     NewtonDiverged,
-    OrbitSolution,
     ResonantStart,
     ShootingProblem,
     SingularJacobian,
     SolverOptions,
-    _next_dlam,
     continue_lambda,
     equilibrium_orbit,
     newton_shooting,
@@ -88,6 +86,17 @@ def test_guess_outside_domain_is_rejected():
         newton_shooting(State(q=[0.25, 0.0, 0.0], p=[0.0, 0.0, 0.0]), problem)
     with pytest.raises(LeftDomain):
         newton_shooting(State(q=[0.0, 0.0, 20.0], p=[0.0, 0.0, 0.0]), problem)
+
+
+def test_a_guess_at_twice_the_momentum_bound_leaves_the_search_region():
+    # a certified momentum bound L = 0.25 gives the search region |p| < 2 L = 0.5; the guess sits at
+    # the equilibrium's |q|, well inside 0.5 < |q| < 10, with |p| = 0.5 exactly
+    problem = ShootingProblem(system=HomotopySystem(coulomb_config()), lam=0.0, region=(0.1, 5.0, 0.25))
+    guess = State(q=EQ.q, p=[0.3, 0.0, 0.4])
+    bad = r"^initial guess outside the search region: \|p\| = 0\.5 >= p_max = 0\.5$"
+    with pytest.raises(LeftDomain, match=bad):
+        newton_shooting(guess, problem)
+    assert problem.violation(State(q=EQ.q, p=[0.3, 0.0, 0.39]).as_array()) is None
 
 
 def test_failed_damping_names_its_cause(coulomb_problem):
@@ -220,15 +229,18 @@ def test_a_trial_rtol_below_twice_the_configured_one_flows_once_at_it(coulomb_pr
 
 def test_a_predicted_residual_sets_the_tolerance_of_the_guess_flow(coulomb_problem, monkeypatch):
     flows = recorded_flows(monkeypatch)
-    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
-    sol = newton_shooting(guess, coulomb_problem, predicted_residual=1.0)
+    # a radial offset drifts faster than it misses its start: drift 5.7e-3, residual 1.7e-3
+    guess = State(q=EQ.q + np.array([0.0, 0.0, 1e-3]), p=np.zeros(3))
+    sol = newton_shooting(guess, coulomb_problem)
     configured = coulomb_problem.integrator
-    # the guess flows at the cap (1e-4 x 1.0 > 1e-6); its residual r asks for the tighter
-    # 1e-4 r, so it flows again there, and the trials follow at their own rtol
+    # the guess flows at the rtol of its drift; its residual r asks for the tighter 1e-4 r, so
+    # it flows again there, and the trials follow at their own rtol
+    guessed = drift_flow(coulomb_problem, guess)
     r = read_flow(coulomb_problem, flows[0][1]).norm
-    assert 1e-10 < 1e-4 * r < 1e-6
+    assert 1e-10 < 1e-4 * r < guessed.rtol < 1e-6
+    assert sol.guess_rtol == guessed.rtol
     assert [cfg for cfg, _, _ in flows[: 2 + sol.newton_iterations]] == [
-        loosened(configured, 1e-6),
+        guessed,
         loosened(configured, 1e-4 * r),
     ] + [loosened(configured, step["rtol"]) for step in sol.newton_trace]
     # the orbit's trajectory, monodromy and residual are those of a configured-tolerance flow
@@ -241,13 +253,14 @@ def test_a_predicted_residual_sets_the_tolerance_of_the_guess_flow(coulomb_probl
 def test_a_loose_guess_that_meets_newton_tol_is_flowed_once_more(coulomb_problem, monkeypatch):
     guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
     r = np.abs(periodicity_residual(guess, coulomb_problem)).max()
-    # predicted below r, so r asks for no tighter flow; newton_tol above r
-    predicted = 0.5 * r
+    # the drift (2.8e-3) lies below r (4.4e-3), so r asks for no tighter flow; newton_tol above r
     problem = dataclasses.replace(coulomb_problem, solver=SolverOptions(newton_tol=10.0 * r))
     flows = recorded_flows(monkeypatch)
-    sol = newton_shooting(guess, problem, predicted_residual=predicted)
+    sol = newton_shooting(guess, problem)
     configured = problem.integrator
-    assert [cfg for cfg, _, _ in flows] == [loosened(configured, 1e-4 * predicted), configured]
+    guessed = drift_flow(problem, guess)
+    assert configured.rtol < guessed.rtol <= 1e-4 * r
+    assert [cfg for cfg, _, _ in flows] == [guessed, configured]
     assert sol.newton_trace == []
     assert flowed_from(sol.trajectory, flows[1][1])
 
@@ -279,15 +292,15 @@ def test_each_newton_trace_entry_records_the_rtol_of_the_flow_it_accepted(desk_p
 
 
 def test_a_guess_warm_starts_from_the_rtol_its_previous_flow_recorded(coulomb_problem, monkeypatch):
-    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
+    nearby = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
     configured = coulomb_problem.integrator
-    previous = integrate(coulomb_problem.system, guess, (0.0, 1.0), 0.0, loosened(configured, 1e-6))
+    previous = integrate(coulomb_problem.system, nearby, (0.0, 1.0), 0.0, loosened(configured, 1e-6))
     steps = sorted(np.diff(previous.ts).tolist())
     middle = steps[len(steps) // 2]
     flows = recorded_flows(monkeypatch)
-    newton_shooting(guess, coulomb_problem, predicted_residual=0.0, previous=previous)
-    # the guess flows at rtol0 = 1e-10, its first step scaled from the 1e-6 that previous recorded,
-    # not from rtol0
+    newton_shooting(EQ, coulomb_problem, previous=previous)
+    # the equilibrium, whose drift is round-off, flows at rtol0 = 1e-10, its first step scaled
+    # from the 1e-6 that previous, the flow of a nearby guess, recorded, not from rtol0
     cfg, _, first_step = flows[0]
     assert previous.rtol == 1e-6 and cfg.rtol == configured.rtol == 1e-10
     assert first_step == 0.9 * middle * (1e-10 / 1e-6) ** (1 / 8) < 0.9 * middle
@@ -541,28 +554,7 @@ def test_trial_step_into_the_guard_radius_is_halved():
     assert np.abs(sol.x0.as_array() - EQ.as_array()).max() < 1e-7
 
 
-def planted(residuals, residual_norm) -> OrbitSolution:
-    """An orbit that only carries a Newton trace with the given starting residuals (M = 0, det(I - M) = 1)."""
-    trace = [{"residual": r, "alpha": 1.0, "rtol": 1e-10} for r in residuals]
-    return OrbitSolution(None, 0.5, None, None, residual_norm, np.zeros((6, 6)), 1.0, trace)
-
-
 def test_step_controller_on_planted_traces(coulomb_problem, monkeypatch):
-    # theta0 = r1 / r0: r1 is the final residual after one iteration, and theta0 is 0 after none
-    assert planted([], 1e-12).theta0 == 0.0
-    assert planted([0.5], 0.125).theta0 == 0.25
-    assert planted([0.5, 0.0625, 1e-6], 1e-12).theta0 == 0.125
-    # dlam * theta_max / theta0 with theta_max = 1/4
-    assert _next_dlam(0.1, 0.0625, 1.0) == 0.4
-    assert _next_dlam(0.1, 0.25, 1.0) == 0.1
-    assert _next_dlam(0.1, 0.5, 1.0) == 0.05
-    assert _next_dlam(0.1, 1.0, 1.0) == 0.025
-    # no growth cap: x64 from theta0 = 1/256
-    assert _next_dlam(0.01, 1 / 256, 1.0) == 0.64
-    # never past the rest of the interval, where a step that took no iteration goes
-    assert _next_dlam(0.1, 1 / 64, 1.0) == _next_dlam(0.1, 0.0, 1.0) == 1.0
-    assert _next_dlam(0.1, 1e-3, 0.3) == _next_dlam(0.1, 0.0, 0.3) == 0.3
-    assert _next_dlam(0.1, 0.0625, 0.15) == 0.15
     # det(I - M), whose sign is the branch check, from the monodromy the solve's flow planted: on
     # the full path, which a mean forcing off every coordinate plane takes (it shares no mirror)
     tilted = ShootingProblem(system=HomotopySystem(coulomb_config(mean=(1.0, 1.0, 1.0))), lam=0.0)
@@ -596,28 +588,36 @@ def test_the_difference_step_is_relative_to_a_large_coordinate():
     assert np.abs(jac[:, :3] - np.eye(6)[:, :3]).max() < 1e-6
 
 
-@pytest.mark.parametrize("c", [0.3, 1.0, 4.0])
-def test_continuation_steps_to_where_a_linear_contraction_meets_its_aim(coulomb_problem, monkeypatch, c):
-    # a constant predictor's first contraction grows linearly in the step: with a planted
-    # theta0 = c dlam, each step after the first lands where c dlam = theta_max = 1/4, or at the end
-    start = newton_shooting(EQ, coulomb_problem)
+def test_after_an_accepted_step_continuation_tries_the_rest_of_the_interval(coulomb_problem, monkeypatch):
+    # a planted solve that converges only for steps of at most 0.3: each failure halves the
+    # attempt, and each accepted step is followed by the rest of the interval
+    start = equilibrium_orbit(coulomb_problem, EQ)
     solve = lfe.shooting.newton_shooting
     lams = [0.0]
 
-    def linear(guess, problem, *args):
-        sol = solve(guess, problem, *args)
-        theta0 = c * (problem.lam - lams[-1])
+    def short_steps_only(guess, problem, *args):
+        if problem.lam - lams[-1] > 0.3:
+            raise NewtonDiverged("planted failure")
         lams.append(problem.lam)
-        return dataclasses.replace(sol, newton_trace=planted([1.0, theta0], 1e-12).newton_trace)
+        return solve(guess, problem, *args)
 
-    monkeypatch.setattr(lfe.shooting, "newton_shooting", linear)
-    path = continue_lambda(dataclasses.replace(coulomb_problem, solver=SolverOptions(dlam_init=0.1)), start)
-    steps = path.history
-    assert path.status == "reached_target" and all(step["accepted"] for step in steps)
-    assert steps[0]["dlam"] == 0.1 and len(steps) == 1 + math.ceil(0.9 * c / 0.25)
-    for prev, step in zip(steps, steps[1:]):
-        assert step["dlam"] == pytest.approx(min(0.25 / c, 1.0 - prev["lambda"]), rel=1e-12)
-        assert step["theta0"] == pytest.approx(0.25, rel=1e-12) or step["lambda"] == 1.0
+    monkeypatch.setattr(lfe.shooting, "newton_shooting", short_steps_only)
+    path = continue_lambda(coulomb_problem, start)
+    assert path.status == "reached_target"
+    steps = [(step["dlam"], step["accepted"]) for step in path.history]
+    assert steps == [
+        (1.0, False),
+        (0.5, False),
+        (0.25, True),
+        (0.75, False),
+        (0.375, False),
+        (0.1875, True),
+        (0.5625, False),
+        (0.28125, True),
+        (0.28125, True),
+    ]
+    assert [sol.lam for sol in path.solutions] == lams == [0.0, 0.25, 0.4375, 0.71875, 1.0]
+    assert [step["reason"] for step in path.history if not step["accepted"]] == ["planted failure"] * 5
 
 
 def test_continuation_rejects_a_step_that_flips_the_index(desk_problem, desk_start, monkeypatch):
@@ -638,7 +638,7 @@ def test_continuation_rejects_a_step_that_flips_the_index(desk_problem, desk_sta
     path = continue_lambda(dataclasses.replace(desk_problem, solver=SolverOptions(dlam_init=0.1)), desk_start)
     assert path.status == "reached_target"
     flipped, retry = path.history[1:3]
-    # the second step, sized from the first's contraction, to lam = 0.775
+    # the second step, the rest of the interval, to lam = 1
     assert flipped["lambda"] == 0.1 + flipped["dlam"] and not flipped["accepted"] and flipped["index_det"] < 0.0
     assert flipped["reason"].startswith("det(I - M) = ")
     assert all(sol is not flipped_orbits[0] for sol in path.solutions)
@@ -670,28 +670,8 @@ def test_continuation_whose_every_solve_fails_underflows_within_its_budget(
     assert path.status == "stepsize_underflow" and path.final is start
     assert len(path.history) == attempts <= 1 + halvings
     assert [step["dlam"] for step in path.history] == [dlam_init * 0.5**k for k in range(attempts)]
-    assert all(step["theta0"] is step["index_det"] is None for step in path.history)
+    assert all(step["guess_rtol"] is step["index_det"] is None for step in path.history)
     assert path.message.endswith("planted failure")
-
-
-def test_continuation_underflows_when_the_contraction_shrinks_the_step(coulomb_problem, monkeypatch):
-    start = newton_shooting(EQ, coulomb_problem)
-    solve = lfe.shooting.newton_shooting
-
-    def contracting(guess, problem, *args):
-        # every step converges with a planted first contraction of 0.64: the next is 25/64 as long
-        sol = solve(guess, problem, *args)
-        return dataclasses.replace(sol, newton_trace=planted([1.0, 0.64], 1e-12).newton_trace)
-
-    monkeypatch.setattr(lfe.shooting, "newton_shooting", contracting)
-    solver = SolverOptions(dlam_init=0.1, dlam_floor=0.01)
-    path = continue_lambda(dataclasses.replace(coulomb_problem, solver=solver), start)
-    assert path.status == "stepsize_underflow"
-    dlams = [step["dlam"] for step in path.history]
-    assert all(step["accepted"] for step in path.history) and len(dlams) == 3
-    assert dlams == pytest.approx([0.1 * 0.390625**k for k in range(3)], rel=1e-15)
-    assert 0.390625 * dlams[-1] < 0.01
-    assert "first contraction theta0 = 0.64" in path.message
 
 
 def light_harmonic_problem() -> ShootingProblem:
