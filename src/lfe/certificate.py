@@ -229,6 +229,13 @@ def compute_lower_constants(config: FieldConfig, R: float, *, l1: float) -> tupl
             f"clearance m: exp(-{sum(terms.values()):.6g}) underflows to 0; "
             f"the largest term of the exponent is {name} = {terms[name]:.6g}"
         )
+    if m >= epsilon:
+        terms = clearance_terms(*constants)
+        rest = ", ".join(f"{name} = {value:.6g}" for name, value in terms.items() if name != "K2")
+        raise CertificateError(
+            f"clearance m: exp(-{sum(terms.values()):.6g}) rounds to epsilon = {epsilon:.6g}, since the "
+            f"terms beside K2 = {K2:.6g} fall below its rounding: {rest}"
+        )
     return epsilon, K2, C, m
 
 

@@ -206,6 +206,9 @@ class EquilibriumLinearization:
         return float(hyper * hyper * 4.0 * math.sin(0.5 * self.omega * self.period) ** 2)
 
 
+_TINY = np.finfo(float).tiny
+
+
 def f0_determinant_closed_form(c0: float, q, p) -> float:
     """Closed form of det Jac f0 in momentum-first coordinates (p, q).
 
@@ -214,6 +217,16 @@ def f0_determinant_closed_form(c0: float, q, p) -> float:
 
     det = -2 c0^3 |q|^-9 [ (1+|p|^2)^(-3/2) - |p|^2 (1+|p|^2)^(-5/2) ] = -2 c0^3 |q|^-9 gamma^-5
     with gamma = sqrt(1+|p|^2), strictly negative for every admissible (q, p).
+    Where c0^3 or r^-9 leaves the normal double range the determinant
+    need not, so it is taken as -2 (c0 r^-3)^3 gamma^-5 instead.
     """
     r = math.hypot(*np.asarray(q, dtype=float))
-    return -2.0 * c0**3 * r**-9 * float(lorentz_factor(p)) ** -5
+    gamma_5 = float(lorentz_factor(p)) ** -5
+    try:
+        c0_cubed, r_9 = c0**3, r**-9
+    except OverflowError:
+        c0_cubed = r_9 = 0.0
+    if c0_cubed < _TINY or r_9 < _TINY:
+        k = c0 / r / r / r  # each quotient moves toward k, so none leaves the range where k does not
+        return -2.0 * k * k * k * gamma_5
+    return -2.0 * c0_cubed * r_9 * gamma_5

@@ -563,10 +563,12 @@ def newton_shooting(
             roundoff = _ROUNDOFF * max(1.0, float(np.max(np.abs(y))))
             least = roundoff if res_norm <= roundoff else 0.0
 
+            inside = False  # whether any trial point lies in the search region
             for alpha in _DAMPING:
                 y_try = y + alpha * delta
                 if problem.violation(y_try) is not None:
                     continue
+                inside = True
                 try:
                     trial = _flow_residual(problem, shooting, y_try, rtol, flowed.traj)
                 except SolverError:
@@ -582,7 +584,7 @@ def newton_shooting(
                         "unreachable in double precision"
                     )
             else:
-                if all(problem.violation(y + alpha * delta) is not None for alpha in _DAMPING):
+                if not inside:
                     raise LeftDomain("every damped step left the search region")
                 raise NewtonDiverged(
                     f"no residual decrease after {len(_DAMPING)} damping halvings "

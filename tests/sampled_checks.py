@@ -1,8 +1,9 @@
 """The sampled hypothesis checks: the oracle of `lfe.fields.validate_hypotheses`.
 
 `sampled_hypotheses(config, seed)` checks the six hypothesis rows on
-seeded Sobol clouds (scipy's `qmc.Sobol`), without the field kinds'
-closed forms that `validate_hypotheses` reads.  Its numbers come from one sweep,
+seeded Sobol clouds (scipy's `qmc.Sobol`; a test that draws them skips
+without scipy), without the field kinds' closed forms that
+`validate_hypotheses` reads.  Its numbers come from one sweep,
 `shell_maxima`: per sphere of radius r, the maximum of |grad V|, of
 q . grad V, or of |B| over a time grid.  It needs only a field's
 `gradient` or `eval`, so it also runs on kinds without closed forms; the
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import qmc
+import pytest
 
 from lfe.fields import FieldConfig, radial_powers
 
@@ -36,6 +37,7 @@ NEAR_DEPTH = 1e-4
 
 def sphere_directions(n_pow2: int, seed: int) -> np.ndarray:
     """2**n_pow2 quasi-random unit vectors, area-uniform on the sphere, from scrambled Sobol points."""
+    qmc = pytest.importorskip("scipy.stats.qmc")
     u = qmc.Sobol(d=2, scramble=True, seed=seed).random_base2(n_pow2)
     z, az = 1.0 - 2.0 * u[:, 0], 2.0 * math.pi * u[:, 1]
     s = np.sqrt(np.maximum(0.0, 1.0 - z * z))

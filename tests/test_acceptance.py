@@ -101,6 +101,45 @@ def desk_short_first_step_run(tmp_path_factory):
     return run_continue(tmp_path_factory.mktemp("desk-short-first-step"), DESK_SHORT_FIRST_STEP_CONFIG)
 
 
+# the artifacts of each single-stage command on the desk scenario
+DESK_ARTIFACTS = {
+    "validate": ["validate_report.txt", "validate_report.json"],
+    "bounds": ["certificate.txt", "certificate.json"],
+    "degree": ["degree_report.txt", "degree_report.json"],
+    "find-orbit": ["orbit_report.txt", "orbit_report.json", "orbit.csv"],
+    "integrate": ["trajectory.csv"],
+}
+
+
+def test_desk_scenario_runs_every_command(tmp_path, monkeypatch, a6_run):
+    monkeypatch.setenv("LFE_VERBOSITY", "0")
+    config = tmp_path / "desk.ini"
+    config.write_text(DESK_CONFIG, encoding="utf-8")
+    for command, names in DESK_ARTIFACTS.items():
+        out = tmp_path / command
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0, command
+        assert all((out / name).stat().st_size > 0 for name in names), command
+    # the dipole's envelope law 2|mu| r^-3 gives (c1, beta) = (2|mu|, 3 - 1) and the ceiling c_B = auto = 2|mu|
+    assert a6_run["exit_code"] == 0
+    echoed = a6_run["report"]["config"].splitlines()
+    assert "c1 = 0.2" in echoed and "beta = 2.0" in echoed
+    rows = (tmp_path / "validate" / "validate_report.txt").read_text().splitlines()
+    assert any(row.endswith("vs c_B = 0.2") for row in rows)
+
+
+def test_desk_integrate_over_50_periods_from_a_moving_start(tmp_path, monkeypatch):
+    # a run with no first step tries its whole span, t_end = 50, first, and step control shrinks it;
+    # no overflow on the way (a RuntimeWarning fails this suite)
+    monkeypatch.setenv("LFE_VERBOSITY", "0")
+    config = tmp_path / "desk-long.ini"
+    config.write_text(DESK_CONFIG + "\n[initial-state]\nlambda = 1.0\nq = 0.3 0 -0.9\np = 0.5 0 0\nt_end = 50\n")
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(config), "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == "t,q1,q2,q3,p1,p2,p3" and len(lines) == 1001
+    assert float(lines[-1].split(",")[0]) == 50.0
+
+
 def test_run_report_records_the_newton_trace(a6_run):
     final = a6_run["report"]["final_orbit"]
     trace = final["newton_trace"]

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import lfe.certificate
 import lfe.fields
@@ -93,6 +92,7 @@ def _epsilon_margin(config):
 
 def _first_grid_point_below_the_root(config):
     """The first point of epsilon's grid at or below the brentq root of the margin, or None below the grid."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
     margin = _epsilon_margin(config)
     cap = min(config.eps0, config.eps1, 1.0)
     grid = [cap]
@@ -109,6 +109,7 @@ def _first_grid_point_below_the_root(config):
 
 def test_epsilon_against_scalar_threshold_oracle():
     """Independent oracle: solve the radial inequality margin for its root."""
+    brentq = pytest.importorskip("scipy.optimize").brentq
     dipole = DipoleField([0.0, 0.0, 1.0])  # c1 = 2, beta = 2
     config = FieldConfig(
         potential=GeneralizedCoulomb(1.0, 3.0),

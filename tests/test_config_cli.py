@@ -449,6 +449,10 @@ def test_cli_continue_full_pipeline(tmp_path):
     assert (out / "continuation.csv").read_text().splitlines()[0] == (
         "lambda,x0_norm,residual,newton_iterations"
     )
+    # every start of the degree sweep converges, and the lam = 0 orbit turns 0.378 times a period
+    text = (out / "run_report.txt").read_text()
+    assert re.search(r"^ *sweep:.*[ ,]escaped=0(,|$)", text, re.M)
+    assert re.search(r"^  omega T / 2pi: +0\.378", text, re.M)
 
 
 def test_cli_builds_its_argument_parser_once(tmp_path, monkeypatch):
@@ -786,6 +790,20 @@ def test_cli_bounds_names_the_momentum_bound_when_the_clearance_underflows(tmp_p
         "certificate failed: momentum bound M: |grad V| + c0/|q|^2 + |B| at |q| = m = 1.9144e-174 "
         "leaves the double range; the largest term is |grad V| = inf\n"
     )
+
+
+def test_cli_bounds_names_the_clearance_that_rounds_to_epsilon(tmp_path, capsys):
+    # at T = 1e-18 the period terms of the exponent fall below the rounding of K2 = ln 2, so
+    # exp(-K2 - ...) is epsilon = 0.5 itself, and no m < epsilon exists in double precision
+    text = DESK.replace("period = 1.0", "period = 1e-18")
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
+    assert (out / "certificate.txt").read_text() == (
+        "certificate failed: clearance m: exp(-0.693147) rounds to epsilon = 0.5, since the terms beside "
+        "K2 = 0.693147 fall below its rounding: T/epsilon = 2e-18, T*C_gradV_B/c0_eff = 3.52e-17, "
+        "(R+T)*l1/c0_eff = 4.0025e-18\n"
+    )
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -1277,3 +1295,29 @@ def test_cli_auto_ceiling_of_a_uniform_field_is_its_magnitude(tmp_path):
     checks = {c["name"]: c for c in json.loads((out / "validate_report.json").read_text())["checks"]}
     assert checks["magnetic-ceiling-at-infinity"]["margin"] == 0.0
     assert main(["bounds", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+# the uniform field with b = 0 and no c1 or beta: it takes c1 = 0 and beta = gamma/2, as the zero field does
+UNIFORM_ZERO = UNIFORM.replace("b = 0 0 0.05", "b = 0 0 0").replace("c1 = 0.05\n", "").replace("beta = 0.5\n", "")
+
+
+@pytest.mark.parametrize("text", [LIGHT, UNIFORM, ABC], ids=["zero", "uniform", "abc"])
+def test_cli_certificate_of_every_closed_form_kind_samples_nothing(tmp_path, text):
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    cert = (out / "certificate.txt").read_text()
+    assert len(re.findall(r"^(R|epsilon|C_gradV_B|M) .*closed-form", cert, re.M)) == 4, cert
+    assert "sampled" not in cert
+
+
+@pytest.mark.parametrize(
+    "text", [DESK, LIGHT, UNIFORM, UNIFORM_ZERO, ABC], ids=["desk", "zero", "uniform", "uniform-zero", "abc"]
+)
+def test_cli_validate_of_every_closed_form_kind_passes_six_rows_and_samples_nothing(tmp_path, text):
+    # each row compares the config's constants with the field kind's closed forms
+    out = tmp_path / "out"
+    assert main(["validate", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    report = (out / "validate_report.txt").read_text()
+    rows = report.splitlines()
+    assert sum(row.startswith("pass  ") for row in rows) == 6 and rows[-1] == "overall: pass", report
+    assert "sampled" not in report

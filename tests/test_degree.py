@@ -19,7 +19,7 @@ from lfe.degree import (
 )
 from lfe.fields import mean_norm
 from lfe.homotopy import AutonomousField, coulomb_force_jacobian
-from lfe.kinematics import phi_inv
+from lfe.kinematics import lorentz_factor, phi_inv
 
 OMEGA = (1e-3, 3.0, 10.0)
 SWEEP_SEED = 20240802
@@ -355,3 +355,19 @@ def test_closed_form_momentum_bracket():
     det_fast = f0_determinant_closed_form(1.0, [1.0, 0.0, 0.0], [3.0, 0.0, 0.0])
     assert det_rest == -2.0
     assert det_rest < det_fast < 0.0
+
+
+def test_closed_form_determinant_past_the_range_of_c0_cubed():
+    # c0^3 = 1e309 leaves the double range, yet with r* = 1e33 the determinant
+    # -2 c0^3 r*^-9 = -2e12 is finite; every start of the sweep converges to the zero
+    report = brouwer_degree(1e103, [0.0, 0.0, 1e37], (1.0, 1e40, 10.0), period=1.0, seed=1)
+    assert report.degree == -1
+    assert report.det_analytic == pytest.approx(-2e12, rel=1e-12)
+    assert report.sweep["converged_to_zero"] == report.sweep["starts"] == 1024
+    # c0^3 = 1e-330 underflows to 0 where the determinant is -2e-150; r^-9 = 1e-360 underflows and
+    # c0^3 = 1e357 overflows where it is -2e-3
+    assert f0_determinant_closed_form(1e-110, [1e-20, 0.0, 0.0], np.zeros(3)) == pytest.approx(-2e-150, rel=1e-12)
+    assert f0_determinant_closed_form(1e119, [1e40, 0.0, 0.0], np.zeros(3)) == pytest.approx(-2e-3, rel=1e-12)
+    # in range, it is the product as written, to the bit
+    q, p = [0.3, -0.4, 1.2], [0.2, 0.1, -0.5]
+    assert f0_determinant_closed_form(2.5, q, p) == -2.0 * 2.5**3 * math.hypot(*q) ** -9 * float(lorentz_factor(p)) ** -5

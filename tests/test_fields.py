@@ -4,7 +4,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from conftest import (
     PlantedCoulomb,
@@ -273,6 +272,7 @@ def test_forcing_mean_is_exact_readoff():
     )
     assert np.array_equal(f.mean, [2.0, 0.0, 0.0])
     # quadrature oracle for the mean
+    quad = pytest.importorskip("scipy.integrate").quad
     for i in range(3):
         avg = quad(lambda t: f.eval(t)[i], 0.0, f.period, limit=200)[0] / f.period
         assert math.isclose(avg, f.mean[i], abs_tol=1e-10)
@@ -280,6 +280,7 @@ def test_forcing_mean_is_exact_readoff():
 
 def test_forcing_l1_oracle_mixed():
     f = Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.1, 0, 0], [0, 0, 0])])
+    quad = pytest.importorskip("scipy.integrate").quad
     oracle = quad(lambda t: np.linalg.norm(f.eval(t)), 0.0, 1.0, limit=200)[0]
     assert math.isclose(f.l1_norm(), oracle, rel_tol=1e-8)
 
@@ -300,6 +301,7 @@ def test_forcing_l1_oracle_mixed():
     ids=["kink-on-grid", "kink-off-grid", "smooth"],
 )
 def test_forcing_l1_matches_adaptive_quadrature(forcing):
+    quad = pytest.importorskip("scipy.integrate").quad
     oracle = quad(
         lambda t: np.linalg.norm(forcing.eval(t)), 0.0, forcing.period, epsabs=1e-14, epsrel=1e-10, limit=400
     )[0]

@@ -4,8 +4,6 @@ import re
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.linalg import expm
 
 from conftest import TabulatedPotential, coulomb_config, desk_config, fd_jacobian_momentum_first
 from lfe.degree import find_zero_f0
@@ -74,6 +72,7 @@ def test_h_lambda_endpoints_and_mean(system):
     assert np.array_equal(f.eval(0.3, 0.0), f.mean)
     assert np.allclose(f.eval(0.3, 1.0), f.eval(0.3), atol=1e-15)
     # the period average equals the stored mean for every lam
+    quad = pytest.importorskip("scipy.integrate").quad
     for lam in (0.0, 0.3, 1.0):
         for i in range(3):
             avg = quad(lambda t: f.eval(t, lam)[i], 0.0, f.period, limit=200)[0]
@@ -368,6 +367,7 @@ MEAN_DIRECTION = np.array([1.0, -2.0, 2.0]) / 3.0
 @pytest.mark.parametrize("c0", [1e-2, 1.0, 100.0])
 @pytest.mark.parametrize("mean", [0.5, 2.0, 50.0])
 def test_equilibrium_monodromy_is_the_exponential_of_the_linearization(c0, mean):
+    expm = pytest.importorskip("scipy.linalg").expm
     q = find_zero_f0(c0, mean * MEAN_DIRECTION).q
     a = equilibrium_generator(c0, q)
     for period in (0.01, 0.5, 1.0, 2.6, 3.0):

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from conftest import coulomb_config, desk_config, gyro_config
 from lfe.certificate import compute_momentum_bound
@@ -21,6 +20,7 @@ _N_REFINE = 5
 
 def _lbfgsb_maximum(func, r_lo, r_hi, t_max, seed):
     """The annulus maximum as computed with scipy's L-BFGS-B: same sweep, same 5 seeds."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
     points = shells(log_radii(r_lo, r_hi, _N_RADII), sphere_directions(_DIR_POW2, seed))
     times = np.linspace(0.0, t_max, _N_TIME)
     values = np.array([func(t, points) for t in times])

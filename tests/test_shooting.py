@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad_vec
 
 import lfe.shooting
 from conftest import (
@@ -517,6 +516,7 @@ def test_orbit_identities_match_direct_quadrature(coulomb_problem):
 
 def test_orbit_identities_match_adaptive_quadrature(coulomb_problem, desk_problem, desk_path):
     """The Gauss-Legendre identities against scipy's quad_vec on the same dense output."""
+    quad_vec = pytest.importorskip("scipy.integrate").quad_vec
     perturbed = newton_shooting(State(q=EQ.q + np.array([2e-3, 0, 0]), p=np.zeros(3)), coulomb_problem)
     for sol, system in ((perturbed, coulomb_problem.system), (desk_path.final, desk_problem.system)):
         traj = sol.trajectory
