@@ -39,11 +39,11 @@ while being checkable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from lfe.fields import FieldConfig, HypothesisCheck, check_table, closed_form, power_law
+from lfe.fields import CheckTable, FieldConfig, HypothesisCheck, closed_form, power_law
 from lfe.kinematics import phi_inv
 
 
@@ -149,10 +149,11 @@ def compute_R(config: FieldConfig) -> float:
 
     max(envelope_V, c0 r^-2) < |mean h| - c_B and envelope_B <= c_B at
     r = 2^k; the envelopes are non-increasing, so they hold beyond r too.
+    A mean with |mean h| <= c_B is a CertificateError.
     """
     hm = config.forcing.mean_norm
     if hm <= config.c_B:
-        raise ValueError(f"requires |mean h| > c_B, got {hm:.6g} <= {config.c_B:.6g}")
+        raise CertificateError(f"requires |mean h| > c_B, got {hm:.6g} <= {config.c_B:.6g}")
     threshold = hm - config.c_B
     envelope_V, envelope_B = (
         closed_form(f, "envelope", "R", CertificateError) for f in (config.potential, config.magnetic)
@@ -293,18 +294,6 @@ def compute_certificate(config: FieldConfig) -> BoundsCertificate:
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    entries: tuple
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", all(e.passed for e in self.entries))
-
-    def lines(self) -> list[str]:
-        return check_table(self.entries, 18, 6)
-
-
 IDENTITY_TOL = 1e-6
 _N_DENSE = 1000
 
@@ -336,13 +325,13 @@ def region_checks(ys: np.ndarray, region: tuple[float, float, float]) -> list[Hy
     ]
 
 
-def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
+def verify_orbit(orbit, cert: BoundsCertificate) -> CheckTable:
     """Check a converged orbit against the certificate.
 
     Position, momentum and speed are checked at every trajectory node and
     on a dense sample of the interpolant; the integral identities come
-    from the orbit diagnostics.  The report always has the same six
-    entries; failures are entries with negative margins, never exceptions.
+    from the orbit diagnostics.  The table always has the same six
+    rows; failures are rows with negative margins, never exceptions.
     """
     traj = orbit.trajectory
     ys = np.vstack([traj.states, traj.at(np.linspace(traj.t0, traj.t1, _N_DENSE)).T])
@@ -350,7 +339,7 @@ def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
 
     diag = orbit.diagnostics
     mean_res, virial_lhs, gap = diag["mean_identity"], diag["virial_lhs"], diag["virial_gap"]
-    entries = region_checks(ys, cert.region()) + [
+    checks = region_checks(ys, cert.region()) + [
         HypothesisCheck(
             "speed-limit",
             float(speeds.max()) < 1.0,
@@ -370,4 +359,4 @@ def verify_orbit(orbit, cert: BoundsCertificate) -> VerificationReport:
             IDENTITY_TOL - max(virial_lhs, gap),
         ),
     ]
-    return VerificationReport(entries=tuple(entries))
+    return CheckTable(tuple(checks))

@@ -13,10 +13,17 @@ of a single-stage command writes only its message to `<stem>.txt`
 (`integrate` only prints it); in `continue` it ends the text with
 `aborted: <message>` and stores the error under `certificate_error`,
 `degree_error` or `solver_error`.  Only `wall_clock_s` and `timings`
-(seconds per stage) differ between runs.  Exit codes: 0 success, 2
-hypothesis/certificate failure, 3 solver failure, 4 I/O or configuration
-error.  Flags never override file values; they only select the
-subcommand and point at files.  LFE_VERBOSITY=0 silences the echo.
+(seconds per stage) differ between runs.  Flags never override file
+values; they only select the subcommand and point at files.
+LFE_VERBOSITY=0 silences the echo.
+
+Exit codes; `_EXIT_CODES` is the one map of a failure family to its code:
+
+    0  success
+    1  any other exception: a programming error, with its traceback
+    2  a failed hypothesis check, CertificateError, DegenerateForcing
+    3  DegreeError, SolverError, an unfinished or unverified continuation
+    4  I/O or configuration error
 """
 
 from __future__ import annotations
@@ -60,26 +67,20 @@ class _StageFailed(Exception):
         self.key = key
 
 
-# what a failed stage reports -> (exceptions it catches, exit code, run_report key)
-_FAILURES = {
-    "certificate failed": ((CertificateError, ValueError), EXIT_HYPOTHESIS, "certificate_error"),
-    "degree computation failed": (DegreeError, EXIT_SOLVER, "degree_error"),
-    "no starting orbit at lam = 0": (SolverError, EXIT_SOLVER, "solver_error"),
-    "index check failed": (SolverError, EXIT_SOLVER, "solver_error"),
-    "shooting failed": (SolverError, EXIT_SOLVER, None),
-    "no equilibrium guess": (DegenerateForcing, EXIT_HYPOTHESIS, None),
-    "no equilibrium start": (DegenerateForcing, EXIT_HYPOTHESIS, None),
-    # ValueError: a start inside the guard radius
-    "integration failed": ((SolverError, ValueError), EXIT_SOLVER, None),
+_EXIT_CODES = {
+    CertificateError: EXIT_HYPOTHESIS,
+    DegenerateForcing: EXIT_HYPOTHESIS,
+    DegreeError: EXIT_SOLVER,
+    SolverError: EXIT_SOLVER,
 }
 
 
-def _attempt(what: str, call, *args, **kwargs):
-    """call(*args, **kwargs), with the exceptions that _FAILURES[what] lists raised as _StageFailed."""
-    errors, code, key = _FAILURES[what]
+def _attempt(what: str, call, *args, key: str | None = None, **kwargs):
+    """call(*args, **kwargs), with an error of every `_EXIT_CODES` family raised as _StageFailed."""
     try:
         return call(*args, **kwargs)
-    except errors as err:
+    except tuple(_EXIT_CODES) as err:
+        code = next(code for family, code in _EXIT_CODES.items() if isinstance(err, family))
         raise _StageFailed(what, err, code, key) from err
 
 
@@ -146,12 +147,12 @@ def cmd_validate(cfg: RunConfig, report: _Report) -> int:
     validation = validate_hypotheses(cfg.fields)
     record = dataclasses.asdict(validation)
     run = {"validation_passed": validation.passed, "validation": record["checks"]}
-    report.section("validate", "hypothesis validation", validation.lines(), record, run)
+    report.section("validate", "hypothesis validation", validation.lines(30, 3), record, run)
     return EXIT_OK if validation.passed else EXIT_HYPOTHESIS
 
 
 def _certify(cfg: RunConfig, report: _Report) -> BoundsCertificate:
-    cert = _attempt("certificate failed", compute_certificate, cfg.fields)
+    cert = _attempt("certificate failed", compute_certificate, cfg.fields, key="certificate_error")
     record = dataclasses.asdict(cert)
     record["upper"] = cert.upper
     report.section("certificate", "bounds certificate", cert.lines(), record, {"certificate": record})
@@ -159,9 +160,9 @@ def _certify(cfg: RunConfig, report: _Report) -> BoundsCertificate:
 
 
 def _degree(cfg: RunConfig, cert: BoundsCertificate, report: _Report) -> DegreeReport:
-    (c0, _), forcing, seed = cfg.fields.potential.radial_law(), cfg.fields.forcing, cfg.solver.seed
-    args = (c0, forcing.mean, cert.region())
-    degree = _attempt("degree computation failed", brouwer_degree, *args, period=forcing.period, seed=seed)
+    (c0, _), forcing = cfg.fields.potential.radial_law(), cfg.fields.forcing
+    args, kwargs = (c0, forcing.mean, cert.region()), dict(period=forcing.period, seed=cfg.solver.seed)
+    degree = _attempt("degree computation failed", brouwer_degree, *args, key="degree_error", **kwargs)
     record = dataclasses.asdict(degree)
     x0 = record.pop("x0")
     record["x0_q"], record["x0_p"] = x0["q"], x0["p"]
@@ -194,7 +195,7 @@ def _orbit(sol: OrbitSolution, report: _Report, verification=None) -> None:
     record["n_rejected"] = sol.trajectory.n_rejected
     record.update(sol.symmetry)
     if verification is not None:
-        record["verification"] = [dataclasses.asdict(e) for e in verification.entries]
+        record["verification"] = [dataclasses.asdict(c) for c in verification.checks]
         record["verified"] = verification.passed
     lines = [
         f"{key} = " + (" ".join(map(repr, val)) if isinstance(val, list) else repr(val))
@@ -243,8 +244,8 @@ def _pipeline(cfg: RunConfig, report: _Report) -> int:
     degree = _degree(cfg, cert, report)
 
     problem = _build_problem(cfg, 0.0, cert)
-    start = _attempt("no starting orbit at lam = 0", equilibrium_orbit, problem, degree.x0)
-    _attempt("index check failed", _check_index, start, degree)
+    start = _attempt("no starting orbit at lam = 0", equilibrium_orbit, problem, degree.x0, key="solver_error")
+    _attempt("index check failed", _check_index, start, degree, key="solver_error")
     path = continue_lambda(problem, start)
     rows = path.summary_rows()
     continuation = dict(status=path.status, message=path.message, steps=rows, history=path.history)
@@ -262,7 +263,7 @@ def _pipeline(cfg: RunConfig, report: _Report) -> int:
     final = path.final
     verification = verify_orbit(final, cert)
     _orbit(final, report, verification)
-    report.section("verify", "orbit verification", verification.lines())
+    report.section("verify", "orbit verification", verification.lines(18, 6))
 
     write_rows_csv(report.out / "continuation.csv", list(rows[0]), [r.values() for r in rows])
     final.trajectory.write_csv(report.out / "orbit.csv", cfg.output.sample_points)

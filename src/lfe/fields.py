@@ -469,19 +469,9 @@ class HypothesisCheck:
         object.__setattr__(self, "margin", float(self.margin))
 
 
-def check_table(checks, name_width: int, digits: int, overall: str = "") -> list[str]:
-    """A `status  name  margin=...  detail` row per check, then `overall: pass` (or FAIL) + overall."""
-    status = {True: "pass", False: "FAIL"}
-    rows = [
-        f"{status[c.passed]:4s}  {c.name:{name_width}s}  margin={c.margin: .{digits}e}  {c.detail}"
-        for c in checks
-    ]
-    return rows + [f"overall: {status[all(c.passed for c in checks)]}{overall}"]
-
-
 @dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the hypothesis checks; `passed` is the conjunction of all checks."""
+class CheckTable:
+    """The hypothesis validation or the orbit verification: `HypothesisCheck` rows, `passed` if all pass."""
 
     checks: tuple
     passed: bool = field(init=False)
@@ -492,8 +482,14 @@ class ValidationReport:
     def failures(self) -> list[HypothesisCheck]:
         return [c for c in self.checks if not c.passed]
 
-    def lines(self) -> list[str]:
-        return check_table(self.checks, 28, 3)
+    def lines(self, name_width: int, digits: int) -> list[str]:
+        """A `status  name  margin=...  detail` row per check, then `overall: pass` (or FAIL)."""
+        status = {True: "pass", False: "FAIL"}
+        rows = [
+            f"{status[c.passed]:4s}  {c.name:{name_width}s}  margin={c.margin: .{digits}e}  {c.detail}"
+            for c in self.checks
+        ]
+        return rows + [f"overall: {status[self.passed]}"]
 
 
 _FAR_RADII = (1e1, 1e2, 1e3, 1e4)
@@ -522,7 +518,7 @@ def _row(name: str, kind, method: str, check) -> HypothesisCheck:
     return HypothesisCheck(name, *check(law))
 
 
-def validate_hypotheses(config: FieldConfig) -> ValidationReport:
+def validate_hypotheses(config: FieldConfig) -> CheckTable:
     """Check the decay/repulsion/ceiling/singularity-order conditions from the field kinds' closed forms.
 
     Each row compares the constants of `config` with the potential's
@@ -566,7 +562,7 @@ def validate_hypotheses(config: FieldConfig) -> ValidationReport:
             "mean-forcing-dominates-ceiling", hm > c.c_B, f"|mean h| = {hm:.6g} vs c_B = {c.c_B}", hm - c.c_B
         ),
     )
-    return ValidationReport(checks)
+    return CheckTable(checks)
 
 
 def magnetic_ceiling(magnetic) -> float:

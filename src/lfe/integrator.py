@@ -297,9 +297,10 @@ def integrate(
     without it the first trial step is the whole span t1 - t0.  A first
     step that is too large is rejected and shrunk by step control like
     any other.
-    Raises SingularityApproach if |q| reaches the guard radius (with the
-    crossing time refined by bisection on the step interpolant),
-    MaxStepsExceeded or StepUnderflow on step-control failures.
+    Raises SolverError if a start lies inside the guard radius,
+    SingularityApproach if |q| reaches it (with the crossing time refined
+    by bisection on the step interpolant), MaxStepsExceeded or
+    StepUnderflow on step-control failures.
     Deterministic for fixed inputs.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -316,7 +317,7 @@ def integrate(
     y0 = y0.reshape(-1)
     r0 = _nearest(y0)[0]
     if r0 <= cfg.r_min:
-        raise ValueError(f"initial position |q| = {r0:g} is inside the guard radius r_min = {cfg.r_min:g}")
+        raise SolverError(f"initial position |q| = {r0:g} is inside the guard radius r_min = {cfg.r_min:g}")
 
     n_evals, members = 0, y0.size // 6
 

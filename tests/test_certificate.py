@@ -11,7 +11,6 @@ from lfe.certificate import (
     CertificateError,
     InequalityFails,
     RadiusNotFound,
-    VerificationReport,
     clearance_formula,
     compute_R,
     compute_certificate,
@@ -22,6 +21,7 @@ from lfe.certificate import (
 )
 from lfe.fields import (
     ABCField,
+    CheckTable,
     DipoleField,
     FieldConfig,
     Forcing,
@@ -29,7 +29,6 @@ from lfe.fields import (
     Harmonic,
     HypothesisCheck,
     UniformField,
-    ValidationReport,
     ZeroField,
     near_origin_constants,
     radial_powers,
@@ -51,7 +50,7 @@ def test_radius_closed_form_coulomb(a5_cert):
 
 def test_radius_requires_dominant_mean():
     config = coulomb_config(mean=(0.0, 0.0, 1.0), c_B=1.0)  # |mean h| == c_B
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateError, match=r"^requires \|mean h\| > c_B, got 1 <= 1$"):
         compute_R(config)
 
 
@@ -449,8 +448,8 @@ def test_certificate_invariants(desk_cert):
 
 def test_verify_equilibrium_orbit(desk_start, desk_cert):
     report = verify_orbit(desk_start, desk_cert)
-    assert report.passed, report.lines()
-    assert all(e.margin > 0 for e in report.entries)
+    assert report.passed, report.lines(18, 6)
+    assert all(e.margin > 0 for e in report.checks)
 
 
 def test_verify_flags_synthetic_violation(desk_path, desk_cert):
@@ -461,15 +460,15 @@ def test_verify_flags_synthetic_violation(desk_path, desk_cert):
     planted = dataclasses.replace(orbit, flow=lambda: dataclasses.replace(orbit.trajectory, states=states))
     report = verify_orbit(planted, desk_cert)
     assert not report.passed
-    assert len(report.entries) == 6
-    assert [e.name for e in report.entries if not e.passed] == ["clearance"]
-    entry = {e.name: e for e in report.entries}["clearance"]
+    assert len(report.checks) == 6
+    assert [e.name for e in report.checks if not e.passed] == ["clearance"]
+    entry = {e.name: e for e in report.checks}["clearance"]
     assert entry.margin < 0.0
 
 
 def test_verify_final_desk_orbit(desk_path, desk_cert):
     report = verify_orbit(desk_path.final, desk_cert)
-    assert report.passed, report.lines()
+    assert report.passed, report.lines(18, 6)
 
 
 def test_validation_and_verification_print_one_check_table_in_their_own_widths():
@@ -477,12 +476,12 @@ def test_validation_and_verification_print_one_check_table_in_their_own_widths()
         HypothesisCheck("clearance", True, "min |q| = 0.7", 0.25),
         HypothesisCheck("virial", False, "virial_lhs = 1", -1.5e-7),
     )
-    assert ValidationReport(checks).lines() == [
-        "pass  clearance                     margin= 2.500e-01  min |q| = 0.7",
-        "FAIL  virial                        margin=-1.500e-07  virial_lhs = 1",
+    assert CheckTable(checks).lines(30, 3) == [
+        "pass  clearance                       margin= 2.500e-01  min |q| = 0.7",
+        "FAIL  virial                          margin=-1.500e-07  virial_lhs = 1",
         "overall: FAIL",
     ]
-    assert VerificationReport(checks[:1]).lines() == [
+    assert CheckTable(checks[:1]).lines(18, 6) == [
         "pass  clearance           margin= 2.500000e-01  min |q| = 0.7",
         "overall: pass",
     ]

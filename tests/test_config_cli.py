@@ -11,10 +11,12 @@ import lfe.cli
 import lfe.degree
 import lfe.shooting
 from conftest import recorded_flows
+from lfe.certificate import CertificateError
 from lfe.cli import main
 from lfe.config_io import ConfigError, parse_config
-from lfe.degree import MultipleZeros
+from lfe.degree import DegenerateForcing, DegreeError, MultipleZeros
 from lfe.fields import ABCField, DipoleField, GeneralizedCoulomb, ZeroField
+from lfe.integrator import SolverError
 
 MINIMAL = """
 [potential]
@@ -690,9 +692,10 @@ def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path, monkeypatc
     assert [orbit["x0_q"][1], orbit["x0_p"][0], orbit["x0_p"][2]] == [0.0, 0.0, 0.0]
     # 667 right-hand-side calls in 6 flows with the guess at rtol0 and the converged loose trial
     # flowed once more, 426 in the 5 full-period flows, and 258 with the initial-step heuristic;
-    # the guess's cold flow tries its whole span, which step control rejects once
+    # the guess's cold flow tries its whole span, which step control rejects once; the warm
+    # flows, which take their first step from the previous flow, reject none
     assert [traj.n_rhs_evals for _, traj, _ in flows] == [49, 37, 37, 37, 73]
-    assert flows[0][1].n_rejected == 1
+    assert [traj.n_rejected for _, traj, _ in flows] == [1, 0, 0, 0, 0]
     assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 233
 
 
@@ -1235,6 +1238,98 @@ def test_cli_degree_failure_exits_3(tmp_path, monkeypatch):
     assert main(["degree", "--config", str(cfg), "--out", str(out)]) == 3
     text = (out / "degree_report.txt").read_text()
     assert text == "degree computation failed: " + payload["degree_error"] + "\n"
+
+
+# c0 = 1e-300 puts the equilibrium at |q| = 7.1e-151, where r^-3 overflows; the tiny period
+# keeps the clearance m from underflowing, so the certificate passes and the degree stage fails
+OUT_OF_RANGE_EQUILIBRIUM = """
+[potential]
+c0 = 1e-300
+gamma = 1
+
+[magnetic]
+kind = zero
+c_B = auto
+
+[forcing]
+period = 1e-300
+mean = 0 0 2
+"""
+OUT_OF_RANGE_MESSAGE = (
+    "the equilibrium radius sqrt(c0/|mean|) = sqrt(1e-300/2) = 7.07107e-151 leaves the double range: r^-3 = inf"
+)
+
+
+def test_cli_continue_reports_an_equilibrium_out_of_the_double_range(tmp_path):
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(write(tmp_path, OUT_OF_RANGE_EQUILIBRIUM)), "--out", str(out)]) == 2
+    payload = json.loads((out / "run_report.json").read_text())
+    assert payload["validation_passed"] is True and "certificate" in payload
+    assert payload["degree_error"] == OUT_OF_RANGE_MESSAGE
+    assert "degree" not in payload and "continuation" not in payload
+    lines = (out / "run_report.txt").read_text().splitlines()
+    assert lines[-3] == "aborted: degree computation failed: " + OUT_OF_RANGE_MESSAGE
+
+
+def test_cli_degree_reports_an_equilibrium_out_of_the_double_range(tmp_path):
+    out = tmp_path / "out"
+    assert main(["degree", "--config", str(write(tmp_path, OUT_OF_RANGE_EQUILIBRIUM)), "--out", str(out)]) == 2
+    assert (out / "degree_report.txt").read_text() == "degree computation failed: " + OUT_OF_RANGE_MESSAGE + "\n"
+    assert not list(out.glob("*.json"))
+
+
+# each failure family and its exit code
+FAMILIES = {CertificateError: 2, DegenerateForcing: 2, DegreeError: 3, SolverError: 3}
+
+# (command, the lfe.cli callee of a stage, the stage's report prefix, its run_report key)
+STAGES = [
+    ("continue", "compute_certificate", "certificate failed", "certificate_error"),
+    ("bounds", "compute_certificate", "certificate failed", None),
+    ("continue", "brouwer_degree", "degree computation failed", "degree_error"),
+    ("degree", "brouwer_degree", "degree computation failed", None),
+    ("continue", "equilibrium_orbit", "no starting orbit at lam = 0", "solver_error"),
+    ("continue", "_check_index", "index check failed", "solver_error"),
+    ("find-orbit", "find_zero_f0", "no equilibrium guess", None),
+    ("find-orbit", "newton_shooting", "shooting failed", None),
+    ("integrate", "find_zero_f0", "no equilibrium start", None),
+    ("integrate", "integrate", "integration failed", None),
+]
+STAGE_IDS = [f"{command}-{callee}" for command, callee, _, _ in STAGES]
+STEMS = {"continue": "run_report", "bounds": "certificate", "degree": "degree_report", "find-orbit": "orbit_report"}
+
+
+def plant(monkeypatch, callee, error):
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(lfe.cli, callee, failing)
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.__name__)
+@pytest.mark.parametrize("command,callee,what,key", STAGES, ids=STAGE_IDS)
+def test_cli_every_stage_reports_every_failure_family(
+    tmp_path, monkeypatch, capsys, command, callee, what, key, family
+):
+    plant(monkeypatch, callee, family("planted failure"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(write(tmp_path, LIGHT)), "--out", str(out)]) == FAMILIES[family]
+    if command == "continue":
+        payload = json.loads((out / "run_report.json").read_text())
+        assert payload[key] == "planted failure"
+        lines = (out / "run_report.txt").read_text().splitlines()
+        assert lines[-3] == f"aborted: {what}: planted failure"
+    elif command == "integrate":
+        assert capsys.readouterr().out == f"{what}: planted failure\n"
+    else:
+        assert (out / f"{STEMS[command]}.txt").read_text() == f"{what}: planted failure\n"
+        assert not list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("command,callee", [stage[:2] for stage in STAGES], ids=STAGE_IDS)
+def test_cli_a_bare_value_error_is_not_a_stage_failure(tmp_path, monkeypatch, command, callee):
+    plant(monkeypatch, callee, ValueError("planted programming error"))
+    with pytest.raises(ValueError, match="^planted programming error$"):
+        main([command, "--config", str(write(tmp_path, LIGHT)), "--out", str(tmp_path / "out")])
 
 
 def test_cli_degree_takes_the_closed_form_determinant_at_a_tiny_c0(tmp_path):

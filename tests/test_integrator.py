@@ -20,6 +20,7 @@ from lfe.integrator import (
     IntegratorConfig,
     MaxStepsExceeded,
     SingularityApproach,
+    SolverError,
     StepUnderflow,
     Trajectory,
     integrate,
@@ -243,7 +244,7 @@ def test_integrate_validates_inputs(gyro_system):
         integrate(gyro_system, x0, (1.0, 0.0), 1.0)
     with pytest.raises(ValueError):
         integrate(gyro_system, x0, (0.0, 1.0), -0.2)
-    with pytest.raises(ValueError):
+    with pytest.raises(SolverError, match=r"^initial position \|q\| = 1e-08 is inside the guard radius r_min = 1e-06$"):
         integrate(gyro_system, State(q=[1e-8, 0, 0], p=[0, 0, 0]), (0.0, 1.0), 1.0)
     for shape in [(5,), (2, 7), (1, 2, 6)]:
         with pytest.raises(ValueError, match=r"^initial states must have shape \(6,\) or \(N, 6\)"):
