@@ -261,6 +261,11 @@ def compute_momentum_bound(config: FieldConfig, m: float, R: float, *, l1: float
             f"range; the largest term is {name} = {terms[name]:.6g}"
         )
     L = period * M + 2.0 * l1
+    if not (math.isfinite(L) and L > 0.0):  # overflows for a tiny m, underflows for a subnormal c0 and l1
+        raise CertificateError(
+            f"momentum bound L: T*M + 2*l1 with T = {period:.6g}, M = {M:.6g} and l1 = {l1:.6g} "
+            f"leaves the double range: L = {L:.6g}"
+        )
     return M, L
 
 
@@ -323,6 +328,9 @@ def region_checks(ys: np.ndarray, region: tuple[float, float, float]) -> list[Hy
             L - pn.max(),
         ),
     ]
+
+
+VERIFICATION_WIDTHS = (18, 6)  # `CheckTable.lines` widths: the name column, and the margin's digits
 
 
 def verify_orbit(orbit, cert: BoundsCertificate) -> CheckTable:

@@ -38,10 +38,10 @@ import time
 from pathlib import Path
 
 import lfe
-from lfe.certificate import BoundsCertificate, CertificateError, compute_certificate, verify_orbit
+from lfe.certificate import VERIFICATION_WIDTHS, BoundsCertificate, CertificateError, compute_certificate, verify_orbit
 from lfe.config_io import ConfigError, RunConfig, config_hash, parse_config
 from lfe.degree import DegenerateForcing, DegreeError, DegreeReport, brouwer_degree, find_zero_f0
-from lfe.fields import validate_hypotheses
+from lfe.fields import VALIDATION_WIDTHS, validate_hypotheses
 from lfe.homotopy import HomotopySystem
 from lfe.integrator import SolverError, integrate, write_rows_csv
 from lfe.kinematics import State
@@ -147,7 +147,7 @@ def cmd_validate(cfg: RunConfig, report: _Report) -> int:
     validation = validate_hypotheses(cfg.fields)
     record = dataclasses.asdict(validation)
     run = {"validation_passed": validation.passed, "validation": record["checks"]}
-    report.section("validate", "hypothesis validation", validation.lines(30, 3), record, run)
+    report.section("validate", "hypothesis validation", validation.lines(*VALIDATION_WIDTHS), record, run)
     return EXIT_OK if validation.passed else EXIT_HYPOTHESIS
 
 
@@ -263,7 +263,7 @@ def _pipeline(cfg: RunConfig, report: _Report) -> int:
     final = path.final
     verification = verify_orbit(final, cert)
     _orbit(final, report, verification)
-    report.section("verify", "orbit verification", verification.lines(18, 6))
+    report.section("verify", "orbit verification", verification.lines(*VERIFICATION_WIDTHS))
 
     write_rows_csv(report.out / "continuation.csv", list(rows[0]), [r.values() for r in rows])
     final.trajectory.write_csv(report.out / "orbit.csv", cfg.output.sample_points)

@@ -518,6 +518,9 @@ def _row(name: str, kind, method: str, check) -> HypothesisCheck:
     return HypothesisCheck(name, *check(law))
 
 
+VALIDATION_WIDTHS = (30, 3)  # `CheckTable.lines` widths: the longest row name, and the margin's digits
+
+
 def validate_hypotheses(config: FieldConfig) -> CheckTable:
     """Check the decay/repulsion/ceiling/singularity-order conditions from the field kinds' closed forms.
 

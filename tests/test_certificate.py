@@ -8,6 +8,7 @@ import lfe.certificate
 import lfe.fields
 from conftest import SEED, TabulatedPotential, coulomb_config, desk_config, pulsed_config
 from lfe.certificate import (
+    VERIFICATION_WIDTHS,
     CertificateError,
     InequalityFails,
     RadiusNotFound,
@@ -20,6 +21,7 @@ from lfe.certificate import (
     verify_orbit,
 )
 from lfe.fields import (
+    VALIDATION_WIDTHS,
     ABCField,
     CheckTable,
     DipoleField,
@@ -32,6 +34,7 @@ from lfe.fields import (
     ZeroField,
     near_origin_constants,
     radial_powers,
+    validate_hypotheses,
 )
 from sampled_checks import shell_maxima, sphere_directions
 
@@ -448,7 +451,7 @@ def test_certificate_invariants(desk_cert):
 
 def test_verify_equilibrium_orbit(desk_start, desk_cert):
     report = verify_orbit(desk_start, desk_cert)
-    assert report.passed, report.lines(18, 6)
+    assert report.passed, report.lines(*VERIFICATION_WIDTHS)
     assert all(e.margin > 0 for e in report.checks)
 
 
@@ -468,7 +471,7 @@ def test_verify_flags_synthetic_violation(desk_path, desk_cert):
 
 def test_verify_final_desk_orbit(desk_path, desk_cert):
     report = verify_orbit(desk_path.final, desk_cert)
-    assert report.passed, report.lines(18, 6)
+    assert report.passed, report.lines(*VERIFICATION_WIDTHS)
 
 
 def test_validation_and_verification_print_one_check_table_in_their_own_widths():
@@ -476,12 +479,20 @@ def test_validation_and_verification_print_one_check_table_in_their_own_widths()
         HypothesisCheck("clearance", True, "min |q| = 0.7", 0.25),
         HypothesisCheck("virial", False, "virial_lhs = 1", -1.5e-7),
     )
-    assert CheckTable(checks).lines(30, 3) == [
+    assert CheckTable(checks).lines(*VALIDATION_WIDTHS) == [
         "pass  clearance                       margin= 2.500e-01  min |q| = 0.7",
         "FAIL  virial                          margin=-1.500e-07  virial_lhs = 1",
         "overall: FAIL",
     ]
-    assert CheckTable(checks[:1]).lines(18, 6) == [
+    assert CheckTable(checks[:1]).lines(*VERIFICATION_WIDTHS) == [
         "pass  clearance           margin= 2.500000e-01  min |q| = 0.7",
         "overall: pass",
     ]
+
+
+def test_every_row_name_fits_its_table_width(desk_start, desk_cert):
+    # the validation column is as wide as its longest row name, so every margin= lines up
+    validation = validate_hypotheses(desk_config())
+    assert max(len(c.name) for c in validation.checks) == VALIDATION_WIDTHS[0]
+    verification = verify_orbit(desk_start, desk_cert)
+    assert max(len(c.name) for c in verification.checks) <= VERIFICATION_WIDTHS[0]

@@ -1278,6 +1278,52 @@ def test_cli_degree_reports_an_equilibrium_out_of_the_double_range(tmp_path):
     assert not list(out.glob("*.json"))
 
 
+# T = 8.13 puts the clearance at m = 2.2e-154, so M = 2/m^2 = 4.2e307 is a double but L = T*M is not
+MOMENTUM_OVERFLOW = OUT_OF_RANGE_EQUILIBRIUM.replace("c0 = 1e-300", "c0 = 1").replace("period = 1e-300", "period = 8.13")
+MOMENTUM_OVERFLOW_MESSAGE = (
+    "momentum bound L: T*M + 2*l1 with T = 8.13, M = 4.19848e+307 and l1 = 16.26 leaves the double range: L = inf"
+)
+# a subnormal c0, c_B and mean: T*M and l1 underflow, so L = 0
+MOMENTUM_UNDERFLOW = """
+[potential]
+c0 = 1e-323
+gamma = 1
+
+[magnetic]
+kind = zero
+c_B = 5e-324
+
+[forcing]
+period = 1e-10
+mean = 0 0 1e-320
+"""
+MOMENTUM_UNDERFLOW_MESSAGE = (
+    "momentum bound L: T*M + 2*l1 with T = 1e-10, M = 1.97626e-323 and l1 = 0 leaves the double range: L = 0"
+)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [(MOMENTUM_OVERFLOW, MOMENTUM_OVERFLOW_MESSAGE), (MOMENTUM_UNDERFLOW, MOMENTUM_UNDERFLOW_MESSAGE)],
+    ids=["overflow", "underflow"],
+)
+def test_cli_bounds_reports_a_momentum_bound_out_of_the_double_range(tmp_path, text, message):
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 2
+    assert (out / "certificate.txt").read_text() == "certificate failed: " + message + "\n"
+    assert not list(out.glob("*.json"))
+
+
+def test_cli_continue_reports_a_momentum_bound_out_of_the_double_range(tmp_path):
+    out = tmp_path / "out"
+    assert main(["continue", "--config", str(write(tmp_path, MOMENTUM_OVERFLOW)), "--out", str(out)]) == 2
+    payload = json.loads((out / "run_report.json").read_text())
+    assert payload["validation_passed"] is True and "certificate" not in payload
+    assert payload["certificate_error"] == MOMENTUM_OVERFLOW_MESSAGE
+    lines = (out / "run_report.txt").read_text().splitlines()
+    assert lines[-3] == "aborted: certificate failed: " + MOMENTUM_OVERFLOW_MESSAGE
+
+
 # each failure family and its exit code
 FAMILIES = {CertificateError: 2, DegenerateForcing: 2, DegreeError: 3, SolverError: 3}
 

@@ -16,6 +16,7 @@ from conftest import (
 )
 from lfe.certificate import compute_R
 from lfe.fields import (
+    VALIDATION_WIDTHS,
     ABCField,
     DipoleField,
     FieldConfig,
@@ -328,8 +329,8 @@ def test_gauss_legendre_rule_is_numpys_leggauss():
 
 def test_validate_passes_on_desk_scenario():
     report = validate_hypotheses(desk_config())
-    assert report.passed, report.lines(30, 3)
-    assert not [line for line in report.lines(30, 3) if "sampled" in line]
+    assert report.passed, report.lines(*VALIDATION_WIDTHS)
+    assert not [line for line in report.lines(*VALIDATION_WIDTHS) if "sampled" in line]
 
 
 def test_validate_flags_singularity_order():
