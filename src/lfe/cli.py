@@ -43,7 +43,7 @@ from lfe.config_io import ConfigError, RunConfig, config_hash, parse_config
 from lfe.degree import DegenerateForcing, DegreeError, DegreeReport, brouwer_degree, find_zero_f0
 from lfe.fields import VALIDATION_WIDTHS, validate_hypotheses
 from lfe.homotopy import HomotopySystem
-from lfe.integrator import SolverError, integrate, write_rows_csv
+from lfe.integrator import SolverError, write_rows_csv
 from lfe.kinematics import State
 from lfe.shooting import OrbitSolution, ShootingProblem, continue_lambda, equilibrium_orbit, newton_shooting
 
@@ -217,9 +217,8 @@ def cmd_degree(cfg: RunConfig, report: _Report) -> int:
 
 def cmd_integrate(cfg: RunConfig, report: _Report) -> int:
     x0 = _attempt("no equilibrium start", _initial_state, cfg)
-    t_end = cfg.initial.t_end if cfg.initial.t_end is not None else cfg.fields.forcing.period
-    args = (HomotopySystem(cfg.fields), x0, (0.0, t_end), cfg.initial.lam, cfg.integrator)
-    traj = _attempt("integration failed", integrate, *args)
+    problem = _build_problem(cfg, cfg.initial.lam, cert=None)
+    traj = _attempt("integration failed", problem.flow, x0, span=cfg.initial.t_end)
     csv, points = report.out / "trajectory.csv", cfg.output.sample_points
     traj.write_csv(csv, points)
     report.text = [f"wrote {csv} ({points} samples, lam={cfg.initial.lam})"]

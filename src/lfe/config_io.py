@@ -8,6 +8,10 @@ reads, given or defaulted, is echoed as `key = value` in canonical form
 as written), and the echo of all sections is `RunConfig.text`.  Parsing
 that text gives the same text again.
 
+A start is not compared with the guard radius r_min here, only where it is
+flowed (`integrate`, `ShootingProblem.violation`), so commands that flow
+nothing run with any start.
+
 Schema (INI sections and keys; vectors are space-separated triples):
 
   [potential]   kind = generalized-coulomb ; c0 ; gamma ; eps0
@@ -37,7 +41,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from lfe.degree import DegenerateForcing, find_zero_f0
 from lfe.fields import (
     ABCField,
     DipoleField,
@@ -51,6 +54,7 @@ from lfe.fields import (
     near_origin_constants,
 )
 from lfe.integrator import IntegratorConfig
+from lfe.kinematics import State
 from lfe.shooting import SolverOptions
 
 
@@ -326,17 +330,9 @@ def parse_config(path) -> RunConfig:
     )
     if not 0.0 <= initial.lam <= 1.0:
         raise ConfigError("[initial-state] lambda must lie in [0, 1]")
-    q = initial.q
-    if q is None and not r_min_auto:  # an explicit guard radius must clear the equilibrium too
-        try:
-            q = find_zero_f0(potential.radial_law()[0], forcing.mean).q
-        except DegenerateForcing:  # no equilibrium: the commands that need one say so
-            pass
-    if q is not None and np.linalg.norm(q) <= integrator.r_min:
-        what = "q" if initial.q is not None else f"q = equilibrium (|q| = {np.linalg.norm(q):g})"
-        raise ConfigError(
-            f"[initial-state] {what} must lie outside the guard radius r_min = {integrator.r_min:g}"
-        )
+    if initial.q is not None:
+        with _in_section("initial-state"):
+            State(q=initial.q, p=initial.p)
     if initial.t_end is not None and not initial.t_end > 0.0:
         raise ConfigError("[initial-state] t_end must be positive")
 

@@ -323,7 +323,8 @@ class Forcing:
         return self.mean + scale * total
 
     def is_constant(self) -> bool:
-        return len(self.harmonics) == 0
+        """Whether every harmonic coefficient is zero: `eval` and `l1_norm` read the same `_waves`."""
+        return not self._waves
 
     def mirrors(self) -> tuple[int, ...]:
         """The mirrors n with R_n h(-t) = h(t).

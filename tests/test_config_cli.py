@@ -89,6 +89,9 @@ mean = 0 0 2
 """
 
 
+COMMANDS = ("validate", "bounds", "degree", "integrate", "find-orbit", "continue")
+
+
 def write(tmp_path, text, name="scenario.ini"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -388,6 +391,18 @@ def test_cli_bounds(tmp_path):
     assert payload["m"] == pytest.approx(np.exp(-15.0))
     text = (out / "certificate.txt").read_text()
     assert "C_gradV_B" in text and "epsilon" in text
+
+
+def test_cli_bounds_of_a_forcing_with_an_all_zero_harmonic_is_that_of_the_constant_forcing(tmp_path):
+    # a period off the integers, where quadrature of |h| would differ from T |mean| in the last digits
+    text = LIGHT.replace("period = 1.0", "period = 2.6").replace("mean = 0 0 2", "mean = 0.3 0 2")
+    zero = text.replace("mean = 0.3 0 2", "mean = 0.3 0 2\nharmonic_3_cos = 0 0 0")
+    forcing = parse_config(write(tmp_path, zero, "zero.ini")).fields.forcing
+    assert forcing.is_constant() and forcing.l1_norm() == forcing.period * forcing.mean_norm
+    for name, cfg_text in (("constant", text), ("zero", zero)):
+        assert main(["bounds", "--config", str(write(tmp_path, cfg_text)), "--out", str(tmp_path / name)]) == 0
+    certificate = (tmp_path / "constant" / "certificate.json").read_bytes()
+    assert (tmp_path / "zero" / "certificate.json").read_bytes() == certificate
 
 
 def test_cli_degree(tmp_path):
@@ -896,7 +911,7 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
         assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 2
         assert (out / "orbit_report.txt").read_text() == f"no equilibrium guess: {message}\n"
         assert sorted(p.name for p in out.iterdir()) == ["orbit_report.txt"]
-        # an explicit guard radius is checked against the equilibrium only where there is one
+        # an explicit guard radius does not hide that there is no equilibrium
         guarded = write(tmp_path, text + "\n[integrator]\nr_min = 1e-6\n", f"guarded{i}.ini")
         assert main(["validate", "--config", str(guarded), "--out", str(tmp_path / f"validate{i}")]) == validated
         assert main(["integrate", "--config", str(guarded), "--out", str(tmp_path / f"guarded{i}")]) == 2
@@ -912,14 +927,10 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
         ("mean = 0 0 2", "mean = 0 0 2\n[magnetic]\neps1 = -1", "magnetic"),
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nrtol = -1", "integrator"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nq = 0 0 0", "initial-state"),
+        # |q|^2 underflows, so State reads |q| as 0
+        ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nq = 1e-170 0 0", "initial-state"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = 0", "initial-state"),
         ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nt_end = -1", "initial-state"),
-        (
-            "mean = 0 0 2",
-            "mean = 0 0 2\n[integrator]\nr_min = 0.01\n[initial-state]\nq = 0.005 0 0",
-            "initial-state",
-        ),
-        ("mean = 0 0 2", "mean = 0 0 2\n[initial-state]\nq = 1e-6 0 0", "initial-state"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ndlam_init = 0", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ndlam_init = -0.1", "solver"),
         ("mean = 0 0 2", "mean = 0 0 2\n[solver]\ndlam_floor = 0", "solver"),
@@ -945,8 +956,8 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
         ("mean = 0 0 2", "mean = 0 0 2\n[integrator]\nr_min = 0", "integrator"),
     ],
     ids=[
-        "c0", "period", "eps0", "eps1", "rtol", "q", "t_end0", "t_end-1",
-        "q_r_min", "q_r_min_auto", "dlam_init0", "dlam_init-", "dlam_floor0", "target>1",
+        "c0", "period", "eps0", "eps1", "rtol", "q", "q_underflow", "t_end0", "t_end-1",
+        "dlam_init0", "dlam_init-", "dlam_floor0", "target>1",
         "target<0", "newton_tol0", "seed-1", "max_iterations0", "max_steps0",
         "not-a-number", "not-finite", "not-an-integer", "potential-kind", "no-c0", "no-period",
         "no-mean", "harmonic_0", "magnetic-kind", "no-b", "no-c1", "lambda2", "sample_points1",
@@ -955,8 +966,9 @@ def test_cli_integrate_zero_mean_forcing_has_no_equilibrium(tmp_path, capsys):
 )
 def test_cli_out_of_range_value_exits_4(tmp_path, capsys, old, new, section):
     cfg = write(tmp_path, MINIMAL.replace(old, new))
-    assert main(["validate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
-    assert capsys.readouterr().err.startswith(f"config error: [{section}] ")
+    for command in COMMANDS:  # every command parses the whole file before it runs
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+        assert capsys.readouterr().err.startswith(f"config error: [{section}] ")
 
 
 @pytest.mark.parametrize("value", ["0.5", "1.5"], ids=["growth<1", "growth-former-default"])
@@ -1116,15 +1128,65 @@ def test_cli_find_orbit_within_the_difference_step_of_the_guard_radius_exits_3(t
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_cli_equilibrium_inside_the_guard_radius_exits_4(tmp_path, capsys):
+# a start inside the guard radius, added to LIGHT: (text, the reason integrate gives, the reason
+# shooting gives, the exit code of continue, which starts at the equilibrium and reads no [initial-state])
+GUARD_FAULTS = {
     # the equilibrium of c0 = 1, mean = 0 0 2 lies at |q| = sqrt(0.5) < r_min = 0.8
-    text = LIGHT + "\n[integrator]\nr_min = 0.8\n"
-    out = tmp_path / "out"
-    assert main(["integrate", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 4
-    assert capsys.readouterr().err.startswith("config error: [initial-state] ")
-    # zero mean forcing has no equilibrium, and integrate still says so
-    degenerate = write(tmp_path, text.replace("mean = 0 0 2", "mean = 0 0 0"))
-    assert main(["integrate", "--config", str(degenerate), "--out", str(out)]) == 2
+    "equilibrium": (
+        "[integrator]\nr_min = 0.8\n",
+        "|q| = 0.707107 is inside the guard radius r_min = 0.8",
+        "|q| = 0.707106781 <= r_min = 0.8 plus the difference step 1e-07",
+        3,
+    ),
+    "explicit": (
+        "[integrator]\nr_min = 0.01\n[initial-state]\nq = 0.005 0 0\n",
+        "|q| = 0.005 is inside the guard radius r_min = 0.01",
+        "|q| = 0.005 <= r_min = 0.01 plus the difference step 1e-07",
+        0,
+    ),
+    # r_min = auto keeps the default 1e-6 where there is no certificate, and continue takes m/2
+    "auto": (
+        "[initial-state]\nq = 1e-6 0 0\n",
+        "|q| = 1e-06 is inside the guard radius r_min = 1e-06",
+        "|q| = 1e-06 <= r_min = 1e-06 plus the difference step 1e-07",
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", GUARD_FAULTS)
+def test_cli_a_start_inside_the_guard_radius_fails_only_where_it_is_flowed(tmp_path, capsys, fault):
+    text, integrate_reason, shooting_reason, continue_code = GUARD_FAULTS[fault]
+    cfg = write(tmp_path, LIGHT + "\n" + text)
+    for command in ("validate", "bounds", "degree"):  # they flow nothing
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+    capsys.readouterr()
+
+    out = tmp_path / "integrate"
+    assert main(["integrate", "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().out == f"integration failed: initial position {integrate_reason}\n"
+    assert not list(out.iterdir())
+
+    out = tmp_path / "find-orbit"
+    assert main(["find-orbit", "--config", str(cfg), "--out", str(out)]) == 3
+    assert (out / "orbit_report.txt").read_text() == (
+        f"shooting failed: initial guess outside the search region: {shooting_reason}\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["orbit_report.txt"]
+
+    out = tmp_path / "continue"
+    assert main(["continue", "--config", str(cfg), "--out", str(out)]) == continue_code
+    payload = json.loads((out / "run_report.json").read_text())
+    if continue_code:
+        message = f"equilibrium outside the search region: {shooting_reason}"
+        assert payload["solver_error"] == message
+        lines = (out / "run_report.txt").read_text().splitlines()
+        assert lines[-3] == f"aborted: no starting orbit at lam = 0: {message}"
+        # zero mean forcing has no equilibrium, and integrate still says so
+        degenerate = write(tmp_path, LIGHT.replace("mean = 0 0 2", "mean = 0 0 0") + "\n" + text)
+        assert main(["integrate", "--config", str(degenerate), "--out", str(tmp_path / "zero")]) == 2
+    else:
+        assert "solver_error" not in payload and payload["continuation"]["status"] == "reached_target"
 
 
 def test_cli_integrate_ultrarelativistic_start(tmp_path, monkeypatch):
@@ -1327,7 +1389,8 @@ def test_cli_continue_reports_a_momentum_bound_out_of_the_double_range(tmp_path)
 # each failure family and its exit code
 FAMILIES = {CertificateError: 2, DegenerateForcing: 2, DegreeError: 3, SolverError: 3}
 
-# (command, the lfe.cli callee of a stage, the stage's report prefix, its run_report key)
+# (command, the lfe.cli callee of a stage, or a dotted attribute of one, the stage's report prefix,
+# its run_report key)
 STAGES = [
     ("continue", "compute_certificate", "certificate failed", "certificate_error"),
     ("bounds", "compute_certificate", "certificate failed", None),
@@ -1338,7 +1401,7 @@ STAGES = [
     ("find-orbit", "find_zero_f0", "no equilibrium guess", None),
     ("find-orbit", "newton_shooting", "shooting failed", None),
     ("integrate", "find_zero_f0", "no equilibrium start", None),
-    ("integrate", "integrate", "integration failed", None),
+    ("integrate", "ShootingProblem.flow", "integration failed", None),
 ]
 STAGE_IDS = [f"{command}-{callee}" for command, callee, _, _ in STAGES]
 STEMS = {"continue": "run_report", "bounds": "certificate", "degree": "degree_report", "find-orbit": "orbit_report"}
@@ -1348,7 +1411,7 @@ def plant(monkeypatch, callee, error):
     def failing(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(lfe.cli, callee, failing)
+    monkeypatch.setattr(f"lfe.cli.{callee}", failing)
 
 
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda family: family.__name__)
