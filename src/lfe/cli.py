@@ -193,6 +193,7 @@ def _orbit(sol: OrbitSolution, report: _Report, verification=None) -> None:
     summary = sol.summary()
     record = dict(summary, monodromy=sol.monodromy, newton_trace=sol.newton_trace)
     record["n_rejected"] = sol.trajectory.n_rejected
+    record.update(sol.counts)
     record.update(sol.symmetry)
     if verification is not None:
         record["verification"] = [dataclasses.asdict(c) for c in verification.checks]

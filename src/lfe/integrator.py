@@ -18,10 +18,13 @@ that is used costs no interpolant.  `integrate` is the one place a
 dense output and counts.  A stack of N states is integrated as one
 6N-vector with shared step control: shooting integrates the Jacobian
 columns (perturbed copies of the orbit) in the same flow as the orbit,
-and the singularity guard watches every member of the stack.  A run of a
-reversible system over half a period, from Fix(G) to Fix(G), continues to
-the whole period as its G-image read backwards (`Trajectory.reflected`),
-with no further right-hand-side call.
+and the singularity guard watches every member of the stack.  Each
+member may run at a time offset of its own, so the consecutive segments
+of one span flow as one stack over the length of a segment, and their
+orbit members join into one trajectory over the whole span
+(`Trajectory.joined`).  A run of a reversible system over half a period,
+from Fix(G) to Fix(G), continues to the whole period as its G-image read
+backwards (`Trajectory.reflected`), with no further right-hand-side call.
 """
 
 from __future__ import annotations
@@ -188,20 +191,54 @@ class Trajectory:
 
         The middle one of the sorted accepted steps, scaled by
         (rtol / self.rtol) ** (1 / 8), the step controller's exponent, and by its
-        safety factor 0.9, as step control scales every step it proposes,
-        and at most the span; without that factor the first step overshoots
-        and is often rejected.  The few steps are sorted by Python:
-        `np.median` would import numpy.ma, and `np.sort` would map numpy's
-        SIMD sort code, either of which raises a run's peak memory.
+        safety factor 0.9, as step control scales every step it proposes;
+        without that factor the first step overshoots and is often rejected.
+        A step that reaches 0.9 of the span is the whole span: a run that
+        took its span in one step takes it in one step again at its own
+        rtol, where the scaled step would split the span into a step and a
+        sliver.  The few steps are sorted by Python: `np.median` would import
+        numpy.ma, and `np.sort` would map numpy's SIMD sort code, either of
+        which raises a run's peak memory.
         """
+        span = self.t1 - self.t0 if span is None else span
         steps = sorted(np.diff(self.ts).tolist())
         h = _SAFETY * steps[len(steps) // 2] * (rtol / self.rtol) ** (1 / (_ERROR_ORDER + 1))
-        return min(h, self.t1 - self.t0 if span is None else span)
+        return span if h >= _SAFETY * span else h
 
     def row(self, i: int) -> "Trajectory":
         """Member i of a stacked run, read from the shared nodes and its six columns of the interpolant."""
         interp, columns = self.interpolant, slice(6 * i, 6 * i + 6)
         return replace(self, states=self.states[:, i], interpolant=lambda t: interp(t, columns))
+
+    def joined(self, members, starts: np.ndarray, end: float) -> "Trajectory":
+        """Members of this stacked run, run at the time offsets starts, joined into one run over [starts[0], end].
+
+        Member members[k] is segment k: it ran over [starts[k], starts[k] + h],
+        h this run's span, and starts[k] + h = starts[k + 1] up to rounding,
+        and end for the last one.  The joined nodes are each segment's nodes
+        but its last, then end with the last segment's end.  A time in
+        [starts[k], starts[k + 1]) reads segment k, so the node at starts[k]
+        holds the start of segment k, and the joined trajectory is
+        continuous to within the gaps between one segment's end and the
+        next one's start.  rtol and the counts are this run's.
+        """
+        rows = [self.row(i) for i in members]
+
+        def interpolant(t):
+            t = np.asarray(t)
+            seg = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
+            if t.ndim == 0:
+                return rows[seg].interpolant(t - starts[seg])
+            y = np.empty((6,) + t.shape)
+            for k, row in enumerate(rows):
+                mask = seg == k
+                if mask.any():
+                    y[:, mask] = row.interpolant(t[mask] - starts[k])
+            return y
+
+        ts = np.concatenate([start + self.ts[:-1] for start in starts] + [[end]])
+        states = np.concatenate([row.states[:-1] for row in rows] + [rows[-1].states[-1:]])
+        return replace(self, ts=ts, states=states, interpolant=interpolant)
 
     def reflected(self, g: np.ndarray) -> "Trajectory":
         """This run of one state over [t0, t1], continued to [t0, 2 t1 - t0] by x(t1 + s) = G x(t1 - s).
@@ -243,23 +280,25 @@ def write_rows_csv(path, header, rows) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
-def _nearest(y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Smallest |q| among the states stacked in the flat vector y, and that state."""
+def _nearest(y: np.ndarray) -> tuple[float, int]:
+    """Smallest |q| among the states stacked in the flat vector y, and the index of that state."""
     rows = y.reshape(-1, 6)
     r = np.hypot(np.hypot(rows[:, 0], rows[:, 1]), rows[:, 2])
     k = int(np.argmin(r))
-    return float(r[k]), rows[k]
+    return float(r[k]), k
 
 
 def _bisect_guard_crossing(interp, t_lo: float, t_hi: float, r_min: float):
-    """First time in [t_lo, t_hi] where some |q(t)| = r_min, by bisection on the interpolant."""
+    """First time in [t_lo, t_hi] where some |q(t)| = r_min, by bisection on the interpolant, and that member."""
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
         if _nearest(interp(t_mid))[0] >= r_min:
             t_lo = t_mid
         else:
             t_hi = t_mid
-    return t_hi, _nearest(interp(t_hi))[1]
+    y = interp(t_hi)
+    k = _nearest(y)[1]
+    return t_hi, k, y.reshape(-1, 6)[k]
 
 
 # (s, c_s, a_s0 ... a_s(s-1)) of the stages after the first, read once at import
@@ -287,20 +326,29 @@ def integrate(
     lam: float,
     cfg: IntegratorConfig = IntegratorConfig(),
     first_step: float | None = None,
+    offsets: np.ndarray | None = None,
 ) -> Trajectory:
     """Integrate the homotopy system from x0 over t_span at the given lam.
 
     x0 is a State, or an array of flat states [q, p] of shape (6,) or
     (N, 6); a stack is integrated as one system, so all its members share
     the step sequence, and the guard applies to every member.
+    offsets, of shape (N,) for a stack, are time offsets of the members:
+    member i runs over t_span shifted by offsets[i], so it sees the field
+    at t + offsets[i] where the run is at t, and its nodes and dense output
+    are read in the run's time.  Without them every member runs at the
+    run's time, through the scalar-time path of the right-hand side.  The
+    members of consecutive segments of one span, each at its segment's
+    start, join into one trajectory over the span (`Trajectory.joined`).
     first_step, in (0, t1 - t0], is the size of the first trial step;
     without it the first trial step is the whole span t1 - t0.  A first
     step that is too large is rejected and shrunk by step control like
     any other.
     Raises SolverError if a start lies inside the guard radius,
     SingularityApproach if |q| reaches it (with the crossing time refined
-    by bisection on the step interpolant), MaxStepsExceeded or
-    StepUnderflow on step-control failures.
+    by bisection on the step interpolant, and named in the time of the
+    member that crossed), MaxStepsExceeded or StepUnderflow on
+    step-control failures.
     Deterministic for fixed inputs.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -320,14 +368,20 @@ def integrate(
         raise SolverError(f"initial position |q| = {r0:g} is inside the guard radius r_min = {cfg.r_min:g}")
 
     n_evals, members = 0, y0.size // 6
+    if offsets is not None:
+        offsets = np.asarray(offsets, dtype=float)
+        if offsets.shape != (members,) or len(shape) != 2:
+            raise ValueError(f"offsets must have shape ({members},) for a stack of {members} states")
+    shift = np.zeros(members) if offsets is None else offsets
 
     def fun(t, y):
         """The flat right-hand side of a flat state y (n,) at t, or of k states y (k, n) at times t (k,)."""
         nonlocal n_evals
         n_evals += 1
         if y.ndim == 1:
-            return system.rhs_array(t, y.reshape(shape), lam).reshape(-1)
-        return system.rhs_array(np.repeat(t, members), y.reshape(-1, 6), lam).reshape(y.shape)
+            times = t if offsets is None else t + offsets
+            return system.rhs_array(times, y.reshape(shape), lam).reshape(-1)
+        return system.rhs_array((t[:, None] + shift).reshape(-1), y.reshape(-1, 6), lam).reshape(y.shape)
 
     rtol, atol = max(cfg.rtol, 100 * np.finfo(float).eps), cfg.atol
     exponent = -1 / (_ERROR_ORDER + 1)
@@ -365,8 +419,8 @@ def integrate(
         stages.append(k)
         if _nearest(y_new)[0] < cfg.r_min:
             step = _DenseOutput(np.array(ts[-2:]), np.array(ys[-2:]), stages[-1:], fun)
-            t_cross, y_cross = _bisect_guard_crossing(step, t, t_new, cfg.r_min)
-            raise SingularityApproach(t_cross, State.from_array(y_cross), cfg.r_min)
+            t_cross, member, y_cross = _bisect_guard_crossing(step, t, t_new, cfg.r_min)
+            raise SingularityApproach(t_cross + shift[member], State.from_array(y_cross), cfg.r_min)
         t, y, f = t_new, y_new, f_new
 
     ts_arr, ys_arr = np.asarray(ts), np.asarray(ys)

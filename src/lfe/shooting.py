@@ -1,4 +1,4 @@
-"""Single shooting for the T-periodic problem and the continuation driver.
+"""Shooting for the T-periodic problem and the continuation driver.
 
 A periodic orbit is a fixed point of the time-T flow in (q, p).  Damped
 Newton iterates on the flow residual.  Its Jacobian is the forward
@@ -42,6 +42,55 @@ branch until the branch check or a failed solve stops it; a
 symmetry-breaking bifurcation, where M - I gains a kernel off Fix(G)
 while the reduced Jacobian stays regular, shows as a small
 `sigma_min_M_minus_I` in `OrbitSolution.symmetry`.
+
+Multiple shooting (Stoer & Bulirsch, "Introduction to Numerical
+Analysis", section 7.3; Deuflhard, "Newton Methods for Nonlinear
+Problems", 2004, chapters 7-8).  A solve may split its span (T/2 on the
+reversible path, T on the full path) into K segments of length h, with
+segment starts t_k = k h.  The unknowns are then the free coordinates of
+s_0 = x0 and the states s_1 ... s_(K-1) at t_1 ... t_(K-1); the equations
+are the matching conditions phi_h(s_k) - s_(k+1) = 0, segment k seeing the
+forcing at t + t_k, and the path's end condition on the last segment's
+end y.  All K segments and their difference members flow as one stack of
+7K members over [0, h] with shared steps (`integrate` with time offsets),
+and a right-hand-side call of 28 rows costs little more than one of 7
+(30.1 against 26.0 us), so a span that takes K sequential steps costs
+about one.  The Jacobian is block bidiagonal in the segments' difference
+Jacobians Phi_k (cyclic on the full path), solved by one dense LU of size
+at most 6K.
+
+- The K rule.  Each solve chooses K once, like its path, from the accepted
+  steps of its guess flow (its first flow, over the whole span): K is
+  that count when it lies in 2 ... _MAX_SEGMENTS = 4, and 1 otherwise,
+  where the solve keeps single shooting.  Multiple shooting's Newton
+  iterates differ from single shooting's after the first step, and where
+  a guess flow takes many steps they converged more slowly or to another
+  orbit on the desk atlas (`tests/test_acceptance.py`, whose guess flows
+  take 5 to 7 steps at T = 2, 2.6 and 3).  With K = min(steps, 4) the
+  cell (T, a) = (2, 5) took 7 Newton iterations instead of 5, and
+  (2.6, 5) reached lam = 1 in 7 accepted steps and 226 iterations instead
+  of 1 step and 6.
+- The first iterate.  The segment starts s_k are the guess flow's orbit
+  at t_k, read from its dense output, so the matching defects are zero
+  and the first Newton step is single shooting's; its difference members
+  at t_k give Phi(t_k) = D phi_t_k(x0), so Phi_k = Phi(t_(k+1)) Phi(t_k)^-1
+  needs no further flow.
+- The condensed residual.  The residual norm keeps its meaning, the
+  sup-norm of the linearized one-period residual of x0: the defects are
+  carried through the Phi_k to the end of the span and added to y, which
+  is then read as with one segment, against the product
+  Phi = Phi_(K-1) ... Phi_0.  The inexact-Newton rule below reads it
+  unchanged.
+- The product monodromy.  M is that of the product Phi: M = Phi on the
+  full path, G Phi^-1 G Phi on the reversible one.
+- The first steps.  A warm first step that reaches 0.9 of its span is the
+  whole span (`Trajectory.warm_step`), so at the trial rtol a desk
+  segment of one step takes one step again, where the middle step scaled
+  by the safety factor would split it into a step and a sliver.  Flows of
+  several steps keep their first step.
+- The trajectory.  The orbit members of the segments join into one
+  trajectory over the span (`Trajectory.joined`), continuous to within
+  the matching defects; K = 1 is single shooting, bit for bit.
 
 The continuation driver walks the deformation parameter from the
 autonomous equilibrium at lam = 0 toward the full equation at lam = 1,
@@ -87,12 +136,14 @@ Newton iteration, so it adds no `newton_trace` entry and does not count
 against max_iterations.  Each `newton_trace` entry records the `rtol`
 of its accepted trial flow.
 
-Flows are warm-started.  Each flow integrates the same span from a
-state close to its predecessor's, so it takes its first step from the
-predecessor's steps (`Trajectory.warm_step`): their middle one, scaled
-by (rtol / rtol_prev) ** (1/8), the step controller's exponent, and by
-its safety factor 0.9, and at most the span; rtol_prev is the rtol the
-predecessor ran at, which it records (`Trajectory.rtol`).  Within a
+Flows are warm-started.  Each flow integrates the same span, or one
+segment of it, from a state close to its predecessor's, so it takes its
+first step from the predecessor's steps (`Trajectory.warm_step`): their
+middle one, scaled by (rtol / rtol_prev) ** (1/8), the step controller's
+exponent, and by its safety factor 0.9; a step that reaches 0.9 of the
+span is the whole span, so a segment that took one step takes one step
+again at the same rtol, not a step and a sliver.  rtol_prev is the rtol
+the predecessor ran at, which it records (`Trajectory.rtol`).  Within a
 solve the predecessor is the iterate's flow; the guess of a continuation
 step after the first follows the previous accepted orbit's trajectory
 (on the reversible path its reflection, whose steps are the half flow's,
@@ -115,7 +166,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -150,6 +201,10 @@ _TRIAL_RTOL_CAP = 1e-6
 _TRIAL_FACTOR = 1e-4
 # a residual at most this many eps * max(1, |x|_inf) is at round-off level
 _ROUNDOFF = 8.0 * np.finfo(float).eps
+# the most segments a solve splits its span into, one per accepted step of its guess flow; a
+# guess flow of more steps keeps single shooting (module docstring).  A right-hand-side call of
+# 28 rows costs about 1.16 times one of 7 (30.1 against 26.0 us)
+_MAX_SEGMENTS = 4
 
 
 @dataclass(frozen=True)
@@ -202,30 +257,48 @@ class ShootingProblem:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
     def flow(
-        self, x0: State | np.ndarray, first_step: float | None = None, span: float | None = None
+        self,
+        x0: State | np.ndarray,
+        first_step: float | None = None,
+        span: float | None = None,
+        offsets: np.ndarray | None = None,
     ) -> Trajectory:
-        """The flow of x0 over [0, span], by default one period."""
+        """The flow of x0 over [0, span], by default one period; offsets are its members' time offsets."""
         span = self.system.config.forcing.period if span is None else span
-        return integrate(self.system, x0, (0.0, span), self.lam, self.integrator, first_step=first_step)
+        return integrate(
+            self.system, x0, (0.0, span), self.lam, self.integrator, first_step=first_step, offsets=offsets
+        )
 
     def flow_with_monodromy(
-        self, x0: np.ndarray, first_step: float | None = None, span: float | None = None
+        self,
+        x0: np.ndarray,
+        first_step: float | None = None,
+        span: float | None = None,
+        offsets: np.ndarray | None = None,
     ) -> tuple[Trajectory, np.ndarray]:
-        """The orbit of the flat state x0 over [0, span] and the forward-difference Jacobian of that flow at x0.
+        """The stacked flow of the flat state x0 over [0, span] and the forward-difference Jacobian of that flow at x0.
 
         span is one period by default, and the Jacobian is the monodromy.
         x0 and its six perturbations x0 + h_i e_i, h_i = _FD_STEP max(1, |x0_i|),
-        are integrated as one stacked flow, so column i of the Jacobian
-        differences two members that took the same steps, divided by h_i.
-        The step is relative where |x0_i| > 1, so every member differs from
-        x0.  A perturbed member that crosses the guard radius raises
-        SingularityApproach like the orbit itself.  first_step is passed to
-        `integrate`.
+        are integrated as one stacked flow of 7 members, x0 the first, so
+        column i of the Jacobian differences two members that took the same
+        steps, divided by h_i.  The step is relative where |x0_i| > 1, so
+        every member differs from x0.  A perturbed member that crosses the
+        guard radius raises SingularityApproach like the orbit itself.
+        first_step is passed to `integrate`.
+
+        x0 of shape (K, 6) is K segment starts, flowed as one stack of 7K
+        members, segment k's seven from member 7k on, each at its segment's
+        time offset offsets[k]; the Jacobians then have shape (K, 6, 6).
         """
-        steps = _FD_STEP * np.maximum(1.0, np.abs(x0))
-        traj = self.flow(x0 + np.vstack([np.zeros(6), np.diag(steps)]), first_step, span)
-        end = traj.states[-1]
-        return traj.row(0), (end[1:] - end[0]).T / steps
+        starts = x0.reshape(-1, 6)
+        steps = _FD_STEP * np.maximum(1.0, np.abs(starts))
+        stack = starts[:, None, :] + steps[:, None, :] * np.eye(7, 6, -1)  # x0, then x0 + h_i e_i
+        shifts = None if offsets is None else np.repeat(offsets, 7)
+        run = self.flow(stack.reshape(-1, 6), first_step, span, shifts)
+        end = run.states[-1].reshape(-1, 7, 6)
+        jac = (end[:, 1:] - end[:, :1]).transpose(0, 2, 1) / steps[:, None, :]
+        return run, jac.reshape(x0.shape[:-1] + (6, 6))
 
     def violation(self, y: np.ndarray) -> str | None:
         """Why the phase point y = (q, p) lies outside Newton's search region, or None."""
@@ -257,6 +330,9 @@ class OrbitSolution:
     path that solved it (`_shooting`): "full", "reversible <axis>", or
     "closed form" for the lam = 0 start.  guess_rtol is the rtol the
     solve's guess was first flowed at, None for the unflowed lam = 0 start.
+    counts are those of the solve's flows (`_counts`): its segments, flows,
+    right-hand-side calls and accepted and rejected steps, all 0 for the
+    lam = 0 start, which no solve flows.
     """
 
     system: HomotopySystem
@@ -270,6 +346,7 @@ class OrbitSolution:
     newton_trace: list
     shooting: str = "full"
     guess_rtol: float | None = None
+    counts: dict = field(default_factory=lambda: _counts(0))
 
     @functools.cached_property
     def trajectory(self) -> Trajectory:
@@ -344,6 +421,15 @@ def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
     }
 
 
+def _counts(segments: int) -> dict:
+    """The counts of a solve's flows, none flowed yet: the segments of its span, flows, right-hand-side calls, steps.
+
+    Every flow adds its `Trajectory` counts: n_rhs_evals, its accepted
+    steps and n_rejected.  Deterministic, like the flows.
+    """
+    return {"segments": segments, "flows": 0, "rhs_calls": 0, "steps_accepted": 0, "steps_rejected": 0}
+
+
 def _trial_rtol(rtol0: float, res_norm: float) -> float:
     """The rtol of a trial flow from the residual sup-norm res_norm, rtol0 the configured one.
 
@@ -378,7 +464,9 @@ def _reversor(axis: int) -> np.ndarray:
 class _Flowed(NamedTuple):
     """One flow of a solve, read by its `_Shooting`."""
 
-    traj: Trajectory  # the orbit's member of the stacked flow
+    run: Trajectory  # the stacked run of the segments and their difference members
+    orbit: Callable[[], Trajectory]  # the orbit over the span, built when called
+    starts: np.ndarray  # the segment starts s_k, shape (K, 6); s_0 = x0
     res: np.ndarray  # the residual of the equations
     jac: np.ndarray  # their Jacobian in the unknowns
     norm: float  # the residual sup-norm of phi_T(x0) - x0 that convergence is read from
@@ -387,36 +475,90 @@ class _Flowed(NamedTuple):
 
 @dataclass(frozen=True)
 class _Shooting:
-    """The span, the unknowns and the residual map of one solve, chosen once (`_shooting`).
+    """The span, its segments, the unknowns and the residual map of one solve, chosen once (`_shooting`).
 
-    The full path (g None) flows [0, T]; its unknowns are all of x0, its
-    equations phi_T(x0) - x0 = 0, its Jacobian M - I.  The reversible path,
-    g the diagonal of a reversor G, flows [0, T/2]; its unknowns are the
-    Fix(G) coordinates of x0 (g = +1), its equations say that the off-Fix
-    coordinates (g = -1) of y = phi_T/2(x0) vanish, and its Jacobian is
-    Phi[off, fix], Phi = D phi_T/2(x0) the difference Jacobian of the flow.
+    The full path (g None) flows [0, T]; the reversible path, g the
+    diagonal of a reversor G, flows [0, T/2].  The span is split into
+    `segments` K of length h; segment k starts at t_k = k h from the state
+    s_k, and s_0 = x0.  The unknowns are the free coordinates of s_0 (all
+    six on the full path, the Fix(G) ones, g = +1, on the reversible path)
+    and s_1 ... s_(K-1).  The equations are the matching conditions
+    phi_h(s_k) - s_(k+1) = 0 and the end condition on y, the end of the last
+    segment: y - s_0 = 0 on the full path, its off-Fix coordinates
+    (g = -1) zero on the reversible path.  Their Jacobian is block
+    bidiagonal in the segments' difference Jacobians Phi_k, and cyclic on
+    the full path.  With K = 1 they are phi_T(x0) - x0 with the Jacobian
+    M - I, and y[off] with the Jacobian Phi[off, fix], Phi = D phi_T/2(x0).
     """
 
     name: str
     span: float
     g: np.ndarray | None = None
+    segments: int = 1
 
     @property
     def unknowns(self):
         return slice(None) if self.g is None else self.g > 0.0
 
-    def read(self, x0: np.ndarray, traj: Trajectory, phi: np.ndarray) -> _Flowed:
-        """The flow traj of x0 and its Jacobian phi, read as equations, residual norm and monodromy.
+    @property
+    def offsets(self) -> np.ndarray:
+        """The segment starts t_k = k h, k < K."""
+        return np.arange(self.segments) * (self.span / self.segments)
 
-        On the reversible path M = G Phi^-1 G Phi and the residual is
-        G Phi^-1 (G y - y), the linearization of phi_T(x0) - x0, both from
-        one LU of Phi.  A singular Phi raises SingularJacobian.
+    def equations(self, starts: np.ndarray, ends: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The residual and Jacobian of the equations at the segment starts, from their ends and Phi_k.
+
+        starts and ends have shape (K, 6), phis (K, 6, 6).
         """
-        y = traj.states[-1]
+        blocks = [phis[0][:, self.unknowns]] + list(phis[1:])  # segment k's block of Jacobian columns
+        n0, last = blocks[0].shape[1], 6 * (self.segments - 1)
+        # the columns of s_k: s_0's unknowns, then six per start
+        columns = [slice(0, n0)] + [slice(n0 + 6 * k, n0 + 6 * k + 6) for k in range(self.segments - 1)]
+        jac = np.zeros((n0 + last, n0 + last))
+        for k in range(self.segments - 1):
+            jac[6 * k : 6 * k + 6, columns[k]] = blocks[k]
+            jac[6 * k : 6 * k + 6, columns[k + 1]] = -np.eye(6)
+        defects = (ends[:-1] - starts[1:]).reshape(-1)
         if self.g is None:
-            res = y - x0
-            return _Flowed(traj, res, phi - np.eye(6), float(np.max(np.abs(res))), phi)
-        g, off = self.g, self.g < 0.0
+            jac[last:, columns[-1]] = blocks[-1]
+            jac[last:, columns[0]] -= np.eye(6)
+            return np.concatenate([defects, ends[-1] - starts[0]]), jac
+        off = self.g < 0.0
+        jac[last:, columns[-1]] = blocks[-1][off]
+        return np.concatenate([defects, ends[-1][off]]), jac
+
+    def read(self, starts: np.ndarray, run: Trajectory, jac: np.ndarray) -> _Flowed:
+        """The stacked run of the segment starts and its difference Jacobians (`flow_with_monodromy`), read.
+
+        starts has shape (K, 6), or (6,) for one segment.  The residual norm
+        is that of x0's own flow over the span, to first order: each
+        segment's defect phi_h(s_k) - s_(k+1) is carried through the
+        Jacobians of the segments after it and added to the end y, and the
+        product Phi = Phi_(K-1) ... Phi_0 is the Jacobian of that flow.  On
+        the full path the norm is then |y - x0|_inf and M = Phi; on the
+        reversible path M = G Phi^-1 G Phi and the residual is
+        G Phi^-1 (G y - y), the linearization of phi_T(x0) - x0, both from
+        one LU of Phi.  A singular Phi raises SingularJacobian.  The orbit
+        is the first member of one segment, and the members 0, 7, ...,
+        7 (K - 1) joined over the span (`Trajectory.joined`) of several; it
+        is built when called, so only a solution's flow builds it.
+        """
+        starts, ends = np.reshape(starts, (-1, 6)), run.states[-1, ::7]
+        if self.segments == 1:
+            orbit, phis = functools.partial(run.row, 0), [jac]
+        else:
+            orbit, phis = functools.partial(run.joined, range(0, 7 * self.segments, 7), self.offsets, self.span), jac
+        res, jac = self.equations(starts, ends, phis)
+        y, phi = ends[-1], phis[0]
+        if self.segments > 1:
+            carried = np.zeros(6)
+            for phi_k, defect in zip(phis[1:], ends[:-1] - starts[1:]):
+                carried = phi_k @ (carried + defect)
+                phi = phi_k @ phi
+            y = y + carried
+        if self.g is None:
+            return _Flowed(run, orbit, starts, res, jac, float(np.max(np.abs(y - starts[0]))), phi)
+        g = self.g
         try:
             solved = np.linalg.solve(phi, np.column_stack([g * y - y, g[:, None] * phi]))
         except np.linalg.LinAlgError:
@@ -424,13 +566,33 @@ class _Shooting:
         if solved is None or not np.all(np.isfinite(solved)):
             raise SingularJacobian(f"the Jacobian of the half-period flow is singular ({self.name} shooting)")
         norm = float(np.max(np.abs(g * solved[:, 0])))
-        return _Flowed(traj, y[off], phi[np.ix_(off, ~off)], norm, g[:, None] * solved[:, 1:])
+        return _Flowed(run, orbit, starts, res, jac, norm, g[:, None] * solved[:, 1:])
 
-    def one_period(self, traj: Trajectory) -> Callable[[], Trajectory]:
-        """The flow of the one-period trajectory of a solution whose flow is traj."""
+    def split(self, flowed: _Flowed) -> _Flowed:
+        """flowed, a read one-segment run of x0 over the span, as the first iterate of this path's segments.
+
+        The segment starts are the run's orbit at t_k, read from its dense
+        output, so the matching defects are zero, and the residual norm,
+        monodromy and orbit stay the run's.  Its difference members
+        at t_k give Phi(t_k) = D phi_t_k(x0), and so
+        Phi_k = Phi(t_(k+1)) Phi(t_k)^-1 with no further flow.
+        """
+        run, x0 = flowed.run, flowed.starts[0]
+        # the run's members at t_1 ... t_(K-1) and at the end of the span: (7, 6, K)
+        members = np.concatenate([run.at(self.offsets[1:]), run.states[-1][:, :, None]], axis=2)
+        steps = _FD_STEP * np.maximum(1.0, np.abs(x0))
+        along = [np.eye(6)] + [(members[1:, :, k] - members[0, :, k]).T / steps for k in range(self.segments)]
+        phis = np.array([np.linalg.solve(a.T, b.T).T for a, b in zip(along, along[1:])])
+        ends = members[0].T
+        starts = np.vstack([x0, ends[:-1]])
+        res, jac = self.equations(starts, ends, phis)
+        return flowed._replace(starts=starts, res=res, jac=jac)
+
+    def one_period(self, orbit: Callable[[], Trajectory]) -> Callable[[], Trajectory]:
+        """The flow of the one-period trajectory of a solution whose orbit over the span is orbit()."""
         if self.g is None:
-            return lambda: traj
-        return functools.partial(traj.reflected, self.g)
+            return orbit
+        return lambda: orbit().reflected(self.g)
 
 
 def _shooting(problem: ShootingProblem, y: np.ndarray) -> _Shooting:
@@ -444,20 +606,23 @@ def _shooting(problem: ShootingProblem, y: np.ndarray) -> _Shooting:
 
 
 def _flow_residual(
-    problem: ShootingProblem, shooting: _Shooting, y: np.ndarray, rtol: float, previous: Trajectory | None
+    problem: ShootingProblem, shooting: _Shooting, starts: np.ndarray, rtol: float, previous: Trajectory | None
 ) -> _Flowed:
-    """`flow_with_monodromy` at y and rtol over shooting.span, read by shooting.
+    """`flow_with_monodromy` of the segment starts (K, 6) at rtol over shooting's segments, read by shooting.
 
     The one place an rtol becomes an integrator config, with atol scaled by
     the same factor.  previous, a flow of a nearby problem, gives the first
     step (`Trajectory.warm_step`); with previous None the flow starts cold.
+    One segment flows x0 alone, with no time offsets.
     """
     cfg = problem.integrator
     if rtol != cfg.rtol:
         problem = replace(problem, integrator=replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol)))
-    first_step = None if previous is None else previous.warm_step(rtol, shooting.span)
-    traj, phi = problem.flow_with_monodromy(y, first_step, shooting.span)
-    return shooting.read(y, traj, phi)
+    length = shooting.span / shooting.segments
+    first_step = None if previous is None else previous.warm_step(rtol, length)
+    if shooting.segments == 1:
+        return shooting.read(starts, *problem.flow_with_monodromy(starts[0], first_step, length))
+    return shooting.read(starts, *problem.flow_with_monodromy(starts, first_step, length, shooting.offsets))
 
 
 def newton_shooting(
@@ -470,14 +635,18 @@ def newton_shooting(
     Iterates on the flat state [q, p], from guess.as_array() to the
     solution's x0, on the path `_shooting` chooses once: the full one, or
     the reversible one, which moves only the Fix(G) coordinates of x0 and
-    flows half the period (module docstring).  Every flow is
-    `flow_with_monodromy`, so each trial yields the Jacobian at the trial
+    flows half the period (module docstring).  The guess flow's accepted
+    steps then choose the segments K, once (module docstring, "Multiple
+    shooting"); with K > 1 the iterate is x0 and the segment starts, and
+    every start of a trial point must lie in the search region.  Every flow
+    is `flow_with_monodromy`, so each trial yields the Jacobian at the trial
     point: an accepted trial's Jacobian is the next iteration's.  Each
     step takes the first factor of
     _DAMPING whose trial point lies in the search region, flows and lowers
     the residual sup-norm; convergence is that norm below
     problem.solver.newton_tol.  Each iteration's starting residual, damping
-    factor and trial `rtol` go into `newton_trace`.
+    factor and trial `rtol` go into `newton_trace`, and the counts of every
+    flow into the solution's `counts`.
 
     Tolerances, as in the module docstring, with rtol0 that of
     problem.integrator: the guess flows at `_trial_rtol` of its drift
@@ -522,8 +691,8 @@ def newton_shooting(
     the guess's half-period flow) or LeftDomain (the guess, or every
     damped trial point, outside the search region).  A failure raised
     once the path is chosen carries the iterations so far as
-    `newton_trace`, the path's name as `shooting` and the guess's rtol as
-    `guess_rtol`.
+    `newton_trace`, the path's name as `shooting`, the guess's rtol as
+    `guess_rtol` and the counts of its flows so far as `counts`.
     """
     y = guess.as_array()
     bad = problem.violation(y)
@@ -534,17 +703,32 @@ def newton_shooting(
     rtol0 = problem.integrator.rtol
     guess_rtol = _trial_rtol(rtol0, _drift_residual(problem, y))
     tol = problem.solver.newton_tol
-    trace = []
-    try:
-        flowed = _flow_residual(problem, shooting, y, guess_rtol, previous)
-        rtol = _trial_rtol(rtol0, flowed.norm)
-        if rtol < flowed.traj.rtol:
-            flowed = _flow_residual(problem, shooting, y, rtol, flowed.traj)
+    trace, counts = [], _counts(1)
 
-        while flowed.norm >= tol or flowed.traj.rtol != rtol0:
+    def flow(starts: np.ndarray, rtol: float, previous: Trajectory | None) -> _Flowed:
+        flowed = _flow_residual(problem, shooting, starts, rtol, previous)
+        counts["flows"] += 1
+        counts["rhs_calls"] += flowed.run.n_rhs_evals
+        counts["steps_accepted"] += len(flowed.run.ts) - 1
+        counts["steps_rejected"] += flowed.run.n_rejected
+        return flowed
+
+    try:
+        flowed = flow(y[None], guess_rtol, previous)
+        segments = len(flowed.run.ts) - 1
+        if 1 < segments <= _MAX_SEGMENTS:
+            shooting = replace(shooting, segments=segments)
+            counts["segments"] = segments
+            flowed = shooting.split(flowed)
+        rtol = _trial_rtol(rtol0, flowed.norm)
+        if rtol < flowed.run.rtol:
+            flowed = flow(flowed.starts, rtol, flowed.run)
+
+        while flowed.norm >= tol or flowed.run.rtol != rtol0:
+            starts = flowed.starts
             if flowed.norm < tol:
                 # the confirming re-flow: convergence is read at the configured tolerance
-                flowed = _flow_residual(problem, shooting, y, rtol0, flowed.traj)
+                flowed = flow(starts, rtol0, flowed.run)
                 continue
             res_norm = flowed.norm
             if len(trace) >= problem.solver.max_iterations:
@@ -554,28 +738,31 @@ def newton_shooting(
             cond = float(np.linalg.cond(flowed.jac))
             if not math.isfinite(cond) or cond > 1e12:
                 raise SingularJacobian(f"shooting Jacobian condition estimate {cond:.3e}")
-            delta = np.zeros(6)
-            delta[shooting.unknowns] = np.linalg.solve(flowed.jac, -flowed.res)
+            step = np.linalg.solve(flowed.jac, -flowed.res)
+            delta = np.zeros_like(starts)
+            n0 = len(step) - 6 * (len(starts) - 1)
+            delta[0, shooting.unknowns] = step[:n0]
+            delta[1:] = step[n0:].reshape(-1, 6)
             rtol = _trial_rtol(rtol0, res_norm)
             if trace and res_norm * (res_norm / trace[-1]["residual"]) ** 2 < tol:
                 rtol = rtol0  # predicted to converge: convergence is read from this flow
             # at round-off level, a decrease smaller than that level counts as none
-            roundoff = _ROUNDOFF * max(1.0, float(np.max(np.abs(y))))
+            roundoff = _ROUNDOFF * max(1.0, float(np.max(np.abs(starts[0]))))
             least = roundoff if res_norm <= roundoff else 0.0
 
             inside = False  # whether any trial point lies in the search region
             for alpha in _DAMPING:
-                y_try = y + alpha * delta
-                if problem.violation(y_try) is not None:
+                trial_starts = starts + alpha * delta
+                if any(problem.violation(start) is not None for start in trial_starts):
                     continue
                 inside = True
                 try:
-                    trial = _flow_residual(problem, shooting, y_try, rtol, flowed.traj)
+                    trial = flow(trial_starts, rtol, flowed.run)
                 except SolverError:
                     continue
                 if trial.norm < res_norm and res_norm - trial.norm >= least:
                     trace.append({"residual": res_norm, "alpha": alpha, "rtol": rtol})
-                    y, flowed = y_try, trial
+                    flowed = trial
                     break
                 if least:
                     raise NewtonDiverged(
@@ -591,20 +778,21 @@ def newton_shooting(
                     f"(residual {res_norm:.3e})"
                 )
     except SolverError as err:
-        err.newton_trace, err.shooting, err.guess_rtol = trace, shooting.name, guess_rtol
+        err.newton_trace, err.shooting, err.guess_rtol, err.counts = trace, shooting.name, guess_rtol, counts
         raise
 
     return OrbitSolution(
         system=problem.system,
         lam=problem.lam,
-        x0=State.from_array(y),
-        flow=shooting.one_period(flowed.traj),
+        x0=State.from_array(flowed.starts[0]),
+        flow=shooting.one_period(flowed.orbit),
         residual_norm=flowed.norm,
         monodromy=flowed.monodromy,
         index_det=float(np.linalg.det(np.eye(6) - flowed.monodromy)),
         newton_trace=trace,
         shooting=shooting.name,
         guess_rtol=guess_rtol,
+        counts=counts,
     )
 
 
@@ -747,11 +935,11 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
             sol = newton_shooting(solutions[-1].x0, replace(problem, lam=lam_try), previous)
         except SolverError as err:
             reason, trace = str(err), getattr(err, "newton_trace", [])
-            guess_rtol = getattr(err, "guess_rtol", None)
+            guess_rtol, counts = getattr(err, "guess_rtol", None), getattr(err, "counts", _counts(0))
             symmetry = dict.fromkeys(("shooting", "sigma_min_M_minus_I", "symmetry_defect"))
             symmetry["shooting"] = getattr(err, "shooting", None)
         else:
-            trace, guess_rtol, index_det = sol.newton_trace, sol.guess_rtol, sol.index_det
+            trace, guess_rtol, index_det, counts = sol.newton_trace, sol.guess_rtol, sol.index_det, sol.counts
             symmetry = sol.symmetry
             region = problem.region
             checks = [] if region is None else region_checks(sol.trajectory.states, region)
@@ -773,6 +961,7 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
                 "newton_trace": trace,
                 "index_det": index_det,
                 **symmetry,
+                **counts,
             }
         )
         if violation is not None:

@@ -247,17 +247,18 @@ def counted_identities(monkeypatch) -> list:
 def flowed_from(traj: Trajectory, flowed: Trajectory) -> bool:
     """Whether traj is the orbit of the recorded stacked flow flowed.
 
-    That is its first member, or, for a reversible solve, that member
-    reflected to the whole period (`Trajectory.reflected`).
+    That is its first member, or, for a solve of K segments, the first
+    members of the K blocks of 7 joined over the span (`Trajectory.joined`);
+    for a reversible solve either one reflected to the whole period
+    (`Trajectory.reflected`).
     """
     if traj.ts is flowed.ts:
         return True
-    n = len(flowed.ts)
-    return (
-        traj.t1 == 2.0 * flowed.t1
-        and np.array_equal(traj.ts[:n], flowed.ts)
-        and np.array_equal(traj.states[:n], flowed.states[:, 0])
-    )
+    n, k = len(flowed.ts) - 1, flowed.states.shape[1] // 7
+    if k == 0 or len(traj.ts) not in (k * n + 1, 2 * k * n + 1):
+        return False
+    orbit = np.concatenate([flowed.states[:-1, 7 * i] for i in range(k)] + [flowed.states[-1:, 7 * (k - 1)]])
+    return np.array_equal(traj.ts[: n + 1], flowed.ts) and np.array_equal(traj.states[: k * n + 1], orbit)
 
 
 def first_step_of(flows: list, traj) -> float | None:
@@ -271,14 +272,20 @@ def read_flow(problem: ShootingProblem, flowed: Trajectory):
     y, end = flowed.states[0, 0], flowed.states[-1]
     shooting = lfe.shooting._shooting(problem, y)
     steps = lfe.shooting._FD_STEP * np.maximum(1.0, np.abs(y))
-    return shooting.read(y, flowed.row(0), (end[1:] - end[0]).T / steps)
+    return shooting.read(y, flowed, (end[1:] - end[0]).T / steps)
 
 
-def reflow(problem: ShootingProblem, x0: State, first_step: float | None):
-    """The flow of a solve of problem at x0 again, read as the solve reads it: its residual norm and monodromy."""
-    y = x0.as_array()
-    shooting = lfe.shooting._shooting(problem, y)
-    return shooting.read(y, *problem.flow_with_monodromy(y, first_step, shooting.span))
+def reflow(problem: ShootingProblem, x0, first_step: float | None):
+    """The flow of a solve of problem at x0 again, read as the solve reads it: its residual norm and monodromy.
+
+    x0 is a State, or the segment starts (K, 6) of a solve of K segments.
+    """
+    starts = np.reshape(x0.as_array() if isinstance(x0, State) else x0, (-1, 6))
+    shooting = replace(lfe.shooting._shooting(problem, starts[0]), segments=len(starts))
+    span = shooting.span / shooting.segments
+    if shooting.segments == 1:
+        return shooting.read(starts, *problem.flow_with_monodromy(starts[0], first_step, span))
+    return shooting.read(starts, *problem.flow_with_monodromy(starts, first_step, span, shooting.offsets))
 
 
 def loosened(cfg: IntegratorConfig, rtol: float) -> IntegratorConfig:

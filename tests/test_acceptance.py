@@ -158,6 +158,7 @@ def test_run_report_records_every_newton_trace_and_the_rejected_steps(desk_short
     assert set(history[0]) == {
         "lambda", "dlam", "accepted", "reason", "guess_rtol", "newton_trace", "index_det",
         "shooting", "sigma_min_M_minus_I", "symmetry_defect",
+        "segments", "flows", "rhs_calls", "steps_accepted", "steps_rejected",
     }
     # det(I - M) of each orbit
     assert all(h["index_det"] > 0.0 for h in history)
@@ -322,16 +323,25 @@ def test_desk_continue_reads_each_convergence_from_its_last_trial(desk_flows):
 def test_desk_continue_warm_starts_every_flow_but_the_first(desk_flows):
     # only the first step's guess has no predecessor, since the lambda = 0 start is closed-form
     # and not flowed: it tries its whole span as its first step
-    flows, _ = desk_flows
+    flows, report = desk_flows
     assert [(traj.lam, step is None) for _, traj, step in flows[:2]] == [(0.1, True), (0.1, False)]
     assert all(step is not None for _, _, step in flows[1:])
+    # each step's guess flows the half period, and its later flows the segments of it that the
+    # guess flow's steps chose: 2 at lambda = 0.1, 3 at 1
+    history = report["continuation"]["history"]
+    assert [step["segments"] for step in history] == [2, 3]
+    spans = {0.1: [], 1.0: []}
+    for _, traj, _ in flows:
+        spans[traj.lam].append(traj.t1)
+    assert all(found == [0.5] + [0.5 / step["segments"]] * (step["flows"] - 1)
+               for found, step in zip(spans.values(), history))
     # 34 rejected steps and 2656 right-hand-side calls when every flow starts cold, and 25 and
     # 2174 when the warm first step leaves out the step controller's safety factor; the 9
     # full-period flows of the two-step path took 10 and 754, the 13 half-period flows of the
-    # three-step path 2 and 553, and the 9 half-period flows of the two-step path take 2 and 393
-    assert {traj.t1 for _, traj, _ in flows} == {0.5}
-    assert sum(traj.n_rejected for _, traj, _ in flows) <= 2
-    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 393
+    # three-step path 2 and 553, the 9 half-period flows of the two-step path 2 and 393, and
+    # its 9 flows of segments of the half period take 1 and 237
+    assert sum(traj.n_rejected for _, traj, _ in flows) <= 1
+    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 237
 
 
 def test_desk_continue_computes_the_identities_of_the_final_orbit_only(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -595,31 +596,40 @@ def test_cli_continue_history_records_failed_newton_traces(tmp_path):
 
 
 def test_cli_continue_reports_the_trial_tolerance_of_every_newton_iteration(tmp_path):
-    # the harmonic makes the lam = 1 orbit differ from the start: its first trials run loose
-    text = LIGHT.replace("mean = 0 0 2", "mean = 0 0 2\nharmonic_1_cos = 0.9 0 0")
-    out = tmp_path / "out"
-    assert main(["continue", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
-    payload = json.loads((out / "run_report.json").read_text())
-    (step,) = payload["continuation"]["history"]
-    trace = step["newton_trace"]
-    assert trace == payload["final_orbit"]["newton_trace"]
-    # rtol = max(1e-10, min(1e-6, 1e-4 r)) for the residual r each iteration starts from, or
-    # 1e-10 from the second iteration on when a squared contraction predicts convergence:
-    # r (r / r_prev)^2 < newton_tol for the residual r_prev of the iteration before
-    residuals = [entry["residual"] for entry in trace]
-    converging = [False] + [r * (r / r_prev) ** 2 < 1e-9 for r_prev, r in zip(residuals, residuals[1:])]
-    assert [entry["rtol"] for entry in trace] == [
-        1e-10 if predicted else max(1e-10, min(1e-6, 1e-4 * r)) for r, predicted in zip(residuals, converging)
-    ]
-    # the third trial, predicted to converge, misses newton_tol (1.5e-9), and Newton goes on from
-    # it to a fourth at rtol0 (the third met it, 9.9e-10, when the guess's cold flow started
-    # from the initial-step heuristic)
-    assert step["shooting"] == "reversible y"
-    assert converging == [False, False, True, True] and payload["final_orbit"]["residual_norm"] < 1e-9
-    assert [entry["rtol"] for entry in trace] == [1e-6, 1e-4 * residuals[1], 1e-10, 1e-10]
-    # the guess flows at the tolerance of its drift over the period, which is capped
-    assert step["guess_rtol"] == 1e-6
-    assert "rtol" not in (out / "run_report.txt").read_text()
+    # the harmonic makes the lam = 1 orbit differ from the start: its first trials run loose.
+    # (harmonic, segments, whether each iteration is predicted to converge): along x the guess
+    # flow takes 3 steps and multiple shooting's third trial, predicted to converge, meets
+    # newton_tol (on single shooting it missed it, 1.5e-9, and Newton went on to a fourth, as the
+    # third met it, 9.9e-10, when the guess's cold flow started from the initial-step heuristic);
+    # along y, sin, the guess flow takes more steps than _MAX_SEGMENTS, so single shooting's third
+    # trial, predicted to converge, misses newton_tol (5.9e-9), and Newton goes on from it to a
+    # fourth at rtol0.  The guess flows at the tolerance of its drift over the period at t = 0:
+    # capped along x, and rtol0 along y, where h(0) is the mean and the equilibrium does not move
+    for harmonic, segments, predicted, guess_rtol in [
+        ("harmonic_1_cos = 0.9 0 0", 3, [False, False, True], 1e-6),
+        ("harmonic_1_sin = 0 0.9 0", 1, [False, False, True, True], 1e-10),
+    ]:
+        text = LIGHT.replace("mean = 0 0 2", f"mean = 0 0 2\n{harmonic}")
+        out = tmp_path / harmonic.split()[0]
+        out.mkdir()
+        assert main(["continue", "--config", str(write(out, text)), "--out", str(out)]) == 0
+        payload = json.loads((out / "run_report.json").read_text())
+        (step,) = payload["continuation"]["history"]
+        trace = step["newton_trace"]
+        assert trace == payload["final_orbit"]["newton_trace"]
+        # rtol = max(1e-10, min(1e-6, 1e-4 r)) for the residual r each iteration starts from, or
+        # 1e-10 from the second iteration on when a squared contraction predicts convergence:
+        # r (r / r_prev)^2 < newton_tol for the residual r_prev of the iteration before
+        residuals = [entry["residual"] for entry in trace]
+        converging = [False] + [r * (r / r_prev) ** 2 < 1e-9 for r_prev, r in zip(residuals, residuals[1:])]
+        assert [entry["rtol"] for entry in trace] == [
+            1e-10 if predicted else max(1e-10, min(1e-6, 1e-4 * r)) for r, predicted in zip(residuals, converging)
+        ]
+        assert step["shooting"] == "reversible y" and step["segments"] == segments
+        assert converging == predicted and payload["final_orbit"]["residual_norm"] < 1e-9
+        assert [entry["rtol"] for entry in trace] == [1e-6, 1e-4 * residuals[1]] + [1e-10] * (len(trace) - 2)
+        assert step["guess_rtol"] == guess_rtol
+        assert "rtol" not in (out / "run_report.txt").read_text()
 
 
 def test_cli_find_orbit_stops_at_round_off_stagnation(tmp_path, monkeypatch):
@@ -701,17 +711,22 @@ def test_cli_desk_orbit_converges_in_four_newton_iterations(tmp_path, monkeypatc
     ]
     assert [entry["rtol"] for entry in trace] == [cfg.rtol for cfg, _, _ in flows[1:]]
     assert len({tuple(traj.states[0, 0]) for _, traj, _ in flows}) == 5
-    # every flow spans half the period, and x0 lies in Fix(G) = {y = 0, p_x = 0, p_z = 0}
-    assert orbit["shooting"] == "reversible y"
-    assert [(traj.t0, traj.t1) for _, traj, _ in flows] == [(0.0, 0.5)] * 5
+    # the guess flows half the period, and x0 lies in Fix(G) = {y = 0, p_x = 0, p_z = 0}; its 3
+    # accepted steps split the half period into 3 segments, which every later flow runs as one
+    # stack of 21 members over a sixth of the period
+    assert orbit["shooting"] == "reversible y" and orbit["segments"] == 3
+    assert [(traj.t0, traj.t1) for _, traj, _ in flows] == [(0.0, 0.5)] + [(0.0, 0.5 / 3)] * 4
+    assert [traj.states.shape[1] for _, traj, _ in flows] == [7] + [21] * 4
     assert [orbit["x0_q"][1], orbit["x0_p"][0], orbit["x0_p"][2]] == [0.0, 0.0, 0.0]
     # 667 right-hand-side calls in 6 flows with the guess at rtol0 and the converged loose trial
-    # flowed once more, 426 in the 5 full-period flows, and 258 with the initial-step heuristic;
-    # the guess's cold flow tries its whole span, which step control rejects once; the warm
-    # flows, which take their first step from the previous flow, reject none
-    assert [traj.n_rhs_evals for _, traj, _ in flows] == [49, 37, 37, 37, 73]
+    # flowed once more, 426 in the 5 full-period flows, 258 with the initial-step heuristic, and
+    # 233 ([49, 37, 37, 37, 73]) in the 5 half-period flows of single shooting; the guess's cold
+    # flow tries its whole span, which step control rejects once; the warm flows, which take
+    # their first step from the previous flow, reject none, and the first two take each segment
+    # in one step
+    assert [traj.n_rhs_evals for _, traj, _ in flows] == [49, 13, 13, 25, 37]
     assert [traj.n_rejected for _, traj, _ in flows] == [1, 0, 0, 0, 0]
-    assert sum(traj.n_rhs_evals for _, traj, _ in flows) <= 233
+    assert sum(traj.n_rhs_evals for _, traj, _ in flows) == orbit["rhs_calls"] <= 137
 
 
 def test_cli_light_continue_flows_once_at_the_configured_tolerance(tmp_path, monkeypatch):
@@ -732,6 +747,75 @@ def test_cli_light_continue_flows_once_at_the_configured_tolerance(tmp_path, mon
     assert solves == [1.0]  # no Newton solve at lambda = 0
     (step,) = json.loads((out / "run_report.json").read_text())["continuation"]["history"]
     assert step["guess_rtol"] == 1e-10 and step["newton_trace"] == []
+
+
+# the counts of a solve's flows in each orbit record and continuation history entry
+COUNT_KEYS = ("segments", "flows", "rhs_calls", "steps_accepted", "steps_rejected")
+DESK_ORBIT = DESK.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, counts",
+    [
+        # desk-orbit: its guess flow's 3 steps, then 4 flows of 3 segments each
+        ("find-orbit", DESK_ORBIT, (3, 5, 137, 10, 1)),
+        # light: the one step's guess is the orbit, one flow of one step on one segment
+        ("continue", LIGHT, (1, 1, 13, 1, 0)),
+    ],
+    ids=["desk-orbit", "light"],
+)
+def test_cli_orbit_records_count_the_flows_of_their_solve(tmp_path, monkeypatch, command, text, counts):
+    # the counts are those a wrapper around integrate sees, and they repeat exactly
+    flows = recorded_flows(monkeypatch)
+    config = write(tmp_path, text)
+    for run in ("first", "second"):
+        seen = len(flows)
+        out = tmp_path / run
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        trajs = [traj for _, traj, _ in flows[seen:]]
+        wrapped = (
+            len(trajs),
+            sum(traj.n_rhs_evals for traj in trajs),
+            sum(len(traj.ts) - 1 for traj in trajs),
+            sum(traj.n_rejected for traj in trajs),
+        )
+        if command == "find-orbit":
+            orbit = json.loads((out / "orbit_report.json").read_text())
+        else:
+            report = json.loads((out / "run_report.json").read_text())
+            orbit = report["final_orbit"]
+            (step,) = report["continuation"]["history"]
+            assert [step[key] for key in COUNT_KEYS] == [orbit[key] for key in COUNT_KEYS]
+            assert "segments" not in report["timings"]
+        assert tuple(orbit[key] for key in COUNT_KEYS) == (orbit["segments"],) + wrapped == counts
+
+
+def test_cli_light_keeps_the_single_shooting_orbit_bit_for_bit(tmp_path):
+    # light's solves keep one segment: on light the guess flow takes one step, and with a y-sine
+    # more than _MAX_SEGMENTS.  Both write the x0, det(I - M) and orbit.csv of single shooting,
+    # pinned from before multiple shooting
+    pinned = [
+        (LIGHT, ["-0.0", "-0.0", "-0.7071067811865476", "0.0", "0.0", "0.0"], "43.69419455778003",
+         "9ced1bc351e37590564c161fad446c8b26023ab5cd2f22b1acd4d76fdedcba5d"),
+        (LIGHT.replace("mean = 0 0 2", "mean = 0 0 2\nharmonic_1_sin = 0 0.9 0"),
+         ["0.0", "0.0", "-0.706860981127571", "0.0", "-0.13372382994932594", "0.0"], "42.61528168779198",
+         "5e0138f46c1a373bbecc88ddf2676b8313c259417a5c44d91c58aab7f0c3a7ae"),
+    ]
+    for n, (text, x0, index_det, orbit_sha256) in enumerate(pinned):
+        for command, extra, stem in [
+            ("continue", "", "run_report"),
+            ("find-orbit", "\n[initial-state]\nlambda = 1.0\n", "orbit_report"),
+        ]:
+            out = tmp_path / f"{n}-{command}"
+            assert main([command, "--config", str(write(tmp_path, text + extra)), "--out", str(out)]) == 0
+            report = json.loads((out / f"{stem}.json").read_text())
+            orbit = report["final_orbit"] if command == "continue" else report
+            assert orbit["segments"] == 1
+            assert [repr(v) for v in orbit["x0_q"] + orbit["x0_p"]] == x0
+            assert repr(float(np.linalg.det(np.eye(6) - np.array(orbit["monodromy"])))) == index_det
+            if command == "continue":
+                assert repr(report["continuation"]["history"][-1]["index_det"]) == index_det
+            assert hashlib.sha256((out / "orbit.csv").read_bytes()).hexdigest() == orbit_sha256
 
 
 @pytest.mark.parametrize("planted", ["degree", "index_det"])
@@ -883,6 +967,7 @@ def test_cli_find_orbit_text_matches_json(tmp_path):
         assert [float(v) for v in value.split()] == expected, key
         keys.append(key)
     solver_data = {"monodromy", "newton_trace", "n_rejected", "shooting", "sigma_min_M_minus_I", "symmetry_defect"}
+    solver_data |= {"segments", "flows", "rhs_calls", "steps_accepted", "steps_rejected"}
     assert sorted(keys) == sorted(set(payload) - solver_data)
 
 
@@ -1205,21 +1290,23 @@ def test_cli_integrate_ultrarelativistic_start(tmp_path, monkeypatch):
     assert flows and {(traj.t0, traj.t1) for _, traj, _ in flows} == {(0.0, 1.0)}
 
 
-# configs whose parts share no mirror, with the flows and Newton iterations of find-orbit at
-# lambda = 1 on the full-period path (as before reversible shooting, with the same x0 bit for bit)
+# configs whose parts share no mirror, with the flows, Newton iterations and segments of
+# find-orbit at lambda = 1 on the full-period path (as before reversible shooting, with the same
+# x0 bit for bit on one segment)
 NO_COMMON_MIRROR = {
     # the x-cosine breaks the mirror x, and the x-sine the mirror y, which asks for a sine along y
-    "sine": (DESK.replace("harmonic_1_cos = 0.1 0 0", "harmonic_1_cos = 0.1 0 0\nharmonic_1_sin = 0.1 0 0"), 5, 4),
+    "sine": (DESK.replace("harmonic_1_cos = 0.1 0 0", "harmonic_1_cos = 0.1 0 0\nharmonic_1_sin = 0.1 0 0"), 5, 4, 1),
     # an ABC field commutes with no mirror
-    "abc": (DESK.replace("kind = dipole\nmoment = 0 0 0.1", "kind = abc\nabc = 0.01 0.02 0.03\nc1 = 0.3\nbeta = 1e-3"), 5, 4),
-    # a dipole with mu_y != 0 commutes with the mirror x only, which the x-cosine breaks
-    "dipole": (DESK.replace("moment = 0 0 0.1", "moment = 0 0.1 0.1"), 6, 5),
+    "abc": (DESK.replace("kind = dipole\nmoment = 0 0 0.1", "kind = abc\nabc = 0.01 0.02 0.03\nc1 = 0.3\nbeta = 1e-3"), 5, 4, 1),
+    # a dipole with mu_y != 0 commutes with the mirror x only, which the x-cosine breaks; its
+    # guess flow takes 4 steps, so the later flows run 4 segments of a quarter period each
+    "dipole": (DESK.replace("moment = 0 0 0.1", "moment = 0 0.1 0.1"), 6, 5, 4),
 }
 
 
 @pytest.mark.parametrize("name", NO_COMMON_MIRROR)
 def test_cli_a_config_with_no_common_mirror_takes_the_full_period_path(tmp_path, monkeypatch, name):
-    text, n_flows, iterations = NO_COMMON_MIRROR[name]
+    text, n_flows, iterations, segments = NO_COMMON_MIRROR[name]
     assert parse_config(write(tmp_path, text)).fields.mirrors() == ()
     text = text.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
     flows = recorded_flows(monkeypatch)
@@ -1227,7 +1314,8 @@ def test_cli_a_config_with_no_common_mirror_takes_the_full_period_path(tmp_path,
     assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
     orbit = json.loads((out / "orbit_report.json").read_text())
     assert orbit["shooting"] == "full" and orbit["symmetry_defect"] is None
-    assert [(traj.t0, traj.t1) for _, traj, _ in flows] == [(0.0, 1.0)] * n_flows
+    assert orbit["segments"] == segments
+    assert [(traj.t0, traj.t1) for _, traj, _ in flows] == [(0.0, 1.0)] + [(0.0, 1.0 / segments)] * (n_flows - 1)
     assert orbit["newton_iterations"] == iterations and orbit["residual_norm"] < 1e-9
 
 

@@ -360,6 +360,59 @@ def test_warm_step_is_the_middle_step_scaled_as_step_control_scales_a_step():
     assert traj.warm_step(1e20) == 1.0
 
 
+def test_warm_step_takes_the_whole_span_where_the_scaled_step_reaches_its_safety_factor():
+    # the equilibrium's flow over half the period is one step: at its own rtol the scaled step is
+    # 0.9 of the span, which would leave a sliver, so it is the whole span, here or on a shorter one
+    system = HomotopySystem(coulomb_config())
+    eq = find_zero_f0(1.0, [0.0, 0.0, 2.0])
+    traj = integrate(system, eq, (0.0, 0.5), 1.0, IntegratorConfig(rtol=1e-10))
+    assert len(traj.ts) == 2
+    assert traj.warm_step(1e-10) == 0.5 and traj.warm_step(1e-10, 0.25) == 0.25
+    # at a tighter rtol it stays the scaled step, below 0.9 of the span
+    assert traj.warm_step(1e-12) == 0.9 * 0.5 * (1e-12 / 1e-10) ** (1 / 8) < 0.9 * 0.5
+
+
+def test_members_at_time_offsets_see_the_forcing_at_their_own_time():
+    # the desk forcing depends on time: the member at offset 0.25 runs as a flow over [0.25, 0.5]
+    system = HomotopySystem(desk_config())
+    cfg = IntegratorConfig(rtol=1e-10)
+    y0 = _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0])
+    whole = integrate(system, y0, (0.0, 0.5), 1.0, cfg)
+    starts = np.array([y0, whole.at(0.25)])
+    run = integrate(system, starts, (0.0, 0.25), 1.0, cfg, offsets=np.array([0.0, 0.25]))
+    assert run.t0 == 0.0 and run.t1 == 0.25
+    assert np.abs(run.states[-1, 1] - whole.states[-1]).max() < 1e-9
+    assert np.abs(run.states[-1, 0] - whole.at(0.25)).max() < 1e-9
+    # without offsets both members run over [0, 0.25]
+    same = integrate(system, starts, (0.0, 0.25), 1.0, cfg)
+    assert np.abs(same.states[-1, 1] - whole.states[-1]).max() > 1e-3
+    # the two members joined are the flow over [0, 0.5], continuous at the join to the flow error
+    joined = run.joined([0, 1], np.array([0.0, 0.25]), 0.5)
+    assert (joined.t0, joined.t1, joined.rtol, joined.n_rhs_evals) == (0.0, 0.5, run.rtol, run.n_rhs_evals)
+    assert np.all(np.diff(joined.ts) > 0.0) and len(joined.ts) == 2 * len(run.ts) - 1
+    t = np.linspace(0.0, 0.5, 101)
+    assert np.abs(joined.at(t) - whole.at(t)).max() < 1e-9
+    assert np.array_equal(joined.at(0.25), starts[1]) and np.array_equal(joined.at(0.1), run.at(0.1)[0])
+    assert np.abs(joined.at(np.nextafter(0.25, 0.0)) - starts[1]).max() < 1e-9
+
+
+def test_offsets_name_one_per_member_of_a_stack():
+    system = HomotopySystem(desk_config())
+    with pytest.raises(ValueError, match=r"^offsets must have shape \(2,\) for a stack of 2 states$"):
+        integrate(system, np.array([_EQ, _EQ]), (0.0, 0.1), 1.0, offsets=np.zeros(3))
+
+
+def test_guard_names_the_time_of_the_member_that_crossed():
+    # the stack of test_guard_covers_every_member_of_a_stack, its second member at offset 3: it
+    # crosses |q| = 0.5 at run time 0.5 sqrt(2), which is its own time 3 + 0.5 sqrt(2)
+    system = HomotopySystem(force_free_config())
+    stack = np.array([[5.0, 0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, -1.0, 0.0, 0.0]])
+    with pytest.raises(SingularityApproach) as exc:
+        integrate(system, stack, (0.0, 2.0), 1.0, IntegratorConfig(r_min=0.5), offsets=np.array([0.0, 3.0]))
+    assert math.isclose(exc.value.t, 3.0 + 0.5 * math.sqrt(2.0), rel_tol=1e-9)
+    assert np.allclose(exc.value.state.q, [0.5, 0.0, 0.0], atol=1e-9)
+
+
 def test_trajectory_counts_rejected_steps(gyro_system):
     x0 = np.array([5.0, 0.0, 0.0, 0.75, 0.0, 0.0])
     traj = integrate(gyro_system, x0, (0.0, GYRO_PERIOD), 1.0)

@@ -270,7 +270,7 @@ def test_each_newton_trace_entry_records_the_rtol_of_the_flow_it_accepted(desk_p
 
     def recording(problem, shooting, y, rtol, previous):
         out = flow_residual(problem, shooting, y, rtol, previous)
-        flows.append((previous, out.traj))
+        flows.append((previous, out.run))
         return out
 
     monkeypatch.setattr(lfe.shooting, "_flow_residual", recording)
@@ -340,9 +340,11 @@ def test_stacked_monodromy_matches_separate_flows(desk_problem, desk_continuatio
     final = path.final
     assert final.lam == 1.0 and final.shooting == "reversible y"
     problem = dataclasses.replace(desk_problem, lam=final.lam)
-    # the orbit's monodromy G Phi^-1 G Phi is the one of the half-period flow at its own x0,
-    # flowed with the first step its flow took
-    again = reflow(problem, final.x0, first_step_of(flows, final.trajectory))
+    # the orbit's monodromy G Phi^-1 G Phi is the one of the flow of the half period's segments
+    # at their own starts, x0 the first, flowed with the first step its flow took
+    ((flowed, first_step),) = [(traj, step) for _, traj, step in flows if flowed_from(final.trajectory, traj)]
+    assert final.counts["segments"] == 3 and np.array_equal(flowed.states[0, 0], final.x0.as_array())
+    again = reflow(problem, flowed.states[0, ::7], first_step)
     assert np.array_equal(final.monodromy, again.monodromy)
     # over the whole period, the stacked difference monodromy matches seven separate flows
     _, stacked = problem.flow_with_monodromy(final.x0.as_array())
@@ -695,9 +697,11 @@ def test_a_symmetric_orbit_is_solved_from_half_period_flows(symmetric_orbits, na
     x0 = sol.x0.as_array()
     assert [x0[1], x0[3], x0[5]] == [0.0, 0.0, 0.0]
     assert sol.symmetry["symmetry_defect"] == 0.0
+    # the guess flows the half period, and the later flows its segments
     flows = recorded_flows(monkeypatch)
     again = newton_shooting(EQ, problem)
-    assert {(traj.t0, traj.t1) for _, traj, _ in flows} == {(0.0, 0.5)}
+    segments = again.counts["segments"]
+    assert [(traj.t0, traj.t1) for _, traj, _ in flows] == [(0.0, 0.5)] + [(0.0, 0.5 / segments)] * (len(flows) - 1)
     assert np.array_equal(again.x0.as_array(), x0)
 
 
@@ -740,3 +744,54 @@ def test_the_reflected_trajectory_matches_a_full_period_flow(symmetric_orbits, n
     assert np.array_equal(traj.ts[half + 1 :], 1.0 - traj.ts[half - 1 :: -1])
     assert np.array_equal(traj.states[half + 1 :], g * traj.states[half - 1 :: -1])
     assert np.array_equal(traj.at(traj.ts[half + 1 :]), (g * traj.at(1.0 - traj.ts[half + 1 :]).T).T)
+
+
+def desk_sine_problem(desk_problem) -> ShootingProblem:
+    """The desk problem at lam = 1 with an x-sine beside the x-cosine: it shares no mirror, so its solves take the full path."""
+    forcing = Forcing(1.0, [0.0, 0.0, 2.0], [Harmonic(1, [0.1, 0.0, 0.0], [0.1, 0.0, 0.0])])
+    system = HomotopySystem(dataclasses.replace(desk_problem.system.config, forcing=forcing))
+    return dataclasses.replace(desk_problem, system=system, lam=1.0)
+
+
+# name -> (segments, the cap on segments that gives them): the desk guess flow takes 3 steps
+# and so 3 segments; the desk-sine one takes 5, more than _MAX_SEGMENTS, so the cap is raised
+SEGMENTED = {"desk": (3, None), "desk-sine": (5, 8)}
+
+
+@pytest.mark.parametrize("name", SEGMENTED)
+def test_segments_solve_the_orbit_of_single_shooting(desk_problem, monkeypatch, name):
+    problem = dataclasses.replace(desk_problem, lam=1.0) if name == "desk" else desk_sine_problem(desk_problem)
+    segments, cap = SEGMENTED[name]
+    if cap is not None:
+        monkeypatch.setattr(lfe.shooting, "_MAX_SEGMENTS", cap)
+    multi = newton_shooting(EQ, problem)
+    monkeypatch.setattr(lfe.shooting, "_MAX_SEGMENTS", 1)
+    single = newton_shooting(EQ, problem)
+    assert (multi.counts["segments"], single.counts["segments"]) == (segments, 1)
+    assert multi.shooting == single.shooting == ("reversible y" if name == "desk" else "full")
+    assert max(multi.residual_norm, single.residual_norm) < problem.solver.newton_tol
+    # the same orbit, on the same side of the branch check
+    assert np.abs(multi.x0.as_array() - single.x0.as_array()).max() < 1e-9
+    assert np.sign(multi.index_det) == np.sign(single.index_det) != 0.0
+    assert np.abs(multi.monodromy - single.monodromy).max() < 1e-5
+    # the joined trajectory is continuous at each segment start t_k to within newton_tol: just
+    # before t_k it reads the end of segment k - 1, at t_k the start of segment k
+    traj, span = multi.trajectory, 0.5 if name == "desk" else 1.0
+    starts = np.arange(1, segments) * (span / segments)
+    gaps = traj.at(np.nextafter(starts, 0.0)) - traj.at(starts)
+    assert 0.0 < np.abs(gaps).max() < problem.solver.newton_tol
+    # and it is the orbit of single shooting, over the whole period
+    t = np.linspace(0.0, 1.0, 401)
+    assert traj.t0 == 0.0 and traj.t1 == 1.0
+    assert np.abs(traj.at(t) - single.trajectory.at(t)).max() < 1e-8
+    if name == "desk":
+        # the second half reflects the first, x(T - t) = G x(t): on the nodes exactly, and
+        # between them to round-off but at a segment start, where the two sides of the join
+        # differ by its matching defect; t = T/2 is left out, where x(T/2) misses Fix(G) by
+        # about the residual
+        g = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+        half = len(traj.ts) // 2
+        assert traj.ts[half] == 0.5 and np.array_equal(traj.ts[half + 1 :], 1.0 - traj.ts[half - 1 :: -1])
+        assert np.array_equal(traj.states[half + 1 :], g * traj.states[half - 1 :: -1])
+        t = np.linspace(0.0, 1.0, 400)
+        assert np.abs(traj.at(1.0 - t) - (g * traj.at(t).T).T).max() < problem.solver.newton_tol
