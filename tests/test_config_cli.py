@@ -1319,6 +1319,30 @@ def test_cli_a_config_with_no_common_mirror_takes_the_full_period_path(tmp_path,
     assert orbit["newton_iterations"] == iterations and orbit["residual_norm"] < 1e-9
 
 
+@pytest.mark.parametrize(
+    "text, segments, x0, index_det, orbit_sha256",
+    [
+        (DESK_ORBIT, 3,
+         ["-0.0023950326608330333", "0.0", "-0.8408945288334044", "0.0", "0.0007598143859125046", "0.0"],
+         "33.05368510733282", "875ed78eaca9c8827a0f2c93799d7e6a468b3fe6b9e24dfd239c2510b3e34b61"),
+        # one segment on the full path, whose x-cosine the flow reads at each member's time
+        (NO_COMMON_MIRROR["abc"][0].replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n", 1,
+         ["-0.002388952862237579", "1.2037212529934323e-08", "-0.8408943964523818", "-3.5930965259826336e-09",
+          "4.5061870320173705e-05", "-2.0956853168342358e-05"],
+         "33.341233021506625", "acffabff1b7f701abc379050afa2a1765269bbea96fe58da947debb91495f15e"),
+    ],
+    ids=["desk-orbit", "abc"],
+)
+def test_cli_find_orbit_keeps_its_orbit_bit_for_bit(tmp_path, text, segments, x0, index_det, orbit_sha256):
+    out = tmp_path / "out"
+    assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    orbit = json.loads((out / "orbit_report.json").read_text())
+    assert orbit["segments"] == segments
+    assert [repr(v) for v in orbit["x0_q"] + orbit["x0_p"]] == x0
+    assert repr(float(np.linalg.det(np.eye(6) - np.array(orbit["monodromy"])))) == index_det
+    assert hashlib.sha256((out / "orbit.csv").read_bytes()).hexdigest() == orbit_sha256
+
+
 def test_cli_integrate_equilibrium_inside_the_auto_guard_radius_exits_3(tmp_path, capsys):
     # the equilibrium lies at |q| = 1e13**-0.5 = 3.2e-7, inside the default guard radius 1e-6
     cfg = write(tmp_path, "[potential]\nc0 = 1\n\n[forcing]\nperiod = 0.02\nmean = 0 0 1e13\n")
