@@ -61,15 +61,14 @@ at most 6K.
 
 - The K rule.  Each solve chooses K once, like its path, from the accepted
   steps of its guess flow (its first flow, over the whole span): K is
-  that count when it lies in 2 ... _MAX_SEGMENTS = 4, and 1 otherwise,
-  where the solve keeps single shooting.  Multiple shooting's Newton
-  iterates differ from single shooting's after the first step, and where
-  a guess flow takes many steps they converged more slowly or to another
-  orbit on the desk atlas (`tests/test_acceptance.py`, whose guess flows
-  take 5 to 7 steps at T = 2, 2.6 and 3).  With K = min(steps, 4) the
-  cell (T, a) = (2, 5) took 7 Newton iterations instead of 5, and
-  (2.6, 5) reached lam = 1 in 7 accepted steps and 226 iterations instead
-  of 1 step and 6.
+  that count when it lies in 2 ... _MAX_SEGMENTS = 4, and 1 otherwise.
+  Multiple shooting's Newton iterates differ from single shooting's after
+  the first step, and where a guess flow takes many steps they converged
+  more slowly or to another orbit on the desk atlas
+  (`tests/test_acceptance.py`, whose guess flows take 5 to 7 steps at
+  T = 2, 2.6 and 3).  With K = min(steps, 4) the cell (T, a) = (2, 5)
+  took 7 Newton iterations instead of 5, and (2.6, 5) reached lam = 1 in
+  7 accepted steps and 226 iterations instead of 1 step and 6.
 - The first iterate.  The segment starts s_k are the guess flow's orbit
   at t_k, read from its dense output, so the matching defects are zero
   and the first Newton step is single shooting's; its difference members
@@ -90,7 +89,7 @@ at most 6K.
   several steps keep their first step.
 - The trajectory.  The orbit members of the segments join into one
   trajectory over the span (`Trajectory.joined`), continuous to within
-  the matching defects; K = 1 is single shooting, bit for bit.
+  the matching defects.
 
 The continuation driver walks the deformation parameter from the
 autonomous equilibrium at lam = 0 toward the full equation at lam = 1,
@@ -202,7 +201,7 @@ _TRIAL_FACTOR = 1e-4
 # a residual at most this many eps * max(1, |x|_inf) is at round-off level
 _ROUNDOFF = 8.0 * np.finfo(float).eps
 # the most segments a solve splits its span into, one per accepted step of its guess flow; a
-# guess flow of more steps keeps single shooting (module docstring).  A right-hand-side call of
+# guess flow of more steps keeps one segment (module docstring).  A right-hand-side call of
 # 28 rows costs about 1.16 times one of 7 (30.1 against 26.0 us)
 _MAX_SEGMENTS = 4
 
@@ -276,34 +275,28 @@ class ShootingProblem:
         span: float | None = None,
         offsets: np.ndarray | None = None,
     ) -> tuple[Trajectory, np.ndarray]:
-        """The stacked flow of the flat state x0 over [0, span] and the forward-difference Jacobian of that flow at x0.
+        """The stacked flow of the states x0 (..., 6) over [0, span] and its forward-difference Jacobians.
 
         span is one period by default, and the Jacobian is the monodromy.
-        x0 and its six perturbations x0 + h_i e_i, h_i = _FD_STEP max(1, |x0_i|),
-        are integrated as one stacked flow of 7 members, x0 the first, so
-        column i of the Jacobian differences two members that took the same
-        steps, divided by h_i.  The step is relative where |x0_i| > 1, so
-        every member differs from x0.  A perturbed member that crosses the
-        guard radius raises SingularityApproach like the orbit itself.
-        first_step is passed to `integrate`.
-
-        x0 of shape (K, 6) is K segment starts, flowed as one stack of 7K
-        members, segment k's seven from member 7k on, each at its segment's
-        time offset offsets[k]; the Jacobians then have shape (K, 6, 6).
+        Each state s of x0 and its six perturbations s + h_i e_i
+        (`_difference_steps`) are 7 members of one stacked flow, s the first,
+        so column i of its Jacobian differences two members that took the
+        same steps (`_difference_jacobian`).  A perturbed member that crosses
+        the guard radius raises SingularityApproach like the orbit itself.
+        first_step is passed to `integrate`; offsets[k] is the time offset of
+        the seven members of x0[k].
         """
         starts = x0.reshape(-1, 6)
-        steps = _FD_STEP * np.maximum(1.0, np.abs(starts))
-        stack = starts[:, None, :] + steps[:, None, :] * np.eye(7, 6, -1)  # x0, then x0 + h_i e_i
+        stack = starts[:, None, :] + _difference_steps(starts)[:, None, :] * np.eye(7, 6, -1)
         shifts = None if offsets is None else np.repeat(offsets, 7)
         run = self.flow(stack.reshape(-1, 6), first_step, span, shifts)
-        end = run.states[-1].reshape(-1, 7, 6)
-        jac = (end[:, 1:] - end[:, :1]).transpose(0, 2, 1) / steps[:, None, :]
+        jac = _difference_jacobian(starts, run.states[-1].reshape(-1, 7, 6))
         return run, jac.reshape(x0.shape[:-1] + (6, 6))
 
     def violation(self, y: np.ndarray) -> str | None:
         """Why the phase point y = (q, p) lies outside Newton's search region, or None."""
         r = float(np.linalg.norm(y[:3]))
-        r_min, step = self.integrator.r_min, _FD_STEP * max(1.0, r)
+        r_min, step = self.integrator.r_min, _difference_steps(r)
         if r <= r_min + step:
             return f"|q| = {r:.9g} <= r_min = {r_min:.6g} plus the difference step {step:g}"
         if self.region is None:
@@ -430,6 +423,19 @@ def _counts(segments: int) -> dict:
     return {"segments": segments, "flows": 0, "rhs_calls": 0, "steps_accepted": 0, "steps_rejected": 0}
 
 
+def _difference_steps(x):
+    """The forward-difference steps h_i = _FD_STEP max(1, |x_i|): relative where |x_i| > 1, so x + h_i e_i != x."""
+    return _FD_STEP * np.maximum(1.0, np.abs(x))
+
+
+def _difference_jacobian(x: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The Jacobians (..., 6, 6) at x (..., 6) from the flowed members (..., 7, 6) of x and x + h_i e_i.
+
+    Column i is (member_i - member_0) / h_i, h_i of `_difference_steps`.
+    """
+    return np.swapaxes(members[..., 1:, :] - members[..., :1, :], -1, -2) / _difference_steps(x)[..., None, :]
+
+
 def _trial_rtol(rtol0: float, res_norm: float) -> float:
     """The rtol of a trial flow from the residual sup-norm res_norm, rtol0 the configured one.
 
@@ -487,8 +493,7 @@ class _Shooting:
     segment: y - s_0 = 0 on the full path, its off-Fix coordinates
     (g = -1) zero on the reversible path.  Their Jacobian is block
     bidiagonal in the segments' difference Jacobians Phi_k, and cyclic on
-    the full path.  With K = 1 they are phi_T(x0) - x0 with the Jacobian
-    M - I, and y[off] with the Jacobian Phi[off, fix], Phi = D phi_T/2(x0).
+    the full path.
     """
 
     name: str
@@ -527,35 +532,29 @@ class _Shooting:
         jac[last:, columns[-1]] = blocks[-1][off]
         return np.concatenate([defects, ends[-1][off]]), jac
 
-    def read(self, starts: np.ndarray, run: Trajectory, jac: np.ndarray) -> _Flowed:
-        """The stacked run of the segment starts and its difference Jacobians (`flow_with_monodromy`), read.
+    def read(self, starts: np.ndarray, run: Trajectory, phis: np.ndarray) -> _Flowed:
+        """The stacked run of the segment starts (K, 6) and its difference Jacobians (`flow_with_monodromy`), read.
 
-        starts has shape (K, 6), or (6,) for one segment.  The residual norm
-        is that of x0's own flow over the span, to first order: each
-        segment's defect phi_h(s_k) - s_(k+1) is carried through the
-        Jacobians of the segments after it and added to the end y, and the
-        product Phi = Phi_(K-1) ... Phi_0 is the Jacobian of that flow.  On
-        the full path the norm is then |y - x0|_inf and M = Phi; on the
+        The residual norm is that of x0's own flow over the span, to first
+        order: each segment's defect phi_h(s_k) - s_(k+1) is carried through
+        the Jacobians of the segments after it and added to the end y, and
+        the product Phi = Phi_(K-1) ... Phi_0 is the Jacobian of that flow.
+        On the full path the norm is then |y - x0|_inf and M = Phi; on the
         reversible path M = G Phi^-1 G Phi and the residual is
         G Phi^-1 (G y - y), the linearization of phi_T(x0) - x0, both from
-        one LU of Phi.  A singular Phi raises SingularJacobian.  The orbit
-        is the first member of one segment, and the members 0, 7, ...,
-        7 (K - 1) joined over the span (`Trajectory.joined`) of several; it
-        is built when called, so only a solution's flow builds it.
+        one LU of Phi.  A singular Phi raises SingularJacobian.  The orbit,
+        the members 0, 7, ..., 7 (K - 1) joined over the span
+        (`Trajectory.joined`), is built when called, so only a solution's
+        flow builds it.
         """
-        starts, ends = np.reshape(starts, (-1, 6)), run.states[-1, ::7]
-        if self.segments == 1:
-            orbit, phis = functools.partial(run.row, 0), [jac]
-        else:
-            orbit, phis = functools.partial(run.joined, range(0, 7 * self.segments, 7), self.offsets, self.span), jac
+        ends = run.states[-1, ::7]
+        orbit = functools.partial(run.joined, range(0, 7 * self.segments, 7), self.offsets, self.span)
         res, jac = self.equations(starts, ends, phis)
-        y, phi = ends[-1], phis[0]
-        if self.segments > 1:
-            carried = np.zeros(6)
-            for phi_k, defect in zip(phis[1:], ends[:-1] - starts[1:]):
-                carried = phi_k @ (carried + defect)
-                phi = phi_k @ phi
-            y = y + carried
+        phi, carried = phis[0], 0.0
+        for phi_k, defect in zip(phis[1:], ends[:-1] - starts[1:]):
+            carried = phi_k @ (carried + defect)
+            phi = phi_k @ phi
+        y = ends[-1] + carried
         if self.g is None:
             return _Flowed(run, orbit, starts, res, jac, float(np.max(np.abs(y - starts[0]))), phi)
         g = self.g
@@ -578,12 +577,11 @@ class _Shooting:
         Phi_k = Phi(t_(k+1)) Phi(t_k)^-1 with no further flow.
         """
         run, x0 = flowed.run, flowed.starts[0]
-        # the run's members at t_1 ... t_(K-1) and at the end of the span: (7, 6, K)
-        members = np.concatenate([run.at(self.offsets[1:]), run.states[-1][:, :, None]], axis=2)
-        steps = _FD_STEP * np.maximum(1.0, np.abs(x0))
-        along = [np.eye(6)] + [(members[1:, :, k] - members[0, :, k]).T / steps for k in range(self.segments)]
+        # the run's members at t_1 ... t_(K-1) and at the end of the span: (K, 7, 6)
+        members = np.concatenate([run.at(self.offsets[1:]).transpose(2, 0, 1), run.states[-1:]])
+        along = [np.eye(6)] + list(_difference_jacobian(x0, members))
         phis = np.array([np.linalg.solve(a.T, b.T).T for a, b in zip(along, along[1:])])
-        ends = members[0].T
+        ends = members[:, 0]
         starts = np.vstack([x0, ends[:-1]])
         res, jac = self.equations(starts, ends, phis)
         return flowed._replace(starts=starts, res=res, jac=jac)
@@ -613,15 +611,12 @@ def _flow_residual(
     The one place an rtol becomes an integrator config, with atol scaled by
     the same factor.  previous, a flow of a nearby problem, gives the first
     step (`Trajectory.warm_step`); with previous None the flow starts cold.
-    One segment flows x0 alone, with no time offsets.
     """
     cfg = problem.integrator
     if rtol != cfg.rtol:
         problem = replace(problem, integrator=replace(cfg, rtol=rtol, atol=cfg.atol * (rtol / cfg.rtol)))
     length = shooting.span / shooting.segments
     first_step = None if previous is None else previous.warm_step(rtol, length)
-    if shooting.segments == 1:
-        return shooting.read(starts, *problem.flow_with_monodromy(starts[0], first_step, length))
     return shooting.read(starts, *problem.flow_with_monodromy(starts, first_step, length, shooting.offsets))
 
 
@@ -637,8 +632,8 @@ def newton_shooting(
     the reversible one, which moves only the Fix(G) coordinates of x0 and
     flows half the period (module docstring).  The guess flow's accepted
     steps then choose the segments K, once (module docstring, "Multiple
-    shooting"); with K > 1 the iterate is x0 and the segment starts, and
-    every start of a trial point must lie in the search region.  Every flow
+    shooting"); the iterate is the segment starts, s_0 = x0, and every
+    start of a trial point must lie in the search region.  Every flow
     is `flow_with_monodromy`, so each trial yields the Jacobian at the trial
     point: an accepted trial's Jacobian is the next iteration's.  Each
     step takes the first factor of

@@ -247,13 +247,10 @@ def counted_identities(monkeypatch) -> list:
 def flowed_from(traj: Trajectory, flowed: Trajectory) -> bool:
     """Whether traj is the orbit of the recorded stacked flow flowed.
 
-    That is its first member, or, for a solve of K segments, the first
-    members of the K blocks of 7 joined over the span (`Trajectory.joined`);
-    for a reversible solve either one reflected to the whole period
-    (`Trajectory.reflected`).
+    That is the first members of its K blocks of 7, one per segment, joined
+    over the span (`Trajectory.joined`); for a reversible solve that
+    reflected to the whole period (`Trajectory.reflected`).
     """
-    if traj.ts is flowed.ts:
-        return True
     n, k = len(flowed.ts) - 1, flowed.states.shape[1] // 7
     if k == 0 or len(traj.ts) not in (k * n + 1, 2 * k * n + 1):
         return False
@@ -269,10 +266,10 @@ def first_step_of(flows: list, traj) -> float | None:
 
 def read_flow(problem: ShootingProblem, flowed: Trajectory):
     """A recorded stacked flow of a solve of problem, read as the solve reads it (`_Shooting.read`)."""
-    y, end = flowed.states[0, 0], flowed.states[-1]
-    shooting = lfe.shooting._shooting(problem, y)
-    steps = lfe.shooting._FD_STEP * np.maximum(1.0, np.abs(y))
-    return shooting.read(y, flowed, (end[1:] - end[0]).T / steps)
+    starts = flowed.states[0, ::7]
+    shooting = replace(lfe.shooting._shooting(problem, starts[0]), segments=len(starts))
+    end = flowed.states[-1].reshape(-1, 7, 6)
+    return shooting.read(starts, flowed, lfe.shooting._difference_jacobian(starts, end))
 
 
 def reflow(problem: ShootingProblem, x0, first_step: float | None):
@@ -283,8 +280,6 @@ def reflow(problem: ShootingProblem, x0, first_step: float | None):
     starts = np.reshape(x0.as_array() if isinstance(x0, State) else x0, (-1, 6))
     shooting = replace(lfe.shooting._shooting(problem, starts[0]), segments=len(starts))
     span = shooting.span / shooting.segments
-    if shooting.segments == 1:
-        return shooting.read(starts, *problem.flow_with_monodromy(starts[0], first_step, span))
     return shooting.read(starts, *problem.flow_with_monodromy(starts, first_step, span, shooting.offsets))
 
 

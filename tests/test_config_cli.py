@@ -752,6 +752,7 @@ def test_cli_light_continue_flows_once_at_the_configured_tolerance(tmp_path, mon
 # the counts of a solve's flows in each orbit record and continuation history entry
 COUNT_KEYS = ("segments", "flows", "rhs_calls", "steps_accepted", "steps_rejected")
 DESK_ORBIT = DESK.replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n"
+DESK_ABC = DESK.replace("kind = dipole\nmoment = 0 0 0.1", "kind = abc\nabc = 0.01 0.02 0.03\nc1 = 0.3\nbeta = 1e-3")
 
 
 @pytest.mark.parametrize(
@@ -790,32 +791,44 @@ def test_cli_orbit_records_count_the_flows_of_their_solve(tmp_path, monkeypatch,
         assert tuple(orbit[key] for key in COUNT_KEYS) == (orbit["segments"],) + wrapped == counts
 
 
-def test_cli_light_keeps_the_single_shooting_orbit_bit_for_bit(tmp_path):
-    # light's solves keep one segment: on light the guess flow takes one step, and with a y-sine
-    # more than _MAX_SEGMENTS.  Both write the x0, det(I - M) and orbit.csv of single shooting,
-    # pinned from before multiple shooting
-    pinned = [
-        (LIGHT, ["-0.0", "-0.0", "-0.7071067811865476", "0.0", "0.0", "0.0"], "43.69419455778003",
-         "9ced1bc351e37590564c161fad446c8b26023ab5cd2f22b1acd4d76fdedcba5d"),
-        (LIGHT.replace("mean = 0 0 2", "mean = 0 0 2\nharmonic_1_sin = 0 0.9 0"),
-         ["0.0", "0.0", "-0.706860981127571", "0.0", "-0.13372382994932594", "0.0"], "42.61528168779198",
-         "5e0138f46c1a373bbecc88ddf2676b8313c259417a5c44d91c58aab7f0c3a7ae"),
-    ]
-    for n, (text, x0, index_det, orbit_sha256) in enumerate(pinned):
-        for command, extra, stem in [
-            ("continue", "", "run_report"),
-            ("find-orbit", "\n[initial-state]\nlambda = 1.0\n", "orbit_report"),
-        ]:
-            out = tmp_path / f"{n}-{command}"
-            assert main([command, "--config", str(write(tmp_path, text + extra)), "--out", str(out)]) == 0
-            report = json.loads((out / f"{stem}.json").read_text())
-            orbit = report["final_orbit"] if command == "continue" else report
-            assert orbit["segments"] == 1
-            assert [repr(v) for v in orbit["x0_q"] + orbit["x0_p"]] == x0
-            assert repr(float(np.linalg.det(np.eye(6) - np.array(orbit["monodromy"])))) == index_det
-            if command == "continue":
-                assert repr(report["continuation"]["history"][-1]["index_det"]) == index_det
-            assert hashlib.sha256((out / "orbit.csv").read_bytes()).hexdigest() == orbit_sha256
+# text, segments, x0 reprs, det(I - M) repr and orbit.csv sha256 of continue and find-orbit at
+# lambda = 1.  Light keeps one segment: its guess flow takes one step, and with a y-sine more than
+# _MAX_SEGMENTS; its values are pinned from before multiple shooting.  Desk-orbit's fields take
+# 3 segments, and the ABC config one on the full path, whose x-cosine the flow reads at each
+# member's time
+ORBIT_PINS = {
+    "light": (LIGHT, 1, ["-0.0", "-0.0", "-0.7071067811865476", "0.0", "0.0", "0.0"], "43.69419455778003",
+              "9ced1bc351e37590564c161fad446c8b26023ab5cd2f22b1acd4d76fdedcba5d"),
+    "light-y-sine": (LIGHT.replace("mean = 0 0 2", "mean = 0 0 2\nharmonic_1_sin = 0 0.9 0"), 1,
+                     ["0.0", "0.0", "-0.706860981127571", "0.0", "-0.13372382994932594", "0.0"], "42.61528168779198",
+                     "5e0138f46c1a373bbecc88ddf2676b8313c259417a5c44d91c58aab7f0c3a7ae"),
+    "desk-orbit": (DESK.replace("c_B = auto", "c_B = 0.2"), 3,
+                   ["-0.0023950326608330333", "0.0", "-0.8408945288334044", "0.0", "0.0007598143859125046", "0.0"],
+                   "33.05368510733282", "875ed78eaca9c8827a0f2c93799d7e6a468b3fe6b9e24dfd239c2510b3e34b61"),
+    "abc": (DESK_ABC.replace("c_B = auto", "c_B = 0.2"), 1,
+            ["-0.002388952862237579", "1.2037212529934323e-08", "-0.8408943964523818", "-3.5930965259826336e-09",
+             "4.5061870320173705e-05", "-2.0956853168342358e-05"],
+            "33.341233021506625", "acffabff1b7f701abc379050afa2a1765269bbea96fe58da947debb91495f15e"),
+}
+
+
+@pytest.mark.parametrize("name", ORBIT_PINS)
+def test_cli_keeps_the_orbit_bit_for_bit(tmp_path, name):
+    text, segments, x0, index_det, orbit_sha256 = ORBIT_PINS[name]
+    for command, extra, stem in [
+        ("continue", "", "run_report"),
+        ("find-orbit", "\n[initial-state]\nlambda = 1.0\n", "orbit_report"),
+    ]:
+        out = tmp_path / command
+        assert main([command, "--config", str(write(tmp_path, text + extra)), "--out", str(out)]) == 0
+        report = json.loads((out / f"{stem}.json").read_text())
+        orbit = report["final_orbit"] if command == "continue" else report
+        assert orbit["segments"] == segments
+        assert [repr(v) for v in orbit["x0_q"] + orbit["x0_p"]] == x0
+        assert repr(float(np.linalg.det(np.eye(6) - np.array(orbit["monodromy"])))) == index_det
+        if command == "continue":
+            assert repr(report["continuation"]["history"][-1]["index_det"]) == index_det
+        assert hashlib.sha256((out / "orbit.csv").read_bytes()).hexdigest() == orbit_sha256
 
 
 @pytest.mark.parametrize("planted", ["degree", "index_det"])
@@ -1297,7 +1310,7 @@ NO_COMMON_MIRROR = {
     # the x-cosine breaks the mirror x, and the x-sine the mirror y, which asks for a sine along y
     "sine": (DESK.replace("harmonic_1_cos = 0.1 0 0", "harmonic_1_cos = 0.1 0 0\nharmonic_1_sin = 0.1 0 0"), 5, 4, 1),
     # an ABC field commutes with no mirror
-    "abc": (DESK.replace("kind = dipole\nmoment = 0 0 0.1", "kind = abc\nabc = 0.01 0.02 0.03\nc1 = 0.3\nbeta = 1e-3"), 5, 4, 1),
+    "abc": (DESK_ABC, 5, 4, 1),
     # a dipole with mu_y != 0 commutes with the mirror x only, which the x-cosine breaks; its
     # guess flow takes 4 steps, so the later flows run 4 segments of a quarter period each
     "dipole": (DESK.replace("moment = 0 0 0.1", "moment = 0 0.1 0.1"), 6, 5, 4),
@@ -1317,30 +1330,6 @@ def test_cli_a_config_with_no_common_mirror_takes_the_full_period_path(tmp_path,
     assert orbit["segments"] == segments
     assert [(traj.t0, traj.t1) for _, traj, _ in flows] == [(0.0, 1.0)] + [(0.0, 1.0 / segments)] * (n_flows - 1)
     assert orbit["newton_iterations"] == iterations and orbit["residual_norm"] < 1e-9
-
-
-@pytest.mark.parametrize(
-    "text, segments, x0, index_det, orbit_sha256",
-    [
-        (DESK_ORBIT, 3,
-         ["-0.0023950326608330333", "0.0", "-0.8408945288334044", "0.0", "0.0007598143859125046", "0.0"],
-         "33.05368510733282", "875ed78eaca9c8827a0f2c93799d7e6a468b3fe6b9e24dfd239c2510b3e34b61"),
-        # one segment on the full path, whose x-cosine the flow reads at each member's time
-        (NO_COMMON_MIRROR["abc"][0].replace("c_B = auto", "c_B = 0.2") + "\n[initial-state]\nlambda = 1.0\n", 1,
-         ["-0.002388952862237579", "1.2037212529934323e-08", "-0.8408943964523818", "-3.5930965259826336e-09",
-          "4.5061870320173705e-05", "-2.0956853168342358e-05"],
-         "33.341233021506625", "acffabff1b7f701abc379050afa2a1765269bbea96fe58da947debb91495f15e"),
-    ],
-    ids=["desk-orbit", "abc"],
-)
-def test_cli_find_orbit_keeps_its_orbit_bit_for_bit(tmp_path, text, segments, x0, index_det, orbit_sha256):
-    out = tmp_path / "out"
-    assert main(["find-orbit", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
-    orbit = json.loads((out / "orbit_report.json").read_text())
-    assert orbit["segments"] == segments
-    assert [repr(v) for v in orbit["x0_q"] + orbit["x0_p"]] == x0
-    assert repr(float(np.linalg.det(np.eye(6) - np.array(orbit["monodromy"])))) == index_det
-    assert hashlib.sha256((out / "orbit.csv").read_bytes()).hexdigest() == orbit_sha256
 
 
 def test_cli_integrate_equilibrium_inside_the_auto_guard_radius_exits_3(tmp_path, capsys):

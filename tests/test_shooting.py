@@ -114,10 +114,10 @@ def test_failed_damping_names_its_cause(coulomb_problem):
 
     # every trial point stays in the region but no trial flow finishes
     class FailingTrials(ShootingProblem):
-        def flow_with_monodromy(self, x0, first_step=None, span=None):
-            if not np.array_equal(x0, guess.as_array()):
+        def flow_with_monodromy(self, starts, first_step=None, span=None, offsets=None):
+            if not np.array_equal(starts, [guess.as_array()]):
                 raise StepUnderflow("trial flow refused")
-            return super().flow_with_monodromy(x0, first_step, span)
+            return super().flow_with_monodromy(starts, first_step, span, offsets)
 
     guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
     failing = FailingTrials(system=coulomb_problem.system, lam=0.0)
@@ -563,10 +563,12 @@ def test_step_controller_on_planted_traces(coulomb_problem, monkeypatch):
     start = find_zero_f0(1.0, [1.0, 1.0, 1.0])
     flow = ShootingProblem.flow_with_monodromy
     for monodromy, det in [(np.diag([2.0] * 6), 1.0), (np.diag([2.0, 0, 0, 0, 0, 0]), -1.0)]:
-        monkeypatch.setattr(ShootingProblem, "flow_with_monodromy", lambda *args: (flow(*args)[0], monodromy))
+        # the one segment's Jacobians (1, 6, 6), whose row is the solution's M
+        monkeypatch.setattr(ShootingProblem, "flow_with_monodromy", lambda *args: (flow(*args)[0], monodromy[None]))
         sol = newton_shooting(start, tilted)
         assert sol.shooting == "full"
-        assert sol.newton_trace == [] and sol.monodromy is monodromy and sol.index_det == det
+        assert sol.newton_trace == [] and sol.index_det == det
+        assert np.shares_memory(sol.monodromy, monodromy) and np.array_equal(sol.monodromy, monodromy)
     # on the reversible path M = G Phi^-1 G Phi: a planted diagonal Phi commutes with G, so M = I;
     # a singular one is named
     monodromy = np.diag([2.0] * 6)
