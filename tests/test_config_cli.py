@@ -441,6 +441,53 @@ def test_cli_integrate_csv_contract(tmp_path):
     assert len(lines) == 102  # header + sample_points
 
 
+PLAIN_FLOW = """
+[potential]
+c0 = 1.0
+gamma = 3.0
+
+[magnetic]
+kind = dipole
+moment = 0 0 0.1
+c_B = 0.2
+
+[forcing]
+period = 1.0
+mean = 0 0 2
+harmonic_1_cos = 0.3 0 0
+harmonic_2_sin = 0 0.2 0
+
+[initial-state]
+lambda = 1.0
+q = equilibrium
+p = 0.01 0.02 0
+t_end = 2.5
+"""
+
+
+# trajectory.csv sha256 of `lfe integrate`: two harmonics and p != 0 over two and a half periods,
+# on the dipole at lambda = 1 from the equilibrium, and on an ABC field at lambda = 0.4 from q
+PLAIN_FLOW_PINS = {
+    "dipole": (PLAIN_FLOW, "22f3524bcc5f6db08aaccd32814256cf344cb236a9bddede19e8c83322307f2e"),
+    "abc": (
+        PLAIN_FLOW.replace("kind = dipole\nmoment = 0 0 0.1", "kind = abc\nabc = 0.2 0.3 0.1\nc1 = 1.0\nbeta = 1.0")
+        .replace("lambda = 1.0", "lambda = 0.4")
+        .replace("q = equilibrium", "q = 0.3 -0.2 -0.8"),
+        "4d95dc757f64bdb38f307c5cb4a8b232950769c9daa8547079921123d7634252",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_FLOW_PINS)
+def test_cli_integrate_keeps_the_trajectory_bit_for_bit(tmp_path, name):
+    text, sha256 = PLAIN_FLOW_PINS[name]
+    out = tmp_path / "out"
+    assert main(["integrate", "--config", str(write(tmp_path, text)), "--out", str(out)]) == 0
+    csv = (out / "trajectory.csv").read_bytes()
+    assert len(csv.splitlines()) == 1001  # header + sample_points
+    assert hashlib.sha256(csv).hexdigest() == sha256
+
+
 def test_cli_find_orbit(tmp_path):
     cfg = write(tmp_path, LIGHT)
     out = tmp_path / "out"

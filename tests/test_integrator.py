@@ -396,6 +396,21 @@ def test_members_at_time_offsets_see_the_forcing_at_their_own_time():
     assert np.abs(joined.at(np.nextafter(0.25, 0.0)) - starts[1]).max() < 1e-9
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.4, 1.0])
+def test_one_state_is_a_stack_of_one_at_offset_zero(lam):
+    # bit for bit: the nodes, the states and the dense output on a grid and at one time
+    system = HomotopySystem(desk_config())
+    y0 = _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0])
+    one = integrate(system, y0, (0.0, 1.3), lam)
+    stack = integrate(system, y0[None], (0.0, 1.3), lam, offsets=np.array([0.0]))
+    assert np.array_equal(one.ts, stack.ts) and len(one.ts) > 2
+    assert np.array_equal(one.states, stack.states[:, 0])
+    assert (one.n_rhs_evals, one.n_rejected) == (stack.n_rhs_evals, stack.n_rejected)
+    grid = np.linspace(0.0, 1.3, 101)
+    assert np.array_equal(one.at(grid), stack.at(grid)[0])
+    assert np.array_equal(one.at(0.7), stack.at(0.7)[0])
+
+
 def test_offsets_name_one_per_member_of_a_stack():
     system = HomotopySystem(desk_config())
     with pytest.raises(ValueError, match=r"^offsets must have shape \(2,\) for a stack of 2 states$"):
