@@ -303,19 +303,18 @@ class Forcing:
         object.__setattr__(self, "_waves", waves)
 
     def eval(self, t, scale: float = 1.0) -> np.ndarray:
-        """mean + scale * (h(t) - mean) at t of shape () or (n,): shape (3,) or (n, 3).
+        """mean + scale * (h(t) - mean) at times t of any shape: shape t.shape + (3,).
 
-        scale = 1 gives h(t).  The harmonic terms are summed first and the
-        mean is added once, so a scaled forcing costs one pass; row i equals
-        the value at time i alone.
+        One time gives (3,) and n times (n, 3).  scale = 1 gives h(t).  The
+        harmonic terms are summed first and the mean is added once, so a
+        scaled forcing costs one pass; row i equals the value at time i alone.
         """
         t = np.asarray(t, dtype=float)
         if scale == 0.0 or not self._waves:
             h = np.empty(t.shape + (3,))
             h[...] = self.mean
             return h
-        # a numpy scalar, not a 0-d array: it multiplies a Python float at a tenth of the cost
-        t = t[..., None] if t.ndim else t[()]
+        t = t[..., None]
         total = None
         for w, wave, coeff in self._waves:
             term = coeff * wave(w * t)

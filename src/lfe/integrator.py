@@ -19,7 +19,8 @@ dense output and counts.  A stack of N states is integrated as one
 6N-vector with shared step control: shooting integrates the Jacobian
 columns (perturbed copies of the orbit) in the same flow as the orbit,
 and the singularity guard watches every member of the stack.  Each
-member may run at a time offset of its own, so the consecutive segments
+member runs at a time offset of its own, 0 unless one is given, so one
+state is a stack of one at offset 0, and the consecutive segments
 of one span flow as one stack over the length of a segment, and their
 orbit members join into one trajectory over the whole span
 (`Trajectory.joined`).  A run of a reversible system over half a period,
@@ -104,7 +105,7 @@ class _DenseOutput:
         for s in range(_STAGES + 1, _ROWS):
             a, c = butcher.DOP853_A[s, :s], butcher.DOP853_C[s]
             stage_y = [yo + np.dot(kj[:s].T, a) * hj for yo, kj, hj in zip(y_old, k, h)]
-            stage = self._fun(t_old + c * h, np.array(stage_y))
+            stage = self._fun((t_old + c * h)[:, None], np.array(stage_y))
             for kj, fj in zip(k, stage):
                 kj[s] = fj
         f = np.empty((len(k), 7, y_old.shape[1]))
@@ -226,15 +227,14 @@ class Trajectory:
 
         def interpolant(t):
             t = np.asarray(t)
-            seg = np.clip(np.searchsorted(starts, t, side="right") - 1, 0, len(starts) - 1)
-            if t.ndim == 0:
-                return rows[seg].interpolant(t - starts[seg])
-            y = np.empty((6,) + t.shape)
+            flat = t.reshape(-1)
+            seg = np.clip(np.searchsorted(starts, flat, side="right") - 1, 0, len(starts) - 1)
+            y = np.empty((6, flat.size))
             for k, row in enumerate(rows):
                 mask = seg == k
                 if mask.any():
-                    y[:, mask] = row.interpolant(t[mask] - starts[k])
-            return y
+                    y[:, mask] = row.interpolant(flat[mask] - starts[k])
+            return y.reshape((6,) + t.shape)
 
         ts = np.concatenate([start + self.ts[:-1] for start in starts] + [[end]])
         states = np.concatenate([row.states[:-1] for row in rows] + [rows[-1].states[-1:]])
@@ -333,13 +333,13 @@ def integrate(
     x0 is a State, or an array of flat states [q, p] of shape (6,) or
     (N, 6); a stack is integrated as one system, so all its members share
     the step sequence, and the guard applies to every member.
-    offsets, of shape (N,) for a stack, are time offsets of the members:
-    member i runs over t_span shifted by offsets[i], so it sees the field
-    at t + offsets[i] where the run is at t, and its nodes and dense output
-    are read in the run's time.  Without them every member runs at the
-    run's time, through the scalar-time path of the right-hand side.  The
-    members of consecutive segments of one span, each at its segment's
-    start, join into one trajectory over the span (`Trajectory.joined`).
+    offsets, one per member (shape (1,) for one state), are the time
+    offsets of the members, 0 by default, so a plain flow is a stack at
+    offset 0: member i runs over t_span shifted by offsets[i], so it sees
+    the field at t + offsets[i] where the run is at t, and its nodes and
+    dense output are read in the run's time.  The members of consecutive
+    segments of one span, each at its segment's start, join into one
+    trajectory over the span (`Trajectory.joined`).
     first_step, in (0, t1 - t0], is the size of the first trial step;
     without it the first trial step is the whole span t1 - t0.  A first
     step that is too large is rejected and shrunk by step control like
@@ -368,20 +368,15 @@ def integrate(
         raise SolverError(f"initial position |q| = {r0:g} is inside the guard radius r_min = {cfg.r_min:g}")
 
     n_evals, members = 0, y0.size // 6
-    if offsets is not None:
-        offsets = np.asarray(offsets, dtype=float)
-        if offsets.shape != (members,) or len(shape) != 2:
-            raise ValueError(f"offsets must have shape ({members},) for a stack of {members} states")
-    shift = np.zeros(members) if offsets is None else offsets
+    shift = np.zeros(members) if offsets is None else np.asarray(offsets, dtype=float)
+    if shift.shape != (members,):
+        raise ValueError(f"offsets must have shape ({members},) for a stack of {members} states")
 
     def fun(t, y):
-        """The flat right-hand side of a flat state y (n,) at t, or of k states y (k, n) at times t (k,)."""
+        """The flat right-hand side of a flat state y (n,) at a time t, or of k states y (k, n) at k times t (k, 1)."""
         nonlocal n_evals
         n_evals += 1
-        if y.ndim == 1:
-            times = t if offsets is None else t + offsets
-            return system.rhs_array(times, y.reshape(shape), lam).reshape(-1)
-        return system.rhs_array((t[:, None] + shift).reshape(-1), y.reshape(-1, 6), lam).reshape(y.shape)
+        return system.rhs_array((t + shift).reshape(-1), y.reshape(-1, 6), lam).reshape(y.shape)
 
     rtol, atol = max(cfg.rtol, 100 * np.finfo(float).eps), cfg.atol
     exponent = -1 / (_ERROR_ORDER + 1)

@@ -220,7 +220,7 @@ def test_max_steps_exceeded(gyro_system):
 def test_step_underflow_on_nonfinite_field():
     bad_pot = TabulatedPotential(
         lambda q: 0.0,
-        lambda q: np.full(3, np.nan) if q[2] > 0.5 else np.zeros(3),
+        lambda q: np.where(q[..., 2:3] > 0.5, np.nan, 0.0) * np.ones(3),
     )
     config = FieldConfig(
         potential=bad_pot,
@@ -415,6 +415,20 @@ def test_offsets_name_one_per_member_of_a_stack():
     system = HomotopySystem(desk_config())
     with pytest.raises(ValueError, match=r"^offsets must have shape \(2,\) for a stack of 2 states$"):
         integrate(system, np.array([_EQ, _EQ]), (0.0, 0.1), 1.0, offsets=np.zeros(3))
+    with pytest.raises(ValueError, match=r"^offsets must have shape \(1,\) for a stack of 1 states$"):
+        integrate(system, _EQ, (0.0, 0.1), 1.0, offsets=np.zeros(2))
+
+
+def test_one_state_takes_one_offset():
+    # one state at an offset runs as a stack of one does, bit for bit, and as the flow that starts there
+    system = HomotopySystem(desk_config())
+    y0 = _EQ + np.array([0.01, 0.0, 0.0, 0.0, 0.02, 0.0])
+    one = integrate(system, y0, (0.0, 0.5), 1.0, offsets=np.array([0.25]))
+    stack = integrate(system, y0[None], (0.0, 0.5), 1.0, offsets=np.array([0.25]))
+    assert np.array_equal(one.ts, stack.ts) and np.array_equal(one.states, stack.states[:, 0])
+    assert np.array_equal(one.at(0.3), stack.at(0.3)[0])
+    later = integrate(system, y0, (0.25, 0.75), 1.0)
+    assert np.abs(one.states[-1] - later.states[-1]).max() < 1e-9
 
 
 def test_guard_names_the_time_of_the_member_that_crossed():
