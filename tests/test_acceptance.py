@@ -260,6 +260,106 @@ def test_desk_atlas_cell_status_and_newton_iterations(tmp_path, cell):
         assert [final["x0_q"][1], final["x0_p"][0], final["x0_p"][2]] == [0.0, 0.0, 0.0]
 
 
+def shooting_cell_config(period, amplitude, gamma="3.0", c_B="auto", sine=None, dlam_init="1.0", lam=None) -> str:
+    """DESK_CONFIG at newton_tol = 1e-9 with the period, the x-amplitude of harmonic_1_cos and the other keys given.
+
+    sine is the harmonic_1_sin vector, none by default; lam, for find-orbit, the [initial-state] lambda.
+    """
+    cosine = f"harmonic_1_cos = {amplitude} 0 0" + ("" if sine is None else f"\nharmonic_1_sin = {sine}")
+    text = (
+        DESK_CONFIG.replace("gamma = 3.0", f"gamma = {gamma}")
+        .replace("c_B = auto", f"c_B = {c_B}")
+        .replace("period = 1.0", f"period = {period}")
+        .replace("harmonic_1_cos = 0.1 0 0", cosine)
+        .replace("[solver]\n", f"[solver]\nnewton_tol = 1e-9\ndlam_init = {dlam_init}\n")
+    )
+    return text if lam is None else text + f"\n[initial-state]\nlambda = {lam}\n"
+
+
+# Solves of several segments: cells whose guess flows take 2 to 4 steps, so that K > 1 (the K rule
+# of lfe.shooting).  id -> (command, shooting_cell_config arguments, (exit code, continuation status,
+# (segments, shooting) of each attempt, and the Newton iterations, flows and right-hand-side calls
+# summed over the attempts), the final x0 = (q, p)).  The counts are exact; x0 may move by round-off
+# in the linear algebra of a Newton step, and by no more than 1e-10.
+MULTIPLE_SHOOTING = {
+    "continue-T2-a0.3": (
+        "continue", dict(period="2", amplitude="0.3"),
+        (0, "reached_target", [(4, "reversible y")], 6, 7, 187),
+        [-0.024640941928444605, 0.0, -0.8407506765047277, 0.0, 0.0066774777277643855, 0.0],
+    ),
+    "continue-T2.6-a1-short": (
+        "continue", dict(period="2.6", amplitude="1", dlam_init="0.1"),
+        (0, "reached_target", [(3, "reversible y"), (1, "reversible y")], 8, 12, 960),
+        [-0.12112001300701913, 0.0, -0.8393414032226332, 0.0, 0.028637118019023123, 0.0],
+    ),
+    "continue-T2-a0.05-short": (
+        "continue", dict(period="2", amplitude="0.05", dlam_init="0.1"),
+        (0, "reached_target", [(2, "reversible y"), (4, "reversible y")], 9, 12, 324),
+        [-0.004112737786786856, 0.0, -0.8408923525255121, 0.0, 0.0011147183639033376, 0.0],
+    ),
+    # an x-sine beside the x-cosine: no common mirror, so the full path
+    "continue-sine-T1-a0.1-short": (
+        "continue", dict(period="1", amplitude="0.1", sine="0.1 0 0", dlam_init="0.1"),
+        (0, "reached_target", [(4, "full"), (4, "full")], 7, 9, 297),
+        [-0.0023947730801608244, -0.00012091385678476602, -0.8408923711821893, -0.015049642082279465,
+         0.000759738029171078, -3.425411124217265e-06],
+    ),
+    "continue-sine-T0.5-a1-short": (
+        "continue", dict(period="0.5", amplitude="1", sine="0.1 0 0", dlam_init="0.1"),
+        (0, "reached_target", [(4, "full"), (4, "full")], 7, 9, 309),
+        [-0.006230196994941853, -1.6428666882614126e-05, -0.8408828797077141, -0.007845360716511499,
+         0.0020644997754952084, -1.1084688055696816e-06],
+    ),
+    "find-orbit-gamma1.5-T2-lam0.5": (
+        "find-orbit", dict(period="2", amplitude="0.1", gamma="1.5", c_B="0.2", lam="0.5"),
+        (0, None, [(2, "reversible y")], 3, 4, 124),
+        [-0.00398764783549313, 0.0, -0.7358212603614399, 0.0, 0.0007847727717318339, 0.0],
+    ),
+    "find-orbit-gamma1.5-T2.6-lam1": (
+        "find-orbit", dict(period="2.6", amplitude="0.1", gamma="1.5", c_B="0.2", lam="1.0"),
+        (0, None, [(4, "reversible y")], 4, 5, 149),
+        [-0.011997738623935312, 0.0, -0.7578226664177214, 0.0, 0.00379659490242724, 0.0],
+    ),
+}
+
+
+def shooting_cell_run(base, command: str, text: str) -> tuple:
+    """command on the config text in the directory base: its counts, as MULTIPLE_SHOOTING pins them, and x0.
+
+    The status is the continuation's, None for find-orbit, whose one solve is its one attempt.
+    """
+    config = base / "cell.ini"
+    config.write_text(text, encoding="utf-8")
+    out = base / "out"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("LFE_VERBOSITY", "0")
+        code = main([command, "--config", str(config), "--out", str(out)])
+    if command == "continue":
+        payload = json.loads((out / "run_report.json").read_text())
+        continuation, orbit = payload["continuation"], payload["final_orbit"]
+        status, attempts = continuation["status"], continuation["history"]
+    else:
+        orbit = json.loads((out / "orbit_report.json").read_text())
+        status, attempts = None, [orbit]
+    counts = (
+        code,
+        status,
+        [(attempt["segments"], attempt["shooting"]) for attempt in attempts],
+        sum(len(attempt["newton_trace"]) for attempt in attempts),
+        sum(attempt["flows"] for attempt in attempts),
+        sum(attempt["rhs_calls"] for attempt in attempts),
+    )
+    return counts, orbit["x0_q"] + orbit["x0_p"]
+
+
+@pytest.mark.parametrize("cell", MULTIPLE_SHOOTING)
+def test_multiple_shooting_cells_keep_their_solver_counts(tmp_path, cell):
+    command, arguments, counts, x0 = MULTIPLE_SHOOTING[cell]
+    found, found_x0 = shooting_cell_run(tmp_path, command, shooting_cell_config(**arguments))
+    assert found == counts
+    assert np.abs(np.array(found_x0) - np.array(x0)).max() <= 1e-10
+
+
 @pytest.fixture(scope="module")
 def desk_flows(tmp_path_factory):
     """The desk scenario with a first step of 0.1 through `continue`, every shooting flow recorded: (flows, run_report.json)."""
