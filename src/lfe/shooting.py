@@ -47,17 +47,19 @@ Multiple shooting (Stoer & Bulirsch, "Introduction to Numerical
 Analysis", section 7.3; Deuflhard, "Newton Methods for Nonlinear
 Problems", 2004, chapters 7-8).  A solve may split its span (T/2 on the
 reversible path, T on the full path) into K segments of length h, with
-segment starts t_k = k h.  The unknowns are then the free coordinates of
-s_0 = x0 and the states s_1 ... s_(K-1) at t_1 ... t_(K-1); the equations
-are the matching conditions phi_h(s_k) - s_(k+1) = 0, segment k seeing the
-forcing at t + t_k, and the path's end condition on the last segment's
-end y.  All K segments and their difference members flow as one stack of
-7K members over [0, h] with shared steps (`integrate` with time offsets),
-and a right-hand-side call of 28 rows costs little more than one of 7
-(30.1 against 26.0 us), so a span that takes K sequential steps costs
-about one.  The Jacobian is block bidiagonal in the segments' difference
-Jacobians Phi_k (cyclic on the full path), solved by one dense LU of size
-at most 6K.
+segment starts t_k = k h.  The iterate is then the states s_0 = x0 and
+s_1 ... s_(K-1) at t_1 ... t_(K-1); the equations are the matching
+conditions phi_h(s_k) - s_(k+1) = 0, segment k seeing the forcing at
+t + t_k, and the path's end condition on the last segment's end y.  All K
+segments and their difference members flow as one stack of 7K members
+over [0, h] with shared steps (`integrate` with time offsets), and a
+right-hand-side call of 28 rows costs little more than one of 7 (30.1
+against 26.0 us), so a span that takes K sequential steps costs about
+one.  The equations' Jacobian, block bidiagonal in the segments'
+difference Jacobians Phi_k (cyclic on the full path), condenses to one
+system in the free coordinates of x0, whatever K: each Newton step solves
+it, and the matching recursion gives the other starts' steps
+(`_Shooting.newton_step`).
 
 - The K rule.  Each solve chooses K once, like its path, from the accepted
   steps of its guess flow (its first flow, over the whole span): K is
@@ -74,12 +76,11 @@ at most 6K.
   and the first Newton step is single shooting's; its difference members
   at t_k give Phi(t_k) = D phi_t_k(x0), so Phi_k = Phi(t_(k+1)) Phi(t_k)^-1
   needs no further flow.
-- The condensed residual.  The residual norm keeps its meaning, the
-  sup-norm of the linearized one-period residual of x0: the defects are
-  carried through the Phi_k to the end of the span and added to y, which
-  is then read as with one segment, against the product
-  Phi = Phi_(K-1) ... Phi_0.  The inexact-Newton rule below reads it
-  unchanged.
+- The condensed system.  The defects are carried through the Phi_k to
+  the end of the span and added to y, which is then read as with one
+  segment against the product Phi = Phi_(K-1) ... Phi_0 (`_Shooting.read`).
+  Its residual norm keeps its meaning, the sup-norm of the linearized
+  one-period residual of x0, which the inexact-Newton rule below reads.
 - The product monodromy.  M is that of the product Phi: M = Phi on the
   full path, G Phi^-1 G Phi on the reversible one.
 - The first steps.  A warm first step that reaches 0.9 of its span is the
@@ -473,8 +474,10 @@ class _Flowed(NamedTuple):
     run: Trajectory  # the stacked run of the segments and their difference members
     orbit: Callable[[], Trajectory]  # the orbit over the span, built when called
     starts: np.ndarray  # the segment starts s_k, shape (K, 6); s_0 = x0
-    res: np.ndarray  # the residual of the equations
-    jac: np.ndarray  # their Jacobian in the unknowns
+    ends: np.ndarray  # the segment ends phi_h(s_k), shape (K, 6)
+    phis: np.ndarray  # the segments' difference Jacobians Phi_k, shape (K, 6, 6)
+    res: np.ndarray  # the condensed residual, in the end condition's coordinates
+    jac: np.ndarray  # its Jacobian in the free coordinates of x0
     norm: float  # the residual sup-norm of phi_T(x0) - x0 that convergence is read from
     monodromy: np.ndarray
 
@@ -486,14 +489,12 @@ class _Shooting:
     The full path (g None) flows [0, T]; the reversible path, g the
     diagonal of a reversor G, flows [0, T/2].  The span is split into
     `segments` K of length h; segment k starts at t_k = k h from the state
-    s_k, and s_0 = x0.  The unknowns are the free coordinates of s_0 (all
-    six on the full path, the Fix(G) ones, g = +1, on the reversible path)
-    and s_1 ... s_(K-1).  The equations are the matching conditions
-    phi_h(s_k) - s_(k+1) = 0 and the end condition on y, the end of the last
-    segment: y - s_0 = 0 on the full path, its off-Fix coordinates
-    (g = -1) zero on the reversible path.  Their Jacobian is block
-    bidiagonal in the segments' difference Jacobians Phi_k, and cyclic on
-    the full path.
+    s_k, and s_0 = x0.  The unknowns are the free coordinates of x0: all
+    six on the full path, the Fix(G) ones (g = +1) on the reversible path.
+    The matching conditions phi_h(s_k) - s_(k+1) = 0 tie s_1 ... s_(K-1) to
+    them, and the end condition is on the last segment's end y: y - x0 = 0
+    on the full path, its off-Fix coordinates (g = -1) zero on the
+    reversible path.
     """
 
     name: str
@@ -510,54 +511,33 @@ class _Shooting:
         """The segment starts t_k = k h, k < K."""
         return np.arange(self.segments) * (self.span / self.segments)
 
-    def equations(self, starts: np.ndarray, ends: np.ndarray, phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The residual and Jacobian of the equations at the segment starts, from their ends and Phi_k.
-
-        starts and ends have shape (K, 6), phis (K, 6, 6).
-        """
-        blocks = [phis[0][:, self.unknowns]] + list(phis[1:])  # segment k's block of Jacobian columns
-        n0, last = blocks[0].shape[1], 6 * (self.segments - 1)
-        # the columns of s_k: s_0's unknowns, then six per start
-        columns = [slice(0, n0)] + [slice(n0 + 6 * k, n0 + 6 * k + 6) for k in range(self.segments - 1)]
-        jac = np.zeros((n0 + last, n0 + last))
-        for k in range(self.segments - 1):
-            jac[6 * k : 6 * k + 6, columns[k]] = blocks[k]
-            jac[6 * k : 6 * k + 6, columns[k + 1]] = -np.eye(6)
-        defects = (ends[:-1] - starts[1:]).reshape(-1)
-        if self.g is None:
-            jac[last:, columns[-1]] = blocks[-1]
-            jac[last:, columns[0]] -= np.eye(6)
-            return np.concatenate([defects, ends[-1] - starts[0]]), jac
-        off = self.g < 0.0
-        jac[last:, columns[-1]] = blocks[-1][off]
-        return np.concatenate([defects, ends[-1][off]]), jac
-
     def read(self, starts: np.ndarray, run: Trajectory, phis: np.ndarray) -> _Flowed:
         """The stacked run of the segment starts (K, 6) and its difference Jacobians (`flow_with_monodromy`), read.
 
-        The residual norm is that of x0's own flow over the span, to first
+        The condensed system is that of x0's own flow over the span, to first
         order: each segment's defect phi_h(s_k) - s_(k+1) is carried through
         the Jacobians of the segments after it and added to the end y, and
         the product Phi = Phi_(K-1) ... Phi_0 is the Jacobian of that flow.
-        On the full path the norm is then |y - x0|_inf and M = Phi; on the
-        reversible path M = G Phi^-1 G Phi and the residual is
-        G Phi^-1 (G y - y), the linearization of phi_T(x0) - x0, both from
-        one LU of Phi.  A singular Phi raises SingularJacobian.  The orbit,
-        the members 0, 7, ..., 7 (K - 1) joined over the span
-        (`Trajectory.joined`), is built when called, so only a solution's
-        flow builds it.
+        On the full path the residual is y - x0 with the Jacobian Phi - I,
+        the norm its sup-norm and M = Phi.  On the reversible path the
+        residual is y[off] with the Jacobian Phi[off, fix] (g < 0, g > 0);
+        M = G Phi^-1 G Phi and the norm is that of G Phi^-1 (G y - y), the
+        linearization of phi_T(x0) - x0, both from one LU of Phi.  A
+        singular Phi raises SingularJacobian.  The orbit, the members 0, 7,
+        ..., 7 (K - 1) joined over the span (`Trajectory.joined`), is built
+        when called, so only a solution's flow builds it.
         """
         ends = run.states[-1, ::7]
         orbit = functools.partial(run.joined, range(0, 7 * self.segments, 7), self.offsets, self.span)
-        res, jac = self.equations(starts, ends, phis)
         phi, carried = phis[0], 0.0
         for phi_k, defect in zip(phis[1:], ends[:-1] - starts[1:]):
             carried = phi_k @ (carried + defect)
             phi = phi_k @ phi
         y = ends[-1] + carried
         if self.g is None:
-            return _Flowed(run, orbit, starts, res, jac, float(np.max(np.abs(y - starts[0]))), phi)
-        g = self.g
+            res = y - starts[0]
+            return _Flowed(run, orbit, starts, ends, phis, res, phi - np.eye(6), float(np.max(np.abs(res))), phi)
+        g, off = self.g, self.g < 0.0
         try:
             solved = np.linalg.solve(phi, np.column_stack([g * y - y, g[:, None] * phi]))
         except np.linalg.LinAlgError:
@@ -565,15 +545,16 @@ class _Shooting:
         if solved is None or not np.all(np.isfinite(solved)):
             raise SingularJacobian(f"the Jacobian of the half-period flow is singular ({self.name} shooting)")
         norm = float(np.max(np.abs(g * solved[:, 0])))
-        return _Flowed(run, orbit, starts, res, jac, norm, g[:, None] * solved[:, 1:])
+        jac = phi[off][:, self.unknowns]
+        return _Flowed(run, orbit, starts, ends, phis, y[off], jac, norm, g[:, None] * solved[:, 1:])
 
     def split(self, flowed: _Flowed) -> _Flowed:
         """flowed, a read one-segment run of x0 over the span, as the first iterate of this path's segments.
 
         The segment starts are the run's orbit at t_k, read from its dense
-        output, so the matching defects are zero, and the residual norm,
-        monodromy and orbit stay the run's.  Its difference members
-        at t_k give Phi(t_k) = D phi_t_k(x0), and so
+        output, so the matching defects are zero, and the condensed system,
+        residual norm, monodromy and orbit stay the run's.  Its difference
+        members at t_k give Phi(t_k) = D phi_t_k(x0), and so
         Phi_k = Phi(t_(k+1)) Phi(t_k)^-1 with no further flow.
         """
         run, x0 = flowed.run, flowed.starts[0]
@@ -582,9 +563,19 @@ class _Shooting:
         along = [np.eye(6)] + list(_difference_jacobian(x0, members))
         phis = np.array([np.linalg.solve(a.T, b.T).T for a, b in zip(along, along[1:])])
         ends = members[:, 0]
-        starts = np.vstack([x0, ends[:-1]])
-        res, jac = self.equations(starts, ends, phis)
-        return flowed._replace(starts=starts, res=res, jac=jac)
+        return flowed._replace(starts=np.vstack([x0, ends[:-1]]), ends=ends, phis=phis)
+
+    def newton_step(self, flowed: _Flowed) -> np.ndarray:
+        """The Newton step (K, 6) of flowed's segment starts: the block-bidiagonal system's, solved condensed.
+
+        x0's solves jac delta_0 = -res in the unknowns, and the matching
+        recursion delta_k = Phi_(k-1) delta_(k-1) + phi_h(s_(k-1)) - s_k the rest.
+        """
+        delta = np.zeros_like(flowed.starts)
+        delta[0, self.unknowns] = np.linalg.solve(flowed.jac, -flowed.res)
+        for k in range(1, self.segments):
+            delta[k] = flowed.phis[k - 1] @ delta[k - 1] + (flowed.ends[k - 1] - flowed.starts[k])
+        return delta
 
     def one_period(self, orbit: Callable[[], Trajectory]) -> Callable[[], Trajectory]:
         """The flow of the one-period trajectory of a solution whose orbit over the span is orbit()."""
@@ -632,11 +623,11 @@ def newton_shooting(
     the reversible one, which moves only the Fix(G) coordinates of x0 and
     flows half the period (module docstring).  The guess flow's accepted
     steps then choose the segments K, once (module docstring, "Multiple
-    shooting"); the iterate is the segment starts, s_0 = x0, and every
-    start of a trial point must lie in the search region.  Every flow
-    is `flow_with_monodromy`, so each trial yields the Jacobian at the trial
-    point: an accepted trial's Jacobian is the next iteration's.  Each
-    step takes the first factor of
+    shooting"); the iterate is the segment starts, s_0 = x0, stepped by
+    `_Shooting.newton_step`, and every start of a trial point must lie in
+    the search region.  Every flow is `flow_with_monodromy`, so each trial
+    yields the Jacobian at the trial point: an accepted trial's Jacobian is
+    the next iteration's.  Each step takes the first factor of
     _DAMPING whose trial point lies in the search region, flows and lowers
     the residual sup-norm; convergence is that norm below
     problem.solver.newton_tol.  Each iteration's starting residual, damping
@@ -682,9 +673,9 @@ def newton_shooting(
     or round-off stagnation: the residual is already within _ROUNDOFF *
     max(1, |x|_inf) and a trial flow fails to lower it by that much, so
     newton_tol is out of reach and the solve ends at its first trial),
-    SingularJacobian (condition estimate above 1e12, or a singular Phi of
-    the guess's half-period flow) or LeftDomain (the guess, or every
-    damped trial point, outside the search region).  A failure raised
+    SingularJacobian (a condition estimate of the condensed Jacobian above
+    1e12, or a singular Phi of the guess's half-period flow) or LeftDomain
+    (the guess, or every damped trial point, outside the search region).  A failure raised
     once the path is chosen carries the iterations so far as
     `newton_trace`, the path's name as `shooting`, the guess's rtol as
     `guess_rtol` and the counts of its flows so far as `counts`.
@@ -733,11 +724,7 @@ def newton_shooting(
             cond = float(np.linalg.cond(flowed.jac))
             if not math.isfinite(cond) or cond > 1e12:
                 raise SingularJacobian(f"shooting Jacobian condition estimate {cond:.3e}")
-            step = np.linalg.solve(flowed.jac, -flowed.res)
-            delta = np.zeros_like(starts)
-            n0 = len(step) - 6 * (len(starts) - 1)
-            delta[0, shooting.unknowns] = step[:n0]
-            delta[1:] = step[n0:].reshape(-1, 6)
+            delta = shooting.newton_step(flowed)
             rtol = _trial_rtol(rtol0, res_norm)
             if trace and res_norm * (res_norm / trace[-1]["residual"]) ** 2 < tol:
                 rtol = rtol0  # predicted to converge: convergence is read from this flow

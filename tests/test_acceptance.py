@@ -323,41 +323,30 @@ MULTIPLE_SHOOTING = {
 }
 
 
-def shooting_cell_run(base, command: str, text: str) -> tuple:
-    """command on the config text in the directory base: its counts, as MULTIPLE_SHOOTING pins them, and x0.
-
-    The status is the continuation's, None for find-orbit, whose one solve is its one attempt.
-    """
-    config = base / "cell.ini"
-    config.write_text(text, encoding="utf-8")
-    out = base / "out"
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("LFE_VERBOSITY", "0")
-        code = main([command, "--config", str(config), "--out", str(out)])
+@pytest.mark.parametrize("cell", MULTIPLE_SHOOTING)
+def test_multiple_shooting_cells_keep_their_solver_counts(tmp_path, monkeypatch, cell):
+    command, arguments, counts, x0 = MULTIPLE_SHOOTING[cell]
+    monkeypatch.setenv("LFE_VERBOSITY", "0")
+    config, out = tmp_path / "cell.ini", tmp_path / "out"
+    config.write_text(shooting_cell_config(**arguments), encoding="utf-8")
+    code = main([command, "--config", str(config), "--out", str(out)])
     if command == "continue":
         payload = json.loads((out / "run_report.json").read_text())
         continuation, orbit = payload["continuation"], payload["final_orbit"]
         status, attempts = continuation["status"], continuation["history"]
     else:
+        # find-orbit's one solve is its one attempt, with no continuation status
         orbit = json.loads((out / "orbit_report.json").read_text())
         status, attempts = None, [orbit]
-    counts = (
+    assert (
         code,
         status,
         [(attempt["segments"], attempt["shooting"]) for attempt in attempts],
         sum(len(attempt["newton_trace"]) for attempt in attempts),
         sum(attempt["flows"] for attempt in attempts),
         sum(attempt["rhs_calls"] for attempt in attempts),
-    )
-    return counts, orbit["x0_q"] + orbit["x0_p"]
-
-
-@pytest.mark.parametrize("cell", MULTIPLE_SHOOTING)
-def test_multiple_shooting_cells_keep_their_solver_counts(tmp_path, cell):
-    command, arguments, counts, x0 = MULTIPLE_SHOOTING[cell]
-    found, found_x0 = shooting_cell_run(tmp_path, command, shooting_cell_config(**arguments))
-    assert found == counts
-    assert np.abs(np.array(found_x0) - np.array(x0)).max() <= 1e-10
+    ) == counts
+    assert np.abs(np.array(orbit["x0_q"] + orbit["x0_p"]) - np.array(x0)).max() <= 1e-10
 
 
 @pytest.fixture(scope="module")

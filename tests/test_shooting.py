@@ -797,3 +797,68 @@ def test_segments_solve_the_orbit_of_single_shooting(desk_problem, monkeypatch, 
         assert np.array_equal(traj.states[half + 1 :], g * traj.states[half - 1 :: -1])
         t = np.linspace(0.0, 1.0, 400)
         assert np.abs(traj.at(1.0 - t) - (g * traj.at(t).T).T).max() < problem.solver.newton_tol
+
+
+def block_newton_step(shooting, flowed) -> np.ndarray:
+    """The Newton step (K, 6) of flowed's segment starts from the block-bidiagonal system of its equations.
+
+    The reference for `_Shooting.newton_step`.  The unknowns are the free
+    coordinates of s_0 = x0 and all of s_1 ... s_(K-1); the equations are
+    the matching conditions phi_h(s_k) - s_(k+1) = 0 and the end condition
+    on the last segment's end: that minus s_0 on the full path, which makes
+    the system cyclic, and its off-Fix coordinates on the reversible path.
+    One dense solve of size at most 6K.
+    """
+    starts, ends, phis = flowed.starts, flowed.ends, flowed.phis
+    free = np.eye(6)[:, shooting.unknowns]
+    n0, later = free.shape[1], 6 * (len(starts) - 1)
+    # embed[k] maps the vector of unknowns to the step of s_k
+    embed = np.zeros((len(starts), 6, n0 + later))
+    embed[0, :, :n0] = free
+    embed[1:, :, n0:] = np.eye(later).reshape(len(starts) - 1, 6, later)
+    rows = [phi @ a - b for phi, a, b in zip(phis, embed, embed[1:])]
+    rhs = list(starts[1:] - ends[:-1])
+    if shooting.g is None:
+        rows.append(phis[-1] @ embed[-1] - embed[0])
+        rhs.append(starts[0] - ends[-1])
+    else:
+        off = shooting.g < 0.0
+        rows.append((phis[-1] @ embed[-1])[off])
+        rhs.append(-ends[-1][off])
+    return embed @ np.linalg.solve(np.vstack(rows), np.concatenate(rhs))
+
+
+# name -> (segments of the solve, the cap on segments): a cap of 1 keeps one segment
+CONDENSED = {"desk": (3, None), "desk-sine": (4, None), "desk-single": (1, 1), "desk-sine-single": (1, 1)}
+
+
+@pytest.mark.parametrize("name", CONDENSED)
+def test_the_condensed_newton_step_is_that_of_the_block_system(desk_problem, monkeypatch, name):
+    # desk at lam = 1 is desk-orbit's problem, on the reversible path; desk-sine at lam = 0.5 takes
+    # the full path
+    problem = dataclasses.replace(desk_problem, lam=1.0)
+    if name.startswith("desk-sine"):
+        problem = dataclasses.replace(desk_sine_problem(desk_problem), lam=0.5)
+    segments, cap = CONDENSED[name]
+    if cap is not None:
+        monkeypatch.setattr(lfe.shooting, "_MAX_SEGMENTS", cap)
+    flows = []
+    flow_residual = lfe.shooting._flow_residual
+
+    def recording(problem, shooting, starts, rtol, previous):
+        out = flow_residual(problem, shooting, starts, rtol, previous)
+        flows.append((shooting, out))
+        return out
+
+    monkeypatch.setattr(lfe.shooting, "_flow_residual", recording)
+    newton_shooting(EQ, problem)
+    # the first trial: the first flow away from the guess, whose matching defects are not zero
+    shooting, trial = next(flow for flow in flows if not np.array_equal(flow[1].starts[0], EQ.as_array()))
+    assert (shooting.segments, shooting.g is None) == (segments, "sine" in name)
+    assert len(trial.starts) == len(trial.ends) == len(trial.phis) == segments
+    step, reference = shooting.newton_step(trial), block_newton_step(shooting, trial)
+    if segments == 1:
+        assert np.array_equal(step, reference)
+    else:
+        assert np.abs(trial.ends[:-1] - trial.starts[1:]).max() > 0.0
+        assert np.abs(step - reference).max() <= 1e-10 * np.abs(reference).max()
