@@ -189,12 +189,9 @@ def _check_index(start: OrbitSolution, degree: DegreeReport) -> None:
 
 
 def _orbit(sol: OrbitSolution, report: _Report, verification=None) -> None:
-    """The orbit summary as `key = value` lines and, with the solver data, as the record."""
+    """The orbit summary as `key = value` lines and, with the solve's `OrbitSolution.record`, as the record."""
     summary = sol.summary()
-    record = dict(summary, monodromy=sol.monodromy, newton_trace=sol.newton_trace)
-    record["n_rejected"] = sol.trajectory.n_rejected
-    record.update(sol.counts)
-    record.update(sol.symmetry)
+    record = dict(summary, monodromy=sol.monodromy, n_rejected=sol.trajectory.n_rejected, **sol.record)
     if verification is not None:
         record["verification"] = [dataclasses.asdict(c) for c in verification.checks]
         record["verified"] = verification.passed

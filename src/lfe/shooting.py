@@ -2,10 +2,11 @@
 
 A periodic orbit is a fixed point of the time-T flow in (q, p).  Damped
 Newton iterates on the flow residual.  Its Jacobian is the forward
-finite-difference monodromy matrix, whose six columns are integrated in
-the same stacked flow as the trial orbit: one 42-vector run with shared
-step control gives both the residual and the monodromy at each trial
-point.
+finite-difference monodromy matrix.  Each segment start (see "Multiple
+shooting" below) flows as 7 members, itself and its six difference
+members, so a span of K segments is one stacked run of 42K values with
+shared step control, which gives both the residual and the monodromy at
+each trial point.
 
 Reversible shooting.  Let R be a coordinate mirror q_n -> -q_n and
 G = diag(R, -R) on (q, p).  When the potential, the magnetic field and
@@ -41,7 +42,7 @@ keeps x0 in Fix(G) exactly, so a continuation stays on the symmetric
 branch until the branch check or a failed solve stops it; a
 symmetry-breaking bifurcation, where M - I gains a kernel off Fix(G)
 while the reduced Jacobian stays regular, shows as a small
-`sigma_min_M_minus_I` in `OrbitSolution.symmetry`.
+`sigma_min_M_minus_I` in `OrbitSolution.record`.
 
 Multiple shooting (Stoer & Bulirsch, "Introduction to Numerical
 Analysis", section 7.3; Deuflhard, "Newton Methods for Nonlinear
@@ -89,7 +90,7 @@ it, and the matching recursion gives the other starts' steps
   by the safety factor would split it into a step and a sliver.  Flows of
   several steps keep their first step.
 - The trajectory.  The orbit members of the segments join into one
-  trajectory over the span (`Trajectory.joined`), continuous to within
+  trajectory over the span (`_Shooting.orbit`), continuous to within
   the matching defects.
 
 The continuation driver walks the deformation parameter from the
@@ -326,7 +327,7 @@ class OrbitSolution:
     solve's guess was first flowed at, None for the unflowed lam = 0 start.
     counts are those of the solve's flows (`_counts`): its segments, flows,
     right-hand-side calls and accepted and rejected steps, all 0 for the
-    lam = 0 start, which no solve flows.
+    lam = 0 start, which no solve flows.  `record` gathers these facts.
     """
 
     system: HomotopySystem
@@ -351,24 +352,23 @@ class OrbitSolution:
         return len(self.newton_trace)
 
     @functools.cached_property
-    def symmetry(self) -> dict:
-        """The path that solved the orbit, the smallest singular value of M - I and the symmetry defect.
+    def record(self) -> dict:
+        """The solve's record (`_record`), computed when first read.
 
-        Computed when first read, for the continuation history and the
-        orbit record alike.  The singular value is near 0 where M gains
-        the eigenvalue 1.  At a symmetry-breaking bifurcation that happens
-        off Fix(G), where the reversible path's 3 x 3 Jacobian stays
-        regular, so this value is what names one.  The defect is min |x0 - G x0|_inf over the mirrors
-        of the config (`FieldConfig.mirrors`): 0 on a symmetric orbit, None
-        for a config with no mirror.
+        The continuation history and the orbit record alike read it.  Its
+        sigma_min_M_minus_I, the smallest singular value of M - I, is near 0
+        where M gains the eigenvalue 1.  At a symmetry-breaking bifurcation
+        that happens off Fix(G), where the reversible path's 3 x 3 Jacobian
+        stays regular, so this value is what names one.  Its symmetry_defect
+        is min |x0 - G x0|_inf over the mirrors of the config
+        (`FieldConfig.mirrors`): 0 on a symmetric orbit, None for a config
+        with no mirror.
         """
         x0 = self.x0.as_array()
         defects = (float(np.max(np.abs(x0 - _reversor(n) * x0))) for n in self.system.config.mirrors())
-        return {
-            "shooting": self.shooting,
-            "sigma_min_M_minus_I": float(np.linalg.svd(self.monodromy - np.eye(6), compute_uv=False)[-1]),
-            "symmetry_defect": min(defects, default=None),
-        }
+        sigma_min = float(np.linalg.svd(self.monodromy - np.eye(6), compute_uv=False)[-1])
+        solved = dict(index_det=self.index_det, sigma_min_M_minus_I=sigma_min, symmetry_defect=min(defects, default=None))
+        return _record(self.lam, self.guess_rtol, self.newton_trace, self.counts, shooting=self.shooting, **solved)
 
     @functools.cached_property
     def diagnostics(self) -> dict:
@@ -413,6 +413,18 @@ def orbit_identities(system: HomotopySystem, traj: Trajectory) -> dict:
         "virial_rhs": float(-total[4]),
         "virial_gap": float(abs(total[3] + total[4])),
     }
+
+
+def _record(lam: float, guess_rtol: float | None, newton_trace: list, counts: dict, **solved) -> dict:
+    """The record of one solve at lam, which every report of the solve reads.
+
+    Its keys: lambda, guess_rtol, newton_trace, index_det, shooting (the
+    path's name), sigma_min_M_minus_I, symmetry_defect and the `_counts`.
+    solved gives shooting and, for a solution (`OrbitSolution.record`), the
+    other three, which a failed solve's record has None for.
+    """
+    unsolved = dict.fromkeys(("index_det", "sigma_min_M_minus_I", "symmetry_defect"))
+    return {"lambda": lam, "guess_rtol": guess_rtol, "newton_trace": newton_trace, **unsolved, **solved, **counts}
 
 
 def _counts(segments: int) -> dict:
@@ -472,7 +484,6 @@ class _Flowed(NamedTuple):
     """One flow of a solve, read by its `_Shooting`."""
 
     run: Trajectory  # the stacked run of the segments and their difference members
-    orbit: Callable[[], Trajectory]  # the orbit over the span, built when called
     starts: np.ndarray  # the segment starts s_k, shape (K, 6); s_0 = x0
     ends: np.ndarray  # the segment ends phi_h(s_k), shape (K, 6)
     phis: np.ndarray  # the segments' difference Jacobians Phi_k, shape (K, 6, 6)
@@ -523,12 +534,9 @@ class _Shooting:
         residual is y[off] with the Jacobian Phi[off, fix] (g < 0, g > 0);
         M = G Phi^-1 G Phi and the norm is that of G Phi^-1 (G y - y), the
         linearization of phi_T(x0) - x0, both from one LU of Phi.  A
-        singular Phi raises SingularJacobian.  The orbit, the members 0, 7,
-        ..., 7 (K - 1) joined over the span (`Trajectory.joined`), is built
-        when called, so only a solution's flow builds it.
+        singular Phi raises SingularJacobian.
         """
         ends = run.states[-1, ::7]
-        orbit = functools.partial(run.joined, range(0, 7 * self.segments, 7), self.offsets, self.span)
         phi, carried = phis[0], 0.0
         for phi_k, defect in zip(phis[1:], ends[:-1] - starts[1:]):
             carried = phi_k @ (carried + defect)
@@ -536,7 +544,7 @@ class _Shooting:
         y = ends[-1] + carried
         if self.g is None:
             res = y - starts[0]
-            return _Flowed(run, orbit, starts, ends, phis, res, phi - np.eye(6), float(np.max(np.abs(res))), phi)
+            return _Flowed(run, starts, ends, phis, res, phi - np.eye(6), float(np.max(np.abs(res))), phi)
         g, off = self.g, self.g < 0.0
         try:
             solved = np.linalg.solve(phi, np.column_stack([g * y - y, g[:, None] * phi]))
@@ -546,14 +554,14 @@ class _Shooting:
             raise SingularJacobian(f"the Jacobian of the half-period flow is singular ({self.name} shooting)")
         norm = float(np.max(np.abs(g * solved[:, 0])))
         jac = phi[off][:, self.unknowns]
-        return _Flowed(run, orbit, starts, ends, phis, y[off], jac, norm, g[:, None] * solved[:, 1:])
+        return _Flowed(run, starts, ends, phis, y[off], jac, norm, g[:, None] * solved[:, 1:])
 
     def split(self, flowed: _Flowed) -> _Flowed:
         """flowed, a read one-segment run of x0 over the span, as the first iterate of this path's segments.
 
         The segment starts are the run's orbit at t_k, read from its dense
         output, so the matching defects are zero, and the condensed system,
-        residual norm, monodromy and orbit stay the run's.  Its difference
+        residual norm, monodromy and run stay the one segment's.  Its difference
         members at t_k give Phi(t_k) = D phi_t_k(x0), and so
         Phi_k = Phi(t_(k+1)) Phi(t_k)^-1 with no further flow.
         """
@@ -577,11 +585,18 @@ class _Shooting:
             delta[k] = flowed.phis[k - 1] @ delta[k - 1] + (flowed.ends[k - 1] - flowed.starts[k])
         return delta
 
-    def one_period(self, orbit: Callable[[], Trajectory]) -> Callable[[], Trajectory]:
-        """The flow of the one-period trajectory of a solution whose orbit over the span is orbit()."""
-        if self.g is None:
-            return orbit
-        return lambda: orbit().reflected(self.g)
+    def orbit(self, run: Trajectory) -> Trajectory:
+        """The one-period trajectory of a solution whose stacked run is run.
+
+        The orbit members 0, 7, ..., 7 (K - 1), one per segment, join over
+        the span (`Trajectory.joined`); on the reversible path the joined
+        half-period orbit is reflected to the whole period
+        (`Trajectory.reflected`).  K is read from run, 7 members a segment:
+        1 for a guess flow that `split` read as the first iterate of K > 1.
+        """
+        k = run.states.shape[1] // 7
+        orbit = run.joined(range(0, 7 * k, 7), replace(self, segments=k).offsets, self.span)
+        return orbit if self.g is None else orbit.reflected(self.g)
 
 
 def _shooting(problem: ShootingProblem, y: np.ndarray) -> _Shooting:
@@ -675,21 +690,16 @@ def newton_shooting(
     newton_tol is out of reach and the solve ends at its first trial),
     SingularJacobian (a condition estimate of the condensed Jacobian above
     1e12, or a singular Phi of the guess's half-period flow) or LeftDomain
-    (the guess, or every damped trial point, outside the search region).  A failure raised
-    once the path is chosen carries the iterations so far as
-    `newton_trace`, the path's name as `shooting`, the guess's rtol as
-    `guess_rtol` and the counts of its flows so far as `counts`.
+    (the guess, or every damped trial point, outside the search region).  Every
+    failure carries the solve's record so far as `record` (`_record`): its
+    path, the guess's rtol (None for a guess outside the search region,
+    which is checked first and never flowed), its iterations and the counts
+    of its flows.
     """
     y = guess.as_array()
-    bad = problem.violation(y)
-    if bad is not None:
-        raise LeftDomain(f"initial guess outside the search region: {bad}")
-
     shooting = _shooting(problem, y)
-    rtol0 = problem.integrator.rtol
-    guess_rtol = _trial_rtol(rtol0, _drift_residual(problem, y))
-    tol = problem.solver.newton_tol
-    trace, counts = [], _counts(1)
+    rtol0, tol = problem.integrator.rtol, problem.solver.newton_tol
+    guess_rtol, trace, counts = None, [], _counts(1)
 
     def flow(starts: np.ndarray, rtol: float, previous: Trajectory | None) -> _Flowed:
         flowed = _flow_residual(problem, shooting, starts, rtol, previous)
@@ -700,6 +710,10 @@ def newton_shooting(
         return flowed
 
     try:
+        bad = problem.violation(y)
+        if bad is not None:
+            raise LeftDomain(f"initial guess outside the search region: {bad}")
+        guess_rtol = _trial_rtol(rtol0, _drift_residual(problem, y))
         flowed = flow(y[None], guess_rtol, previous)
         segments = len(flowed.run.ts) - 1
         if 1 < segments <= _MAX_SEGMENTS:
@@ -760,14 +774,14 @@ def newton_shooting(
                     f"(residual {res_norm:.3e})"
                 )
     except SolverError as err:
-        err.newton_trace, err.shooting, err.guess_rtol, err.counts = trace, shooting.name, guess_rtol, counts
+        err.record = _record(problem.lam, guess_rtol, trace, counts, shooting=shooting.name)
         raise
 
     return OrbitSolution(
         system=problem.system,
         lam=problem.lam,
         x0=State.from_array(flowed.starts[0]),
-        flow=shooting.one_period(flowed.orbit),
+        flow=functools.partial(shooting.orbit, flowed.run),
         residual_norm=flowed.norm,
         monodromy=flowed.monodromy,
         index_det=float(np.linalg.det(np.eye(6) - flowed.monodromy)),
@@ -876,13 +890,9 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     checked against problem.region when it is set.  The first step's guess
     flows cold, so the start's trajectory is not read; each later guess's
     first flow is warm-started from the previous accepted orbit's trajectory.
-    Each attempt adds one `history` record with the rtol its guess was
-    first flowed at (`guess_rtol`, that of its drift, from the solve), its
-    Newton iterations (`newton_trace`, up to the failure for a failed
-    solve), the solved orbit's det(I - M) (`index_det`), and its
-    `OrbitSolution.symmetry`: the path (`shooting`), the smallest singular
-    value of M - I and the symmetry defect |x0 - G x0|_inf.  A failed solve
-    has None for the orbit's entries.
+    Each attempt adds one `history` entry: its solve's record (`_record`,
+    `OrbitSolution.record` or the `record` of the failure) with the step
+    dlam, whether it was accepted and the reason it was not.
 
     Budget, from target_lambda and dlam_floor alone: h = max(0,
     ceil(log2(target_lambda / dlam_floor))) halvings take the whole
@@ -911,19 +921,14 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
     end = ("reached_target", "target is the starting parameter") if target_lambda == 0.0 else None
     while end is None and len(history) < budget:
         lam_try = target_lambda if dlam >= target_lambda - lam else lam + dlam
-        index_det = violation = None
+        violation = None
         previous = solutions[-1].trajectory if len(solutions) > 1 else None
         try:
             sol = newton_shooting(solutions[-1].x0, replace(problem, lam=lam_try), previous)
         except SolverError as err:
-            reason, trace = str(err), getattr(err, "newton_trace", [])
-            guess_rtol, counts = getattr(err, "guess_rtol", None), getattr(err, "counts", _counts(0))
-            symmetry = dict.fromkeys(("shooting", "sigma_min_M_minus_I", "symmetry_defect"))
-            symmetry["shooting"] = getattr(err, "shooting", None)
+            reason, record = str(err), err.record
         else:
-            trace, guess_rtol, index_det, counts = sol.newton_trace, sol.guess_rtol, sol.index_det, sol.counts
-            symmetry = sol.symmetry
-            region = problem.region
+            record, index_det, region = sol.record, sol.index_det, problem.region
             checks = [] if region is None else region_checks(sol.trajectory.states, region)
             reason = violation = next((check.detail for check in checks if not check.passed), None)
             if reason is None and index_det == 0.0:
@@ -933,19 +938,7 @@ def continue_lambda(problem: ShootingProblem, start: OrbitSolution) -> Continuat
                     f"det(I - M) = {index_det:.6g} differs in sign from {start_det:.6g} "
                     "at lam = 0: the orbit lies on another branch"
                 )
-        history.append(
-            {
-                "lambda": lam_try,
-                "dlam": dlam,
-                "accepted": reason is None,
-                "reason": reason or "",
-                "guess_rtol": guess_rtol,
-                "newton_trace": trace,
-                "index_det": index_det,
-                **symmetry,
-                **counts,
-            }
-        )
+        history.append({**record, "dlam": dlam, "accepted": reason is None, "reason": reason or ""})
         if violation is not None:
             end = (
                 "bound_violation",

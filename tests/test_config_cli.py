@@ -603,6 +603,9 @@ def test_cli_continue_to_target_lambda_zero_verifies_and_writes_the_start(tmp_pa
     final = payload["final_orbit"]
     assert final["lambda"] == 0.0 and final["verified"] is True and final["newton_trace"] == []
     assert final["mean_identity"] <= 1e-6 and final["virial_gap"] <= 1e-6
+    # the closed-form start's record: no guess, no flow of a solve, and its closed-form det(I - M)
+    assert (final["shooting"], final["guess_rtol"], final["flows"]) == ("closed form", None, 0)
+    assert final["index_det"] > 0.0 and final["sigma_min_M_minus_I"] > 0.0
     assert len((out / "orbit.csv").read_text().splitlines()) == 1 + 101
     # the start's one flow, for verify and orbit.csv: cold, at the configured tolerance
     assert [(traj.lam, flowed.rtol, step) for flowed, traj, step in flows] == [(0.0, 1e-10, None)]
@@ -873,9 +876,10 @@ def test_cli_keeps_the_orbit_bit_for_bit(tmp_path, name):
         orbit = report["final_orbit"] if command == "continue" else report
         assert orbit["segments"] == segments
         assert [repr(v) for v in orbit["x0_q"] + orbit["x0_p"]] == x0
-        assert repr(float(np.linalg.det(np.eye(6) - np.array(orbit["monodromy"])))) == index_det
+        assert repr(orbit["index_det"]) == index_det
+        assert orbit["index_det"] == float(np.linalg.det(np.eye(6) - np.array(orbit["monodromy"])))
         if command == "continue":
-            assert repr(report["continuation"]["history"][-1]["index_det"]) == index_det
+            assert report["continuation"]["history"][-1]["index_det"] == orbit["index_det"]
         assert hashlib.sha256((out / "orbit.csv").read_bytes()).hexdigest() == orbit_sha256
 
 
@@ -1028,6 +1032,7 @@ def test_cli_find_orbit_text_matches_json(tmp_path):
         assert [float(v) for v in value.split()] == expected, key
         keys.append(key)
     solver_data = {"monodromy", "newton_trace", "n_rejected", "shooting", "sigma_min_M_minus_I", "symmetry_defect"}
+    solver_data |= {"guess_rtol", "index_det"}
     solver_data |= {"segments", "flows", "rhs_calls", "steps_accepted", "steps_rejected"}
     assert sorted(keys) == sorted(set(payload) - solver_data)
 

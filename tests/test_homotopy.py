@@ -61,6 +61,17 @@ def test_grad_V_lambda_is_affine(system):
         assert np.allclose(mid, mean, rtol=1e-14, atol=1e-16)
 
 
+def test_grad_V_lambda_at_zero_never_evaluates_the_potential(system):
+    # the desk potential's gamma = 3 gradient overflows at |q| = 1e-90 (|q|^-5 = 1e450), where
+    # the lam = 0 Coulomb term c0 q / |q|^3 = 1e180 is finite: lam = 0 must skip it, not scale it by 0
+    y = np.array([1e-90, 0.0, 0.0, 0.0, 0.0, 0.0])
+    q, rad = radial_powers(y[:3])
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        system.config.potential.gradient(q, rad)
+    f = system.rhs_array(0.0, y, 0.0)
+    assert np.array_equal(f[:3], np.zeros(3)) and f[3:] == pytest.approx([1e180, 0.0, 2.0], rel=1e-15)
+
+
 def test_coulomb_gradient_at_unit_point():
     sys0 = HomotopySystem(coulomb_config())
     gradient = sys0.grad_V_lambda(*radial_powers([1.0, 0.0, 0.0]), 0.0)

@@ -36,6 +36,11 @@ from lfe.shooting import (
 )
 
 EQ = find_zero_f0(1.0, [0.0, 0.0, 2.0])
+# the keys of a solve's record (`lfe.shooting._record`), which every continuation history entry holds
+SOLVE_KEYS = {
+    "lambda", "guess_rtol", "newton_trace", "index_det", "shooting", "sigma_min_M_minus_I", "symmetry_defect",
+    "segments", "flows", "rhs_calls", "steps_accepted", "steps_rejected",
+}
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +128,76 @@ def test_failed_damping_names_its_cause(coulomb_problem):
     failing = FailingTrials(system=coulomb_problem.system, lam=0.0)
     with pytest.raises(NewtonDiverged, match=r"^no residual decrease after 20 damping halvings"):
         newton_shooting(guess, failing)
+
+
+def test_every_failed_solve_carries_its_record(coulomb_problem):
+    unsolved = {"index_det": None, "sigma_min_M_minus_I": None, "symmetry_defect": None}
+    # a guess outside the search region is checked before anything flows: no guess rtol and no flow,
+    # but the path the solve chose, here reversible about the x mirror, and its one segment
+    outside = dataclasses.replace(coulomb_problem, integrator=IntegratorConfig(r_min=0.5), region=(0.5, 5.0, 2.5))
+    with pytest.raises(LeftDomain) as left:
+        newton_shooting(State(q=[0.0, 0.0, 20.0], p=[0.0, 0.0, 0.0]), outside)
+    counts = {"segments": 1, "flows": 0, "rhs_calls": 0, "steps_accepted": 0, "steps_rejected": 0}
+    never_flowed = {"lambda": 0.0, "guess_rtol": None, "newton_trace": [], "shooting": "reversible x"}
+    assert left.value.record == {**never_flowed, **unsolved, **counts}
+    # the iteration cap: the one iteration and the guess's and trial's flows
+    capped = dataclasses.replace(coulomb_problem, solver=SolverOptions(max_iterations=1))
+    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
+    with pytest.raises(NewtonDiverged, match=r"after 1 iterations") as diverged:
+        newton_shooting(guess, capped)
+    record = diverged.value.record
+    assert set(record) == SOLVE_KEYS and unsolved.items() <= record.items()
+    assert record["shooting"] == "reversible y" and len(record["newton_trace"]) == 1 and record["flows"] == 2
+    assert record["guess_rtol"] == drift_flow(capped, guess).rtol
+    # round-off stagnation, as in test_failed_damping_names_its_cause: the guess flow and the one
+    # trial that stays in the region, and no iteration
+    strict = dataclasses.replace(
+        coulomb_problem, solver=SolverOptions(newton_tol=1e-300), region=(0.1, 5.0, 1e-20)
+    )
+    with pytest.raises(NewtonDiverged, match="^round-off stagnation") as stagnated:
+        newton_shooting(EQ, strict)
+    record = stagnated.value.record
+    assert set(record) == SOLVE_KEYS and unsolved.items() <= record.items()
+    assert (record["shooting"], record["guess_rtol"], record["newton_trace"], record["flows"]) == (
+        "reversible x", 1e-10, [], 2
+    )
+
+
+def test_a_history_entry_is_its_solve_record_with_the_step(desk_problem, desk_start, monkeypatch):
+    # with 3 iterations a solve the desk continuation takes whole fails, so the path mixes failed
+    # and accepted attempts; each entry is the record of its solve, solved or failed, and the step
+    solve, records = lfe.shooting.newton_shooting, []
+
+    def recording(guess, problem, *args):
+        try:
+            sol = solve(guess, problem, *args)
+        except SolverError as err:
+            records.append(err.record)
+            raise
+        records.append(sol.record)
+        return sol
+
+    monkeypatch.setattr(lfe.shooting, "newton_shooting", recording)
+    path = continue_lambda(dataclasses.replace(desk_problem, solver=SolverOptions(max_iterations=3)), desk_start)
+    assert path.status == "reached_target"
+    assert {step["accepted"] for step in path.history} == {True, False}
+    assert path.history == [
+        {**record, "dlam": step["dlam"], "accepted": step["accepted"], "reason": step["reason"]}
+        for record, step in zip(records, path.history, strict=True)
+    ]
+    assert all(set(step) == SOLVE_KEYS | {"dlam", "accepted", "reason"} for step in path.history)
+    assert all(step["index_det"] is None for step in path.history if not step["accepted"])
+
+
+def test_a_solution_at_its_split_guess_flow_joins_the_one_segment_it_flowed(coulomb_problem):
+    # `split` keeps a guess flow's one-segment run as the first iterate of K segments, so a solve
+    # that converges there builds its orbit from that run as one segment
+    guess = State(q=EQ.q + np.array([1e-3, 0.0, 0.0]), p=np.zeros(3))
+    shooting = lfe.shooting._shooting(coulomb_problem, guess.as_array())
+    run, _ = coulomb_problem.flow_with_monodromy(guess.as_array()[None], span=shooting.span)
+    one, three = shooting.orbit(run), dataclasses.replace(shooting, segments=3).orbit(run)
+    assert np.array_equal(one.ts, three.ts) and np.array_equal(one.states, three.states)
+    assert (one.t0, one.t1) == (0.0, coulomb_problem.system.config.forcing.period)
 
 
 def drift_flow(problem: ShootingProblem, guess: State):
@@ -592,6 +667,13 @@ def test_the_difference_step_is_relative_to_a_large_coordinate():
     assert np.abs(jac[:, :3] - np.eye(6)[:, :3]).max() < 1e-6
 
 
+def planted_failure(problem: ShootingProblem) -> NewtonDiverged:
+    """A planted NewtonDiverged at problem.lam, with the record of a full-path solve that failed before it flowed."""
+    err = NewtonDiverged("planted failure")
+    err.record = lfe.shooting._record(problem.lam, None, [], lfe.shooting._counts(1), shooting="full")
+    return err
+
+
 def test_after_an_accepted_step_continuation_tries_the_rest_of_the_interval(coulomb_problem, monkeypatch):
     # a planted solve that converges only for steps of at most 0.3: each failure halves the
     # attempt, and each accepted step is followed by the rest of the interval
@@ -601,7 +683,7 @@ def test_after_an_accepted_step_continuation_tries_the_rest_of_the_interval(coul
 
     def short_steps_only(guess, problem, *args):
         if problem.lam - lams[-1] > 0.3:
-            raise NewtonDiverged("planted failure")
+            raise planted_failure(problem)
         lams.append(problem.lam)
         return solve(guess, problem, *args)
 
@@ -662,8 +744,8 @@ def test_continuation_whose_every_solve_fails_underflows_within_its_budget(
 ):
     start = newton_shooting(EQ, coulomb_problem)
 
-    def failing(*args):
-        raise NewtonDiverged("planted failure")
+    def failing(guess, problem, *args):
+        raise planted_failure(problem)
 
     monkeypatch.setattr(lfe.shooting, "newton_shooting", failing)
     solver = SolverOptions(dlam_init=dlam_init, dlam_floor=dlam_floor)
@@ -698,7 +780,7 @@ def test_a_symmetric_orbit_is_solved_from_half_period_flows(symmetric_orbits, na
     # x0 lies in Fix(G) = {y = 0, p_x = 0, p_z = 0} exactly, and so it stays along a continuation
     x0 = sol.x0.as_array()
     assert [x0[1], x0[3], x0[5]] == [0.0, 0.0, 0.0]
-    assert sol.symmetry["symmetry_defect"] == 0.0
+    assert sol.record["symmetry_defect"] == 0.0
     # the guess flows the half period, and the later flows its segments
     flows = recorded_flows(monkeypatch)
     again = newton_shooting(EQ, problem)
@@ -715,7 +797,7 @@ def test_the_reversible_monodromy_matches_a_full_period_difference_monodromy(sym
     assert np.abs(sol.monodromy - full).max() < 1e-5
     assert sol.index_det == pytest.approx(np.linalg.det(np.eye(6) - full), rel=1e-5)
     singular = np.linalg.svd(full - np.eye(6), compute_uv=False)[-1]
-    assert sol.symmetry["sigma_min_M_minus_I"] == pytest.approx(singular, rel=1e-4)
+    assert sol.record["sigma_min_M_minus_I"] == pytest.approx(singular, rel=1e-4)
 
 
 @pytest.mark.parametrize("name", ["desk", "light"])
